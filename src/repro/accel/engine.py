@@ -469,13 +469,17 @@ class KernelEngine:
             kernel=kernel,
         )
 
-    def acc_jerk_active(self, system, active, t_now, eps, counter=None):
+    def acc_jerk_active(self, system, active, t_now, eps, counter=None,
+                        kernel=None):
         """Force+jerk on the active block of a particle system at ``t_now``.
 
         The op every backend block step goes through.  The fused kernel
         predicts sources per j-chunk inside the loop (and leaves the
         system's ``pred_pos``/``pred_vel`` untouched); the reference
         kernel is the classic ``predict_system`` + ``acc_jerk`` pair.
+        ``kernel`` pins a registered implementation (see
+        :meth:`dispatch`): ``"fused"`` sums in the order of the
+        :meth:`acc_jerk_active_chunk` fold at every block size.
         """
         active = np.asarray(active)
         n_i, n_j = active.size, system.n
@@ -484,6 +488,7 @@ class KernelEngine:
         self._c_tile_bytes.inc(n_i * n_j * 8 * 11)
         return self.dispatch(
             "acc_jerk_active", n_i, n_j, (system, active, float(t_now), eps), {},
+            kernel=kernel,
         )
 
     # -- distributable chunk entry points ----------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 
 __all__ = ["main", "build_parser"]
 
@@ -319,48 +320,49 @@ def _cmd_run_managed(args) -> int:
         spmd_mode=args.spmd_mode, tree_walk=args.tree_walk,
         n_crit=args.n_crit,
     )
-    system = build_disk_system(
-        PlanetesimalDiskConfig(n_planetesimals=args.n, seed=args.seed)
-    )
-    obs = None
-    if args.profile or args.trace_out or args.metrics_out:
-        from .obs import Observability
+    with closing(backend):
+        system = build_disk_system(
+            PlanetesimalDiskConfig(n_planetesimals=args.n, seed=args.seed)
+        )
+        obs = None
+        if args.profile or args.trace_out or args.metrics_out:
+            from .obs import Observability
 
-        obs = Observability()
-    sim = Simulation(
-        system,
-        backend,
-        external_field=KeplerField(),
-        timestep_params=TimestepParams(
-            eta=args.eta, eta_start=args.eta / 2.0, dt_max=args.dt_max
-        ),
-        obs=obs,
-    )
-    run = ProductionRun(
-        sim,
-        args.run_dir,
-        snapshot_interval=args.snapshot_interval,
-        diagnostics_interval=args.diagnostics_interval,
-        checkpoint_interval=args.checkpoint_interval,
-        checkpoint_metadata={
-            "backend": args.backend,
-            "n": args.n,
-            "seed": args.seed,
-            "eta": args.eta,
-            "dt_max": args.dt_max,
-            "eps": args.eps,
-            "theta": args.theta,
-            "r_neighbour": args.r_neighbour,
-            "ranks": args.ranks,
-            "spmd_mode": args.spmd_mode,
-            "tree_walk": args.tree_walk,
-            "n_crit": args.n_crit,
-        },
-        run_id=f"disk-n{args.n}",
-    )
-    report = run.execute(args.t_end)
-    print(report.summary())
-    return _emit_run_observability(args, obs)
+            obs = Observability()
+        sim = Simulation(
+            system,
+            backend,
+            external_field=KeplerField(),
+            timestep_params=TimestepParams(
+                eta=args.eta, eta_start=args.eta / 2.0, dt_max=args.dt_max
+            ),
+            obs=obs,
+        )
+        run = ProductionRun(
+            sim,
+            args.run_dir,
+            snapshot_interval=args.snapshot_interval,
+            diagnostics_interval=args.diagnostics_interval,
+            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_metadata={
+                "backend": args.backend,
+                "n": args.n,
+                "seed": args.seed,
+                "eta": args.eta,
+                "dt_max": args.dt_max,
+                "eps": args.eps,
+                "theta": args.theta,
+                "r_neighbour": args.r_neighbour,
+                "ranks": args.ranks,
+                "spmd_mode": args.spmd_mode,
+                "tree_walk": args.tree_walk,
+                "n_crit": args.n_crit,
+            },
+            run_id=f"disk-n{args.n}",
+        )
+        report = run.execute(args.t_end)
+        print(report.summary())
+        return _emit_run_observability(args, obs)
 
 
 def _cmd_run_resume(args) -> int:
@@ -392,19 +394,21 @@ def _cmd_run_resume(args) -> int:
         tree_walk=cfg.get("tree_walk", args.tree_walk),
         n_crit=cfg.get("n_crit", args.n_crit),
     )
-    eta = cfg.get("eta", args.eta)
-    run = ProductionRun.resume(
-        directory,
-        backend,
-        external_field=KeplerField(),
-        timestep_params=TimestepParams(
-            eta=eta, eta_start=eta / 2.0, dt_max=cfg.get("dt_max", args.dt_max)
-        ),
-    )
-    print(f"resuming from {path.name} at T = {run.sim.time:g}")
-    report = run.execute()
-    print(report.summary())
-    return 0
+    with closing(backend):
+        eta = cfg.get("eta", args.eta)
+        run = ProductionRun.resume(
+            directory,
+            backend,
+            external_field=KeplerField(),
+            timestep_params=TimestepParams(
+                eta=eta, eta_start=eta / 2.0,
+                dt_max=cfg.get("dt_max", args.dt_max),
+            ),
+        )
+        print(f"resuming from {path.name} at T = {run.sim.time:g}")
+        report = run.execute()
+        print(report.summary())
+        return 0
 
 
 def _emit_run_observability(args, obs) -> int:
@@ -457,10 +461,11 @@ def _cmd_run(args) -> int:
 
         obs = Observability()
 
-    res = run_scaled_disk(
-        backend, n=args.n, t_end=args.t_end, seed=args.seed,
-        eta=args.eta, dt_max=args.dt_max, obs=obs,
-    )
+    with closing(backend):
+        res = run_scaled_disk(
+            backend, n=args.n, t_end=args.t_end, seed=args.seed,
+            eta=args.eta, dt_max=args.dt_max, obs=obs,
+        )
     print(f"particles:        {res.n}")
     print(f"integrated to:    T = {res.t_end:g}")
     print(f"block steps:      {res.block_steps}")

@@ -61,6 +61,10 @@ class ForceBackend:
         """Mutual potential per unit mass on every particle (diagnostics)."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what outlives a force call (worker processes, shared
+        memory).  Idempotent; the in-process backends hold nothing."""
+
 
 class HostDirectBackend(ForceBackend):
     """Reference backend: host-side prediction + direct summation.

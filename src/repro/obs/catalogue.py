@@ -254,6 +254,10 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     ),
     # -- multiprocess SPMD engine ----------------------------------------
     "spmd.runs_total": ("counter", "SPMD programs executed by the process engine"),
+    "spmd.gang_forks_total": (
+        "counter",
+        "Worker processes forked: one per rank per gang, one per rank restart",
+    ),
     "spmd.supersteps_total": (
         "counter",
         "Collective supersteps completed across the gang",

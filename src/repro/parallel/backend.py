@@ -20,9 +20,12 @@ Three execution modes share the one program:
   degrade);
 * ``"vm"`` — the in-process :class:`~repro.parallel.spmd.VirtualMachine`
   (deterministic scheduling, predicted comm costs, no processes);
-* ``"serial"`` — the plain accel-engine evaluation, as
-  :class:`~repro.core.backends.HostDirectBackend` would do it (the
-  equality baseline).
+* ``"serial"`` — the accel engine's fused kernel in this process (the
+  equality baseline; :class:`~repro.core.backends.HostDirectBackend`
+  with the kernel pinned, so small blocks sum in the chunk order too).
+
+In ``"proc"`` mode the gang is forked by the first force call and lives
+until :meth:`SpmdBackend.close`; callers own that call.
 """
 
 from __future__ import annotations
@@ -118,8 +121,12 @@ class SpmdBackend(ForceBackend):
     def forces_on(self, system, active: np.ndarray, t_now: float):
         active = np.asarray(active)
         if self.mode == "serial":
+            # pinned: below accel_min_pairs the size heuristic would pick
+            # the reference kernel, which sums in another order than the
+            # rank chunk kernel and breaks serial == vm == proc
             return self.engine.acc_jerk_active(
-                system, active, t_now, self.eps, counter=self.counter
+                system, active, t_now, self.eps, counter=self.counter,
+                kernel="fused",
             )
         params = {
             "eps": self.eps,
@@ -159,7 +166,8 @@ class SpmdBackend(ForceBackend):
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release the process gang's shared memory (idempotent)."""
+        """End the process gang and release its shared memory
+        (idempotent)."""
         if self._proc is not None:
             self._proc.close()
             self._proc = None

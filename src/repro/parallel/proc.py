@@ -13,6 +13,15 @@ bits on the VM and on the process gang — and the chunk-aligned force
 program keeps those bits identical to the serial and threaded
 single-process accel paths.
 
+The gang is **persistent**: it is forked by the first run of a program
+and serves every later run of the same program object, one command per
+rank per run, the way GRAPE-6's host processes live for the whole
+simulation.  What a run must not inherit from the one before — the
+``RankComm`` and its superstep tags, the replay journal, the restart
+budget, blocked ops, injected delays, the lease start — is made afresh
+for each run; processes, pipes, beat threads and segment attachments are
+not (``docs/SPMD.md``, "Execution model").
+
 Robustness model (the reason this module exists):
 
 * **dead ranks** are detected through process sentinels and exit
@@ -23,14 +32,15 @@ Robustness model (the reason this module exists):
   ordering raises :class:`~repro.errors.SpmdProtocolError` instead of
   deadlocking, and bounded op timeouts raise
   :class:`~repro.errors.SpmdTimeoutError` with straggler metrics;
-* on rank death the supervisor **restarts** the rank and replays its
+* on rank death — mid-run, or between runs and found at the start of
+  the next — the supervisor **restarts** the rank and replays its
   completed operations from a per-rank journal (the deterministic
   replay cursor): journaled results are served instantly, duplicate
   sends are suppressed, and the rank rejoins the gang live at the
   superstep where it died.  A fingerprint check on replayed ops turns
   non-deterministic programs into structured errors;
 * when the restart budget is exhausted the engine **degrades
-  gracefully**: workers are killed and the same program re-runs on the
+  gracefully**: the gang is retired and the same program re-runs on the
   in-process VM (bit-identical, since program + data + matching rules
   are the same), with the honest wall-clock overhead charged to the
   ``spmd.recovery_seconds`` metric — the same honesty contract as
@@ -54,6 +64,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection, shared_memory
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -112,38 +123,34 @@ class ProcResult:
 # -- worker side -------------------------------------------------------------
 
 
-def _attach_arrays(manifest: dict):
-    """Attach shared-memory segments; returns (arrays, segments)."""
-    arrays, segments = {}, []
+def _attach(attached: dict, manifest: dict) -> dict:
+    """Views of the manifest's arrays over cached segment attachments.
+
+    ``attached`` maps array name to the worker's ``SharedMemory``
+    handle and lives as long as the worker.  A name whose segment the
+    supervisor replaced (grown capacity) is re-attached; the caller
+    must have dropped the previous run's views by then, because a view
+    of a closed segment points at unmapped memory.
+    """
+    arrays = {}
     for name, (shm_name, shape, dtype) in manifest.items():
-        # forked workers share the parent's resource tracker, so the
-        # attach-side auto-registration is an idempotent no-op and the
-        # parent's unlink() is the single point of cleanup
-        seg = shared_memory.SharedMemory(name=shm_name)
-        segments.append(seg)
+        seg = attached.get(name)
+        if seg is None or seg.name != shm_name:
+            if seg is not None:
+                seg.close()
+            # forked workers share the parent's resource tracker, so the
+            # attach-side auto-registration is an idempotent no-op and the
+            # parent's unlink() is the single point of cleanup
+            seg = attached[name] = shared_memory.SharedMemory(name=shm_name)
         arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-    return arrays, segments
+    return arrays
 
 
-def _worker_main(rank, size, program, manifest, params,
-                 req_conn, rep_conn, hb, stall, heartbeat_interval):
-    """Drive one rank's generator, proxying every op to the supervisor."""
-    import threading
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # supervisor owns ^C
-    arrays, segments = _attach_arrays(manifest)
-    ctx = ProgramContext(arrays=arrays, params=params)
+def _drive(rank, size, program, ctx, req_conn, rep_conn, stall) -> None:
+    """One run of ``program`` on this rank, every op proxied to the
+    supervisor.  The comm is per run, so superstep tags restart at 0 —
+    the replay journal's fingerprints depend on that."""
     comm = RankComm(rank, size)
-    hb[rank] = time.monotonic()
-    stop = threading.Event()
-
-    def beat():
-        while not stop.is_set():
-            if not stall[rank]:
-                hb[rank] = time.monotonic()
-            time.sleep(heartbeat_interval)
-
-    threading.Thread(target=beat, daemon=True).start()
 
     def maybe_stall():
         # an injected heartbeat stall: the beat thread stops stamping
@@ -186,9 +193,48 @@ def _worker_main(rank, size, program, manifest, params,
         except Exception:
             pass
         raise
+
+
+def _worker_main(rank, size, program, req_conn, rep_conn, inherited,
+                 hb, stall, heartbeat_interval):
+    """One rank of a persistent gang: serve run commands until told to
+    exit.  Between runs the worker blocks on its command pipe with the
+    beat thread still stamping."""
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # supervisor owns ^C
+    # fork copied the supervisor's ends of every pipe open at the time
+    # (this rank's and its older siblings'); while any copy is open a
+    # dead supervisor does not read as EOF
+    for conn_ in inherited:
+        conn_.close()
+    hb[rank] = time.monotonic()
+    stop = threading.Event()
+
+    def beat():
+        while not stop.is_set():
+            if not stall[rank]:
+                hb[rank] = time.monotonic()
+            time.sleep(heartbeat_interval)
+
+    threading.Thread(target=beat, daemon=True).start()
+    attached: dict = {}
+    try:
+        while True:
+            command = rep_conn.recv()
+            if command[0] == "exit":
+                break
+            _, manifest, params = command
+            ctx = ProgramContext(
+                arrays=_attach(attached, manifest), params=params
+            )
+            _drive(rank, size, program, ctx, req_conn, rep_conn, stall)
+            del ctx  # views go before _attach may close their segment
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        pass  # the supervisor vanished: nobody left to serve or tell
     finally:
         stop.set()
-        for seg in segments:
+        for seg in attached.values():
             seg.close()
 
 
@@ -197,34 +243,42 @@ def _worker_main(rank, size, program, manifest, params,
 
 @dataclass
 class _Rank:
-    """Supervisor-side view of one rank."""
+    """Supervisor-side view of one rank.
+
+    ``proc``/``req``/``rep`` belong to the gang and carry over from run
+    to run; every other field is per run and starts from its default.
+    """
 
     proc: object = None
     req: object = None          # worker -> supervisor connection
-    rep: object = None          # supervisor -> worker connection
-    started: float = 0.0
+    rep: object = None          # supervisor -> worker: commands, replies
+    #: lease start: the run's start, or the restart's
+    started: float = field(default_factory=time.monotonic)
     done: bool = False
     value: object = None
     blocked: object = None      # live blocked op tuple or None
     posted: float = 0.0         # when the blocked op was posted
     #: completed ops: (fingerprint, needs_reply, result)
     journal: list = field(default_factory=list)
-    #: next live op index (== len(journal) once replay catches up)
     restarts: int = 0
     #: deliveries held back by an injected message delay
     delay_until: float = 0.0
 
 
 class ProcEngine:
-    """Supervised gang of worker processes running one SPMD program.
+    """Supervised, persistent gang of worker processes for SPMD programs.
 
     Shared arrays are registered once with :meth:`share` (and cheaply
-    refreshed with new values on later calls); :meth:`run` forks one
-    worker per rank, supervises them to completion, and returns a
-    :class:`ProcResult`.  The engine is reusable across runs — the
-    superstep counter is cumulative, which is what lets a seeded
-    :class:`~repro.resilience.FaultPlan` target "superstep 7" of a
-    multi-block simulation.
+    refreshed with new values on later calls).  The first
+    :meth:`run` of a program forks one worker per rank; the gang then
+    serves every later run of the *same program object* — one command
+    per rank per run — and is retired (and a new one forked) when a
+    different program arrives, on :meth:`close`, on degrade and on any
+    exception out of a run.  Workers see the parent's memory as it was
+    at the fork, so a program may read its inputs only through ``ctx``.
+    The superstep counter is cumulative across runs, which is what
+    lets a seeded :class:`~repro.resilience.FaultPlan` target
+    "superstep 7" of a multi-block simulation.
 
     Parameters
     ----------
@@ -257,6 +311,9 @@ class ProcEngine:
         self._segments: dict[str, tuple] = {}  # name -> (shm, view)
         self._hb = self._mp.Array("d", self.n_ranks, lock=False)
         self._stall = self._mp.Array("b", self.n_ranks, lock=False)
+        #: the live gang and the program object it was forked for
+        self._gang: list[_Rank] | None = None
+        self._program = None
         self._closed = False
         self.observe(obs)
 
@@ -268,6 +325,7 @@ class ProcEngine:
         self.obs = obs or NULL_OBS
         m = self.obs.metrics
         self._c_runs = m.counter("spmd.runs_total")
+        self._c_forks = m.counter("spmd.gang_forks_total")
         self._c_steps = m.counter("spmd.supersteps_total")
         self._c_msgs = m.counter("spmd.messages_total")
         self._c_bytes = m.counter("spmd.bytes_total")
@@ -286,18 +344,30 @@ class ProcEngine:
     # -- shared arrays ---------------------------------------------------
 
     def share(self, name: str, array: np.ndarray) -> None:
-        """Publish (or refresh) a named array in shared memory."""
+        """Publish (or refresh) a named array in shared memory.
+
+        A name's segment only ever grows: an array that fits the
+        capacity is copied into the segment already there, whatever its
+        shape, and the manifest of the next run carries the logical
+        shape.  A block-step caller whose ``active`` set changes size
+        on most calls therefore opens no segment in the steady state.
+        """
         array = np.ascontiguousarray(array)
-        entry = self._segments.get(name)
-        if entry is not None:
-            shm, view = entry
-            if view.shape == array.shape and view.dtype == array.dtype:
-                np.copyto(view, array)
-                return
+        shm, view = self._segments.get(name, (None, None))
+        if shm is None:
+            shm = shared_memory.SharedMemory(
+                create=True, size=max(array.nbytes, 1)
+            )
+        elif view.shape == array.shape and view.dtype == array.dtype:
+            np.copyto(view, array)
+            return
+        elif array.nbytes > shm.size:
+            # doubling bounds the reallocations of a slowly growing array
+            capacity = max(array.nbytes, 2 * shm.size)
+            del view, self._segments[name]  # views go before the mapping
             shm.close()
             shm.unlink()
-            del self._segments[name]
-        shm = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
+            shm = shared_memory.SharedMemory(create=True, size=capacity)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
         np.copyto(view, array)
         self._segments[name] = (shm, view)
@@ -315,10 +385,12 @@ class ProcEngine:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release shared-memory segments (idempotent)."""
+        """Retire the gang and release the shared-memory segments
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        self._retire()
         for shm, _ in self._segments.values():
             try:
                 shm.close()
@@ -341,20 +413,26 @@ class ProcEngine:
 
     # -- rank process management ----------------------------------------
 
-    def _spawn(self, state: _Rank, rank: int, program, params) -> None:
+    def _spawn(self, state: _Rank, rank: int) -> None:
+        """Fork rank ``rank`` of the current gang into ``state``."""
         req_parent, req_child = self._mp.Pipe(duplex=False)
         rep_parent, rep_child = self._mp.Pipe(duplex=False)
+        inherited = [req_parent, rep_child] + [
+            conn_ for other in self._gang for conn_ in (other.req, other.rep)
+            if conn_ is not None
+        ]
         self._stall[rank] = 0
         self._hb[rank] = time.monotonic()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(rank, self.n_ranks, program, self._manifest(), params,
-                  req_child, rep_parent, self._hb, self._stall,
+            args=(rank, self.n_ranks, self._program, req_child, rep_parent,
+                  inherited, self._hb, self._stall,
                   self.config.heartbeat_interval),
             daemon=True,
             name=f"spmd-rank-{rank}",
         )
         proc.start()
+        self._c_forks.inc()
         req_child.close()
         rep_parent.close()
         state.proc = proc
@@ -379,10 +457,48 @@ class ProcEngine:
                 except OSError:  # pragma: no cover
                     pass
 
+    def _gang_for(self, program) -> list[_Rank]:
+        """The gang serving ``program``, with fresh per-run state.
+
+        A worker that died while idle is not looked for here: it gets
+        its run command like the others, and the supervision loop sees
+        its sentinel on the first tick and counts and restarts it.
+        """
+        if self._gang is not None and self._program is not program:
+            self._retire()
+        if self._gang is None:
+            self._program = program
+            self._gang = [_Rank() for _ in range(self.n_ranks)]
+            for r, state in enumerate(self._gang):
+                self._spawn(state, r)
+        else:
+            self._gang = [
+                _Rank(proc=s.proc, req=s.req, rep=s.rep) for s in self._gang
+            ]
+        return self._gang
+
+    def _retire(self) -> None:
+        """End the gang: ``exit`` to the workers waiting for a command,
+        SIGKILL to those mid-run (they would take it for an op reply)
+        and to whatever ignores the request."""
+        gang, self._gang, self._program = self._gang or [], None, None
+        idle = [s for s in gang if s.done]
+        for state in idle:
+            _post(state, _EXIT)
+        deadline = time.monotonic() + _EXIT_GRACE
+        for state in idle:
+            state.proc.join(timeout=max(deadline - time.monotonic(), 0.0))
+        for state in gang:
+            self._kill(state)
+
     # -- the run ---------------------------------------------------------
 
     def run(self, program, params: dict | None = None) -> ProcResult:
-        """Execute ``program(comm, ctx)`` on every rank to completion."""
+        """Execute ``program(comm, ctx)`` on every rank to completion.
+
+        ``params`` travel to the workers over their command pipes and
+        must pickle (:class:`~repro.errors.SpmdError` otherwise).
+        """
         if self._closed:
             raise SpmdError("engine is closed")
         params = dict(params or {})
@@ -391,20 +507,23 @@ class ProcEngine:
         with self.obs.tracer.span("spmd.run", ranks=self.n_ranks):
             try:
                 result = self._supervise(program, params)
-            except SpmdProtocolError:
-                self._c_proto.inc()
+            except BaseException as exc:
+                if isinstance(exc, SpmdProtocolError):
+                    self._c_proto.inc()
+                # whatever state the ranks are in, the next run must not
+                # inherit it
+                self._retire()
                 raise
         result.wall_seconds = time.monotonic() - t0
         return result
 
     def _degrade(self, program, params, res: ProcResult,
-                 ranks: list[_Rank], reason: str) -> ProcResult:
-        """Kill the gang and rerun on the in-process VM (bit-identical)."""
+                 reason: str) -> ProcResult:
+        """Retire the gang and rerun on the in-process VM (bit-identical)."""
         from .spmd import VirtualMachine
 
         t0 = time.monotonic()
-        for state in ranks:
-            self._kill(state)
+        self._retire()
         self._c_degrades.inc()
         ctx = ProgramContext(arrays=self._parent_arrays(), params=params)
         with self.obs.tracer.span("spmd.degrade", reason=reason[:80]):
@@ -419,14 +538,19 @@ class ProcEngine:
     def _supervise(self, program, params) -> ProcResult:
         cfg = self.config
         res = ProcResult(returns=[None] * self.n_ranks, wall_seconds=0.0)
-        ranks = [_Rank() for _ in range(self.n_ranks)]
+        try:
+            # pickled once, before any worker hears of the run
+            command = ForkingPickler.dumps(("run", self._manifest(), params))
+        except Exception as exc:  # PicklingError, AttributeError, TypeError...
+            raise SpmdError(f"run params do not pickle: {exc}") from exc
+        ranks = self._gang_for(program)
         #: FIFO point-to-point mail: (src, dst) -> [(data, nbytes), ...]
         mail: dict = {}
         #: deliveries held by an injected message delay: (release_t, rank, msg)
         held: list = []
 
-        for r, state in enumerate(ranks):
-            self._spawn(state, r, program, params)
+        for state in ranks:
+            _post(state, command)
         self._apply_rank_faults(ranks)
 
         def live(state):
@@ -537,9 +661,8 @@ class ProcEngine:
             kind = msg[0]
             if kind == "done":
                 state.value = msg[1]
-                state.done = True
+                state.done = True  # the worker now waits for a command
                 res.returns[r] = msg[1]
-                state.proc.join(timeout=5.0)
                 return
             if kind == "error":
                 raise SpmdError(
@@ -624,7 +747,8 @@ class ProcEngine:
                 # journal replay will re-serve every completed result
                 held[:] = [h for h in held if h[1] != r]
                 state.delay_until = 0.0
-                self._spawn(state, r, program, params)
+                self._spawn(state, r)
+                _post(state, command)
                 overhead = time.monotonic() - t_rec
                 res.recovery_seconds += overhead
                 self._c_recovery.inc(overhead)
@@ -687,20 +811,8 @@ class ProcEngine:
                 check_timeouts()
         except _GangFailure as failure:
             if cfg.on_failure != "degrade":
-                for state in ranks:
-                    self._kill(state)
                 raise SpmdError(str(failure)) from None
-            return self._degrade(program, params, res, ranks, str(failure))
-        except BaseException:
-            for state in ranks:
-                self._kill(state)
-            raise
-        finally:
-            for state in ranks:
-                if state.proc is not None and not state.proc.is_alive():
-                    state.proc.join(timeout=1.0)
-        for state in ranks:
-            self._kill(state)
+            return self._degrade(program, params, res, str(failure))
         return res
 
     # -- seeded rank faults ----------------------------------------------
@@ -731,6 +843,21 @@ class ProcEngine:
 
 class _GangFailure(Exception):
     """Internal: a rank exhausted its restart budget."""
+
+
+# -- supervisor -> worker commands -------------------------------------------
+
+_EXIT = ForkingPickler.dumps(("exit",))
+#: how long a retiring worker gets to act on ``exit`` before SIGKILL [s]
+_EXIT_GRACE = 1.0
+
+
+def _post(state: _Rank, command: bytes) -> None:
+    """Write a pickled command to a worker's command pipe."""
+    try:
+        state.rep.send_bytes(command)
+    except OSError:
+        pass  # a dead worker: its sentinel tells the supervision loop
 
 
 # -- op plumbing shared with the worker --------------------------------------

@@ -11,7 +11,10 @@ To be portable a program must be a module-level callable taking
 ``(comm, ctx)`` where ``ctx`` is a :class:`ProgramContext`: named
 arrays (plain ndarrays on the VM, shared-memory views in workers) plus
 a picklable parameter dict.  Programs treat ``ctx.arrays`` as
-read-only input and move everything else through ``comm``.
+read-only input and move everything else through ``comm``.  ``ctx`` is
+the *only* input: the process gang is forked once and then reused, so
+whatever else a program reads (a module global, a closure variable) is
+the parent's value as of that fork, not as of the run.
 
 Three programs live here:
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
 import signal
 
 import numpy as np
@@ -55,6 +58,64 @@ def _test_watchdog(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# -- SPMD leak guard ---------------------------------------------------------
+#
+# The rank gang of ``repro.parallel.proc`` outlives a force call, so a
+# test that forgets ``close()`` would leave workers and shared-memory
+# segments behind for every later test.  Engines that merely went out of
+# scope are given one ``gc.collect()`` (their ``__del__`` closes them)
+# before anything counts as leaked.
+
+_SHM_DIR = "/dev/shm"
+
+
+def shm_segments() -> set[str]:
+    """Names of the Python shared-memory segments that exist right now."""
+    try:
+        return {f for f in os.listdir(_SHM_DIR) if f.startswith("psm_")}
+    except OSError:  # pragma: no cover - no POSIX shm directory
+        return set()
+
+
+def spmd_rank_children() -> list:
+    """The live ``spmd-rank-*`` worker processes of this process."""
+    return [
+        c for c in multiprocessing.active_children()
+        if c.name.startswith("spmd-rank-")
+    ]
+
+
+def _spmd_leaks(shm_before: set[str]) -> list[str]:
+    ranks = [f"{c.name}[{c.pid}]" for c in spmd_rank_children()]
+    return ranks + sorted(shm_segments() - shm_before)
+
+
+@pytest.fixture(autouse=True)
+def _spmd_leak_guard():
+    shm_before = shm_segments()
+    yield
+    if not _spmd_leaks(shm_before):
+        return
+    gc.collect()
+    leaked = _spmd_leaks(shm_before)
+    if not leaked:
+        return
+    # do not let one leak fail every test after it
+    for child in spmd_rank_children():
+        child.kill()
+        child.join()
+    for name in shm_segments() - shm_before:
+        try:
+            os.unlink(os.path.join(_SHM_DIR, name))
+        except OSError:
+            pass
+    pytest.fail(
+        "test left SPMD workers or shared-memory segments behind "
+        f"(missing close()?): {', '.join(leaked)}",
+        pytrace=False,
+    )
 
 
 def make_two_body(m1: float = 1.0, m2: float = 1e-3, a: float = 1.0, e: float = 0.0):

@@ -10,6 +10,7 @@ same final state.
 
 import numpy as np
 import pytest
+from conftest import shm_segments, spmd_rank_children
 
 from repro.accel import EngineConfig, KernelEngine
 from repro.core import KeplerField, Simulation, TimestepParams
@@ -127,6 +128,69 @@ class TestBitIdentity:
         assert backend.last_result.supersteps >= 1
         assert backend.counter.force_calls == sim.block_steps + 1  # +init
         backend.close()
+
+
+class TestDefaultEngineBitIdentity:
+    """The contract holds on the engine users get, not only on one
+    forced onto the fused path: a 2-particle block of N = 258 is below
+    ``accel_min_pairs``, where the size heuristic picks the reference
+    kernel unless serial mode pins the fused one."""
+
+    def test_small_block_identical_across_modes(self):
+        sim = make_spmd_sim(SpmdBackend(0.008, mode="serial"), n=256, seed=9)
+        system = sim.system
+        assert system.n == 258
+        active = np.array([5, 131])
+        t_now = float(system.t.max()) + 1e-3
+
+        results = {}
+        for mode in ("serial", "vm", "proc"):
+            with SpmdBackend(0.008, n_ranks=2, mode=mode) as backend:
+                backend.load(system)
+                results[mode] = backend.forces_on(system, active, t_now)
+        acc0, jerk0 = results["serial"]
+        for mode, (acc, jerk) in results.items():
+            assert np.array_equal(acc, acc0), mode
+            assert np.array_equal(jerk, jerk0), mode
+
+
+class TestGangLifetime:
+    def test_fifty_force_calls_use_one_gang_and_one_set_of_segments(self):
+        from repro.obs import Observability
+
+        def rank_pids():
+            return sorted(c.pid for c in spmd_rank_children())
+
+        n_ranks = 2
+        obs = Observability()
+        # the start-up call inside is all-active, like every simulation's
+        sim = make_spmd_sim(
+            SpmdBackend(0.008, n_ranks=n_ranks, engine=forced_engine(),
+                        obs=obs),
+            n=62, seed=3,
+        )
+        backend, system = sim.backend, sim.system
+        reference = SpmdBackend(0.008, n_ranks=n_ranks, mode="vm",
+                                engine=forced_engine())
+        try:
+            pids, shm = rank_pids(), shm_segments()
+            assert len(pids) == n_ranks
+            t_now = float(system.t.max()) + 1e-3
+            for call in range(50):
+                active = np.arange(call % 7, system.n, 1 + call % 5)
+                acc, jerk = backend.forces_on(system, active, t_now)
+                ref_acc, ref_jerk = reference.forces_on(system, active, t_now)
+                assert np.array_equal(acc, ref_acc)
+                assert np.array_equal(jerk, ref_jerk)
+                assert backend.last_result.restarts == 0
+                assert rank_pids() == pids
+                assert shm_segments() == shm
+            counters = obs.metrics.snapshot()
+            assert counters["spmd.gang_forks_total"] == n_ranks
+            assert counters["spmd.runs_total"] == 51
+        finally:
+            backend.close()
+        assert rank_pids() == []
 
 
 class TestChaosBitIdentity:
@@ -283,3 +347,36 @@ class TestCLISpmdBackend:
         # and the resume path rebuilds the spmd backend from that config
         assert main(["run", "--resume", str(d)]) == 0
         assert "production run complete" in capsys.readouterr().out
+
+    def test_cli_closes_the_backend_on_every_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import cli
+
+        closed = []
+        real_close = SpmdBackend.close
+
+        def recording_close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(SpmdBackend, "close", recording_close)
+        common = ["--backend", "spmd", "--ranks", "2", "--n", "16",
+                  "--dt-max", "0.25"]
+        d = tmp_path / "rundir"
+        assert cli.main(["run", *common, "--t-end", "0.5"]) == 0
+        assert len(closed) == 1
+        assert cli.main(["run", *common, "--t-end", "1", "--run-dir", str(d),
+                         "--checkpoint-interval", "2"]) == 0
+        assert len(closed) == 2
+        assert cli.main(["run", "--resume", str(d)]) == 0
+        assert len(closed) == 3
+
+        # the exit-code-2 error path, with the gang already forked
+        def failing_evolve(self, t_end, **kwargs):
+            raise ConfigurationError("boom after the first force call")
+
+        monkeypatch.setattr(Simulation, "evolve", failing_evolve)
+        assert cli.main(["run", *common, "--t-end", "0.5"]) == 2
+        assert len(closed) == 4
+        assert "boom" in capsys.readouterr().err

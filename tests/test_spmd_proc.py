@@ -12,6 +12,7 @@ import signal
 
 import numpy as np
 import pytest
+from conftest import spmd_rank_children
 
 from repro.errors import SpmdError, SpmdProtocolError, SpmdTimeoutError
 from repro.parallel import (
@@ -313,3 +314,150 @@ class TestSeededRankFaults:
         fired = inj.rank_actions(0)
         assert [s.kind for s in fired] == [FaultKind.RANK_KILL]
         assert plan.n_pending == 0
+
+
+# -- gang lifetime -----------------------------------------------------------
+
+
+def _rank_pids():
+    return sorted(c.pid for c in spmd_rank_children())
+
+
+def _sum_x(comm, ctx):
+    total = yield comm.allreduce(float(ctx.arrays["x"].sum()) + comm.rank)
+    return total
+
+
+def _raises(comm, ctx):
+    yield comm.barrier()
+    raise ValueError("worker-side failure")
+
+
+def _pid_alive(pid: int) -> bool:
+    """False once the process is gone or a zombie nobody reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestGangLifetime:
+    """The gang is forked once per program, not once per run."""
+
+    def test_runs_of_one_program_share_the_gang(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        with ProcEngine(3, obs=obs) as eng:
+            eng.share("x", np.ones(4))
+            first = eng.run(_sum_x)
+            pids = _rank_pids()
+            assert len(pids) == 3
+            for _ in range(5):
+                assert eng.run(_sum_x).returns == first.returns
+                assert _rank_pids() == pids
+        assert obs.metrics.snapshot()["spmd.gang_forks_total"] == 3
+
+    def test_share_reuses_capacity_across_shapes(self):
+        def shape_of(comm, ctx):
+            yield comm.barrier()
+            return ctx.arrays["x"].shape, float(ctx.arrays["x"].sum())
+
+        with ProcEngine(2) as eng:
+            eng.share("x", np.arange(12.0).reshape(4, 3))
+            assert eng.run(shape_of).returns[1] == ((4, 3), 66.0)
+            name = eng._manifest()["x"][0]
+            eng.share("x", np.arange(5.0))        # smaller: same segment
+            assert eng.run(shape_of).returns[1] == ((5,), 10.0)
+            assert eng._manifest()["x"][0] == name
+            eng.share("x", np.ones(40))           # outgrown: replaced once
+            assert eng.run(shape_of).returns[1] == ((40,), 40.0)
+            assert eng._manifest()["x"][0] != name
+
+    def test_idle_worker_sigkill_is_counted_and_restarted(self):
+        with ProcEngine(2, ProcConfig(op_timeout=20.0)) as eng:
+            eng.share("x", np.arange(6.0))
+            clean = eng.run(_sum_x)
+            assert (clean.deaths, clean.restarts) == (0, 0)
+            victim = spmd_rank_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            res = eng.run(_sum_x)
+            assert (res.deaths, res.restarts) == (1, 1)
+            assert not res.degraded
+            assert res.returns == clean.returns
+            assert len(_rank_pids()) == 2
+
+    def test_switching_program_replaces_the_gang(self):
+        with ProcEngine(2) as eng:
+            eng.share("x", np.ones(3))
+            eng.run(_sum_x)
+            before = _rank_pids()
+            assert eng.run(_allreduce_gather).returns == [(3.0, [0, 10])] * 2
+            after = _rank_pids()
+            assert len(after) == 2
+            assert not set(before) & set(after)
+
+    @pytest.mark.parametrize("bad", [_mismatched, _raises])
+    def test_failed_run_retires_the_gang(self, bad):
+        with ProcEngine(2, ProcConfig(op_timeout=20.0)) as eng:
+            eng.run(_allreduce_gather)
+            with pytest.raises(SpmdError):  # SpmdProtocolError is one
+                eng.run(bad)
+            assert spmd_rank_children() == []
+            res = eng.run(_allreduce_gather)
+            assert res.returns == [(3.0, [0, 10])] * 2
+            assert (res.deaths, res.restarts) == (0, 0)
+
+    def test_close_is_idempotent_and_leaves_no_child(self):
+        import multiprocessing
+
+        eng = ProcEngine(2)
+        eng.run(_allreduce_gather)
+        assert len(spmd_rank_children()) == 2
+        eng.close()
+        eng.close()
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_params_raise(self):
+        with ProcEngine(2) as eng:
+            with pytest.raises(SpmdError, match="pickle"):
+                eng.run(_allreduce_gather, {"callback": lambda: None})
+            assert eng.run(_allreduce_gather).returns == [(3.0, [0, 10])] * 2
+
+    def test_workers_exit_when_the_supervisor_is_killed(self):
+        import subprocess
+        import sys
+        import time
+
+        lease = 1.0
+        script = (
+            "import multiprocessing, sys, time\n"
+            "from repro.parallel import ProcConfig, ProcEngine\n"
+            "def prog(comm, ctx):\n"
+            "    yield comm.barrier()\n"
+            f"eng = ProcEngine(2, ProcConfig(lease_seconds={lease}))\n"
+            "eng.run(prog)\n"
+            "print(*[c.pid for c in multiprocessing.active_children()],"
+            " flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            pids = [int(p) for p in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(_pid_alive(p) for p in pids)
+            parent.kill()  # SIGKILL: no atexit, no close()
+            parent.wait(timeout=10.0)
+            deadline = time.monotonic() + lease
+            while time.monotonic() < deadline and any(map(_pid_alive, pids)):
+                time.sleep(0.02)
+            assert not any(map(_pid_alive, pids))
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
