@@ -281,6 +281,11 @@ class KernelEngine:
 
     # -- dispatch ----------------------------------------------------------
 
+    def _count_call(self, op: str, n_i: int, n_j: int) -> None:
+        """Book one engine call and the tile bytes its pairs stream."""
+        self._c_calls.inc()
+        self._c_tile_bytes.inc(n_i * n_j * 8 * tk.TILE_PLANES[op])
+
     def dispatch(self, op: str, n_i: int, n_j: int, args: tuple, kwargs: dict,
                  kernel: str | None = None):
         """Select a kernel for ``op`` at shape ``(n_i, n_j)`` and run it.
@@ -293,7 +298,7 @@ class KernelEngine:
         ``reference`` kernels and change low-order bits) pin the
         ``accel`` family this way.
         """
-        self._c_calls.inc()
+        self._count_call(op, n_i, n_j)
         if kernel is not None:
             spec = reg.REGISTRY.get((op, kernel))
             if spec is None:
@@ -355,7 +360,6 @@ class KernelEngine:
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._c_tile_bytes.inc(n_i * n_j * 8 * 11)
         return self.dispatch(
             "acc_jerk", n_i, n_j,
             (pos_i, vel_i, pos_j, vel_j, mass_j, eps),
@@ -371,7 +375,6 @@ class KernelEngine:
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=False)
-        self._c_tile_bytes.inc(n_i * n_j * 8 * 6)
         return self.dispatch(
             "acc_only", n_i, n_j,
             (pos_i, pos_j, mass_j, eps),
@@ -384,7 +387,6 @@ class KernelEngine:
         pos_i, pos_j = _norm(pos_i, pos_j)
         mass_j = _mass(mass_j)
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        self._c_tile_bytes.inc(n_i * n_j * 8 * 6)
         return self.dispatch(
             "potential", n_i, n_j,
             (pos_i, pos_j, mass_j, eps),
@@ -399,7 +401,6 @@ class KernelEngine:
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=False)
-        self._c_tile_bytes.inc(n_i * n_j * 8 * 7)
         return self.dispatch(
             "spline", n_i, n_j,
             (pos_i, pos_j, mass_j, h),
@@ -429,7 +430,6 @@ class KernelEngine:
             )
         if counter is not None:
             counter.add(int(include.sum()), 1, with_jerk=True)
-        self._c_tile_bytes.inc(n_i * n_j * 8 * 11)
         return self.dispatch(
             "acc_jerk_masked", n_i, n_j,
             (pos_i, vel_i, pos_j, vel_j, mass_j, eps, include), {},
@@ -461,7 +461,6 @@ class KernelEngine:
                 )
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._c_tile_bytes.inc(n_i * n_j * 8 * (11 if quad_j is None else 14))
         return self.dispatch(
             "node_force", n_i, n_j,
             (pos_i, vel_i, com_j, vel_j, mass_j, eps),
@@ -485,7 +484,6 @@ class KernelEngine:
         n_i, n_j = active.size, system.n
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._c_tile_bytes.inc(n_i * n_j * 8 * 11)
         return self.dispatch(
             "acc_jerk_active", n_i, n_j, (system, active, float(t_now), eps), {},
             kernel=kernel,
@@ -531,36 +529,12 @@ class KernelEngine:
         width = j1 - j0
         if counter is not None:
             counter.add(n_i, width, with_jerk=True)
-        self._c_calls.inc()
-        self._c_tile_bytes.inc(n_i * width * 8 * 11)
-        eps2 = float(eps) ** 2
-        dt_i = t_now - system.t[active]
-        pos_i = predict_positions(
-            system.pos[active], system.vel[active],
-            system.acc[active], system.jerk[active], dt_i,
+        self._count_call("acc_jerk_active", n_i, width)
+        pos_i, vel_i = _predict_sinks(system, active, t_now)
+        self._fused_chunk(
+            self._ws(), system, active, t_now, float(eps) ** 2,
+            pos_i, vel_i, j0, j1, acc, jerk,
         )
-        vel_i = predict_velocities(
-            system.vel[active], system.acc[active], system.jerk[active], dt_i,
-        )
-        ws = self._ws()
-        pj, vj = tk.predict_sources(
-            ws.vec(width, 3, slot=4), ws.vec(width, 3, slot=5),
-            ws.vec(width, 3, slot=6), ws.vec(width, 0, slot=7),
-            ws.vec(width, 0, slot=8),
-            system.pos[j0:j1], system.vel[j0:j1],
-            system.acc[j0:j1], system.jerk[j0:j1],
-            system.t[j0:j1], t_now,
-        )
-        mj = system.mass[j0:j1]
-        rows = self._rows(n_i, width)
-        for i0 in range(0, n_i, rows):
-            i1 = min(i0 + rows, n_i)
-            tv = ws.tile(i1 - i0, width)
-            mask = tk.tile_mask(active, i0, i1, j0, j1)
-            tk.acc_jerk_tile(
-                tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                acc[i0:i1], jerk[i0:i1], mask,
-            )
         return acc, jerk
 
     # -- collision sweep ---------------------------------------------------
@@ -781,42 +755,62 @@ class KernelEngine:
         if n_i == 0 or n_j == 0:
             return acc, jerk
         eps2 = float(eps) ** 2
-        # Sinks are block-sized: predict with the canonical expression
-        # (elementwise, so slicing before or after gives the same bits
-        # as a full predict_system sweep).
-        dt_i = t_now - system.t[active]
-        pos_i = predict_positions(
-            system.pos[active], system.vel[active],
-            system.acc[active], system.jerk[active], dt_i,
-        )
-        vel_i = predict_velocities(
-            system.vel[active], system.acc[active], system.jerk[active], dt_i,
-        )
+        pos_i, vel_i = _predict_sinks(system, active, t_now)
 
         def body(ws, j0, j1, outs):
-            acc_o, jerk_o = outs
-            width = j1 - j0
-            pj, vj = tk.predict_sources(
-                ws.vec(width, 3, slot=4), ws.vec(width, 3, slot=5),
-                ws.vec(width, 3, slot=6), ws.vec(width, 0, slot=7),
-                ws.vec(width, 0, slot=8),
-                system.pos[j0:j1], system.vel[j0:j1],
-                system.acc[j0:j1], system.jerk[j0:j1],
-                system.t[j0:j1], t_now,
+            self._fused_chunk(
+                ws, system, active, t_now, eps2, pos_i, vel_i, j0, j1, *outs,
             )
-            mj = system.mass[j0:j1]
-            rows = self._rows(n_i, width)
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
-                mask = tk.tile_mask(active, i0, i1, j0, j1)
-                tk.acc_jerk_tile(
-                    tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                    acc_o[i0:i1], jerk_o[i0:i1], mask,
-                )
 
         self._sweep(n_i, n_j, [acc, jerk], body)
         return acc, jerk
+
+    def _fused_chunk(self, ws, system, active, t_now, eps2, pos_i, vel_i,
+                     j0, j1, acc_o, jerk_o) -> None:
+        """Predict sources ``[j0, j1)`` and add their pull on the block.
+
+        The one chunk body behind both :meth:`_fused_acc_jerk_active`
+        (every chunk, through :meth:`_sweep`) and
+        :meth:`acc_jerk_active_chunk` (one chunk, for a rank gang).
+        """
+        n_i = active.size
+        width = j1 - j0
+        pj, vj = tk.predict_sources(
+            ws.vec(width, 3, slot=4), ws.vec(width, 3, slot=5),
+            ws.vec(width, 3, slot=6), ws.vec(width, 0, slot=7),
+            ws.vec(width, 0, slot=8),
+            system.pos[j0:j1], system.vel[j0:j1],
+            system.acc[j0:j1], system.jerk[j0:j1],
+            system.t[j0:j1], t_now,
+        )
+        mj = system.mass[j0:j1]
+        rows = self._rows(n_i, width)
+        for i0 in range(0, n_i, rows):
+            i1 = min(i0 + rows, n_i)
+            tv = ws.tile(i1 - i0, width)
+            mask = tk.tile_mask(active, i0, i1, j0, j1)
+            tk.acc_jerk_tile(
+                tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
+                acc_o[i0:i1], jerk_o[i0:i1], mask,
+            )
+
+
+def _predict_sinks(system, active, t_now):
+    """Predicted position and velocity of the active block at ``t_now``.
+
+    Sinks are block-sized: predict with the canonical expression
+    (elementwise, so slicing before or after gives the same bits as a
+    full ``predict_system`` sweep).
+    """
+    dt_i = t_now - system.t[active]
+    pos_i = predict_positions(
+        system.pos[active], system.vel[active],
+        system.acc[active], system.jerk[active], dt_i,
+    )
+    vel_i = predict_velocities(
+        system.vel[active], system.acc[active], system.jerk[active], dt_i,
+    )
+    return pos_i, vel_i
 
 
 def _norm(*arrays):

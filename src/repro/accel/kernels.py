@@ -7,6 +7,18 @@ identical to :mod:`repro.core.forces` — Plummer-softened force, jerk,
 potential — plus the cubic-spline force of :mod:`repro.core.kernels`;
 only the memory discipline differs.
 
+Memory layout: every pairwise quantity is a C-contiguous ``(rows,
+cols)`` *component plane* of the tile view (``dx``/``dy``/``dz``,
+``dvx``/``dvy``/``dvz`` and five scalar planes), so each pass below is a
+unit-stride stream.  Dot products are ``multiply`` / ``+=`` passes in
+fixed x, y, z order and row sums one ``einsum("ij,ij->i")`` per
+component; a row's sum depends only on that row, never on how the sinks
+were tiled.  The force is summed as ``sum_j (m_j / r^3) dr_ij`` directly
+— not the BLAS-shaped ``sum_j (m_j / r^3) x_j - x_i sum_j (m_j / r^3)``,
+which loses ``|x| / |dr|`` digits to cancellation for close neighbours
+in a disk far from the origin.  :data:`TILE_PLANES` records how many
+planes each op streams (the ``kernel.tile_bytes_total`` accounting).
+
 Self-interactions are excluded the same way as the reference kernels:
 the softened ``r2`` entry of an (i, i) pair is set to ``inf``, which
 drives every downstream term (including the jerk's ``rv/r2``) to an
@@ -25,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "TILE_PLANES",
     "tile_mask",
     "acc_jerk_tile",
     "acc_tile",
@@ -33,6 +46,21 @@ __all__ = [
     "quad_tile",
     "predict_sources",
 ]
+
+
+#: ``(rows, cols)`` float64 planes the tile pass of each engine op
+#: touches — the table behind ``kernel.tile_bytes_total`` (pairs x 8
+#: bytes x planes).  Keep it next to the kernels it describes.
+_ACC_JERK_PLANES = 11  # dx dy dz dvx dvy dvz r2 rv s mr3 w
+TILE_PLANES = {
+    "acc_jerk": _ACC_JERK_PLANES,
+    "acc_jerk_active": _ACC_JERK_PLANES,
+    "acc_jerk_masked": _ACC_JERK_PLANES,
+    "node_force": _ACC_JERK_PLANES,  # quad_tile reuses the monopole planes
+    "acc_only": 6,  # dx dy dz r2 s mr3
+    "potential": 6,  # dx dy dz r2 s mr3
+    "spline": 8,  # dx dy dz r2 rv s mr3 w
+}
 
 
 def tile_mask(self_indices, i0: int, i1: int, j0: int, j1: int):
@@ -52,10 +80,36 @@ def tile_mask(self_indices, i0: int, i1: int, j0: int, j1: int):
     return np.nonzero(inside)[0], sel[inside] - j0
 
 
+def _differences(a_i, a_j, out_x, out_y, out_z) -> None:
+    """``a_j - a_i`` of two ``(n, 3)`` arrays into three component planes."""
+    np.subtract(a_j[None, :, 0], a_i[:, None, 0], out=out_x)
+    np.subtract(a_j[None, :, 1], a_i[:, None, 1], out=out_y)
+    np.subtract(a_j[None, :, 2], a_i[:, None, 2], out=out_z)
+
+
+def _dot(ax, ay, az, bx, by, bz, out, scratch) -> None:
+    """``out = ax*bx + ay*by + az*bz`` summed in x, y, z order."""
+    np.multiply(ax, bx, out=out)
+    np.multiply(ay, by, out=scratch)
+    out += scratch
+    np.multiply(az, bz, out=scratch)
+    out += scratch
+
+
+def _row_sums(weight, px, py, pz, vec) -> None:
+    """``vec[i, k] = sum_j weight[i, j] * p_k[i, j]`` for k = x, y, z."""
+    np.einsum("ij,ij->i", weight, px, out=vec[:, 0])
+    np.einsum("ij,ij->i", weight, py, out=vec[:, 1])
+    np.einsum("ij,ij->i", weight, pz, out=vec[:, 2])
+
+
 def _separations(tv, pos_i, pos_j, eps2: float, mask) -> None:
-    """Fill ``tv.dr`` and softened ``tv.r2`` (with self-pairs at inf)."""
-    np.subtract(pos_j[None, :, :], pos_i[:, None, :], out=tv.dr)
-    np.einsum("ijk,ijk->ij", tv.dr, tv.dr, out=tv.r2)
+    """Fill ``tv.dx/dy/dz`` and softened ``tv.r2`` (self-pairs at inf).
+
+    Clobbers ``tv.s`` (dot-product scratch; dead until the ``sqrt``).
+    """
+    _differences(pos_i, pos_j, tv.dx, tv.dy, tv.dz)
+    _dot(tv.dx, tv.dy, tv.dz, tv.dx, tv.dy, tv.dz, tv.r2, tv.s)
     tv.r2 += eps2
     if mask is not None:
         tv.r2[mask] = np.inf
@@ -67,18 +121,18 @@ def acc_jerk_tile(
 ) -> None:
     """Add this tile's softened acceleration and jerk into the outputs."""
     _separations(tv, pos_i, pos_j, eps2, mask)
-    np.subtract(vel_j[None, :, :], vel_i[:, None, :], out=tv.dv)
-    np.einsum("ijk,ijk->ij", tv.dr, tv.dv, out=tv.rv)
+    _differences(vel_i, vel_j, tv.dvx, tv.dvy, tv.dvz)
+    _dot(tv.dx, tv.dy, tv.dz, tv.dvx, tv.dvy, tv.dvz, tv.rv, tv.s)
     np.sqrt(tv.r2, out=tv.s)
     tv.s *= tv.r2  # r^3
     np.divide(mass_j[None, :], tv.s, out=tv.mr3)  # m_j / r^3
-    np.einsum("ij,ijk->ik", tv.mr3, tv.dr, out=tv.vec1)
+    _row_sums(tv.mr3, tv.dx, tv.dy, tv.dz, tv.vec1)
     acc_out += tv.vec1
     np.multiply(tv.mr3, tv.rv, out=tv.w)
     tv.w /= tv.r2
     tv.w *= 3.0
-    np.einsum("ij,ijk->ik", tv.mr3, tv.dv, out=tv.vec1)
-    np.einsum("ij,ijk->ik", tv.w, tv.dr, out=tv.vec2)
+    _row_sums(tv.mr3, tv.dvx, tv.dvy, tv.dvz, tv.vec1)
+    _row_sums(tv.w, tv.dx, tv.dy, tv.dz, tv.vec2)
     tv.vec1 -= tv.vec2
     jerk_out += tv.vec1
 
@@ -89,7 +143,7 @@ def acc_tile(tv, pos_i, pos_j, mass_j, eps2: float, acc_out, mask=None) -> None:
     np.sqrt(tv.r2, out=tv.s)
     tv.s *= tv.r2
     np.divide(mass_j[None, :], tv.s, out=tv.mr3)
-    np.einsum("ij,ijk->ik", tv.mr3, tv.dr, out=tv.vec1)
+    _row_sums(tv.mr3, tv.dx, tv.dy, tv.dz, tv.vec1)
     acc_out += tv.vec1
 
 
@@ -156,7 +210,7 @@ def spline_tile(
     if mask is not None:
         g[mask] = 0.0
     g *= mass_j[None, :]
-    np.einsum("ij,ijk->ik", g, tv.dr, out=tv.vec1)
+    _row_sums(g, tv.dx, tv.dy, tv.dz, tv.vec1)
     acc_out += tv.vec1
 
 
@@ -172,20 +226,26 @@ def quad_tile(tv, quad_j, acc_out) -> None:
     (negating before or after the contractions carries the same bits).
 
     Must run *directly after* :func:`acc_jerk_tile` on the same view: it
-    reuses ``tv.dr`` (separations), ``tv.r2`` (softened ``r^2``) and
-    ``tv.s`` (``r^3``) left behind by the monopole pass, and clobbers
-    ``tv.dv`` / ``tv.rv`` / ``tv.w`` / ``tv.vec1`` / ``tv.vec2``.
+    reuses ``tv.dx`` / ``tv.dy`` / ``tv.dz`` (separations), ``tv.r2``
+    (softened ``r^2``) and ``tv.s`` (``r^3``) left behind by the
+    monopole pass, lands ``Q dr`` in ``tv.dvx`` / ``tv.dvy`` / ``tv.dvz``
+    and clobbers ``tv.rv`` / ``tv.mr3`` (dot-product scratch) / ``tv.w``
+    / ``tv.vec1`` / ``tv.vec2``.
     """
-    np.einsum("jkl,ijl->ijk", quad_j, tv.dr, out=tv.dv)  # Q dr
-    np.einsum("ijk,ijk->ij", tv.dr, tv.dv, out=tv.rv)  # dr^T Q dr
+    for k, qdr in enumerate((tv.dvx, tv.dvy, tv.dvz)):  # Q dr, row k of Q
+        _dot(
+            quad_j[None, :, k, 0], quad_j[None, :, k, 1], quad_j[None, :, k, 2],
+            tv.dx, tv.dy, tv.dz, qdr, tv.mr3,
+        )
+    _dot(tv.dx, tv.dy, tv.dz, tv.dvx, tv.dvy, tv.dvz, tv.rv, tv.mr3)  # dr^T Q dr
     np.multiply(tv.s, tv.r2, out=tv.w)  # r^5
     np.divide(1.0, tv.w, out=tv.w)
-    np.einsum("ij,ijk->ik", tv.w, tv.dv, out=tv.vec1)  # (Q dr) / r^5
+    _row_sums(tv.w, tv.dvx, tv.dvy, tv.dvz, tv.vec1)  # (Q dr) / r^5
     acc_out -= tv.vec1
     tv.w /= tv.r2  # 1 / r^7
     tv.w *= tv.rv
     tv.w *= 2.5
-    np.einsum("ij,ijk->ik", tv.w, tv.dr, out=tv.vec2)
+    _row_sums(tv.w, tv.dx, tv.dy, tv.dz, tv.vec2)
     acc_out += tv.vec2
 
 

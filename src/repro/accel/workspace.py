@@ -10,10 +10,16 @@ fixed set of registers and the j-memory, sized once at power-on.
 :class:`KernelWorkspace` is the software analogue.  It owns one set of
 tile buffers per *shape bucket* (dimensions rounded up to the next
 power of two, so a handful of buckets serves every block size the
-scheduler produces) and hands out **views** trimmed to the exact shape
-requested.  After warm-up the hot loop performs zero heap allocations:
-every ufunc and einsum in :mod:`repro.accel.kernels` runs in its
-``out=`` form against these buffers.
+scheduler produces) and hands out C-contiguous **views** of exactly the
+shape requested, laid over the front of each bucket plane.  After
+warm-up the hot loop performs zero heap allocations: every ufunc and
+einsum in :mod:`repro.accel.kernels` runs in its ``out=`` form against
+these buffers.
+
+Every pairwise quantity is a ``(rows, cols)`` *component plane*
+(structure of arrays: ``dx``, ``dy``, ``dz`` rather than one
+``(rows, cols, 3)`` tile), so each kernel pass is a unit-stride stream
+over whole planes instead of a length-3 inner loop.
 
 One workspace is private to one thread.  The engine keeps a
 thread-local workspace per executor worker plus one for the calling
@@ -40,35 +46,33 @@ def bucket_size(n: int, floor: int = 8) -> int:
 class TileBuffers:
     """One bucket's worth of tile storage (allocated once).
 
-    ``rows x cols`` is the bucket shape; :meth:`view` trims to the
-    live tile.  Buffer roles (all float64):
+    ``rows x cols`` is the bucket shape; :meth:`view` lays the live
+    tile over the front of each plane.  Buffer roles (all float64):
 
-    ``dr, dv``
-        ``(rows, cols, 3)`` separation / relative-velocity tiles.
+    ``dx, dy, dz``
+        ``(rows, cols)`` separation component planes.
+    ``dvx, dvy, dvz``
+        ``(rows, cols)`` relative-velocity component planes (the
+        quadrupole pass reuses them for ``Q dr``).
     ``r2, rv, s, mr3, w``
         ``(rows, cols)`` scalar fields: softened distance^2, r.v,
-        scratch (r^3, spline u, …), mass/r^3, jerk weight.
+        scratch (dot-product terms, r^3, spline u, …), mass/r^3, jerk
+        weight.
     ``vec1, vec2``
         ``(rows, 3)`` einsum landing pads for force/jerk partials.
     ``row1``
         ``(rows,)`` scalar landing pad (potential partials).
     """
 
-    __slots__ = (
-        "rows", "cols", "dr", "dv", "r2", "rv", "s", "mr3", "w",
-        "vec1", "vec2", "row1",
-    )
+    PLANES = ("dx", "dy", "dz", "dvx", "dvy", "dvz", "r2", "rv", "s", "mr3", "w")
+
+    __slots__ = ("rows", "cols") + PLANES + ("vec1", "vec2", "row1")
 
     def __init__(self, rows: int, cols: int) -> None:
         self.rows = int(rows)
         self.cols = int(cols)
-        self.dr = np.empty((rows, cols, 3))
-        self.dv = np.empty((rows, cols, 3))
-        self.r2 = np.empty((rows, cols))
-        self.rv = np.empty((rows, cols))
-        self.s = np.empty((rows, cols))
-        self.mr3 = np.empty((rows, cols))
-        self.w = np.empty((rows, cols))
+        for name in self.PLANES:
+            setattr(self, name, np.empty((rows, cols)))
         self.vec1 = np.empty((rows, 3))
         self.vec2 = np.empty((rows, 3))
         self.row1 = np.empty((rows,))
@@ -90,18 +94,21 @@ class TileBuffers:
 
 
 class TileView:
-    """Exact-shape views into one :class:`TileBuffers` bucket."""
+    """Exact-shape, C-contiguous views into one :class:`TileBuffers` bucket.
 
-    __slots__ = ("dr", "dv", "r2", "rv", "s", "mr3", "w", "vec1", "vec2", "row1")
+    Each plane is the first ``rows * cols`` elements of the bucket plane
+    reshaped to ``(rows, cols)`` — not ``plane[:rows, :cols]``, whose
+    row stride is the bucket's power-of-two width: with such a stride
+    every row of all eleven planes maps to the same cache sets.
+    """
+
+    __slots__ = TileBuffers.PLANES + ("vec1", "vec2", "row1")
 
     def __init__(self, buf: TileBuffers, rows: int, cols: int) -> None:
-        self.dr = buf.dr[:rows, :cols]
-        self.dv = buf.dv[:rows, :cols]
-        self.r2 = buf.r2[:rows, :cols]
-        self.rv = buf.rv[:rows, :cols]
-        self.s = buf.s[:rows, :cols]
-        self.mr3 = buf.mr3[:rows, :cols]
-        self.w = buf.w[:rows, :cols]
+        size = rows * cols
+        for name in TileBuffers.PLANES:
+            plane = getattr(buf, name).reshape(-1)[:size].reshape(rows, cols)
+            setattr(self, name, plane)
         self.vec1 = buf.vec1[:rows]
         self.vec2 = buf.vec2[:rows]
         self.row1 = buf.row1[:rows]

@@ -172,8 +172,11 @@ def cartesian_to_elements(pos: np.ndarray, vel: np.ndarray, mu: float = 1.0) -> 
     e_vec = (np.cross(vel, h_vec) / mu) - pos / r[:, None]
     e = np.linalg.norm(e_vec, axis=1)
 
-    # Inclination.
-    inc = np.arccos(np.clip(h_vec[:, 2] / h, -1.0, 1.0))
+    # Inclination; a radial orbit (h = 0) has no orbital plane and
+    # reports 0, like the undefined node of a planar orbit below.
+    with np.errstate(invalid="ignore"):
+        inc = np.arccos(np.clip(h_vec[:, 2] / h, -1.0, 1.0))
+    inc[h == 0.0] = 0.0
 
     # Node vector (points to the ascending node).
     node = np.stack([-h_vec[:, 1], h_vec[:, 0], np.zeros_like(h)], axis=-1)

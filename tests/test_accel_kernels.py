@@ -19,7 +19,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel import EngineConfig, KernelEngine, get_engine
+from repro.accel import (
+    EngineConfig,
+    KernelEngine,
+    KernelWorkspace,
+    TileBuffers,
+    get_engine,
+)
 from repro.accel import registry as reg
 from repro.core.collisions import (
     _dedup_pairs,
@@ -220,6 +226,26 @@ class TestDeterminism:
         assert np.array_equal(a_s, a_l)
         assert np.array_equal(j_s, j_l)
 
+    @pytest.mark.parametrize("key", [
+        "acc_jerk_active/fused", "acc_jerk_masked/accel", "node_force/accel",
+    ])
+    def test_tile_budget_does_not_change_bits_other_tiled_ops(self, key, workload):
+        """A row's sum must not depend on which row tile it landed in —
+        for every op that ends in ``acc_jerk_tile`` (``run_spec`` gives
+        ``node_force`` its ``quad_j``, so ``quad_tile`` is covered)."""
+        system, active = workload
+        spec = reg.REGISTRY[tuple(key.split("/"))]
+        small = small_engine(tile_budget=1 << 10)
+        large = small_engine(tile_budget=1 << 20)
+        try:
+            a_s, j_s = run_spec(spec, small, system, active)
+            a_l, j_l = run_spec(spec, large, system, active)
+        finally:
+            small.close()
+            large.close()
+        assert np.array_equal(a_s, a_l)
+        assert np.array_equal(j_s, j_l)
+
     def test_fused_leaves_pred_arrays_untouched(self, workload):
         system, active = workload
         system = system.copy() if hasattr(system, "copy") else make_system()
@@ -254,6 +280,123 @@ class TestDeterminism:
         )
         assert norm_close(acc_f, acc_r)
         assert norm_close(jerk_f, jerk_r)
+
+
+class TestWorkspaceLayout:
+    """The memory layout every tile kernel runs on."""
+
+    @pytest.mark.parametrize("shape", [(190, 258), (7, 1025), (1, 1), (256, 512)])
+    def test_tile_planes_are_contiguous_exact_shape(self, shape):
+        tv = KernelWorkspace().tile(*shape)
+        for name in TileBuffers.PLANES:
+            plane = getattr(tv, name)
+            assert plane.shape == shape, name
+            assert plane.flags.c_contiguous, name
+            assert plane.base is not None, f"{name} is a copy, not a view"
+        assert tv.vec1.shape == tv.vec2.shape == (shape[0], 3)
+        assert tv.row1.shape == (shape[0],)
+
+    def test_tile_planes_do_not_alias(self):
+        tv = KernelWorkspace().tile(5, 9)
+        planes = [getattr(tv, name) for name in TileBuffers.PLANES]
+        for k, plane in enumerate(planes):
+            plane[...] = k
+        for k, plane in enumerate(planes):
+            assert np.all(plane == k)
+
+    def test_workspace_bytes_constant_inside_one_bucket(self):
+        """After warm-up at the bucket's largest shape, no call allocates."""
+        system = make_system(n=512, seed=3)
+        rng = np.random.default_rng(17)
+        engine = small_engine(tile_budget=1 << 18, j_chunk=2048)
+        try:
+            engine.acc_jerk_active(system, np.arange(64), 5e-4, EPS, kernel="fused")
+            warm = engine.workspace_bytes
+            assert warm > 0
+            for _ in range(50):
+                n_i = int(rng.integers(33, 65))  # row bucket 64
+                active = np.sort(rng.choice(system.n, n_i, replace=False))
+                engine.acc_jerk_active(system, active, 5e-4, EPS, kernel="fused")
+                assert engine.workspace_bytes == warm
+        finally:
+            engine.close()
+
+
+class TestDiskGeometryCancellation:
+    """Close neighbours far from the origin: the planetesimal-disk case.
+
+    Sinks sit at ``|x| ~ 25`` with a neighbour ``1e-4`` away.  The kernel
+    sums ``m dr / r^3`` with ``dr = x_j - x_i`` formed first (exact for
+    such close operands), so it keeps full precision.  The BLAS-shaped
+    split ``sum_j (m/r^3) x_j - x_i sum_j (m/r^3)`` subtracts two numbers
+    of size ``|x| w`` to get one of size ``|dr| w`` and loses
+    ``eps |x| / |dr| ~ 2.5e-11`` — the reason no such form is used.
+    """
+
+    @staticmethod
+    def _disk_pairs(n_pairs=24, seed=23):
+        rng = np.random.default_rng(seed)
+        phi = rng.uniform(0.0, 2.0 * np.pi, n_pairs)
+        radius = rng.uniform(24.0, 26.0, n_pairs)
+        centre = np.stack([radius * np.cos(phi), radius * np.sin(phi),
+                           rng.normal(scale=0.05, size=n_pairs)], axis=1)
+        offset = rng.normal(size=(n_pairs, 3))
+        offset *= 1e-4 / np.linalg.norm(offset, axis=1)[:, None]
+        pos = np.concatenate([centre, centre + offset])
+        v_kep = 1.0 / np.sqrt(radius)
+        vel_c = np.stack([-v_kep * np.sin(phi), v_kep * np.cos(phi),
+                          np.zeros(n_pairs)], axis=1)
+        vel = np.concatenate([vel_c, vel_c + rng.normal(scale=1e-5, size=(n_pairs, 3))])
+        mass = rng.uniform(0.5e-9, 2e-9, 2 * n_pairs)
+        return pos, vel, mass
+
+    @staticmethod
+    def _longdouble_pair_loop(pos, vel, mass, eps):
+        ld = np.longdouble
+        pos, vel, mass = pos.astype(ld), vel.astype(ld), mass.astype(ld)
+        n = pos.shape[0]
+        acc = np.zeros((n, 3), dtype=ld)
+        jerk = np.zeros((n, 3), dtype=ld)
+        eps2 = ld(eps) ** 2
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                dr = pos[j] - pos[i]
+                dv = vel[j] - vel[i]
+                r2 = dr @ dr + eps2
+                mr3 = mass[j] / (r2 * np.sqrt(r2))
+                acc[i] += mr3 * dr
+                jerk[i] += mr3 * (dv - ld(3.0) * (dr @ dv) / r2 * dr)
+        return acc, jerk
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_close_neighbours_match_extended_precision(self):
+        pos, vel, mass = self._disk_pairs()
+        sinks = np.arange(pos.shape[0])
+        acc_ref, jerk_ref = self._longdouble_pair_loop(pos, vel, mass, EPS)
+        engine = small_engine()
+        try:
+            acc, jerk = engine.acc_jerk(pos, vel, pos, vel, mass, EPS,
+                                        self_indices=sinks, kernel="accel")
+        finally:
+            engine.close()
+
+        def rel_err(got, ref):
+            diff = np.linalg.norm((got.astype(np.longdouble) - ref).astype(np.float64))
+            return diff / np.linalg.norm(ref.astype(np.float64))
+
+        assert rel_err(acc, acc_ref) <= NORM_RTOL
+        assert rel_err(jerk, jerk_ref) <= NORM_RTOL
+
+        # the BLAS-shaped split, in float64, on the same weights
+        dr = pos[None, :, :] - pos[:, None, :]
+        r2 = np.einsum("ijk,ijk->ij", dr, dr) + EPS ** 2
+        np.fill_diagonal(r2, np.inf)
+        w = mass[None, :] / (r2 * np.sqrt(r2))
+        acc_blas = w @ pos - pos * w.sum(axis=1)[:, None]
+        assert rel_err(acc_blas, acc_ref) > NORM_RTOL
 
 
 class TestEdgeCases:

@@ -122,6 +122,17 @@ class TestRoundTrip:
         assert el.e[0] > 1
         assert np.isnan(el.M[0])
 
+    def test_radial_orbit_safe(self):
+        """Zero angular momentum: no 0/0 warning (an error under the
+        suite's filterwarnings), inclination reported as 0."""
+        pos = np.array([[30.0, 0, 0], [1.0, 0, 0]])
+        vel = np.array([[0.5, 0, 0], [0.0, 1.0, 0]])  # radial, circular
+        el = cartesian_to_elements(pos, vel)
+        assert el.inc[0] == 0.0 and el.Omega[0] == 0.0
+        assert el.e[0] == pytest.approx(1.0)
+        assert el.a[0] < 0
+        assert el.inc[1] == pytest.approx(0.0)
+
     def test_planar_circular_orbit_safe(self):
         """Degenerate orbit (e=0, i=0) must not produce NaNs."""
         pos = np.array([[1.0, 0, 0]])
