@@ -42,8 +42,8 @@ def emit_json(document: dict, name: str, path: Path | str | None = None,
     """Persist a machine-readable benchmark document (schema v2).
 
     ``document`` must be JSON-serialisable; ``"benchmark": name``, a
-    ``schema_version`` and a host fingerprint (Python, CPU count,
-    ``REPRO_KERNEL_THREADS``, NumPy — see
+    ``schema_version`` and a host fingerprint (Python, CPU counts, the
+    kernel engine's resolved threads and tier, NumPy — see
     :func:`repro.obs.history.host_fingerprint`) are stamped in so later
     comparisons can tell a code regression from a machine change.
     Default destination is ``benchmarks/results/<name>.json``; pass

@@ -7,7 +7,10 @@ preallocated shape-bucketed tile buffers
 fixed-order partial-sum reduction and a fused per-chunk source
 predictor (:mod:`~repro.accel.engine`), all behind a kernel registry
 with shape-bucketed — optionally autotuned — dispatch
-(:mod:`~repro.accel.registry`).
+(:mod:`~repro.accel.registry`).  Where a C compiler is present the
+force + jerk pair loop itself runs compiled
+(:mod:`~repro.accel.native`, built on first use, cached per user);
+without one the NumPy tiles do the same sums and a log line says so.
 
 Most callers want the process-wide engine::
 

@@ -26,6 +26,11 @@ Document schema::
         ...
       ]
     }
+
+On a host with a C compiler the kernels that end in the compiled row
+kernel (:mod:`repro.accel.native`) are timed twice: on the NumPy tiles
+(the row as every earlier record has it) and natively, that row marked
+``"tier": "native"``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import numpy as np
 
 from . import registry as reg
 from .engine import EngineConfig, KernelEngine
+from .kernels import ROW_KERNEL_OPS
 
 __all__ = ["DEFAULT_SHAPES", "QUICK_SHAPES", "make_workload", "run_bench", "main"]
 
@@ -110,6 +116,18 @@ def _op_args(op: str, system, active, t_now: float):
     raise ValueError(f"unknown op {op!r}")
 
 
+def _tiers(engine: KernelEngine, spec, kwargs) -> list[tuple[str | None, KernelEngine]]:
+    """``(tier mark, engine)`` pairs one kernel is timed on: a kernel
+    the native tier changes gets a NumPy-tier twin of ``engine`` first."""
+    on_rows = (spec.op in ROW_KERNEL_OPS and spec.name != "reference"
+               and kwargs.get("quad_j") is None)
+    if engine.tier != "native" or not on_rows:
+        return [(None, engine)]
+    twin = KernelEngine(engine.config)
+    twin._native = None
+    return [(None, twin), ("native", engine)]
+
+
 def _time_runner(engine, spec, args, kwargs, repeats: int) -> list[float]:
     """Per-repeat wall seconds (min-of-k and bootstrap CIs happen later)."""
     samples = []
@@ -136,13 +154,13 @@ def run_bench(
         reference_best: dict[str, float] = {}
         for spec in reg.all_kernels():
             args, kwargs = _op_args(spec.op, system, active, t_now)
-            spec.runner(engine, *args, **kwargs)  # warm-up (workspaces, pool)
-            samples = _time_runner(engine, spec, args, kwargs, repeats)
-            best = min(samples)
-            if spec.name == "reference":
-                reference_best[spec.op] = best
-            entries.append(
-                {
+            for tier, timed_on in _tiers(engine, spec, kwargs):
+                spec.runner(timed_on, *args, **kwargs)  # warm-up (workspaces, pool)
+                samples = _time_runner(timed_on, spec, args, kwargs, repeats)
+                best = min(samples)
+                if spec.name == "reference":
+                    reference_best[spec.op] = best
+                entry = {
                     "op": spec.op,
                     "kernel": spec.name,
                     "n_active": int(n_active),
@@ -151,12 +169,18 @@ def run_bench(
                     "samples_seconds": samples,
                     "repeats": int(repeats),
                 }
-            )
-            if log:
-                log(
-                    f"  {spec.key:<24s} ({n_active:>5d},{n_source:>6d}) "
-                    f"{best * 1e3:9.2f} ms"
-                )
+                label = spec.key
+                if tier is not None:
+                    entry["tier"] = tier
+                    label += f" [{tier}]"
+                entries.append(entry)
+                if timed_on is not engine:
+                    timed_on.close()
+                if log:
+                    log(
+                        f"  {label:<33s} ({n_active:>5d},{n_source:>6d}) "
+                        f"{best * 1e3:9.2f} ms"
+                    )
         for entry in entries:
             ref = reference_best.get(entry["op"])
             if entry["n_active"] == n_active and entry["n_source"] == n_source and ref:
@@ -209,7 +233,7 @@ def main(argv=None) -> int:
     ]
     for e in gate:
         print(
-            f"acc_jerk/{e['kernel']} at (1024, 8192): "
+            f"acc_jerk/{e['kernel']} [{e.get('tier', 'numpy')}] at (1024, 8192): "
             f"{e.get('speedup_vs_reference', 0.0):.2f}x vs reference"
         )
     return 0

@@ -2,9 +2,15 @@
 
 :class:`KernelEngine` is the software stand-in for a GRAPE-6 cluster
 host board: it owns the preallocated :class:`~repro.accel.workspace`
-buffers, a persistent thread pool (NumPy releases the GIL inside the
-large tile ufuncs, so j-axis chunks genuinely overlap), and the
+buffers, a persistent thread pool over the j-axis chunks, and the
 dispatch table of :mod:`repro.accel.registry`.
+
+Two kernel tiers sit behind the one chunk entry point of the
+``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
+row kernel of :mod:`repro.accel.native` — one call per (all sink rows x
+j-chunk), GIL released, no tile planes — whenever a C compiler is
+present, else the NumPy tiles of :mod:`repro.accel.kernels`.  The tier
+is a property of the process, resolved when the first engine is built.
 
 Determinism contract
 --------------------
@@ -18,7 +24,9 @@ whether the engine runs serial or threaded, and independent of
 ``REPRO_KERNEL_THREADS``.  The only knobs that change bits are
 ``j_chunk`` (it splits the j summation) and the opt-in timing
 autotuner (``REPRO_KERNEL_AUTOTUNE=1``), which may pick different
-kernels in different processes.
+kernels in different processes.  All of this holds *within* a tier;
+the two tiers order the sum inside a chunk differently and agree to
+1e-12 norm-relative (measured ~1e-15), not bit for bit.
 
 Environment overrides (read once per :meth:`EngineConfig.from_env`):
 
@@ -45,6 +53,7 @@ import numpy as np
 
 from ..core.predictor import predict_positions, predict_system, predict_velocities
 from ..obs import NULL_OBS, NULL_TRACER
+from ..obs.history import usable_cpus
 from . import kernels as tk
 from . import registry as reg
 from .workspace import KernelWorkspace
@@ -81,6 +90,14 @@ def _env_int(name: str, default: int, minimum: int = 1) -> int:
         return default
 
 
+def _native_module():
+    """:mod:`repro.accel.native`, imported on first use so that
+    ``python -m repro.accel.native`` runs the module only once."""
+    from . import native
+
+    return native
+
+
 def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
 
@@ -101,9 +118,6 @@ class EngineConfig:
     #: Below this many pairs a call runs serial (scheduling only — the
     #: chunk plan, and hence the bits, are unaffected).
     parallel_pairs: int = 1 << 18
-    #: Shape heuristic: at/above this many pairs the workspace kernels
-    #: win over the reference implementations.
-    accel_min_pairs: int = 4096
     deterministic: bool = True
     autotune: bool = False
 
@@ -111,7 +125,7 @@ class EngineConfig:
     def from_env(cls, **overrides) -> "EngineConfig":
         """Build a config from ``REPRO_*`` environment overrides."""
         values = dict(
-            threads=_env_int("REPRO_KERNEL_THREADS", min(os.cpu_count() or 1, 8)),
+            threads=_env_int("REPRO_KERNEL_THREADS", min(usable_cpus(), 8)),
             tile_budget=_env_int("REPRO_TILE_BUDGET", cls.tile_budget, minimum=1024),
             j_chunk=_env_int("REPRO_KERNEL_JCHUNK", cls.j_chunk, minimum=64),
             autotune=_env_flag("REPRO_KERNEL_AUTOTUNE"),
@@ -127,9 +141,9 @@ class EngineConfig:
             "j_chunk": self.j_chunk,
             "max_chunks": self.max_chunks,
             "parallel_pairs": self.parallel_pairs,
-            "accel_min_pairs": self.accel_min_pairs,
             "deterministic": self.deterministic,
             "autotune": self.autotune,
+            "kernel_tier": _native_module().tier(),
         }
 
 
@@ -149,6 +163,8 @@ class KernelEngine:
         self._ws_bytes = 0
         self._ws_lock = threading.Lock()
         self._pick_cache: dict[tuple, reg.KernelSpec] = {}
+        #: the compiled row kernel, or None on the NumPy tier
+        self._native = _native_module().load()
         self.observe(obs if obs is not None else NULL_OBS)
 
     # -- observability -----------------------------------------------------
@@ -166,11 +182,17 @@ class KernelEngine:
         self._g_ws_bytes = metrics.gauge("kernel.workspace_bytes")
         self._g_threads.set(self.config.threads)
         self._g_ws_bytes.set(self._ws_bytes)
+        metrics.gauge("kernel.native").set(int(self._native is not None))
 
     def _on_alloc(self, nbytes: int) -> None:
         with self._ws_lock:
             self._ws_bytes += int(nbytes)
             self._g_ws_bytes.set(self._ws_bytes)
+
+    @property
+    def tier(self) -> str:
+        """``"native"`` or ``"numpy"`` (see :mod:`repro.accel.native`)."""
+        return "native" if self._native is not None else "numpy"
 
     @property
     def workspace_bytes(self) -> int:
@@ -221,8 +243,13 @@ class KernelEngine:
             j0 = j1
         return bounds
 
-    def _rows(self, n_i: int, width: int) -> int:
-        return max(1, min(n_i, self.config.tile_budget // max(width, 1)))
+    def _row_tiles(self, ws, n_i: int, width: int):
+        """``(i0, i1, tile view)`` over the sink rows, each tile at most
+        ``tile_budget`` elements."""
+        rows = max(1, min(n_i, self.config.tile_budget // max(width, 1)))
+        for i0 in range(0, n_i, rows):
+            i1 = min(i0 + rows, n_i)
+            yield i0, i1, ws.tile(i1 - i0, width)
 
     # -- the sweep driver --------------------------------------------------
 
@@ -281,43 +308,43 @@ class KernelEngine:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _count_call(self, op: str, n_i: int, n_j: int) -> None:
-        """Book one engine call and the tile bytes its pairs stream."""
+    def _count_call(self, op: str, n_i: int, n_j: int, quad: bool = False) -> None:
+        """Book one engine call and the operand bytes its pairs stream:
+        the op's tile planes, or the seven source values per pair the
+        native row kernel reads (a quadrupole ``node_force`` stays on
+        the tiles on either tier)."""
         self._c_calls.inc()
-        self._c_tile_bytes.inc(n_i * n_j * 8 * tk.TILE_PLANES[op])
+        if self._native is not None and op in tk.ROW_KERNEL_OPS and not quad:
+            planes = tk.ROW_KERNEL_VALUES
+        else:
+            planes = tk.TILE_PLANES[op]
+        self._c_tile_bytes.inc(n_i * n_j * 8 * planes)
 
     def dispatch(self, op: str, n_i: int, n_j: int, args: tuple, kwargs: dict,
                  kernel: str | None = None):
-        """Select a kernel for ``op`` at shape ``(n_i, n_j)`` and run it.
+        """Run ``op`` at shape ``(n_i, n_j)`` on its kernel.
 
-        ``kernel`` pins a specific registered implementation, bypassing
-        the size heuristic, the autotuner *and* the per-bucket cache.
-        Callers that promise bit-stable results across call shapes (the
-        grouped tree walk evaluates the same physics in group-sized
-        slices, where the heuristic could flip small groups onto the
-        ``reference`` kernels and change low-order bits) pin the
-        ``accel`` family this way.
+        Every call takes the op's ``PREFERRED`` kernel — there is no
+        size heuristic, so the same physics evaluated in slices of any
+        shape sums in the same order.  ``kernel`` pins a registered
+        implementation by name (``"reference"`` runs only this way or
+        as an autotune winner) and also bypasses the autotuner, which
+        callers that promise bit-stable results rely on.
         """
-        self._count_call(op, n_i, n_j)
+        self._count_call(op, n_i, n_j, quad=kwargs.get("quad_j") is not None)
         if kernel is not None:
             spec = reg.REGISTRY.get((op, kernel))
             if spec is None:
                 raise ValueError(
                     f"no kernel {kernel!r} registered for op {op!r}"
                 )
-            if not self._tracer.enabled:
-                return spec.runner(self, *args, **kwargs)
-            with self._tracer.span(
-                "kernel." + op, kernel=spec.name, n_i=n_i, n_j=n_j
-            ):
-                return spec.runner(self, *args, **kwargs)
-        key = (op, reg.shape_bucket(n_i), reg.shape_bucket(n_j))
-        spec = self._pick_cache.get(key)
-        if spec is None:
-            if self.config.autotune:
-                return self._autotune(key, op, args, kwargs)
-            spec = reg.select_kernel(op, n_i, n_j, self)
-            self._pick_cache[key] = spec
+        else:
+            key = (op, reg.shape_bucket(n_i), reg.shape_bucket(n_j))
+            spec = self._pick_cache.get(key)
+            if spec is None:
+                if self.config.autotune:
+                    return self._autotune(key, op, args, kwargs)
+                spec = self._pick_cache[key] = reg.select_kernel(op, n_i, n_j)
         if not self._tracer.enabled:
             return spec.runner(self, *args, **kwargs)
         with self._tracer.span(
@@ -351,9 +378,9 @@ class KernelEngine:
 
         On the ``accel`` kernel a ``self_indices`` entry of ``-1`` means
         "no self column in this source list" (no pair excluded for that
-        sink row — it can never land inside a j-chunk); the ``reference``
-        kernel requires valid indices.  ``kernel`` pins a registered
-        implementation (see :meth:`dispatch`).
+        sink row); the ``reference`` kernel requires valid indices.
+        ``kernel`` pins a registered implementation (see
+        :meth:`dispatch`).
         """
         pos_i, vel_i, pos_j, vel_j = _norm(pos_i, vel_i, pos_j, vel_j)
         mass_j = _mass(mass_j)
@@ -532,7 +559,7 @@ class KernelEngine:
         self._count_call("acc_jerk_active", n_i, width)
         pos_i, vel_i = _predict_sinks(system, active, t_now)
         self._fused_chunk(
-            self._ws(), system, active, t_now, float(eps) ** 2,
+            self._ws(), system, _idx(active), t_now, float(eps) ** 2,
             pos_i, vel_i, j0, j1, acc, jerk,
         )
         return acc, jerk
@@ -558,14 +585,11 @@ class KernelEngine:
         rad_i = radii[active]
         ws = self._ws()
         width = min(n_j, max(self.config.j_chunk, 64))
-        rows = self._rows(n_i, width)
         hit_r: list[np.ndarray] = []
         hit_c: list[np.ndarray] = []
-        for i0 in range(0, n_i, rows):
-            i1 = min(i0 + rows, n_i)
-            for j0 in range(0, n_j, width):
-                j1 = min(j0 + width, n_j)
-                tv = ws.tile(i1 - i0, j1 - j0)
+        for j0 in range(0, n_j, width):
+            j1 = min(j0 + width, n_j)
+            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
                 tk._separations(tv, pos_i[i0:i1], pos[j0:j1], 0.0, None)
                 np.add(rad_i[i0:i1, None], radii[None, j0:j1], out=tv.w)
                 tv.w *= tv.w
@@ -585,8 +609,39 @@ class KernelEngine:
 
     # -- workspace kernel implementations ---------------------------------
 
+    def _acc_jerk_rows(self, ws, pos_i, vel_i, pos_j, vel_j, mass_j, eps2,
+                       acc_o, jerk_o, j0=0, self_indices=None,
+                       excluded=None) -> None:
+        """Add one j-chunk's force + jerk on every sink row into the outputs.
+
+        The one chunk body of the ``acc_jerk`` family.  ``pos_j`` /
+        ``vel_j`` / ``mass_j`` are columns ``[j0, j0 + width)`` of the
+        op's source list; ``self_indices`` (columns in that list, ``-1``
+        = none) and ``excluded`` (the op's full boolean mask) name the
+        pairs that contribute exact zeros.  Native tier: one call for
+        all rows, no planes.  NumPy tier: the row-tile loop over
+        :func:`repro.accel.kernels.acc_jerk_tile`.
+        """
+        if self._native is not None:
+            self._native.acc_jerk_rows(
+                pos_i, vel_i, pos_j, vel_j, mass_j, eps2, acc_o, jerk_o,
+                j0, self_indices, excluded,
+            )
+            return
+        j1 = j0 + pos_j.shape[0]
+        for i0, i1, tv in self._row_tiles(ws, pos_i.shape[0], j1 - j0):
+            if excluded is not None:
+                mask = excluded[i0:i1, j0:j1]
+            else:
+                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
+            tk.acc_jerk_tile(
+                tv, pos_i[i0:i1], vel_i[i0:i1], pos_j, vel_j, mass_j, eps2,
+                acc_o[i0:i1], jerk_o[i0:i1], mask,
+            )
+
     def _accel_acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                        self_indices=None):
+                        self_indices=None, excluded=None):
+        """``acc_jerk`` and, with ``excluded``, ``acc_jerk_masked``."""
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3))
@@ -595,112 +650,59 @@ class KernelEngine:
         eps2 = float(eps) ** 2
 
         def body(ws, j0, j1, outs):
-            acc_o, jerk_o = outs
-            width = j1 - j0
-            rows = self._rows(n_i, width)
-            pj, vj, mj = pos_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1]
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
-                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-                tk.acc_jerk_tile(
-                    tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                    acc_o[i0:i1], jerk_o[i0:i1], mask,
-                )
+            self._acc_jerk_rows(
+                ws, pos_i, vel_i, pos_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1],
+                eps2, *outs, j0, self_indices, excluded,
+            )
 
         self._sweep(n_i, n_j, [acc, jerk], body)
         return acc, jerk
 
-    def _accel_acc_only(self, pos_i, pos_j, mass_j, eps, self_indices=None):
+    def _tiled_positions_op(self, tile_fn, out, pos_i, pos_j, mass_j, scale,
+                            self_indices):
+        """Sweep a position-only tile kernel (``tile_fn(tv, pos_i, pos_j,
+        mass_j, scale, out_rows, mask)``) over chunks and row tiles."""
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        acc = np.zeros((n_i, 3))
         if n_i == 0 or n_j == 0:
-            return acc
-        eps2 = float(eps) ** 2
+            return out
 
         def body(ws, j0, j1, outs):
-            (acc_o,) = outs
-            width = j1 - j0
-            rows = self._rows(n_i, width)
             pj, mj = pos_j[j0:j1], mass_j[j0:j1]
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
+            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
                 mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-                tk.acc_tile(tv, pos_i[i0:i1], pj, mj, eps2, acc_o[i0:i1], mask)
+                tile_fn(tv, pos_i[i0:i1], pj, mj, scale, outs[0][i0:i1], mask)
 
-        self._sweep(n_i, n_j, [acc], body)
-        return acc
+        self._sweep(n_i, n_j, [out], body)
+        return out
+
+    def _accel_acc_only(self, pos_i, pos_j, mass_j, eps, self_indices=None):
+        return self._tiled_positions_op(
+            tk.acc_tile, np.zeros((pos_i.shape[0], 3)), pos_i, pos_j, mass_j,
+            float(eps) ** 2, self_indices,
+        )
 
     def _accel_potential(self, pos_i, pos_j, mass_j, eps, self_indices=None):
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        phi = np.zeros(n_i)
-        if n_i == 0 or n_j == 0:
-            return phi
-        eps2 = float(eps) ** 2
-
-        def body(ws, j0, j1, outs):
-            (phi_o,) = outs
-            width = j1 - j0
-            rows = self._rows(n_i, width)
-            pj, mj = pos_j[j0:j1], mass_j[j0:j1]
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
-                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-                tk.potential_tile(tv, pos_i[i0:i1], pj, mj, eps2, phi_o[i0:i1], mask)
-
-        self._sweep(n_i, n_j, [phi], body)
-        return phi
+        return self._tiled_positions_op(
+            tk.potential_tile, np.zeros(pos_i.shape[0]), pos_i, pos_j, mass_j,
+            float(eps) ** 2, self_indices,
+        )
 
     def _accel_spline(self, pos_i, pos_j, mass_j, h, self_indices=None):
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        acc = np.zeros((n_i, 3))
-        if n_i == 0 or n_j == 0:
-            return acc
-
-        def body(ws, j0, j1, outs):
-            (acc_o,) = outs
-            width = j1 - j0
-            rows = self._rows(n_i, width)
-            pj, mj = pos_j[j0:j1], mass_j[j0:j1]
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
-                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-                tk.spline_tile(tv, pos_i[i0:i1], pj, mj, h, acc_o[i0:i1], mask)
-
-        self._sweep(n_i, n_j, [acc], body)
-        return acc
+        return self._tiled_positions_op(
+            tk.spline_tile, np.zeros((pos_i.shape[0], 3)), pos_i, pos_j, mass_j,
+            h, self_indices,
+        )
 
     def _accel_acc_jerk_masked(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
                                include):
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        if n_i == 0 or n_j == 0:
-            return acc, jerk
-        eps2 = float(eps) ** 2
-        excluded = ~include
-
-        def body(ws, j0, j1, outs):
-            acc_o, jerk_o = outs
-            width = j1 - j0
-            rows = self._rows(n_i, width)
-            pj, vj, mj = pos_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1]
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
-                tk.acc_jerk_tile(
-                    tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                    acc_o[i0:i1], jerk_o[i0:i1], excluded[i0:i1, j0:j1],
-                )
-
-        self._sweep(n_i, n_j, [acc, jerk], body)
-        return acc, jerk
+        return self._accel_acc_jerk(
+            pos_i, vel_i, pos_j, vel_j, mass_j, eps, excluded=~include,
+        )
 
     def _accel_node_force(self, pos_i, vel_i, com_j, vel_j, mass_j, eps,
                           quad_j=None):
+        if quad_j is None:  # monopole list: the plain pair sum, no self column
+            return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
         n_i, n_j = pos_i.shape[0], com_j.shape[0]
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3))
@@ -710,19 +712,7 @@ class KernelEngine:
 
         def body(ws, j0, j1, outs):
             acc_o, jerk_o = outs
-            width = j1 - j0
-            rows = self._rows(n_i, width)
-            pj, vj, mj = com_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1]
-            qj = None if quad_j is None else quad_j[j0:j1]
-            for i0 in range(0, n_i, rows):
-                i1 = min(i0 + rows, n_i)
-                tv = ws.tile(i1 - i0, width)
-                if qj is None:
-                    tk.acc_jerk_tile(
-                        tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                        acc_o[i0:i1], jerk_o[i0:i1], None,
-                    )
-                    continue
+            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
                 # Exactly one += into acc_o per tile (like every other
                 # tile kernel): monopole and quadrupole accumulate into
                 # a scratch row vector first, otherwise the serial and
@@ -731,10 +721,11 @@ class KernelEngine:
                 tmp = ws.vec(i1 - i0, 3, slot=9)
                 tmp[...] = 0.0
                 tk.acc_jerk_tile(
-                    tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                    tmp, jerk_o[i0:i1], None,
+                    tv, pos_i[i0:i1], vel_i[i0:i1], com_j[j0:j1],
+                    vel_j[j0:j1], mass_j[j0:j1], eps2, tmp, jerk_o[i0:i1],
+                    None,
                 )
-                tk.quad_tile(tv, qj, tmp)
+                tk.quad_tile(tv, quad_j[j0:j1], tmp)
                 acc_o[i0:i1] += tmp
 
         self._sweep(n_i, n_j, [acc, jerk], body)
@@ -756,6 +747,7 @@ class KernelEngine:
             return acc, jerk
         eps2 = float(eps) ** 2
         pos_i, vel_i = _predict_sinks(system, active, t_now)
+        active = _idx(active)
 
         def body(ws, j0, j1, outs):
             self._fused_chunk(
@@ -773,7 +765,6 @@ class KernelEngine:
         (every chunk, through :meth:`_sweep`) and
         :meth:`acc_jerk_active_chunk` (one chunk, for a rank gang).
         """
-        n_i = active.size
         width = j1 - j0
         pj, vj = tk.predict_sources(
             ws.vec(width, 3, slot=4), ws.vec(width, 3, slot=5),
@@ -783,16 +774,10 @@ class KernelEngine:
             system.acc[j0:j1], system.jerk[j0:j1],
             system.t[j0:j1], t_now,
         )
-        mj = system.mass[j0:j1]
-        rows = self._rows(n_i, width)
-        for i0 in range(0, n_i, rows):
-            i1 = min(i0 + rows, n_i)
-            tv = ws.tile(i1 - i0, width)
-            mask = tk.tile_mask(active, i0, i1, j0, j1)
-            tk.acc_jerk_tile(
-                tv, pos_i[i0:i1], vel_i[i0:i1], pj, vj, mj, eps2,
-                acc_o[i0:i1], jerk_o[i0:i1], mask,
-            )
+        self._acc_jerk_rows(
+            ws, pos_i, vel_i, pj, vj, system.mass[j0:j1], eps2,
+            acc_o, jerk_o, j0, active,
+        )
 
 
 def _predict_sinks(system, active, t_now):
@@ -814,17 +799,23 @@ def _predict_sinks(system, active, t_now):
 
 
 def _norm(*arrays):
-    """Float64 arrays, 2-D (single particles promoted to one row)."""
-    return tuple(np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in arrays)
+    """C-contiguous float64 arrays, 2-D (single particles promoted to
+    one row)."""
+    return tuple(
+        np.atleast_2d(np.ascontiguousarray(a, dtype=np.float64)) for a in arrays
+    )
 
 
 def _mass(mass_j):
-    """Float64 1-D mass array (never row-promoted)."""
-    return np.asarray(mass_j, dtype=np.float64)
+    """C-contiguous float64 1-D mass array (never row-promoted)."""
+    return np.ascontiguousarray(mass_j, dtype=np.float64)
 
 
 def _idx(self_indices):
-    return None if self_indices is None else np.asarray(self_indices)
+    """Self columns as the contiguous int64 the row kernel reads."""
+    if self_indices is None:
+        return None
+    return np.ascontiguousarray(self_indices, dtype=np.int64)
 
 
 # -- reference runners (registry glue) ------------------------------------

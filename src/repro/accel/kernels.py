@@ -38,6 +38,8 @@ import numpy as np
 
 __all__ = [
     "TILE_PLANES",
+    "ROW_KERNEL_OPS",
+    "ROW_KERNEL_VALUES",
     "tile_mask",
     "acc_jerk_tile",
     "acc_tile",
@@ -61,6 +63,14 @@ TILE_PLANES = {
     "potential": 6,  # dx dy dz r2 s mr3
     "spline": 8,  # dx dy dz r2 rv s mr3 w
 }
+
+#: Ops whose chunk body is ``KernelEngine._acc_jerk_rows``: on the native
+#: tier they stream no planes, only the seven values (x y z vx vy vz m)
+#: the row kernel reads per source.
+ROW_KERNEL_OPS = frozenset(
+    ("acc_jerk", "acc_jerk_active", "acc_jerk_masked", "node_force")
+)
+ROW_KERNEL_VALUES = 7
 
 
 def tile_mask(self_indices, i0: int, i1: int, j0: int, j1: int):

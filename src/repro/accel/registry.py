@@ -3,11 +3,12 @@
 Every force-kernel *op* (``acc_jerk``, ``acc_only``, ``potential``,
 ``spline``, ``acc_jerk_active``, ``acc_jerk_masked``) has one or more registered
 implementations — at minimum the ``reference`` NumPy kernel and a
-workspace-backed ``accel``/``fused`` twin.  :func:`select_kernel` picks
-one per *shape bucket* (both dimensions rounded up to powers of two):
-by default a deterministic size heuristic, or — when the engine is
-built with ``autotune=True`` (``REPRO_KERNEL_AUTOTUNE=1``) — a timing
-trial whose winner is cached per bucket by the engine.
+workspace-backed ``accel``/``fused`` twin.  Every call runs the op's
+:data:`PREFERRED` kernel at every shape; ``reference`` runs only when a
+caller pins it by name or — when the engine is built with
+``autotune=True`` (``REPRO_KERNEL_AUTOTUNE=1``) — as the winner of a
+timing trial, cached per *shape bucket* (both dimensions rounded up to
+powers of two) by the engine.
 
 The registry is also the contract surface the repo lints against:
 ``tools/check_kernel_registry.py`` fails when a registered
@@ -30,7 +31,7 @@ __all__ = [
     "shape_bucket",
 ]
 
-#: Ops and the non-reference implementation the heuristic prefers.
+#: Ops and the implementation every unpinned call takes.
 PREFERRED = {
     "acc_jerk": "accel",
     "acc_only": "accel",
@@ -40,9 +41,6 @@ PREFERRED = {
     "acc_jerk_masked": "accel",
     "node_force": "accel",
 }
-
-#: Fallback pair-count threshold when no engine config is at hand.
-DEFAULT_MIN_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -103,21 +101,15 @@ def shape_bucket(n: int) -> int:
 def select_kernel(op: str, n_i: int, n_j: int, engine=None) -> KernelSpec:
     """The kernel to run for ``op`` at shape ``(n_i, n_j)``.
 
-    Consults the engine's per-bucket cache first (which is where timing
-    autotune results live); otherwise applies the deterministic size
-    heuristic: below ``accel_min_pairs`` interactions the reference
-    kernel's single-shot broadcasting is cheaper than tile bookkeeping,
-    above it the workspace kernels win.
+    The engine's per-bucket cache first (which is where timing autotune
+    results live); otherwise the op's :data:`PREFERRED` kernel, whatever
+    the shape.
     """
     if engine is not None:
         cached = engine.cached_pick(op, n_i, n_j)
         if cached is not None:
             return cached
-    min_pairs = (
-        engine.config.accel_min_pairs if engine is not None else DEFAULT_MIN_PAIRS
-    )
-    name = "reference" if n_i * n_j < min_pairs else PREFERRED[op]
-    spec = REGISTRY.get((op, name))
+    spec = REGISTRY.get((op, PREFERRED[op]))
     if spec is None:  # partial registry (tests) — fall back to anything
         spec = kernels_for(op)[0]
     return spec

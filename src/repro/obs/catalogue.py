@@ -41,7 +41,8 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "kernel.calls_total": ("counter", "Kernel-engine dispatches"),
     "kernel.tile_bytes_total": (
         "counter",
-        "Workspace bytes streamed through kernel tiles (pairs x buffers)",
+        "Operand bytes streamed by the pair kernels (pairs x tile planes, "
+        "or x 7 source values on the native tier)",
     ),
     "kernel.autotune_picks_total": (
         "counter",
@@ -52,6 +53,10 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
         "Busy/wall fraction of the last threaded kernel sweep",
     ),
     "kernel.threads": ("gauge", "Worker threads of the active kernel engine"),
+    "kernel.native": (
+        "gauge",
+        "1 when the compiled acc_jerk row kernel is loaded, 0 on the NumPy tier",
+    ),
     "kernel.workspace_bytes": (
         "gauge",
         "Bytes held in preallocated kernel workspaces",

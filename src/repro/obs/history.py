@@ -41,6 +41,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "TIME_FIELDS",
     "host_fingerprint",
+    "usable_cpus",
     "BenchHistory",
     "entry_key",
     "entry_label",
@@ -85,13 +86,29 @@ _BOOTSTRAP_RESAMPLES = 400
 _BOOTSTRAP_SEED = 0x5C2002
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the
+    platform has one (``os.cpu_count`` ignores it, and a thread pool
+    sized by it oversubscribes a pinned container)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def host_fingerprint() -> dict:
     """The measurement environment, for stamping into records.
 
     Comparisons across differing fingerprints are still performed but
     flagged by the CLI — a 2x "regression" measured on a different
     machine is a provenance problem, not a code problem.
+    ``kernel_threads`` and ``kernel_tier`` are what the process-wide
+    kernel engine resolved (building it if nothing has yet), not what
+    the environment asked for.
     """
+    from ..accel import get_engine
+
+    engine = get_engine()
     try:
         import numpy
 
@@ -104,7 +121,9 @@ def host_fingerprint() -> dict:
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "kernel_threads": os.environ.get("REPRO_KERNEL_THREADS"),
+        "usable_cpus": usable_cpus(),
+        "kernel_threads": engine.config.threads,
+        "kernel_tier": engine.tier,
         "numpy": numpy_version,
     }
 

@@ -121,9 +121,9 @@ class SpmdBackend(ForceBackend):
     def forces_on(self, system, active: np.ndarray, t_now: float):
         active = np.asarray(active)
         if self.mode == "serial":
-            # pinned: below accel_min_pairs the size heuristic would pick
-            # the reference kernel, which sums in another order than the
-            # rank chunk kernel and breaks serial == vm == proc
+            # pinned: an autotuning engine could pick the reference
+            # kernel, which sums in another order than the rank chunk
+            # kernel and breaks serial == vm == proc
             return self.engine.acc_jerk_active(
                 system, active, t_now, self.eps, counter=self.counter,
                 kernel="fused",

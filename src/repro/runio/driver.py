@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..accel import native
 from ..core.diagnostics import EnergyTracker
 from ..errors import ConfigurationError
 from .runlog import RunLogger
@@ -178,7 +179,11 @@ class ProductionRun:
         Intervals and run id are restored from the checkpoint; keyword
         ``overrides`` replace any of them.  Raises
         :class:`~repro.errors.CheckpointError` when the directory holds
-        no checkpoint.
+        no checkpoint, and :class:`~repro.errors.ConfigurationError`
+        when it was written on the other kernel tier
+        (:mod:`repro.accel.native`): the tiers differ in the last bits,
+        so resume == uninterrupted can not hold across them.  A
+        checkpoint from before tiers were recorded loads as it did.
         """
         from ..core.integrator import Simulation
         from ..resilience import CheckpointManager
@@ -186,6 +191,14 @@ class ProductionRun:
         directory = Path(directory)
         manager = CheckpointManager(directory / "checkpoints", obs=obs)
         system, state = manager.load_latest()
+        written_on, here = state.get("kernel_tier"), native.tier()
+        if written_on is not None and written_on != here:
+            raise ConfigurationError(
+                f"checkpoint in {directory} was written on the {written_on!r} "
+                f"kernel tier, this process runs the {here!r} one; "
+                "resuming would silently change the summation order "
+                "(`python -m repro.accel.native` shows why the tier differs)"
+            )
         sim = Simulation.from_restart(
             system,
             backend,
@@ -251,6 +264,7 @@ class ProductionRun:
             "prune_escapers_beyond": self.prune_escapers_beyond,
             "energy_error_limit": self.energy_error_limit,
             "selftest_every": self.selftest_every,
+            "kernel_tier": native.tier(),
         }
         if self.checkpoint_metadata:
             state["config"] = self.checkpoint_metadata

@@ -28,6 +28,14 @@ from repro.core import (
 DEFAULT_TEST_TIMEOUT = 120
 
 
+def pytest_report_header(config):
+    from repro.accel import native
+
+    facts = native.describe()
+    where = facts.get("object") or facts.get("error", "")
+    return f"repro kernel tier: {facts['tier']} ({facts.get('compiler', '?')}: {where})"
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
@@ -116,6 +124,23 @@ def _spmd_leak_guard():
         f"(missing close()?): {', '.join(leaked)}",
         pytrace=False,
     )
+
+
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    """Run the test on the NumPy kernel tier, as if no C compiler were
+    present: the native loader finds nothing, and the process-wide
+    engine is rebuilt under it (and restored afterwards).  Classes that
+    must hold on both tiers are subclassed with this fixture applied;
+    the plain class runs on whatever tier the host has."""
+    from repro.accel import native, set_engine
+
+    monkeypatch.setattr(native, "load", lambda: None)
+    previous = set_engine(None)
+    yield
+    stand_in = set_engine(previous)
+    if stand_in is not None:
+        stand_in.close()
 
 
 def make_two_body(m1: float = 1.0, m2: float = 1e-3, a: float = 1.0, e: float = 0.0):

@@ -12,9 +12,20 @@ that nearly cancel can show larger elementwise relative error, which is
 why the checks below are norm-relative.  Bit-exact promises
 (serial vs. threaded, thread-count independence) are asserted with
 ``np.array_equal``.
+
+Two kernel tiers: the plain classes run on the tier the host has (the
+compiled row kernel of ``repro.accel.native`` wherever there is a C
+compiler); the ``...NumpyTier`` subclasses run the same assertions with
+the loader patched to find nothing.  Bitwise promises hold within a
+tier, ``NORM_RTOL`` across the two (``TestNativeRowKernel``).
 """
 
 from __future__ import annotations
+
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +36,7 @@ from repro.accel import (
     KernelWorkspace,
     TileBuffers,
     get_engine,
+    native,
 )
 from repro.accel import registry as reg
 from repro.core.collisions import (
@@ -282,6 +294,11 @@ class TestDeterminism:
         assert norm_close(jerk_f, jerk_r)
 
 
+@pytest.mark.usefixtures("numpy_tier")
+class TestDeterminismNumpyTier(TestDeterminism):
+    """The same promises where no compiler is present."""
+
+
 class TestWorkspaceLayout:
     """The memory layout every tile kernel runs on."""
 
@@ -397,6 +414,201 @@ class TestDiskGeometryCancellation:
         w = mass[None, :] / (r2 * np.sqrt(r2))
         acc_blas = w @ pos - pos * w.sum(axis=1)[:, None]
         assert rel_err(acc_blas, acc_ref) > NORM_RTOL
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestDiskGeometryCancellationNumpyTier(TestDiskGeometryCancellation):
+    """The plain class holds 1e-12 on the native tier, this on NumPy's."""
+
+
+requires_native = pytest.mark.skipif(
+    native.tier() != "native", reason="no C compiler: NumPy tier only"
+)
+
+
+def numpy_engine(monkeypatch, **overrides):
+    """A ``small_engine`` on the NumPy tier, whatever the host's tier."""
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "load", lambda: None)
+        return small_engine(**overrides)
+
+
+@requires_native
+class TestNativeRowKernel:
+    """Native vs NumPy tile: 1e-12 norm-relative at every edge of the
+    lane layout (8 lanes, scalar tail), exact zeros from excluded pairs."""
+
+    @staticmethod
+    def _both(monkeypatch, call, **overrides):
+        engines = small_engine(**overrides), numpy_engine(monkeypatch, **overrides)
+        assert [e.tier for e in engines] == ["native", "numpy"]
+        try:
+            return [call(e) for e in engines]
+        finally:
+            for e in engines:
+                e.close()
+
+    @pytest.mark.parametrize("n_j", [1, 7, 8, 9, 257, 2050])
+    @pytest.mark.parametrize("n_i", [1, 5])
+    def test_shapes(self, monkeypatch, n_i, n_j):
+        system = make_system(n=n_j, seed=n_j)
+        sinks = make_system(n=n_i, seed=99)
+        (a_n, j_n), (a_p, j_p) = self._both(
+            monkeypatch,
+            lambda e: e.acc_jerk(sinks.pos, sinks.vel, system.pos, system.vel,
+                                 system.mass, EPS),
+            j_chunk=2048,
+        )
+        assert norm_close(a_n, a_p) and norm_close(j_n, j_p)
+
+    @pytest.mark.parametrize("self_col", [0, 7, 8, 63, 64, 127, 128, 129, -1])
+    def test_self_column_anywhere_in_a_chunk(self, monkeypatch, self_col):
+        """j_chunk=64 on 130 sources: chunks of 65 (eight lane blocks
+        and a one-source tail), so the columns hit first / last of a
+        lane block, first / last of a chunk, and the tail."""
+        system = make_system(n=130, seed=3)
+        i = max(self_col, 0)
+        idx = np.array([self_col])
+        # unsoftened where a column is excluded: a self pair that got
+        # through, on either tier, would be 0/0
+        eps = 0.0 if self_col >= 0 else EPS
+        (a_n, j_n), (a_p, j_p) = self._both(
+            monkeypatch,
+            lambda e: e.acc_jerk(system.pos[i], system.vel[i], system.pos,
+                                 system.vel, system.mass, eps, self_indices=idx),
+        )
+        assert np.isfinite(a_n).all() and np.isfinite(j_n).all()
+        assert norm_close(a_n, a_p) and norm_close(j_n, j_p)
+
+    def test_masks(self, monkeypatch):
+        """A row with nothing included, a strided mask argument, and
+        mask slices that are not contiguous (three chunks per row)."""
+        system = make_system(n=150, seed=4)
+        active = np.arange(0, 150, 7)
+        wide = np.zeros((active.size, 2 * system.n), dtype=bool)
+        wide[:, ::2] = make_mask(system, active)
+        include = wide[:, ::2]
+        include[3, :] = False
+        assert not include.flags.c_contiguous
+        (a_n, j_n), (a_p, j_p) = self._both(
+            monkeypatch,
+            lambda e: e.acc_jerk_masked(
+                system.pos[active], system.vel[active], system.pos,
+                system.vel, system.mass, EPS, include),
+        )
+        assert norm_close(a_n, a_p) and norm_close(j_n, j_p)
+        assert not a_n[3].any() and not j_n[3].any()
+
+    def test_zero_mass_source_adds_nothing(self, monkeypatch):
+        system = make_system(n=40, seed=6)
+        sink = (system.pos[:3], system.vel[:3])
+        idx = np.arange(3)
+        engine = small_engine()
+        try:
+            with_it = engine.acc_jerk(*sink, system.pos, system.vel,
+                                      np.where(np.arange(40) == 17, 0.0, system.mass),
+                                      EPS, self_indices=idx)
+            keep = np.arange(40) != 17  # the later sources change lanes
+            without = engine.acc_jerk(*sink, system.pos[keep], system.vel[keep],
+                                      system.mass[keep], EPS, self_indices=idx)
+        finally:
+            engine.close()
+        assert norm_close(with_it[0], without[0])
+        assert norm_close(with_it[1], without[1])
+
+    def test_no_planes_allocated(self):
+        """The native tier holds the j-side prediction buffers only."""
+        system = make_system(n=512, seed=3)
+        engine = small_engine(tile_budget=1 << 18, j_chunk=2048)
+        try:
+            engine.acc_jerk_active(system, np.arange(64), 5e-4, EPS)
+            assert 0 < engine.workspace_bytes < 11 * 64 * 512 * 8
+            assert not engine._ws()._tiles
+        finally:
+            engine.close()
+
+    def test_rejects_what_it_cannot_read(self):
+        tile = native.load()
+        ok = np.zeros((4, 3))
+        out = np.zeros((2, 3))
+        args = (ok[:2], ok[:2], ok, ok, np.ones(4), 1e-4, out, out.copy())
+        tile.acc_jerk_rows(*args)
+        frozen = np.zeros((2, 3))
+        frozen.flags.writeable = False
+        tile.acc_jerk_rows(frozen, *args[1:])  # a read-only input is fine
+        for k, bad in ((2, np.zeros((4, 3), dtype=np.float32)),
+                       (2, np.zeros((8, 3))[::2]),
+                       (4, np.ones(5)),
+                       (6, frozen)):
+            broken = list(args)
+            broken[k] = bad
+            with pytest.raises(ValueError):
+                tile.acc_jerk_rows(*broken)
+
+
+class TestNativeBuild:
+    """Fallback without a compiler; concurrent first builds."""
+
+    @staticmethod
+    def _unresolved(monkeypatch):
+        monkeypatch.setattr(native, "_resolved", False)
+        monkeypatch.setattr(native, "_tile", None)
+        monkeypatch.setattr(native, "_report", {})
+
+    def test_no_compiler_falls_back_with_one_log_line(self, monkeypatch, caplog,
+                                                      workload):
+        system, active = workload
+        reference = numpy_engine(monkeypatch)
+        self._unresolved(monkeypatch)
+        monkeypatch.setenv("CC", "false")
+        with caplog.at_level(logging.WARNING, logger="repro.accel.native"):
+            engines = [small_engine(), small_engine()]
+        try:
+            assert [r.name for r in caplog.records] == ["repro.accel.native"]
+            assert "NumPy tiles" in caplog.text
+            assert native.tier() == "numpy" and native.describe()["error"]
+            for engine in engines:
+                assert engine.tier == "numpy"
+                got = engine.acc_jerk_active(system, active, 5e-4, EPS)
+                want = reference.acc_jerk_active(system, active, 5e-4, EPS)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+        finally:
+            for engine in (*engines, reference):
+                engine.close()
+
+    @requires_native
+    def test_two_processes_racing_to_build_both_load(self, tmp_path):
+        script = (
+            "import numpy as np; from repro.accel import native\n"
+            "tile = native.load(); assert tile is not None, native.describe()\n"
+            "p = np.arange(12.).reshape(4, 3); out = np.zeros((4, 3))\n"
+            "tile.acc_jerk_rows(p, p, p, p, np.ones(4), 0.01, out, out.copy(),"
+            " 0, np.arange(4))\n"
+            "assert np.isfinite(out).all() and out.any()\n"
+            "print(tile.path)\n"
+        )
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=100) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outs
+        paths = {out.strip() for out, _ in outs}
+        assert len(paths) == 1
+        assert sorted(os.listdir(tmp_path / "repro")) == [
+            os.path.basename(paths.pop())
+        ]
+
+    def test_object_is_never_in_the_source_tree(self):
+        where = native.describe().get("object")
+        if where is not None:
+            repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            assert not os.path.abspath(where).startswith(repo + os.sep)
 
 
 class TestEdgeCases:
@@ -527,19 +739,21 @@ class TestEdgeCases:
 
 
 class TestDispatchAndConfig:
-    def test_heuristic_small_block_uses_reference(self):
-        engine = KernelEngine(EngineConfig(accel_min_pairs=4096))
+    def test_every_shape_picks_preferred(self):
+        """No size heuristic: a 2-sink block runs the kernel a full
+        block runs, so slices of one sum agree bitwise at any shape."""
+        engine = KernelEngine(EngineConfig())
         try:
-            spec = reg.select_kernel("acc_jerk", 2, 8, engine)
-            assert spec.name == "reference"
-            spec = reg.select_kernel("acc_jerk", 64, 8192, engine)
-            assert spec.name == "accel"
+            for op, preferred in reg.PREFERRED.items():
+                for shape in ((1, 1), (2, 8), (2, 258), (64, 8192)):
+                    assert reg.select_kernel(op, *shape, engine).name == preferred
+            assert not hasattr(engine.config, "accel_min_pairs")
         finally:
             engine.close()
 
     def test_dispatch_caches_pick_per_bucket(self, workload):
         system, active = workload
-        engine = small_engine(accel_min_pairs=1)
+        engine = small_engine()
         try:
             engine.acc_jerk_active(system, active, 0.0, EPS)
             pick = engine.cached_pick("acc_jerk_active", active.size, system.n)
@@ -598,5 +812,6 @@ class TestMetricsBinding:
         assert snap["kernel.calls_total"] >= 1
         assert snap["kernel.tile_bytes_total"] > 0
         assert snap["kernel.threads"] == engine.config.threads
+        assert snap["kernel.native"] == (engine.tier == "native")
         assert snap["kernel.workspace_bytes"] == engine.workspace_bytes
         assert engine.workspace_bytes > 0

@@ -228,6 +228,46 @@ class TestKillAndResume:
         with pytest.raises(ConfigurationError):
             run.execute()
 
+    def test_resume_refuses_a_silent_tier_switch(self, tmp_path, monkeypatch):
+        """Written on one kernel tier, resumed on the other: refused,
+        naming both (resume == uninterrupted can not hold across)."""
+        from repro.accel import native
+
+        run = make_managed_run(tmp_path, "tier")
+        run.execute(t_end=3.0)
+        _, state = CheckpointManager(tmp_path / "tier" / "checkpoints").load_latest()
+        here = native.tier()
+        assert state["kernel_tier"] == here
+        other = "numpy" if here == "native" else "native"
+        monkeypatch.setattr(native, "tier", lambda: other)
+        with pytest.raises(ConfigurationError, match=f"{here}.*{other}"):
+            ProductionRun.resume(tmp_path / "tier", HostDirectBackend(eps=0.008))
+
+    def test_checkpoint_without_a_tier_resumes_as_before(self, tmp_path, monkeypatch):
+        from repro.accel import native
+
+        ref = make_managed_run(tmp_path, "ref")
+        ref.execute(t_end=6.0)
+
+        def killer(s):
+            if s.block_steps == 12:
+                raise SimulationKilled("power cut")
+
+        old = make_managed_run(tmp_path, "old", on_block=killer)
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "tier", lambda: None)  # as if not recorded
+            with pytest.raises(SimulationKilled):
+                old.execute(t_end=6.0)
+        manager = CheckpointManager(tmp_path / "old" / "checkpoints")
+        assert manager.load_latest()[1]["kernel_tier"] is None
+        resumed = ProductionRun.resume(
+            tmp_path / "old", HostDirectBackend(eps=0.008),
+            external_field=KeplerField(),
+            timestep_params=TimestepParams(eta=0.02, dt_max=0.5),
+        )
+        resumed.execute()
+        assert np.array_equal(resumed.sim.system.pos, ref.sim.system.pos)
+
     def test_resume_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint found"):
             ProductionRun.resume(tmp_path / "nothing", HostDirectBackend(eps=0.008))

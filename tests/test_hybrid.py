@@ -157,6 +157,12 @@ class TestDeterminism:
         assert np.array_equal(s1.vel, s4.vel)
 
 
+@pytest.mark.usefixtures("numpy_tier")
+class TestDeterminismNumpyTier(TestDeterminism):
+    """Serial == threaded without the compiled row kernel (the plain
+    class runs on the host's tier)."""
+
+
 class TestEnergyDrift:
     def _drift(self, backend, t_end=4.0):
         sim = Simulation(fresh_disk(), backend,

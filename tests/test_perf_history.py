@@ -30,14 +30,42 @@ def doc(best=1.0, samples=None, name="kern", op="acc_jerk", n=64):
 class TestFingerprint:
     def test_fields_present(self):
         fp = host_fingerprint()
-        for key in ("python", "platform", "cpu_count", "kernel_threads",
-                    "numpy"):
+        for key in ("python", "platform", "cpu_count", "usable_cpus",
+                    "kernel_threads", "kernel_tier", "numpy"):
             assert key in fp
-        assert fp["cpu_count"] >= 1
+        assert fp["cpu_count"] >= fp["usable_cpus"] >= 1
+        assert fp["kernel_tier"] in ("native", "numpy")
 
     def test_kernel_threads_from_env(self, monkeypatch):
+        """What the engine resolved, not the raw variable: an int, and
+        that of the engine the process actually has."""
+        from repro.accel import get_engine, set_engine
+
+        assert host_fingerprint()["kernel_threads"] == get_engine().config.threads
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "7")
-        assert host_fingerprint()["kernel_threads"] == "7"
+        previous = set_engine(None)
+        try:
+            assert host_fingerprint()["kernel_threads"] == 7
+        finally:
+            set_engine(previous).close()
+
+    def test_default_threads_follow_the_affinity_mask(self, monkeypatch):
+        import os
+
+        from repro.accel import EngineConfig
+
+        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert EngineConfig.from_env().threads == 3
+        assert host_fingerprint()["usable_cpus"] == 3
+
+    def test_tier_follows_the_loader(self, numpy_tier):
+        from repro.accel import EngineConfig
+
+        assert host_fingerprint()["kernel_tier"] == "numpy"
+        assert EngineConfig().describe()["kernel_tier"] == "numpy"
 
 
 class TestEntryKey:

@@ -23,12 +23,11 @@ from repro.serve.worker import state_digest
 
 
 def forced_engine(threads: int = 1) -> KernelEngine:
-    """An engine that always takes the fused chunk path (the reference
-    kernels are a different summation order at small shapes)."""
+    """An engine whose plan has several chunks at test sizes and which
+    threads every multi-chunk call."""
     return KernelEngine(
         EngineConfig(
             threads=threads,
-            accel_min_pairs=1,
             parallel_pairs=1,
             j_chunk=64,
         )
@@ -130,11 +129,16 @@ class TestBitIdentity:
         backend.close()
 
 
+@pytest.mark.usefixtures("numpy_tier")
+class TestBitIdentityNumpyTier(TestBitIdentity):
+    """The same contract without the compiled row kernel."""
+
+
 class TestDefaultEngineBitIdentity:
-    """The contract holds on the engine users get, not only on one
-    forced onto the fused path: a 2-particle block of N = 258 is below
-    ``accel_min_pairs``, where the size heuristic picks the reference
-    kernel unless serial mode pins the fused one."""
+    """The contract holds on the engine users get, at the block size
+    the paper's regime is made of: 2 particles of N = 258 (every shape
+    runs the fused kernel; a size heuristic once sent this one to the
+    reference kernel, which sums in another order)."""
 
     def test_small_block_identical_across_modes(self):
         sim = make_spmd_sim(SpmdBackend(0.008, mode="serial"), n=256, seed=9)
@@ -152,6 +156,11 @@ class TestDefaultEngineBitIdentity:
         for mode, (acc, jerk) in results.items():
             assert np.array_equal(acc, acc0), mode
             assert np.array_equal(jerk, jerk0), mode
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestDefaultEngineBitIdentityNumpyTier(TestDefaultEngineBitIdentity):
+    """The same contract without the compiled row kernel."""
 
 
 class TestGangLifetime:

@@ -44,15 +44,18 @@ def tree(cluster):
     return Octree(cluster.pos, cluster.mass, vel=cluster.vel)
 
 
-@pytest.fixture(scope="module")
-def direct(cluster):
-    """Direct summation through the same tiled ``accel`` kernel the
-    grouped walk evaluates its lists with — the bit-identity baseline."""
+def _direct(c):
     from repro.accel import get_engine
 
-    c = cluster
     return get_engine().acc_jerk(c.pos, c.vel, c.pos, c.vel, c.mass, EPS,
                                  self_indices=np.arange(c.n), kernel="accel")
+
+
+@pytest.fixture(scope="module")
+def direct(cluster):
+    """Direct summation through the same ``accel`` kernel the grouped
+    walk evaluates its lists with — the bit-identity baseline."""
+    return _direct(cluster)
 
 
 def _walk(tree, cluster, theta, walk, **kw):
@@ -130,6 +133,15 @@ class TestThetaZeroBitIdentity:
                       / np.linalg.norm(direct[0], axis=1)) < 1e-12
 
 
+class TestThetaZeroBitIdentityNumpyTier(TestThetaZeroBitIdentity):
+    """The same contract without the compiled row kernel (the plain
+    class runs on the host's tier)."""
+
+    @pytest.fixture
+    def direct(self, numpy_tier, cluster):
+        return _direct(cluster)
+
+
 class TestErrorEnvelope:
     @pytest.mark.parametrize("theta", [0.3, 0.6, 1.0])
     def test_both_walks_within_envelope(self, cluster, tree, direct, theta):
@@ -189,6 +201,11 @@ class TestGroupedDeterminism:
             threaded.close()
         assert np.array_equal(a1, a4)
         assert np.array_equal(j1, j4)
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestGroupedDeterminismNumpyTier(TestGroupedDeterminism):
+    """Serial == threaded without the compiled row kernel."""
 
 
 class TestGroupStructure:
