@@ -15,14 +15,10 @@ module provides a complete monopole Barnes–Hut implementation:
   membership (``leaf_perm`` + per-node start/count), so tree walks are
   pure ``np.repeat``/fancy-index frontier expansion,
 * multipole acceptance criterion ``s / d < theta``,
-* two walk strategies behind :func:`resolve_walk_mode` (knob
-  ``walk=``, env ``REPRO_TREE_WALK``): the legacy **per-sink frontier**
-  (``"persink"``) that expands an (i, node) pair frontier level by
-  level, and the **grouped walk** (``"grouped"``, default) of
-  :mod:`repro.hybrid.walk` that shares one interaction list per
-  spatially coherent sink group and evaluates it in bulk through the
-  :mod:`repro.accel` kernel engine (Fukushige & Kawai's GRAPE tree
-  scheme),
+* one walk: the **grouped walk** of :mod:`repro.hybrid.walk`, which
+  shares one interaction list per spatially coherent sink group and
+  evaluates it in bulk through the :mod:`repro.accel` kernel engine
+  (Fukushige & Kawai's GRAPE tree scheme),
 * optional jerk estimates from node centre-of-mass velocities, allowing
   the tree to stand in as a :class:`~repro.core.backends.ForceBackend`
   under the block-timestep Hermite integrator — exactly the hybrid
@@ -31,8 +27,6 @@ module provides a complete monopole Barnes–Hut implementation:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -40,32 +34,13 @@ from ..errors import ConfigurationError
 __all__ = [
     "Octree",
     "OctreeStats",
-    "WALK_MODES",
-    "resolve_walk_mode",
     "concat_ranges",
 ]
 
 _SQRT3 = float(np.sqrt(3.0))  # circumscribed-sphere factor of a cube
 
-#: Known tree-walk strategies (``grouped`` is the vectorised default).
-WALK_MODES = ("grouped", "persink")
-
 #: Per-byte popcounts, for octant-mask child ranking during descent.
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def resolve_walk_mode(walk: str | None = None) -> str:
-    """The tree-walk strategy to use.
-
-    Explicit ``walk=`` wins, then the ``REPRO_TREE_WALK`` environment
-    variable, then ``"grouped"``.
-    """
-    mode = walk if walk is not None else os.environ.get("REPRO_TREE_WALK", "grouped")
-    if mode not in WALK_MODES:
-        raise ConfigurationError(
-            f"unknown tree walk {mode!r} (choose from {WALK_MODES})"
-        )
-    return mode
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -394,7 +369,6 @@ class Octree:
         vel_i: np.ndarray | None = None,
         exclude_self: np.ndarray | None = None,
         h_i: np.ndarray | float | None = None,
-        walk: str | None = None,
         n_crit: int = 32,
         engine=None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -417,25 +391,23 @@ class Octree:
             to drop self-interaction in leaf sums.
         h_i:
             Optional per-sink neighbour-sphere radius (scalar
-            broadcasts).  Sources with unsoftened ``dist2 < h_i**2``
-            are excluded from the walk entirely — the exact complement
-            of :func:`repro.grape.neighbours.neighbour_search`'s range
-            predicate — so a hybrid backend can add the near field by
-            direct summation without double counting.  Nodes are only
-            accepted as multipoles when their cube lies wholly outside
-            the sink's sphere.
-        walk:
-            Walk strategy override (:data:`WALK_MODES`); defaults to
-            ``REPRO_TREE_WALK`` / ``"grouped"``.
+            broadcasts).  The force stays the full force: a node is
+            only accepted as a multipole when its cube lies wholly
+            outside every sphere of the sink's group, so each source
+            with unsoftened ``dist2 < h_i**2`` is summed exactly, pair
+            by pair, and those pairs are left in
+            ``walk_stats.neighbours`` (same predicate as
+            :func:`repro.grape.neighbours.neighbour_search`).
         n_crit:
-            Grouped walk only: stop refining a sink group once its
-            population is at most this (bigger groups amortise the walk
-            over more sinks at the price of a looser bounding sphere).
+            Stop refining a sink group once its population is at most
+            this (bigger groups amortise the walk over more sinks at
+            the price of a looser bounding sphere).
         engine:
-            Grouped walk only: a :class:`repro.accel.KernelEngine` to
-            evaluate the interaction lists (one is created on demand).
+            A :class:`repro.accel.KernelEngine` to evaluate the
+            interaction lists (defaults to the process-wide engine).
 
-        Returns ``(acc, jerk_or_None)``.
+        Returns ``(acc, jerk_or_None)``; the walk's counters and
+        neighbour pairs are left in ``self.walk_stats``.
         """
         if theta < 0:
             raise ConfigurationError("theta must be non-negative")
@@ -449,134 +421,15 @@ class Octree:
             if np.any(h_i < 0):
                 raise ConfigurationError("neighbour radius must be non-negative")
 
-        if resolve_walk_mode(walk) == "grouped":
-            from ..hybrid.walk import grouped_accelerations
+        from ..hybrid.walk import grouped_accelerations
 
-            acc, jerk, wstats = grouped_accelerations(
-                self, pos_i, theta, eps,
-                vel_i=vel_i if want_jerk else None,
-                exclude_self=exclude_self, h_i=h_i,
-                n_crit=n_crit, engine=engine,
-            )
-            self.walk_stats = wstats
-            self.stats.node_interactions += wstats.node_terms
-            self.stats.pp_interactions += wstats.pp_terms
-            return acc, jerk if want_jerk else None
-
-        self.walk_stats = None
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3)) if want_jerk else None
-        eps2 = float(eps) ** 2
-
-        # frontier of (sink, node) pairs
-        pi = np.arange(n_i, dtype=np.int64)
-        nodes = np.full(n_i, self.root, dtype=np.int64)
-
-        while pi.size:
-            d = self.node_com[nodes] - pos_i[pi]
-            dist2 = np.einsum("ij,ij->i", d, d)
-            size = 2.0 * self.node_half[nodes]
-            is_leaf = self.node_leaf_start[nodes] >= 0
-            accept = (size * size < theta * theta * dist2) & ~is_leaf
-            if np.any(accept):
-                # A cube that contains the sink can satisfy the opening
-                # criterion once theta > 2/sqrt(3) (the sink is within
-                # sqrt(3)/2 * size of the COM) yet its monopole would
-                # absorb the sink's own mass — always open such nodes.
-                delta = pos_i[pi] - self.node_center[nodes]
-                inside = np.abs(delta).max(axis=1) <= self.node_half[nodes]
-                accept &= ~inside
-                if h_i is not None:
-                    # neighbour-sphere exclusion: accept only nodes whose
-                    # cube lies entirely outside the sink's sphere
-                    cdist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-                    clearance = h_i[pi] + _SQRT3 * self.node_half[nodes]
-                    accept &= cdist > clearance
-
-            # 1) accepted internal nodes: monopole contribution
-            if np.any(accept):
-                ai = pi[accept]
-                an = nodes[accept]
-                dr = self.node_com[an] - pos_i[ai]
-                r2 = np.einsum("ij,ij->i", dr, dr) + eps2
-                # eps = 0 with a sink exactly on a node COM divides by
-                # zero; keep the inf (the term is genuinely singular
-                # there) but silence the runtime warning.
-                with np.errstate(divide="ignore"):
-                    inv_r3 = 1.0 / (r2 * np.sqrt(r2))
-                contrib = (self.node_mass[an] * inv_r3)[:, None] * dr
-                if self.quadrupole:
-                    # a_quad = Q s / r^5 - (5/2)(s^T Q s) s / r^7 with
-                    # s = sink - com = -dr
-                    s = -dr
-                    q = self.node_quad[an]
-                    qs = np.einsum("ijk,ik->ij", q, s)
-                    sqs = np.einsum("ij,ij->i", s, qs)
-                    inv_r5 = inv_r3 / r2
-                    inv_r7 = inv_r5 / r2
-                    contrib = contrib + qs * inv_r5[:, None] - (
-                        2.5 * sqs * inv_r7
-                    )[:, None] * s
-                np.add.at(acc, ai, contrib)
-                if want_jerk:
-                    node_mass = self.node_mass[an][:, None]
-                    node_vel = np.divide(
-                        self.node_mom[an],
-                        node_mass,
-                        out=np.zeros_like(self.node_mom[an]),
-                        where=node_mass > 0,
-                    )
-                    dv = node_vel - vel_i[ai]
-                    rv = np.einsum("ij,ij->i", dr, dv)
-                    jc = (self.node_mass[an] * inv_r3)[:, None] * dv - (
-                        3.0 * self.node_mass[an] * inv_r3 * rv / r2
-                    )[:, None] * dr
-                    np.add.at(jerk, ai, jc)
-                self.stats.node_interactions += int(accept.sum())
-
-            # 2) leaves: direct particle sums
-            leaf_sel = is_leaf
-            if np.any(leaf_sel):
-                li = pi[leaf_sel]
-                ln = nodes[leaf_sel]
-                for sink, node in zip(li, ln):
-                    start = self.node_leaf_start[node]
-                    count = self.node_leaf_count[node]
-                    src = self.leaf_perm[start : start + count]
-                    dr = self.pos[src] - pos_i[sink]
-                    dist2 = np.einsum("ij,ij->i", dr, dr)
-                    r2 = dist2 + eps2
-                    if exclude_self is not None:
-                        mask = src == exclude_self[sink]
-                        r2[mask] = np.inf
-                    if h_i is not None:
-                        # strict-inequality complement of neighbour_search's
-                        # ``dist2 < h**2`` range predicate (same unsoftened
-                        # distances, so the near/far split is exact)
-                        r2[dist2 < h_i[sink] ** 2] = np.inf
-                    with np.errstate(divide="ignore"):
-                        inv_r3 = 1.0 / (r2 * np.sqrt(r2))
-                    w = self.mass[src] * inv_r3
-                    acc[sink] += (w[:, None] * dr).sum(axis=0)
-                    if want_jerk:
-                        dv = self.vel[src] - vel_i[sink]
-                        rv = np.einsum("ij,ij->i", dr, dv)
-                        jerk[sink] += (
-                            (w[:, None] * dv) - (3.0 * w * rv / r2)[:, None] * dr
-                        ).sum(axis=0)
-                    self.stats.pp_interactions += count
-
-            # 3) rejected internal nodes expand to children — CSR
-            #    fancy-index, same (sink, child) order the recursive
-            #    frontier produced
-            expand = ~accept & ~is_leaf
-            if np.any(expand):
-                en = nodes[expand]
-                reps = self.node_n_children[en]
-                pi = np.repeat(pi[expand], reps)
-                nodes = concat_ranges(self.node_first_child[en], reps)
-            else:
-                pi = np.empty(0, dtype=np.int64)
-                nodes = np.empty(0, dtype=np.int64)
-
+        acc, jerk, wstats = grouped_accelerations(
+            self, pos_i, theta, eps,
+            vel_i=vel_i if want_jerk else None,
+            exclude_self=exclude_self, h_i=h_i,
+            n_crit=n_crit, engine=engine,
+        )
+        self.walk_stats = wstats
+        self.stats.node_interactions += wstats.node_terms
+        self.stats.pp_interactions += wstats.pp_terms
         return acc, jerk

@@ -15,6 +15,8 @@ truncation error.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from ..accel import get_engine
@@ -22,7 +24,8 @@ from ..core.backends import ForceBackend
 from ..core.forces import InteractionCounter
 from ..core.predictor import predict_system
 from ..errors import ConfigurationError
-from .tree import Octree, resolve_walk_mode
+from ..obs import NULL_OBS
+from .tree import Octree
 
 __all__ = ["TreeBackend"]
 
@@ -35,21 +38,24 @@ class TreeBackend(ForceBackend):
     eps:
         Plummer softening (matching the direct backends).
     theta:
-        Opening angle; smaller is more accurate and more expensive.
+        Opening angle; smaller is more accurate and more expensive, 0
+        is exact direct summation (every walk bottoms out in leaves).
     leaf_size:
         Bucket size of the octree.
-    walk:
-        Tree-walk strategy (:data:`repro.baselines.tree.WALK_MODES`);
-        ``None`` resolves ``REPRO_TREE_WALK`` / ``"grouped"``.
     n_crit:
-        Grouped-walk sink-group size target.
+        Sink-group size target of the grouped walk (bigger groups
+        amortise the walk over more sinks, at the price of a looser
+        bounding sphere and thus longer interaction lists).
     engine:
-        :class:`repro.accel.KernelEngine` for grouped-walk bulk
-        evaluation (defaults to the process-wide engine).
+        :class:`repro.accel.KernelEngine` that evaluates the
+        interaction lists and the diagnostic potential (defaults to the
+        process-wide engine).
     """
 
     def __init__(self, eps: float, theta: float = 0.5, leaf_size: int = 8,
-                 walk: str | None = None, n_crit: int = 32, engine=None) -> None:
+                 n_crit: int = 32, engine=None) -> None:
+        if eps < 0:
+            raise ConfigurationError("softening must be non-negative")
         if theta < 0:
             raise ConfigurationError("theta must be non-negative")
         if n_crit < 1:
@@ -57,54 +63,75 @@ class TreeBackend(ForceBackend):
         self.eps = float(eps)
         self.theta = float(theta)
         self.leaf_size = int(leaf_size)
-        self.walk = resolve_walk_mode(walk)
         self.n_crit = int(n_crit)
-        self.engine = engine
+        self.engine = engine if engine is not None else get_engine()
         self.counter = InteractionCounter()
         #: trees built over the run (== block steps; the cost driver)
         self.builds = 0
-        #: cumulative tree-walk interaction count (pp + node)
+        #: cumulative interaction count of the walks (pp + node terms)
         self.walk_interactions = 0
+        #: wall seconds in tree construction / in walk + evaluation
+        self.build_seconds = 0.0
+        self.walk_seconds = 0.0
+        self._tracer = NULL_OBS.tracer
+
+    def observe(self, obs) -> None:
+        """Send ``tree.build`` / ``tree.walk`` spans to ``obs``'s tracer."""
+        self._tracer = getattr(obs, "tracer", NULL_OBS.tracer)
 
     def load(self, system) -> None:
         return None
 
     def forces_on(self, system, active: np.ndarray, t_now: float):
+        return self._tree_forces(system, active, t_now)[:2]
+
+    def _tree_forces(self, system, active, t_now: float, h_i=None):
+        """Predict, build, walk: the one tree force call.
+
+        Returns ``(acc, jerk, tree, dt_build, dt_walk)``; ``dt_walk``
+        leaves out what the walk spent emitting neighbour pairs
+        (``tree.walk_stats.neighbour_seconds``, zero without ``h_i``).
+        """
+        active = np.asarray(active, dtype=np.int64)
         predict_system(system, t_now)
-        tree = Octree(
-            system.pred_pos, system.mass, vel=system.pred_vel, leaf_size=self.leaf_size
-        )
+        t0 = perf_counter()
+        with self._tracer.span("tree.build", n=int(system.n)):
+            tree = Octree(
+                system.pred_pos, system.mass,
+                vel=system.pred_vel, leaf_size=self.leaf_size,
+            )
+        t1 = perf_counter()
+        with self._tracer.span("tree.walk"):
+            # exclude_self is indexed by sink position: the active
+            # indices themselves
+            acc, jerk = tree.accelerations(
+                system.pred_pos[active],
+                theta=self.theta,
+                eps=self.eps,
+                vel_i=system.pred_vel[active],
+                exclude_self=active,
+                h_i=h_i,
+                n_crit=self.n_crit,
+                engine=self.engine,
+            )
+        dt_build = t1 - t0
+        dt_walk = perf_counter() - t1 - tree.walk_stats.neighbour_seconds
         self.builds += 1
-        active = np.asarray(active)
-        acc, jerk = tree.accelerations(
-            system.pred_pos[active],
-            theta=self.theta,
-            eps=self.eps,
-            vel_i=system.pred_vel[active],
-            exclude_self=_dense_exclusion(active, system.n),
-            walk=self.walk,
-            n_crit=self.n_crit,
-            engine=self.engine,
-        )
+        self.build_seconds += dt_build
+        self.walk_seconds += dt_walk
         self.walk_interactions += tree.stats.total_interactions
-        # Book as force_interactions for comparability with direct sums.
+        # Book the equivalent direct-sum load for flop comparability
+        # with the direct backends; the real work is walk_interactions.
         self.counter.add(active.size, system.n, with_jerk=True)
-        return acc, jerk
+        return acc, jerk, tree, dt_build, dt_walk
 
     def push_updates(self, system, active: np.ndarray) -> None:
         return None
 
     def potential(self, system) -> np.ndarray:
-        n = system.n
-        return get_engine().pairwise_potential(
-            system.pos, system.pos, system.mass, self.eps, self_indices=np.arange(n)
+        # Diagnostics use the exact mutual potential so energy-drift
+        # figures measure force error, not a second approximation.
+        return self.engine.pairwise_potential(
+            system.pos, system.pos, system.mass, self.eps,
+            self_indices=np.arange(system.n),
         )
-
-
-def _dense_exclusion(active: np.ndarray, n: int) -> np.ndarray:
-    """Per-sink source index for self-exclusion in leaf sums.
-
-    ``Octree.accelerations`` indexes ``exclude_self`` by sink position,
-    so simply return the active indices themselves.
-    """
-    return np.asarray(active, dtype=np.int64)

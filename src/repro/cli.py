@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default neighbour-sphere radius [AU] (hybrid backend)",
     )
     p_run.add_argument(
-        "--tree-walk", choices=("grouped", "persink"), default=None,
-        help="tree-walk strategy (tree and hybrid backends; default "
-        "REPRO_TREE_WALK or grouped)",
-    )
-    p_run.add_argument(
         "--n-crit", type=int, default=32,
         help="grouped-walk sink-group size target",
     )
@@ -284,8 +279,7 @@ def _config_for(name: str):
 
 def _build_backend(name: str, eps: float, theta: float = 0.5,
                    r_neighbour: float = 0.05, ranks: int = 2,
-                   spmd_mode: str = "proc", tree_walk: str | None = None,
-                   n_crit: int = 32):
+                   spmd_mode: str = "proc", n_crit: int = 32):
     """Construct a force backend; returns ``(backend, machine_or_None)``."""
     from .baselines import TreeBackend
     from .core import HostDirectBackend
@@ -294,13 +288,12 @@ def _build_backend(name: str, eps: float, theta: float = 0.5,
     if name == "host":
         return HostDirectBackend(eps=eps), None
     if name == "tree":
-        return TreeBackend(eps=eps, theta=theta, walk=tree_walk,
-                           n_crit=n_crit), None
+        return TreeBackend(eps=eps, theta=theta, n_crit=n_crit), None
     if name == "hybrid":
         from .hybrid import HybridBackend
 
         return HybridBackend(eps=eps, theta=theta, r_neighbour=r_neighbour,
-                             walk=tree_walk, n_crit=n_crit), None
+                             n_crit=n_crit), None
     if name == "spmd":
         from .parallel import SpmdBackend
 
@@ -317,8 +310,7 @@ def _cmd_run_managed(args) -> int:
     backend, _ = _build_backend(
         args.backend, args.eps, theta=args.theta,
         r_neighbour=args.r_neighbour, ranks=args.ranks,
-        spmd_mode=args.spmd_mode, tree_walk=args.tree_walk,
-        n_crit=args.n_crit,
+        spmd_mode=args.spmd_mode, n_crit=args.n_crit,
     )
     with closing(backend):
         system = build_disk_system(
@@ -355,7 +347,6 @@ def _cmd_run_managed(args) -> int:
                 "r_neighbour": args.r_neighbour,
                 "ranks": args.ranks,
                 "spmd_mode": args.spmd_mode,
-                "tree_walk": args.tree_walk,
                 "n_crit": args.n_crit,
             },
             run_id=f"disk-n{args.n}",
@@ -369,7 +360,7 @@ def _cmd_run_resume(args) -> int:
     from pathlib import Path
 
     from .core import KeplerField, TimestepParams
-    from .errors import CheckpointError
+    from .errors import CheckpointError, ConfigurationError
     from .resilience import CheckpointManager
     from .runio import ProductionRun
 
@@ -385,13 +376,19 @@ def _cmd_run_resume(args) -> int:
     _, state = manager.load_latest()
     path = manager.loaded_path
     cfg = state.get("config") or {}
+    if cfg.get("tree_walk") not in (None, "grouped"):
+        # checkpoints written before the per-sink walk was removed
+        raise ConfigurationError(
+            f"{path.name} was written with tree walk "
+            f"{cfg['tree_walk']!r}, which no longer exists (the grouped "
+            "walk is the only one)"
+        )
     backend, _ = _build_backend(
         cfg.get("backend", args.backend), cfg.get("eps", args.eps),
         theta=cfg.get("theta", args.theta),
         r_neighbour=cfg.get("r_neighbour", args.r_neighbour),
         ranks=cfg.get("ranks", args.ranks),
         spmd_mode=cfg.get("spmd_mode", args.spmd_mode),
-        tree_walk=cfg.get("tree_walk", args.tree_walk),
         n_crit=cfg.get("n_crit", args.n_crit),
     )
     with closing(backend):
@@ -451,8 +448,7 @@ def _cmd_run(args) -> int:
     backend, machine = _build_backend(
         args.backend, args.eps, theta=args.theta,
         r_neighbour=args.r_neighbour, ranks=args.ranks,
-        spmd_mode=args.spmd_mode, tree_walk=args.tree_walk,
-        n_crit=args.n_crit,
+        spmd_mode=args.spmd_mode, n_crit=args.n_crit,
     )
 
     obs = None

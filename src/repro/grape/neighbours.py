@@ -10,8 +10,13 @@ the lists for close-encounter treatment and collision detection.
 This module provides the functional equivalent used by
 :class:`~repro.grape.system.Grape6Machine`:
 
+* :func:`within_sphere` — the one range predicate (unsoftened
+  ``dist2 < h**2``, strict) every neighbour query in the repo runs on;
 * :func:`neighbour_search` — vectorised (i, j) range query returning,
   per i-particle, the j-keys within ``h_i`` and the nearest neighbour;
+* :func:`neighbour_result_from_pairs` — the same result from a flat
+  in-sphere pair list, which is what a force pass emits as a by-product
+  (the hybrid backend's ``last_neighbours``);
 * :func:`merge_neighbour_results` — board-level reduction combining
   per-chip query results for the same i-block;
 * the machine-level plumbing lives in ``Grape6Machine.neighbours_of``
@@ -31,7 +36,13 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["NeighbourResult", "neighbour_search", "merge_neighbour_results"]
+__all__ = [
+    "NeighbourResult",
+    "within_sphere",
+    "neighbour_search",
+    "neighbour_result_from_pairs",
+    "merge_neighbour_results",
+]
 
 _NO_KEY = np.iinfo(np.int64).max  # sentinel above any real j-key
 
@@ -46,6 +57,23 @@ class NeighbourResult:
     nearest_key: np.ndarray
     #: distance to the nearest neighbour (inf if none)
     nearest_dist: np.ndarray
+
+
+def within_sphere(pos_i: np.ndarray, pos_j: np.ndarray, h: np.ndarray):
+    """Range predicate, elementwise over broadcast sinks and sources.
+
+    ``pos_i`` and ``pos_j`` are ``(..., 3)`` arrays that broadcast
+    against each other, ``h`` broadcasts against the leading shape.
+    Returns ``(dist2, within)``: the unsoftened squared distance
+    (``dr = source - sink``) and ``dist2 < h**2``, strict.
+    :func:`neighbour_search` calls it on the ``(n_i, n_j)`` rectangle,
+    the grouped tree walk on a flat list of candidate pairs; the
+    arithmetic per pair is the same, so a list emitted by the force
+    pass and one from a standalone query agree bit for bit.
+    """
+    dr = pos_j - pos_i
+    dist2 = np.einsum("...k,...k->...", dr, dr)
+    return dist2, dist2 < h**2
 
 
 def neighbour_search(
@@ -82,14 +110,12 @@ def neighbour_search(
             nearest_dist=np.empty(0),
         )
 
-    dr = pos_j[None, :, :] - pos_i[:, None, :]
-    dist2 = np.einsum("ijk,ijk->ij", dr, dr)
+    dist2, within = within_sphere(pos_i[:, None, :], pos_j[None, :, :], h[:, None])
     if exclude_keys is not None:
         excl = np.asarray(exclude_keys, dtype=np.int64)
         mask = j_keys[None, :] == excl[:, None]
-        dist2 = np.where(mask, np.inf, dist2)
-
-    within = dist2 < (h[:, None] ** 2)
+        dist2[mask] = np.inf
+        within[mask] = False
     lists = [j_keys[within[i]] for i in range(n_i)]
 
     if pos_j.shape[0] == 0:
@@ -104,6 +130,31 @@ def neighbour_search(
         nearest_dist = np.sqrt(best)
         nearest_key = np.where(np.isfinite(nearest_dist), nearest_key, -1)
         nearest_key = nearest_key.astype(np.int64)
+    return NeighbourResult(lists=lists, nearest_key=nearest_key, nearest_dist=nearest_dist)
+
+
+def neighbour_result_from_pairs(
+    n_i: int, rows: np.ndarray, keys: np.ndarray, dist2: np.ndarray
+) -> NeighbourResult:
+    """A :class:`NeighbourResult` from a flat list of in-sphere pairs.
+
+    ``rows`` (ascending sink row of each pair), ``keys`` (its source
+    key) and ``dist2`` run in parallel; pairs of one sink keep their
+    order in its list.  Only in-sphere sources are candidates, so the
+    nearest neighbour is the nearest *inside the sphere* (``-1`` /
+    ``inf`` for a sink with an empty list); ties break by the smallest
+    key like :func:`neighbour_search`.
+    """
+    counts = np.bincount(rows, minlength=n_i)
+    lists = np.split(keys, np.cumsum(counts)[:-1]) if n_i else []
+    nearest_key = np.full(n_i, -1, dtype=np.int64)
+    nearest_dist = np.full(n_i, np.inf)
+    if rows.size:
+        order = np.lexsort((keys, dist2, rows))
+        srows = rows[order]
+        first = order[np.concatenate(([True], srows[1:] != srows[:-1]))]
+        nearest_key[rows[first]] = keys[first]
+        nearest_dist[rows[first]] = np.sqrt(dist2[first])
     return NeighbourResult(lists=lists, nearest_key=nearest_key, nearest_dist=nearest_dist)
 
 

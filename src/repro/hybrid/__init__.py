@@ -1,12 +1,12 @@
 """Tree/direct hybrid neighbour-scheme force backend.
 
-The Fukushige & Kawai hybrid the paper's related work describes: each
-particle's force is split at its neighbour sphere — everything inside
-``h_i`` is summed directly (collisional accuracy where it matters),
-everything outside comes from a Barnes–Hut octree walk (O(N log N)
-where the paper's pure direct sum is O(N^2)).  See ``docs/HYBRID.md``
-for the scheme, error bounds and parameter guidance, and
-``BENCH_hybrid.json`` for the measured direct-vs-hybrid crossover.
+The Fukushige & Kawai hybrid the paper's related work describes: one
+grouped Barnes–Hut walk per block (O(N log N) where the paper's pure
+direct sum is O(N^2)) whose acceptance test never takes a multipole
+that reaches into a sink's neighbour sphere ``h_i`` — everything inside
+is summed pair by pair (collisional accuracy where it matters), and the
+neighbour lists fall out of the same pass.  See ``docs/HYBRID.md`` for
+the scheme, error bounds and parameter guidance.
 """
 
 from .backend import HybridBackend

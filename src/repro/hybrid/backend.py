@@ -1,26 +1,29 @@
 """Tree/direct hybrid force backend for the block-timestep integrator.
 
-Per active block the force on each sink ``i`` is split at its
-neighbour sphere ``h_i``:
+One pass over one set of interaction lists.  Per active block the
+grouped tree walk (:mod:`repro.hybrid.walk`) gives every sink group an
+accepted-node list and an opened-leaf (pp) list, and the
+:mod:`repro.accel` engine sums both — multipoles for the nodes, exact
+pairwise force and jerk for the pp list.  A sink's neighbour sphere
+``h_i`` has exactly one force-side job: the walk's acceptance guard
+takes a node as a multipole only when its cube lies wholly outside
+every sphere of the group, so **no in-sphere source is ever inside an
+accepted multipole** — close encounters are always summed pair by pair,
+which is the paper's Section 3 requirement.
 
-* **near field** — sources with unsoftened ``dist2 < h_i**2``
-  (found by :func:`repro.grape.neighbours.neighbour_search`, the same
-  range query the GRAPE-6 neighbour memory answers in hardware) are
-  summed directly through the :mod:`repro.accel` engine's masked
-  kernel, so the fixed-order j-chunk reduction keeps serial and
-  threaded results bit-identical;
-* **far field** — everything else comes from one
-  :class:`repro.baselines.tree.Octree` walk with the sink's sphere
-  carved out of the node-acceptance test (a node is only taken as a
-  multipole when its cube lies wholly outside the sphere, and leaf
-  sums drop in-sphere sources with the *same strict predicate* the
-  neighbour search uses), so the near/far partition is exact: no pair
-  is double-counted or dropped, and at ``theta = 0`` the hybrid
-  reproduces pure direct summation to summation-order rounding.
+Like GRAPE-6's neighbour memory, the lists fall out of the same pass:
+the range predicate (:func:`repro.grape.neighbours.within_sphere`, the
+one :func:`~repro.grape.neighbours.neighbour_search` answers) runs over
+the pp lists the walk already holds, and its true entries become
+``near_interactions`` and :attr:`HybridBackend.last_neighbours`.  There
+is no second, N-wide pass: memory per call is O(n_crit x list width).
 
-Jerks stay 4th-order-Hermite-grade on both sides of the split: the
-near field uses the exact pairwise jerk, the far field the analytic
-monopole jerk from tree-node velocity moments.
+Contracts: every sink's pp list plus the leaves under its accepted
+nodes covers every source exactly once, and every in-sphere source is
+in the pp list; at ``theta = 0`` each group's kernel call is a
+row-subset of the full direct call, so the hybrid is *bitwise* direct
+summation; serial and threaded engines agree bitwise through the
+engine's fixed-order fold.
 
 The per-particle radii live in ``ParticleSystem.h_nb`` (0 means "use
 this backend's ``r_neighbour`` default") and survive prediction,
@@ -29,48 +32,33 @@ correction, snapshots and mergers.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
-from ..baselines.tree import Octree, resolve_walk_mode
-from ..core.backends import ForceBackend
-from ..core.forces import InteractionCounter
+from ..baselines.treebackend import TreeBackend
 from ..core.predictor import predict_system
 from ..errors import ConfigurationError
-from ..grape.neighbours import NeighbourResult, neighbour_search
+from ..grape.neighbours import (
+    NeighbourResult,
+    neighbour_result_from_pairs,
+    neighbour_search,
+)
 from ..obs import NULL_OBS
 
 __all__ = ["HybridBackend"]
 
 
-class HybridBackend(ForceBackend):
-    """Neighbour-scheme hybrid: octree far field + direct near field.
+class HybridBackend(TreeBackend):
+    """Neighbour-scheme hybrid: a tree force that never approximates
+    inside a neighbour sphere, and emits the neighbour lists.
 
     Parameters
     ----------
-    eps:
-        Plummer softening (matching the direct backends).
-    theta:
-        Tree opening angle for the far field; 0 degrades to exact
-        direct summation (every walk bottoms out in leaves).
+    eps, theta, leaf_size, n_crit, engine:
+        As for :class:`~repro.baselines.treebackend.TreeBackend`.
     r_neighbour:
         Default neighbour-sphere radius for particles whose
-        ``system.h_nb`` is 0.  Larger spheres shift work from the tree
-        to the direct sum (more accurate, more expensive).
-    leaf_size:
-        Octree bucket size.
-    engine:
-        A :class:`repro.accel.KernelEngine` for the near-field masked
-        kernel and the diagnostic potential; defaults to the shared
-        process-wide engine.
-    walk:
-        Tree-walk strategy (:data:`repro.baselines.tree.WALK_MODES`);
-        ``None`` resolves ``REPRO_TREE_WALK`` / ``"grouped"``.
-    n_crit:
-        Grouped-walk sink-group size target (bigger groups amortise
-        the walk over more sinks, at the price of a looser bounding
-        sphere and thus longer interaction lists).
+        ``system.h_nb`` is 0.  Larger spheres open more of the tree
+        around each sink (more accurate, more expensive).
     """
 
     def __init__(
@@ -80,48 +68,53 @@ class HybridBackend(ForceBackend):
         r_neighbour: float = 0.05,
         leaf_size: int = 8,
         engine=None,
-        walk: str | None = None,
         n_crit: int = 32,
     ) -> None:
-        if eps < 0:
-            raise ConfigurationError("softening must be non-negative")
-        if theta < 0:
-            raise ConfigurationError("theta must be non-negative")
+        super().__init__(eps, theta=theta, leaf_size=leaf_size,
+                         n_crit=n_crit, engine=engine)
         if r_neighbour < 0:
             raise ConfigurationError("r_neighbour must be non-negative")
-        if n_crit < 1:
-            raise ConfigurationError("n_crit must be >= 1")
-        self.eps = float(eps)
-        self.theta = float(theta)
         self.r_neighbour = float(r_neighbour)
-        self.leaf_size = int(leaf_size)
-        self.walk = resolve_walk_mode(walk)
-        self.n_crit = int(n_crit)
-        self.counter = InteractionCounter()
-        if engine is None:
-            from ..accel import get_engine
-
-            engine = get_engine()
-        self.engine = engine
-        #: trees built over the run (== force calls; the far-field cost)
-        self.builds = 0
-        #: cumulative direct near-field pair count (the collisional work)
+        #: cumulative in-sphere pair count (the collisional work)
         self.near_interactions = 0
-        #: cumulative tree-walk interaction count (pp + node terms)
-        self.far_interactions = 0
-        #: wall seconds spent in tree build + walk / in the direct sum
-        self.tree_seconds = 0.0
+        #: wall seconds the walk spent emitting neighbour pairs — what
+        #: the near side costs
         self.direct_seconds = 0.0
-        #: the tree phase split out: construction vs. walk+evaluate
-        self.build_seconds = 0.0
-        self.walk_seconds = 0.0
+        # the last block's pair list, replaced by its NeighbourResult
+        # when someone asks for it
+        self._neighbours = None
         self.observe(NULL_OBS)
+
+    @property
+    def far_interactions(self) -> int:
+        """Cumulative walk interaction count (pp + node terms)."""
+        return self.walk_interactions
+
+    @property
+    def tree_seconds(self) -> float:
+        """Wall seconds in tree build + walk."""
+        return self.build_seconds + self.walk_seconds
+
+    @property
+    def last_neighbours(self) -> NeighbourResult | None:
+        """Neighbour lists of the block ``forces_on`` evaluated last.
+
+        Row ``i`` belongs to ``active[i]``: the keys of the sources
+        inside its sphere (ascending source index, as
+        :func:`~repro.grape.neighbours.neighbour_search` lists them)
+        and the nearest of them (``-1`` for an empty sphere).  Built
+        from the pass's pair list on first access; ``None`` before the
+        first force call.
+        """
+        if isinstance(self._neighbours, tuple):
+            self._neighbours = neighbour_result_from_pairs(*self._neighbours)
+        return self._neighbours
 
     # -- observability -----------------------------------------------------
 
     def observe(self, obs) -> None:
         """Bind the ``hybrid.*`` metric family and tracer to ``obs``."""
-        self._tracer = getattr(obs, "tracer", NULL_OBS.tracer)
+        super().observe(obs)
         metrics = getattr(obs, "metrics", obs)
         self._c_builds = metrics.counter("hybrid.tree_builds_total")
         self._c_near = metrics.counter("hybrid.near_interactions_total")
@@ -140,108 +133,36 @@ class HybridBackend(ForceBackend):
 
     # -- ForceBackend protocol --------------------------------------------
 
-    def load(self, system) -> None:
-        return None
-
     def forces_on(self, system, active: np.ndarray, t_now: float):
-        active = np.asarray(active)
-        n = system.n
-        predict_system(system, t_now)
+        active = np.asarray(active, dtype=np.int64)
         h_eff = np.where(system.h_nb > 0.0, system.h_nb, self.r_neighbour)
-        h_act = h_eff[active]
-        pos_i = system.pred_pos[active]
-        vel_i = system.pred_vel[active]
-
         with self._tracer.span("hybrid.tree", n_active=int(active.size)):
-            t0 = perf_counter()
-            with self._tracer.span("tree.build", n=int(n)):
-                tree = Octree(
-                    system.pred_pos, system.mass,
-                    vel=system.pred_vel, leaf_size=self.leaf_size,
-                )
-            dt_build = perf_counter() - t0
-            t0 = perf_counter()
-            with self._tracer.span("tree.walk", walk=self.walk):
-                acc, jerk = tree.accelerations(
-                    pos_i,
-                    theta=self.theta,
-                    eps=self.eps,
-                    vel_i=vel_i,
-                    exclude_self=active.astype(np.int64),
-                    h_i=h_act,
-                    walk=self.walk,
-                    n_crit=self.n_crit,
-                    engine=self.engine,
-                )
-            dt_walk = perf_counter() - t0
-        dt_tree = dt_build + dt_walk
-        far = int(tree.stats.total_interactions)
+            acc, jerk, tree, dt_build, dt_walk = self._tree_forces(
+                system, active, t_now, h_i=h_eff[active]
+            )
+        wstats = tree.walk_stats
+        rows, src, dist2 = wstats.neighbours
+        self._neighbours = (active.size, rows, system.key[src], dist2)
+        dt_direct = wstats.neighbour_seconds
+        near = rows.size
 
-        t0 = perf_counter()
-        with self._tracer.span("hybrid.direct", n_active=int(active.size)):
-            # the same strict range predicate neighbour_search answers
-            # (dr = source - sink, unsoftened dist2 < h**2, self masked
-            # to inf), evaluated as one boolean matrix — no per-sink
-            # list plumbing on the hot path
-            dr = system.pred_pos[None, :, :] - pos_i[:, None, :]
-            dist2 = np.einsum("ijk,ijk->ij", dr, dr)
-            dist2[np.arange(active.size), active] = np.inf
-            within = dist2 < h_act[:, None] ** 2
-            near = int(within.sum())
-            union = np.flatnonzero(within.any(axis=0))
-            if union.size:
-                include = within[:, union]
-                acc_near, jerk_near = self.engine.acc_jerk_masked(
-                    pos_i, vel_i,
-                    system.pred_pos[union], system.pred_vel[union],
-                    system.mass[union], self.eps, include,
-                )
-                # fixed accumulation order (far += near), part of the
-                # serial/threaded bit-identity contract
-                acc += acc_near
-                jerk += jerk_near
-        dt_direct = perf_counter() - t0
-
-        self.builds += 1
         self.near_interactions += near
-        self.far_interactions += far
-        self.tree_seconds += dt_tree
         self.direct_seconds += dt_direct
-        self.build_seconds += dt_build
-        self.walk_seconds += dt_walk
         self._c_builds.inc()
         self._c_near.inc(near)
-        self._c_far.inc(far)
-        self._c_tree_s.inc(dt_tree)
+        self._c_far.inc(tree.stats.total_interactions)
+        self._c_tree_s.inc(dt_build + dt_walk)
         self._c_direct_s.inc(dt_direct)
         self._c_build_s.inc(dt_build)
         self._c_walk_s.inc(dt_walk)
-        wstats = tree.walk_stats
-        if wstats is not None:
-            self._c_groups.inc(wstats.n_groups)
-            self._c_node_terms.inc(wstats.node_terms)
-            self._c_pp_terms.inc(wstats.pp_terms)
-            for size in wstats.group_sizes:
-                self._h_group_size.observe(float(size))
+        self._c_groups.inc(wstats.n_groups)
+        self._c_node_terms.inc(wstats.node_terms)
+        self._c_pp_terms.inc(wstats.pp_terms)
+        for size in wstats.group_sizes:
+            self._h_group_size.observe(float(size))
         if active.size:
             self._h_nb_count.observe(near / active.size)
-        # Book the equivalent direct-sum load for cross-backend flop
-        # comparability (like TreeBackend); the real split lives in the
-        # near/far counters above.
-        self.counter.add(active.size, n, with_jerk=True)
         return acc, jerk
-
-    def push_updates(self, system, active: np.ndarray) -> None:
-        return None
-
-    def potential(self, system) -> np.ndarray:
-        # Diagnostics use the exact mutual potential so energy-drift
-        # figures measure force-split error, not a second approximation.
-        n = system.n
-        return self.engine.pairwise_potential(
-            system.pos, system.pos, system.mass, self.eps,
-            self_indices=np.arange(n),
-        )
 
     # -- neighbour plumbing ------------------------------------------------
 
@@ -249,8 +170,8 @@ class HybridBackend(ForceBackend):
         """Key-indexed neighbour query at ``t_now``.
 
         Mirrors ``Grape6Machine.neighbours_of`` so the integrator's
-        collision screening can ride the same range query the force
-        split already uses.
+        collision screening can ask for any radius ``h``, not only the
+        force pass's own spheres (:attr:`last_neighbours`).
         """
         active = np.asarray(active)
         predict_system(system, t_now)

@@ -4,20 +4,13 @@ Runs the scaled paper disk at a grid of particle counts with the pure
 direct backend and the hybrid backend, and records, per backend and N:
 
 * the *modelled work* — pairwise interaction evaluations per block
-  step (direct: ``n_active * N``; hybrid: near-field pairs plus
-  tree-walk terms), which is what O(N^2) vs O(N log N) is about and
-  what a GRAPE-class pipeline would actually execute;
+  step (direct: ``n_active * N``; hybrid: the walk's pp + node terms),
+  which is what O(N^2) vs O(N log N) is about and what a GRAPE-class
+  pipeline would actually execute;
 * the measured python wall clock, split into t_tree / t_direct for the
   hybrid, and t_tree further into build / walk;
 * the relative energy error, to show accuracy is preserved where the
   cost drops.
-
-The hybrid is run with **both** tree-walk strategies — the vectorised
-grouped walk (default) and the legacy per-sink python walk — so the
-document records the walk-vs-walk speedup alongside the
-hybrid-vs-direct crossover.  The ``crossover`` block is computed
-against the grouped walk; the per-sink entries exist to show the
-python-constant the grouped walk removes (see ``docs/HYBRID.md``).
 
 Writes the machine-readable baseline ``BENCH_hybrid.json`` at the
 repository root.  Run as a module (repo root)::
@@ -31,7 +24,7 @@ Document schema::
       "benchmark": "hybrid_crossover",
       "config":  {eps, theta, r_neighbour, t_end, ...},
       "entries": [
-        {"n": 512, "backend": "hybrid", "walk": "grouped",
+        {"n": 512, "backend": "hybrid",
          "block_steps": ..., "work_interactions": ...,
          "work_per_block": ..., "wall_seconds": ...,
          "energy_error": ..., "near_interactions": ...,
@@ -40,11 +33,7 @@ Document schema::
          "direct_seconds": ...},
         ...
       ],
-      "crossover": {"work_n": 256, "wall_n": 512},
-      "walk_comparison": {"n": 1024, "theta": 0.6,
-                          "grouped_walk_seconds": ...,
-                          "persink_walk_seconds": ...,
-                          "walk_speedup": ...}
+      "crossover": {"work_n": 256, "wall_n": 512}
     }
 """
 
@@ -90,27 +79,26 @@ def run_crossover(
     from ..core.backends import HostDirectBackend
     from .backend import HybridBackend
 
-    variants = (("direct", None), ("hybrid", "grouped"), ("hybrid", "persink"))
     entries = []
     per_n: dict[int, dict[str, dict]] = {}
     for n in grid:
-        for name, walk in variants:
+        for name in ("direct", "hybrid"):
             if name == "direct":
                 backend = HostDirectBackend(eps=_EPS)
             else:
                 backend = HybridBackend(
-                    eps=_EPS, theta=theta, r_neighbour=r_neighbour, walk=walk
+                    eps=_EPS, theta=theta, r_neighbour=r_neighbour
                 )
             res = _run_one(backend, n, t_end, seed, max_block_steps)
             if name == "direct":
                 work = int(backend.counter.force_interactions)
             else:
-                work = int(backend.near_interactions + backend.far_interactions)
+                # in-sphere pairs are part of the pp lists already
+                work = int(backend.far_interactions)
             blocks = max(int(res.block_steps), 1)
             entry = {
                 "n": int(n),
                 "backend": name,
-                "walk": walk,
                 "block_steps": int(res.block_steps),
                 "work_interactions": work,
                 "work_per_block": work / blocks,
@@ -128,41 +116,20 @@ def run_crossover(
                     direct_seconds=float(backend.direct_seconds),
                 )
             entries.append(entry)
-            key = name if walk is None else f"{name}/{walk}"
-            per_n.setdefault(int(n), {})[key] = entry
+            per_n.setdefault(int(n), {})[name] = entry
             if log:
                 log(
-                    f"  n={n:>5d} {key:<15s} work/block {entry['work_per_block']:12.1f} "
+                    f"  n={n:>5d} {name:<8s} work/block {entry['work_per_block']:12.1f} "
                     f"wall {entry['wall_seconds']:7.2f} s  |dE/E| {entry['energy_error']:.2e}"
                 )
 
     def _first_win(metric: str):
-        """Smallest N where the grouped-walk hybrid beats direct."""
+        """Smallest N where the hybrid beats direct."""
         for n in sorted(per_n):
             pair = per_n[n]
-            if "direct" in pair and "hybrid/grouped" in pair:
-                if pair["hybrid/grouped"][metric] < pair["direct"][metric]:
-                    return int(n)
+            if pair["hybrid"][metric] < pair["direct"][metric]:
+                return int(n)
         return None
-
-    walk_comparison = None
-    n_max = max(per_n)
-    top = per_n[n_max]
-    if "hybrid/grouped" in top and "hybrid/persink" in top:
-        gw = top["hybrid/grouped"]["tree_walk_seconds"]
-        pw = top["hybrid/persink"]["tree_walk_seconds"]
-        walk_comparison = {
-            "n": int(n_max),
-            "theta": float(theta),
-            "grouped_walk_seconds": float(gw),
-            "persink_walk_seconds": float(pw),
-            "walk_speedup": float(pw / gw) if gw > 0 else None,
-        }
-        if log:
-            log(
-                f"  walk speedup at n={n_max}: {walk_comparison['walk_speedup']:.1f}x "
-                f"(persink {pw:.2f} s -> grouped {gw:.2f} s)"
-            )
 
     return {
         "config": {
@@ -181,7 +148,6 @@ def run_crossover(
             "work_n": _first_win("work_per_block"),
             "wall_n": _first_win("wall_per_block"),
         },
-        "walk_comparison": walk_comparison,
     }
 
 
@@ -222,10 +188,6 @@ def main(argv=None) -> int:
     cx = document["crossover"]
     print(f"work crossover:  N = {cx['work_n']}")
     print(f"wall crossover:  N = {cx['wall_n']}")
-    wc = document.get("walk_comparison")
-    if wc and wc.get("walk_speedup"):
-        print(f"grouped-vs-persink walk speedup at N={wc['n']}: "
-              f"{wc['walk_speedup']:.1f}x")
     return 0
 
 

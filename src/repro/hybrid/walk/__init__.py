@@ -7,9 +7,12 @@ with conservative bounding-sphere acceptance (:func:`walk_groups`),
 and evaluate the shared interaction lists in bulk through the
 :mod:`repro.accel` kernel engine (:func:`grouped_accelerations`).
 
-This is the walk :meth:`repro.baselines.tree.Octree.accelerations`
-uses by default (``walk="grouped"`` / ``REPRO_TREE_WALK=grouped``);
-``walk="persink"`` keeps the legacy per-sink frontier for comparison.
+This is the one walk behind
+:meth:`repro.baselines.tree.Octree.accelerations`.  Given per-sink
+neighbour spheres it keeps every in-sphere source in the sink's pp
+list (the acceptance guard of :func:`walk_groups`) and emits the
+in-sphere pairs as a by-product of the same pass
+(:attr:`WalkStats.neighbours`).
 """
 
 from .engine import WalkStats, grouped_accelerations

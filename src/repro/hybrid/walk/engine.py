@@ -1,37 +1,46 @@
 """Bulk evaluation of grouped-walk interaction lists via ``repro.accel``.
 
-:func:`grouped_accelerations` is the drop-in vectorised replacement
-for the per-sink octree walk: group the sinks
+:func:`grouped_accelerations` is the tree force: group the sinks
 (:func:`~repro.hybrid.walk.groups.build_groups`), walk once per group
 (:func:`~repro.hybrid.walk.groups.walk_groups`), then evaluate each
 group's shared lists in two bulk kernel calls — accepted-node
 multipoles through :meth:`KernelEngine.node_force` and opened-leaf
-sources through :meth:`KernelEngine.acc_jerk` /
-:meth:`~KernelEngine.acc_jerk_masked`.
+sources through :meth:`KernelEngine.acc_jerk`, unmasked but for the
+sink's own column.  One pass over one set of lists, with or without
+neighbour spheres.
+
+With ``h_i`` the same pass also emits what GRAPE-6's neighbour memory
+emits: :func:`repro.grape.neighbours.within_sphere` runs over the pp
+lists (after two cuts that spare it all but a few pairs) and its true
+entries are collected as a flat in-sphere pair list
+(:attr:`WalkStats.neighbours`).  The predicate never changes which
+pairs are summed — the spheres act on the force only through
+``walk_groups``' acceptance guard, which keeps every in-sphere source
+in its sink's pp list.
 
 Exactness contracts (tested):
 
 * the kernel is pinned to the ``accel`` implementation for every call,
-  so results do not depend on group sizes (the size heuristic would
-  route small groups to the ``reference`` kernels, whose low-order
-  bits differ) and serial ≡ threaded stays bit-identical through the
-  engine's fixed-order reduction;
-* per-sink neighbour spheres and self-exclusion are applied at
-  *evaluation* (mask / self-index), never at acceptance, so the
-  near/far partition is bitwise the complement of
-  ``neighbour_search``'s ``dist2 < h**2`` predicate;
+  so serial ≡ threaded stays bit-identical through the engine's
+  fixed-order reduction;
+* every sink's pp list ∪ the leaves under its accepted nodes covers
+  every source exactly once, and every source with ``dist2 < h**2`` is
+  in the pp list;
 * at ``theta = 0`` nothing is accepted, every group's source list is
   all particles in ascending order, and each group's ``acc_jerk`` call
   is a row-subset of the full direct call — bit-identical to direct
-  summation.
+  summation, for any ``h_i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
+from ...baselines.tree import concat_ranges
+from ...grape.neighbours import within_sphere
 from .groups import build_groups, walk_groups
 
 __all__ = ["WalkStats", "grouped_accelerations"]
@@ -45,6 +54,10 @@ class WalkStats:
     node_terms: int = 0  # sum over groups of |sinks| * |node list|
     pp_terms: int = 0  # sum over groups of |sinks| * |pp list|
     group_sizes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    #: in-sphere pairs ``(sink row, source index, dist2)`` sorted by sink
+    #: row, sources ascending within a row; ``None`` without ``h_i``
+    neighbours: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    neighbour_seconds: float = 0.0  # wall spent on that by-product
 
 
 def grouped_accelerations(
@@ -76,6 +89,9 @@ def grouped_accelerations(
     jerk = np.zeros((n_i, 3)) if want_jerk else None
     stats = WalkStats()
     if n_i == 0:
+        if h_i is not None:
+            no_index = np.empty(0, dtype=np.int64)
+            stats.neighbours = (no_index, no_index, np.empty(0))
         return acc, jerk, stats
 
     # sinks without velocities still go through the acc+jerk kernels
@@ -88,6 +104,12 @@ def grouped_accelerations(
     lists = walk_groups(tree, groups, theta)
     stats.n_groups = groups.n_groups
     stats.group_sizes = groups.sizes
+    if h_i is not None:
+        t0 = perf_counter()
+        stats.neighbours = _neighbour_pairs(
+            tree, groups, lists, pos_i, h_i, exclude_self
+        )
+        stats.neighbour_seconds = perf_counter() - t0
 
     node_mass = tree.node_mass[:, None]
     node_vel = np.divide(
@@ -114,36 +136,18 @@ def grouped_accelerations(
         src = lists.sources(g)
         if src.size:
             sp = tree.pos[src]
-            if h_i is None:
-                self_idx = None
-                if exclude_self is not None:
-                    # position of each sink's own particle in the sorted
-                    # source list; -1 = not present (never matches)
-                    pos_in = np.searchsorted(src, exclude_self[rows])
-                    pos_in = np.clip(pos_in, 0, src.size - 1)
-                    present = src[pos_in] == exclude_self[rows]
-                    self_idx = np.where(present, pos_in, -1)
-                pa, pj = engine.acc_jerk(
-                    pi, vi, sp, src_vel[src], tree.mass[src], eps,
-                    self_indices=self_idx, kernel="accel",
-                )
-            else:
-                # evaluation-time neighbour carve: identical unsoftened
-                # distance bits as neighbour_search's range predicate,
-                # so near+far is an exact partition
-                dr = sp[None, :, :] - pi[:, None, :]
-                dist2 = np.einsum("ijk,ijk->ij", dr, dr)
-                include = ~(dist2 < h_i[rows][:, None] ** 2)
-                if exclude_self is not None:
-                    pos_in = np.searchsorted(src, exclude_self[rows])
-                    pos_in = np.clip(pos_in, 0, src.size - 1)
-                    present = src[pos_in] == exclude_self[rows]
-                    hit = np.flatnonzero(present)
-                    include[hit, pos_in[hit]] = False
-                pa, pj = engine.acc_jerk_masked(
-                    pi, vi, sp, src_vel[src], tree.mass[src], eps,
-                    include, kernel="accel",
-                )
+            self_idx = None
+            if exclude_self is not None:
+                # position of each sink's own particle in the sorted
+                # source list; -1 = not present (never matches)
+                pos_in = np.searchsorted(src, exclude_self[rows])
+                pos_in = np.clip(pos_in, 0, src.size - 1)
+                present = src[pos_in] == exclude_self[rows]
+                self_idx = np.where(present, pos_in, -1)
+            pa, pj = engine.acc_jerk(
+                pi, vi, sp, src_vel[src], tree.mass[src], eps,
+                self_indices=self_idx, kernel="accel",
+            )
             stats.pp_terms += rows.size * src.size
             if a_g is None:
                 a_g, j_g = pa, pj
@@ -157,3 +161,53 @@ def grouped_accelerations(
                 jerk[rows] = j_g
 
     return acc, jerk, stats
+
+
+def _neighbour_pairs(tree, groups, lists, pos_i, h_i, exclude_self):
+    """In-sphere ``(sink row, source index, dist2)`` pairs of one walk.
+
+    What GRAPE-6's neighbour memory records beside the force: every
+    source of a sink's pp list with ``dist2 < h_i**2``, the sink itself
+    left out.  Two cuts (0.1 % slack against rounding) keep the
+    predicate off all but a few pairs, so this is one flat pass per
+    walk and never a sinks x list-width rectangle: by group, a source
+    inside any sink's sphere lies within ``radius + h_max`` of the
+    centroid; by sink, within ``h_i`` of it along x.  Pairs come back
+    sorted by sink row, sources ascending within a row.
+    """
+    n_i = pos_i.shape[0]
+    group_ids = np.arange(groups.n_groups)
+    gid = np.repeat(group_ids, np.diff(lists.pp_ptr))
+    # (np.take gathers rows about 3x faster than fancy indexing, and
+    # this is the one step that touches every list entry)
+    d = np.take(tree.pos, lists.pp_idx, axis=0)
+    d -= np.take(groups.centroid, gid, axis=0)
+    reach = 1.001 * (groups.radius + groups.h_max)
+    near = np.flatnonzero(
+        np.einsum("ij,ij->i", d, d) < np.take(reach * reach, gid)
+    )
+    gid, cand = gid[near], lists.pp_idx[near]
+
+    # one sort of window bounds and candidates by (group, x): a bound's
+    # rank among the candidates is its searchsorted index inside its
+    # own group (lower bounds sort before equal candidates, upper after)
+    sink_gid = np.empty(n_i, dtype=np.int64)
+    sink_gid[groups.order] = np.repeat(group_ids, groups.sizes)
+    w = 1.001 * h_i
+    x = np.concatenate((pos_i[:, 0] - w, tree.pos[cand, 0], pos_i[:, 0] + w))
+    kind = np.repeat((0, 1, 2), (n_i, cand.size, n_i))  # lower, candidate, upper
+    order = np.lexsort((kind, x, np.concatenate((sink_gid, gid, sink_gid))))
+    is_cand = kind[order] == 1
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.cumsum(is_cand)
+    lo, hi = rank[:n_i], rank[n_i + cand.size:]
+    cand = cand[order[is_cand] - n_i]
+
+    rows = np.repeat(np.arange(n_i), hi - lo)
+    src = cand[concat_ranges(lo, hi - lo)]
+    dist2, within = within_sphere(pos_i[rows], tree.pos[src], h_i[rows])
+    if exclude_self is not None:
+        within &= src != exclude_self[rows]
+    hit = np.flatnonzero(within)
+    hit = hit[np.lexsort((src[hit], rows[hit]))]
+    return rows[hit], src[hit], dist2[hit]

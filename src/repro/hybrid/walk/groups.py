@@ -23,13 +23,13 @@ distance ``dist`` from the group centroid is accepted only when
     ``2*half < theta * (dist - radius)``   (and ``dist > radius``),
 
 so the per-sink criterion ``size < theta * dist_sink`` holds for every
-sink in the bounding sphere.  Two carve guards keep the walk exact: a
+sink in the bounding sphere.  Two guards keep the walk exact: a
 Chebyshev containment test rejects nodes whose cube could contain any
 group sink (their monopole would swallow the sink's own mass), and —
 when neighbour spheres are active — a clearance test
 ``(cdist - radius) > h_max + sqrt(3)*half`` accepts only nodes wholly
-outside *every* sink's sphere, so the near/far split stays bitwise
-exact at evaluation time.
+outside *every* sink's sphere, so every in-sphere source ends up in
+the group's pp list and is summed exactly.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     ),
     "hybrid.near_interactions_total": (
         "counter",
-        "Direct near-field pairs summed inside neighbour spheres",
+        "In-sphere pairs the force pass emitted (neighbour-list entries)",
     ),
     "hybrid.far_interactions_total": (
         "counter",
@@ -97,24 +97,24 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     ),
     "hybrid.tree_seconds": (
         "counter",
-        "Wall time in hybrid tree build + far-field walk (t_tree)",
+        "Wall time in hybrid tree build + walk and evaluation (t_tree)",
     ),
     "hybrid.direct_seconds": (
         "counter",
-        "Wall time in hybrid near-field direct summation (t_direct)",
+        "Wall time emitting neighbour pairs from the walk's lists (t_direct)",
     ),
     "hybrid.neighbour_count": (
         "histogram",
         "Mean neighbours per active particle, sampled per block",
     ),
-    "hybrid.theta": ("gauge", "Opening angle of the hybrid's far-field tree"),
+    "hybrid.theta": ("gauge", "Opening angle of the hybrid's tree walk"),
     "hybrid.tree_build_seconds": (
         "counter",
         "Wall time constructing the octree (the rebuild-per-block cost)",
     ),
     "hybrid.tree_walk_seconds": (
         "counter",
-        "Wall time walking the tree and evaluating far-field lists",
+        "Wall time walking the tree and evaluating its lists",
     ),
     "hybrid.walk.groups_total": (
         "counter",

@@ -81,7 +81,8 @@ def time_breakdown(metrics: dict) -> TimeBreakdown | None:
 
 @dataclass(frozen=True)
 class HybridBreakdown:
-    """t_tree / t_direct accounting of the hybrid backend's force split."""
+    """t_tree / t_direct accounting of the hybrid backend: the one tree
+    pass, and the neighbour pairs it emits as a by-product."""
 
     tree_seconds: float
     direct_seconds: float
@@ -113,15 +114,15 @@ def _render_hybrid(bd: HybridBreakdown) -> str:
 
     table = Table(
         ["component", "seconds", "share", "interactions"],
-        title="Hybrid force split (t_tree vs t_direct)",
+        title="Hybrid force pass (t_tree) and its neighbour by-product (t_direct)",
     )
     total = bd.total_seconds or 1.0
     table.add_row(
-        "tree far field (t_tree)", bd.tree_seconds,
+        "tree build + walk (t_tree)", bd.tree_seconds,
         f"{bd.tree_seconds / total:.1%}", int(bd.far_interactions),
     )
     table.add_row(
-        "direct near field (t_direct)", bd.direct_seconds,
+        "neighbour pairs (t_direct)", bd.direct_seconds,
         f"{bd.direct_seconds / total:.1%}", int(bd.near_interactions),
     )
     lines = [table.render()]

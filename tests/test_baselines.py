@@ -144,28 +144,37 @@ class TestOctreeForces:
         )
         assert err < 0.3  # was ~5.6 with the self-mass leak
 
-    def test_h_i_sphere_excluded_from_force(self, rng):
-        """With per-sink radii the tree must drop exactly the pairs
-        inside each neighbour sphere (the hybrid's near field)."""
-        n = 120
+    def test_h_i_moves_pairs_between_lists_not_out_of_the_force(self, rng):
+        """Per-sink radii act through the acceptance guard alone: the
+        node list shrinks, the pp list grows, and the result is still
+        the full force (the in-sphere pairs are summed, not dropped)."""
+        n = 400
         pos = rng.normal(size=(n, 3)) * 2
         vel = rng.normal(size=(n, 3))
         mass = rng.uniform(0.1, 1, n)
-        h = np.full(n, 1.5)
         eps = 0.01
         tree = Octree(pos, mass, vel=vel)
-        a_t, _ = tree.accelerations(
-            pos, theta=0.0, eps=eps, vel_i=vel,
-            exclude_self=np.arange(n), h_i=h,
-        )
-        dr = pos[None, :, :] - pos[:, None, :]
-        dist2 = (dr**2).sum(axis=2)
-        keep = dist2 >= h[:, None] ** 2
-        np.fill_diagonal(keep, False)
-        r2 = dist2 + eps**2
-        w = np.where(keep, mass[None, :] / r2**1.5, 0.0)
-        a_ref = (w[:, :, None] * dr).sum(axis=1)
-        assert np.allclose(a_t, a_ref, rtol=1e-12, atol=1e-15)
+        kw = dict(eps=eps, vel_i=vel, exclude_self=np.arange(n))
+        a_d, j_d = acc_jerk(pos, vel, pos, vel, mass, eps,
+                            self_indices=np.arange(n))
+
+        a_0, j_0 = tree.accelerations(pos, theta=0.0, h_i=1.5, **kw)
+        a_n, j_n = tree.accelerations(pos, theta=0.0, **kw)
+        assert np.array_equal(a_0, a_n) and np.array_equal(j_0, j_n)
+        assert np.allclose(a_0, a_d, rtol=1e-12, atol=1e-15)
+
+        a_plain, _ = tree.accelerations(pos, theta=1.0, **kw)
+        plain = tree.walk_stats
+        a_h, _ = tree.accelerations(pos, theta=1.0, h_i=1.5, **kw)
+        sphered = tree.walk_stats
+        assert 0 < sphered.node_terms < plain.node_terms
+        assert sphered.pp_terms > plain.pp_terms
+
+        def err(a):
+            return np.median(np.linalg.norm(a - a_d, axis=1)
+                             / np.linalg.norm(a_d, axis=1))
+
+        assert err(a_h) <= err(a_plain) < 0.1
 
     def test_h_i_negative_rejected(self, cluster300):
         pos, _, mass = cluster300

@@ -293,6 +293,42 @@ class TestCLICheckpointWorkflow:
         assert "resuming from ckpt_" in out
         assert "production run complete" in out
 
+    @staticmethod
+    def _stamp_tree_walk(ckpt_dir, value):
+        """Rewrite every checkpoint as PR <= 21 wrote it: with the
+        since-removed ``tree_walk`` field in its config."""
+        from repro.core.snapshots import load_snapshot, save_snapshot
+
+        for path in ckpt_dir.glob("ckpt_*.npz"):
+            system, meta = load_snapshot(path)
+            meta["checkpoint"]["config"]["tree_walk"] = value
+            save_snapshot(path, system, metadata=meta)
+
+    @pytest.mark.parametrize("walk", [None, "grouped"])
+    def test_resume_of_a_checkpoint_naming_the_grouped_walk(
+            self, capsys, tmp_path, walk):
+        from repro.cli import main
+
+        d = tmp_path / "rundir"
+        assert main(self.RUN + ["--backend", "tree", "--run-dir", str(d)]) == 0
+        self._stamp_tree_walk(d / "checkpoints", walk)
+        capsys.readouterr()
+        assert main(["run", "--resume", str(d)]) == 0
+        assert "production run complete" in capsys.readouterr().out
+
+    def test_resume_of_a_per_sink_walk_checkpoint_exits_2(self, capsys,
+                                                          tmp_path):
+        from repro.cli import main
+
+        d = tmp_path / "rundir"
+        assert main(self.RUN + ["--backend", "tree", "--run-dir", str(d)]) == 0
+        self._stamp_tree_walk(d / "checkpoints", "persink")
+        capsys.readouterr()
+        assert main(["run", "--resume", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ckpt_")
+        assert "'persink'" in err and "no longer exists" in err
+
     def test_resume_without_checkpoint_exits_2(self, capsys, tmp_path):
         from repro.cli import main
 

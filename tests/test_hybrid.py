@@ -2,16 +2,20 @@
 
 The contract under test (see ``docs/HYBRID.md``):
 
-* the near/far partition is *exact* — at ``theta = 0`` the hybrid
-  reproduces direct summation to summation-order rounding, for any
-  ``r_neighbour``;
+* one pass over one set of lists — at ``theta = 0`` the hybrid *is*
+  direct summation, bit for bit, for any ``r_neighbour`` and on both
+  kernel tiers;
 * for finite theta the per-particle acceleration error is bounded by
   the documented ``0.1 * theta**2`` envelope on Plummer-like clusters;
-* the near field inherits the accel engine's fixed-order reduction, so
+* the pass inherits the accel engine's fixed-order reduction, so
   serial and threaded runs are bit-identical;
+* the neighbour lists that fall out of the pass (``last_neighbours``)
+  are ``neighbour_search``'s, and no call allocates at N x N width;
 * per-particle ``h_nb`` radii override the backend default and survive
   snapshot round trips.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.core import (
     energy,
 )
 from repro.errors import ConfigurationError
+from repro.grape.neighbours import neighbour_search
 from repro.hybrid import HybridBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 
@@ -73,18 +78,16 @@ class TestForceSplit:
         assert per_particle_err(j_h, j_d).max() < 1e-12
 
     def test_partition_is_exact_for_any_radius(self, cluster):
-        """Moving pairs between near and far field changes only the
-        summation order — never which pairs are summed."""
+        """The sphere radius decides which pairs are *reported* as
+        neighbours — never which pairs are summed, nor in what order."""
         active = np.arange(cluster.n)
         results = []
         for rnb in (0.0, 0.3, 1.0):
             backend = HybridBackend(eps=EPS, theta=0.0, r_neighbour=rnb)
             results.append(backend.forces_on(cluster, active, 0.0))
         (a0, j0), (a1, j1), (a2, j2) = results
-        assert np.allclose(a0, a1, rtol=1e-12, atol=1e-18)
-        assert np.allclose(a0, a2, rtol=1e-12, atol=1e-18)
-        assert np.allclose(j0, j1, rtol=1e-11, atol=1e-18)
-        assert np.allclose(j0, j2, rtol=1e-11, atol=1e-18)
+        assert np.array_equal(a0, a1) and np.array_equal(a0, a2)
+        assert np.array_equal(j0, j1) and np.array_equal(j0, j2)
 
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
     def test_acc_error_within_documented_bound(self, cluster, direct_forces,
@@ -110,6 +113,25 @@ class TestForceSplit:
         direct = HostDirectBackend(eps=EPS)
         assert np.array_equal(hybrid.potential(cluster),
                               direct.potential(cluster))
+
+
+class TestThetaZeroIsDirect:
+    """Each group's kernel call is a row-subset of the full direct
+    call, so there is nothing left to differ by."""
+
+    @pytest.mark.parametrize("n_active", [200, 7])
+    def test_bitwise_equal_to_host_direct(self, cluster, n_active):
+        active = np.arange(cluster.n)[:: cluster.n // n_active][:n_active]
+        a_d, j_d = HostDirectBackend(eps=EPS).forces_on(cluster, active, 0.0)
+        backend = HybridBackend(eps=EPS, theta=0.0, r_neighbour=0.3)
+        a_h, j_h = backend.forces_on(cluster, active, 0.0)
+        assert np.array_equal(a_h, a_d)
+        assert np.array_equal(j_h, j_d)
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestThetaZeroIsDirectNumpyTier(TestThetaZeroIsDirect):
+    """The same contract without the compiled row kernel."""
 
 
 class TestDeterminism:
@@ -228,6 +250,68 @@ class TestNeighbourRadii:
             sys_.validate()
 
 
+class TestLastNeighbours:
+    """The lists the force pass leaves behind are neighbour_search's."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        sys_ = make_random_cluster(300, seed=21)
+        rng = np.random.default_rng(4)
+        sys_.h_nb[:] = rng.uniform(0.05, 0.7, sys_.n)
+        sys_.h_nb[::5] = 0.0  # these fall back to r_neighbour
+        sys_.key[:] = rng.permutation(sys_.n) + 1000  # keys != indices
+        return sys_
+
+    @pytest.mark.parametrize("theta", [0.0, 0.6])
+    def test_all_active_block_matches_neighbour_search(self, mixed, theta):
+        backend = HybridBackend(eps=EPS, theta=theta, r_neighbour=0.4)
+        assert backend.last_neighbours is None
+        active = np.arange(mixed.n)
+        backend.forces_on(mixed, active, 0.0)
+        got = backend.last_neighbours
+        h = np.where(mixed.h_nb > 0.0, mixed.h_nb, 0.4)
+        ref = neighbour_search(mixed.pos, mixed.pos, mixed.key, h,
+                               exclude_keys=mixed.key)
+        assert backend.near_interactions == sum(len(x) for x in ref.lists) > 0
+        assert len(got.lists) == mixed.n
+        for mine, theirs in zip(got.lists, ref.lists):
+            assert np.array_equal(mine, theirs)
+        inside = ref.nearest_dist < h
+        assert inside.any() and not inside.all()
+        assert np.array_equal(got.nearest_key[inside], ref.nearest_key[inside])
+        assert np.array_equal(got.nearest_dist[inside],
+                              ref.nearest_dist[inside])
+        assert (got.nearest_key[~inside] == -1).all()
+        assert np.isinf(got.nearest_dist[~inside]).all()
+
+    def test_rows_follow_the_active_block(self, mixed):
+        backend = HybridBackend(eps=EPS, theta=0.6, r_neighbour=0.4)
+        active = np.array([250, 3, 117, 42])
+        backend.forces_on(mixed, active, 0.0)
+        h = np.where(mixed.h_nb > 0.0, mixed.h_nb, 0.4)[active]
+        ref = neighbour_search(mixed.pos[active], mixed.pos, mixed.key, h,
+                               exclude_keys=mixed.key[active])
+        got = backend.last_neighbours
+        assert got is backend.last_neighbours  # built once per call
+        for mine, theirs in zip(got.lists, ref.lists):
+            assert np.array_equal(mine, theirs)
+
+    def test_no_n_by_n_allocation(self):
+        """An all-active call at N = 4096 stays under a quarter of the
+        403 MB ``N x N x 3`` float64 array the two-pass scheme built."""
+        big = make_random_cluster(4096, seed=3)
+        backend = HybridBackend(eps=EPS, theta=0.5, r_neighbour=0.1)
+        backend.forces_on(big, np.arange(64), 0.0)  # warm the workspace
+        tracemalloc.start()
+        try:
+            backend.forces_on(big, np.arange(big.n), 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backend.last_neighbours.nearest_key.shape == (big.n,)
+        assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
 class TestNeighboursOf:
     def test_matches_bruteforce(self):
         sys_ = fresh_disk(n=30, seed=6)
@@ -275,6 +359,34 @@ class TestObservability:
         text = render_time_breakdown(metrics)
         assert "t_tree" in text and "t_direct" in text
         assert "tree rebuilds" in text
+
+    def test_report_renders_a_split_with_no_direct_time(self):
+        """One pass: t_direct is the neighbour bookkeeping and may
+        round to zero; the table must not divide by it."""
+        from repro.obs.report import render_time_breakdown
+
+        text = render_time_breakdown({
+            "hybrid.tree_seconds": 1.5,
+            "hybrid.direct_seconds": 0.0,
+            "hybrid.near_interactions_total": 0,
+            "hybrid.far_interactions_total": 456,
+            "hybrid.tree_builds_total": 7,
+        })
+        assert "100.0%" in text and "0.0%" in text
+
+    def test_neighbour_count_observed_per_call(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        backend = HybridBackend(eps=EPS, theta=0.5, r_neighbour=0.3)
+        backend.observe(obs)
+        cluster = make_random_cluster(200, seed=9)
+        for _ in range(3):
+            backend.forces_on(cluster, np.arange(cluster.n), 0.0)
+        snap = obs.metrics.snapshot()
+        assert snap["hybrid.neighbour_count.count"] == 3
+        assert snap["hybrid.neighbour_count.max"] == pytest.approx(
+            backend.near_interactions / 3 / cluster.n)
 
     def test_no_hybrid_metrics_renders_nothing(self):
         from repro.obs.report import hybrid_breakdown

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _persink_oracle import persink_accelerations
 
 from repro.baselines import Octree
 from repro.core import HostDirectBackend, KeplerField, ParticleSystem, Simulation, TimestepParams
@@ -85,13 +86,12 @@ class TestQuadrupole:
 
         def med_err(quad):
             tree = Octree(pos, mass, quadrupole=quad)
-            # pin the per-sink MAC: the grouped walk's conservative
+            # the per-sink oracle's MAC: the grouped walk's conservative
             # group-radius acceptance degenerates to (exact) direct
             # summation at this small N, leaving no approximation error
             # for the quadrupole to improve on
-            a_t, _ = tree.accelerations(pos, theta=0.6, eps=0.01,
-                                        exclude_self=np.arange(n),
-                                        walk="persink")
+            a_t, _ = persink_accelerations(tree, pos, theta=0.6, eps=0.01,
+                                           exclude_self=np.arange(n))
             return np.median(
                 np.linalg.norm(a_t - a_d, axis=1) / np.linalg.norm(a_d, axis=1)
             )

@@ -1,37 +1,48 @@
-"""Cross-walk equivalence matrix for the octree force engines.
+"""Contracts of the grouped tree walk, checked against an independent
+per-sink walk.
 
-The tree exposes two walk strategies — the legacy per-sink python walk
-(``walk="persink"``) and the vectorised grouped walk
-(``walk="grouped"``, the default).  These tests pin down the contracts
-that make them interchangeable:
+``Octree.accelerations`` has one walk, the vectorised grouped walk of
+``repro.hybrid.walk``.  The per-sink python frontier it replaced lives
+on in ``tests/_persink_oracle.py`` as an oracle that shares nothing
+with it but the tree arrays (``"persink"`` below).  Pinned here:
 
 * at ``theta = 0`` the grouped walk is *bitwise* identical to direct
-  summation through the tiled kernels (the per-sink walk is exact up
+  summation through the tiled kernels (the per-sink oracle is exact up
   to summation order — it associates the same pairs differently);
 * at finite ``theta`` both walks stay inside the documented
   ``0.1 * theta**2`` median relative-error envelope, and the grouped
   walk (whose group-radius acceptance is strictly more conservative
   than the per-sink MAC) is never less accurate;
-* per-sink neighbour spheres carve the same near/far partition out of
-  either walk — near + far reassembles direct summation exactly;
+* per-sink neighbour spheres change which list a source is on, never
+  the force: every sink's pp list plus the leaves under its accepted
+  nodes covers every source exactly once, every in-sphere source is on
+  the pp list, and the in-sphere pairs the walk emits are exactly
+  ``neighbour_search``'s;
 * the grouped walk is bit-identical between serial and threaded
   kernel engines;
 * a sink coinciding with a node's centre of mass stays finite
   (regression for the guarded ``1/(r2*sqrt(r2))`` sites).
 """
 
-import os
-
 import numpy as np
 import pytest
+from _persink_oracle import persink_accelerations
 from conftest import make_random_cluster
 
 from repro.accel import EngineConfig, KernelEngine
-from repro.baselines.tree import WALK_MODES, Octree, resolve_walk_mode
-from repro.errors import ConfigurationError
+from repro.baselines.tree import Octree
+from repro.grape.neighbours import neighbour_search
 from repro.hybrid.walk import build_groups, walk_groups
 
 EPS = 0.01
+WALKS = ("grouped", "persink")
+
+
+def _accelerations(tree, walk, pos_i, **kw):
+    """The product walk, or the oracle standing in for it."""
+    if walk == "persink":
+        return persink_accelerations(tree, pos_i, **kw)
+    return tree.accelerations(pos_i, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +70,9 @@ def direct(cluster):
 
 
 def _walk(tree, cluster, theta, walk, **kw):
-    return tree.accelerations(
-        cluster.pos, theta=theta, eps=EPS, vel_i=cluster.vel,
-        exclude_self=np.arange(cluster.n), walk=walk, **kw,
+    return _accelerations(
+        tree, walk, cluster.pos, theta=theta, eps=EPS, vel_i=cluster.vel,
+        exclude_self=np.arange(cluster.n), **kw,
     )
 
 
@@ -71,39 +82,13 @@ def med_rel_err(a, a_ref):
     )
 
 
-class TestWalkModeResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "persink")
-        assert resolve_walk_mode("grouped") == "grouped"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "persink")
-        assert resolve_walk_mode(None) == "persink"
-
-    def test_default_is_grouped(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TREE_WALK", raising=False)
-        assert resolve_walk_mode(None) == "grouped"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_walk_mode("warp")
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "warp")
-        with pytest.raises(ConfigurationError):
-            resolve_walk_mode(None)
-
-    def test_modes_enumerated(self):
-        assert set(WALK_MODES) == {"grouped", "persink"}
-
-
 class TestThetaZeroBitIdentity:
     """theta = 0 opens everything: both walks ARE direct summation.
 
     The grouped walk evaluates its per-group source lists (each the
     full ascending particle range at theta = 0) through the same tiled
     ``accel`` kernel as the direct baseline, so it is *bitwise*
-    identical.  The legacy per-sink walk sums leaf-by-leaf in python —
+    identical.  The per-sink oracle sums leaf-by-leaf in python —
     the same pairs in a different association order — so it is exact
     only up to floating-point summation order (a few ulp).
     """
@@ -147,7 +132,7 @@ class TestErrorEnvelope:
     def test_both_walks_within_envelope(self, cluster, tree, direct, theta):
         envelope = 0.1 * theta**2
         errs = {}
-        for walk in WALK_MODES:
+        for walk in WALKS:
             acc, _ = _walk(tree, cluster, theta, walk)
             errs[walk] = med_rel_err(acc, direct[0])
             assert errs[walk] < envelope, (walk, theta, errs[walk])
@@ -163,26 +148,72 @@ class TestErrorEnvelope:
 
 
 class TestNeighbourSphereExactness:
-    @pytest.mark.parametrize("walk", WALK_MODES)
-    def test_near_plus_far_reassembles_direct(self, cluster, tree, direct,
-                                              walk):
-        c = cluster
-        n = c.n
-        h = np.full(n, 0.5)
-        far, _ = _walk(tree, c, 0.0, walk, h_i=h)
+    """Spheres move sources between the node list and the pp list and
+    never out of the force."""
 
-        dr = c.pos[None, :, :] - c.pos[:, None, :]
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_force_with_spheres_is_the_full_force(self, cluster, tree, direct,
+                                                  theta):
+        h = np.full(cluster.n, 1.0)
+        plain, _ = _walk(tree, cluster, theta, "grouped")
+        nodes_plain = tree.walk_stats.node_terms
+        pp_plain = tree.walk_stats.pp_terms
+        sphered, _ = _walk(tree, cluster, theta, "grouped", h_i=h)
+        if theta == 0.0:
+            # nothing is ever accepted: same lists, same bits
+            assert np.array_equal(sphered, direct[0])
+            assert np.array_equal(plain, direct[0])
+            return
+        # the guard only turns multipoles into exact pair sums
+        assert tree.walk_stats.node_terms < nodes_plain
+        assert tree.walk_stats.pp_terms > pp_plain
+        assert med_rel_err(sphered, direct[0]) <= med_rel_err(plain, direct[0])
+        assert med_rel_err(sphered, direct[0]) < 0.1 * theta**2
+
+    @pytest.mark.parametrize("n_crit", [1, 8, 64])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 1.2])
+    def test_lists_cover_sources_and_spheres(self, cluster, tree, theta,
+                                             n_crit):
+        """pp list ∪ leaves under accepted nodes is a partition of all
+        sources, and every source with dist2 < h**2 is on the pp list."""
+        rng = np.random.default_rng(1000 * n_crit + int(10 * theta))
+        h = rng.uniform(0.0, 0.8, cluster.n)
+        groups = build_groups(tree, cluster.pos, h_i=h, n_crit=n_crit)
+        lists = walk_groups(tree, groups, theta)
+        dr = cluster.pos[None, :, :] - cluster.pos[:, None, :]
         dist2 = np.einsum("ijk,ijk->ij", dr, dr)
-        within = dist2 < h[:, None] ** 2
-        within[np.arange(n), np.arange(n)] = False
-        assert within.any(), "h too small: near field empty, test vacuous"
+        n_in_sphere = 0
+        for g in range(groups.n_groups):
+            src = lists.sources(g)
+            counts = np.bincount(src, minlength=tree.n)
+            for node in lists.nodes(g):
+                counts[_subtree_particles(tree, node)] += 1
+            assert (counts == 1).all()
+            on_pp = np.zeros(tree.n, dtype=bool)
+            on_pp[src] = True
+            for i in groups.rows(g):
+                inside = dist2[i] < h[i] ** 2
+                assert on_pp[inside].all()
+                n_in_sphere += int(inside.sum()) - 1  # self
+        assert n_in_sphere > 0, "h too small: no neighbours, test vacuous"
 
-        r2 = dist2 + EPS**2
-        inv_r3 = 1.0 / (r2 * np.sqrt(r2))
-        near = np.einsum("ij,ijk->ik", np.where(within, c.mass * inv_r3, 0.0),
-                         dr)
-        np.testing.assert_allclose(far + near, direct[0], rtol=1e-12,
-                                   atol=1e-13)
+    @pytest.mark.parametrize("theta", [0.0, 0.6])
+    def test_emitted_pairs_are_neighbour_search(self, cluster, tree, theta):
+        rng = np.random.default_rng(5)
+        h = rng.uniform(0.0, 0.8, cluster.n)
+        _walk(tree, cluster, theta, "grouped", h_i=h)
+        rows, src, d2 = tree.walk_stats.neighbours
+        ref = neighbour_search(cluster.pos, cluster.pos, np.arange(cluster.n),
+                               h, exclude_keys=np.arange(cluster.n))
+        assert rows.size == sum(len(x) for x in ref.lists) > 0
+        for i in range(cluster.n):
+            assert np.array_equal(src[rows == i], ref.lists[i])
+        delta = cluster.pos[src] - cluster.pos[rows]
+        assert np.array_equal(d2, np.einsum("ij,ij->i", delta, delta))
+
+    def test_no_spheres_no_pairs(self, cluster, tree):
+        _walk(tree, cluster, 0.6, "grouped")
+        assert tree.walk_stats.neighbours is None
 
 
 class TestGroupedDeterminism:
@@ -269,37 +300,25 @@ class TestCoincidentSinkRegression:
         mass = np.ones(5)
         return pos, mass
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
+    @pytest.mark.parametrize("walk", WALKS)
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_stays_finite(self, symmetric, walk, theta):
         pos, mass = symmetric
         tree = Octree(pos, mass, leaf_size=1)
         com = tree.node_com[tree.root]
         assert np.allclose(com, 0.0)  # probe coincides with root COM
-        acc, _ = tree.accelerations(
-            pos, theta=theta, eps=0.05, exclude_self=np.arange(5), walk=walk,
+        acc, _ = _accelerations(
+            tree, walk, pos, theta=theta, eps=0.05, exclude_self=np.arange(5),
         )
         assert np.isfinite(acc).all()
         # symmetry: the probe at the origin feels zero net force
         np.testing.assert_allclose(acc[4], 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("walk", WALK_MODES)
+    @pytest.mark.parametrize("walk", WALKS)
     def test_unsoftened_theta_zero_finite(self, symmetric, walk):
         pos, mass = symmetric
         tree = Octree(pos, mass, leaf_size=1)
-        acc, _ = tree.accelerations(
-            pos, theta=0.0, eps=0.0, exclude_self=np.arange(5), walk=walk,
+        acc, _ = _accelerations(
+            tree, walk, pos, theta=0.0, eps=0.0, exclude_self=np.arange(5),
         )
         assert np.isfinite(acc).all()
-
-
-class TestEnvSelection:
-    def test_tree_walk_env_reaches_accelerations(self, cluster, tree,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_WALK", "persink")
-        _walk(tree, cluster, 0.6, None)
-        assert tree.walk_stats is None  # persink path records no WalkStats
-        monkeypatch.setenv("REPRO_TREE_WALK", "grouped")
-        _walk(tree, cluster, 0.6, None)
-        assert tree.walk_stats is not None
-        assert os.environ["REPRO_TREE_WALK"] == "grouped"
