@@ -5,9 +5,8 @@ preallocated shape-bucketed tile buffers
 (:mod:`~repro.accel.workspace`), ``out=``-form tile kernels
 (:mod:`~repro.accel.kernels`), a persistent thread pool with a
 fixed-order partial-sum reduction and a fused per-chunk source
-predictor (:mod:`~repro.accel.engine`), all behind a kernel registry
-with shape-bucketed — optionally autotuned — dispatch
-(:mod:`~repro.accel.registry`).  Where a C compiler is present the
+predictor (:mod:`~repro.accel.engine`) — one implementation per op,
+no choice of kernel.  Where a C compiler is present the
 force + jerk pair loop itself runs compiled
 (:mod:`~repro.accel.native`, built on first use, cached per user);
 without one the NumPy tiles do the same sums and a log line says so.
@@ -17,9 +16,8 @@ Most callers want the process-wide engine::
     from repro.accel import get_engine
     acc, jerk = get_engine().acc_jerk(pos_i, vel_i, pos, vel, mass, eps)
 
-Tuning env vars (read when the default engine is first built):
-``REPRO_TILE_BUDGET``, ``REPRO_KERNEL_THREADS``,
-``REPRO_KERNEL_JCHUNK``, ``REPRO_KERNEL_AUTOTUNE`` — see
+One environment variable, read when the default engine is first
+built: ``REPRO_KERNEL_THREADS`` (scheduling only, never a bit) — see
 :class:`~repro.accel.engine.EngineConfig`.
 """
 
@@ -29,15 +27,6 @@ import threading
 
 from .engine import EngineConfig, KernelEngine, fixed_order_reduce
 from .kernels import predict_sources
-from .registry import (
-    REGISTRY,
-    KernelSpec,
-    all_kernels,
-    kernels_for,
-    register_kernel,
-    select_kernel,
-    shape_bucket,
-)
 from .workspace import KernelWorkspace, TileBuffers, TileView, bucket_size
 
 __all__ = [
@@ -46,13 +35,6 @@ __all__ = [
     "KernelWorkspace",
     "TileBuffers",
     "TileView",
-    "KernelSpec",
-    "REGISTRY",
-    "register_kernel",
-    "all_kernels",
-    "kernels_for",
-    "select_kernel",
-    "shape_bucket",
     "bucket_size",
     "predict_sources",
     "fixed_order_reduce",

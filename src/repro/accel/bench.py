@@ -1,12 +1,12 @@
-"""Benchmark harness: reference vs. accel kernels across block shapes.
+"""Benchmark harness: engine ops vs. their oracles across block shapes.
 
-Times every registered kernel implementation on synthetic
-planetesimal-like data over a grid of ``(n_active, N)`` shapes and
-writes the machine-readable baseline ``BENCH_kernels.json`` at the
-repository root (schema below).  This is the perf trajectory's ground
-truth: ``tools/check_kernel_registry.py`` requires every registered
-kernel to appear in it, and the acceptance gate for the engine is the
-``acc_jerk`` speedup at the paper-like ``(1024, 8192)`` block shape.
+Times every :class:`KernelEngine` op (rows ``"kernel": "accel"``, or
+``"fused"`` for ``acc_jerk_active``) and its plain-NumPy oracle from
+:mod:`repro.core` (``"reference"``) on synthetic planetesimal-like data
+over a grid of ``(n_active, N)`` shapes and writes the machine-readable
+baseline ``BENCH_kernels.json`` at the repository root (schema below).
+The acceptance gate for the engine is the ``acc_jerk`` speedup at the
+paper-like ``(1024, 8192)`` block shape.
 
 Run it as a module (repo root, a couple of minutes)::
 
@@ -27,7 +27,7 @@ Document schema::
       ]
     }
 
-On a host with a C compiler the kernels that end in the compiled row
+On a host with a C compiler the ops that end in the compiled row
 kernel (:mod:`repro.accel.native`) are timed twice: on the NumPy tiles
 (the row as every earlier record has it) and natively, that row marked
 ``"tier": "native"``.
@@ -43,7 +43,9 @@ from time import perf_counter
 
 import numpy as np
 
-from . import registry as reg
+from ..core import forces
+from ..core.kernels import _acc_spline_reference
+from ..core.predictor import predict_system
 from .engine import EngineConfig, KernelEngine
 from .kernels import ROW_KERNEL_OPS
 
@@ -79,61 +81,77 @@ def make_workload(n_active: int, n_source: int, seed: int = 2003):
     return system, active
 
 
-def _op_args(op: str, system, active, t_now: float):
-    """The normalised argument tuple one op's runners are timed with."""
-    pos_i = system.pos[active]
-    vel_i = system.vel[active]
-    if op == "acc_jerk":
-        return (pos_i, vel_i, system.pos, system.vel, system.mass, _EPS), {
-            "self_indices": active
-        }
-    if op == "acc_only":
-        return (pos_i, system.pos, system.mass, _EPS), {"self_indices": active}
-    if op == "potential":
-        return (pos_i, system.pos, system.mass, _EPS), {"self_indices": active}
-    if op == "spline":
-        return (pos_i, system.pos, system.mass, _SPLINE_H), {"self_indices": active}
-    if op == "acc_jerk_active":
-        return (system, active, t_now, _EPS), {}
-    if op == "acc_jerk_masked":
-        # neighbour-sphere-like sparsity: ~1% of pairs, self excluded
-        rng = np.random.default_rng(11)
-        include = rng.random((active.size, system.n)) < 0.01
-        include[np.arange(active.size), active] = False
-        return (pos_i, vel_i, system.pos, system.vel, system.mass, _EPS, include), {}
-    if op == "node_force":
-        # tree-node-like sources: reuse particle COM/vel, add symmetric
-        # traceless quadrupole moments scaled to node size
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(system.n, 3, 3))
-        sym = a + np.swapaxes(a, 1, 2)
-        tr = np.trace(sym, axis1=1, axis2=2)
-        sym -= tr[:, None, None] * np.eye(3) / 3.0
-        quad = sym * system.mass[:, None, None] * 1e-4
-        return (pos_i, vel_i, system.pos, system.vel, system.mass, _EPS), {
-            "quad_j": quad
-        }
-    raise ValueError(f"unknown op {op!r}")
+def _cases(system, active, t_now: float):
+    """``(op, kernel, call(engine))`` rows timed at one shape, each
+    op's oracle (``reference``) before its engine row."""
+    pos, vel, mass = system.pos, system.vel, system.mass
+    pos_i, vel_i = pos[active], vel[active]
+    # neighbour-sphere-like sparsity: ~1% of pairs, self excluded
+    include = np.random.default_rng(11).random((active.size, system.n)) < 0.01
+    include[np.arange(active.size), active] = False
+    # tree-node-like sources: reuse particle COM/vel, add symmetric
+    # traceless quadrupole moments scaled to node size
+    a = np.random.default_rng(5).normal(size=(system.n, 3, 3))
+    sym = a + np.swapaxes(a, 1, 2)
+    sym -= np.trace(sym, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3.0
+    quad = sym * mass[:, None, None] * 1e-4
+
+    def predict_then_sum(_engine):
+        predict_system(system, t_now)
+        return forces.acc_jerk(
+            system.pred_pos[active], system.pred_vel[active], system.pred_pos,
+            system.pred_vel, mass, _EPS, self_indices=active,
+        )
+
+    pair = (pos_i, vel_i, pos, vel, mass, _EPS)
+    point = (pos_i, pos, mass, _EPS)
+    own = {"self_indices": active}
+    return [
+        ("acc_jerk", "reference", lambda e: forces.acc_jerk(*pair, **own)),
+        ("acc_jerk", "accel", lambda e: e.acc_jerk(*pair, **own)),
+        ("acc_only", "reference", lambda e: forces.acc_only(*point, **own)),
+        ("acc_only", "accel", lambda e: e.acc_only(*point, **own)),
+        ("potential", "reference",
+         lambda e: forces.pairwise_potential(*point, **own)),
+        ("potential", "accel", lambda e: e.pairwise_potential(*point, **own)),
+        ("spline", "reference",
+         lambda e: _acc_spline_reference(pos_i, pos, mass, _SPLINE_H, **own)),
+        ("spline", "accel",
+         lambda e: e.acc_spline(pos_i, pos, mass, _SPLINE_H, **own)),
+        ("acc_jerk_active", "reference", predict_then_sum),
+        ("acc_jerk_active", "fused",
+         lambda e: e.acc_jerk_active(system, active, t_now, _EPS)),
+        ("acc_jerk_masked", "reference",
+         lambda e: forces.acc_jerk(*pair, include=include)),
+        ("acc_jerk_masked", "accel",
+         lambda e: e.acc_jerk_masked(*pair, include)),
+        ("node_force", "reference",
+         lambda e: forces.node_force(*pair, quad_j=quad)),
+        ("node_force", "accel", lambda e: e.node_force(*pair, quad_j=quad)),
+    ]
 
 
-def _tiers(engine: KernelEngine, spec, kwargs) -> list[tuple[str | None, KernelEngine]]:
-    """``(tier mark, engine)`` pairs one kernel is timed on: a kernel
-    the native tier changes gets a NumPy-tier twin of ``engine`` first."""
-    on_rows = (spec.op in ROW_KERNEL_OPS and spec.name != "reference"
-               and kwargs.get("quad_j") is None)
-    if engine.tier != "native" or not on_rows:
+#: Engine rows the native tier changes: ``node_force`` is timed with
+#: quadrupoles, which stay on the tiles on either tier.
+_NATIVE_ROWS = ROW_KERNEL_OPS - {"node_force"}
+
+
+def _tiers(engine: KernelEngine, op: str, kernel: str):
+    """``(tier mark, engine)`` pairs one row is timed on: an op the
+    native tier changes gets a NumPy-tier twin of ``engine`` first."""
+    if engine.tier != "native" or kernel == "reference" or op not in _NATIVE_ROWS:
         return [(None, engine)]
     twin = KernelEngine(engine.config)
     twin._native = None
     return [(None, twin), ("native", engine)]
 
 
-def _time_runner(engine, spec, args, kwargs, repeats: int) -> list[float]:
+def _time_call(call, engine, repeats: int) -> list[float]:
     """Per-repeat wall seconds (min-of-k and bootstrap CIs happen later)."""
     samples = []
     for _ in range(repeats):
         t0 = perf_counter()
-        spec.runner(engine, *args, **kwargs)
+        call(engine)
         samples.append(perf_counter() - t0)
     return samples
 
@@ -144,7 +162,7 @@ def run_bench(
     engine: KernelEngine | None = None,
     log=print,
 ) -> dict:
-    """Time every registered kernel over ``shapes``; return the document."""
+    """Time every op and oracle over ``shapes``; return the document."""
     engine = engine or KernelEngine(EngineConfig.from_env())
     entries = []
     for n_active, n_source in shapes:
@@ -152,24 +170,23 @@ def run_bench(
         # Mid-step block time so the predictor polynomials do real work.
         t_now = 1e-3
         reference_best: dict[str, float] = {}
-        for spec in reg.all_kernels():
-            args, kwargs = _op_args(spec.op, system, active, t_now)
-            for tier, timed_on in _tiers(engine, spec, kwargs):
-                spec.runner(timed_on, *args, **kwargs)  # warm-up (workspaces, pool)
-                samples = _time_runner(timed_on, spec, args, kwargs, repeats)
+        for op, kernel, call in _cases(system, active, t_now):
+            for tier, timed_on in _tiers(engine, op, kernel):
+                call(timed_on)  # warm-up (workspaces, pool)
+                samples = _time_call(call, timed_on, repeats)
                 best = min(samples)
-                if spec.name == "reference":
-                    reference_best[spec.op] = best
+                if kernel == "reference":
+                    reference_best[op] = best
                 entry = {
-                    "op": spec.op,
-                    "kernel": spec.name,
+                    "op": op,
+                    "kernel": kernel,
                     "n_active": int(n_active),
                     "n_source": int(n_source),
                     "best_seconds": best,
                     "samples_seconds": samples,
                     "repeats": int(repeats),
                 }
-                label = spec.key
+                label = f"{op}/{kernel}"
                 if tier is not None:
                     entry["tier"] = tier
                     label += f" [{tier}]"

@@ -2,8 +2,12 @@
 
 :class:`KernelEngine` is the software stand-in for a GRAPE-6 cluster
 host board: it owns the preallocated :class:`~repro.accel.workspace`
-buffers, a persistent thread pool over the j-axis chunks, and the
-dispatch table of :mod:`repro.accel.registry`.
+buffers and a persistent thread pool over the j-axis chunks.  Like the
+board it has one implementation per op, reached one way: every public
+op normalises its arguments, books the call, opens its ``kernel.<op>``
+span and runs.  The plain-NumPy oracles the tests and
+:mod:`repro.grape.selftest` compare against live in
+:mod:`repro.core.forces` and :mod:`repro.core.kernels`.
 
 Two kernel tiers sit behind the one chunk entry point of the
 ``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
@@ -18,27 +22,15 @@ The j-axis chunk plan (:meth:`KernelEngine._jplan`) depends only on
 ``(n_j, j_chunk, max_chunks)`` — never on thread count, scheduling or
 timing — and partial sums are reduced in ascending chunk order (the
 software analogue of the GRAPE-6 network-board reduction tree).  The
-serial path accumulates the same chunks in the same order, so with
-``deterministic=True`` (the default) results are **bit-identical**
-whether the engine runs serial or threaded, and independent of
-``REPRO_KERNEL_THREADS``.  The only knobs that change bits are
-``j_chunk`` (it splits the j summation) and the opt-in timing
-autotuner (``REPRO_KERNEL_AUTOTUNE=1``), which may pick different
-kernels in different processes.  All of this holds *within* a tier;
-the two tiers order the sum inside a chunk differently and agree to
-1e-12 norm-relative (measured ~1e-15), not bit for bit.
-
-Environment overrides (read once per :meth:`EngineConfig.from_env`):
-
-``REPRO_TILE_BUDGET``
-    Max tile elements (rows*cols) materialised at once; replaces the
-    hardcoded ``_TILE_BUDGET`` of :mod:`repro.core.forces`.
-``REPRO_KERNEL_THREADS``
-    Worker threads (1 disables the pool).
-``REPRO_KERNEL_JCHUNK``
-    Target j-axis chunk length (changes summation order, hence bits).
-``REPRO_KERNEL_AUTOTUNE``
-    ``1`` enables timing-based kernel selection per shape bucket.
+serial path accumulates the same chunks in the same order, so results
+are **bit-identical** whether the engine runs serial or threaded, and
+independent of ``REPRO_KERNEL_THREADS`` — the one environment variable
+the package reads (worker threads; 1 disables the pool).  The only
+field that changes bits is ``j_chunk`` (it splits the j summation), a
+constructor argument no environment variable or flag reaches.  All of
+this holds *within* a tier; the two tiers order the sum inside a chunk
+differently and agree to 1e-12 norm-relative (measured ~1e-15), not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -51,11 +43,10 @@ from time import perf_counter
 
 import numpy as np
 
-from ..core.predictor import predict_positions, predict_system, predict_velocities
+from ..core.predictor import predict_positions, predict_velocities
 from ..obs import NULL_OBS, NULL_TRACER
 from ..obs.history import usable_cpus
 from . import kernels as tk
-from . import registry as reg
 from .workspace import KernelWorkspace
 
 __all__ = ["EngineConfig", "KernelEngine", "fixed_order_reduce"]
@@ -80,12 +71,12 @@ def fixed_order_reduce(partials):
     return out
 
 
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
+def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        return max(int(raw), minimum)
+        return max(int(raw), 1)
     except ValueError:
         return default
 
@@ -96,10 +87,6 @@ def _native_module():
     from . import native
 
     return native
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 @dataclass(frozen=True)
@@ -118,17 +105,14 @@ class EngineConfig:
     #: Below this many pairs a call runs serial (scheduling only — the
     #: chunk plan, and hence the bits, are unaffected).
     parallel_pairs: int = 1 << 18
-    deterministic: bool = True
-    autotune: bool = False
 
     @classmethod
     def from_env(cls, **overrides) -> "EngineConfig":
-        """Build a config from ``REPRO_*`` environment overrides."""
+        """The default config with ``threads`` from
+        ``REPRO_KERNEL_THREADS`` (else the usable CPUs, at most 8) —
+        the environment sets scheduling only, never a bit."""
         values = dict(
             threads=_env_int("REPRO_KERNEL_THREADS", min(usable_cpus(), 8)),
-            tile_budget=_env_int("REPRO_TILE_BUDGET", cls.tile_budget, minimum=1024),
-            j_chunk=_env_int("REPRO_KERNEL_JCHUNK", cls.j_chunk, minimum=64),
-            autotune=_env_flag("REPRO_KERNEL_AUTOTUNE"),
         )
         values.update(overrides)
         return cls(**values)
@@ -141,8 +125,6 @@ class EngineConfig:
             "j_chunk": self.j_chunk,
             "max_chunks": self.max_chunks,
             "parallel_pairs": self.parallel_pairs,
-            "deterministic": self.deterministic,
-            "autotune": self.autotune,
             "kernel_tier": _native_module().tier(),
         }
 
@@ -162,7 +144,6 @@ class KernelEngine:
         self._pool_lock = threading.Lock()
         self._ws_bytes = 0
         self._ws_lock = threading.Lock()
-        self._pick_cache: dict[tuple, reg.KernelSpec] = {}
         #: the compiled row kernel, or None on the NumPy tier
         self._native = _native_module().load()
         self.observe(obs if obs is not None else NULL_OBS)
@@ -176,7 +157,6 @@ class KernelEngine:
         self._tracer = getattr(obs, "tracer", NULL_TRACER)
         self._c_calls = metrics.counter("kernel.calls_total")
         self._c_tile_bytes = metrics.counter("kernel.tile_bytes_total")
-        self._c_autotune = metrics.counter("kernel.autotune_picks_total")
         self._g_eff = metrics.gauge("kernel.thread_efficiency")
         self._g_threads = metrics.gauge("kernel.threads")
         self._g_ws_bytes = metrics.gauge("kernel.workspace_bytes")
@@ -306,7 +286,7 @@ class KernelEngine:
         if wall > 0.0:
             self._g_eff.set(min(sum(busy) / (cfg.threads * wall), 1.0))
 
-    # -- dispatch ----------------------------------------------------------
+    # -- public ops (normalise, count, span, run) --------------------------
 
     def _count_call(self, op: str, n_i: int, n_j: int, quad: bool = False) -> None:
         """Book one engine call and the operand bytes its pairs stream:
@@ -320,129 +300,59 @@ class KernelEngine:
             planes = tk.TILE_PLANES[op]
         self._c_tile_bytes.inc(n_i * n_j * 8 * planes)
 
-    def dispatch(self, op: str, n_i: int, n_j: int, args: tuple, kwargs: dict,
-                 kernel: str | None = None):
-        """Run ``op`` at shape ``(n_i, n_j)`` on its kernel.
-
-        Every call takes the op's ``PREFERRED`` kernel — there is no
-        size heuristic, so the same physics evaluated in slices of any
-        shape sums in the same order.  ``kernel`` pins a registered
-        implementation by name (``"reference"`` runs only this way or
-        as an autotune winner) and also bypasses the autotuner, which
-        callers that promise bit-stable results rely on.
-        """
-        self._count_call(op, n_i, n_j, quad=kwargs.get("quad_j") is not None)
-        if kernel is not None:
-            spec = reg.REGISTRY.get((op, kernel))
-            if spec is None:
-                raise ValueError(
-                    f"no kernel {kernel!r} registered for op {op!r}"
-                )
-        else:
-            key = (op, reg.shape_bucket(n_i), reg.shape_bucket(n_j))
-            spec = self._pick_cache.get(key)
-            if spec is None:
-                if self.config.autotune:
-                    return self._autotune(key, op, args, kwargs)
-                spec = self._pick_cache[key] = reg.select_kernel(op, n_i, n_j)
-        if not self._tracer.enabled:
-            return spec.runner(self, *args, **kwargs)
-        with self._tracer.span(
-            "kernel." + op, kernel=spec.name, n_i=n_i, n_j=n_j
-        ):
-            return spec.runner(self, *args, **kwargs)
-
-    def _autotune(self, key: tuple, op: str, args: tuple, kwargs: dict):
-        """Time every candidate once, cache the winner, return its result."""
-        best = None
-        for spec in reg.kernels_for(op):
-            t0 = perf_counter()
-            result = spec.runner(self, *args, **kwargs)
-            elapsed = perf_counter() - t0
-            if best is None or elapsed < best[0]:
-                best = (elapsed, spec, result)
-        self._pick_cache[key] = best[1]
-        self._c_autotune.inc()
-        return best[2]
-
-    def cached_pick(self, op: str, n_i: int, n_j: int):
-        """The cached :class:`KernelSpec` for a shape bucket, or ``None``."""
-        return self._pick_cache.get((op, reg.shape_bucket(n_i), reg.shape_bucket(n_j)))
-
-    # -- public ops (normalise, count, dispatch) ---------------------------
-
     def acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                 self_indices=None, counter=None, kernel=None):
+                 self_indices=None, counter=None):
         """Softened acceleration and jerk; mirrors
         :func:`repro.core.forces.acc_jerk`.
 
-        On the ``accel`` kernel a ``self_indices`` entry of ``-1`` means
-        "no self column in this source list" (no pair excluded for that
-        sink row); the ``reference`` kernel requires valid indices.
-        ``kernel`` pins a registered implementation (see
-        :meth:`dispatch`).
+        A ``self_indices`` entry of ``-1`` means "no self column in this
+        source list" (no pair excluded for that sink row).  There is no
+        size heuristic and no choice of kernel, so the same physics
+        evaluated in slices of any shape sums in the same order.
         """
         pos_i, vel_i, pos_j, vel_j = _norm(pos_i, vel_i, pos_j, vel_j)
         mass_j = _mass(mass_j)
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        return self.dispatch(
-            "acc_jerk", n_i, n_j,
-            (pos_i, vel_i, pos_j, vel_j, mass_j, eps),
-            {"self_indices": _idx(self_indices)},
-            kernel=kernel,
-        )
+        self._count_call("acc_jerk", n_i, n_j)
+        with self._tracer.span("kernel.acc_jerk", n_i=n_i, n_j=n_j):
+            return self._accel_acc_jerk(
+                pos_i, vel_i, pos_j, vel_j, mass_j, eps,
+                self_indices=_idx(self_indices),
+            )
 
     def acc_only(self, pos_i, pos_j, mass_j, eps, self_indices=None, counter=None):
         """Softened acceleration only; mirrors
         :func:`repro.core.forces.acc_only`."""
-        pos_i, pos_j = _norm(pos_i, pos_j)
-        mass_j = _mass(mass_j)
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        if counter is not None:
-            counter.add(n_i, n_j, with_jerk=False)
-        return self.dispatch(
-            "acc_only", n_i, n_j,
-            (pos_i, pos_j, mass_j, eps),
-            {"self_indices": _idx(self_indices)},
+        return self._positions_op(
+            "acc_only", tk.acc_tile, (3,), pos_i, pos_j, mass_j, float(eps) ** 2,
+            self_indices, counter,
         )
 
     def pairwise_potential(self, pos_i, pos_j, mass_j, eps, self_indices=None):
         """Softened potential per sink; mirrors
         :func:`repro.core.forces.pairwise_potential`."""
-        pos_i, pos_j = _norm(pos_i, pos_j)
-        mass_j = _mass(mass_j)
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        return self.dispatch(
-            "potential", n_i, n_j,
-            (pos_i, pos_j, mass_j, eps),
-            {"self_indices": _idx(self_indices)},
+        return self._positions_op(
+            "potential", tk.potential_tile, (), pos_i, pos_j, mass_j,
+            float(eps) ** 2, self_indices, None,
         )
 
     def acc_spline(self, pos_i, pos_j, mass_j, h, self_indices=None, counter=None):
         """Cubic-spline-softened acceleration; mirrors
         :func:`repro.core.kernels.acc_spline`."""
-        pos_i, pos_j = _norm(pos_i, pos_j)
-        mass_j = _mass(mass_j)
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        if counter is not None:
-            counter.add(n_i, n_j, with_jerk=False)
-        return self.dispatch(
-            "spline", n_i, n_j,
-            (pos_i, pos_j, mass_j, h),
-            {"self_indices": _idx(self_indices)},
+        return self._positions_op(
+            "spline", tk.spline_tile, (3,), pos_i, pos_j, mass_j, h,
+            self_indices, counter,
         )
 
     def acc_jerk_masked(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                        include, counter=None, kernel=None):
+                        include, counter=None):
         """Softened acceleration and jerk over an explicit pair mask.
 
         ``include`` is a boolean ``(n_i, n_j)`` matrix selecting which
-        (sink, source) pairs contribute — the near-field op of the
-        tree/direct hybrid backend, where each sink sums only over its
-        neighbour sphere.  Excluded pairs cost their tile slot but
-        contribute exact zeros (``r2`` driven to inf, the same
+        (sink, source) pairs contribute.  Excluded pairs cost their
+        slot but contribute exact zeros (``r2`` driven to inf, the same
         mechanism as self-pair exclusion), so the fixed-order j-chunk
         reduction — and with it serial/threaded bit-identity — is
         untouched.  The counter books the *included* pair count.
@@ -457,14 +367,14 @@ class KernelEngine:
             )
         if counter is not None:
             counter.add(int(include.sum()), 1, with_jerk=True)
-        return self.dispatch(
-            "acc_jerk_masked", n_i, n_j,
-            (pos_i, vel_i, pos_j, vel_j, mass_j, eps, include), {},
-            kernel=kernel,
-        )
+        self._count_call("acc_jerk_masked", n_i, n_j)
+        with self._tracer.span("kernel.acc_jerk_masked", n_i=n_i, n_j=n_j):
+            return self._accel_acc_jerk(
+                pos_i, vel_i, pos_j, vel_j, mass_j, eps, excluded=~include,
+            )
 
     def node_force(self, pos_i, vel_i, com_j, vel_j, mass_j, eps,
-                   quad_j=None, counter=None, kernel=None):
+                   quad_j=None, counter=None):
         """Multipole list kernel: monopole(+quadrupole) acc, monopole jerk.
 
         The grouped tree walk's bulk-evaluation op: sinks against a
@@ -476,6 +386,7 @@ class KernelEngine:
         The acceleration gains the quadrupole term when ``quad_j`` is
         given; the jerk stays monopole (the classical compromise of
         tree+Hermite hybrids, matching ``Octree.accelerations``).
+        Mirrors :func:`repro.core.forces.node_force`.
         """
         pos_i, vel_i, com_j, vel_j = _norm(pos_i, vel_i, com_j, vel_j)
         mass_j = _mass(mass_j)
@@ -488,33 +399,30 @@ class KernelEngine:
                 )
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        return self.dispatch(
-            "node_force", n_i, n_j,
-            (pos_i, vel_i, com_j, vel_j, mass_j, eps),
-            {"quad_j": quad_j},
-            kernel=kernel,
-        )
+        self._count_call("node_force", n_i, n_j, quad=quad_j is not None)
+        with self._tracer.span("kernel.node_force", n_i=n_i, n_j=n_j):
+            if quad_j is None:  # monopole list: the plain pair sum, no self column
+                return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
+            return self._accel_quad_force(
+                pos_i, vel_i, com_j, vel_j, mass_j, eps, quad_j,
+            )
 
-    def acc_jerk_active(self, system, active, t_now, eps, counter=None,
-                        kernel=None):
+    def acc_jerk_active(self, system, active, t_now, eps, counter=None):
         """Force+jerk on the active block of a particle system at ``t_now``.
 
-        The op every backend block step goes through.  The fused kernel
-        predicts sources per j-chunk inside the loop (and leaves the
-        system's ``pred_pos``/``pred_vel`` untouched); the reference
-        kernel is the classic ``predict_system`` + ``acc_jerk`` pair.
-        ``kernel`` pins a registered implementation (see
-        :meth:`dispatch`): ``"fused"`` sums in the order of the
-        :meth:`acc_jerk_active_chunk` fold at every block size.
+        The op every backend block step goes through.  Sources are
+        predicted per j-chunk inside the loop (the system's
+        ``pred_pos``/``pred_vel`` stay untouched), and the sum runs in
+        the order of the :meth:`acc_jerk_active_chunk` fold at every
+        block size.
         """
         active = np.asarray(active)
         n_i, n_j = active.size, system.n
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        return self.dispatch(
-            "acc_jerk_active", n_i, n_j, (system, active, float(t_now), eps), {},
-            kernel=kernel,
-        )
+        self._count_call("acc_jerk_active", n_i, n_j)
+        with self._tracer.span("kernel.acc_jerk_active", n_i=n_i, n_j=n_j):
+            return self._fused_acc_jerk_active(system, active, float(t_now), eps)
 
     # -- distributable chunk entry points ----------------------------------
 
@@ -641,7 +549,8 @@ class KernelEngine:
 
     def _accel_acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
                         self_indices=None, excluded=None):
-        """``acc_jerk`` and, with ``excluded``, ``acc_jerk_masked``."""
+        """The pair sum of ``acc_jerk``, of ``acc_jerk_masked`` (with
+        ``excluded``) and of a monopole ``node_force``."""
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3))
@@ -658,11 +567,20 @@ class KernelEngine:
         self._sweep(n_i, n_j, [acc, jerk], body)
         return acc, jerk
 
-    def _tiled_positions_op(self, tile_fn, out, pos_i, pos_j, mass_j, scale,
-                            self_indices):
-        """Sweep a position-only tile kernel (``tile_fn(tv, pos_i, pos_j,
-        mass_j, scale, out_rows, mask)``) over chunks and row tiles."""
+    def _positions_op(self, op, tile_fn, out_tail, pos_i, pos_j, mass_j,
+                      scale, self_indices, counter):
+        """The whole of a position-only op (``acc_only``, ``potential``,
+        ``spline``): sweep ``tile_fn(tv, pos_i, pos_j, mass_j, scale,
+        out_rows, mask)`` over chunks and row tiles into an
+        ``(n_i, *out_tail)`` result."""
+        pos_i, pos_j = _norm(pos_i, pos_j)
+        mass_j = _mass(mass_j)
+        self_indices = _idx(self_indices)
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
+        if counter is not None:
+            counter.add(n_i, n_j, with_jerk=False)
+        self._count_call(op, n_i, n_j)
+        out = np.zeros((n_i, *out_tail))
         if n_i == 0 or n_j == 0:
             return out
 
@@ -672,37 +590,12 @@ class KernelEngine:
                 mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
                 tile_fn(tv, pos_i[i0:i1], pj, mj, scale, outs[0][i0:i1], mask)
 
-        self._sweep(n_i, n_j, [out], body)
+        with self._tracer.span("kernel." + op, n_i=n_i, n_j=n_j):
+            self._sweep(n_i, n_j, [out], body)
         return out
 
-    def _accel_acc_only(self, pos_i, pos_j, mass_j, eps, self_indices=None):
-        return self._tiled_positions_op(
-            tk.acc_tile, np.zeros((pos_i.shape[0], 3)), pos_i, pos_j, mass_j,
-            float(eps) ** 2, self_indices,
-        )
-
-    def _accel_potential(self, pos_i, pos_j, mass_j, eps, self_indices=None):
-        return self._tiled_positions_op(
-            tk.potential_tile, np.zeros(pos_i.shape[0]), pos_i, pos_j, mass_j,
-            float(eps) ** 2, self_indices,
-        )
-
-    def _accel_spline(self, pos_i, pos_j, mass_j, h, self_indices=None):
-        return self._tiled_positions_op(
-            tk.spline_tile, np.zeros((pos_i.shape[0], 3)), pos_i, pos_j, mass_j,
-            h, self_indices,
-        )
-
-    def _accel_acc_jerk_masked(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                               include):
-        return self._accel_acc_jerk(
-            pos_i, vel_i, pos_j, vel_j, mass_j, eps, excluded=~include,
-        )
-
-    def _accel_node_force(self, pos_i, vel_i, com_j, vel_j, mass_j, eps,
-                          quad_j=None):
-        if quad_j is None:  # monopole list: the plain pair sum, no self column
-            return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
+    def _accel_quad_force(self, pos_i, vel_i, com_j, vel_j, mass_j, eps, quad_j):
+        """``node_force`` with quadrupoles (tiles on either tier)."""
         n_i, n_j = pos_i.shape[0], com_j.shape[0]
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3))
@@ -816,114 +709,3 @@ def _idx(self_indices):
     if self_indices is None:
         return None
     return np.ascontiguousarray(self_indices, dtype=np.int64)
-
-
-# -- reference runners (registry glue) ------------------------------------
-
-
-def _reference_acc_jerk(engine, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                        self_indices=None):
-    from ..core import forces
-
-    return forces.acc_jerk(pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                           self_indices=self_indices)
-
-
-def _reference_acc_only(engine, pos_i, pos_j, mass_j, eps, self_indices=None):
-    from ..core import forces
-
-    return forces.acc_only(pos_i, pos_j, mass_j, eps, self_indices=self_indices)
-
-
-def _reference_potential(engine, pos_i, pos_j, mass_j, eps, self_indices=None):
-    from ..core import forces
-
-    return forces.pairwise_potential(pos_i, pos_j, mass_j, eps,
-                                     self_indices=self_indices)
-
-
-def _reference_spline(engine, pos_i, pos_j, mass_j, h, self_indices=None):
-    from ..core.kernels import _acc_spline_reference
-
-    return _acc_spline_reference(pos_i, pos_j, mass_j, h, self_indices=self_indices)
-
-
-def _reference_acc_jerk_masked(engine, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                               include):
-    dr = pos_j[None, :, :] - pos_i[:, None, :]
-    dv = vel_j[None, :, :] - vel_i[:, None, :]
-    r2 = np.einsum("ijk,ijk->ij", dr, dr) + float(eps) ** 2
-    r2 = np.where(include, r2, np.inf)
-    rv = np.einsum("ijk,ijk->ij", dr, dv)
-    mr3 = mass_j[None, :] / (r2 * np.sqrt(r2))
-    acc = np.einsum("ij,ijk->ik", mr3, dr)
-    w = 3.0 * mr3 * rv / r2
-    jerk = np.einsum("ij,ijk->ik", mr3, dv) - np.einsum("ij,ijk->ik", w, dr)
-    return acc, jerk
-
-
-def _reference_node_force(engine, pos_i, vel_i, com_j, vel_j, mass_j, eps,
-                          quad_j=None):
-    dr = com_j[None, :, :] - pos_i[:, None, :]
-    dv = vel_j[None, :, :] - vel_i[:, None, :]
-    r2 = np.einsum("ijk,ijk->ij", dr, dr) + float(eps) ** 2
-    rv = np.einsum("ijk,ijk->ij", dr, dv)
-    r3 = r2 * np.sqrt(r2)
-    mr3 = mass_j[None, :] / r3
-    acc = np.einsum("ij,ijk->ik", mr3, dr)
-    w = 3.0 * mr3 * rv / r2
-    jerk = np.einsum("ij,ijk->ik", mr3, dv) - np.einsum("ij,ijk->ik", w, dr)
-    if quad_j is not None:
-        qdr = np.einsum("jkl,ijl->ijk", quad_j, dr)
-        drqdr = np.einsum("ijk,ijk->ij", dr, qdr)
-        r5 = r3 * r2
-        acc -= np.einsum("ij,ijk->ik", 1.0 / r5, qdr)
-        acc += np.einsum("ij,ijk->ik", 2.5 * drqdr / (r5 * r2), dr)
-    return acc, jerk
-
-
-def _reference_acc_jerk_active(engine, system, active, t_now, eps):
-    from ..core import forces
-
-    predict_system(system, t_now)
-    return forces.acc_jerk(
-        system.pred_pos[active], system.pred_vel[active],
-        system.pred_pos, system.pred_vel, system.mass, eps,
-        self_indices=active,
-    )
-
-
-def _register_builtins() -> None:
-    spec = reg.register_kernel
-    spec("acc_jerk", "reference", _reference_acc_jerk,
-         doc="Chunked broadcasting kernel of repro.core.forces")
-    spec("acc_jerk", "accel", KernelEngine._accel_acc_jerk,
-         doc="Workspace tiles + threaded j-chunks, fixed-order reduction")
-    spec("acc_only", "reference", _reference_acc_only,
-         doc="Chunked broadcasting kernel of repro.core.forces")
-    spec("acc_only", "accel", KernelEngine._accel_acc_only,
-         doc="Workspace tiles + threaded j-chunks, fixed-order reduction")
-    spec("potential", "reference", _reference_potential,
-         doc="Chunked broadcasting kernel of repro.core.forces")
-    spec("potential", "accel", KernelEngine._accel_potential,
-         doc="Workspace tiles + threaded j-chunks, fixed-order reduction")
-    spec("spline", "reference", _reference_spline,
-         doc="Chunked broadcasting kernel of repro.core.kernels")
-    spec("spline", "accel", KernelEngine._accel_spline,
-         doc="Workspace tiles, branch masks as the only per-call allocation")
-    spec("acc_jerk_active", "reference", _reference_acc_jerk_active,
-         doc="predict_system sweep followed by the reference acc_jerk")
-    spec("acc_jerk_active", "fused", KernelEngine._fused_acc_jerk_active,
-         doc="Per-j-chunk source prediction fused into the tile loop")
-    spec("acc_jerk_masked", "reference", _reference_acc_jerk_masked,
-         doc="Single-shot broadcasting sum over an explicit pair mask")
-    spec("acc_jerk_masked", "accel", KernelEngine._accel_acc_jerk_masked,
-         doc="Workspace tiles with per-tile mask slices, fixed-order reduction")
-    spec("node_force", "reference", _reference_node_force,
-         doc="Single-shot broadcasting multipole (monopole+quad) list sum")
-    spec("node_force", "accel", KernelEngine._accel_node_force,
-         doc="Monopole+jerk tiles with a fused quadrupole pass, fixed-order "
-             "reduction")
-
-
-_register_builtins()

@@ -277,37 +277,13 @@ def _config_for(name: str):
     }[name]()
 
 
-def _build_backend(name: str, eps: float, theta: float = 0.5,
-                   r_neighbour: float = 0.05, ranks: int = 2,
-                   spmd_mode: str = "proc", n_crit: int = 32):
-    """Construct a force backend; returns ``(backend, machine_or_None)``."""
-    from .baselines import TreeBackend
-    from .core import HostDirectBackend
-    from .grape import Grape6Backend, Grape6Config, Grape6Machine
-
-    if name == "host":
-        return HostDirectBackend(eps=eps), None
-    if name == "tree":
-        return TreeBackend(eps=eps, theta=theta, n_crit=n_crit), None
-    if name == "hybrid":
-        from .hybrid import HybridBackend
-
-        return HybridBackend(eps=eps, theta=theta, r_neighbour=r_neighbour,
-                             n_crit=n_crit), None
-    if name == "spmd":
-        from .parallel import SpmdBackend
-
-        return SpmdBackend(eps=eps, n_ranks=ranks, mode=spmd_mode), None
-    machine = Grape6Machine(Grape6Config.paper_full_system(), eps=eps)
-    return Grape6Backend(machine), machine
-
-
 def _cmd_run_managed(args) -> int:
     from .core import KeplerField, Simulation, TimestepParams
     from .planetesimal import PlanetesimalDiskConfig, build_disk_system
     from .runio import ProductionRun
+    from .serve.config import build_backend
 
-    backend, _ = _build_backend(
+    backend = build_backend(
         args.backend, args.eps, theta=args.theta,
         r_neighbour=args.r_neighbour, ranks=args.ranks,
         spmd_mode=args.spmd_mode, n_crit=args.n_crit,
@@ -363,6 +339,7 @@ def _cmd_run_resume(args) -> int:
     from .errors import CheckpointError, ConfigurationError
     from .resilience import CheckpointManager
     from .runio import ProductionRun
+    from .serve.config import build_backend
 
     directory = Path(args.resume)
     ckpt_dir = directory / "checkpoints"
@@ -383,7 +360,7 @@ def _cmd_run_resume(args) -> int:
             f"{cfg['tree_walk']!r}, which no longer exists (the grouped "
             "walk is the only one)"
         )
-    backend, _ = _build_backend(
+    backend = build_backend(
         cfg.get("backend", args.backend), cfg.get("eps", args.eps),
         theta=cfg.get("theta", args.theta),
         r_neighbour=cfg.get("r_neighbour", args.r_neighbour),
@@ -439,13 +416,14 @@ def _emit_run_observability(args, obs) -> int:
 
 def _cmd_run(args) -> int:
     from .perf import run_scaled_disk
+    from .serve.config import build_backend
 
     if args.resume:
         return _cmd_run_resume(args)
     if args.run_dir:
         return _cmd_run_managed(args)
 
-    backend, machine = _build_backend(
+    backend = build_backend(
         args.backend, args.eps, theta=args.theta,
         r_neighbour=args.r_neighbour, ranks=args.ranks,
         spmd_mode=args.spmd_mode, n_crit=args.n_crit,
@@ -471,6 +449,7 @@ def _cmd_run(args) -> int:
     print(f"energy error:     {res.energy_error:.3e}")
     print(f"python wall:      {res.wall_seconds:.2f} s "
           f"({res.interactions_per_second:.3g} interactions/s)")
+    machine = getattr(backend, "machine", None)
     if machine is not None:
         print(f"GRAPE model:      {machine.totals.total_seconds:.4f} s, "
               f"{machine.achieved_flops() / 1e12:.3f} Tflops "

@@ -38,26 +38,14 @@ __all__ = [
     "acc_only",
     "potential_energy",
     "pairwise_potential",
+    "node_force",
     "min_pairwise_distance",
 ]
 
-def _default_tile_budget() -> int:
-    """``REPRO_TILE_BUDGET`` env override, else the 2**22 default."""
-    import os
-
-    raw = os.environ.get("REPRO_TILE_BUDGET", "").strip()
-    try:
-        return max(int(raw), 1024) if raw else 1 << 22
-    except ValueError:
-        return 1 << 22
-
-
 #: Maximum number of pairwise-tile elements materialised at once
 #: (n_i_chunk * n_j); 2**22 doubles * ~10 temporaries stays well under
-#: typical L3 + keeps allocation overhead amortised.  Overridable via
-#: the ``REPRO_TILE_BUDGET`` environment variable (the accel engine
-#: reads the same variable for its — smaller, cache-sized — tiles).
-_TILE_BUDGET = _default_tile_budget()
+#: typical L3 + keeps allocation overhead amortised.
+_TILE_BUDGET = 1 << 22
 
 
 @dataclass
@@ -100,6 +88,18 @@ def _i_chunk_size(n_j: int) -> int:
     return max(1, _TILE_BUDGET // max(n_j, 1))
 
 
+def _fill_self_pairs(tile, self_indices, start: int, stop: int, value) -> None:
+    """Write ``value`` at the self pair of sink rows ``[start, stop)`` in
+    their ``(rows, n_j)`` ``tile``.  ``self_indices[i]`` is sink ``i``'s
+    column in the source list; ``-1`` means it has none (as in
+    :class:`repro.accel.KernelEngine`), not "the last column"."""
+    if self_indices is None:
+        return
+    cols = np.asarray(self_indices)[start:stop]
+    rows = np.nonzero(cols >= 0)[0]
+    tile[rows, cols[rows]] = value
+
+
 def acc_jerk(
     pos_i: np.ndarray,
     vel_i: np.ndarray,
@@ -109,6 +109,7 @@ def acc_jerk(
     eps: float,
     self_indices: np.ndarray | None = None,
     counter: InteractionCounter | None = None,
+    include: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Softened acceleration and jerk on sinks ``i`` from sources ``j``.
 
@@ -125,10 +126,14 @@ def acc_jerk(
     self_indices:
         If the sinks are a subset of the sources, the index of each sink
         within the source arrays (shape ``(n_i,)``); the corresponding
-        diagonal interaction is excluded.  ``None`` means sinks and
-        sources are disjoint sets.
+        diagonal interaction is excluded; an entry of ``-1`` excludes
+        nothing for that sink.  ``None`` means sinks and sources are
+        disjoint sets.
     counter:
         Optional :class:`InteractionCounter` to update.
+    include:
+        Optional boolean ``(n_i, n_j)`` mask: only pairs marked true
+        contribute (the oracle of ``KernelEngine.acc_jerk_masked``).
 
     Returns
     -------
@@ -155,12 +160,11 @@ def acc_jerk(
         dv = vel_j[None, :, :] - vel_i[start:stop, None, :]
         r2 = np.einsum("ijk,ijk->ij", dr, dr) + eps2
         rv = np.einsum("ijk,ijk->ij", dr, dv)
-        if self_indices is not None:
-            # Masking r2 (not the result) keeps every downstream term —
-            # including the jerk's rv/r2 — finite and exactly zero.
-            rows = np.arange(start, stop) - start
-            cols = np.asarray(self_indices)[start:stop]
-            r2[rows, cols] = np.inf
+        # Masking r2 (not the result) keeps every downstream term —
+        # including the jerk's rv/r2 — finite and exactly zero.
+        _fill_self_pairs(r2, self_indices, start, stop, np.inf)
+        if include is not None:
+            r2[~np.asarray(include, dtype=bool)[start:stop]] = np.inf
         inv_r = 1.0 / np.sqrt(r2)
         inv_r3 = inv_r / r2
         mr3 = mass_j[None, :] * inv_r3
@@ -201,10 +205,7 @@ def acc_only(
         stop = min(start + chunk, n_i)
         dr = pos_j[None, :, :] - pos_i[start:stop, None, :]
         r2 = np.einsum("ijk,ijk->ij", dr, dr) + eps2
-        if self_indices is not None:
-            rows = np.arange(start, stop) - start
-            cols = np.asarray(self_indices)[start:stop]
-            r2[rows, cols] = np.inf
+        _fill_self_pairs(r2, self_indices, start, stop, np.inf)
         inv_r3 = 1.0 / (r2 * np.sqrt(r2))
         acc[start:stop] = np.einsum("ij,ijk->ik", mass_j[None, :] * inv_r3, dr)
 
@@ -239,14 +240,41 @@ def pairwise_potential(
         stop = min(start + chunk, n_i)
         dr = pos_j[None, :, :] - pos_i[start:stop, None, :]
         r2 = np.einsum("ijk,ijk->ij", dr, dr) + eps2
-        if self_indices is not None:
-            rows = np.arange(start, stop) - start
-            cols = np.asarray(self_indices)[start:stop]
-            r2[rows, cols] = np.inf
+        _fill_self_pairs(r2, self_indices, start, stop, np.inf)
         inv_r = 1.0 / np.sqrt(r2)
         phi[start:stop] = -inv_r @ mass_j
 
     return phi
+
+
+def node_force(
+    pos_i: np.ndarray,
+    vel_i: np.ndarray,
+    com_j: np.ndarray,
+    vel_j: np.ndarray,
+    mass_j: np.ndarray,
+    eps: float,
+    quad_j: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Acceleration and jerk on sinks from a list of tree nodes.
+
+    The oracle of ``KernelEngine.node_force``: monopole acceleration
+    and jerk are :func:`acc_jerk` over the nodes' centres of mass;
+    ``quad_j`` (``(n_j, 3, 3)`` traceless moments, mass included) adds
+    the quadrupole term to the acceleration only.
+    """
+    acc, jerk = acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
+    if quad_j is not None:
+        pos_i = np.atleast_2d(np.asarray(pos_i, dtype=np.float64))
+        com_j = np.atleast_2d(np.asarray(com_j, dtype=np.float64))
+        dr = com_j[None, :, :] - pos_i[:, None, :]
+        r2 = np.einsum("ijk,ijk->ij", dr, dr) + float(eps) ** 2
+        r5 = r2 * r2 * np.sqrt(r2)
+        qdr = np.einsum("jkl,ijl->ijk", np.asarray(quad_j, dtype=np.float64), dr)
+        drqdr = np.einsum("ijk,ijk->ij", dr, qdr)
+        acc -= np.einsum("ij,ijk->ik", 1.0 / r5, qdr)
+        acc += np.einsum("ij,ijk->ik", 2.5 * drqdr / (r5 * r2), dr)
+    return acc, jerk
 
 
 def potential_energy(pos: np.ndarray, mass: np.ndarray, eps: float) -> float:

@@ -95,7 +95,7 @@ def _acc_spline_reference(
     h: float,
     self_indices: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Chunked broadcasting implementation (the ``spline/reference`` kernel)."""
+    """Chunked broadcasting oracle of :func:`acc_spline`."""
     if h <= 0:
         raise ConfigurationError("spline softening length must be positive")
     pos_i = np.atleast_2d(np.asarray(pos_i, dtype=np.float64))
@@ -106,7 +106,7 @@ def _acc_spline_reference(
     acc = np.zeros((n_i, 3))
     inv_h3 = 1.0 / h**3
 
-    from .forces import _i_chunk_size
+    from .forces import _fill_self_pairs, _i_chunk_size
 
     chunk = _i_chunk_size(pos_j.shape[0])
     for start in range(0, n_i, chunk):
@@ -114,9 +114,6 @@ def _acc_spline_reference(
         dr = pos_j[None, :, :] - pos_i[start:stop, None, :]
         r = np.sqrt(np.einsum("ijk,ijk->ij", dr, dr))
         g = spline_force_factor(r / h) * inv_h3
-        if self_indices is not None:
-            rows = np.arange(start, stop) - start
-            cols = np.asarray(self_indices)[start:stop]
-            g[rows, cols] = 0.0
+        _fill_self_pairs(g, self_indices, start, stop, 0.0)
         acc[start:stop] = np.einsum("ij,ijk->ik", mass_j[None, :] * g, dr)
     return acc

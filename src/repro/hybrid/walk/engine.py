@@ -20,8 +20,8 @@ in its sink's pp list.
 
 Exactness contracts (tested):
 
-* the kernel is pinned to the ``accel`` implementation for every call,
-  so serial ≡ threaded stays bit-identical through the engine's
+* every call runs the engine's one implementation of its op, so
+  serial ≡ threaded stays bit-identical through the engine's
   fixed-order reduction;
 * every sink's pp list ∪ the leaves under its accepted nodes covers
   every source exactly once, and every source with ``dist2 < h**2`` is
@@ -129,7 +129,7 @@ def grouped_accelerations(
             quad = tree.node_quad[nodes] if tree.quadrupole else None
             a_g, j_g = engine.node_force(
                 pi, vi, tree.node_com[nodes], node_vel[nodes],
-                tree.node_mass[nodes], eps, quad_j=quad, kernel="accel",
+                tree.node_mass[nodes], eps, quad_j=quad,
             )
             stats.node_terms += rows.size * nodes.size
 
@@ -146,7 +146,7 @@ def grouped_accelerations(
                 self_idx = np.where(present, pos_in, -1)
             pa, pj = engine.acc_jerk(
                 pi, vi, sp, src_vel[src], tree.mass[src], eps,
-                self_indices=self_idx, kernel="accel",
+                self_indices=self_idx,
             )
             stats.pp_terms += rows.size * src.size
             if a_g is None:

@@ -38,15 +38,11 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
         "Pairwise force interactions evaluated by the run's backend",
     ),
     # -- accel kernel engine ---------------------------------------------
-    "kernel.calls_total": ("counter", "Kernel-engine dispatches"),
+    "kernel.calls_total": ("counter", "Kernel-engine op calls"),
     "kernel.tile_bytes_total": (
         "counter",
         "Operand bytes streamed by the pair kernels (pairs x tile planes, "
         "or x 7 source values on the native tier)",
-    ),
-    "kernel.autotune_picks_total": (
-        "counter",
-        "Shape buckets resolved by the timing autotuner",
     ),
     "kernel.thread_efficiency": (
         "gauge",

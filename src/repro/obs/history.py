@@ -1,7 +1,7 @@
 """Bench-history store and regression sentinel.
 
 The repo keeps two committed baselines (``BENCH_kernels.json``,
-``BENCH_hybrid.json``) — single snapshots, useful for "what did the
+``BENCH_spmd.json``) — single snapshots, useful for "what did the
 paper-scale shapes cost last time somebody refreshed them".  What they
 cannot answer is *did this commit make the kernels slower*, because a
 single wall-clock number carries run-to-run noise that easily exceeds a

@@ -21,8 +21,9 @@ Three execution modes share the one program:
 * ``"vm"`` — the in-process :class:`~repro.parallel.spmd.VirtualMachine`
   (deterministic scheduling, predicted comm costs, no processes);
 * ``"serial"`` — the accel engine's fused kernel in this process (the
-  equality baseline; :class:`~repro.core.backends.HostDirectBackend`
-  with the kernel pinned, so small blocks sum in the chunk order too).
+  equality baseline, the call
+  :class:`~repro.core.backends.HostDirectBackend` makes: blocks of
+  every size sum in the chunk order).
 
 In ``"proc"`` mode the gang is forked by the first force call and lives
 until :meth:`SpmdBackend.close`; callers own that call.
@@ -121,12 +122,8 @@ class SpmdBackend(ForceBackend):
     def forces_on(self, system, active: np.ndarray, t_now: float):
         active = np.asarray(active)
         if self.mode == "serial":
-            # pinned: an autotuning engine could pick the reference
-            # kernel, which sums in another order than the rank chunk
-            # kernel and breaks serial == vm == proc
             return self.engine.acc_jerk_active(
                 system, active, t_now, self.eps, counter=self.counter,
-                kernel="fused",
             )
         params = {
             "eps": self.eps,

@@ -16,12 +16,18 @@ from ..errors import ConfigurationError
 
 __all__ = ["ScenarioConfig", "build_backend", "load_campaign_spec"]
 
+#: Backends a scenario may name (``spmd`` needs ``ranks``, which a
+#: scenario does not carry).
 _BACKENDS = ("host", "grape", "tree", "hybrid")
 
 
 def build_backend(name: str, eps: float = 0.008, theta: float = 0.5,
-                  r_neighbour: float = 0.05):
-    """Construct a force backend by name (shared by CLI and workers)."""
+                  r_neighbour: float = 0.05, ranks: int = 2,
+                  spmd_mode: str = "proc", n_crit: int = 32):
+    """Construct a force backend by name (shared by CLI and workers).
+
+    The GRAPE backend's machine model is its ``machine`` attribute.
+    """
     if name == "host":
         from ..core import HostDirectBackend
 
@@ -29,18 +35,24 @@ def build_backend(name: str, eps: float = 0.008, theta: float = 0.5,
     if name == "tree":
         from ..baselines import TreeBackend
 
-        return TreeBackend(eps=eps, theta=theta)
+        return TreeBackend(eps=eps, theta=theta, n_crit=n_crit)
     if name == "hybrid":
         from ..hybrid import HybridBackend
 
-        return HybridBackend(eps=eps, theta=theta, r_neighbour=r_neighbour)
+        return HybridBackend(eps=eps, theta=theta, r_neighbour=r_neighbour,
+                             n_crit=n_crit)
+    if name == "spmd":
+        from ..parallel import SpmdBackend
+
+        return SpmdBackend(eps=eps, n_ranks=ranks, mode=spmd_mode)
     if name == "grape":
         from ..grape import Grape6Backend, Grape6Config, Grape6Machine
 
         machine = Grape6Machine(Grape6Config.paper_full_system(), eps=eps)
         return Grape6Backend(machine)
     raise ConfigurationError(
-        f"unknown backend {name!r} (want one of {', '.join(_BACKENDS)})"
+        f"unknown backend {name!r} "
+        f"(want one of {', '.join(_BACKENDS + ('spmd',))})"
     )
 
 

@@ -1,9 +1,9 @@
 """Equivalence and determinism tests for the accel kernel engine.
 
-Every registered kernel (``repro.accel.registry.REGISTRY``) is checked
-against its op's reference implementation; ``EQUIVALENCE_KERNELS``
-below is the literal roll-call ``tools/check_kernel_registry.py`` greps
-for, and a test asserts it matches the registry exactly.
+Every :class:`KernelEngine` op is checked against its plain-NumPy
+oracle in ``repro.core``; ``OPS`` below is the one table of
+``op -> (engine call, oracle call)`` and a test asserts it has a row
+for every key of ``kernels.TILE_PLANES``.
 
 Tolerance contract: the workspace kernels change only the *summation
 order* of the pairwise sums (j-chunked, fixed ascending reduction), so
@@ -22,6 +22,7 @@ tier, ``NORM_RTOL`` across the two (``TestNativeRowKernel``).
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import subprocess
@@ -38,34 +39,16 @@ from repro.accel import (
     get_engine,
     native,
 )
-from repro.accel import registry as reg
+from repro.accel import kernels as tk
+from repro.core import forces
 from repro.core.collisions import (
     _dedup_pairs,
     _find_collision_pairs_reference,
     find_collision_pairs,
 )
-from repro.core.forces import acc_jerk as forces_acc_jerk
+from repro.core.kernels import _acc_spline_reference
 from repro.core.particles import ParticleSystem
 from repro.core.predictor import predict_system
-
-# Literal op/name keys — tools/check_kernel_registry.py requires every
-# registered kernel to appear here (and in BENCH_kernels.json).
-EQUIVALENCE_KERNELS = [
-    "acc_jerk/reference",
-    "acc_jerk/accel",
-    "acc_only/reference",
-    "acc_only/accel",
-    "potential/reference",
-    "potential/accel",
-    "spline/reference",
-    "spline/accel",
-    "acc_jerk_active/reference",
-    "acc_jerk_active/fused",
-    "acc_jerk_masked/reference",
-    "acc_jerk_masked/accel",
-    "node_force/reference",
-    "node_force/accel",
-]
 
 EPS = 0.008
 SPLINE_H = 0.01
@@ -128,48 +111,90 @@ def make_quad(system, seed=5):
     return sym * system.mass[:, None, None] * 1e-4
 
 
-def run_spec(spec, engine, system, active, t_now=5e-4):
-    """Invoke one registered kernel with its op's argument convention."""
-    pos_i = system.pos[active]
-    vel_i = system.vel[active]
-    if spec.op == "acc_jerk":
-        return spec.runner(engine, pos_i, vel_i, system.pos, system.vel,
-                           system.mass, EPS, self_indices=active)
-    if spec.op == "acc_only":
-        return spec.runner(engine, pos_i, system.pos, system.mass, EPS,
-                           self_indices=active)
-    if spec.op == "potential":
-        return spec.runner(engine, pos_i, system.pos, system.mass, EPS,
-                           self_indices=active)
-    if spec.op == "spline":
-        return spec.runner(engine, pos_i, system.pos, system.mass, SPLINE_H,
-                           self_indices=active)
-    if spec.op == "acc_jerk_active":
-        return spec.runner(engine, system, active, t_now, EPS)
-    if spec.op == "acc_jerk_masked":
-        return spec.runner(engine, pos_i, vel_i, system.pos, system.vel,
-                           system.mass, EPS, make_mask(system, active))
-    if spec.op == "node_force":
-        return spec.runner(engine, pos_i, vel_i, system.pos, system.vel,
-                           system.mass, EPS, quad_j=make_quad(system))
-    raise ValueError(spec.op)
+T_NOW = 5e-4
 
 
-class TestRegistryRollCall:
-    def test_equivalence_list_matches_registry(self):
-        assert sorted(EQUIVALENCE_KERNELS) == sorted(
-            s.key for s in reg.all_kernels()
-        )
+def _pair_args(system, active):
+    return (system.pos[active], system.vel[active], system.pos, system.vel,
+            system.mass, EPS)
 
-    def test_every_op_has_reference_and_preferred(self):
-        for op, preferred in reg.PREFERRED.items():
-            names = {s.name for s in reg.kernels_for(op)}
-            assert "reference" in names
-            assert preferred in names
 
-    def test_register_rejects_unknown_op(self):
-        with pytest.raises(ValueError):
-            reg.register_kernel("warp_drive", "accel", lambda e: None)
+def _point_args(system, active):
+    return (system.pos[active], system.pos, system.mass, EPS)
+
+
+def _oracle_acc_jerk_active(system, active, t_now=T_NOW):
+    predict_system(system, t_now)
+    return forces.acc_jerk(
+        system.pred_pos[active], system.pred_vel[active],
+        system.pred_pos, system.pred_vel, system.mass, EPS,
+        self_indices=active,
+    )
+
+
+#: op -> (engine call ``(engine, system, active)``, oracle call
+#: ``(system, active)``), each with its op's argument convention.
+OPS = {
+    "acc_jerk": (
+        lambda e, s, a: e.acc_jerk(*_pair_args(s, a), self_indices=a),
+        lambda s, a: forces.acc_jerk(*_pair_args(s, a), self_indices=a),
+    ),
+    "acc_only": (
+        lambda e, s, a: e.acc_only(*_point_args(s, a), self_indices=a),
+        lambda s, a: forces.acc_only(*_point_args(s, a), self_indices=a),
+    ),
+    "potential": (
+        lambda e, s, a: e.pairwise_potential(*_point_args(s, a), self_indices=a),
+        lambda s, a: forces.pairwise_potential(*_point_args(s, a),
+                                               self_indices=a),
+    ),
+    "spline": (
+        lambda e, s, a: e.acc_spline(s.pos[a], s.pos, s.mass, SPLINE_H,
+                                     self_indices=a),
+        lambda s, a: _acc_spline_reference(s.pos[a], s.pos, s.mass, SPLINE_H,
+                                           self_indices=a),
+    ),
+    "acc_jerk_active": (
+        lambda e, s, a: e.acc_jerk_active(s, a, T_NOW, EPS),
+        _oracle_acc_jerk_active,
+    ),
+    "acc_jerk_masked": (
+        lambda e, s, a: e.acc_jerk_masked(*_pair_args(s, a), make_mask(s, a)),
+        lambda s, a: forces.acc_jerk(*_pair_args(s, a),
+                                     include=make_mask(s, a)),
+    ),
+    "node_force": (
+        lambda e, s, a: e.node_force(*_pair_args(s, a), quad_j=make_quad(s)),
+        lambda s, a: forces.node_force(*_pair_args(s, a), quad_j=make_quad(s)),
+    ),
+}
+
+
+#: Test ids, spelled like the ``op`` / ``kernel`` rows of BENCH_kernels.json.
+EQUIVALENCE_KERNELS = [
+    f"{op}/{name}"
+    for op in OPS
+    for name in ("reference", "fused" if op == "acc_jerk_active" else "accel")
+]
+
+
+def run_op(op, engine, system, active):
+    return OPS[op][0](engine, system, active)
+
+
+def run_oracle(op, system, active):
+    return OPS[op][1](system, active)
+
+
+def as_tuple(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def test_every_engine_op_has_a_row():
+    """The roll-call: an op cannot be added to the engine's tables
+    without an equivalence and a determinism test."""
+    assert sorted(OPS) == sorted(tk.TILE_PLANES)
+    assert tk.ROW_KERNEL_OPS <= set(OPS)
 
 
 @pytest.mark.parametrize("key", EQUIVALENCE_KERNELS)
@@ -177,15 +202,15 @@ class TestKernelEquivalence:
     def test_matches_reference(self, key, workload):
         op, name = key.split("/")
         system, active = workload
-        engine = small_engine()
-        try:
-            ref = run_spec(reg.REGISTRY[(op, "reference")], engine,
-                           system, active)
-            got = run_spec(reg.REGISTRY[(op, name)], engine, system, active)
-        finally:
-            engine.close()
-        ref = ref if isinstance(ref, tuple) else (ref,)
-        got = got if isinstance(got, tuple) else (got,)
+        ref = as_tuple(run_oracle(op, system, active))
+        if name == "reference":
+            got = as_tuple(run_oracle(op, system, active))
+        else:
+            engine = small_engine()
+            try:
+                got = as_tuple(run_op(op, engine, system, active))
+            finally:
+                engine.close()
         assert len(ref) == len(got)
         for r, g in zip(ref, got):
             if name == "reference":
@@ -202,14 +227,11 @@ class TestDeterminism:
         serial = small_engine(threads=1)
         threaded = small_engine(threads=4)
         try:
-            for op, preferred in reg.PREFERRED.items():
-                spec = reg.REGISTRY[(op, preferred)]
-                a = run_spec(spec, serial, system, active)
-                b = run_spec(spec, threaded, system, active)
-                a = a if isinstance(a, tuple) else (a,)
-                b = b if isinstance(b, tuple) else (b,)
+            for op in OPS:
+                a = as_tuple(run_op(op, serial, system, active))
+                b = as_tuple(run_op(op, threaded, system, active))
                 for x, y in zip(a, b):
-                    assert np.array_equal(x, y), f"{spec.key}: thread drift"
+                    assert np.array_equal(x, y), f"{op}: thread drift"
         finally:
             serial.close()
             threaded.close()
@@ -229,9 +251,8 @@ class TestDeterminism:
         small = small_engine(tile_budget=1 << 10)
         large = small_engine(tile_budget=1 << 20)
         try:
-            spec = reg.REGISTRY[("acc_jerk", "accel")]
-            a_s, j_s = run_spec(spec, small, system, active)
-            a_l, j_l = run_spec(spec, large, system, active)
+            a_s, j_s = run_op("acc_jerk", small, system, active)
+            a_l, j_l = run_op("acc_jerk", large, system, active)
         finally:
             small.close()
             large.close()
@@ -243,15 +264,15 @@ class TestDeterminism:
     ])
     def test_tile_budget_does_not_change_bits_other_tiled_ops(self, key, workload):
         """A row's sum must not depend on which row tile it landed in —
-        for every op that ends in ``acc_jerk_tile`` (``run_spec`` gives
+        for every op that ends in ``acc_jerk_tile`` (``OPS`` gives
         ``node_force`` its ``quad_j``, so ``quad_tile`` is covered)."""
         system, active = workload
-        spec = reg.REGISTRY[tuple(key.split("/"))]
+        op = key.split("/")[0]
         small = small_engine(tile_budget=1 << 10)
         large = small_engine(tile_budget=1 << 20)
         try:
-            a_s, j_s = run_spec(spec, small, system, active)
-            a_l, j_l = run_spec(spec, large, system, active)
+            a_s, j_s = run_op(op, small, system, active)
+            a_l, j_l = run_op(op, large, system, active)
         finally:
             small.close()
             large.close()
@@ -266,8 +287,7 @@ class TestDeterminism:
         system.pred_vel[...] = sentinel
         engine = small_engine()
         try:
-            spec = reg.REGISTRY[("acc_jerk_active", "fused")]
-            run_spec(spec, engine, system, active)
+            run_op("acc_jerk_active", engine, system, active)
         finally:
             engine.close()
         assert np.all(system.pred_pos == sentinel)
@@ -280,16 +300,10 @@ class TestDeterminism:
         t_now = 7e-4
         engine = small_engine()
         try:
-            fused = reg.REGISTRY[("acc_jerk_active", "fused")]
-            acc_f, jerk_f = fused.runner(engine, system, active, t_now, EPS)
+            acc_f, jerk_f = engine.acc_jerk_active(system, active, t_now, EPS)
         finally:
             engine.close()
-        predict_system(system, t_now)
-        acc_r, jerk_r = forces_acc_jerk(
-            system.pred_pos[active], system.pred_vel[active],
-            system.pred_pos, system.pred_vel, system.mass, EPS,
-            self_indices=active,
-        )
+        acc_r, jerk_r = _oracle_acc_jerk_active(system, active, t_now)
         assert norm_close(acc_f, acc_r)
         assert norm_close(jerk_f, jerk_r)
 
@@ -327,13 +341,13 @@ class TestWorkspaceLayout:
         rng = np.random.default_rng(17)
         engine = small_engine(tile_budget=1 << 18, j_chunk=2048)
         try:
-            engine.acc_jerk_active(system, np.arange(64), 5e-4, EPS, kernel="fused")
+            engine.acc_jerk_active(system, np.arange(64), 5e-4, EPS)
             warm = engine.workspace_bytes
             assert warm > 0
             for _ in range(50):
                 n_i = int(rng.integers(33, 65))  # row bucket 64
                 active = np.sort(rng.choice(system.n, n_i, replace=False))
-                engine.acc_jerk_active(system, active, 5e-4, EPS, kernel="fused")
+                engine.acc_jerk_active(system, active, 5e-4, EPS)
                 assert engine.workspace_bytes == warm
         finally:
             engine.close()
@@ -396,7 +410,7 @@ class TestDiskGeometryCancellation:
         engine = small_engine()
         try:
             acc, jerk = engine.acc_jerk(pos, vel, pos, vel, mass, EPS,
-                                        self_indices=sinks, kernel="accel")
+                                        self_indices=sinks)
         finally:
             engine.close()
 
@@ -636,18 +650,45 @@ class TestEdgeCases:
         active = np.arange(3)
         engine = small_engine()
         try:
-            for key in ("accel", "reference"):
-                spec = reg.REGISTRY[("acc_jerk", key)]
-                acc, jerk = run_spec(spec, engine, system, active, t_now=0.0)
+            for acc, jerk in (run_op("acc_jerk", engine, system, active),
+                              run_oracle("acc_jerk", system, active)):
                 # with self-terms removed, momentum balances: sum(m*a) ~ 0
                 net = (system.mass[active, None] * acc).sum(axis=0)
                 assert np.linalg.norm(net) < 1e-20
-            spline = reg.REGISTRY[("spline", "accel")]
-            acc_s = run_spec(spline, engine, system, active)
+            acc_s = run_op("spline", engine, system, active)
             net = (system.mass[active, None] * acc_s).sum(axis=0)
             assert np.linalg.norm(net) < 1e-20
         finally:
             engine.close()
+
+    def test_minus_one_self_index_excludes_nothing(self, monkeypatch):
+        """``-1`` is "this sink has no column in the source list" to the
+        engine and to all four oracles — not NumPy's "last column"."""
+        system = make_system(n=5, seed=21)
+        pos_i = np.array([[0.3, -0.2, 0.1], system.pos[2], [1.0, 2.0, -1.0]])
+        vel_i = np.array([[0.0, 0.1, 0.0], system.vel[2], [0.2, 0.0, 0.1]])
+        idx = np.array([-1, 2, -1])
+        pair = (pos_i, vel_i, system.pos, system.vel, system.mass, EPS)
+        point = (pos_i, system.pos, system.mass, EPS)
+        spline = (pos_i, system.pos, system.mass, 2.0)
+        engines = [small_engine(), numpy_engine(monkeypatch)]
+        try:
+            for e in engines:
+                for got, want in (
+                    (e.acc_jerk(*pair, self_indices=idx),
+                     forces.acc_jerk(*pair, self_indices=idx)),
+                    (e.acc_only(*point, self_indices=idx),
+                     forces.acc_only(*point, self_indices=idx)),
+                    (e.pairwise_potential(*point, self_indices=idx),
+                     forces.pairwise_potential(*point, self_indices=idx)),
+                    (e.acc_spline(*spline, self_indices=idx),
+                     _acc_spline_reference(*spline, self_indices=idx)),
+                ):
+                    for g, w in zip(as_tuple(got), as_tuple(want)):
+                        assert norm_close(g, w), e.tier
+        finally:
+            for e in engines:
+                e.close()
 
     def test_single_particle_promotion(self):
         system = make_system(n=32)
@@ -739,58 +780,41 @@ class TestEdgeCases:
 
 
 class TestDispatchAndConfig:
-    def test_every_shape_picks_preferred(self):
-        """No size heuristic: a 2-sink block runs the kernel a full
-        block runs, so slices of one sum agree bitwise at any shape."""
-        engine = KernelEngine(EngineConfig())
-        try:
-            for op, preferred in reg.PREFERRED.items():
-                for shape in ((1, 1), (2, 8), (2, 258), (64, 8192)):
-                    assert reg.select_kernel(op, *shape, engine).name == preferred
-            assert not hasattr(engine.config, "accel_min_pairs")
-        finally:
-            engine.close()
+    def test_from_env_overrides(self, monkeypatch):
+        """``threads`` is scheduling; every field that shapes a sum is
+        out of the environment's reach."""
+        monkeypatch.setenv("REPRO_KERNEL_JCHUNK", "64")
+        monkeypatch.setenv("REPRO_TILE_BUDGET", "1024")
+        monkeypatch.setenv("REPRO_KERNEL_AUTOTUNE", "1")
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+        assert EngineConfig.from_env() == EngineConfig(threads=3)
+        assert len(dataclasses.fields(EngineConfig)) == 5
 
-    def test_dispatch_caches_pick_per_bucket(self, workload):
+    def test_ops_take_no_kernel_keyword(self, workload):
         system, active = workload
         engine = small_engine()
+        pair = _pair_args(system, active)
         try:
-            engine.acc_jerk_active(system, active, 0.0, EPS)
-            pick = engine.cached_pick("acc_jerk_active", active.size, system.n)
-            assert pick is not None and pick.name == "fused"
+            for call in (
+                lambda **kw: engine.acc_jerk(*pair, **kw),
+                lambda **kw: engine.acc_jerk_masked(
+                    *pair, make_mask(system, active), **kw),
+                lambda **kw: engine.node_force(*pair, **kw),
+                lambda **kw: engine.acc_jerk_active(system, active, 0.0, EPS, **kw),
+            ):
+                call()
+                with pytest.raises(TypeError):
+                    call(kernel="accel")
         finally:
             engine.close()
-
-    def test_autotune_caches_winner(self, workload):
-        system, active = workload
-        engine = small_engine(autotune=True)
-        try:
-            acc, jerk = engine.acc_jerk_active(system, active, 5e-4, EPS)
-            pick = engine.cached_pick("acc_jerk_active", active.size, system.n)
-            assert pick is not None
-            ref = reg.REGISTRY[("acc_jerk_active", "reference")]
-            acc_r, jerk_r = run_spec(ref, engine, system, active)
-            assert norm_close(acc, acc_r)
-        finally:
-            engine.close()
-
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TILE_BUDGET", "65536")
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-        monkeypatch.setenv("REPRO_KERNEL_JCHUNK", "512")
-        monkeypatch.setenv("REPRO_KERNEL_AUTOTUNE", "1")
-        cfg = EngineConfig.from_env()
-        assert cfg.tile_budget == 65536
-        assert cfg.threads == 3
-        assert cfg.j_chunk == 512
-        assert cfg.autotune is True
 
     def test_from_env_ignores_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TILE_BUDGET", "banana")
+        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
+        default = EngineConfig.from_env()
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "banana")
+        assert EngineConfig.from_env() == default
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "")
-        cfg = EngineConfig.from_env(threads=2)
-        assert cfg.tile_budget == EngineConfig.tile_budget
-        assert cfg.threads == 2
+        assert EngineConfig.from_env(threads=2).threads == 2
 
     def test_get_engine_singleton(self):
         assert get_engine() is get_engine()

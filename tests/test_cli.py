@@ -94,6 +94,30 @@ class TestRun:
         out = capsys.readouterr().out
         assert "block steps:" in out
 
+    @pytest.mark.parametrize("name", ["host", "tree", "hybrid", "grape"])
+    def test_cli_and_scenario_build_the_same_backend(self, name, monkeypatch,
+                                                     capsys):
+        """One factory: ``repro run`` at its flag defaults and a
+        ``ScenarioConfig`` at its field defaults agree on every option."""
+        from repro.serve import ScenarioConfig
+        from repro.serve import config as serve_config
+
+        built = []
+        factory = serve_config.build_backend
+
+        def spy(*args, **kwargs):
+            built.append(factory(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(serve_config, "build_backend", spy)
+        assert main(["run", "--n", "8", "--t-end", "0.25", "--backend", name]) == 0
+        (from_cli,) = built
+        from_scenario = ScenarioConfig(backend=name).build_backend()
+        assert type(from_cli) is type(from_scenario)
+        for option in ("eps", "theta", "r_neighbour", "n_crit"):
+            assert (getattr(from_cli, option, None)
+                    == getattr(from_scenario, option, None)), option
+
     def test_bad_theta_one_line_error(self, capsys):
         assert main([
             "run", "--n", "8", "--t-end", "1",

@@ -230,7 +230,7 @@ class TestBaselineMigration:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        for name in ("BENCH_kernels.json", "BENCH_hybrid.json"):
+        for name in ("BENCH_kernels.json", "BENCH_spmd.json"):
             document = json.loads((root / name).read_text())
             assert document["schema_version"] == SCHEMA_VERSION
             assert "host" in document
@@ -240,7 +240,7 @@ class TestBaselineMigration:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        for name in ("BENCH_kernels.json", "BENCH_hybrid.json"):
+        for name in ("BENCH_kernels.json", "BENCH_spmd.json"):
             document = json.loads((root / name).read_text())
             result = compare_documents(document, copy.deepcopy(document))
             assert result.entries, name

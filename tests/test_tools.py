@@ -22,9 +22,6 @@ from check_job_states import (
     transition_calls,
     untested_states,
 )
-from check_kernel_registry import check as kernel_check
-from check_kernel_registry import main as kernel_main
-from check_kernel_registry import unbenchmarked_kernels, untested_kernels
 from check_metric_names import check_catalogue, check_paths
 from check_metric_names import main as lint_main
 from gen_api_docs import collect_modules, describe_module, main, render_api_docs
@@ -297,37 +294,6 @@ class TestJobStateLint:
     def test_missing_tests_dir_reported(self, tmp_path):
         problems = job_state_check(tmp_path / "nope")
         assert any("not found" in p for p in problems)
-
-
-class TestKernelRegistryLint:
-    def test_repo_is_clean(self, capsys):
-        assert kernel_main([]) == 0
-        assert "kernel registry ok" in capsys.readouterr().out
-
-    def test_untested_kernel_flagged(self, tmp_path):
-        (tmp_path / "test_one.py").write_text(
-            'EQUIVALENCE_KERNELS = ["acc_jerk/reference"]\n'
-        )
-        missing = untested_kernels(tmp_path)
-        assert "acc_jerk/reference" not in missing
-        assert "acc_jerk/accel" in missing
-        problems = kernel_check(tmp_path, Path("nope.json"))
-        assert any("acc_jerk/accel" in p for p in problems)
-
-    def test_unbenchmarked_kernel_flagged(self, tmp_path):
-        bench = tmp_path / "BENCH_kernels.json"
-        bench.write_text(
-            '{"entries": [{"op": "acc_jerk", "kernel": "reference"}]}\n'
-        )
-        missing = unbenchmarked_kernels(bench)
-        assert "acc_jerk/reference" not in missing
-        assert "spline/accel" in missing
-
-    def test_missing_inputs_reported(self, tmp_path):
-        problems = kernel_check(tmp_path / "nope", tmp_path / "nope.json")
-        assert any("tests directory not found" in p for p in problems)
-        assert any("baseline not found" in p for p in problems)
-        assert kernel_main([str(tmp_path / "nope")]) == 1
 
 
 class TestBenchRegressionGate:

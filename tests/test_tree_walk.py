@@ -59,7 +59,7 @@ def _direct(c):
     from repro.accel import get_engine
 
     return get_engine().acc_jerk(c.pos, c.vel, c.pos, c.vel, c.mass, EPS,
-                                 self_indices=np.arange(c.n), kernel="accel")
+                                 self_indices=np.arange(c.n))
 
 
 @pytest.fixture(scope="module")
