@@ -51,8 +51,12 @@ from .kernels import ROW_KERNEL_OPS
 
 __all__ = ["DEFAULT_SHAPES", "QUICK_SHAPES", "make_workload", "run_bench", "main"]
 
-#: (n_active, N) grid; (1024, 8192) is the acceptance shape.
+#: (n_active, N) grid; (1024, 8192) is the acceptance shape, the two
+#: 2-sink shapes are the paper's regime (the median block of the
+#: stepping benchmark's sparse workloads), where a call is all shell.
 DEFAULT_SHAPES: tuple[tuple[int, int], ...] = (
+    (2, 256),
+    (2, 2048),
     (64, 4096),
     (256, 8192),
     (1024, 8192),

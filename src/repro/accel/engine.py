@@ -289,16 +289,20 @@ class KernelEngine:
     # -- public ops (normalise, count, span, run) --------------------------
 
     def _count_call(self, op: str, n_i: int, n_j: int, quad: bool = False) -> None:
-        """Book one engine call and the operand bytes its pairs stream:
-        the op's tile planes, or the seven source values per pair the
-        native row kernel reads (a quadrupole ``node_force`` stays on
-        the tiles on either tier)."""
+        """Book one engine call and the operand bytes it streams: per
+        pair the op's tile planes, or the seven source values the native
+        row kernel reads (a quadrupole ``node_force`` stays on the tiles
+        on either tier); and for ``acc_jerk_active``, on both tiers, the
+        resident row the predictor reads per source and per sink."""
         self._c_calls.inc()
         if self._native is not None and op in tk.ROW_KERNEL_OPS and not quad:
             planes = tk.ROW_KERNEL_VALUES
         else:
             planes = tk.TILE_PLANES[op]
-        self._c_tile_bytes.inc(n_i * n_j * 8 * planes)
+        values = n_i * n_j * planes
+        if op == "acc_jerk_active":
+            values += (n_i + n_j) * tk.PREDICTOR_VALUES
+        self._c_tile_bytes.inc(8 * values)
 
     def acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
                  self_indices=None, counter=None):
@@ -410,11 +414,12 @@ class KernelEngine:
     def acc_jerk_active(self, system, active, t_now, eps, counter=None):
         """Force+jerk on the active block of a particle system at ``t_now``.
 
-        The op every backend block step goes through.  Sources are
-        predicted per j-chunk inside the loop (the system's
+        The op every backend block step goes through.  Sinks and
+        sources are predicted per j-chunk inside the loop (the system's
         ``pred_pos``/``pred_vel`` stay untouched), and the sum runs in
         the order of the :meth:`acc_jerk_active_chunk` fold at every
-        block size.
+        block size.  ``active`` holds row numbers in ``[0, n)``; any
+        other entry raises ``IndexError``.
         """
         active = np.asarray(active)
         n_i, n_j = active.size, system.n
@@ -465,10 +470,9 @@ class KernelEngine:
         if counter is not None:
             counter.add(n_i, width, with_jerk=True)
         self._count_call("acc_jerk_active", n_i, width)
-        pos_i, vel_i = _predict_sinks(system, active, t_now)
         self._fused_chunk(
-            self._ws(), system, _idx(active), t_now, float(eps) ** 2,
-            pos_i, vel_i, j0, j1, acc, jerk,
+            self._ws(), system, _idx(active), float(t_now), float(eps) ** 2,
+            self._sinks(system, active, t_now), j0, j1, acc, jerk,
         )
         return acc, jerk
 
@@ -625,40 +629,53 @@ class KernelEngine:
         return acc, jerk
 
     def _fused_acc_jerk_active(self, system, active, t_now, eps):
-        """Fused predict-and-accumulate: sources predicted per j-chunk.
-
-        Sinks are predicted once (block-sized work); sources are
-        predicted chunk-by-chunk inside the sweep, so a one-particle
-        block never pays an O(N) ``pred_pos`` write.  Prediction uses
-        the exact :mod:`repro.core.predictor` expression, so the tile
-        sums see bit-identical source coordinates.
-        """
+        """Fused predict-and-accumulate: one :meth:`_fused_chunk` per
+        j-chunk, so a one-particle block never pays an O(N) ``pred_pos``
+        write."""
         n_i, n_j = active.size, system.n
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3))
         if n_i == 0 or n_j == 0:
             return acc, jerk
         eps2 = float(eps) ** 2
-        pos_i, vel_i = _predict_sinks(system, active, t_now)
+        sinks = self._sinks(system, active, t_now)
         active = _idx(active)
 
         def body(ws, j0, j1, outs):
-            self._fused_chunk(
-                ws, system, active, t_now, eps2, pos_i, vel_i, j0, j1, *outs,
-            )
+            self._fused_chunk(ws, system, active, t_now, eps2, sinks, j0, j1, *outs)
 
         self._sweep(n_i, n_j, [acc, jerk], body)
         return acc, jerk
 
-    def _fused_chunk(self, ws, system, active, t_now, eps2, pos_i, vel_i,
+    def _sinks(self, system, active, t_now):
+        """What :meth:`_fused_chunk` needs of the sinks beside their
+        index: nothing on the native tier (the entry point predicts
+        them by index), their predicted rows on the NumPy tier."""
+        if self._native is not None:
+            return None
+        return _predict_sinks(system, active, t_now)
+
+    def _fused_chunk(self, ws, system, active, t_now, eps2, sinks,
                      j0, j1, acc_o, jerk_o) -> None:
         """Predict sources ``[j0, j1)`` and add their pull on the block.
 
-        The one chunk body behind both :meth:`_fused_acc_jerk_active`
-        (every chunk, through :meth:`_sweep`) and
+        The one chunk body behind :meth:`_fused_acc_jerk_active` (every
+        chunk, serial or threaded, through :meth:`_sweep`) and
         :meth:`acc_jerk_active_chunk` (one chunk, for a rank gang).
+        Native tier: one call on the system's resident arrays — the
+        predictor runs beside the pipeline, like on the chip.  NumPy
+        tier: :func:`~repro.accel.kernels.predict_sources` into the
+        workspace, then the tiles.  Both predict with the exact
+        :mod:`repro.core.predictor` expression, so the pair sums see
+        bit-identical coordinates.
         """
         width = j1 - j0
+        if self._native is not None:
+            self._native.acc_jerk_active_chunk(
+                system, active, t_now, eps2, j0, j1,
+                ws.vec(active.size + width, 6, slot=4), acc_o, jerk_o,
+            )
+            return
         pj, vj = tk.predict_sources(
             ws.vec(width, 3, slot=4), ws.vec(width, 3, slot=5),
             ws.vec(width, 3, slot=6), ws.vec(width, 0, slot=7),
@@ -668,18 +685,23 @@ class KernelEngine:
             system.t[j0:j1], t_now,
         )
         self._acc_jerk_rows(
-            ws, pos_i, vel_i, pj, vj, system.mass[j0:j1], eps2,
+            ws, *sinks, pj, vj, system.mass[j0:j1], eps2,
             acc_o, jerk_o, j0, active,
         )
 
 
 def _predict_sinks(system, active, t_now):
-    """Predicted position and velocity of the active block at ``t_now``.
+    """Predicted position and velocity of the active block at ``t_now``
+    (NumPy tier).
 
     Sinks are block-sized: predict with the canonical expression
     (elementwise, so slicing before or after gives the same bits as a
-    full ``predict_system`` sweep).
+    full ``predict_system`` sweep).  Fancy indexing would wrap a
+    negative row number around; the native entry point refuses one, so
+    this does too.
     """
+    if active.size and active.min() < 0:
+        raise IndexError(f"active index outside the {system.n} particles")
     dt_i = t_now - system.t[active]
     pos_i = predict_positions(
         system.pos[active], system.vel[active],

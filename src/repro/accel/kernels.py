@@ -40,6 +40,7 @@ __all__ = [
     "TILE_PLANES",
     "ROW_KERNEL_OPS",
     "ROW_KERNEL_VALUES",
+    "PREDICTOR_VALUES",
     "tile_mask",
     "acc_jerk_tile",
     "acc_tile",
@@ -71,6 +72,10 @@ ROW_KERNEL_OPS = frozenset(
     ("acc_jerk", "acc_jerk_active", "acc_jerk_masked", "node_force")
 )
 ROW_KERNEL_VALUES = 7
+
+#: The resident row the predictor of ``acc_jerk_active`` reads per
+#: source and per sink (x v a j, t, m), on either tier.
+PREDICTOR_VALUES = 14
 
 
 def tile_mask(self_indices, i0: int, i1: int, j0: int, j1: int):

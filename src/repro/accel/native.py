@@ -69,26 +69,37 @@ def _ptr(array: np.ndarray, offset: int = 0, output: bool = False):
         return ctypes.c_void_p(array.ctypes.data + offset)
 
 
-def _rows3(array: np.ndarray, n: int, what: str, output: bool = False):
-    if array.dtype != _F64 or array.shape != (n, 3):
+def _rows(array: np.ndarray, shape: tuple, what: str, output: bool = False):
+    """``array``'s pointer, once it is float64 of exactly ``shape``."""
+    if array.dtype != _F64 or array.shape != shape:
         raise ValueError(
-            f"{what}: expected float64 ({n}, 3), got {array.dtype} {array.shape}"
+            f"{what}: expected float64 {shape}, got {array.dtype} {array.shape}"
         )
     return _ptr(array, output=output)
 
 
 class NativeTile:
-    """The loaded object: one function, argument checks in front of it."""
+    """The loaded object: two entry points, argument checks in front.
+
+    ``acc_jerk_rows`` is the row kernel on ready-made operands;
+    ``acc_jerk_active_chunk`` runs the predictor on a system's resident
+    arrays and the same row loop behind it.
+    """
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self._lib = ctypes.CDLL(str(path))
+        size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
         fn = self._lib.repro_acc_jerk_rows
-        size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-        fn.argtypes = [size, size, ptr, ptr, ptr, ptr, ptr, ctypes.c_double,
+        fn.argtypes = [size, size, ptr, ptr, ptr, ptr, ptr, real,
                        ptr, size, ptr, size, ptr, ptr]
         fn.restype = None
         self._fn = fn
+        fn = self._lib.repro_acc_jerk_active_chunk
+        fn.argtypes = [size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+                       real, real, size, size, ptr, ptr, ptr]
+        fn.restype = ctypes.c_int
+        self._active_fn = fn
 
     def acc_jerk_rows(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps2,
                       acc_out, jerk_out, j0=0, self_indices=None,
@@ -101,8 +112,7 @@ class NativeTile:
         boolean mask.  Everything must be C-contiguous.
         """
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        if mass_j.dtype != _F64 or mass_j.shape != (n_j,):
-            raise ValueError(f"mass_j: expected float64 ({n_j},)")
+        sinks, sources = (n_i, 3), (n_j, 3)
         self_ptr = excl_ptr = None
         stride = 0
         if self_indices is not None:
@@ -116,12 +126,47 @@ class NativeTile:
                 raise ValueError("excluded: expected bool (n_i, >= j0 + n_j)")
             excl_ptr = _ptr(excluded, j0)
         self._fn(
-            n_i, n_j, _rows3(pos_i, n_i, "pos_i"), _rows3(vel_i, n_i, "vel_i"),
-            _rows3(pos_j, n_j, "pos_j"), _rows3(vel_j, n_j, "vel_j"),
-            _ptr(mass_j), eps2, self_ptr, j0, excl_ptr, stride,
-            _rows3(acc_out, n_i, "acc_out", output=True),
-            _rows3(jerk_out, n_i, "jerk_out", output=True),
+            n_i, n_j, _rows(pos_i, sinks, "pos_i"), _rows(vel_i, sinks, "vel_i"),
+            _rows(pos_j, sources, "pos_j"), _rows(vel_j, sources, "vel_j"),
+            _rows(mass_j, (n_j,), "mass_j"), eps2, self_ptr, j0, excl_ptr, stride,
+            _rows(acc_out, sinks, "acc_out", output=True),
+            _rows(jerk_out, sinks, "jerk_out", output=True),
         )
+
+    def acc_jerk_active_chunk(self, system, active, t_now, eps2, j0, j1,
+                              scratch, acc_out, jerk_out) -> None:
+        """Add the pull of the sources ``[j0, j1)`` of ``system``,
+        predicted to ``t_now``, on its ``active`` rows into the outputs.
+
+        ``system`` is anything with resident ``pos vel acc jerk t mass``
+        arrays (a ``ParticleSystem``, an ``ArrayView`` over shared
+        memory): float64, C-contiguous, ``(n, 3)`` / ``(n,)``.  Sinks
+        are predicted by index inside the call, so ``active`` (int64)
+        is range-checked there: an entry outside ``[0, n)`` raises
+        ``IndexError``.  ``scratch`` (float64, at least ``6 * (n_i + j1
+        - j0)``) receives the predicted rows: sink positions, sink
+        velocities, source positions, source velocities, in that order.
+        """
+        if active.dtype != np.int64 or active.ndim != 1:
+            raise ValueError(f"active: expected 1-D int64, got {active.dtype}")
+        mass = system.mass
+        n, n_i = mass.shape[0], active.shape[0]
+        rows, sinks = (n, 3), (n_i, 3)
+        if not 0 <= j0 <= j1 <= n:
+            raise ValueError(f"chunk [{j0}, {j1}) outside the {n} sources")
+        if scratch.dtype != _F64 or scratch.size < 6 * (n_i + j1 - j0):
+            raise ValueError("scratch: too small for the predicted rows")
+        bad = self._active_fn(
+            n, n_i, _ptr(active),
+            _rows(system.pos, rows, "pos"), _rows(system.vel, rows, "vel"),
+            _rows(system.acc, rows, "acc"), _rows(system.jerk, rows, "jerk"),
+            _rows(system.t, (n,), "t"), _rows(mass, (n,), "mass"),
+            t_now, eps2, j0, j1, _ptr(scratch, output=True),
+            _rows(acc_out, sinks, "acc_out", output=True),
+            _rows(jerk_out, sinks, "jerk_out", output=True),
+        )
+        if bad:
+            raise IndexError(f"active index outside the {n} particles")
 
 
 # -- build ------------------------------------------------------------------

@@ -67,13 +67,15 @@ class ForceBackend:
 
 
 class HostDirectBackend(ForceBackend):
-    """Reference backend: host-side prediction + direct summation.
+    """Reference backend: direct summation over the system's own arrays.
 
     Force evaluation goes through the :mod:`repro.accel` engine's
-    ``acc_jerk_active`` op — preallocated workspace tiles, optional
-    j-axis threading, and (for small blocks against large N) the fused
-    per-chunk source predictor that skips the full ``predict_system``
-    sweep.
+    ``acc_jerk_active`` op at every block size.  The particle arrays
+    are the j-memory: nothing is staged in :meth:`load` or
+    :meth:`push_updates`, and each j-chunk is one call that predicts
+    the block's sinks and the chunk's sources from the resident rows
+    and sums the pairs (compiled where a C compiler is present, NumPy
+    workspace tiles otherwise; optional j-axis threading).
 
     Parameters
     ----------

@@ -146,9 +146,10 @@ class Simulation:
 
         ``system`` must carry the exact checkpointed ``pos/vel/acc/jerk/
         t/dt`` arrays (a raw snapshot, *not* a predicted state).  The
-        scheduler is stateless — it reads ``system.t`` and ``system.dt``
-        each block — so continuing from here is bit-identical to a run
-        that was never interrupted.  :meth:`initialize` must not be
+        scheduler starts with nothing kept — its update times are
+        derived from ``system.t`` and ``system.dt`` at the first block,
+        never checkpointed — so continuing from here is bit-identical
+        to a run that was never interrupted.  :meth:`initialize` must not be
         called again (it would re-seed timesteps and break determinism);
         the backend is loaded here instead.
         """
@@ -174,6 +175,7 @@ class Simulation:
         """Startup force evaluation and initial timestep assignment."""
         sys_ = self.system
         n = sys_.n
+        self.scheduler.invalidate()  # dt is (re)assigned below
         self.backend.load(sys_)
         all_idx = np.arange(n)
         acc, jerk = self.backend.forces_on(sys_, all_idx, self.time)
@@ -199,18 +201,14 @@ class Simulation:
             t_next, active = self.scheduler.next_block(sys_.t, sys_.dt)
             dt = sys_.dt[active]
 
-            # Host-side prediction of the i-particles.
+            # Host-side prediction of the i-particles.  Each array is
+            # gathered once; the gathered rows are copies, so acc0 /
+            # jerk0 survive the write-back below.
             with tracer.span("predict"):
-                pred_pos = predict_positions(
-                    sys_.pos[active], sys_.vel[active],
-                    sys_.acc[active], sys_.jerk[active], dt,
-                )
-                pred_vel = predict_velocities(
-                    sys_.vel[active], sys_.acc[active], sys_.jerk[active], dt
-                )
-
-            acc0 = sys_.acc[active].copy()
-            jerk0 = sys_.jerk[active].copy()
+                pos0, vel0 = sys_.pos[active], sys_.vel[active]
+                acc0, jerk0 = sys_.acc[active], sys_.jerk[active]
+                pred_pos = predict_positions(pos0, vel0, acc0, jerk0, dt)
+                pred_vel = predict_velocities(vel0, acc0, jerk0, dt)
 
             with tracer.span("force", n_active=int(active.size)):
                 acc1, jerk1 = self.backend.forces_on(sys_, active, t_next)
@@ -240,7 +238,7 @@ class Simulation:
                         pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
                     )
 
-                if not (np.all(np.isfinite(pos1)) and np.all(np.isfinite(vel1))):
+                if not (np.isfinite(pos1).all() and np.isfinite(vel1).all()):
                     raise IntegrationError(f"non-finite state after block at t={t_next}")
 
                 sys_.pos[active] = pos1
@@ -253,6 +251,8 @@ class Simulation:
                     acc1, jerk1, derivs.snap, derivs.crackle, self.params.eta
                 )
                 sys_.dt[active] = quantize(dt_raw, sys_.t[active], dt, self.params)
+                # the n_active update times that changed, checked here
+                self.scheduler.commit()
 
             with tracer.span("push_updates"):
                 self.backend.push_updates(sys_, active)
@@ -328,6 +328,7 @@ class Simulation:
         t = float(self.time if t is None else t)
         if np.any(sys_.t > t + 1e-12):
             raise IntegrationError("cannot synchronise to a time in the past")
+        self.scheduler.invalidate()  # t and dt are rewritten below
         pending = np.nonzero(sys_.t < t)[0]
         if pending.size:
             dt = t - sys_.t[pending]
@@ -383,6 +384,7 @@ class Simulation:
             return 0
         if escaping.size >= self.system.n:
             raise IntegrationError("refusing to remove every particle")
+        self.scheduler.invalidate()  # the rows change
         for row in escaping:
             r = float(np.linalg.norm(snap.pos[row]))
             self.events.append(
@@ -468,6 +470,7 @@ class Simulation:
         from .collisions import merge_state
         from .events import Event
 
+        self.scheduler.invalidate()  # a row goes, the survivor is re-timed
         sys_ = self.system
         outcome = merge_state(
             float(sys_.mass[i]), sys_.pred_pos[i], sys_.pred_vel[i], int(sys_.key[i]),
@@ -526,6 +529,7 @@ class Simulation:
 
     def _align_steps_to_time(self, t: float) -> None:
         """Shrink steps until ``t`` is commensurate with each step grid."""
+        self.scheduler.invalidate()  # dt is rewritten below
         sys_ = self.system
         if t == 0.0:
             return

@@ -92,9 +92,19 @@ class BlockStats:
 class BlockScheduler:
     """Selects the next active block from per-particle times and steps.
 
-    The scheduler is deliberately stateless with respect to particle data
-    (it reads ``system.t`` and ``system.dt`` each call) so that particle
-    removal/addition by the integrator cannot desynchronise it.
+    The scheduler keeps the update times ``t + dt`` between blocks: a
+    block step changes ``n_active`` of them, so :meth:`commit` refreshes
+    those rows and the next :meth:`next_block` is one ``min`` and one
+    compare instead of a fresh O(N) sum and three O(N) checks.
+
+    The kept array is a cache, never a second source of truth.  It is
+    used only when the call passes the very ``t`` / ``dt`` array objects
+    it was computed from *and* the block handed out before was
+    committed; the owner of the arrays calls :meth:`invalidate` wherever
+    it writes them outside a block.  Every other call — other arrays, a
+    caller that never commits — recomputes ``t + dt`` and checks all of
+    it, on the same path, so particle removal/addition by the
+    integrator cannot desynchronise it.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) feeds the
     ``scheduler.block_size`` histogram; disabled by default via the null
@@ -108,6 +118,27 @@ class BlockScheduler:
         # explicit None test: an empty registry is falsy (len() == 0)
         registry = NULL_REGISTRY if metrics is None else metrics
         self._h_block = registry.histogram("scheduler.block_size")
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        """Forget the kept update times (``t`` or ``dt`` was written
+        outside a block); the next call recomputes and checks them."""
+        self._t = self._dt = self._t_next = None
+        #: ``min(t + dt)``, or None until someone asks after a commit
+        self._min = None
+        #: rows of the block handed out and not yet committed
+        self._pending = None
+
+    def _kept(self, t: np.ndarray, dt: np.ndarray):
+        """The kept ``t + dt`` if it stands for these arrays, else None."""
+        if t is self._t and dt is self._dt and self._pending is None:
+            return self._t_next
+        return None
+
+    def _next_time(self) -> float:
+        if self._min is None:
+            self._min = float(self._t_next.min())
+        return self._min
 
     def next_block(self, t: np.ndarray, dt: np.ndarray) -> tuple[float, np.ndarray]:
         """Return ``(t_next, active_indices)`` for the earliest block.
@@ -120,21 +151,54 @@ class BlockScheduler:
         SchedulerError
             If any step is non-positive or times are non-finite.
         """
-        t_next_all = t + dt
-        if not np.all(np.isfinite(t_next_all)):
-            raise SchedulerError("non-finite update time in scheduler")
-        if np.any(dt <= 0.0):
-            raise SchedulerError("non-positive timestep in scheduler")
-        t_next = float(t_next_all.min())
+        t_next_all = self._kept(t, dt)
+        if t_next_all is None:
+            self.invalidate()
+            t_next_all = t + dt
+            _check_rows(t_next_all, dt)
+            self._t, self._dt, self._t_next = t, dt, t_next_all
+        t_next = self._next_time()
         # Exact comparison is safe: block times are sums of powers of two
         # on a shared grid, which are exactly representable.
         active = np.nonzero(t_next_all == t_next)[0]
         if active.size == 0:  # pragma: no cover - defensive
             raise SchedulerError("empty active block")
+        self._pending = active
         self.stats.record(active.size)
         self._h_block.observe(active.size)
         return t_next, active
 
+    def commit(self) -> None:
+        """The block handed out by :meth:`next_block` has been written
+        back into ``t`` / ``dt``: refresh its rows of the kept update
+        times and check them (the rows no block has touched were
+        checked when they were written).
+
+        Raises
+        ------
+        SchedulerError
+            If a written step is non-positive or a time non-finite; the
+            block stays uncommitted, so the next call recomputes, checks
+            everything and raises it again.
+        """
+        rows = self._pending
+        if rows is None:
+            return
+        dt_rows = self._dt[rows]
+        t_next_rows = self._t[rows] + dt_rows
+        _check_rows(t_next_rows, dt_rows)
+        self._t_next[rows] = t_next_rows
+        self._pending = self._min = None
+
     def peek_time(self, t: np.ndarray, dt: np.ndarray) -> float:
         """The next update time without recording a block."""
-        return float((t + dt).min())
+        if self._kept(t, dt) is None:
+            return float((t + dt).min())
+        return self._next_time()
+
+
+def _check_rows(t_next: np.ndarray, dt: np.ndarray) -> None:
+    if not np.isfinite(t_next).all():
+        raise SchedulerError("non-finite update time in scheduler")
+    if (dt <= 0.0).any():
+        raise SchedulerError("non-positive timestep in scheduler")

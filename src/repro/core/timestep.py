@@ -94,7 +94,13 @@ class TimestepParams:
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.atleast_2d(x), axis=1)
+    """Row norms of ``(n, 3)`` (or one bare vector): the two ufunc calls
+    ``np.linalg.norm(x, axis=1)`` makes for real input, without its
+    wrapper — same primitives, same bits."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None]
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def aarseth_dt(
@@ -179,15 +185,18 @@ def quantize(
     dt_desired = np.asarray(dt_desired, dtype=np.float64)
     t_now = np.asarray(t_now, dtype=np.float64)
 
-    dt = floor_power_of_two(np.clip(dt_desired, params.dt_min, params.dt_max))
-    # floor_power_of_two of values within [dt_min, dt_max] stays in range
-    # because both bounds are powers of two of each other.
-    dt = np.clip(dt, params.dt_min, params.dt_max)
+    # Bound first (fmax/fmin send a NaN to dt_min, where the clip +
+    # floor + clip this replaces sent it too), then floor: everything is
+    # positive and finite by now, and the floor of a value within
+    # [dt_min, dt_max] stays in range because both bounds are powers of
+    # two of each other.
+    dt = np.fmin(np.fmax(dt_desired, params.dt_min), params.dt_max)
+    dt = 2.0 ** np.floor(np.log2(dt))
 
     if dt_current is not None:
         dt_current = np.asarray(dt_current, dtype=np.float64)
         grow = dt > dt_current
-        if np.any(grow):
+        if grow.any():
             doubled = dt_current[grow] * 2.0
             # commensurability: t must sit on the doubled-step grid
             steps = t_now[grow] / doubled

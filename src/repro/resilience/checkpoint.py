@@ -4,9 +4,10 @@ A checkpoint is an atomic snapshot of the **raw** integrator state
 (positions, velocities, forces, individual times and timesteps — not a
 predicted state) plus the driver bookkeeping needed to continue
 bit-identically: counters, the energy reference, and the output
-schedule.  Because the block scheduler is stateless (it reads ``t`` and
-``dt`` each call), a resumed run replays exactly the block sequence the
-interrupted run would have taken.
+schedule.  Because the block scheduler holds only what it derives from
+``t`` and ``dt`` (the update times it keeps between blocks are rebuilt
+from them at the first block, never checkpointed), a resumed run replays
+exactly the block sequence the interrupted run would have taken.
 
 Files in the checkpoint directory::
 

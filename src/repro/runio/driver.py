@@ -23,7 +23,7 @@ If the run dies (machine crash, injected host-kill), continue it with::
 
 The resumed run is bit-identical to one that was never interrupted: the
 checkpoint stores the raw integrator state at a block boundary and the
-block scheduler is stateless.
+block scheduler holds nothing that is not derived from it.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.accel import (
     KernelEngine,
     KernelWorkspace,
     TileBuffers,
+    fixed_order_reduce,
     get_engine,
     native,
 )
@@ -558,6 +559,180 @@ class TestNativeRowKernel:
             broken[k] = bad
             with pytest.raises(ValueError):
                 tile.acc_jerk_rows(*broken)
+
+
+def make_predictor_system(n=96, seed=11):
+    """Rows that stress the predictor polynomial: random ones, rows
+    already at ``t_now`` (dt = 0 and, with ``t_now = -0.0``, dt = -0.0),
+    rows whose derivatives sit at the 1e-300 scale (products underflow
+    into the subnormals) and rows at the 1e+12 scale."""
+    system = make_system(n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    system.t[:8] = 0.0
+    for lo, scale in ((8, 1e-300), (16, 1e12)):
+        rows = slice(lo, lo + 8)
+        for name in ("pos", "vel", "acc", "jerk"):
+            getattr(system, name)[rows] = rng.normal(size=(8, 3)) * scale
+    return system
+
+
+def predicted_rows(system, rows, t_now):
+    """The canonical prediction (``repro.core.predictor``) of ``rows``."""
+    from repro.core.predictor import predict_positions, predict_velocities
+
+    dt = t_now - system.t[rows]
+    args = (system.vel[rows], system.acc[rows], system.jerk[rows], dt)
+    return predict_positions(system.pos[rows], *args), predict_velocities(*args)
+
+
+class TestResidentPredictor:
+    """``acc_jerk_active`` predicts sinks and sources inside the chunk
+    entry point, from the system's resident arrays."""
+
+    T_NOWS = (5e-4, 0.0, -0.0, 7.0)
+
+    @requires_native
+    @pytest.mark.parametrize("t_now", T_NOWS)
+    def test_native_predictor_bits_are_numpys(self, t_now):
+        """The rows the C predictor leaves in its scratch are
+        ``predict_positions`` / ``predict_velocities`` bit for bit."""
+        system = make_predictor_system()
+        n = system.n
+        tile = native.load()
+        rng = np.random.default_rng(2)
+        for active, (j0, j1) in (
+            (rng.permutation(n)[:9], (0, n)),
+            (np.arange(n), (0, n)),             # all active
+            (rng.permutation(n), (17, 60)),     # permuted, an inner chunk
+            (np.array([5]), (n - 1, n)),
+        ):
+            active = active.astype(np.int64)
+            n_i, width = active.size, j1 - j0
+            scratch = np.full(6 * (n_i + width), np.nan)
+            acc, jerk = np.zeros((n_i, 3)), np.zeros((n_i, 3))
+            tile.acc_jerk_active_chunk(system, active, t_now, EPS**2, j0, j1,
+                                       scratch, acc, jerk)
+            pos_i, vel_i = predicted_rows(system, active, t_now)
+            pos_j, vel_j = predicted_rows(system, slice(j0, j1), t_now)
+            got = np.split(scratch, np.cumsum([3 * n_i, 3 * n_i, 3 * width]))
+            for have, want in zip(got, (pos_i, vel_i, pos_j, vel_j)):
+                assert np.array_equal(have.reshape(-1, 3), want)
+                assert np.array_equal(np.signbit(have.reshape(-1, 3)),
+                                      np.signbit(want))
+            assert np.isfinite(acc).all() and np.isfinite(jerk).all()
+
+    @pytest.mark.parametrize("t_now", T_NOWS)
+    def test_fused_call_is_the_pair_sum_over_predicted_rows(self, t_now):
+        """Bitwise, on the tier the host has: the op equals ``acc_jerk``
+        fed the canonical prediction (same chunk plan, same pair loop),
+        for permuted and all-active blocks, one chunk and many."""
+        system = make_predictor_system()
+        pred_pos, pred_vel = predicted_rows(system, slice(None), t_now)
+        rng = np.random.default_rng(4)
+        for j_chunk in (16, 2048):
+            engine = small_engine(j_chunk=j_chunk)
+            try:
+                for active in (rng.permutation(system.n)[:7],
+                               rng.permutation(system.n), np.arange(system.n)):
+                    got = engine.acc_jerk_active(system, active, t_now, EPS)
+                    want = engine.acc_jerk(
+                        pred_pos[active], pred_vel[active], pred_pos, pred_vel,
+                        system.mass, EPS, self_indices=active,
+                    )
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+                    parts = [
+                        engine.acc_jerk_active_chunk(system, active, t_now,
+                                                     EPS, j0, j1)
+                        for j0, j1 in engine.jplan(system.n)
+                    ]
+                    assert np.array_equal(
+                        fixed_order_reduce([p[0] for p in parts]), want[0])
+                    assert np.array_equal(
+                        fixed_order_reduce([p[1] for p in parts]), want[1])
+            finally:
+                engine.close()
+
+    @pytest.mark.parametrize("tier", ["host", "numpy"])
+    @pytest.mark.parametrize("bad", [-1, 257, 1 << 40])
+    def test_bad_active_index_raises(self, monkeypatch, workload, tier, bad):
+        """Out of range or negative: ``IndexError`` on both tiers (a
+        negative entry must not wrap around to the last rows)."""
+        system, _ = workload
+        assert system.n == 257
+        engine = (numpy_engine(monkeypatch) if tier == "numpy"
+                  else small_engine())
+        active = np.array([3, bad, 9])
+        try:
+            with pytest.raises(IndexError):
+                engine.acc_jerk_active(system, active, T_NOW, EPS)
+            with pytest.raises(IndexError):
+                engine.acc_jerk_active_chunk(system, active, T_NOW, EPS, 0, 64)
+        finally:
+            engine.close()
+
+    @requires_native
+    def test_resident_arrays_are_checked_before_the_call(self):
+        from repro.parallel.programs import ArrayView
+
+        system = make_system(n=12, seed=1)
+        tile = native.load()
+        active = np.array([0, 5], dtype=np.int64)
+        names = ("mass", "pos", "vel", "acc", "jerk", "t")
+
+        def call(view, active=active, j0=0, j1=12, scratch=None):
+            out = np.zeros((active.size, 3)), np.zeros((active.size, 3))
+            if scratch is None:
+                scratch = np.empty(6 * (active.size + j1 - j0))
+            tile.acc_jerk_active_chunk(view, active, T_NOW, EPS**2, j0, j1,
+                                       scratch, *out)
+            return out
+
+        arrays = {name: getattr(system, name) for name in names}
+        want = call(system)
+        frozen = {k: v.copy() for k, v in arrays.items()}
+        for v in frozen.values():
+            v.flags.writeable = False
+        got = call(ArrayView.from_arrays(frozen))  # read-only residents are fine
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+        for name in names:
+            good = arrays[name]
+            for bad in (good.astype(np.float32), np.repeat(good, 2, axis=0)[::2],
+                        good[:-1], good.reshape(-1, 1) if good.ndim == 1
+                        else good.reshape(-1)):
+                with pytest.raises(ValueError):
+                    call(ArrayView.from_arrays({**arrays, name: bad}))
+        with pytest.raises(ValueError):
+            call(system, active=active.astype(np.int32))
+        with pytest.raises(ValueError):
+            call(system, j0=5, j1=13)
+        with pytest.raises(ValueError):
+            call(system, scratch=np.empty(6 * (2 + 12) - 1))
+
+    @pytest.mark.parametrize("tier", ["host", "numpy"])
+    def test_tile_bytes_count_the_predictor(self, monkeypatch, workload, tier):
+        """``kernel.tile_bytes_total``: the pair stream plus the resident
+        row (14 values) of every source and sink the predictor reads."""
+        from repro.obs import Observability
+
+        system, active = workload
+        engine = (numpy_engine(monkeypatch) if tier == "numpy"
+                  else small_engine())
+        per_pair = (tk.ROW_KERNEL_VALUES if engine.tier == "native"
+                    else tk.TILE_PLANES["acc_jerk_active"])
+        n_i, n_j = active.size, system.n
+        try:
+            obs = Observability()
+            engine.observe(obs)
+            engine.acc_jerk_active(system, active, T_NOW, EPS)
+            full = obs.metrics.snapshot()["kernel.tile_bytes_total"]
+            assert full == 8 * (n_i * n_j * per_pair + (n_i + n_j) * 14)
+            engine.acc_jerk_active_chunk(system, active, T_NOW, EPS, 10, 74)
+            chunk = obs.metrics.snapshot()["kernel.tile_bytes_total"] - full
+            assert chunk == 8 * (n_i * 64 * per_pair + (n_i + 64) * 14)
+        finally:
+            engine.close()
 
 
 class TestNativeBuild:

@@ -1,0 +1,259 @@
+"""The O(n_active) host path: kept update times and the one-gather step.
+
+Two claims, each held to an independent oracle:
+
+* the ``t + dt`` array :class:`BlockScheduler` keeps between blocks is,
+  after every block, what a fresh ``t + dt`` would be, and the blocks it
+  hands out are the ones a scheduler that keeps nothing hands out —
+  through mergers, a mid-run ``synchronize``, ``remove_escapers`` and a
+  kill-and-resume;
+* ``Simulation.step`` leaves, block for block, the bits the parent
+  commit's ``step`` leaves (``tests/_step_oracle.py``, a verbatim copy
+  with the timestep functions it called).
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    CollisionPolicy,
+    HostDirectBackend,
+    KeplerField,
+    ParticleSystem,
+    Simulation,
+    TimestepParams,
+)
+from repro.core import integrator
+from repro.core.scheduler import BlockScheduler
+from repro.errors import SchedulerError
+from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
+from repro.resilience import CheckpointManager
+
+from _step_oracle import parent_step
+
+STATE = ("mass", "pos", "vel", "acc", "jerk", "t", "dt", "key")
+
+
+def eventful_sim(**kwargs) -> Simulation:
+    """A seeded disk plus a pair bound to merge and a hyperbolic
+    runaway, so one run passes through every writer of ``t`` / ``dt``."""
+    disk = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=128, seed=1))
+    v20 = 1.0 / np.sqrt(20.0)
+    extra_pos = [[20.0, 0.0, 0.0], [20.001, 0.0, 0.0], [80.0, 0.0, 0.0]]
+    extra_vel = [[0.0, v20, 0.0], [0.0, 0.999 * v20, 0.0], [0.4, 0.0, 0.0]]
+    system = ParticleSystem(
+        np.concatenate([disk.mass, [1e-8, 1e-8, 1e-9]]),
+        np.concatenate([disk.pos, extra_pos]),
+        np.concatenate([disk.vel, extra_vel]),
+    )
+    sim = Simulation(
+        system, HostDirectBackend(eps=1e-5), external_field=KeplerField(),
+        timestep_params=TimestepParams(dt_max=16.0),
+        collision_policy=CollisionPolicy(f_enhance=400.0), **kwargs,
+    )
+    sim.initialize()
+    return sim
+
+
+class CheckedRun:
+    """Steps a simulation and audits its scheduler around every block."""
+
+    def __init__(self, sim: Simulation) -> None:
+        self.sim = sim
+        self.blocks: list[tuple[float, tuple]] = []
+        self.warm = 0
+        handed_out = self.handed_out = []
+        next_block = sim.scheduler.next_block
+
+        def spy(t, dt):
+            block = next_block(t, dt)
+            handed_out.append(block)
+            return block
+
+        sim.scheduler.next_block = spy
+
+    def step(self) -> None:
+        sim = self.sim
+        system = sim.system
+        # what a scheduler that keeps nothing says, from copies
+        want_t, want_rows = BlockScheduler().next_block(
+            system.t.copy(), system.dt.copy())
+        self.warm += sim.scheduler._kept(system.t, system.dt) is not None
+        t_next, size = sim.step()
+        got_t, got_rows = self.handed_out.pop()
+        assert not self.handed_out
+        assert got_t == want_t == t_next
+        assert np.array_equal(got_rows, want_rows) and size == want_rows.size
+        self.blocks.append((t_next, tuple(got_rows)))
+        self.audit()
+
+    def audit(self) -> None:
+        """Whatever the scheduler would use next is a fresh ``t + dt``."""
+        system = self.sim.system
+        kept = self.sim.scheduler._kept(system.t, system.dt)
+        if kept is not None:
+            assert np.array_equal(kept, system.t + system.dt)
+            assert self.sim.scheduler.peek_time(system.t, system.dt) == float(
+                (system.t + system.dt).min())
+
+    def run(self, t_end: float) -> None:
+        sim = self.sim
+        while sim.scheduler.peek_time(sim.system.t, sim.system.dt) <= t_end:
+            self.step()
+
+
+def resume(sim: Simulation, directory) -> Simulation:
+    """Kill-and-resume: through a checkpoint file, into new objects."""
+    manager = CheckpointManager(directory)
+    manager.write(sim.system, {"time": float(sim.time)})
+    system, state = manager.load_latest()
+    return Simulation.from_restart(
+        system, HostDirectBackend(eps=1e-5), state["time"],
+        external_field=KeplerField(), timestep_params=sim.params,
+        collision_policy=CollisionPolicy(f_enhance=400.0),
+        block_steps=sim.block_steps, particle_steps=sim.particle_steps,
+        mergers=sim.mergers,
+    )
+
+
+class TestKeptUpdateTimes:
+    def test_every_block_of_an_eventful_run(self, tmp_path):
+        run = CheckedRun(eventful_sim())
+        sim = run.sim
+        n0 = sim.system.n
+
+        run.run(150.0)
+        merged_at = [e.time for e in sim.events.of_kind("merger")]
+        assert sim.mergers == len(merged_at) == n0 - sim.system.n
+        assert sum(t > 1.0 for t in merged_at) >= 1  # one in mid-run
+
+        sim.synchronize()
+        run.audit()
+        assert sim.scheduler._kept(sim.system.t, sim.system.dt) is None
+        run.run(300.0)
+
+        assert sim.remove_escapers(r_min=50.0) == 1
+        run.audit()
+        assert sim.scheduler._kept(sim.system.t, sim.system.dt) is None
+        run.run(450.0)
+
+        twin = CheckedRun(resume(sim, tmp_path))
+        mark = len(run.blocks)
+        run.run(800.0)
+        twin.run(800.0)
+        assert twin.blocks == run.blocks[mark:]
+        for name in STATE:
+            assert np.array_equal(getattr(twin.sim.system, name),
+                                  getattr(sim.system, name)), name
+
+        # not vacuous: small blocks, and all but a handful found the kept
+        # array valid (the first of each leg and the one after each
+        # merger start cold)
+        assert len(run.blocks) > 200
+        assert np.median([len(rows) for _, rows in run.blocks]) <= 4
+        cold = len(run.blocks) - run.warm
+        assert 3 <= cold <= 3 + sim.mergers
+        assert twin.warm == len(twin.blocks) - 1
+
+    def test_peek_between_blocks_sees_the_committed_rows(self):
+        sim = eventful_sim()
+        for _ in range(20):
+            sim.step()
+            fresh = float((sim.system.t + sim.system.dt).min())
+            assert sim.scheduler.peek_time(sim.system.t, sim.system.dt) == fresh
+            assert sim.scheduler.peek_time(sim.system.t, sim.system.dt) == fresh
+
+    def test_a_block_never_committed_is_recomputed(self):
+        """A caller that writes the arrays itself (the property suites)
+        is served from a fresh sum every time."""
+        sched = BlockScheduler()
+        t, dt = np.zeros(4), np.array([0.25, 0.5, 0.25, 1.0])
+        t_next, rows = sched.next_block(t, dt)
+        t[rows] = t_next
+        dt[rows] = 0.125
+        assert sched._kept(t, dt) is None
+        t_next, rows = sched.next_block(t, dt)
+        assert t_next == 0.375 and list(rows) == [0, 2]
+
+    def test_other_arrays_start_cold(self):
+        sched = BlockScheduler()
+        t, dt = np.zeros(3), np.array([0.5, 0.25, 1.0])
+        _, rows = sched.next_block(t, dt)
+        t[rows] = 0.25
+        sched.commit()
+        assert sched._kept(t, dt) is not None
+        assert sched._kept(t.copy(), dt) is None
+        assert sched._kept(t, dt.copy()) is None
+        sched.invalidate()
+        assert sched._kept(t, dt) is None
+
+    @pytest.mark.parametrize("bad_t, bad_dt", [
+        (0.25, 0.0), (0.25, -0.5), (0.25, np.inf), (0.25, np.nan),
+        (np.nan, 0.5), (np.inf, 0.5),
+    ])
+    def test_a_bad_row_raises_at_commit_and_again_after(self, bad_t, bad_dt):
+        sched = BlockScheduler()
+        t, dt = np.zeros(3), np.array([0.5, 0.25, 1.0])
+        _, rows = sched.next_block(t, dt)
+        t[rows], dt[rows] = bad_t, bad_dt
+        with pytest.raises(SchedulerError):
+            sched.commit()
+        with pytest.raises(SchedulerError):
+            sched.next_block(t, dt)
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf])
+    def test_a_block_step_that_writes_a_bad_step_raises(self, monkeypatch, bad):
+        sim = eventful_sim()
+        sim.step()
+        monkeypatch.setattr(
+            integrator, "quantize",
+            lambda dt_raw, t_now, dt_old, params: np.full(dt_raw.shape, bad))
+        with pytest.raises(SchedulerError):
+            sim.step()
+        monkeypatch.undo()
+        with pytest.raises(SchedulerError):  # the row is still there
+            sim.step()
+
+
+class TestStepMatchesParent:
+    """``step()`` against the parent commit's, block for block, on the
+    kernel tier the host has."""
+
+    @staticmethod
+    def _pair(**kwargs):
+        return eventful_sim(**kwargs), eventful_sim(**kwargs)
+
+    @staticmethod
+    def _assert_same(new, old, block):
+        assert new.time == old.time and new.system.n == old.system.n
+        for name in STATE:
+            assert np.array_equal(getattr(new.system, name),
+                                  getattr(old.system, name)), (name, block)
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_block_for_block(self, iterations):
+        new, old = self._pair(corrector_iterations=iterations)
+        self._assert_same(new, old, "start")
+        for block in range(300 if iterations == 1 else 120):
+            assert new.step() == parent_step(old)
+            self._assert_same(new, old, block)
+        assert new.mergers == old.mergers >= 2
+
+    def test_without_field_or_policy(self):
+        def bare():
+            disk = build_disk_system(
+                PlanetesimalDiskConfig(n_planetesimals=32, seed=5))
+            sim = Simulation(disk, HostDirectBackend(eps=0.008),
+                             timestep_params=TimestepParams(dt_max=4.0))
+            sim.initialize()
+            return sim
+
+        new, old = bare(), bare()
+        for block in range(150):
+            assert new.step() == parent_step(old)
+            self._assert_same(new, old, block)
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestStepMatchesParentNumpyTier(TestStepMatchesParent):
+    """The same, without the compiled row kernel."""
