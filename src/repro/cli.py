@@ -186,52 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one snapshot and exit (no polling)",
     )
 
-    p_serve = sub.add_parser(
-        "serve", help="multi-tenant campaign service (repro.serve)"
-    )
-    serve_sub = p_serve.add_subparsers(dest="serve_command", required=True)
-
-    p_camp = serve_sub.add_parser(
-        "run-campaign",
-        help="execute a declarative campaign spec on a worker pool",
-    )
-    p_camp.add_argument(
-        "--spec", metavar="FILE", required=True,
-        help="campaign spec JSON ({defaults: {...}, jobs: [{tenant, ...}]})",
-    )
-    p_camp.add_argument(
-        "--dir", dest="campaign_dir", metavar="DIR", required=True,
-        help="campaign directory (journal + per-job run dirs); reusing a "
-             "directory recovers its interrupted campaign",
-    )
-    p_camp.add_argument("--workers", type=int, default=4,
-                        help="worker-pool size (processes)")
-    p_camp.add_argument("--max-attempts", type=int, default=3,
-                        help="attempts per job before dead-lettering")
-    p_camp.add_argument("--retry-base-delay", type=float, default=0.5,
-                        metavar="SECONDS", help="first retry backoff")
-    p_camp.add_argument("--job-timeout", type=float, default=None,
-                        metavar="SECONDS", help="wall-clock cap per attempt")
-    p_camp.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
-                        help="heartbeat lease; a staler worker is killed")
-    p_camp.add_argument("--capacity", type=int, default=None,
-                        help="admission tokens (default 64 x workers)")
-    p_camp.add_argument("--per-tenant-capacity", type=int, default=None,
-                        help="admission tokens per tenant")
-    p_camp.add_argument("--max-seconds", type=float, default=None,
-                        help="abort if the campaign has not drained by then")
-    p_camp.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write Prometheus text exposition of the serve.* metrics",
-    )
-
-    p_status = serve_sub.add_parser(
-        "status", help="summarise a campaign directory's job journal"
-    )
-    p_status.add_argument(
-        "directory", help="campaign directory (or a journal.jsonl path)"
-    )
-
     sub.add_parser("info", help="print paper constants and machine shapes")
 
     p_st = sub.add_parser("selftest", help="run the GRAPE-6 hardware self-test")
@@ -280,8 +234,7 @@ def _config_for(name: str):
 def _cmd_run_managed(args) -> int:
     from .core import KeplerField, Simulation, TimestepParams
     from .planetesimal import PlanetesimalDiskConfig, build_disk_system
-    from .runio import ProductionRun
-    from .serve.config import build_backend
+    from .runio import ProductionRun, build_backend
 
     backend = build_backend(
         args.backend, args.eps, theta=args.theta,
@@ -338,8 +291,7 @@ def _cmd_run_resume(args) -> int:
     from .core import KeplerField, TimestepParams
     from .errors import CheckpointError, ConfigurationError
     from .resilience import CheckpointManager
-    from .runio import ProductionRun
-    from .serve.config import build_backend
+    from .runio import ProductionRun, build_backend
 
     directory = Path(args.resume)
     ckpt_dir = directory / "checkpoints"
@@ -416,7 +368,7 @@ def _emit_run_observability(args, obs) -> int:
 
 def _cmd_run(args) -> int:
     from .perf import run_scaled_disk
-    from .serve.config import build_backend
+    from .runio import build_backend
 
     if args.resume:
         return _cmd_run_resume(args)
@@ -775,56 +727,6 @@ def _cmd_top(args) -> int:
         _time.sleep(args.interval)  # pragma: no cover - interactive loop
 
 
-def _cmd_serve_campaign(args) -> int:
-    from .obs import Observability
-    from .serve import CampaignService, RetryPolicy, load_campaign_spec
-
-    jobs = load_campaign_spec(args.spec)
-    obs = Observability() if args.metrics_out else None
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts,
-        base_delay=args.retry_base_delay,
-        job_timeout=args.job_timeout,
-    )
-    with CampaignService(
-        args.campaign_dir,
-        workers=args.workers,
-        retry=retry,
-        capacity=args.capacity,
-        per_tenant_capacity=args.per_tenant_capacity,
-        lease_seconds=args.lease,
-        obs=obs,
-    ) as service:
-        for tenant, scenario in jobs:
-            service.submit(tenant, scenario)
-        report = service.run(max_seconds=args.max_seconds)
-    print(report.summary())
-    if args.metrics_out:
-        path = obs.export_prometheus(args.metrics_out)
-        print(f"metrics written:  {path} ({len(obs.metrics)} series)")
-    # dead-lettered / rejected jobs are an orderly outcome but still a
-    # failed campaign from the caller's point of view
-    return 1 if (report.dead_lettered or report.lost) else 0
-
-
-def _cmd_serve_status(args) -> int:
-    from pathlib import Path
-
-    from .serve import render_status, scan_journal
-
-    target = Path(args.directory)
-    journal = target if target.suffix == ".jsonl" else target / "journal.jsonl"
-    scan = scan_journal(journal)
-    print(render_status(scan, directory=str(target)))
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    if args.serve_command == "run-campaign":
-        return _cmd_serve_campaign(args)
-    return _cmd_serve_status(args)
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -833,13 +735,7 @@ def main(argv=None) -> int:
     negative ``--theta``) exit with code 2 and a one-line message on
     stderr instead of a traceback.
     """
-    from .errors import (
-        CommError,
-        ConfigurationError,
-        GrapeError,
-        ServeError,
-        SnapshotError,
-    )
+    from .errors import CommError, ConfigurationError, GrapeError, SnapshotError
 
     args = build_parser().parse_args(argv)
     handler = {
@@ -849,12 +745,10 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
         "report": _cmd_report,
         "top": _cmd_top,
-        "serve": _cmd_serve,
     }[args.command]
     try:
         return handler(args)
-    except (SnapshotError, GrapeError, CommError, ConfigurationError,
-            ServeError) as exc:
+    except (SnapshotError, GrapeError, CommError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,9 @@ Writes are **atomic**: the archive is assembled in a same-directory
 temporary file and moved into place with :func:`os.replace`, so a crash
 (or an injected host-kill) mid-write can never leave a torn ``.npz``
 under the final name — the restart path either sees the previous intact
-snapshot or the new one, never garbage.
+snapshot or the new one, never garbage.  :func:`durable_write` is that
+protocol, and every durable file in the package (snapshots, checkpoint
+pointer, bench-history records) is written through it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from ..errors import SnapshotError
 from .particles import ParticleSystem
 
-__all__ = ["save_snapshot", "load_snapshot"]
+__all__ = ["save_snapshot", "load_snapshot", "durable_write"]
 
 _FORMAT_VERSION = 1
 
@@ -51,19 +53,33 @@ def save_snapshot(path, system: ParticleSystem, metadata: dict | None = None) ->
     except TypeError as exc:
         raise SnapshotError(f"metadata is not JSON-serialisable: {exc}") from exc
     arrays = {name: getattr(system, name) for name in _ARRAYS + _OPTIONAL_ARRAYS}
-    # Atomic publish: write to a sibling temp file, fsync, then rename.
-    # (A file handle is passed so numpy cannot append a second suffix.)
+    # a file handle is passed so numpy cannot append a second suffix
+    durable_write(path, lambda fh: np.savez_compressed(
+        fh, _metadata=np.array(meta_json), **arrays))
+    return path
+
+
+def durable_write(path, write, *, text: bool = False) -> None:
+    """Publish ``path`` atomically and durably through ``write(fh)``.
+
+    ``write`` fills a sibling temp file (``<name>.tmp``, opened binary,
+    or UTF-8 text when ``text``); the file is then flushed, fsynced and
+    :func:`os.replace`\\ d onto ``path``, and the directory is fsynced
+    so the rename survives a host crash.  A failure at any step removes
+    the temp file and leaves whatever was at ``path`` untouched.
+    """
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, _metadata=np.array(meta_json), **arrays)
+        with (open(tmp, "w", encoding="utf-8") if text
+              else open(tmp, "wb")) as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         fsync_directory(path.parent)
     finally:
         tmp.unlink(missing_ok=True)
-    return path
 
 
 def fsync_directory(directory) -> None:

@@ -25,8 +25,6 @@ __all__ = [
     "SnapshotError",
     "CheckpointError",
     "SimulationKilled",
-    "ServeError",
-    "JobStateError",
 ]
 
 
@@ -115,20 +113,6 @@ class SnapshotError(ReproError, IOError):
 
 class CheckpointError(SnapshotError):
     """Checkpoint write/restore failed (missing, torn, or incompatible)."""
-
-
-class ServeError(ReproError, RuntimeError):
-    """Campaign-service failure (journal corruption, bad job spec)."""
-
-
-class JobStateError(ServeError):
-    """An illegal job state transition was attempted.
-
-    The legal transitions are declared in
-    :data:`repro.serve.jobs.LEGAL_TRANSITIONS`; the lint in
-    ``tools/check_job_states.py`` verifies the service code only uses
-    declared transitions.
-    """
 
 
 class SimulationKilled(ReproError, RuntimeError):

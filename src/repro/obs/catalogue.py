@@ -216,44 +216,6 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
         "gauge",
         "Significant slowdowns found by the last comparison",
     ),
-    # -- campaign service ------------------------------------------------
-    "serve.jobs_submitted_total": (
-        "counter",
-        "Jobs admitted into the campaign queue",
-    ),
-    "serve.jobs_rejected_total": (
-        "counter",
-        "Submissions shed by the admission limiter",
-    ),
-    "serve.jobs_done_total": ("counter", "Jobs completed successfully"),
-    "serve.attempts_failed_total": (
-        "counter",
-        "Job attempts that failed (worker exit, death, timeout, hang)",
-    ),
-    "serve.jobs_dead_lettered_total": (
-        "counter",
-        "Jobs parked after exhausting their retry budget",
-    ),
-    "serve.jobs_lost_total": (
-        "counter",
-        "Jobs missing a terminal state after a drained campaign (want 0)",
-    ),
-    "serve.retries_total": ("counter", "Failed attempts re-queued with backoff"),
-    "serve.leases_total": ("counter", "Job leases granted to workers"),
-    "serve.lease_expiries_total": (
-        "counter",
-        "Leases expired on hung workers (stale heartbeat)",
-    ),
-    "serve.worker_deaths_total": (
-        "counter",
-        "Worker processes that died by signal mid-job",
-    ),
-    "serve.queue_depth": ("gauge", "Jobs waiting in the fair queue"),
-    "serve.workers_busy": ("gauge", "Worker processes currently leased"),
-    "serve.job_seconds": (
-        "histogram",
-        "Wall seconds per successful job attempt (lease to result)",
-    ),
     # -- multiprocess SPMD engine ----------------------------------------
     "spmd.runs_total": ("counter", "SPMD programs executed by the process engine"),
     "spmd.gang_forks_total": (
@@ -312,10 +274,8 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
 #: Families whose member names are formed at runtime (kind is implied).
 #: ``health.detector.`` admits the per-detector event counters
 #: (``health.detector.<name>_events_total``) so custom detectors work
-#: under a strict registry without a catalogue edit; ``serve.tenant.``
-#: admits the campaign service's per-tenant throughput counters
-#: (``serve.tenant.<tenant>_done_total``).
-DYNAMIC_PREFIXES: tuple[str, ...] = ("events.", "health.detector.", "serve.tenant.")
+#: under a strict registry without a catalogue edit.
+DYNAMIC_PREFIXES: tuple[str, ...] = ("events.", "health.detector.")
 
 #: Legal metric name: dotted lower-case, Prometheus-safe after s/./_/g.
 NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")

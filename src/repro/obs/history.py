@@ -211,9 +211,15 @@ class BenchHistory:
         }
         record.setdefault("host", host_fingerprint())
         path = bench_dir / f"{name}-{seq:05d}.json"
-        with open(path, "w") as fh:
+
+        def write(fh):
             json.dump(record, fh, indent=2, sort_keys=False)
             fh.write("\n")
+
+        # a torn record would make every later records() call raise
+        from ..core.snapshots import durable_write
+
+        durable_write(path, write, text=True)
         self._c_records.inc()
         return path
 

@@ -25,9 +25,9 @@ not (``docs/SPMD.md``, "Execution model").
 Robustness model (the reason this module exists):
 
 * **dead ranks** are detected through process sentinels and exit
-  codes; **hung ranks** through lease-style heartbeats (the
-  ``repro.serve`` pattern: a worker-side beat thread stamps a shared
-  clock array; ``deadline = max(started, last_beat) + lease``);
+  codes; **hung ranks** through a heartbeat lease (a worker-side beat
+  thread stamps a shared clock array, and the supervisor kills a rank
+  whose ``max(started, last_beat) + lease`` has passed);
 * every operation carries a **superstep tag**; mismatched collective
   ordering raises :class:`~repro.errors.SpmdProtocolError` instead of
   deadlocking, and bounded op timeouts raise

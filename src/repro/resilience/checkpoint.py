@@ -14,10 +14,11 @@ Files in the checkpoint directory::
     ckpt_000001.npz   snapshot + JSON state (atomic: tmp + os.replace)
     latest            text pointer to the newest complete checkpoint
 
-The ``latest`` pointer is itself written **durably** (temp file +
-fsync + rename + directory fsync), so a host crash at any instant
-leaves either the previous checkpoint or the new one — never a torn
-file under a live name, and never a pointer the filesystem forgets.
+Both are written through :func:`~repro.core.snapshots.durable_write`
+(temp file + fsync + rename + directory fsync), the pointer only after
+the checkpoint is durable, so a host crash at any instant leaves either
+the previous checkpoint or the new one — never a torn file under a live
+name, and never a pointer the filesystem forgets.
 Restore is defensive on top of that: when the pointed-to (or newest)
 checkpoint is truncated or corrupt, :meth:`CheckpointManager.load_latest`
 falls back to the newest checkpoint that still loads, so one damaged
@@ -26,11 +27,10 @@ file cannot strand an otherwise resumable run.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from time import perf_counter
 
-from ..core.snapshots import fsync_directory, load_snapshot, save_snapshot
+from ..core.snapshots import durable_write, load_snapshot, save_snapshot
 from ..errors import CheckpointError, SnapshotError
 
 __all__ = ["CheckpointManager"]
@@ -93,14 +93,8 @@ class CheckpointManager:
         t0 = perf_counter()
         path = self.directory / _CKPT_PATTERN.format(self._next_index())
         written = save_snapshot(path, system, metadata={"checkpoint": state})
-        pointer = self.directory / _POINTER
-        tmp = pointer.with_name(_POINTER + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(written.name + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, pointer)
-        fsync_directory(self.directory)
+        durable_write(self.directory / _POINTER,
+                      lambda fh: fh.write(written.name + "\n"), text=True)
         self._c_writes.inc()
         self._h_write_s.observe(perf_counter() - t0)
         return written

@@ -8,12 +8,16 @@ restartability live here:
   diagnostics (time, block counts, energy error, block statistics);
 * :class:`~repro.runio.schedule.SnapshotSchedule` /
   :class:`~repro.runio.schedule.OutputManager` — cadence-driven
-  snapshot writing with restart support.
+  snapshot writing with restart support;
+* :func:`~repro.runio.spec.build_backend` /
+  :func:`~repro.runio.spec.state_digest` — the one backend factory
+  and the final-state fingerprint.
 """
 
 from .driver import ProductionRun, RunReport
 from .runlog import RunLogger, read_run_log
 from .schedule import OutputManager, SnapshotSchedule
+from .spec import build_backend, state_digest
 
 __all__ = [
     "ProductionRun",
@@ -22,4 +26,6 @@ __all__ = [
     "read_run_log",
     "OutputManager",
     "SnapshotSchedule",
+    "build_backend",
+    "state_digest",
 ]

@@ -1,5 +1,11 @@
 """Tests for checkpoint-restart: manager, driver resume, CLI workflow."""
 
+import multiprocessing
+import os
+import signal
+import stat
+import time
+
 import numpy as np
 import pytest
 
@@ -7,12 +13,13 @@ from repro.core import (
     HostDirectBackend,
     KeplerField,
     TimestepParams,
+    load_snapshot,
     save_snapshot,
 )
 from repro.errors import CheckpointError, ConfigurationError, SimulationKilled
 from repro.obs import Observability
 from repro.resilience import CheckpointManager
-from repro.runio import ProductionRun, read_run_log
+from repro.runio import ProductionRun, read_run_log, state_digest
 
 from conftest import make_disk_sim, make_random_cluster
 
@@ -66,6 +73,31 @@ class TestCheckpointManager:
         save_snapshot(tmp_path / "ckpt_000001.npz", make_random_cluster(4))
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             CheckpointManager(tmp_path).load_latest()
+
+    def test_write_syscall_sequence(self, tmp_path, monkeypatch):
+        """The durability protocol of one checkpoint, pinned: the data
+        file is fsynced, renamed into place and its directory fsynced
+        before the pointer goes through the same three steps."""
+        mgr = CheckpointManager(tmp_path)
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(("fsync", kind))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        mgr.write(make_random_cluster(4), {"time": 1.0})
+        assert calls == [
+            ("fsync", "file"), ("replace", "ckpt_000001.npz"), ("fsync", "dir"),
+            ("fsync", "file"), ("replace", "latest"), ("fsync", "dir"),
+        ]
 
 
 class TestCorruptCheckpointFallback:
@@ -271,6 +303,154 @@ class TestKillAndResume:
     def test_resume_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint found"):
             ProductionRun.resume(tmp_path / "nothing", HostDirectBackend(eps=0.008))
+
+
+def resume_to_end(directory) -> ProductionRun:
+    run = ProductionRun.resume(
+        directory,
+        HostDirectBackend(eps=0.008),
+        external_field=KeplerField(),
+        timestep_params=TimestepParams(eta=0.02, dt_max=0.5),
+    )
+    run.execute()
+    return run
+
+
+def final_digest(run: ProductionRun) -> str:
+    sim = run.sim
+    return state_digest(sim.system, float(sim.time), sim.block_steps)
+
+
+class _Crash(Exception):
+    """A process death injected at one step of a durable write."""
+
+
+def arm_crash(monkeypatch, call: int, boundary: str) -> None:
+    """Make the ``call``-th durable write (1-based) die at ``boundary``:
+    ``write`` (after the payload, before the flush), ``fsync_file``,
+    ``replace`` or ``fsync_dir``."""
+    from repro.core import snapshots
+    from repro.resilience import checkpoint
+
+    real_write = snapshots.durable_write
+    fsync, replace = os.fsync, os.replace
+    state = {"calls": 0, "armed": False}
+
+    def hit(where: str) -> None:
+        if state["armed"] and boundary == where:
+            raise _Crash(f"killed at {where} of durable write #{call}")
+
+    def durable_write(path, write, **kwargs):
+        state["calls"] += 1
+        state["armed"] = state["calls"] == call
+
+        def payload(fh):
+            write(fh)
+            hit("write")
+
+        try:
+            real_write(path, payload, **kwargs)
+        finally:
+            state["armed"] = False
+
+    def crash_fsync(fd):
+        hit("fsync_dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync_file")
+        fsync(fd)
+
+    def crash_replace(src, dst):
+        hit("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(snapshots, "durable_write", durable_write)
+    monkeypatch.setattr(checkpoint, "durable_write", durable_write)
+    monkeypatch.setattr(os, "fsync", crash_fsync)
+    monkeypatch.setattr(os, "replace", crash_replace)
+
+
+class TestDurableWriteCrashPoints:
+    """A crash at every step of both durable writes of a checkpoint (the
+    snapshot, then the ``latest`` pointer) leaves a loadable previous or
+    new checkpoint, no temp file, and a resume that ends bit-identical
+    to the uninterrupted run."""
+
+    T_END = 6.0  # 12 blocks: checkpoints after blocks 5 and 10
+
+    @staticmethod
+    def _run(directory) -> ProductionRun:
+        """Checkpoints only, so they are the run's only durable writes."""
+        sim = make_disk_sim(n=24, seed=5, dt_max=0.5)
+        return ProductionRun(sim, directory, checkpoint_interval=5,
+                             run_id="crash")
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        run = self._run(tmp_path_factory.mktemp("ref"))
+        run.execute(t_end=self.T_END)
+        return final_digest(run)
+
+    @pytest.mark.parametrize("boundary",
+                             ["write", "fsync_file", "replace", "fsync_dir"])
+    @pytest.mark.parametrize("caller", ["snapshot", "pointer"])
+    def test_crash_then_resume(self, tmp_path, monkeypatch, reference,
+                               caller, boundary):
+        run = self._run(tmp_path / "run")
+        # durable writes 1 + 2 are the first checkpoint, 3 + 4 the second
+        with monkeypatch.context() as patch:
+            arm_crash(patch, 3 if caller == "snapshot" else 4, boundary)
+            with pytest.raises(_Crash):
+                run.execute(t_end=self.T_END)
+
+        ckpt_dir = tmp_path / "run" / "checkpoints"
+        assert list(ckpt_dir.glob("*.tmp")) == []
+        for path in ckpt_dir.glob("ckpt_*.npz"):
+            load_snapshot(path)  # nothing torn under a live name
+        mgr = CheckpointManager(ckpt_dir)
+        _, state = mgr.load_latest()
+        assert mgr.loaded_path.name == (ckpt_dir / "latest").read_text().strip()
+        # the pointer names the new checkpoint only once it is durable
+        new = caller == "pointer" and boundary == "fsync_dir"
+        assert state["block_steps"] == (10 if new else 5)
+
+        assert final_digest(resume_to_end(tmp_path / "run")) == reference
+
+
+def _run_until_killed(directory) -> None:
+    """Child body: a managed run slowed by a per-block pause so the
+    parent's SIGKILL lands mid-run."""
+    run = make_managed_run(directory.parent, directory.name,
+                           on_block=lambda s: time.sleep(0.02))
+    run.execute(t_end=30.0)
+
+
+class TestSigkilledRun:
+    @pytest.mark.timeout(60)
+    def test_sigkilled_run_resumes_bit_identical(self, tmp_path):
+        """A real process SIGKILLed inside ``ProductionRun`` once its
+        first checkpoint is on disk resumes to the uninterrupted state."""
+        ref = make_managed_run(tmp_path, "ref")
+        ref_report = ref.execute(t_end=30.0)
+
+        directory = tmp_path / "killed"
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_until_killed, args=(directory,), name="sigkill-run")
+        child.start()
+        try:
+            pointer = directory / "checkpoints" / "latest"
+            deadline = time.monotonic() + 30.0
+            while not pointer.exists() and child.is_alive():
+                assert time.monotonic() < deadline, "no checkpoint written"
+                time.sleep(0.005)
+        finally:
+            child.kill()
+            child.join(10.0)
+        assert child.exitcode == -signal.SIGKILL
+        _, state = CheckpointManager(directory / "checkpoints").load_latest()
+        assert state["block_steps"] < ref_report.block_steps  # killed mid-run
+
+        resumed = resume_to_end(directory)
+        assert resumed.sim.time == ref_report.t_final
+        assert resumed.sim.block_steps == ref_report.block_steps
+        assert final_digest(resumed) == final_digest(ref)
 
 
 class TestCLICheckpointWorkflow:

@@ -121,6 +121,25 @@ class TestStore:
         with pytest.raises(SnapshotError):
             hist.records("kern")
 
+    def test_crash_mid_append_leaves_no_record(self, tmp_path, monkeypatch):
+        """A death halfway through ``json.dump`` leaves nothing under a
+        record name, so the store keeps working without a hand repair."""
+        hist = BenchHistory(tmp_path / "h")
+        hist.append(doc())
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write('{"schema_version": ')
+            raise OSError("simulated crash mid-dump")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dump", torn_dump)
+            with pytest.raises(OSError, match="mid-dump"):
+                hist.append(doc(best=1.1))
+        bench_dir = tmp_path / "h" / "kern"
+        assert sorted(p.name for p in bench_dir.iterdir()) == ["kern-00001.json"]
+        hist.append(doc(best=1.2))
+        assert [r["seq"] for r in hist.records("kern")] == [1, 2]
+
     def test_metrics_recorded(self, tmp_path):
         obs = Observability(metrics=MetricsRegistry(strict=True))
         hist = BenchHistory(tmp_path / "h", obs=obs)

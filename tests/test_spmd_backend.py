@@ -18,8 +18,7 @@ from repro.errors import ConfigurationError, SimulationKilled
 from repro.parallel import ProcConfig, SpmdBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.runio import ProductionRun
-from repro.serve.worker import state_digest
+from repro.runio import ProductionRun, state_digest
 
 
 def forced_engine(threads: int = 1) -> KernelEngine:

@@ -14,14 +14,6 @@ from check_backend_protocol import required_methods
 from check_fault_matrix import check as fault_check
 from check_fault_matrix import main as fault_main
 from check_fault_matrix import missing_injectors, untested_kinds
-from check_job_states import check as job_state_check
-from check_job_states import main as job_state_main
-from check_job_states import (
-    source_problems,
-    table_problems,
-    transition_calls,
-    untested_states,
-)
 from check_metric_names import check_catalogue, check_paths
 from check_metric_names import main as lint_main
 from gen_api_docs import collect_modules, describe_module, main, render_api_docs
@@ -237,63 +229,6 @@ class TestFaultMatrixLint:
         problems = fault_check(tmp_path / "nope")
         assert any("not found" in p for p in problems)
         assert fault_main([str(tmp_path / "nope")]) == 1
-
-
-class TestJobStateLint:
-    def test_repo_is_clean(self, capsys):
-        assert job_state_main([]) == 0
-        assert "job state machine ok" in capsys.readouterr().out
-
-    def test_declared_table_is_sound(self):
-        assert table_problems() == []
-
-    def test_service_source_matches_table(self):
-        assert source_problems() == []
-
-    def test_transition_calls_discovered(self):
-        calls = transition_calls()
-        names = {name for _, _, name in calls}
-        # the service must exercise the whole lifecycle
-        assert {"LEASED", "RUNNING", "CHECKPOINTED", "DONE", "FAILED",
-                "DEAD_LETTERED", "QUEUED"} <= names
-        assert all(path.startswith("src/repro/serve") for path, _, _ in calls)
-
-    def test_nonliteral_transition_flagged(self, tmp_path):
-        (tmp_path / "bad.py").write_text(
-            "def f(job, target):\n    job.transition(target)\n"
-        )
-        problems = source_problems(tmp_path)
-        assert any("cannot verify" in p for p in problems)
-
-    def test_illegal_target_flagged(self, tmp_path):
-        # REJECTED is an entry state: no legal transition targets it
-        (tmp_path / "bad.py").write_text(
-            "def f(job):\n    job.transition(JobState.REJECTED)\n"
-        )
-        problems = source_problems(tmp_path)
-        assert any("no LEGAL_TRANSITIONS row allows" in p for p in problems)
-
-    def test_undeclared_state_flagged(self, tmp_path):
-        (tmp_path / "bad.py").write_text(
-            "def f(job):\n    job.transition(JobState.EXPLODED)\n"
-        )
-        problems = source_problems(tmp_path)
-        assert any("undeclared state" in p for p in problems)
-
-    def test_untested_state_flagged(self, tmp_path):
-        (tmp_path / "test_one.py").write_text(
-            "def test_x():\n    use(JobState.QUEUED)\n"
-        )
-        missing = untested_states(tmp_path)
-        assert "queued" not in missing
-        assert "dead_lettered" in missing
-        problems = job_state_check(tmp_path)
-        assert any("dead_lettered" in p for p in problems)
-        assert job_state_main([str(tmp_path)]) == 1
-
-    def test_missing_tests_dir_reported(self, tmp_path):
-        problems = job_state_check(tmp_path / "nope")
-        assert any("not found" in p for p in problems)
 
 
 class TestBenchRegressionGate:
