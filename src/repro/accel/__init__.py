@@ -6,7 +6,9 @@ preallocated shape-bucketed tile buffers
 (:mod:`~repro.accel.kernels`), a persistent thread pool with a
 fixed-order partial-sum reduction and a fused per-chunk source
 predictor (:mod:`~repro.accel.engine`) — one implementation per op,
-no choice of kernel.  Where a C compiler is present the
+no choice of kernel, and only the ops a force path calls (force + jerk
+in its direct, masked, tree-node and active-block forms, and the
+potential for energy diagnostics).  Where a C compiler is present the
 force + jerk pair loop itself runs compiled
 (:mod:`~repro.accel.native`, built on first use, cached per user);
 without one the NumPy tiles do the same sums and a log line says so.

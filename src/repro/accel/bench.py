@@ -44,7 +44,6 @@ from time import perf_counter
 import numpy as np
 
 from ..core import forces
-from ..core.kernels import _acc_spline_reference
 from ..core.predictor import predict_system
 from .engine import EngineConfig, KernelEngine
 from .kernels import ROW_KERNEL_OPS
@@ -67,7 +66,6 @@ DEFAULT_SHAPES: tuple[tuple[int, int], ...] = (
 QUICK_SHAPES: tuple[tuple[int, int], ...] = ((32, 256),)
 
 _EPS = 0.008
-_SPLINE_H = 0.01
 
 
 def make_workload(n_active: int, n_source: int, seed: int = 2003):
@@ -113,15 +111,9 @@ def _cases(system, active, t_now: float):
     return [
         ("acc_jerk", "reference", lambda e: forces.acc_jerk(*pair, **own)),
         ("acc_jerk", "accel", lambda e: e.acc_jerk(*pair, **own)),
-        ("acc_only", "reference", lambda e: forces.acc_only(*point, **own)),
-        ("acc_only", "accel", lambda e: e.acc_only(*point, **own)),
         ("potential", "reference",
          lambda e: forces.pairwise_potential(*point, **own)),
         ("potential", "accel", lambda e: e.pairwise_potential(*point, **own)),
-        ("spline", "reference",
-         lambda e: _acc_spline_reference(pos_i, pos, mass, _SPLINE_H, **own)),
-        ("spline", "accel",
-         lambda e: e.acc_spline(pos_i, pos, mass, _SPLINE_H, **own)),
         ("acc_jerk_active", "reference", predict_then_sum),
         ("acc_jerk_active", "fused",
          lambda e: e.acc_jerk_active(system, active, t_now, _EPS)),

@@ -3,11 +3,15 @@
 :class:`KernelEngine` is the software stand-in for a GRAPE-6 cluster
 host board: it owns the preallocated :class:`~repro.accel.workspace`
 buffers and a persistent thread pool over the j-axis chunks.  Like the
-board it has one implementation per op, reached one way: every public
-op normalises its arguments, books the call, opens its ``kernel.<op>``
-span and runs.  The plain-NumPy oracles the tests and
+board it has one implementation per op, reached one way, and only the
+ops a force path calls: the ``acc_jerk`` family (``acc_jerk``,
+``acc_jerk_masked``, ``node_force``, ``acc_jerk_active`` and its
+distributable chunk) and ``pairwise_potential`` for the energy
+diagnostics.  Every public op normalises its arguments, books the call,
+opens its ``kernel.<op>`` span and hands :meth:`KernelEngine._sweep`
+one chunk body.  The plain-NumPy oracles the tests and
 :mod:`repro.grape.selftest` compare against live in
-:mod:`repro.core.forces` and :mod:`repro.core.kernels`.
+:mod:`repro.core.forces`.
 
 Two kernel tiers sit behind the one chunk entry point of the
 ``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
@@ -233,16 +237,26 @@ class KernelEngine:
 
     # -- the sweep driver --------------------------------------------------
 
-    def _sweep(self, n_i: int, n_j: int, outs: list, chunk_body) -> None:
-        """Run ``chunk_body(ws, j0, j1, outs)`` over the j-chunk plan.
+    def _sweep(self, n_i: int, n_j: int, chunk_body, scalar: bool = False):
+        """An op's zeroed outputs, summed over the j-chunk plan.
 
-        ``chunk_body`` must *add* its chunk's contribution into the
-        (pre-zeroed) ``outs`` arrays.  Serial mode accumulates chunks
-        directly, in ascending order; threaded mode gives every chunk a
-        zeroed partial-sum slice and reduces the slices in the same
-        ascending order, so both orderings are ``(((0+t0)+t1)+...)``
-        and the results are bit-identical.
+        The outputs are ``acc, jerk`` (``(n_i, 3)`` each, returned as a
+        pair) or, with ``scalar``, one ``(n_i,)`` array returned alone.
+        ``chunk_body(ws, j0, j1, *outs)`` must *add* its chunk's
+        contribution into them; empty input returns the zeros without
+        calling it.  Serial mode accumulates chunks directly, in
+        ascending order; threaded mode gives every chunk a zeroed
+        partial-sum slice and reduces the slices in the same ascending
+        order, so both orderings are ``(((0+t0)+t1)+...)`` and the
+        results are bit-identical.
         """
+        if scalar:
+            outs = (np.zeros(n_i),)
+            result = outs[0]
+        else:
+            result = outs = (np.zeros((n_i, 3)), np.zeros((n_i, 3)))
+        if n_i == 0 or n_j == 0:
+            return result
         chunks = self._jplan(n_j)
         cfg = self.config
         threaded = (
@@ -253,8 +267,8 @@ class KernelEngine:
         if not threaded:
             ws = self._ws()
             for j0, j1 in chunks:
-                chunk_body(ws, j0, j1, outs)
-            return
+                chunk_body(ws, j0, j1, *outs)
+            return result
 
         main_ws = self._ws()
         slabs = [
@@ -269,7 +283,7 @@ class KernelEngine:
             parts = [slab[k] for slab in slabs]
             for part in parts:
                 part[...] = 0.0
-            chunk_body(ws, j0, j1, parts)
+            chunk_body(ws, j0, j1, *parts)
             busy[k] = perf_counter() - t0
 
         t_wall = perf_counter()
@@ -285,6 +299,7 @@ class KernelEngine:
         wall = perf_counter() - t_wall
         if wall > 0.0:
             self._g_eff.set(min(sum(busy) / (cfg.threads * wall), 1.0))
+        return result
 
     # -- public ops (normalise, count, span, run) --------------------------
 
@@ -326,29 +341,24 @@ class KernelEngine:
                 self_indices=_idx(self_indices),
             )
 
-    def acc_only(self, pos_i, pos_j, mass_j, eps, self_indices=None, counter=None):
-        """Softened acceleration only; mirrors
-        :func:`repro.core.forces.acc_only`."""
-        return self._positions_op(
-            "acc_only", tk.acc_tile, (3,), pos_i, pos_j, mass_j, float(eps) ** 2,
-            self_indices, counter,
-        )
-
     def pairwise_potential(self, pos_i, pos_j, mass_j, eps, self_indices=None):
-        """Softened potential per sink; mirrors
-        :func:`repro.core.forces.pairwise_potential`."""
-        return self._positions_op(
-            "potential", tk.potential_tile, (), pos_i, pos_j, mass_j,
-            float(eps) ** 2, self_indices, None,
-        )
+        """Softened potential per sink (NumPy tiles on either tier);
+        mirrors :func:`repro.core.forces.pairwise_potential`."""
+        pos_i, pos_j = _norm(pos_i, pos_j)
+        mass_j = _mass(mass_j)
+        self_indices = _idx(self_indices)
+        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
+        eps2 = float(eps) ** 2
+        self._count_call("potential", n_i, n_j)
 
-    def acc_spline(self, pos_i, pos_j, mass_j, h, self_indices=None, counter=None):
-        """Cubic-spline-softened acceleration; mirrors
-        :func:`repro.core.kernels.acc_spline`."""
-        return self._positions_op(
-            "spline", tk.spline_tile, (3,), pos_i, pos_j, mass_j, h,
-            self_indices, counter,
-        )
+        def body(ws, j0, j1, phi_o):
+            pj, mj = pos_j[j0:j1], mass_j[j0:j1]
+            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
+                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
+                tk.potential_tile(tv, pos_i[i0:i1], pj, mj, eps2, phi_o[i0:i1], mask)
+
+        with self._tracer.span("kernel.potential", n_i=n_i, n_j=n_j):
+            return self._sweep(n_i, n_j, body, scalar=True)
 
     def acc_jerk_masked(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
                         include, counter=None):
@@ -404,12 +414,29 @@ class KernelEngine:
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
         self._count_call("node_force", n_i, n_j, quad=quad_j is not None)
+        eps2 = float(eps) ** 2
+
+        def quad_body(ws, j0, j1, acc_o, jerk_o):  # tiles on either tier
+            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
+                # Exactly one += into acc_o per tile (like every other
+                # tile kernel): monopole and quadrupole accumulate into
+                # a scratch row vector first, otherwise the serial and
+                # threaded reductions associate the partial sums
+                # differently and the bits drift.
+                tmp = ws.vec(i1 - i0, 3, slot=9)
+                tmp[...] = 0.0
+                tk.acc_jerk_tile(
+                    tv, pos_i[i0:i1], vel_i[i0:i1], com_j[j0:j1],
+                    vel_j[j0:j1], mass_j[j0:j1], eps2, tmp, jerk_o[i0:i1],
+                    None,
+                )
+                tk.quad_tile(tv, quad_j[j0:j1], tmp)
+                acc_o[i0:i1] += tmp
+
         with self._tracer.span("kernel.node_force", n_i=n_i, n_j=n_j):
             if quad_j is None:  # monopole list: the plain pair sum, no self column
                 return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
-            return self._accel_quad_force(
-                pos_i, vel_i, com_j, vel_j, mass_j, eps, quad_j,
-            )
+            return self._sweep(n_i, n_j, quad_body)
 
     def acc_jerk_active(self, system, active, t_now, eps, counter=None):
         """Force+jerk on the active block of a particle system at ``t_now``.
@@ -418,16 +445,27 @@ class KernelEngine:
         sources are predicted per j-chunk inside the loop (the system's
         ``pred_pos``/``pred_vel`` stay untouched), and the sum runs in
         the order of the :meth:`acc_jerk_active_chunk` fold at every
-        block size.  ``active`` holds row numbers in ``[0, n)``; any
-        other entry raises ``IndexError``.
+        block size: every chunk, serial or threaded, is one
+        :meth:`_fused_chunk`, so a one-particle block never pays an
+        O(N) ``pred_pos`` write.  ``active`` holds row numbers in
+        ``[0, n)``; any other entry raises ``IndexError``.
         """
         active = np.asarray(active)
         n_i, n_j = active.size, system.n
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
         self._count_call("acc_jerk_active", n_i, n_j)
+        t_now = float(t_now)
+        eps2 = float(eps) ** 2
         with self._tracer.span("kernel.acc_jerk_active", n_i=n_i, n_j=n_j):
-            return self._fused_acc_jerk_active(system, active, float(t_now), eps)
+            sinks = self._sinks(system, active, t_now)
+            rows = _idx(active)
+
+            def body(ws, j0, j1, acc_o, jerk_o):
+                self._fused_chunk(ws, system, rows, t_now, eps2, sinks,
+                                  j0, j1, acc_o, jerk_o)
+
+            return self._sweep(n_i, n_j, body)
 
     # -- distributable chunk entry points ----------------------------------
 
@@ -449,8 +487,8 @@ class KernelEngine:
 
         Computes the fused predict-and-accumulate contribution of
         sources ``[j0, j1)`` on the active block — exactly the chunk
-        body of :meth:`_fused_acc_jerk_active`, into freshly zeroed
-        outputs.  Summing these partials in ascending ``jplan`` order
+        body of :meth:`acc_jerk_active`, into freshly zeroed outputs.
+        Summing these partials in ascending ``jplan`` order
         (``fixed_order_reduce``) reproduces the serial and threaded
         sweeps bit-identically, because both are the same left fold
         ``(((0 + c0) + c1) + ...)`` over the same chunk bounds.
@@ -555,103 +593,22 @@ class KernelEngine:
                         self_indices=None, excluded=None):
         """The pair sum of ``acc_jerk``, of ``acc_jerk_masked`` (with
         ``excluded``) and of a monopole ``node_force``."""
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        if n_i == 0 or n_j == 0:
-            return acc, jerk
         eps2 = float(eps) ** 2
 
-        def body(ws, j0, j1, outs):
+        def body(ws, j0, j1, acc_o, jerk_o):
             self._acc_jerk_rows(
                 ws, pos_i, vel_i, pos_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1],
-                eps2, *outs, j0, self_indices, excluded,
+                eps2, acc_o, jerk_o, j0, self_indices, excluded,
             )
 
-        self._sweep(n_i, n_j, [acc, jerk], body)
-        return acc, jerk
-
-    def _positions_op(self, op, tile_fn, out_tail, pos_i, pos_j, mass_j,
-                      scale, self_indices, counter):
-        """The whole of a position-only op (``acc_only``, ``potential``,
-        ``spline``): sweep ``tile_fn(tv, pos_i, pos_j, mass_j, scale,
-        out_rows, mask)`` over chunks and row tiles into an
-        ``(n_i, *out_tail)`` result."""
-        pos_i, pos_j = _norm(pos_i, pos_j)
-        mass_j = _mass(mass_j)
-        self_indices = _idx(self_indices)
-        n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        if counter is not None:
-            counter.add(n_i, n_j, with_jerk=False)
-        self._count_call(op, n_i, n_j)
-        out = np.zeros((n_i, *out_tail))
-        if n_i == 0 or n_j == 0:
-            return out
-
-        def body(ws, j0, j1, outs):
-            pj, mj = pos_j[j0:j1], mass_j[j0:j1]
-            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
-                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-                tile_fn(tv, pos_i[i0:i1], pj, mj, scale, outs[0][i0:i1], mask)
-
-        with self._tracer.span("kernel." + op, n_i=n_i, n_j=n_j):
-            self._sweep(n_i, n_j, [out], body)
-        return out
-
-    def _accel_quad_force(self, pos_i, vel_i, com_j, vel_j, mass_j, eps, quad_j):
-        """``node_force`` with quadrupoles (tiles on either tier)."""
-        n_i, n_j = pos_i.shape[0], com_j.shape[0]
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        if n_i == 0 or n_j == 0:
-            return acc, jerk
-        eps2 = float(eps) ** 2
-
-        def body(ws, j0, j1, outs):
-            acc_o, jerk_o = outs
-            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
-                # Exactly one += into acc_o per tile (like every other
-                # tile kernel): monopole and quadrupole accumulate into
-                # a scratch row vector first, otherwise the serial and
-                # threaded reductions associate the partial sums
-                # differently and the bits drift.
-                tmp = ws.vec(i1 - i0, 3, slot=9)
-                tmp[...] = 0.0
-                tk.acc_jerk_tile(
-                    tv, pos_i[i0:i1], vel_i[i0:i1], com_j[j0:j1],
-                    vel_j[j0:j1], mass_j[j0:j1], eps2, tmp, jerk_o[i0:i1],
-                    None,
-                )
-                tk.quad_tile(tv, quad_j[j0:j1], tmp)
-                acc_o[i0:i1] += tmp
-
-        self._sweep(n_i, n_j, [acc, jerk], body)
-        return acc, jerk
-
-    def _fused_acc_jerk_active(self, system, active, t_now, eps):
-        """Fused predict-and-accumulate: one :meth:`_fused_chunk` per
-        j-chunk, so a one-particle block never pays an O(N) ``pred_pos``
-        write."""
-        n_i, n_j = active.size, system.n
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        if n_i == 0 or n_j == 0:
-            return acc, jerk
-        eps2 = float(eps) ** 2
-        sinks = self._sinks(system, active, t_now)
-        active = _idx(active)
-
-        def body(ws, j0, j1, outs):
-            self._fused_chunk(ws, system, active, t_now, eps2, sinks, j0, j1, *outs)
-
-        self._sweep(n_i, n_j, [acc, jerk], body)
-        return acc, jerk
+        return self._sweep(pos_i.shape[0], pos_j.shape[0], body)
 
     def _sinks(self, system, active, t_now):
         """What :meth:`_fused_chunk` needs of the sinks beside their
         index: nothing on the native tier (the entry point predicts
-        them by index), their predicted rows on the NumPy tier."""
-        if self._native is not None:
+        them by index), their predicted rows on the NumPy tier (none
+        for an empty block)."""
+        if self._native is not None or not active.size:
             return None
         return _predict_sinks(system, active, t_now)
 
@@ -659,7 +616,7 @@ class KernelEngine:
                      j0, j1, acc_o, jerk_o) -> None:
         """Predict sources ``[j0, j1)`` and add their pull on the block.
 
-        The one chunk body behind :meth:`_fused_acc_jerk_active` (every
+        The one chunk body behind :meth:`acc_jerk_active` (every
         chunk, serial or threaded, through :meth:`_sweep`) and
         :meth:`acc_jerk_active_chunk` (one chunk, for a rank gang).
         Native tier: one call on the system's resident arrays — the

@@ -2,10 +2,12 @@
 
 Each function evaluates one ``(n_i, n_j)`` interaction tile entirely in
 preallocated workspace buffers (``out=`` ufunc and einsum forms) and
-**adds** its contribution into caller-owned accumulators.  The maths is
-identical to :mod:`repro.core.forces` — Plummer-softened force, jerk,
-potential — plus the cubic-spline force of :mod:`repro.core.kernels`;
-only the memory discipline differs.
+**adds** its contribution into caller-owned accumulators.  There is one
+tile per thing a force path computes — force + jerk
+(:func:`acc_jerk_tile`), the quadrupole term of a tree node
+(:func:`quad_tile`) and the potential (:func:`potential_tile`) — and
+the maths is identical to :mod:`repro.core.forces`; only the memory
+discipline differs.
 
 Memory layout: every pairwise quantity is a C-contiguous ``(rows,
 cols)`` *component plane* of the tile view (``dx``/``dy``/``dz``,
@@ -43,9 +45,7 @@ __all__ = [
     "PREDICTOR_VALUES",
     "tile_mask",
     "acc_jerk_tile",
-    "acc_tile",
     "potential_tile",
-    "spline_tile",
     "quad_tile",
     "predict_sources",
 ]
@@ -60,9 +60,7 @@ TILE_PLANES = {
     "acc_jerk_active": _ACC_JERK_PLANES,
     "acc_jerk_masked": _ACC_JERK_PLANES,
     "node_force": _ACC_JERK_PLANES,  # quad_tile reuses the monopole planes
-    "acc_only": 6,  # dx dy dz r2 s mr3
     "potential": 6,  # dx dy dz r2 s mr3
-    "spline": 8,  # dx dy dz r2 rv s mr3 w
 }
 
 #: Ops whose chunk body is ``KernelEngine._acc_jerk_rows``: on the native
@@ -152,16 +150,6 @@ def acc_jerk_tile(
     jerk_out += tv.vec1
 
 
-def acc_tile(tv, pos_i, pos_j, mass_j, eps2: float, acc_out, mask=None) -> None:
-    """Add this tile's softened acceleration (38-op kernel) into ``acc_out``."""
-    _separations(tv, pos_i, pos_j, eps2, mask)
-    np.sqrt(tv.r2, out=tv.s)
-    tv.s *= tv.r2
-    np.divide(mass_j[None, :], tv.s, out=tv.mr3)
-    _row_sums(tv.mr3, tv.dx, tv.dy, tv.dz, tv.vec1)
-    acc_out += tv.vec1
-
-
 def potential_tile(tv, pos_i, pos_j, mass_j, eps2: float, phi_out, mask=None) -> None:
     """Subtract this tile's ``sum_j m_j / r`` from ``phi_out`` (phi is negative)."""
     _separations(tv, pos_i, pos_j, eps2, mask)
@@ -169,64 +157,6 @@ def potential_tile(tv, pos_i, pos_j, mass_j, eps2: float, phi_out, mask=None) ->
     np.divide(mass_j[None, :], tv.s, out=tv.mr3)  # m_j / r
     np.einsum("ij->i", tv.mr3, out=tv.row1)
     phi_out -= tv.row1
-
-
-def spline_tile(
-    tv, pos_i, pos_j, mass_j, h: float, acc_out, mask=None,
-) -> None:
-    """Add this tile's cubic-spline-softened acceleration into ``acc_out``.
-
-    Piecewise evaluation (Hernquist & Katz 1989 force factor, see
-    :func:`repro.core.kernels.spline_force_factor`) over workspace
-    buffers: ``u = r/h`` lands in ``s``, the force factor ``g(u)/h^3``
-    in ``mr3``.  The three branch masks are the only per-call
-    allocations (1 byte per pair, an 8x saving over the reference
-    path's float temporaries).
-    """
-    inv_h3 = 1.0 / float(h) ** 3
-    _separations(tv, pos_i, pos_j, 0.0, None)
-    np.sqrt(tv.r2, out=tv.s)
-    tv.s /= h  # u = r / h
-    u = tv.s
-    g = tv.mr3
-    inner = u < 0.5
-    outer = u >= 1.0
-    mid = ~(inner | outer)
-
-    # inner: 32/3 + u^2 (32 u - 192/5)
-    np.multiply(u, 32.0, out=tv.w)
-    tv.w -= 192.0 / 5.0
-    tv.w *= u
-    tv.w *= u
-    tv.w += 32.0 / 3.0
-    np.copyto(g, tv.w, where=inner)
-
-    # mid: 64/3 - 48 u + (192/5) u^2 - (32/3) u^3 - 1/(15 u^3)
-    np.multiply(u, -32.0 / 3.0, out=tv.w)
-    tv.w += 192.0 / 5.0
-    tv.w *= u
-    tv.w -= 48.0
-    tv.w *= u
-    tv.w += 64.0 / 3.0
-    np.multiply(u, u, out=tv.rv)  # u^2
-    tv.rv *= u  # u^3
-    tv.rv *= 15.0
-    np.divide(1.0, tv.rv, out=tv.rv, where=mid)
-    np.subtract(tv.w, tv.rv, out=tv.w, where=mid)
-    np.copyto(g, tv.w, where=mid)
-
-    # outer: 1/u^3 (exactly Newtonian)
-    np.multiply(u, u, out=tv.rv)
-    tv.rv *= u
-    np.divide(1.0, tv.rv, out=tv.rv, where=outer)
-    np.copyto(g, tv.rv, where=outer)
-
-    g *= inv_h3
-    if mask is not None:
-        g[mask] = 0.0
-    g *= mass_j[None, :]
-    _row_sums(g, tv.dx, tv.dy, tv.dz, tv.vec1)
-    acc_out += tv.vec1
 
 
 def quad_tile(tv, quad_j, acc_out) -> None:

@@ -56,7 +56,7 @@ class TileBuffers:
         quadrupole pass reuses them for ``Q dr``).
     ``r2, rv, s, mr3, w``
         ``(rows, cols)`` scalar fields: softened distance^2, r.v,
-        scratch (dot-product terms, r^3, spline u, …), mass/r^3, jerk
+        scratch (dot-product terms, r^3, r, …), mass/r^3, jerk
         weight.
     ``vec1, vec2``
         ``(rows, 3)`` einsum landing pads for force/jerk partials.

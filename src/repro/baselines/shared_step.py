@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..accel import get_engine
-from ..core.forces import InteractionCounter
+from ..core.forces import InteractionCounter, acc_only
 from ..core.hermite import hermite_step_arrays
 from ..errors import ConfigurationError
 
@@ -89,6 +89,10 @@ class SharedLeapfrog(_SharedBase):
 
     Second-order and symplectic for the mutual forces; the external
     field is folded into the kicks so the scheme stays KDK throughout.
+    One mutual force evaluation per step: a step's closing kick and the
+    next step's opening kick sit at the same positions, so the mutual
+    acceleration is kept between steps (as :class:`SharedHermite` keeps
+    its force); the external field is evaluated at every kick.
     """
 
     def __init__(self, system, eps: float, dt: float, external_field=None) -> None:
@@ -96,26 +100,29 @@ class SharedLeapfrog(_SharedBase):
             raise ConfigurationError("dt must be positive")
         super().__init__(system, eps, external_field)
         self.dt = float(dt)
+        self._acc = self._mutual_acc(system.pos)
 
-    def _total_acc(self, pos, vel):
+    def _mutual_acc(self, pos):
         n = pos.shape[0]
-        acc = get_engine().acc_only(
+        return acc_only(
             pos, pos, self.system.mass, self.eps,
             self_indices=np.arange(n), counter=self.counter,
         )
+
+    def _total_acc(self):
+        acc = self._acc
         if self.external_field is not None:
-            ea, _ = self.external_field.acc_jerk(pos, vel)
+            ea, _ = self.external_field.acc_jerk(self.system.pos, self.system.vel)
             acc = acc + ea
         return acc
 
     def step(self) -> None:
         s = self.system
         dt = self.dt
-        acc = self._total_acc(s.pos, s.vel)
-        s.vel += 0.5 * dt * acc  # kick
+        s.vel += 0.5 * dt * self._total_acc()  # kick
         s.pos += dt * s.vel  # drift
-        acc = self._total_acc(s.pos, s.vel)
-        s.vel += 0.5 * dt * acc  # kick
+        self._acc = self._mutual_acc(s.pos)
+        s.vel += 0.5 * dt * self._total_acc()  # kick
         self.time += dt
         s.t[...] = self.time
         self.steps += 1

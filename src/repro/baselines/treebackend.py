@@ -48,8 +48,7 @@ class TreeBackend(ForceBackend):
         bounding sphere and thus longer interaction lists).
     engine:
         :class:`repro.accel.KernelEngine` that evaluates the
-        interaction lists and the diagnostic potential (defaults to the
-        process-wide engine).
+        interaction lists (defaults to the process-wide engine).
     """
 
     def __init__(self, eps: float, theta: float = 0.5, leaf_size: int = 8,
@@ -127,11 +126,3 @@ class TreeBackend(ForceBackend):
 
     def push_updates(self, system, active: np.ndarray) -> None:
         return None
-
-    def potential(self, system) -> np.ndarray:
-        # Diagnostics use the exact mutual potential so energy-drift
-        # figures measure force error, not a second approximation.
-        return self.engine.pairwise_potential(
-            system.pos, system.pos, system.mass, self.eps,
-            self_indices=np.arange(system.n),
-        )

@@ -15,6 +15,9 @@ hardware does the force loop).  Backends implement:
     Inform the backend that the active particles were corrected (GRAPE:
     rewrite those j-memory slots over the host interface).
 
+Energy diagnostics do not go through a backend: the mutual potential
+is :func:`repro.core.forces.potential_energy`, exact on every backend.
+
 Available implementations:
 
 * :class:`HostDirectBackend` (here) — the reference: predict on the host,
@@ -55,10 +58,6 @@ class ForceBackend:
 
     def push_updates(self, system, active: np.ndarray) -> None:
         """Notify the backend that ``active`` rows of ``system`` changed."""
-        raise NotImplementedError
-
-    def potential(self, system) -> np.ndarray:
-        """Mutual potential per unit mass on every particle (diagnostics)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -109,9 +108,3 @@ class HostDirectBackend(ForceBackend):
 
     def push_updates(self, system, active: np.ndarray) -> None:
         return None
-
-    def potential(self, system) -> np.ndarray:
-        n = system.n
-        return self.engine.pairwise_potential(
-            system.pos, system.pos, system.mass, self.eps, self_indices=np.arange(n)
-        )

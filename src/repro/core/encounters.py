@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from .forces import nearest_pair
 
 __all__ = ["TimescaleCensus", "measure_timescales", "encounter_timescale"]
 
@@ -70,29 +71,11 @@ def measure_timescales(system, r_inner: float = 15.0) -> TimescaleCensus:
     cheaper via :meth:`repro.grape.system.Grape6Machine.neighbours_of`.
     """
     from ..units import orbital_period
-    from .forces import _i_chunk_size
 
-    pos = system.pos
-    mass = system.mass
-    n = system.n
-    if n < 2:
+    if system.n < 2:
         raise ConfigurationError("need at least two particles")
-
-    best_d = np.inf
-    best_m = 0.0
-    chunk = _i_chunk_size(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        dr = pos[None, :, :] - pos[start:stop, None, :]
-        d2 = np.einsum("ijk,ijk->ij", dr, dr)
-        rows = np.arange(start, stop) - start
-        d2[rows, np.arange(start, stop)] = np.inf
-        arg = np.argmin(d2, axis=1)
-        dmin = np.sqrt(d2[rows, arg])
-        k = int(np.argmin(dmin))
-        if dmin[k] < best_d:
-            best_d = float(dmin[k])
-            best_m = float(mass[start + k] + mass[arg[k]])
+    best_d, i, j = nearest_pair(system.pos)
+    best_m = float(system.mass[i] + system.mass[j])
 
     return TimescaleCensus(
         time=float(system.t.max()),

@@ -40,6 +40,7 @@ __all__ = [
     "pairwise_potential",
     "node_force",
     "min_pairwise_distance",
+    "nearest_pair",
 ]
 
 #: Maximum number of pairwise-tile elements materialised at once
@@ -291,23 +292,37 @@ def potential_energy(pos: np.ndarray, mass: np.ndarray, eps: float) -> float:
     return 0.5 * float(np.dot(mass, phi))
 
 
-def min_pairwise_distance(pos: np.ndarray) -> float:
-    """Smallest unsoftened pairwise separation in a particle set.
+def nearest_pair(pos: np.ndarray) -> tuple[float, int, int]:
+    """The closest pair of a particle set: ``(d, i, j)``.
 
-    Useful in tests/diagnostics to confirm the softening scale is being
-    exercised.  O(N^2), chunked.
+    ``d`` is the unsoftened separation of rows ``i`` and ``j`` (the
+    first such pair in row-major order on ties); fewer than two
+    particles give ``(inf, -1, -1)``.  O(N^2), chunked.
     """
     pos = np.asarray(pos, dtype=np.float64)
     n = pos.shape[0]
+    best = (np.inf, -1, -1)
     if n < 2:
-        return np.inf
-    best = np.inf
+        return best
     chunk = _i_chunk_size(n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         dr = pos[None, :, :] - pos[start:stop, None, :]
         r2 = np.einsum("ijk,ijk->ij", dr, dr)
-        rows = np.arange(start, stop) - start
-        r2[rows, np.arange(start, stop)] = np.inf
-        best = min(best, float(np.sqrt(r2.min())))
+        rows = np.arange(stop - start)
+        r2[rows, rows + start] = np.inf
+        i, j = divmod(int(np.argmin(r2)), n)
+        d = float(np.sqrt(r2[i, j]))
+        if d < best[0]:
+            best = (d, start + i, j)
     return best
+
+
+def min_pairwise_distance(pos: np.ndarray) -> float:
+    """Smallest unsoftened pairwise separation in a particle set.
+
+    The first element of :func:`nearest_pair` (``inf`` below two
+    particles).  Useful in tests/diagnostics to confirm the softening
+    scale is being exercised.
+    """
+    return nearest_pair(pos)[0]

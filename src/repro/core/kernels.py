@@ -19,6 +19,11 @@ The force factor (acceleration = ``m * g(r) * dr`` with ``u = r/h``):
     \\end{cases}
 
 continuous at both break points and equal to ``1/r^3`` outside ``h``.
+
+No force backend calls the spline, so :func:`acc_spline` is its one
+implementation — chunked NumPy broadcasting, like
+:func:`repro.core.forces.acc_only` — and the :mod:`repro.accel` engine
+has no spline op.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from .forces import _fill_self_pairs, _i_chunk_size
 
 __all__ = ["spline_force_factor", "acc_spline"]
 
@@ -76,39 +82,19 @@ def acc_spline(
     Exactly Newtonian for separations beyond ``h``; finite (linear in
     ``r``) at the centre.  Arguments mirror
     :func:`repro.core.forces.acc_only`, including the ``counter`` for
-    flop accounting (38-op convention, no jerk), and evaluation is
-    dispatched through the :mod:`repro.accel` workspace engine.
+    flop accounting (38-op convention, no jerk).
     """
-    if h <= 0:
-        raise ConfigurationError("spline softening length must be positive")
-    from ..accel import get_engine
-
-    return get_engine().acc_spline(
-        pos_i, pos_j, mass_j, h, self_indices=self_indices, counter=counter
-    )
-
-
-def _acc_spline_reference(
-    pos_i: np.ndarray,
-    pos_j: np.ndarray,
-    mass_j: np.ndarray,
-    h: float,
-    self_indices: np.ndarray | None = None,
-) -> np.ndarray:
-    """Chunked broadcasting oracle of :func:`acc_spline`."""
     if h <= 0:
         raise ConfigurationError("spline softening length must be positive")
     pos_i = np.atleast_2d(np.asarray(pos_i, dtype=np.float64))
     pos_j = np.atleast_2d(np.asarray(pos_j, dtype=np.float64))
     mass_j = np.asarray(mass_j, dtype=np.float64)
 
-    n_i = pos_i.shape[0]
+    n_i, n_j = pos_i.shape[0], pos_j.shape[0]
     acc = np.zeros((n_i, 3))
     inv_h3 = 1.0 / h**3
 
-    from .forces import _fill_self_pairs, _i_chunk_size
-
-    chunk = _i_chunk_size(pos_j.shape[0])
+    chunk = _i_chunk_size(n_j)
     for start in range(0, n_i, chunk):
         stop = min(start + chunk, n_i)
         dr = pos_j[None, :, :] - pos_i[start:stop, None, :]
@@ -116,4 +102,7 @@ def _acc_spline_reference(
         g = spline_force_factor(r / h) * inv_h3
         _fill_self_pairs(g, self_indices, start, stop, 0.0)
         acc[start:stop] = np.einsum("ij,ijk->ik", mass_j[None, :] * g, dr)
+
+    if counter is not None:
+        counter.add(n_i, n_j, with_jerk=False)
     return acc

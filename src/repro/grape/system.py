@@ -434,9 +434,3 @@ class Grape6Backend(ForceBackend):
 
     def push_updates(self, system, active: np.ndarray) -> None:
         self.machine.push_updates(system, active)
-
-    def potential(self, system) -> np.ndarray:
-        n = system.n
-        return self.machine.engine.pairwise_potential(
-            system.pos, system.pos, system.mass, self.eps, self_indices=np.arange(n)
-        )

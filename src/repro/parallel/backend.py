@@ -67,7 +67,7 @@ class SpmdBackend(ForceBackend):
         rank-domain faults fire at superstep boundaries of the gang.
     engine:
         A :class:`repro.accel.KernelEngine` for the chunk plan and the
-        serial/potential paths; defaults to the process-wide engine.
+        serial path; defaults to the process-wide engine.
     obs:
         Observability bundle, forwarded to the process engine.
     """
@@ -152,13 +152,6 @@ class SpmdBackend(ForceBackend):
         # forces_on refreshes every shared segment per evaluation, so
         # corrected rows need no separate staging
         return None
-
-    def potential(self, system) -> np.ndarray:
-        n = system.n
-        return self.engine.pairwise_potential(
-            system.pos, system.pos, system.mass, self.eps,
-            self_indices=np.arange(n),
-        )
 
     # -- lifecycle -------------------------------------------------------
 

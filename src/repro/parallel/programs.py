@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.forces import acc_jerk
+from ..accel import get_engine
 
 __all__ = [
     "ProgramContext",
@@ -110,15 +110,12 @@ def ring_force_program(comm, ctx):
     left = (comm.rank - 1) % comm.size
     right = (comm.rank + 1) % comm.size
 
+    engine = get_engine()
     for hop in range(comm.size):
-        if np.array_equal(blk_idx, mine):
-            # self block: exclude the diagonal
-            a, j = acc_jerk(
-                my_pos, my_vel, blk_pos, blk_vel, blk_mass, eps,
-                self_indices=np.arange(mine.size),
-            )
-        else:
-            a, j = acc_jerk(my_pos, my_vel, blk_pos, blk_vel, blk_mass, eps)
+        # the self block excludes the diagonal
+        own = np.arange(mine.size) if np.array_equal(blk_idx, mine) else None
+        a, j = engine.acc_jerk(my_pos, my_vel, blk_pos, blk_vel, blk_mass, eps,
+                               self_indices=own)
         acc += a
         jerk += j
         if hop < comm.size - 1 and comm.size > 1:
@@ -155,16 +152,10 @@ def grid_force_program(comm, ctx):
     ilo, ihi = bounds[row], bounds[row + 1]
     jlo, jhi = bounds[col], bounds[col + 1]
 
-    if row == col:
-        a, j = acc_jerk(
-            pos[ilo:ihi], vel[ilo:ihi], pos[jlo:jhi], vel[jlo:jhi],
-            mass[jlo:jhi], eps, self_indices=np.arange(ihi - ilo),
-        )
-    else:
-        a, j = acc_jerk(
-            pos[ilo:ihi], vel[ilo:ihi], pos[jlo:jhi], vel[jlo:jhi],
-            mass[jlo:jhi], eps,
-        )
+    a, j = get_engine().acc_jerk(
+        pos[ilo:ihi], vel[ilo:ihi], pos[jlo:jhi], vel[jlo:jhi], mass[jlo:jhi],
+        eps, self_indices=np.arange(ihi - ilo) if row == col else None,
+    )
 
     root = row * q
     if col != 0:
@@ -199,8 +190,6 @@ def chunk_force_program(comm, ctx):
     p2p chains).  A closing ``barrier`` marks the superstep boundary.
     Returns ``(acc, jerk)`` on rank 0, ``None`` elsewhere.
     """
-    from ..accel import get_engine
-
     engine = get_engine()
     sysv = ArrayView.from_arrays(ctx.arrays)
     active = np.asarray(ctx.arrays["active"], dtype=np.intp)

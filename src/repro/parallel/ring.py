@@ -40,12 +40,6 @@ class RingForceResult:
     clock: list
 
 
-def _partition(n: int, p: int) -> list[np.ndarray]:
-    """Contiguous slices of ~n/p particles per rank."""
-    bounds = np.linspace(0, n, p + 1).astype(int)
-    return [np.arange(bounds[r], bounds[r + 1]) for r in range(p)]
-
-
 def ring_forces(
     pos: np.ndarray,
     vel: np.ndarray,

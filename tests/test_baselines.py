@@ -10,8 +10,15 @@ from repro.baselines import (
     SharedLeapfrog,
     TreeBackend,
 )
-from repro.core import KeplerField, ParticleSystem, Simulation, TimestepParams, energy
-from repro.core.forces import acc_jerk
+from repro.core import (
+    ExternalField,
+    KeplerField,
+    ParticleSystem,
+    Simulation,
+    TimestepParams,
+    energy,
+)
+from repro.core.forces import acc_jerk, acc_only
 from repro.errors import ConfigurationError
 
 from conftest import make_random_cluster, make_two_body
@@ -290,6 +297,38 @@ class TestSharedLeapfrog:
             return abs(energy(s, eps=0.0).total - e0) / abs(e0)
 
         assert err(SharedHermite) < err(SharedLeapfrog) / 100
+
+    def test_one_mutual_force_per_step(self):
+        """A step's closing kick and the next step's opening kick sit at
+        the same positions and share one mutual force evaluation; the
+        trajectory is a recomputing KDK loop's, bit for bit, with a
+        velocity-dependent field evaluated at every kick."""
+
+        class Drag(ExternalField):
+            def acc_jerk(self, pos, vel):
+                return -0.1 * vel, np.zeros_like(vel)
+
+        k, dt, eps, field = 7, 0.01, 0.05, Drag()
+        s = make_random_cluster(24, seed=5)
+        ref = s.copy()
+        integ = SharedLeapfrog(s, eps=eps, dt=dt, external_field=field)
+        for _ in range(k):
+            integ.step()
+        assert integ.counter.force_calls == k + 1
+        assert integ.counter.force_interactions == (k + 1) * s.n * s.n
+        assert integ.counter.jerk_interactions == 0
+
+        def total_acc():
+            acc = acc_only(ref.pos, ref.pos, ref.mass, eps,
+                           self_indices=np.arange(ref.n))
+            return acc + field.acc_jerk(ref.pos, ref.vel)[0]
+
+        for _ in range(k):
+            ref.vel += 0.5 * dt * total_acc()
+            ref.pos += dt * ref.vel
+            ref.vel += 0.5 * dt * total_acc()
+        assert np.array_equal(s.pos, ref.pos)
+        assert np.array_equal(s.vel, ref.vel)
 
 
 class TestHostOnly:

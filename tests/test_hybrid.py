@@ -108,12 +108,6 @@ class TestForceSplit:
         # cross-backend comparability: counter books the direct-sum load
         assert backend.counter.force_interactions == cluster.n * cluster.n
 
-    def test_potential_is_exact(self, cluster):
-        hybrid = HybridBackend(eps=EPS, theta=0.8)
-        direct = HostDirectBackend(eps=EPS)
-        assert np.array_equal(hybrid.potential(cluster),
-                              direct.potential(cluster))
-
 
 class TestThetaZeroIsDirect:
     """Each group's kernel call is a row-subset of the full direct

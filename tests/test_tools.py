@@ -146,9 +146,7 @@ class TestBackendProtocolLint:
         assert "backend protocol ok" in capsys.readouterr().out
 
     def test_required_surface_discovered(self):
-        assert required_methods() == [
-            "load", "forces_on", "push_updates", "potential",
-        ]
+        assert required_methods() == ["load", "forces_on", "push_updates"]
 
     def test_all_registered_backends_found(self):
         src = Path(__file__).parent.parent / "src" / "repro"
@@ -167,9 +165,9 @@ class TestBackendProtocolLint:
             "        return None\n"
         )
         problems = protocol_check(tmp_path)
-        missing = {m for m in ("forces_on", "push_updates", "potential")
+        missing = {m for m in ("forces_on", "push_updates")
                    if any(f"{m}()" in p for p in problems)}
-        assert missing == {"forces_on", "push_updates", "potential"}
+        assert missing == {"forces_on", "push_updates"}
         assert not any("load()" in p for p in problems)
         assert protocol_main([str(tmp_path)]) == 1
 
@@ -179,7 +177,6 @@ class TestBackendProtocolLint:
             "    def load(self, system): pass\n"
             "    def forces_on(self, system, active, t_now): pass\n"
             "    def push_updates(self, system, active): pass\n"
-            "    def potential(self, system): pass\n"
         )
         problems = protocol_check(tmp_path)
         assert len(problems) == 1
@@ -194,7 +191,6 @@ class TestBackendProtocolLint:
             "    def load(self, system): pass\n"
             "    def forces_on(self, system, active, t_now): pass\n"
             "    def push_updates(self, system, active): pass\n"
-            "    def potential(self, system): pass\n"
             "class ChildBackend(FullBackend):\n"
             "    pass\n"
         )
