@@ -57,21 +57,14 @@ __all__ = [
 def quick_simulation(n: int = 256, seed: int = 0, eps: float | None = None):
     """Build a ready-to-run scaled planetesimal simulation.
 
-    Creates an ``n``-planetesimal ring (paper geometry, scaled masses),
-    two protoplanets, a solar external field and a host direct-summation
-    backend.  Returns an initialised :class:`~repro.core.Simulation`.
+    The default :class:`~repro.runio.RunSpec` run for ``n`` and ``seed``:
+    paper-geometry ring with scaled masses, two protoplanets, the Sun and
+    host direct summation.  Returns an initialised :class:`~repro.core.Simulation`.
     """
     from .constants import PAPER_SOFTENING_AU
-    from .planetesimal import PlanetesimalDiskConfig, build_disk_system
+    from .runio import RunSpec
 
-    config = PlanetesimalDiskConfig(n_planetesimals=n, seed=seed)
-    system = build_disk_system(config)
-    eps = PAPER_SOFTENING_AU if eps is None else eps
-    sim = Simulation(
-        system,
-        HostDirectBackend(eps=eps),
-        external_field=KeplerField(mass=1.0),
-        timestep_params=TimestepParams(),
-    )
+    spec = RunSpec(n=n, seed=seed, eps=PAPER_SOFTENING_AU if eps is None else eps)
+    sim = spec.simulation(spec.build_backend())
     sim.initialize()
     return sim

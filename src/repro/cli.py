@@ -34,8 +34,22 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing
+from dataclasses import fields
+
+from .runio.spec import RunSpec
 
 __all__ = ["main", "build_parser"]
+
+_T_END = 20.0
+_CADENCE = {  # managed-run cadence flags: type, metavar and help of each
+    "snapshot_interval": (float, "T", "snapshot cadence in simulation time"),
+    "diagnostics_interval": (float, "T", "energy-accounting cadence in simulation time"),
+    "checkpoint_interval": (int, "BLOCKS", "checkpoint every BLOCKS block steps"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,37 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a scaled paper disk")
-    p_run.add_argument("--n", type=int, default=256, help="planetesimal count")
-    p_run.add_argument("--t-end", type=float, default=20.0, help="end time [code units]")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--eta", type=float, default=0.02, help="Aarseth accuracy parameter")
-    p_run.add_argument("--dt-max", type=float, default=1.0, help="largest block step")
-    p_run.add_argument(
-        "--backend", choices=("host", "grape", "tree", "hybrid", "spmd"),
-        default="host", help="force engine",
-    )
-    p_run.add_argument("--eps", type=float, default=0.008, help="softening [AU]")
-    p_run.add_argument(
-        "--ranks", type=int, default=2,
-        help="SPMD gang size (spmd backend)",
-    )
-    p_run.add_argument(
-        "--spmd-mode", choices=("proc", "vm", "serial"), default="proc",
-        help="spmd execution mode: worker processes, in-process "
-        "scheduler, or single-process baseline",
-    )
-    p_run.add_argument(
-        "--theta", type=float, default=0.5,
-        help="tree opening angle (tree and hybrid backends)",
-    )
-    p_run.add_argument(
-        "--r-neighbour", type=float, default=0.05,
-        help="default neighbour-sphere radius [AU] (hybrid backend)",
-    )
-    p_run.add_argument(
-        "--n-crit", type=int, default=32,
-        help="grouped-walk sink-group size target",
-    )
+    for f in fields(RunSpec):
+        p_run.add_argument(
+            _flag(f.name), type=type(f.default), default=f.default,
+            choices=f.metadata["choices"], help=f.metadata["help"],
+        )
+    p_run.add_argument("--t-end", type=float, default=_T_END,
+                       help="end time [code units]")
     p_run.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write a Chrome-trace/Perfetto JSON of the run (enables tracing)",
@@ -89,21 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir", metavar="DIR", default=None,
         help="managed production run: snapshots, run log, checkpoints in DIR",
     )
-    p_run.add_argument(
-        "--snapshot-interval", type=float, default=None, metavar="T",
-        help="snapshot cadence in simulation time (managed runs)",
-    )
-    p_run.add_argument(
-        "--diagnostics-interval", type=float, default=None, metavar="T",
-        help="energy-accounting cadence in simulation time (managed runs)",
-    )
-    p_run.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="BLOCKS",
-        help="checkpoint every BLOCKS block steps (managed runs)",
-    )
+    for name, (kind, metavar, help) in _CADENCE.items():
+        p_run.add_argument(_flag(name), type=kind, default=None,
+                           metavar=metavar, help=help + " (needs --run-dir)")
     p_run.add_argument(
         "--resume", metavar="DIR", default=None,
-        help="continue a managed run from the latest checkpoint in DIR",
+        help="continue a managed run from the latest checkpoint in DIR "
+             "(which holds its recipe, end time and cadences)",
     )
     p_run.add_argument(
         "--profile", action="store_true",
@@ -231,112 +213,6 @@ def _config_for(name: str):
     }[name]()
 
 
-def _cmd_run_managed(args) -> int:
-    from .core import KeplerField, Simulation, TimestepParams
-    from .planetesimal import PlanetesimalDiskConfig, build_disk_system
-    from .runio import ProductionRun, build_backend
-
-    backend = build_backend(
-        args.backend, args.eps, theta=args.theta,
-        r_neighbour=args.r_neighbour, ranks=args.ranks,
-        spmd_mode=args.spmd_mode, n_crit=args.n_crit,
-    )
-    with closing(backend):
-        system = build_disk_system(
-            PlanetesimalDiskConfig(n_planetesimals=args.n, seed=args.seed)
-        )
-        obs = None
-        if args.profile or args.trace_out or args.metrics_out:
-            from .obs import Observability
-
-            obs = Observability()
-        sim = Simulation(
-            system,
-            backend,
-            external_field=KeplerField(),
-            timestep_params=TimestepParams(
-                eta=args.eta, eta_start=args.eta / 2.0, dt_max=args.dt_max
-            ),
-            obs=obs,
-        )
-        run = ProductionRun(
-            sim,
-            args.run_dir,
-            snapshot_interval=args.snapshot_interval,
-            diagnostics_interval=args.diagnostics_interval,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_metadata={
-                "backend": args.backend,
-                "n": args.n,
-                "seed": args.seed,
-                "eta": args.eta,
-                "dt_max": args.dt_max,
-                "eps": args.eps,
-                "theta": args.theta,
-                "r_neighbour": args.r_neighbour,
-                "ranks": args.ranks,
-                "spmd_mode": args.spmd_mode,
-                "n_crit": args.n_crit,
-            },
-            run_id=f"disk-n{args.n}",
-        )
-        report = run.execute(args.t_end)
-        print(report.summary())
-        return _emit_run_observability(args, obs)
-
-
-def _cmd_run_resume(args) -> int:
-    from pathlib import Path
-
-    from .core import KeplerField, TimestepParams
-    from .errors import CheckpointError, ConfigurationError
-    from .resilience import CheckpointManager
-    from .runio import ProductionRun, build_backend
-
-    directory = Path(args.resume)
-    ckpt_dir = directory / "checkpoints"
-    if not ckpt_dir.is_dir() or not any(ckpt_dir.glob("ckpt_*.npz")):
-        raise CheckpointError(
-            f"no checkpoint found in {ckpt_dir} — start the "
-            "run with `repro run --run-dir DIR --checkpoint-interval N` first"
-        )
-    manager = CheckpointManager(ckpt_dir)
-    # fallback-aware: a truncated/corrupt newest checkpoint is skipped
-    _, state = manager.load_latest()
-    path = manager.loaded_path
-    cfg = state.get("config") or {}
-    if cfg.get("tree_walk") not in (None, "grouped"):
-        # checkpoints written before the per-sink walk was removed
-        raise ConfigurationError(
-            f"{path.name} was written with tree walk "
-            f"{cfg['tree_walk']!r}, which no longer exists (the grouped "
-            "walk is the only one)"
-        )
-    backend = build_backend(
-        cfg.get("backend", args.backend), cfg.get("eps", args.eps),
-        theta=cfg.get("theta", args.theta),
-        r_neighbour=cfg.get("r_neighbour", args.r_neighbour),
-        ranks=cfg.get("ranks", args.ranks),
-        spmd_mode=cfg.get("spmd_mode", args.spmd_mode),
-        n_crit=cfg.get("n_crit", args.n_crit),
-    )
-    with closing(backend):
-        eta = cfg.get("eta", args.eta)
-        run = ProductionRun.resume(
-            directory,
-            backend,
-            external_field=KeplerField(),
-            timestep_params=TimestepParams(
-                eta=eta, eta_start=eta / 2.0,
-                dt_max=cfg.get("dt_max", args.dt_max),
-            ),
-        )
-        print(f"resuming from {path.name} at T = {run.sim.time:g}")
-        report = run.execute()
-        print(report.summary())
-        return 0
-
-
 def _emit_run_observability(args, obs) -> int:
     """Shared ``run`` tail: export trace/metrics files, print the profile."""
     if obs is None:
@@ -354,58 +230,91 @@ def _emit_run_observability(args, obs) -> int:
         return 1
     breakdown = obs.render_time_breakdown()
     if breakdown:
-        print()
-        print(breakdown)
+        print(f"\n{breakdown}")
     if args.profile:
         from .obs import profile_spans
 
-        profile = profile_spans(obs.tracer)
-        text = profile.render()
-        print()
-        print(text if text else "no spans recorded — nothing to profile")
+        text = profile_spans(obs.tracer).render()
+        print(f"\n{text or 'no spans recorded — nothing to profile'}")
     return 0
 
 
-def _cmd_run(args) -> int:
-    from .perf import run_scaled_disk
-    from .runio import build_backend
+def _checkpoint_spec(directory):
+    """The newest loadable checkpoint's :class:`RunSpec`, and its path."""
+    from pathlib import Path
 
-    if args.resume:
-        return _cmd_run_resume(args)
-    if args.run_dir:
-        return _cmd_run_managed(args)
+    from .errors import CheckpointError, ConfigurationError
+    from .resilience import CheckpointManager
 
-    backend = build_backend(
-        args.backend, args.eps, theta=args.theta,
-        r_neighbour=args.r_neighbour, ranks=args.ranks,
-        spmd_mode=args.spmd_mode, n_crit=args.n_crit,
-    )
-
-    obs = None
-    if args.trace_out or args.metrics_out or args.profile:
-        from .obs import Observability
-
-        obs = Observability()
-
-    with closing(backend):
-        res = run_scaled_disk(
-            backend, n=args.n, t_end=args.t_end, seed=args.seed,
-            eta=args.eta, dt_max=args.dt_max, obs=obs,
+    ckpt_dir = Path(directory) / "checkpoints"
+    if not ckpt_dir.is_dir() or not any(ckpt_dir.glob("ckpt_*.npz")):
+        raise CheckpointError(
+            f"no checkpoint found in {ckpt_dir} — start the "
+            "run with `repro run --run-dir DIR --checkpoint-interval N` first"
         )
-    print(f"particles:        {res.n}")
-    print(f"integrated to:    T = {res.t_end:g}")
-    print(f"block steps:      {res.block_steps}")
-    print(f"particle steps:   {res.particle_steps}")
-    print(f"mean block size:  {res.mean_block:.1f}")
-    print(f"interactions:     {res.interactions:,}")
-    print(f"energy error:     {res.energy_error:.3e}")
-    print(f"python wall:      {res.wall_seconds:.2f} s "
-          f"({res.interactions_per_second:.3g} interactions/s)")
-    machine = getattr(backend, "machine", None)
-    if machine is not None:
-        print(f"GRAPE model:      {machine.totals.total_seconds:.4f} s, "
-              f"{machine.achieved_flops() / 1e12:.3f} Tflops "
-              f"({machine.efficiency():.1%} of peak)")
+    manager = CheckpointManager(ckpt_dir)
+    # fallback-aware: a truncated/corrupt newest checkpoint is skipped
+    _, state = manager.load_latest()
+    path = manager.loaded_path
+    try:
+        return RunSpec.from_config(state.get("config")), path
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path.name}: {exc}") from None
+
+
+def _cmd_run(args) -> int:
+    """One spec and one backend, then a plain, managed or resumed run."""
+    from .core import KeplerField
+    from .errors import ConfigurationError
+    from .obs import Observability
+    from .perf import run_scaled_disk
+    from .runio import ProductionRun
+
+    # a flag this run would not use is an error, not a no-op
+    ignored = [] if args.run_dir else [k for k in _CADENCE if getattr(args, k) is not None]
+    why = "managed-run cadence needs --run-dir"
+    if args.resume:
+        ignored += [f.name for f in fields(RunSpec) if getattr(args, f.name) != f.default]
+        ignored += ["t_end"] * (args.t_end != _T_END)
+        ignored += ["run_dir"] * bool(args.run_dir)
+        why = "the checkpoint holds the run's recipe, end time and cadence"
+    if ignored:
+        raise ConfigurationError(f"{why}: {', '.join(map(_flag, ignored))}")
+    if args.resume:
+        spec, path = _checkpoint_spec(args.resume)
+    else:
+        spec = RunSpec(**{f.name: getattr(args, f.name) for f in fields(RunSpec)})
+
+    observed = args.trace_out or args.metrics_out or args.profile
+    obs = Observability() if observed else None
+    with closing(spec.build_backend()) as backend:
+        if args.resume:
+            run = ProductionRun.resume(args.resume, backend, external_field=KeplerField(),
+                                       timestep_params=spec.timestep_params(), obs=obs)
+            print(f"resuming from {path.name} at T = {run.sim.time:g}")
+            print(run.execute().summary())
+        elif args.run_dir:
+            run = ProductionRun(spec.simulation(backend, obs), args.run_dir,
+                                **{k: getattr(args, k) for k in _CADENCE},
+                                checkpoint_metadata=spec.to_config(), run_id=f"disk-n{spec.n}")
+            print(run.execute(args.t_end).summary())
+        else:
+            res = run_scaled_disk(backend, n=spec.n, t_end=args.t_end, seed=spec.seed,
+                                  eta=spec.eta, dt_max=spec.dt_max, obs=obs)
+            print(f"particles:        {res.n}")
+            print(f"integrated to:    T = {res.t_end:g}")
+            print(f"block steps:      {res.block_steps}")
+            print(f"particle steps:   {res.particle_steps}")
+            print(f"mean block size:  {res.mean_block:.1f}")
+            print(f"interactions:     {res.interactions:,}")
+            print(f"energy error:     {res.energy_error:.3e}")
+            print(f"python wall:      {res.wall_seconds:.2f} s "
+                  f"({res.interactions_per_second:.3g} interactions/s)")
+            machine = getattr(backend, "machine", None)
+            if machine is not None:
+                print(f"GRAPE model:      {machine.totals.total_seconds:.4f} s, "
+                      f"{machine.achieved_flops() / 1e12:.3f} Tflops "
+                      f"({machine.efficiency():.1%} of peak)")
     return _emit_run_observability(args, obs)
 
 
@@ -416,15 +325,12 @@ def _load_bench_doc(path):
 
     from .errors import SnapshotError
 
-    p = Path(path)
-    if not p.exists():
-        raise SnapshotError(f"benchmark document not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"corrupt benchmark document {p}: {exc}") from exc
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"cannot read benchmark document {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SnapshotError(f"{p} is not a benchmark document (want an object)")
+        raise SnapshotError(f"{path} is not a benchmark document (want an object)")
     return doc
 
 

@@ -21,8 +21,8 @@ This module adds the missing pieces:
   bootstrap over the min-of-k estimator; legacy single-number entries
   fall back to a plain threshold on the point ratio.
 
-``repro perf diff`` / ``trend`` / ``gate`` and
-``tools/check_bench_regression.py`` are thin shells over this module.
+``repro perf diff`` / ``trend`` / ``gate`` are thin shells over this
+module.
 """
 
 from __future__ import annotations

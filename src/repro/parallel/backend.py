@@ -14,16 +14,15 @@ threaded slab reduction.  Consequence: a multiprocess run is
 rank-kill chaos tests meaningful (recovery must reproduce the same
 bits, not just similar physics).
 
-Three execution modes share the one program:
+Two execution modes share the one program:
 
 * ``"proc"`` — the supervised process gang (heartbeats, restart,
   degrade);
 * ``"vm"`` — the in-process :class:`~repro.parallel.spmd.VirtualMachine`
-  (deterministic scheduling, predicted comm costs, no processes);
-* ``"serial"`` — the accel engine's fused kernel in this process (the
-  equality baseline, the call
-  :class:`~repro.core.backends.HostDirectBackend` makes: blocks of
-  every size sum in the chunk order).
+  (deterministic scheduling, predicted comm costs, no processes).
+
+The single-process baseline is :class:`~repro.core.backends.HostDirectBackend`,
+whose one engine call sums blocks of every size in the same chunk order.
 
 In ``"proc"`` mode the gang is forked by the first force call and lives
 until :meth:`SpmdBackend.close`; callers own that call.
@@ -53,10 +52,9 @@ class SpmdBackend(ForceBackend):
     eps:
         Plummer softening.
     n_ranks:
-        Gang size (``mode="serial"`` ignores it).
+        Gang size.
     mode:
-        ``"proc"`` (supervised processes), ``"vm"`` (in-process
-        scheduler) or ``"serial"`` (single-process baseline).
+        ``"proc"`` (supervised processes) or ``"vm"`` (in-process scheduler).
     route:
         Partial-force exchange pattern of the chunk program:
         ``"gather"`` or ``"ring"``.
@@ -66,8 +64,8 @@ class SpmdBackend(ForceBackend):
         Optional :class:`~repro.resilience.FaultInjector`; its
         rank-domain faults fire at superstep boundaries of the gang.
     engine:
-        A :class:`repro.accel.KernelEngine` for the chunk plan and the
-        serial path; defaults to the process-wide engine.
+        A :class:`repro.accel.KernelEngine` for the chunk plan; defaults to the
+        process-wide engine.
     obs:
         Observability bundle, forwarded to the process engine.
     """
@@ -85,7 +83,7 @@ class SpmdBackend(ForceBackend):
     ) -> None:
         if eps < 0:
             raise ValueError("softening must be non-negative")
-        if mode not in ("proc", "vm", "serial"):
+        if mode not in ("proc", "vm"):
             raise ConfigurationError(f"unknown spmd mode {mode!r}")
         if route not in ("gather", "ring"):
             raise ConfigurationError(f"unknown spmd route {route!r}")
@@ -121,10 +119,6 @@ class SpmdBackend(ForceBackend):
 
     def forces_on(self, system, active: np.ndarray, t_now: float):
         active = np.asarray(active)
-        if self.mode == "serial":
-            return self.engine.acc_jerk_active(
-                system, active, t_now, self.eps, counter=self.counter,
-            )
         params = {
             "eps": self.eps,
             "t_now": float(t_now),

@@ -19,14 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import (
-    EnergyTracker,
-    KeplerField,
-    Simulation,
-    TimestepParams,
-)
+from ..core import EnergyTracker, KeplerField, Simulation
 from ..obs import NULL_OBS
 from ..planetesimal import PlanetesimalDiskConfig, build_disk_system
+from ..runio.spec import RunSpec
 
 __all__ = ["RunResult", "run_scaled_disk"]
 
@@ -88,7 +84,7 @@ def run_scaled_disk(
         system,
         backend,
         external_field=KeplerField(),
-        timestep_params=TimestepParams(eta=eta, eta_start=eta / 2.0, dt_max=dt_max),
+        timestep_params=RunSpec(eta=eta, dt_max=dt_max).timestep_params(),
         obs=obs,
     )
     tracker = EnergyTracker(backend.eps, sim.external_field) if measure_energy else None

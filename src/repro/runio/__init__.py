@@ -9,15 +9,15 @@ restartability live here:
 * :class:`~repro.runio.schedule.SnapshotSchedule` /
   :class:`~repro.runio.schedule.OutputManager` — cadence-driven
   snapshot writing with restart support;
-* :func:`~repro.runio.spec.build_backend` /
-  :func:`~repro.runio.spec.state_digest` — the one backend factory
-  and the final-state fingerprint.
+* :class:`~repro.runio.spec.RunSpec` /
+  :func:`~repro.runio.spec.state_digest` — the one description of a
+  run (and its backend factory) and the final-state fingerprint.
 """
 
 from .driver import ProductionRun, RunReport
 from .runlog import RunLogger, read_run_log
 from .schedule import OutputManager, SnapshotSchedule
-from .spec import build_backend, state_digest
+from .spec import RunSpec, state_digest
 
 __all__ = [
     "ProductionRun",
@@ -26,6 +26,6 @@ __all__ = [
     "read_run_log",
     "OutputManager",
     "SnapshotSchedule",
-    "build_backend",
+    "RunSpec",
     "state_digest",
 ]

@@ -39,6 +39,10 @@ from .schedule import OutputManager, SnapshotSchedule
 
 __all__ = ["RunReport", "ProductionRun"]
 
+#: run-management settings every checkpoint stores and a resume restores
+_MANAGEMENT = ("snapshot_interval", "diagnostics_interval", "checkpoint_interval",
+               "prune_escapers_beyond", "energy_error_limit", "selftest_every")
+
 
 @dataclass
 class RunReport:
@@ -212,19 +216,12 @@ class ProductionRun:
             particle_steps=state.get("particle_steps", 0),
             mergers=state.get("mergers", 0),
         )
-        kwargs = {
-            "snapshot_interval": state.get("snapshot_interval"),
-            "diagnostics_interval": state.get("diagnostics_interval"),
-            "prune_escapers_beyond": state.get("prune_escapers_beyond"),
-            "checkpoint_interval": state.get("checkpoint_interval"),
-            "energy_error_limit": state.get("energy_error_limit"),
-            "selftest_every": state.get("selftest_every"),
-            "run_id": state.get("run_id", "run"),
-            # keep carrying the backend recipe: without this, checkpoints
-            # written *after* a resume would lose the config and a second
-            # resume could not rebuild the backend
-            "checkpoint_metadata": state.get("config"),
-        }
+        kwargs = {k: state.get(k) for k in _MANAGEMENT}
+        # keep carrying the backend recipe: without this, checkpoints
+        # written *after* a resume would lose the config and a second
+        # resume could not rebuild the backend
+        kwargs.update(run_id=state.get("run_id", "run"),
+                      checkpoint_metadata=state.get("config"))
         kwargs.update(overrides)
         run = cls(sim, directory, **kwargs)
         run.escapers_removed = int(state.get("escapers_removed", 0))
@@ -258,12 +255,7 @@ class ProductionRun:
                 output.schedule.next_time if output is not None else None
             ),
             "run_id": self.run_id,
-            "snapshot_interval": self.snapshot_interval,
-            "diagnostics_interval": self.diagnostics_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-            "prune_escapers_beyond": self.prune_escapers_beyond,
-            "energy_error_limit": self.energy_error_limit,
-            "selftest_every": self.selftest_every,
+            **{k: getattr(self, k) for k in _MANAGEMENT},
             "kernel_tier": native.tier(),
         }
         if self.checkpoint_metadata:

@@ -94,49 +94,46 @@ class TestRun:
         out = capsys.readouterr().out
         assert "block steps:" in out
 
+    @staticmethod
+    def _spy_on_specs(monkeypatch):
+        """Record every spec ``RunSpec.build_backend`` builds from."""
+        from repro.runio import RunSpec
+
+        specs, factory = [], RunSpec.build_backend
+
+        def spy(spec):
+            specs.append(spec)
+            return factory(spec)
+
+        monkeypatch.setattr(RunSpec, "build_backend", spy)
+        return specs
+
     @pytest.mark.parametrize("name", ["host", "tree", "hybrid", "grape"])
     def test_cli_and_scenario_build_the_same_backend(self, name, monkeypatch,
                                                      capsys):
-        """One factory: ``repro run`` at its flag defaults and
-        ``runio.build_backend`` at its parameter defaults agree on every
-        option."""
-        from repro import runio
+        """One factory: ``repro run`` at its flag defaults builds from
+        the spec at its field defaults, and gets the same backend."""
+        from repro.runio import RunSpec
 
-        built = []
-        factory = runio.build_backend
-
-        def spy(*args, **kwargs):
-            built.append(factory(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(runio, "build_backend", spy)
+        specs = self._spy_on_specs(monkeypatch)
         assert main(["run", "--n", "8", "--t-end", "0.25", "--backend", name]) == 0
-        (from_cli,) = built
-        from_defaults = factory(name)
-        assert type(from_cli) is type(from_defaults)
+        (from_cli,) = specs
+        assert from_cli == RunSpec(n=8, backend=name)
+        built = from_cli.build_backend()
+        reference = RunSpec(backend=name).build_backend()
+        assert type(built) is type(reference)
         for option in ("eps", "theta", "r_neighbour", "n_crit"):
-            assert (getattr(from_cli, option, None)
-                    == getattr(from_defaults, option, None)), option
+            assert (getattr(built, option, None)
+                    == getattr(reference, option, None)), option
 
     def test_plain_managed_and_resume_build_the_same_backend(
             self, monkeypatch, capsys, tmp_path):
         """One factory: a plain run, a managed run and the resume of that
-        managed run all reach ``runio.build_backend`` with equal options
-        (the resume reading them back from the checkpoint)."""
-        import inspect
+        managed run all build from equal specs (the resume reading its
+        spec back from the checkpoint)."""
+        from repro.runio import RunSpec
 
-        from repro import runio
-
-        factory = runio.build_backend
-        calls = []
-
-        def spy(*args, **kwargs):
-            bound = inspect.signature(factory).bind(*args, **kwargs)
-            bound.apply_defaults()
-            calls.append(dict(bound.arguments))
-            return factory(*args, **kwargs)
-
-        monkeypatch.setattr(runio, "build_backend", spy)
+        specs = self._spy_on_specs(monkeypatch)
         run = ["run", "--n", "8", "--t-end", "0.5", "--dt-max", "0.125",
                "--backend", "hybrid", "--eps", "0.01", "--theta", "0.4",
                "--r-neighbour", "0.07", "--n-crit", "16"]
@@ -145,11 +142,10 @@ class TestRun:
         assert main(run + ["--run-dir", str(run_dir),
                            "--checkpoint-interval", "2"]) == 0
         assert main(["run", "--resume", str(run_dir)]) == 0
-        plain, managed, resumed = calls
+        plain, managed, resumed = specs
         assert plain == managed == resumed
-        assert plain == {"name": "hybrid", "eps": 0.01, "theta": 0.4,
-                         "r_neighbour": 0.07, "ranks": 2,
-                         "spmd_mode": "proc", "n_crit": 16}
+        assert plain == RunSpec(n=8, dt_max=0.125, backend="hybrid", eps=0.01,
+                                theta=0.4, r_neighbour=0.07, n_crit=16)
 
     def test_bad_theta_one_line_error(self, capsys):
         assert main([
@@ -160,6 +156,84 @@ class TestRun:
         assert err.startswith("error:")
         assert "theta" in err
         assert "Traceback" not in err
+
+
+class TestRunInputContract:
+    """``repro run`` uses every flag it is given or exits 2 naming it."""
+
+    MANAGED = ["run", "--n", "16", "--t-end", "2", "--dt-max", "0.25",
+               "--backend", "tree", "--checkpoint-interval", "3"]
+
+    def test_resume_of_a_checkpoint_without_recipe_exits_2(self, capsys,
+                                                           tmp_path):
+        """A run checkpointed through the API with no recipe can not be
+        rebuilt from the flag defaults (that was a host run at dt_max 1
+        instead of this tree run at 0.25)."""
+        from repro.errors import SimulationKilled
+        from repro.runio import ProductionRun, RunSpec
+
+        spec = RunSpec(n=16, seed=5, dt_max=0.25, backend="tree")
+        blocks = [0]
+
+        def killer(sim):
+            blocks[0] += 1
+            if blocks[0] == 6:
+                raise SimulationKilled("power cut")
+
+        d = tmp_path / "rundir"
+        run = ProductionRun(spec.simulation(spec.build_backend()), d,
+                            checkpoint_interval=4, on_block=killer)
+        with pytest.raises(SimulationKilled):
+            run.execute(t_end=3.0)
+        assert main(["run", "--resume", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ckpt_")
+        assert "no run recipe" in err
+        assert "ProductionRun.resume(dir, backend, ...)" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_resume_honours_observability_flags(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import parse_prometheus
+
+        d = tmp_path / "rundir"
+        assert main(self.MANAGED + ["--run-dir", str(d)]) == 0
+        trace, prom = tmp_path / "trace.json", tmp_path / "metrics.prom"
+        capsys.readouterr()
+        assert main(["run", "--resume", str(d), "--trace-out", str(trace),
+                     "--metrics-out", str(prom), "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "trace written:" in out and "metrics written:" in out
+        assert "Phase profile (wall clock)" in out
+        doc = json.loads(trace.read_text())
+        assert any(e["ph"] == "X" and e["name"] == "block_step"
+                   for e in doc["traceEvents"])
+        assert parse_prometheus(prom)["blockstep_total"] > 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--checkpoint-interval", "2"),
+        ("--snapshot-interval", "0.5"),
+        ("--diagnostics-interval", "0.5"),
+    ])
+    def test_cadence_without_run_dir_exits_2(self, capsys, flag, value):
+        assert main(["run", "--n", "8", "--t-end", "0.25", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--run-dir" in err
+        assert flag in err
+
+    def test_recipe_flags_beside_resume_exit_2(self, capsys, tmp_path):
+        d = tmp_path / "rundir"
+        assert main(self.MANAGED + ["--run-dir", str(d)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--resume", str(d), "--backend", "grape",
+                     "--dt-max", "0.5", "--t-end", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "recipe" in err
+        for flag in ("--backend", "--dt-max", "--t-end"):
+            assert flag in err
+        # a flag left at its default is not a request to change the run
+        assert main(["run", "--resume", str(d), "--backend", "host"]) == 0
 
 
 class TestRunObservability:
@@ -388,6 +462,23 @@ class TestPerfHistoryCommands:
         ])
         assert code == 0
         assert "advisory" in capsys.readouterr().out
+
+    def test_gate_corrupt_baseline_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "BENCH_bad.json"
+        bad.write_text("{ torn")
+        code = main(["perf", "gate", "--baseline", str(bad),
+                     "--history", str(tmp_path / "h")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_gate_over_the_repo_baselines_gives_a_verdict(self, capsys,
+                                                          monkeypatch):
+        """The repo's own ``BENCH_*.json`` against its own history: a
+        slower machine may regress (1), but the gate never crashes."""
+        from pathlib import Path
+
+        monkeypatch.chdir(Path(__file__).parents[1])
+        assert main(["perf", "gate"]) in (0, 1)
 
     def test_plain_perf_still_works(self, capsys):
         assert main(["perf", "--block", "3000"]) == 0

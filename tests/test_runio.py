@@ -1,4 +1,4 @@
-"""Tests for run logging and output management."""
+"""Tests for run logging, output management and the run spec."""
 
 import json
 
@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SnapshotError
-from repro.runio import OutputManager, RunLogger, SnapshotSchedule, read_run_log
+from repro.runio import (
+    OutputManager,
+    ProductionRun,
+    RunLogger,
+    RunSpec,
+    SnapshotSchedule,
+    read_run_log,
+    state_digest,
+)
 
 from conftest import make_disk_sim
 
@@ -161,3 +169,99 @@ class TestOutputManager:
         om = OutputManager(tmp_path / "empty")
         with pytest.raises(SnapshotError):
             om.latest()
+
+
+#: the checkpoint ``config`` keys the CLI has always written
+RECIPE_KEYS = {"n", "seed", "eta", "dt_max", "backend", "eps", "theta",
+               "r_neighbour", "n_crit", "ranks", "spmd_mode"}
+
+
+class TestRunSpec:
+    @pytest.mark.parametrize("backend", ["host", "grape", "tree", "hybrid", "spmd"])
+    def test_config_round_trip(self, backend):
+        spec = RunSpec(n=48, seed=3, eta=0.01, dt_max=0.5, backend=backend,
+                       eps=0.01, theta=0.4, r_neighbour=0.07, n_crit=16,
+                       ranks=3, spmd_mode="vm")
+        cfg = spec.to_config()
+        assert set(cfg) == RECIPE_KEYS
+        assert json.loads(json.dumps(cfg)) == cfg
+        assert RunSpec.from_config(cfg) == spec
+
+    def test_partial_recipe_takes_field_defaults(self):
+        spec = RunSpec.from_config({"backend": "tree", "dt_max": 0.25})
+        assert spec == RunSpec(backend="tree", dt_max=0.25)
+
+    def test_grouped_tree_walk_is_dropped(self):
+        cfg = {**RunSpec(backend="tree").to_config(), "tree_walk": "grouped"}
+        assert RunSpec.from_config(cfg) == RunSpec(backend="tree")
+
+    def test_per_sink_tree_walk_is_refused(self):
+        with pytest.raises(ConfigurationError, match="'persink'.*no longer exists"):
+            RunSpec.from_config({"backend": "tree", "tree_walk": "persink"})
+
+    @pytest.mark.parametrize("cfg", [None, {}])
+    def test_missing_recipe_is_refused(self, cfg):
+        with pytest.raises(ConfigurationError, match="no run recipe"):
+            RunSpec.from_config(cfg)
+
+    def test_unknown_key_is_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown run setting.*warp"):
+            RunSpec.from_config({"backend": "host", "warp": 9})
+
+    def test_unknown_choice_is_refused(self):
+        with pytest.raises(ConfigurationError, match="backend 'warp'"):
+            RunSpec(backend="warp")
+        with pytest.raises(ConfigurationError, match="spmd_mode 'serial'"):
+            RunSpec(spmd_mode="serial")
+
+    def test_serial_spmd_recipe_loads_as_host(self):
+        cfg = {**RunSpec(backend="spmd").to_config(), "spmd_mode": "serial"}
+        assert RunSpec.from_config(cfg) == RunSpec(backend="host")
+
+    def test_serial_spmd_checkpoint_resumes_to_the_uninterrupted_digest(
+            self, monkeypatch, capsys, tmp_path):
+        """A run directory whose recipe names the removed serial spmd
+        mode resumes on the host backend, which made the same force call,
+        to the same final bits."""
+        from repro.cli import main
+        from repro.core import HostDirectBackend
+        from repro.errors import SimulationKilled
+
+        spec = RunSpec(n=16, seed=5, dt_max=0.25)
+        recipe = {**spec.to_config(), "backend": "spmd", "spmd_mode": "serial"}
+
+        def managed(name, on_block=None):
+            return ProductionRun(
+                spec.simulation(HostDirectBackend(spec.eps)), tmp_path / name,
+                checkpoint_interval=4, checkpoint_metadata=recipe,
+                on_block=on_block,
+            )
+
+        ref = managed("ref")
+        report = ref.execute(t_end=3.0)
+        expected = state_digest(ref.sim.system, report.t_final, report.block_steps)
+
+        blocks = [0]
+
+        def killer(sim):
+            blocks[0] += 1
+            if blocks[0] == 6:
+                raise SimulationKilled("power cut")
+
+        with pytest.raises(SimulationKilled):
+            managed("killed", killer).execute(t_end=3.0)
+
+        finished, execute = [], ProductionRun.execute
+
+        def recording_execute(run, t_end=None):
+            report = execute(run, t_end)
+            finished.append((run, report))
+            return report
+
+        monkeypatch.setattr(ProductionRun, "execute", recording_execute)
+        assert main(["run", "--resume", str(tmp_path / "killed")]) == 0
+        ((run, report),) = finished
+        assert type(run.sim.backend) is HostDirectBackend
+        assert report.block_steps == ref.sim.block_steps
+        assert state_digest(run.sim.system, report.t_final,
+                            report.block_steps) == expected

@@ -13,7 +13,7 @@ import pytest
 from conftest import shm_segments, spmd_rank_children
 
 from repro.accel import EngineConfig, KernelEngine
-from repro.core import KeplerField, Simulation, TimestepParams
+from repro.core import HostDirectBackend, KeplerField, Simulation, TimestepParams
 from repro.errors import ConfigurationError, SimulationKilled
 from repro.parallel import ProcConfig, SpmdBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
@@ -78,18 +78,17 @@ class TestBitIdentity:
         system = build_disk_system(
             PlanetesimalDiskConfig(n_planetesimals=n, seed=9)
         )
-        sim = make_spmd_sim(SpmdBackend(0.008, mode="serial",
-                                        engine=forced_engine()), n=n, seed=9)
+        sim = make_spmd_sim(HostDirectBackend(0.008, engine=forced_engine()),
+                            n=n, seed=9)
         system = sim.system
         active = np.arange(0, system.n, 2)
         t_now = float(system.t.max()) + 1e-3
 
         results = {}
         for label, backend in (
-            ("serial", SpmdBackend(0.008, mode="serial",
-                                   engine=forced_engine())),
-            ("threaded", SpmdBackend(0.008, mode="serial",
-                                     engine=forced_engine(threads=4))),
+            ("serial", HostDirectBackend(0.008, engine=forced_engine())),
+            ("threaded", HostDirectBackend(0.008,
+                                           engine=forced_engine(threads=4))),
             ("vm", SpmdBackend(0.008, n_ranks=3, mode="vm",
                                engine=forced_engine())),
             ("proc", SpmdBackend(0.008, n_ranks=3, mode="proc",
@@ -114,8 +113,11 @@ class TestBitIdentity:
                 SpmdBackend(0.008, n_ranks=2, mode=mode,
                             engine=forced_engine())
             )
-            for mode in ("serial", "vm", "proc")
+            for mode in ("vm", "proc")
         }
+        digests["serial"] = run_and_digest(
+            HostDirectBackend(0.008, engine=forced_engine())
+        )
         assert len(set(digests.values())) == 1, digests
 
     def test_proc_exposes_run_stats(self):
@@ -140,14 +142,16 @@ class TestDefaultEngineBitIdentity:
     reference kernel, which sums in another order)."""
 
     def test_small_block_identical_across_modes(self):
-        sim = make_spmd_sim(SpmdBackend(0.008, mode="serial"), n=256, seed=9)
+        sim = make_spmd_sim(HostDirectBackend(0.008), n=256, seed=9)
         system = sim.system
         assert system.n == 258
         active = np.array([5, 131])
         t_now = float(system.t.max()) + 1e-3
 
-        results = {}
-        for mode in ("serial", "vm", "proc"):
+        host = HostDirectBackend(0.008)
+        host.load(system)
+        results = {"serial": host.forces_on(system, active, t_now)}
+        for mode in ("vm", "proc"):
             with SpmdBackend(0.008, n_ranks=2, mode=mode) as backend:
                 backend.load(system)
                 results[mode] = backend.forces_on(system, active, t_now)
