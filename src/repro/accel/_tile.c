@@ -22,6 +22,13 @@
  * mask) get r2 = inf, which drives m/r^3 and the jerk weight to exact
  * zeros: the same mechanism as the numpy tiles, so an excluded pair
  * changes no bit of the sum wherever it sits.
+ *
+ * The block step's host work -- predict the active rows, then Kepler,
+ * Hermite corrector, Aarseth step and block quantisation -- is here too
+ * (repro_block_predict / repro_block_correct).  Unlike the pair loop it
+ * has no freedom of order: it reproduces the NumPy step of
+ * repro.core.integrator operation for operation, bit for bit on every
+ * host, including the orders numpy's einsum and add.reduce sum in.
  */
 
 #include <math.h>
@@ -198,4 +205,203 @@ ISA_CLONES int repro_acc_jerk_active_chunk(
     rows_add(n_i, n_j, pos_i, vel_i, pos_j, vel_j, mass + j0, eps2,
              active, j0, NULL, 0, acc, jerk);
     return 0;
+}
+
+/* -- the block step's host work ------------------------------------------
+ *
+ * One row of the block buffer holds, at these offsets, everything the
+ * step keeps of an active particle between the two calls: the gathered
+ * state, its step, the predicted state, then what the corrector makes
+ * of it.  repro.accel.native.BLOCK_COLS is the row width. */
+#define BLOCK_COLS 32
+enum {
+    B_POS0 = 0, B_VEL0 = 3, B_ACC0 = 6, B_JERK0 = 9, B_DT = 12,
+    B_XP = 13, B_VP = 16, B_ACC1 = 19, B_JERK1 = 22,
+    B_POS1 = 25, B_VEL1 = 28, B_DTNEW = 31
+};
+
+/* Return codes shared with native.py. */
+#define BLOCK_BAD_INDEX (-1)
+#define BLOCK_ODD_STEP 1
+#define BLOCK_AT_ORIGIN 2
+#define BLOCK_NOT_FINITE 3
+
+static inline int
+power_of_two(double x)
+{
+    int e;
+    return x > 0.0 && frexp(x, &e) == 0.5;
+}
+
+/* timestep.quantize for one row (dt_old NaN: no previous step, since
+ * no step compares above NaN -- numpy's grow mask says the same).  The
+ * floor goes through libm's log2, not frexp: numpy's log2 rounds values
+ * a few ulps below 2^k up to k and libm's floor(log2) lands on the same
+ * k there (tests/test_timestep.py holds the two to array_equal), where
+ * frexp's exponent would not. */
+static inline double
+quantize_row(double want, double t_now, double dt_old,
+             double dt_min, double dt_max)
+{
+    double dt = fmin(fmax(want, dt_min), dt_max);
+    dt = ldexp(1.0, (int)floor(log2(dt)));
+    if (dt > dt_old) {
+        /* commensurability: t must sit on the doubled-step grid
+         * (np.isclose(s, np.round(s), rtol=0, atol=1e-9)) */
+        double doubled = dt_old * 2.0;
+        double s = t_now / doubled;
+        double allowed = fabs(s - nearbyint(s)) <= 1e-9 ? doubled : dt_old;
+        if (!(dt <= allowed))
+            dt = allowed;
+    }
+    return dt;
+}
+
+/* sqrt(add.reduce(x * x)): numpy's row reduce is sequential. */
+static inline double
+norm3(const double *x)
+{
+    return sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]);
+}
+
+/* einsum("ij,ij->i") on a 3-vector: two accumulators (x0 and x2 on one,
+ * x1 on the other), each started from +0, so a -0 sum comes out +0. */
+static inline double
+dot3(const double *x, const double *y)
+{
+    return ((x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]) + 0.0;
+}
+
+/* KeplerField.acc_jerk at (x, v), added into (a, j).  Returns non-zero
+ * for a particle at the origin. */
+static inline int
+kepler_add(double m, const double *x, const double *v, double *a, double *j)
+{
+    double r2 = dot3(x, x);
+    double inv_r3 = 1.0 / (r2 * sqrt(r2));
+    double w = 3.0 * (dot3(x, v) / r2);
+    for (int k = 0; k < 3; k++) {
+        a[k] = a[k] + (-m * x[k]) * inv_r3;
+        j[k] = j[k] + -m * (v[k] * inv_r3 - (w * x[k]) * inv_r3);
+    }
+    return r2 == 0.0;
+}
+
+/* Gather the active rows of the resident arrays into the block buffer
+ * and predict each over its own step, as the NumPy step does.  Returns
+ * 0; BLOCK_BAD_INDEX before touching anything when an active entry is
+ * outside [0, n); BLOCK_ODD_STEP when some step is not a power of two
+ * (the corrector's dt^3..dt^5 are exact only on the block grid, so that
+ * block must take the NumPy step). */
+ISA_CLONES int repro_block_predict(
+    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
+    const double *pos, const double *vel,
+    const double *acc, const double *jerk, const double *dt,
+    double *block)
+{
+    int odd = 0;
+    for (ptrdiff_t i = 0; i < n_i; i++)
+        if (active[i] < 0 || active[i] >= n)
+            return BLOCK_BAD_INDEX;
+    for (ptrdiff_t i = 0; i < n_i; i++) {
+        ptrdiff_t r = (ptrdiff_t)active[i];
+        double *b = block + BLOCK_COLS * i;
+        for (int k = 0; k < 3; k++) {
+            b[B_POS0 + k] = pos[3 * r + k];
+            b[B_VEL0 + k] = vel[3 * r + k];
+            b[B_ACC0 + k] = acc[3 * r + k];
+            b[B_JERK0 + k] = jerk[3 * r + k];
+        }
+        b[B_DT] = dt[r];
+        odd |= !power_of_two(dt[r]);
+        predict_row(b + B_POS0, b + B_VEL0, b + B_ACC0, b + B_JERK0,
+                    b[B_DT], b + B_XP, b + B_VP);
+    }
+    return odd ? BLOCK_ODD_STEP : 0;
+}
+
+/* Finish the block repro_block_predict started: add the Kepler field of
+ * mass kepler_m (when kepler is set) at the predicted state to the
+ * backend's acc1 / jerk1, apply the Hermite corrector, take the Aarseth
+ * step and quantise it -- every row into the buffer first.  Then, only
+ * if no row is at the origin (BLOCK_AT_ORIGIN) and every corrected
+ * position and velocity is finite (BLOCK_NOT_FINITE), scatter pos vel
+ * acc jerk t dt into the resident arrays.  A non-zero return has
+ * written nothing outside the buffer. */
+ISA_CLONES int repro_block_correct(
+    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
+    const double *acc1, const double *jerk1,
+    int kepler, double kepler_m, double t_next,
+    double eta, double dt_min, double dt_max, double *block,
+    double *pos, double *vel, double *acc, double *jerk,
+    double *t, double *dt)
+{
+    int origin = 0, finite = 1;
+    for (ptrdiff_t i = 0; i < n_i; i++)
+        if (active[i] < 0 || active[i] >= n)
+            return BLOCK_BAD_INDEX;
+    for (ptrdiff_t i = 0; i < n_i; i++) {
+        double *b = block + BLOCK_COLS * i;
+        double *a1 = b + B_ACC1, *j1 = b + B_JERK1;
+        for (int k = 0; k < 3; k++) {
+            a1[k] = acc1[3 * i + k];
+            j1[k] = jerk1[3 * i + k];
+        }
+        if (kepler)
+            origin |= kepler_add(kepler_m, b + B_XP, b + B_VP, a1, j1);
+
+        /* hermite.correct; on the block grid h is a power of two, so
+         * the powers are exact however numpy forms them */
+        double h = b[B_DT], h2 = h * h, h3 = h2 * h, h4 = h3 * h, h5 = h4 * h;
+        double snap[3], crackle[3];
+        for (int k = 0; k < 3; k++) {
+            double da = b[B_ACC0 + k] - a1[k];
+            double a2 = (-6.0 * da - h * (4.0 * b[B_JERK0 + k] + 2.0 * j1[k])) / h2;
+            double a3 = (12.0 * da + (6.0 * h) * (b[B_JERK0 + k] + j1[k])) / h3;
+            double x1 = (b[B_XP + k] + (h4 / 24.0) * a2) + (h5 / 120.0) * a3;
+            double v1 = (b[B_VP + k] + (h3 / 6.0) * a2) + (h4 / 24.0) * a3;
+            finite &= isfinite(x1) && isfinite(v1);
+            b[B_POS1 + k] = x1;
+            b[B_VEL1 + k] = v1;
+            snap[k] = a2 + h * a3;
+            crackle[k] = a3;
+        }
+
+        /* timestep.aarseth_dt, then quantize */
+        double an = norm3(a1), jn = norm3(j1);
+        double sn = norm3(snap), cn = norm3(crackle);
+        double num = an * sn + jn * jn, den = jn * cn + sn * sn;
+        double want = (den == 0.0 || num == 0.0) ? INFINITY
+                                                  : sqrt(eta * num / den);
+        b[B_DTNEW] = quantize_row(want, t_next, h, dt_min, dt_max);
+    }
+    if (origin)
+        return BLOCK_AT_ORIGIN;
+    if (!finite)
+        return BLOCK_NOT_FINITE;
+    for (ptrdiff_t i = 0; i < n_i; i++) {
+        ptrdiff_t r = (ptrdiff_t)active[i];
+        const double *b = block + BLOCK_COLS * i;
+        for (int k = 0; k < 3; k++) {
+            pos[3 * r + k] = b[B_POS1 + k];
+            vel[3 * r + k] = b[B_VEL1 + k];
+            acc[3 * r + k] = b[B_ACC1 + k];
+            jerk[3 * r + k] = b[B_JERK1 + k];
+        }
+        t[r] = t_next;
+        dt[r] = b[B_DTNEW];
+    }
+    return 0;
+}
+
+/* timestep.quantize on n values: the quantisation repro_block_correct
+ * applies, exported once more so it can be held to numpy directly.
+ * dt_old may be NULL (startup: no growth rule). */
+ISA_CLONES void repro_quantize(
+    ptrdiff_t n, const double *want, const double *t_now,
+    const double *dt_old, double dt_min, double dt_max, double *out)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = quantize_row(want[i], t_now[i], dt_old ? dt_old[i] : NAN,
+                              dt_min, dt_max);
 }

@@ -14,6 +14,11 @@ contract of the engine holds.  Which tier a process runs on is a fact
 about its results: :func:`tier` names it, checkpoints record it, and
 ``python -m repro.accel.native`` prints how it was arrived at.
 
+The same object carries the host half of a block step
+(:meth:`NativeTile.block_predict` / :meth:`NativeTile.block_correct`,
+used by :class:`repro.core.Simulation`).  That half is not a second
+tier: it gives the NumPy step's exact bits on every host.
+
 Build hygiene: the object's name is a hash of (source, flags,
 ``cc --version``); it lives in the first usable of
 ``$XDG_CACHE_HOME/repro``, ``~/.cache/repro`` and a per-user directory
@@ -34,9 +39,12 @@ import shlex
 import subprocess
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
+
+from ..errors import ConfigurationError, IntegrationError
 
 __all__ = ["FLAGS", "NativeTile", "describe", "load", "tier"]
 
@@ -50,56 +58,107 @@ SOURCE = Path(__file__).with_name("_tile.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 _F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
 _ANCHOR = ctypes.c_char * 0
+
+#: Row width of the block buffer of ``block_predict`` / ``block_correct``
+#: (``BLOCK_COLS`` in ``_tile.c``).
+BLOCK_COLS = 32
+
+# return codes of the block entry points (``_tile.c``)
+_BAD_INDEX, _ODD_STEP, _AT_ORIGIN, _NOT_FINITE = -1, 1, 2, 3
+
+_size, _addr, _real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+#: Every entry point of ``_tile.c``: ``repro_<name>`` is bound to the
+#: :class:`NativeTile` method ``<name>`` with these argument and result
+#: types.  The test suite fails on an entry point missing here.
+ENTRY_POINTS = {
+    "acc_jerk_rows": (
+        [_size, _size, _addr, _addr, _addr, _addr, _addr, _real,
+         _addr, _size, _addr, _size, _addr, _addr], None),
+    "acc_jerk_active_chunk": (
+        [_size, _size, _addr, _addr, _addr, _addr, _addr, _addr, _addr,
+         _real, _real, _size, _size, _addr, _addr, _addr], ctypes.c_int),
+    "block_predict": (
+        [_size, _size, _addr, _addr, _addr, _addr, _addr, _addr, _addr],
+        ctypes.c_int),
+    "block_correct": (
+        [_size, _size, _addr, _addr, _addr, ctypes.c_int, _real, _real,
+         _real, _real, _real, _addr, _addr, _addr, _addr, _addr, _addr,
+         _addr], ctypes.c_int),
+    "quantize": ([_size, _addr, _addr, _addr, _real, _real, _addr], None),
+}
 
 
 def _ptr(array: np.ndarray, offset: int = 0, output: bool = False):
-    """``array``'s buffer as a pointer argument (keeps it alive).
+    """``array``'s buffer address as a pointer argument.
 
-    ``from_buffer`` refuses anything that is not C-contiguous; a
-    read-only *input* takes the slower route through ``ndarray.ctypes``.
+    ``from_buffer`` refuses anything that is not C-contiguous (and any
+    read-only array); a read-only *input* takes the slower route
+    through ``ndarray.ctypes``.  The caller keeps ``array`` alive.
     """
     try:
-        return _ANCHOR.from_buffer(array, offset)
+        return _addr(ctypes.addressof(_ANCHOR.from_buffer(array, offset)))
     except TypeError:
         if output or not array.flags.c_contiguous:
             raise ValueError(
                 "native kernel needs C-contiguous arrays and writable outputs"
             ) from None
-        return ctypes.c_void_p(array.ctypes.data + offset)
+        return _addr(array.ctypes.data + offset)
 
 
-def _rows(array: np.ndarray, shape: tuple, what: str, output: bool = False):
-    """``array``'s pointer, once it is float64 of exactly ``shape``."""
-    if array.dtype != _F64 or array.shape != shape:
+def _rows(array: np.ndarray, shape: tuple, what: str, output: bool = False,
+          dtype: np.dtype = _F64):
+    """``array``'s pointer, once it is ``dtype`` of exactly ``shape``."""
+    if array.dtype != dtype or array.shape != shape:
         raise ValueError(
-            f"{what}: expected float64 {shape}, got {array.dtype} {array.shape}"
+            f"{what}: expected {dtype} {shape}, got {array.dtype} {array.shape}"
         )
     return _ptr(array, output=output)
 
 
 class NativeTile:
-    """The loaded object: two entry points, argument checks in front.
+    """The loaded object: one method per entry point, checks in front.
 
     ``acc_jerk_rows`` is the row kernel on ready-made operands;
     ``acc_jerk_active_chunk`` runs the predictor on a system's resident
-    arrays and the same row loop behind it.
+    arrays and the same row loop behind it; ``block_predict`` and
+    ``block_correct`` are the host half of a block step, and
+    ``quantize`` the block quantisation they use.
+
+    The calls a block step makes hold the pointer of each resident array
+    (and of ``active`` and the block buffer) beside a weak reference to
+    the array: the next call with the very same live array object (of
+    the same shape) skips the checks and the pointer conversion, any
+    other array is checked and converted afresh, so a replaced array
+    never reuses a stale pointer.  Outputs made fresh for every call are
+    converted every call.  Weak, so that the tile keeps nothing alive (a
+    view over a shared-memory segment must be able to go before its
+    segment is closed); numpy refuses to resize an array in place while
+    a weak reference to it exists.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self._lib = ctypes.CDLL(str(path))
-        size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-        fn = self._lib.repro_acc_jerk_rows
-        fn.argtypes = [size, size, ptr, ptr, ptr, ptr, ptr, real,
-                       ptr, size, ptr, size, ptr, ptr]
-        fn.restype = None
-        self._fn = fn
-        fn = self._lib.repro_acc_jerk_active_chunk
-        fn.argtypes = [size, size, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                       real, real, size, size, ptr, ptr, ptr]
-        fn.restype = ctypes.c_int
-        self._active_fn = fn
+        self._fn = {}
+        for name, (argtypes, restype) in ENTRY_POINTS.items():
+            fn = getattr(self._lib, f"repro_{name}")
+            fn.argtypes, fn.restype = argtypes, restype
+            self._fn[name] = fn
+        self._held: dict = {}
+
+    def _arg(self, slot: str, array: np.ndarray, shape: tuple,
+             output: bool = False, dtype: np.dtype = _F64):
+        """:func:`_rows` for the argument ``slot``, held between calls
+        (an array held as an input is checked again as an output)."""
+        key = (slot, output)
+        held = self._held.get(key)
+        if held is not None and held[0]() is array and array.shape == shape:
+            return held[1]
+        pointer = _rows(array, shape, slot, output, dtype)
+        self._held[key] = (weakref.ref(array), pointer)
+        return pointer
 
     def acc_jerk_rows(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps2,
                       acc_out, jerk_out, j0=0, self_indices=None,
@@ -116,16 +175,14 @@ class NativeTile:
         self_ptr = excl_ptr = None
         stride = 0
         if self_indices is not None:
-            if self_indices.dtype != np.int64 or self_indices.shape != (n_i,):
-                raise ValueError(f"self_indices: expected int64 ({n_i},)")
-            self_ptr = _ptr(self_indices)
+            self_ptr = _rows(self_indices, (n_i,), "self_indices", dtype=_I64)
         if excluded is not None:
             stride = excluded.shape[1] if excluded.ndim == 2 else -1
             if (excluded.dtype != np.bool_ or excluded.shape[0] != n_i
                     or not 0 <= j0 <= stride - n_j):
                 raise ValueError("excluded: expected bool (n_i, >= j0 + n_j)")
             excl_ptr = _ptr(excluded, j0)
-        self._fn(
+        self._fn["acc_jerk_rows"](
             n_i, n_j, _rows(pos_i, sinks, "pos_i"), _rows(vel_i, sinks, "vel_i"),
             _rows(pos_j, sources, "pos_j"), _rows(vel_j, sources, "vel_j"),
             _rows(mass_j, (n_j,), "mass_j"), eps2, self_ptr, j0, excl_ptr, stride,
@@ -141,32 +198,117 @@ class NativeTile:
         ``system`` is anything with resident ``pos vel acc jerk t mass``
         arrays (a ``ParticleSystem``, an ``ArrayView`` over shared
         memory): float64, C-contiguous, ``(n, 3)`` / ``(n,)``.  Sinks
-        are predicted by index inside the call, so ``active`` (int64)
-        is range-checked there: an entry outside ``[0, n)`` raises
-        ``IndexError``.  ``scratch`` (float64, at least ``6 * (n_i + j1
-        - j0)``) receives the predicted rows: sink positions, sink
-        velocities, source positions, source velocities, in that order.
+        are predicted by index inside the call, so ``active`` (1-D
+        int64) is range-checked there: an entry outside ``[0, n)``
+        raises ``IndexError``.  ``scratch`` (float64, at least ``6 *
+        (n_i + j1 - j0)``) receives the predicted rows: sink positions,
+        sink velocities, source positions, source velocities, in that
+        order.
         """
-        if active.dtype != np.int64 or active.ndim != 1:
-            raise ValueError(f"active: expected 1-D int64, got {active.dtype}")
         mass = system.mass
         n, n_i = mass.shape[0], active.shape[0]
         rows, sinks = (n, 3), (n_i, 3)
         if not 0 <= j0 <= j1 <= n:
             raise ValueError(f"chunk [{j0}, {j1}) outside the {n} sources")
-        if scratch.dtype != _F64 or scratch.size < 6 * (n_i + j1 - j0):
+        if scratch.size < 6 * (n_i + j1 - j0):
             raise ValueError("scratch: too small for the predicted rows")
-        bad = self._active_fn(
-            n, n_i, _ptr(active),
-            _rows(system.pos, rows, "pos"), _rows(system.vel, rows, "vel"),
-            _rows(system.acc, rows, "acc"), _rows(system.jerk, rows, "jerk"),
-            _rows(system.t, (n,), "t"), _rows(mass, (n,), "mass"),
-            t_now, eps2, j0, j1, _ptr(scratch, output=True),
+        arg = self._arg
+        bad = self._fn["acc_jerk_active_chunk"](
+            n, n_i, arg("chunk.active", active, (n_i,), dtype=_I64),
+            arg("chunk.pos", system.pos, rows), arg("chunk.vel", system.vel, rows),
+            arg("chunk.acc", system.acc, rows), arg("chunk.jerk", system.jerk, rows),
+            arg("chunk.t", system.t, (n,)), arg("chunk.mass", mass, (n,)),
+            t_now, eps2, j0, j1,
+            _rows(scratch, scratch.shape, "scratch", output=True),
             _rows(acc_out, sinks, "acc_out", output=True),
             _rows(jerk_out, sinks, "jerk_out", output=True),
         )
         if bad:
             raise IndexError(f"active index outside the {n} particles")
+
+    def block_predict(self, system, active, block) -> bool:
+        """Gather ``system``'s ``active`` rows into ``block`` and predict
+        each over its own step ``dt`` (the NumPy step's i-predictor).
+
+        ``block`` is a float64 ``(>= n_i, BLOCK_COLS)`` buffer that
+        :meth:`block_correct` finishes.  Returns ``False`` when some step
+        is not a power of two: the corrector is exact only on the block
+        grid, so that block must take the NumPy step.  An ``active``
+        (1-D int64) entry outside ``[0, n)`` raises ``IndexError``.
+        """
+        n, n_i = system.dt.shape[0], active.shape[0]
+        rows = (n, 3)
+        if block.shape[0] < n_i:
+            raise ValueError(f"block: fewer than the {n_i} active rows")
+        arg = self._arg
+        code = self._fn["block_predict"](
+            n, n_i, arg("step.active", active, (n_i,), dtype=_I64),
+            arg("step.pos", system.pos, rows), arg("step.vel", system.vel, rows),
+            arg("step.acc", system.acc, rows), arg("step.jerk", system.jerk, rows),
+            arg("step.dt", system.dt, (n,)),
+            arg("step.block", block, (block.shape[0], BLOCK_COLS), output=True),
+        )
+        if code == _BAD_INDEX:
+            raise IndexError(f"active index outside the {n} particles")
+        return code != _ODD_STEP
+
+    def block_correct(self, system, active, acc1, jerk1, block, t_next,
+                      kepler_mass, params) -> None:
+        """Finish the block :meth:`block_predict` filled ``block`` for.
+
+        Adds the Kepler field of ``kepler_mass`` (``None``: no field) at
+        the predicted state to the backend's ``acc1`` / ``jerk1``,
+        applies the Hermite corrector, and takes the Aarseth step
+        quantised with ``params`` (:class:`repro.core.TimestepParams`)
+        — then writes ``pos vel acc jerk t dt`` of the ``active`` rows,
+        ``t`` = ``t_next``.  Raises, with nothing written, what the
+        NumPy step raises: ``ConfigurationError`` for a particle at the
+        origin, ``IntegrationError`` for a non-finite corrected row.
+        """
+        n, n_i = system.dt.shape[0], active.shape[0]
+        rows, sinks = (n, 3), (n_i, 3)
+        if block.shape[0] < n_i:
+            raise ValueError(f"block: fewer than the {n_i} active rows")
+        # named, so that a converted copy outlives the call
+        acc1 = np.ascontiguousarray(acc1, _F64)
+        jerk1 = np.ascontiguousarray(jerk1, _F64)
+        arg = self._arg
+        code = self._fn["block_correct"](
+            n, n_i, arg("step.active", active, (n_i,), dtype=_I64),
+            _rows(acc1, sinks, "acc1"), _rows(jerk1, sinks, "jerk1"),
+            kepler_mass is not None, 0.0 if kepler_mass is None else kepler_mass,
+            t_next, params.eta, params.dt_min, params.dt_max,
+            arg("step.block", block, (block.shape[0], BLOCK_COLS), output=True),
+            arg("step.pos", system.pos, rows, output=True),
+            arg("step.vel", system.vel, rows, output=True),
+            arg("step.acc", system.acc, rows, output=True),
+            arg("step.jerk", system.jerk, rows, output=True),
+            arg("step.t", system.t, (n,), output=True),
+            arg("step.dt", system.dt, (n,), output=True),
+        )
+        if code == _BAD_INDEX:
+            raise IndexError(f"active index outside the {n} particles")
+        if code == _AT_ORIGIN:
+            raise ConfigurationError("particle at the origin of a KeplerField")
+        if code == _NOT_FINITE:
+            raise IntegrationError(f"non-finite state after block at t={t_next}")
+
+    def quantize(self, dt_desired, t_now, dt_current, params) -> np.ndarray:
+        """:func:`repro.core.timestep.quantize` as :meth:`block_correct`
+        computes it, on whole arrays (``dt_current`` may be ``None``)."""
+        want = np.ascontiguousarray(dt_desired, _F64)
+        n = want.shape[0]
+        t_now = np.ascontiguousarray(t_now, _F64)
+        old = None
+        if dt_current is not None:
+            dt_current = np.ascontiguousarray(dt_current, _F64)
+            old = _rows(dt_current, (n,), "dt_current")
+        out = np.empty(n)
+        self._fn["quantize"](
+            n, _rows(want, (n,), "dt_desired"), _rows(t_now, (n,), "t_now"),
+            old, params.dt_min, params.dt_max, _rows(out, (n,), "out", True),
+        )
+        return out
 
 
 # -- build ------------------------------------------------------------------
@@ -270,6 +412,7 @@ def load() -> NativeTile | None:
         if not _resolved:
             try:
                 _tile = _build(_report)
+                _report["entry_points"] = [f"repro_{name}" for name in ENTRY_POINTS]
             except Exception as exc:  # whatever went wrong, NumPy still works
                 _report["error"] = f"{type(exc).__name__}: {exc}"
                 log.warning(
@@ -286,7 +429,7 @@ def tier() -> str:
 
 
 def describe() -> dict:
-    """Tier, compiler, flags, cache path, build log (and the error)."""
+    """Tier, compiler, flags, cache path, build log, entry points."""
     return {"tier": tier(), **_report}
 
 

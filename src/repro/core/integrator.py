@@ -12,13 +12,22 @@ One block step (:meth:`Simulation.step`) is:
    active particles;
 2. predict the active particles to ``t`` on the host (sources are
    predicted inside the backend — on GRAPE-6, by the on-chip predictor
-   pipelines);
-3. obtain mutual force + jerk on the block from the backend and add the
-   analytic solar field;
-4. apply the Hermite corrector, update state, choose new quantised
-   timesteps;
+   pipelines): one ``block_predict`` call into the native tile, which
+   gathers the rows into the simulation's block buffer;
+3. obtain mutual force + jerk on the block from the backend;
+4. one ``block_correct`` call: add the analytic solar field at the
+   predicted state, apply the Hermite corrector, choose the Aarseth
+   step and quantise it, and — only once every row is checked — write
+   the rows back; then the scheduler commits their update times;
 5. push the corrected particles back to the backend (on GRAPE-6, a
    j-memory write over the host interface).
+
+Steps 2 and 4 are the NumPy step of this module (``predict_positions``,
+``KeplerField.acc_jerk``, ``correct``, ``aarseth_dt``, ``quantize``) in
+C, bit for bit on every host.  The NumPy step itself runs on the NumPy
+tier (no C compiler) and for every block the kernel does not cover:
+P(EC)^n, an external field that is not exactly a ``KeplerField``, a
+collision policy, or a step that is not a power of two.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 from ..errors import ConfigurationError, IntegrationError
 from .backends import ForceBackend
 from .events import EventLog
+from .external import KeplerField
 from .hermite import correct
 from .particles import ParticleSystem
 from .predictor import predict_positions, predict_velocities
@@ -76,6 +86,7 @@ class Simulation:
         obs=None,
         _restart: bool = False,
     ) -> None:
+        from ..accel import native
         from ..obs import NULL_OBS
 
         if not isinstance(backend, ForceBackend):
@@ -118,6 +129,10 @@ class Simulation:
         # ``hybrid.*`` tree/direct split) bind here the same way.
         if self.obs.enabled and hasattr(backend, "observe"):
             backend.observe(self.obs)
+        #: The native tile behind the block step (``None`` on the NumPy
+        #: tier), and its grow-only buffer of active rows.
+        self._tile = native.load()
+        self._block = np.empty((0, native.BLOCK_COLS))
         self.time = float(t0[0])
         self.block_steps = 0
         self.particle_steps = 0
@@ -199,58 +214,44 @@ class Simulation:
         with tracer.span("block_step"):
             sys_ = self.system
             t_next, active = self.scheduler.next_block(sys_.t, sys_.dt)
-            dt = sys_.dt[active]
+            tile = self._native_step()
 
-            # Host-side prediction of the i-particles.  Each array is
-            # gathered once; the gathered rows are copies, so acc0 /
-            # jerk0 survive the write-back below.
+            # Host-side prediction of the i-particles: into the block
+            # buffer (native), or gathered once per array (NumPy; the
+            # gathered rows are copies, so acc0 / jerk0 survive the
+            # write-back below).
             with tracer.span("predict"):
-                pos0, vel0 = sys_.pos[active], sys_.vel[active]
-                acc0, jerk0 = sys_.acc[active], sys_.jerk[active]
-                pred_pos = predict_positions(pos0, vel0, acc0, jerk0, dt)
-                pred_vel = predict_velocities(vel0, acc0, jerk0, dt)
+                if tile is not None:
+                    block = self._block
+                    if block.shape[0] < active.size:
+                        block = self._block = np.empty(
+                            (max(active.size, 2 * block.shape[0]), block.shape[1]))
+                    if not tile.block_predict(sys_, active, block):
+                        tile = None  # a step off the block grid
+                if tile is None:
+                    dt = sys_.dt[active]
+                    pos0, vel0 = sys_.pos[active], sys_.vel[active]
+                    acc0, jerk0 = sys_.acc[active], sys_.jerk[active]
+                    pred_pos = predict_positions(pos0, vel0, acc0, jerk0, dt)
+                    pred_vel = predict_velocities(vel0, acc0, jerk0, dt)
 
             with tracer.span("force", n_active=int(active.size)):
                 acc1, jerk1 = self.backend.forces_on(sys_, active, t_next)
-                if self.external_field is not None:
+                if tile is None and self.external_field is not None:
                     ea, ej = self.external_field.acc_jerk(pred_pos, pred_vel)
                     acc1 = acc1 + ea
                     jerk1 = jerk1 + ej
 
             with tracer.span("correct"):
-                pos1, vel1, derivs = correct(
-                    pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
-                )
-
-                # P(EC)^n: re-evaluate the force at the corrected state and
-                # correct again (writes the trial state into the live rows so
-                # mutually active particles see each other's corrected states).
-                for _ in range(self.corrector_iterations - 1):
-                    sys_.pos[active] = pos1
-                    sys_.vel[active] = vel1
-                    sys_.t[active] = t_next
-                    acc1, jerk1 = self.backend.forces_on(sys_, active, t_next)
-                    if self.external_field is not None:
-                        ea, ej = self.external_field.acc_jerk(pos1, vel1)
-                        acc1 = acc1 + ea
-                        jerk1 = jerk1 + ej
-                    pos1, vel1, derivs = correct(
-                        pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
+                if tile is not None:
+                    field = self.external_field
+                    tile.block_correct(
+                        sys_, active, acc1, jerk1, self._block, t_next,
+                        None if field is None else field.mass, self.params,
                     )
-
-                if not (np.isfinite(pos1).all() and np.isfinite(vel1).all()):
-                    raise IntegrationError(f"non-finite state after block at t={t_next}")
-
-                sys_.pos[active] = pos1
-                sys_.vel[active] = vel1
-                sys_.acc[active] = acc1
-                sys_.jerk[active] = jerk1
-                sys_.t[active] = t_next
-
-                dt_raw = aarseth_dt(
-                    acc1, jerk1, derivs.snap, derivs.crackle, self.params.eta
-                )
-                sys_.dt[active] = quantize(dt_raw, sys_.t[active], dt, self.params)
+                else:
+                    self._correct_numpy(active, t_next, dt, pred_pos, pred_vel,
+                                        acc0, jerk0, acc1, jerk1)
                 # the n_active update times that changed, checked here
                 self.scheduler.commit()
 
@@ -266,6 +267,58 @@ class Simulation:
                 with tracer.span("collision"):
                     self._resolve_collisions(t_next, active)
         return t_next, int(active.size)
+
+    def _native_step(self):
+        """The native tile when this block may take the native step:
+        one corrector pass, no collisions, and no field or exactly a
+        :class:`KeplerField` (the one field ``_tile.c`` evaluates).
+        Everything else takes the NumPy step, whose bits the native
+        step reproduces."""
+        field = self.external_field
+        if (self._tile is None or self.corrector_iterations != 1
+                or self.collision_policy is not None
+                or not (field is None or type(field) is KeplerField)):
+            return None
+        return self._tile
+
+    def _correct_numpy(self, active, t_next, dt, pred_pos, pred_vel,
+                       acc0, jerk0, acc1, jerk1) -> None:
+        """The NumPy step's corrector half: Hermite correct (P(EC)^n),
+        write the block back, Aarseth step, quantise."""
+        sys_ = self.system
+        pos1, vel1, derivs = correct(
+            pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
+        )
+
+        # P(EC)^n: re-evaluate the force at the corrected state and
+        # correct again (writes the trial state into the live rows so
+        # mutually active particles see each other's corrected states).
+        for _ in range(self.corrector_iterations - 1):
+            sys_.pos[active] = pos1
+            sys_.vel[active] = vel1
+            sys_.t[active] = t_next
+            acc1, jerk1 = self.backend.forces_on(sys_, active, t_next)
+            if self.external_field is not None:
+                ea, ej = self.external_field.acc_jerk(pos1, vel1)
+                acc1 = acc1 + ea
+                jerk1 = jerk1 + ej
+            pos1, vel1, derivs = correct(
+                pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
+            )
+
+        if not (np.isfinite(pos1).all() and np.isfinite(vel1).all()):
+            raise IntegrationError(f"non-finite state after block at t={t_next}")
+
+        sys_.pos[active] = pos1
+        sys_.vel[active] = vel1
+        sys_.acc[active] = acc1
+        sys_.jerk[active] = jerk1
+        sys_.t[active] = t_next
+
+        dt_raw = aarseth_dt(
+            acc1, jerk1, derivs.snap, derivs.crackle, self.params.eta
+        )
+        sys_.dt[active] = quantize(dt_raw, sys_.t[active], dt, self.params)
 
     def evolve(
         self,

@@ -40,8 +40,6 @@ __all__ = [
     "aarseth_dt",
     "startup_dt",
     "quantize",
-    "floor_power_of_two",
-    "block_level",
 ]
 
 
@@ -138,23 +136,6 @@ def startup_dt(acc: np.ndarray, jerk: np.ndarray, eta_start: float) -> np.ndarra
     dt[j == 0.0] = np.inf
     dt[a == 0.0] = np.inf
     return dt
-
-
-def floor_power_of_two(dt: np.ndarray) -> np.ndarray:
-    """Largest power of two that is <= each (positive) element of ``dt``."""
-    dt = np.asarray(dt, dtype=np.float64)
-    out = np.zeros_like(dt)
-    pos = dt > 0
-    finite = pos & np.isfinite(dt)
-    out[finite] = 2.0 ** np.floor(np.log2(dt[finite]))
-    out[pos & ~np.isfinite(dt)] = np.inf
-    return out
-
-
-def block_level(dt: np.ndarray, dt_max: float) -> np.ndarray:
-    """Block level ``k`` such that ``dt = dt_max / 2**k`` (integer array)."""
-    dt = np.asarray(dt, dtype=np.float64)
-    return np.round(np.log2(dt_max / dt)).astype(np.int64)
 
 
 def quantize(

@@ -33,7 +33,10 @@ def pytest_report_header(config):
 
     facts = native.describe()
     where = facts.get("object") or facts.get("error", "")
-    return f"repro kernel tier: {facts['tier']} ({facts.get('compiler', '?')}: {where})"
+    lines = [f"repro kernel tier: {facts['tier']} ({facts.get('compiler', '?')}: {where})"]
+    if facts.get("entry_points"):
+        lines.append(f"repro native entry points: {', '.join(facts['entry_points'])}")
+    return lines
 
 
 def pytest_configure(config):

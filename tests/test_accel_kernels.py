@@ -25,9 +25,12 @@ from __future__ import annotations
 import ast
 import dataclasses
 import logging
+import gc
 import os
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -806,6 +809,191 @@ class TestNativeBuild:
         if where is not None:
             repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
             assert not os.path.abspath(where).startswith(repo + os.sep)
+
+    def test_no_orphan_entry_point(self):
+        """Every ``ISA_CLONES`` function of ``_tile.c`` is bound by
+        ``NativeTile`` and called by some test, and nothing else is
+        bound."""
+        exported = re.findall(r"^ISA_CLONES\s+\w+\s+repro_(\w+)\s*\(",
+                              native.SOURCE.read_text(), re.M)
+        assert len(exported) >= 5  # the pattern still finds them
+        assert sorted(exported) == sorted(native.ENTRY_POINTS)
+        tests = "".join(path.read_text()
+                        for path in Path(__file__).parent.glob("test_*.py"))
+        for name in exported:
+            assert callable(getattr(native.NativeTile, name, None)), name
+            assert re.search(rf"\.{name}\(", tests), f"no test calls {name}"
+        tile = native.load()
+        if tile is not None:
+            assert set(tile._fn) == set(exported)
+            assert native.describe()["entry_points"] == [
+                f"repro_{name}" for name in native.ENTRY_POINTS]
+
+
+def make_block_system(n=64, seed=5):
+    """Resident rows on the block grid (power-of-two steps), a few at
+    the 1e+12 scale, and row 4 in the positive octant with velocity,
+    acceleration and jerk -0.0, so its predicted ``r . v`` is a sum of
+    -0.0 products (numpy's einsum makes that +0.0)."""
+    system = make_system(n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    system.dt[...] = 2.0 ** -rng.integers(0, 12, n).astype(float)
+    system.t[...] = system.dt * rng.integers(0, 64, n)
+    system.pos[:4] *= 1e12
+    system.pos[4] = np.abs(system.pos[4])
+    for name in ("vel", "acc", "jerk"):
+        getattr(system, name)[4] = -0.0
+    return system
+
+
+def numpy_block_step(system, active, acc1, jerk1, t_next, field, params):
+    """The NumPy step's host work on ``active``, written back."""
+    from repro.core.hermite import correct
+    from repro.core.predictor import predict_positions, predict_velocities
+    from repro.core.timestep import aarseth_dt, quantize
+
+    dt = system.dt[active]
+    pos0, vel0 = system.pos[active], system.vel[active]
+    acc0, jerk0 = system.acc[active], system.jerk[active]
+    pred_pos = predict_positions(pos0, vel0, acc0, jerk0, dt)
+    pred_vel = predict_velocities(vel0, acc0, jerk0, dt)
+    if field is not None:
+        ea, ej = field.acc_jerk(pred_pos, pred_vel)
+        acc1, jerk1 = acc1 + ea, jerk1 + ej
+    pos1, vel1, derivs = correct(pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt)
+    system.pos[active], system.vel[active] = pos1, vel1
+    system.acc[active], system.jerk[active] = acc1, jerk1
+    system.t[active] = t_next
+    dt_raw = aarseth_dt(acc1, jerk1, derivs.snap, derivs.crackle, params.eta)
+    system.dt[active] = quantize(dt_raw, system.t[active], dt, params)
+
+
+@requires_native
+class TestBlockStepEntryPoints:
+    """``block_predict`` / ``block_correct``: the NumPy step's host work
+    bit for bit, errors before any write, pointers never stale."""
+
+    STATE = ("pos", "vel", "acc", "jerk", "t", "dt")
+
+    @staticmethod
+    def _operands(system, seed=9):
+        rng = np.random.default_rng(seed)
+        active = np.concatenate([[4, 0], rng.permutation(system.n)[:30]])
+        active = np.unique(active).astype(np.int64)
+        acc1 = rng.normal(size=(active.size, 3)) * 1e-4
+        jerk1 = rng.normal(size=(active.size, 3)) * 1e-6
+        row = np.searchsorted(active, 4)
+        acc1[row] = jerk1[row] = -0.0
+        return active, acc1, jerk1
+
+    @pytest.mark.parametrize("mass", [1.0, 0.3, None])
+    def test_bits_are_the_numpy_steps(self, mass):
+        from repro.core import KeplerField, TimestepParams
+
+        params = TimestepParams(eta=0.02, dt_max=16.0)
+        field = None if mass is None else KeplerField(mass)
+        tile = native.load()
+        ours, theirs = make_block_system(), make_block_system()
+        active, acc1, jerk1 = self._operands(ours)
+        block = np.full((active.size + 3, native.BLOCK_COLS), np.nan)
+        assert tile.block_predict(ours, active, block)
+        from repro.core.predictor import predict_positions, predict_velocities
+
+        dt = ours.dt[active]
+        args = (ours.vel[active], ours.acc[active], ours.jerk[active], dt)
+        assert np.array_equal(block[:active.size, 12], dt)
+        assert np.array_equal(block[:active.size, 13:16],
+                              predict_positions(ours.pos[active], *args))
+        assert np.array_equal(block[:active.size, 16:19],
+                              predict_velocities(*args))
+        tile.block_correct(ours, active, acc1, jerk1, block, 6.0, mass, params)
+        numpy_block_step(theirs, active, acc1, jerk1, 6.0, field, params)
+        for name in self.STATE:
+            got, want = getattr(ours, name), getattr(theirs, name)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        # the -0.0 row: backend jerk -0.0 plus the field's +0.0 is +0.0
+        assert np.signbit(ours.jerk[4]).all() == (mass is None)
+
+    def test_errors_write_nothing(self):
+        from repro.core import TimestepParams
+        from repro.errors import ConfigurationError, IntegrationError
+
+        params = TimestepParams(dt_max=16.0)
+        tile = native.load()
+        system = make_block_system()
+        active, acc1, jerk1 = self._operands(system)
+        block = np.empty((active.size, native.BLOCK_COLS))
+        before = {name: getattr(system, name).copy() for name in self.STATE}
+
+        def unchanged():
+            return all(np.array_equal(getattr(system, name), before[name])
+                       for name in self.STATE)
+
+        for bad in (np.array([0, system.n]), np.array([-1, 3])):
+            with pytest.raises(IndexError):
+                tile.block_predict(system, bad, block)
+            with pytest.raises(IndexError):
+                tile.block_correct(system, bad, acc1[:2], jerk1[:2], block,
+                                   6.0, 1.0, params)
+        assert tile.block_predict(system, active, block)
+        poisoned = acc1.copy()
+        poisoned[-1, 2] = np.inf
+        with pytest.raises(IntegrationError):
+            tile.block_correct(system, active, poisoned, jerk1, block, 6.0,
+                               1.0, params)
+        assert unchanged()
+        system.pos[active[-1]] = system.vel[active[-1]] = 0.0
+        system.acc[active[-1]] = system.jerk[active[-1]] = 0.0
+        before = {name: getattr(system, name).copy() for name in self.STATE}
+        assert tile.block_predict(system, active, block)
+        with pytest.raises(ConfigurationError, match="origin"):
+            tile.block_correct(system, active, acc1, jerk1, block, 6.0, 1.0,
+                               params)
+        assert unchanged()
+        system.dt[active[0]] *= 0.75  # off the block grid: NumPy's job
+        assert not tile.block_predict(system, active, block)
+
+    def test_a_replaced_array_is_never_read_through_a_stale_pointer(self):
+        from repro.core import TimestepParams
+
+        tile = native.load()
+        system = make_block_system()
+        active = np.arange(0, system.n, 3, dtype=np.int64)
+        block = np.empty((active.size, native.BLOCK_COLS))
+        tile.block_predict(system, active, block)
+        first = block[:, :3].copy()
+        old = weakref.ref(system.pos)
+        system.pos = system.pos + 1.0
+        gc.collect()
+        assert old() is None  # the tile held no strong reference
+        tile.block_predict(system, active, block)
+        assert np.array_equal(block[:, :3], first + 1.0)
+
+        # held as an input, checked again as an output
+        system.pos.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            tile.block_correct(system, active, np.zeros((active.size, 3)),
+                               np.zeros((active.size, 3)), block, 6.0, 1.0,
+                               TimestepParams(dt_max=16.0))
+        system.pos = system.pos.copy()
+
+        twin = make_block_system()
+        twin.pos = system.pos.copy()
+        scratch = np.empty((active.size + system.n, 6))
+        outs = [np.zeros((active.size, 3)) for _ in range(4)]
+        tile.acc_jerk_active_chunk(system, active, 0.5, EPS**2, 0, system.n,
+                                   scratch, *outs[:2])
+        system.pos = system.pos * 2.0
+        tile.acc_jerk_active_chunk(system, active, 0.5, EPS**2, 0, system.n,
+                                   scratch, *outs[2:])
+        twin.pos *= 2.0
+        fresh = [np.zeros((active.size, 3)) for _ in range(2)]
+        tile.acc_jerk_active_chunk(twin, active, 0.5, EPS**2, 0, system.n,
+                                   scratch, *fresh)
+        assert not np.array_equal(outs[0], outs[2])
+        assert np.array_equal(outs[2], fresh[0])
+        assert np.array_equal(outs[3], fresh[1])
 
 
 class TestEdgeCases:

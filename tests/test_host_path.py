@@ -9,14 +9,18 @@ Two claims, each held to an independent oracle:
   kill-and-resume;
 * ``Simulation.step`` leaves, block for block, the bits the parent
   commit's ``step`` leaves (``tests/_step_oracle.py``, a verbatim copy
-  with the timestep functions it called).
+  with the timestep functions it called) — on the native step (one
+  ``_tile.c`` call either side of the force) as on the NumPy step, and
+  it raises what that step raises with nothing written.
 """
 
 import numpy as np
 import pytest
 
+from repro.accel import native
 from repro.core import (
     CollisionPolicy,
+    CompositeField,
     HostDirectBackend,
     KeplerField,
     ParticleSystem,
@@ -25,7 +29,9 @@ from repro.core import (
 )
 from repro.core import integrator
 from repro.core.scheduler import BlockScheduler
-from repro.errors import SchedulerError
+from repro.errors import ConfigurationError, IntegrationError, SchedulerError
+from repro.grape import Grape6Backend, Grape6Config, Grape6Machine
+from repro.parallel import SpmdBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 from repro.resilience import CheckpointManager
 
@@ -53,6 +59,29 @@ def eventful_sim(**kwargs) -> Simulation:
     )
     sim.initialize()
     return sim
+
+
+BACKENDS = {
+    "host": lambda: HostDirectBackend(eps=0.008),
+    "grape": lambda: Grape6Backend(
+        Grape6Machine(Grape6Config.single_node(), eps=0.008, mode="flat")),
+    "spmd-vm": lambda: SpmdBackend(0.008, n_ranks=3, mode="vm"),
+}
+
+
+def quiet_sim(backend="host", field=KeplerField) -> Simulation:
+    """A seeded disk with no collision policy and one corrector pass:
+    the native step's case whenever ``field`` is exactly a KeplerField."""
+    disk = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=64, seed=3))
+    sim = Simulation(disk, BACKENDS[backend](), external_field=field(),
+                     timestep_params=TimestepParams(dt_max=16.0))
+    sim.initialize()
+    return sim
+
+
+def close(*sims) -> None:
+    for sim in sims:
+        getattr(sim.backend, "close", lambda: None)()
 
 
 class CheckedRun:
@@ -253,7 +282,147 @@ class TestStepMatchesParent:
             assert new.step() == parent_step(old)
             self._assert_same(new, old, block)
 
+    @pytest.mark.parametrize("backend, field", [
+        ("host", KeplerField),
+        ("grape", KeplerField),
+        ("spmd-vm", KeplerField),
+        ("host", lambda: CompositeField([KeplerField()])),
+    ])
+    def test_backends_and_fields(self, backend, field):
+        new, old = quiet_sim(backend, field), quiet_sim(backend, field)
+        try:
+            # the native step exactly where the tier has one and the
+            # field is a KeplerField; a composite takes the NumPy step
+            assert (new._native_step() is not None) == (
+                native.load() is not None
+                and type(new.external_field) is KeplerField)
+            for block in range(200):
+                assert new.step() == parent_step(old)
+                self._assert_same(new, old, block)
+        finally:
+            close(new, old)
+
 
 @pytest.mark.usefixtures("numpy_tier")
 class TestStepMatchesParentNumpyTier(TestStepMatchesParent):
     """The same, without the compiled row kernel."""
+
+
+ARRAYS = ("pos", "vel", "acc", "jerk", "t", "dt")
+
+
+class TestStepErrors:
+    """What the step raises, and that it writes nothing first; on the
+    native step here, on the NumPy step in the subclass."""
+
+    @staticmethod
+    def _running() -> Simulation:
+        sim = quiet_sim()
+        for _ in range(5):
+            sim.step()
+        return sim
+
+    @staticmethod
+    def _next_rows(sim) -> np.ndarray:
+        return BlockScheduler().next_block(sim.system.t.copy(),
+                                           sim.system.dt.copy())[1]
+
+    @staticmethod
+    def _state(sim) -> dict:
+        return {name: getattr(sim.system, name).copy() for name in ARRAYS}
+
+    @staticmethod
+    def _assert_unchanged(sim, state) -> None:
+        for name in ARRAYS:
+            assert np.array_equal(getattr(sim.system, name), state[name]), name
+
+    def test_a_particle_at_the_origin(self):
+        sim = self._running()
+        row = self._next_rows(sim)[0]
+        for name in ("pos", "vel", "acc", "jerk"):
+            getattr(sim.system, name)[row] = 0.0
+        sim.scheduler.invalidate()
+        state = self._state(sim)
+        with pytest.raises(ConfigurationError, match="origin"):
+            sim.step()
+        self._assert_unchanged(sim, state)
+
+    def test_a_non_finite_row_writes_no_row(self):
+        sim = self._running()
+        while self._next_rows(sim).size < 2:  # poison the last of several
+            sim.step()
+        forces_on = sim.backend.forces_on
+
+        def poisoned(system, active, t_now):
+            acc, jerk = forces_on(system, active, t_now)
+            acc = acc.copy()
+            acc[-1, 1] = np.nan
+            return acc, jerk
+
+        sim.backend.forces_on = poisoned
+        state, kept = self._state(sim), sim.scheduler._t_next.copy()
+        with pytest.raises(IntegrationError, match="non-finite"):
+            sim.step()
+        self._assert_unchanged(sim, state)
+        assert np.array_equal(sim.scheduler._t_next, kept)
+
+    def test_an_active_row_out_of_range(self, monkeypatch):
+        sim = self._running()
+        n = sim.system.n
+        monkeypatch.setattr(sim.scheduler, "next_block",
+                            lambda t, dt: (float(t[0] + dt[0]), np.array([0, n])))
+        state = self._state(sim)
+        with pytest.raises(IndexError):
+            sim.step()
+        self._assert_unchanged(sim, state)
+
+    def test_a_step_off_the_block_grid_takes_the_numpy_step(self, monkeypatch):
+        new, old = quiet_sim(), quiet_sim()
+        for sim in (new, old):
+            row = int(np.argmin(sim.system.t + sim.system.dt))
+            sim.system.dt[row] *= 0.75
+            sim.scheduler.invalidate()
+        numpy_blocks = []  # (block, whether a step in it is off the grid)
+        correct = integrator.correct
+
+        def spy(*args):
+            odd = bool((np.frexp(args[-1])[0] != 0.5).any())
+            numpy_blocks.append((new.block_steps, odd))
+            return correct(*args)
+
+        monkeypatch.setattr(integrator, "correct", spy)
+        for block in range(60):
+            assert new.step() == parent_step(old)
+            TestStepMatchesParent._assert_same(new, old, block)
+        if native.load() is not None:
+            # the odd step persists until it shrinks: exactly the blocks
+            # that carry it take the NumPy step
+            assert numpy_blocks[0] == (0, True) and len(numpy_blocks) < 60
+            assert all(odd for _, odd in numpy_blocks)
+        else:
+            assert len(numpy_blocks) == 60
+
+    def test_kill_and_resume(self, tmp_path):
+        """Through a checkpoint file, into new objects, on this step."""
+        sim = quiet_sim()
+        sim.evolve(300.0)
+        manager = CheckpointManager(tmp_path)
+        manager.write(sim.system, {"time": float(sim.time)})
+        system, saved = manager.load_latest()
+        twin = Simulation.from_restart(
+            system, HostDirectBackend(eps=0.008), saved["time"],
+            external_field=KeplerField(), timestep_params=sim.params,
+            block_steps=sim.block_steps, particle_steps=sim.particle_steps,
+        )
+        mark = sim.block_steps
+        sim.evolve(900.0)
+        twin.evolve(900.0)
+        assert twin.block_steps == sim.block_steps > mark + 50
+        for name in STATE:
+            assert np.array_equal(getattr(twin.system, name),
+                                  getattr(sim.system, name)), name
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestStepErrorsNumpyTier(TestStepErrors):
+    """The same on the NumPy step."""

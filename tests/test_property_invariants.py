@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.forces import acc_jerk, potential_energy
 from repro.core.scheduler import BlockScheduler
-from repro.core.timestep import TimestepParams, floor_power_of_two, quantize
+from repro.core.timestep import TimestepParams, quantize
 from repro.grape.board import round_robin_slices
 from repro.grape.fixedpoint import round_mantissa
 from repro.planetesimal.massfunction import PowerLawMassFunction
@@ -83,10 +83,18 @@ class TestTimestepProperties:
         )
     )
     @settings(max_examples=50, deadline=None)
-    def test_floor_power_of_two_bounds(self, dts):
-        out = floor_power_of_two(dts)
-        assert np.all(out <= dts)
-        assert np.all(out > dts / 2.0)
+    def test_quantize_bounds(self, dts):
+        """A power of two inside [dt_min, dt_max], above half the bounded
+        input and at most 16 ulps above it: numpy's ``log2`` rounds
+        values a few ulps below 2**k up to k, so the floor can land just
+        above its input."""
+        params = TimestepParams(dt_max=2.0**20, dt_min=2.0**-40)
+        out = quantize(dts, np.zeros_like(dts), None, params)
+        bounded = np.fmin(np.fmax(dts, params.dt_min), params.dt_max)
+        assert np.all(np.frexp(out)[0] == 0.5)
+        assert np.all((out >= params.dt_min) & (out <= params.dt_max))
+        assert np.all(out > bounded / 2.0)
+        assert np.all(out <= bounded + 16 * np.spacing(bounded))
 
     @given(
         seed=st.integers(0, 10_000),

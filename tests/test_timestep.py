@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.accel import native
 from repro.core.timestep import (
     TimestepParams,
     aarseth_dt,
-    block_level,
-    floor_power_of_two,
     quantize,
     startup_dt,
 )
@@ -35,29 +34,6 @@ class TestParams:
     def test_max_level(self):
         p = TimestepParams(dt_max=1.0, dt_min=2.0**-10)
         assert p.max_level == 10
-
-
-class TestFloorPowerOfTwo:
-    def test_exact_powers_unchanged(self):
-        dt = np.array([1.0, 0.5, 0.125, 2.0**-20])
-        assert np.array_equal(floor_power_of_two(dt), dt)
-
-    def test_rounds_down(self):
-        assert floor_power_of_two(np.array([0.7]))[0] == 0.5
-        assert floor_power_of_two(np.array([1.9]))[0] == 1.0
-        assert floor_power_of_two(np.array([0.24]))[0] == 0.125
-
-    def test_inf_passthrough(self):
-        assert floor_power_of_two(np.array([np.inf]))[0] == np.inf
-
-    def test_zero_stays_zero(self):
-        assert floor_power_of_two(np.array([0.0]))[0] == 0.0
-
-
-class TestBlockLevel:
-    def test_levels(self):
-        dt = np.array([1.0, 0.5, 0.25, 0.03125])
-        assert np.array_equal(block_level(dt, 1.0), [0, 1, 2, 5])
 
 
 class TestAarseth:
@@ -158,3 +134,64 @@ class TestQuantize:
         assert np.allclose(levels, np.round(levels))
         assert np.all(dt >= self.params.dt_min)
         assert np.all(dt <= self.params.dt_max)
+
+
+@pytest.mark.skipif(native.tier() != "native", reason="no C compiler: NumPy tier only")
+class TestNativeQuantize:
+    """The quantisation the native block step applies, bit for bit
+    ``quantize``.  NumPy floors ``log2``, which rounds values a few ulps
+    below 2**k up to k (``frexp``'s exponent would not); the C calls
+    libm's ``log2`` and ``floor``, and these inputs pin the two together
+    where they could part: on both sides of every power of two the
+    block grid can reach."""
+
+    #: the benchmark's settings (``repro run`` defaults, ``dt_max`` 16)
+    PARAMS = TimestepParams(eta=0.02, eta_start=0.01, dt_max=16.0)
+
+    def _same(self, want, t_now, dt_old):
+        got = native.load().quantize(want, t_now, dt_old, self.PARAMS)
+        assert np.array_equal(got, quantize(want, t_now, dt_old, self.PARAMS))
+        return got
+
+    def boundary_values(self):
+        lo = int(np.log2(self.PARAMS.dt_min))
+        hi = int(np.log2(self.PARAMS.dt_max))
+        values = []
+        for k in range(lo, hi + 1):
+            below = np.full(300, 2.0**k)
+            above = np.full(50, 2.0**k)
+            for i in range(1, 300):
+                below[i] = np.nextafter(below[i - 1], 0.0)
+            for i in range(1, 50):
+                above[i] = np.nextafter(above[i - 1], np.inf)
+            values += [below, above]
+        return np.concatenate(values)
+
+    def test_on_both_sides_of_every_power_of_two(self):
+        want = self.boundary_values()
+        zeros = np.zeros_like(want)
+        got = self._same(want, zeros, None)
+        # not vacuous: numpy's floor lands above some inputs here
+        bounded = np.fmin(np.fmax(want, self.PARAMS.dt_min), self.PARAMS.dt_max)
+        assert (got > bounded).any()
+
+    def test_log_uniform(self):
+        rng = np.random.default_rng(7)
+        want = 2.0 ** rng.uniform(-34.0, 8.0, 100_000)
+        self._same(want, np.zeros_like(want), None)
+
+    def test_growth_rule(self):
+        """``dt_old`` below and above the floor, ``t_next`` on and off
+        the doubled grid."""
+        rng = np.random.default_rng(8)
+        want = np.concatenate([self.boundary_values(),
+                               2.0 ** rng.uniform(-34.0, 8.0, 20_000)])
+        n = want.size
+        dt_old = 2.0 ** rng.integers(-30, 5, n).astype(float)
+        steps = rng.integers(0, 1 << 20, n).astype(float)
+        on_grid = steps * 2.0 * dt_old
+        off_grid = (2.0 * steps + 1.0) * dt_old
+        grown = self._same(want, on_grid, dt_old)
+        assert (grown == 2.0 * dt_old).any() and (grown < dt_old).any()
+        kept = self._same(want, off_grid, dt_old)
+        assert (kept <= dt_old).all() and (kept == dt_old).any()
