@@ -11,14 +11,17 @@ temporary file and moved into place with :func:`os.replace`, so a crash
 (or an injected host-kill) mid-write can never leave a torn ``.npz``
 under the final name — the restart path either sees the previous intact
 snapshot or the new one, never garbage.  :func:`durable_write` is that
-protocol, and every durable file in the package (snapshots, checkpoint
-pointer, bench-history records) is written through it.
+protocol, and every durable file in the package (snapshots,
+checkpoints, bench-history records) is written through it.
+:func:`numbered_snapshots` lists the ``<prefix>_NNNNNN.npz`` series that
+the run directory's snapshot and checkpoint managers number.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import zipfile
 from pathlib import Path
 
@@ -27,7 +30,8 @@ import numpy as np
 from ..errors import SnapshotError
 from .particles import ParticleSystem
 
-__all__ = ["save_snapshot", "load_snapshot", "durable_write"]
+__all__ = ["save_snapshot", "load_snapshot", "durable_write",
+           "numbered_snapshots"]
 
 _FORMAT_VERSION = 1
 
@@ -101,6 +105,20 @@ def fsync_directory(directory) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def numbered_snapshots(directory, prefix: str) -> list[tuple[int, Path]]:
+    """``(index, path)`` of each ``<prefix>_NNNNNN.npz`` in ``directory``.
+
+    Sorted by index; any other name (``<prefix>_backup.npz``, a temp
+    file) is skipped.
+    """
+    name = re.compile(re.escape(prefix) + r"_(\d{6,})\.npz")
+    return sorted(
+        (int(m.group(1)), path)
+        for path in Path(directory).glob(f"{prefix}_*.npz")
+        if (m := name.fullmatch(path.name))
+    )
 
 
 def load_snapshot(path) -> tuple[ParticleSystem, dict]:

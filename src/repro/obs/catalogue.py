@@ -177,7 +177,7 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "checkpoint.restores_total": ("counter", "Runs resumed from a checkpoint"),
     "checkpoint.write_seconds": (
         "histogram",
-        "Wall seconds per checkpoint write (atomic snapshot + pointer flip)",
+        "Wall seconds per checkpoint write (one atomic, fsynced snapshot file)",
     ),
     "checkpoint.skipped_total": (
         "counter",

@@ -9,20 +9,15 @@ schedule.  Because the block scheduler holds only what it derives from
 from them at the first block, never checkpointed), a resumed run replays
 exactly the block sequence the interrupted run would have taken.
 
-Files in the checkpoint directory::
-
-    ckpt_000001.npz   snapshot + JSON state (atomic: tmp + os.replace)
-    latest            text pointer to the newest complete checkpoint
-
-Both are written through :func:`~repro.core.snapshots.durable_write`
-(temp file + fsync + rename + directory fsync), the pointer only after
-the checkpoint is durable, so a host crash at any instant leaves either
-the previous checkpoint or the new one — never a torn file under a live
-name, and never a pointer the filesystem forgets.
-Restore is defensive on top of that: when the pointed-to (or newest)
-checkpoint is truncated or corrupt, :meth:`CheckpointManager.load_latest`
-falls back to the newest checkpoint that still loads, so one damaged
-file cannot strand an otherwise resumable run.
+Each checkpoint is one file, ``ckpt_NNNNNN.npz`` (numbered from 1),
+and one :func:`~repro.core.snapshots.durable_write`: the temp file is
+fsynced, renamed onto its name and the directory fsynced, so a host
+crash at any instant leaves either the previous checkpoint or the new
+one — never a torn file under a live name.  There is no pointer file:
+:meth:`CheckpointManager.load_latest` tries the checkpoints newest-first
+and falls back over any that is truncated or corrupt, so one damaged
+file cannot strand an otherwise resumable run.  A ``latest`` file left
+by older versions is ignored.
 """
 
 from __future__ import annotations
@@ -30,13 +25,12 @@ from __future__ import annotations
 from pathlib import Path
 from time import perf_counter
 
-from ..core.snapshots import durable_write, load_snapshot, save_snapshot
+from ..core.snapshots import load_snapshot, numbered_snapshots, save_snapshot
 from ..errors import CheckpointError, SnapshotError
 
 __all__ = ["CheckpointManager"]
 
-_CKPT_PATTERN = "ckpt_{:06d}.npz"
-_POINTER = "latest"
+_PREFIX = "ckpt"
 
 
 class CheckpointManager:
@@ -59,42 +53,24 @@ class CheckpointManager:
         self._c_restores = self.obs.metrics.counter("checkpoint.restores_total")
         self._c_skipped = self.obs.metrics.counter("checkpoint.skipped_total")
         self._h_write_s = self.obs.metrics.histogram("checkpoint.write_seconds")
-
-    # -- discovery -------------------------------------------------------
-
-    def _next_index(self) -> int:
-        existing = sorted(self.directory.glob("ckpt_*.npz"))
-        if not existing:
-            return 1
-        return int(existing[-1].stem.split("_")[1]) + 1
-
-    def latest_path(self) -> Path | None:
-        """Path of the newest complete checkpoint, or ``None``."""
-        pointer = self.directory / _POINTER
-        if pointer.exists():
-            candidate = self.directory / pointer.read_text().strip()
-            if candidate.exists():
-                return candidate
-        # pointer lost/stale: fall back to the newest file on disk
-        existing = sorted(self.directory.glob("ckpt_*.npz"))
-        return existing[-1] if existing else None
+        existing = numbered_snapshots(self.directory, _PREFIX)
+        self._index = existing[-1][0] + 1 if existing else 1
 
     # -- write -----------------------------------------------------------
 
     def write(self, system, state: dict) -> Path:
         """Checkpoint ``system`` + driver ``state``; returns the path.
 
-        The snapshot write is atomic and directory-synced; the
-        ``latest`` pointer is flipped only after the snapshot is
-        durable, in a second fsync'd atomic rename, so a host crash
-        between the two leaves the pointer at the previous complete
-        checkpoint — never dangling at a half-written one.
+        One durable write (fsync file, rename, fsync directory) of the
+        next numbered file: once this returns, the checkpoint survives a
+        host crash.
         """
         t0 = perf_counter()
-        path = self.directory / _CKPT_PATTERN.format(self._next_index())
-        written = save_snapshot(path, system, metadata={"checkpoint": state})
-        durable_write(self.directory / _POINTER,
-                      lambda fh: fh.write(written.name + "\n"), text=True)
+        written = save_snapshot(
+            self.directory / f"{_PREFIX}_{self._index:06d}.npz", system,
+            metadata={"checkpoint": state},
+        )
+        self._index += 1
         self._c_writes.inc()
         self._h_write_s.observe(perf_counter() - t0)
         return written
@@ -102,23 +78,16 @@ class CheckpointManager:
     # -- restore ---------------------------------------------------------
 
     def candidates(self) -> list[Path]:
-        """Restore candidates, newest first (pointer target leads)."""
-        existing = sorted(self.directory.glob("ckpt_*.npz"), reverse=True)
-        pointer = self.directory / _POINTER
-        if pointer.exists():
-            target = self.directory / pointer.read_text().strip()
-            if target.exists() and target in existing:
-                existing.remove(target)
-                existing.insert(0, target)
-        return existing
+        """Checkpoint files on disk, newest first."""
+        return [path for _, path in
+                reversed(numbered_snapshots(self.directory, _PREFIX))]
 
     def load_latest(self):
         """Load the newest *valid* checkpoint; returns ``(system, state)``.
 
-        Tries the pointer target first, then every remaining checkpoint
-        newest-first: a truncated or corrupt newest file (host crash
-        mid-write on a filesystem that reordered the pointer flip) costs
-        one checkpoint interval of progress instead of the whole run.
+        Tries every checkpoint newest-first: a truncated or corrupt
+        newest file (damaged after it was written) costs one checkpoint
+        interval of progress instead of the whole run.
         The chosen file is recorded in :attr:`loaded_path`.
 
         Raises

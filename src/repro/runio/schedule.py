@@ -9,10 +9,9 @@ production runs.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
-from ..core.snapshots import load_snapshot, save_snapshot
+from ..core.snapshots import load_snapshot, numbered_snapshots, save_snapshot
 from ..errors import ConfigurationError, SnapshotError
 
 __all__ = ["SnapshotSchedule", "OutputManager"]
@@ -47,25 +46,16 @@ class OutputManager:
     the latest state is always discoverable for a restart.
     """
 
-    _PATTERN = re.compile(r"snap_(\d{6})\.npz$")
-
     def __init__(self, directory, schedule: SnapshotSchedule | None = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.schedule = schedule
-        self._index = self._next_free_index()
-
-    def _next_free_index(self) -> int:
-        existing = [
-            int(m.group(1))
-            for p in self.directory.glob("snap_*.npz")
-            if (m := self._PATTERN.search(p.name))
-        ]
-        return max(existing) + 1 if existing else 0
+        existing = numbered_snapshots(self.directory, "snap")
+        self._index = existing[-1][0] + 1 if existing else 0
 
     @property
     def n_snapshots(self) -> int:
-        return len(list(self.directory.glob("snap_*.npz")))
+        return len(numbered_snapshots(self.directory, "snap"))
 
     def write(self, system, time: float, metadata: dict | None = None) -> Path:
         """Write the next numbered snapshot."""
@@ -92,7 +82,7 @@ class OutputManager:
 
         Raises :class:`SnapshotError` when the directory has none.
         """
-        candidates = sorted(self.directory.glob("snap_*.npz"))
-        if not candidates:
+        existing = numbered_snapshots(self.directory, "snap")
+        if not existing:
             raise SnapshotError(f"no snapshots in {self.directory}")
-        return load_snapshot(candidates[-1])
+        return load_snapshot(existing[-1][1])

@@ -191,6 +191,25 @@ def make_disk_sim(
     return sim
 
 
+#: Rows whose ``(x0² + x1²) + x2²`` rounds differently from
+#: ``x0² + (x1² + x2²)``: 1 plus two squares of 1.125 * 2**-53 rounds up
+#: once or twice, depending on which pair is summed first.  Signs and
+#: power-of-two scales keep that.
+_Y = 1.5 * 2.0**-27
+ORDER_SENSITIVE_ROWS = np.array([
+    [1.0, _Y, _Y],
+    [_Y, _Y, 1.0],
+    [-4.0, 4.0 * _Y, -4.0 * _Y],
+    [-_Y / 8.0, _Y / 8.0, 0.125],
+])
+
+
+def norm_other_order(x: np.ndarray) -> np.ndarray:
+    """Row norms summed ``x0² + (x1² + x2²)``: not ``timestep._norm``."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return np.sqrt(x[:, 0] * x[:, 0] + (x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2]))
+
+
 @pytest.fixture
 def two_body():
     return make_two_body()

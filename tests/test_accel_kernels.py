@@ -55,6 +55,8 @@ from repro.core.collisions import (
 from repro.core.particles import ParticleSystem
 from repro.core.predictor import predict_system
 
+from conftest import ORDER_SENSITIVE_ROWS, norm_other_order
+
 EPS = 0.008
 NORM_RTOL = 1e-12
 
@@ -914,6 +916,63 @@ class TestBlockStepEntryPoints:
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
         # the -0.0 row: backend jerk -0.0 plus the field's +0.0 is +0.0
         assert np.signbit(ours.jerk[4]).all() == (mass is None)
+
+    def test_aarseth_norms_sum_in_numpy_order(self, monkeypatch):
+        """``block_correct`` sums each Aarseth norm ``(x0² + x1²) + x2²``
+        as ``timestep._norm`` does.  The backend's ``acc1`` rows are ones
+        where the other order rounds apart, and ``eta`` is searched so
+        that on one row the two orders quantise to different steps; the
+        native ``dt`` is the NumPy step's on every row."""
+        from repro.core import timestep
+        from repro.core.hermite import correct
+        from repro.core.predictor import predict_positions, predict_velocities
+
+        system = make_block_system()
+        active = np.arange(8, 16, dtype=np.int64)
+        system.dt[active], system.t[active] = 0.125, 1.0
+        acc1 = np.resize(ORDER_SENSITIVE_ROWS, (active.size, 3)) * 1e-3
+        jerk1 = np.random.default_rng(1).normal(size=(active.size, 3)) * 1e-7
+
+        # the corrector's snap and crackle, then the eta that puts a row
+        # on the boundary between the steps 0.0625 and 0.125
+        dt = system.dt[active]
+        pos0, vel0 = system.pos[active], system.vel[active]
+        acc0, jerk0 = system.acc[active], system.jerk[active]
+        _, _, derivs = correct(
+            predict_positions(pos0, vel0, acc0, jerk0, dt),
+            predict_velocities(vel0, acc0, jerk0, dt),
+            acc0, jerk0, acc1, jerk1, dt)
+        j, s, c = (timestep._norm(v)
+                   for v in (jerk1, derivs.snap, derivs.crackle))
+        den = j * c + s**2
+        nums = [a * s + j**2
+                for a in (timestep._norm(acc1), norm_other_order(acc1))]
+        eta = None
+        for row in range(active.size):
+            etas = (0.125**2 * den[row] / nums[0][row]
+                    * (1.0 + np.arange(-200, 200) * 2.0**-52))
+            steps = [2.0 ** np.floor(np.log2(np.sqrt(etas * num[row] / den[row])))
+                     for num in nums]
+            apart = np.flatnonzero(steps[0] != steps[1])
+            if apart.size:
+                eta = float(etas[apart[0]])
+                break
+        assert eta is not None, "no eta separates the two orders"
+        params = timestep.TimestepParams(eta=eta, dt_max=16.0)
+
+        ours, theirs, other = (make_block_system() for _ in range(3))
+        for sys_ in (ours, theirs, other):
+            sys_.dt[active], sys_.t[active] = 0.125, 1.0
+        tile = native.load()
+        block = np.empty((active.size, native.BLOCK_COLS))
+        assert tile.block_predict(ours, active, block)
+        tile.block_correct(ours, active, acc1, jerk1, block, 1.125, None, params)
+        numpy_block_step(theirs, active, acc1, jerk1, 1.125, None, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(timestep, "_norm", norm_other_order)
+            numpy_block_step(other, active, acc1, jerk1, 1.125, None, params)
+        assert not np.array_equal(other.dt, theirs.dt)  # not vacuous
+        assert np.array_equal(ours.dt, theirs.dt)
 
     def test_errors_write_nothing(self):
         from repro.core import TimestepParams

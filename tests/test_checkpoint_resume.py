@@ -5,6 +5,7 @@ import os
 import signal
 import stat
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,28 +45,32 @@ class TestCheckpointManager:
         mgr.write(s, {"time": 1.0})
         p2 = mgr.write(s, {"time": 2.0})
         assert p2.name == "ckpt_000002.npz"
-        assert (tmp_path / "latest").read_text().strip() == p2.name
+        assert not (tmp_path / "latest").exists()  # no pointer file
         _, state = mgr.load_latest()
         assert state["time"] == 2.0
+        assert mgr.loaded_path == p2
 
     def test_lost_pointer_falls_back_to_newest_file(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         s = make_random_cluster(4)
         mgr.write(s, {"time": 1.0})
         p2 = mgr.write(s, {"time": 2.0})
-        (tmp_path / "latest").unlink()
-        assert mgr.latest_path() == p2
+        assert mgr.candidates()[0] == p2
+        mgr.load_latest()
+        assert mgr.loaded_path == p2
 
     def test_stale_pointer_falls_back(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         s = make_random_cluster(4)
         p1 = mgr.write(s, {"time": 1.0})
         (tmp_path / "latest").write_text("ckpt_999999.npz\n")
-        assert mgr.latest_path() == p1
+        _, state = mgr.load_latest()
+        assert mgr.loaded_path == p1
+        assert state["time"] == 1.0
 
     def test_empty_directory_raises_actionable_error(self, tmp_path):
         mgr = CheckpointManager(tmp_path / "none")
-        assert mgr.latest_path() is None
+        assert mgr.candidates() == []
         with pytest.raises(CheckpointError, match="no checkpoint found"):
             mgr.load_latest()
 
@@ -74,10 +79,49 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             CheckpointManager(tmp_path).load_latest()
 
+    def test_stray_name_does_not_block_writes(self, tmp_path):
+        """A ``ckpt_backup.npz`` sorts after every numbered checkpoint;
+        it is neither a next index nor a restore candidate."""
+        s = make_random_cluster(4)
+        first = CheckpointManager(tmp_path)
+        first.write(s, {"time": 1.0})
+        p2 = first.write(s, {"time": 2.0})
+        save_snapshot(tmp_path / "ckpt_backup.npz", s,
+                      metadata={"checkpoint": {"time": 99.0}})
+        mgr = CheckpointManager(tmp_path)
+        p3 = mgr.write(s, {"time": 3.0})
+        assert (p2.name, p3.name) == ("ckpt_000002.npz", "ckpt_000003.npz")
+        _, state = mgr.load_latest()
+        assert mgr.loaded_path == p3
+        assert state["time"] == 3.0
+        assert tmp_path / "ckpt_backup.npz" not in mgr.candidates()
+
+    def test_one_directory_scan_per_manager(self, tmp_path, monkeypatch):
+        """The next index is found once, when the manager is made: 20
+        writes beside 300 checkpoints scan the directory once, not 20
+        times."""
+        for i in range(1, 301):
+            (tmp_path / f"ckpt_{i:06d}.npz").touch()
+        scans = []
+        glob = Path.glob
+
+        def spy_glob(self, pattern):
+            if self == tmp_path:
+                scans.append(pattern)
+            return glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", spy_glob)
+        mgr = CheckpointManager(tmp_path)
+        s = make_random_cluster(4)
+        paths = [mgr.write(s, {"time": float(i)}) for i in range(20)]
+        assert len(scans) == 1
+        assert paths[0].name == "ckpt_000301.npz"
+        assert paths[-1].name == "ckpt_000320.npz"
+
     def test_write_syscall_sequence(self, tmp_path, monkeypatch):
-        """The durability protocol of one checkpoint, pinned: the data
-        file is fsynced, renamed into place and its directory fsynced
-        before the pointer goes through the same three steps."""
+        """The durability protocol of one checkpoint, pinned: one durable
+        write — the data file is fsynced, renamed into place and its
+        directory fsynced, and nothing else is written."""
         mgr = CheckpointManager(tmp_path)
         calls = []
         fsync, replace = os.fsync, os.replace
@@ -96,7 +140,6 @@ class TestCheckpointManager:
         mgr.write(make_random_cluster(4), {"time": 1.0})
         assert calls == [
             ("fsync", "file"), ("replace", "ckpt_000001.npz"), ("fsync", "dir"),
-            ("fsync", "file"), ("replace", "latest"), ("fsync", "dir"),
         ]
 
 
@@ -137,9 +180,9 @@ class TestCorruptCheckpointFallback:
 
     def test_candidates_order_pointer_first(self, tmp_path):
         mgr, p1, p2 = self._write_two(tmp_path)
-        # a stale pointer must still lead the candidate list
+        # a ``latest`` file left by an older version is ignored
         (tmp_path / "latest").write_text(p1.name + "\n")
-        assert mgr.candidates() == [p1, p2]
+        assert mgr.candidates() == [p2, p1]
 
     def test_intact_load_records_path_and_skips_nothing(self, tmp_path):
         obs = Observability()
@@ -330,7 +373,6 @@ def arm_crash(monkeypatch, call: int, boundary: str) -> None:
     ``write`` (after the payload, before the flush), ``fsync_file``,
     ``replace`` or ``fsync_dir``."""
     from repro.core import snapshots
-    from repro.resilience import checkpoint
 
     real_write = snapshots.durable_write
     fsync, replace = os.fsync, os.replace
@@ -362,16 +404,14 @@ def arm_crash(monkeypatch, call: int, boundary: str) -> None:
         replace(src, dst)
 
     monkeypatch.setattr(snapshots, "durable_write", durable_write)
-    monkeypatch.setattr(checkpoint, "durable_write", durable_write)
     monkeypatch.setattr(os, "fsync", crash_fsync)
     monkeypatch.setattr(os, "replace", crash_replace)
 
 
 class TestDurableWriteCrashPoints:
-    """A crash at every step of both durable writes of a checkpoint (the
-    snapshot, then the ``latest`` pointer) leaves a loadable previous or
-    new checkpoint, no temp file, and a resume that ends bit-identical
-    to the uninterrupted run."""
+    """A crash at every step of a checkpoint's one durable write leaves
+    a loadable previous or new checkpoint, no temp file, and a resume
+    that ends bit-identical to the uninterrupted run."""
 
     T_END = 6.0  # 12 blocks: checkpoints after blocks 5 and 10
 
@@ -388,15 +428,16 @@ class TestDurableWriteCrashPoints:
         run.execute(t_end=self.T_END)
         return final_digest(run)
 
-    @pytest.mark.parametrize("boundary",
-                             ["write", "fsync_file", "replace", "fsync_dir"])
-    @pytest.mark.parametrize("caller", ["snapshot", "pointer"])
+    @pytest.mark.parametrize("boundary", [
+        pytest.param(b, id=f"snapshot-{b}")
+        for b in ("write", "fsync_file", "replace", "fsync_dir")
+    ])
     def test_crash_then_resume(self, tmp_path, monkeypatch, reference,
-                               caller, boundary):
+                               boundary):
         run = self._run(tmp_path / "run")
-        # durable writes 1 + 2 are the first checkpoint, 3 + 4 the second
+        # durable write #2 is the second checkpoint (after block 10)
         with monkeypatch.context() as patch:
-            arm_crash(patch, 3 if caller == "snapshot" else 4, boundary)
+            arm_crash(patch, 2, boundary)
             with pytest.raises(_Crash):
                 run.execute(t_end=self.T_END)
 
@@ -404,12 +445,10 @@ class TestDurableWriteCrashPoints:
         assert list(ckpt_dir.glob("*.tmp")) == []
         for path in ckpt_dir.glob("ckpt_*.npz"):
             load_snapshot(path)  # nothing torn under a live name
-        mgr = CheckpointManager(ckpt_dir)
-        _, state = mgr.load_latest()
-        assert mgr.loaded_path.name == (ckpt_dir / "latest").read_text().strip()
-        # the pointer names the new checkpoint only once it is durable
-        new = caller == "pointer" and boundary == "fsync_dir"
-        assert state["block_steps"] == (10 if new else 5)
+        assert not (ckpt_dir / "latest").exists()
+        _, state = CheckpointManager(ckpt_dir).load_latest()
+        # the new checkpoint is there once its rename is
+        assert state["block_steps"] == (10 if boundary == "fsync_dir" else 5)
 
         assert final_digest(resume_to_end(tmp_path / "run")) == reference
 
@@ -435,9 +474,9 @@ class TestSigkilledRun:
             target=_run_until_killed, args=(directory,), name="sigkill-run")
         child.start()
         try:
-            pointer = directory / "checkpoints" / "latest"
+            ckpt_dir = directory / "checkpoints"
             deadline = time.monotonic() + 30.0
-            while not pointer.exists() and child.is_alive():
+            while not any(ckpt_dir.glob("ckpt_*.npz")) and child.is_alive():
                 assert time.monotonic() < deadline, "no checkpoint written"
                 time.sleep(0.005)
         finally:
@@ -451,6 +490,35 @@ class TestSigkilledRun:
         assert resumed.sim.time == ref_report.t_final
         assert resumed.sim.block_steps == ref_report.block_steps
         assert final_digest(resumed) == final_digest(ref)
+
+
+class TestOldRunDirectory:
+    """A run directory as older versions left it: checkpoints plus a
+    ``latest`` pointer file, which resume now ignores."""
+
+    @pytest.mark.parametrize("named", ["newest", "older"])
+    def test_resume_ignores_the_pointer(self, tmp_path, named):
+        ref = make_managed_run(tmp_path, "ref")
+        ref.execute(t_end=6.0)
+        assert not (tmp_path / "ref" / "checkpoints" / "latest").exists()
+
+        def killer(s):
+            if s.block_steps == 12:
+                raise SimulationKilled("power cut")
+
+        with pytest.raises(SimulationKilled):
+            make_managed_run(tmp_path, "old", on_block=killer).execute(t_end=6.0)
+        ckpt_dir = tmp_path / "old" / "checkpoints"
+        older, newest = sorted(ckpt_dir.glob("ckpt_*.npz"))[-2:]
+        # "older": a crash between the checkpoint's rename and the
+        # pointer's left the pointer one checkpoint behind
+        target = newest if named == "newest" else older
+        (ckpt_dir / "latest").write_text(target.name + "\n")
+
+        mgr = CheckpointManager(ckpt_dir)
+        mgr.load_latest()
+        assert mgr.loaded_path == newest
+        assert final_digest(resume_to_end(tmp_path / "old")) == final_digest(ref)
 
 
 class TestCLICheckpointWorkflow:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import save_snapshot
 from repro.errors import ConfigurationError, SnapshotError
 from repro.runio import (
     OutputManager,
@@ -149,6 +150,17 @@ class TestOutputManager:
         om2 = OutputManager(tmp_path / "run")  # a restart
         p = om2.write(sim.system, 1.0)
         assert p.name == "snap_000001.npz"
+
+    def test_stray_name_is_not_a_snapshot(self, tmp_path):
+        sim = make_disk_sim(n=8, seed=3)
+        om1 = OutputManager(tmp_path / "run")
+        om1.write(sim.system, 0.0, {"tag": "numbered"})
+        save_snapshot(tmp_path / "run" / "snap_backup.npz", sim.system,
+                      {"tag": "stray"})
+        om2 = OutputManager(tmp_path / "run")
+        assert om2.n_snapshots == 1
+        assert om2.latest()[1]["tag"] == "numbered"
+        assert om2.write(sim.system, 1.0).name == "snap_000001.npz"
 
     def test_maybe_write_follows_schedule(self, tmp_path):
         sim = make_disk_sim(n=8, seed=3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import load_snapshot, save_snapshot
+from repro.core.snapshots import numbered_snapshots
 from repro.errors import SnapshotError
 
 from conftest import make_disk_sim, make_random_cluster
@@ -58,6 +59,20 @@ class TestRoundTrip:
         # identical physics to high precision (startup dt may differ from
         # mid-run dt, so allow integration-error-level differences)
         assert np.allclose(sim2.system.pos, sim.system.pos, atol=1e-7)
+
+
+class TestNumberedSnapshots:
+    def test_index_order_and_other_names_skipped(self, tmp_path):
+        for name in ("snap_000010.npz", "snap_000002.npz", "snap_1000000.npz",
+                     "snap_backup.npz", "snap_000003.npz.tmp", "snap_12.npz",
+                     "ckpt_000001.npz", "xsnap_000004.npz"):
+            (tmp_path / name).touch()
+        assert numbered_snapshots(tmp_path, "snap") == [
+            (2, tmp_path / "snap_000002.npz"),
+            (10, tmp_path / "snap_000010.npz"),
+            (1000000, tmp_path / "snap_1000000.npz"),
+        ]
+        assert numbered_snapshots(tmp_path / "missing", "snap") == []
 
 
 class TestAtomicity:

@@ -6,11 +6,14 @@ import pytest
 from repro.accel import native
 from repro.core.timestep import (
     TimestepParams,
+    _norm,
     aarseth_dt,
     quantize,
     startup_dt,
 )
 from repro.errors import ConfigurationError
+
+from conftest import ORDER_SENSITIVE_ROWS, norm_other_order
 
 
 class TestParams:
@@ -67,6 +70,37 @@ class TestAarseth:
         args = [rng.normal(size=(10, 3)) for _ in range(4)]
         dt = aarseth_dt(*args, eta=0.02)
         assert np.all(dt > 0)
+
+
+def _norm_by_hand(x):
+    sq = x * x
+    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+
+
+class TestNormSummationOrder:
+    """``_norm`` sums ``(x0² + x1²) + x2²``, NumPy's row reduce and the
+    native step's order, on rows where the other order rounds apart."""
+
+    def test_norm_bits(self):
+        rows = ORDER_SENSITIVE_ROWS
+        want = _norm_by_hand(rows)
+        assert (want != norm_other_order(rows)).all()  # not vacuous
+        assert np.array_equal(_norm(rows), want)
+        for row, w in zip(rows, want):
+            assert _norm(row)[0] == w  # one bare vector
+
+    def test_aarseth_dt_bits(self):
+        rows = ORDER_SENSITIVE_ROWS
+        acc, jerk = rows, rows[::-1] * 0.5
+        snap, crackle = rows[[1, 2, 3, 0]] * 2.0, rows[[2, 3, 0, 1]] * 0.25
+
+        def by_hand(norm):
+            a, j, s, c = (norm(v) for v in (acc, jerk, snap, crackle))
+            return np.sqrt(0.02 * (a * s + j**2) / (j * c + s**2))
+
+        want = by_hand(_norm_by_hand)
+        assert not np.array_equal(want, by_hand(norm_other_order))
+        assert np.array_equal(aarseth_dt(acc, jerk, snap, crackle, 0.02), want)
 
 
 class TestStartup:
