@@ -10,8 +10,10 @@ no choice of kernel, and only the ops a force path calls (force + jerk
 in its direct, masked, tree-node and active-block forms, and the
 potential for energy diagnostics).  Where a C compiler is present the
 force + jerk pair loop itself runs compiled
-(:mod:`~repro.accel.native`, built on first use, cached per user);
-without one the NumPy tiles do the same sums and a log line says so.
+(:mod:`~repro.accel.native`, built on first use, cached per user), and
+so does a whole grouped tree force, walk and sums in one call
+(``KernelEngine.tree_force``); without one the NumPy tiles do the same
+sums and a log line says so.
 
 Most callers want the process-wide engine::
 

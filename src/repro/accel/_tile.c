@@ -6,7 +6,10 @@
  * accumulators.  The active-block entry point also runs the predictor
  * beside it, on the resident rows, the way the chip does.  Built and
  * loaded by repro/accel/native.py; the chunk plan, the ascending chunk
- * fold and threading stay in python (repro/accel/engine.py).
+ * fold and threading stay in python (repro/accel/engine.py), except in
+ * the tree force (repro_tree_force), which walks the tree per sink group
+ * and runs the same plan and fold itself, serially, on the lists it
+ * walked.
  *
  * Bits must not depend on the build host.  Source j of the chunk always
  * lands on lane j mod 8, every lane is a plain sequential sum, the eight lanes are
@@ -94,13 +97,42 @@ static inline double fold(const double *v)
     return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
 }
 
+/* The traceless quadrupole of sources [0, nl) (nine moments each, mass
+ * included) on one sink, source l on lane l:
+ *   a += 2.5 (dr.Q dr) dr / r^7 - (Q dr) / r^5,   dr = source - sink,
+ * with the softened r of the monopole term. */
+static inline __attribute__((always_inline)) void
+quad_add(int nl, const double *pj, const double *qj, const double *xi,
+         double eps2, double *qx, double *qy, double *qz)
+{
+    for (int l = 0; l < nl; l++) {
+        const double *q = qj + 9 * l;
+        double dx = pj[3 * l] - xi[0];
+        double dy = pj[3 * l + 1] - xi[1];
+        double dz = pj[3 * l + 2] - xi[2];
+        double r2 = ((dx * dx + dy * dy) + dz * dz) + eps2;
+        double r5 = (r2 * r2) * sqrt(r2);
+        double qdx = (q[0] * dx + q[1] * dy) + q[2] * dz;
+        double qdy = (q[3] * dx + q[4] * dy) + q[5] * dz;
+        double qdz = (q[6] * dx + q[7] * dy) + q[8] * dz;
+        double w = 2.5 * ((dx * qdx + dy * qdy) + dz * qdz) / (r5 * r2);
+        qx[l] += w * dx - qdx / r5;
+        qy[l] += w * dy - qdy / r5;
+        qz[l] += w * dz - qdz / r5;
+    }
+}
+
 /* The row loop: add the pull of sources [0, n_j) on sinks [0, n_i) into
- * acc / jerk.  Always inlined into the two entry points below, so each
- * of their ISA clones carries its own vectorised copy. */
+ * acc / jerk, with the quadrupole term of quad_j (or NULL) in the
+ * acceleration -- added in the same one += per row and chunk as the
+ * monopole, so a chunked sum folds the same way serial or threaded.
+ * Always inlined into the entry points below, so each of their ISA
+ * clones carries its own vectorised copy. */
 static inline __attribute__((always_inline)) void
 rows_add(ptrdiff_t n_i, ptrdiff_t n_j,
          const double *pos_i, const double *vel_i,
          const double *pos_j, const double *vel_j, const double *mass_j,
+         const double *quad_j,
          double eps2, const int64_t *self_idx, ptrdiff_t j0,
          const uint8_t *excl, ptrdiff_t excl_stride,
          double *acc, double *jerk)
@@ -122,9 +154,22 @@ rows_add(ptrdiff_t n_i, ptrdiff_t n_j,
             block_add((int)(n_j - jb), pos_j + 3 * jb, vel_j + 3 * jb,
                       mass_j + jb, xi, vi, eps2, ex ? ex + jb : NULL,
                       self - jb, &s);
-        acc[3 * i] += fold(s.ax);
-        acc[3 * i + 1] += fold(s.ay);
-        acc[3 * i + 2] += fold(s.az);
+        if (quad_j) {
+            double qx[LANES] = {0}, qy[LANES] = {0}, qz[LANES] = {0};
+            for (jb = 0; jb + LANES <= n_j; jb += LANES)
+                quad_add(LANES, pos_j + 3 * jb, quad_j + 9 * jb, xi, eps2,
+                         qx, qy, qz);
+            if (jb < n_j)
+                quad_add((int)(n_j - jb), pos_j + 3 * jb, quad_j + 9 * jb,
+                         xi, eps2, qx, qy, qz);
+            acc[3 * i] += fold(s.ax) + fold(qx);
+            acc[3 * i + 1] += fold(s.ay) + fold(qy);
+            acc[3 * i + 2] += fold(s.az) + fold(qz);
+        } else {
+            acc[3 * i] += fold(s.ax);
+            acc[3 * i + 1] += fold(s.ay);
+            acc[3 * i + 2] += fold(s.az);
+        }
         jerk[3 * i] += fold(s.jx);
         jerk[3 * i + 1] += fold(s.jy);
         jerk[3 * i + 2] += fold(s.jz);
@@ -138,7 +183,8 @@ rows_add(ptrdiff_t n_i, ptrdiff_t n_j,
  * j0 is this chunk's first column there; a negative entry, or one
  * outside [j0, j0 + n_j), excludes nothing.  excl (or NULL) points at
  * the chunk's first column of a byte mask whose rows are excl_stride
- * bytes apart; non-zero excludes the pair.
+ * bytes apart; non-zero excludes the pair.  quad_j (or NULL) holds nine
+ * quadrupole moments per source (tree nodes: no self column, no mask).
  */
 ISA_CLONES void repro_acc_jerk_rows(
     ptrdiff_t n_i, ptrdiff_t n_j,
@@ -146,9 +192,9 @@ ISA_CLONES void repro_acc_jerk_rows(
     const double *pos_j, const double *vel_j, const double *mass_j,
     double eps2, const int64_t *self_idx, ptrdiff_t j0,
     const uint8_t *excl, ptrdiff_t excl_stride,
-    double *acc, double *jerk)
+    double *acc, double *jerk, const double *quad_j)
 {
-    rows_add(n_i, n_j, pos_i, vel_i, pos_j, vel_j, mass_j, eps2,
+    rows_add(n_i, n_j, pos_i, vel_i, pos_j, vel_j, mass_j, quad_j, eps2,
              self_idx, j0, excl, excl_stride, acc, jerk);
 }
 
@@ -202,9 +248,246 @@ ISA_CLONES int repro_acc_jerk_active_chunk(
         predict_row(pos + 3 * r, vel + 3 * r, acc0 + 3 * r, jerk0 + 3 * r,
                     t_now - t[r], pos_j + 3 * c, vel_j + 3 * c);
     }
-    rows_add(n_i, n_j, pos_i, vel_i, pos_j, vel_j, mass + j0, eps2,
+    rows_add(n_i, n_j, pos_i, vel_i, pos_j, vel_j, mass + j0, NULL, eps2,
              active, j0, NULL, 0, acc, jerk);
     return 0;
+}
+
+/* einsum("ij,ij->i") on a 3-vector: two accumulators (x0 and x2 on one,
+ * x1 on the other), each started from +0, so a -0 sum comes out +0. */
+static inline double
+dot3(const double *x, const double *y)
+{
+    return ((x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]) + 0.0;
+}
+
+/* -- the grouped tree walk ------------------------------------------------
+ *
+ * Fukushige & Kawai's scheme in one call: the host walks the tree once
+ * per sink group, and the pipeline reads the accepted nodes and the
+ * opened leaves' particles from the resident arrays by index.  The walk
+ * reproduces repro.hybrid.walk.walk_groups exactly -- its acceptance
+ * tests in its operation order, its node order (breadth first: level by
+ * level, frontier order; a FIFO gives that order for one group) and its
+ * ascending pp lists -- and the sums reproduce that module's per-group
+ * engine calls: the node list, then the pp list, each over the engine's
+ * j-chunk plan, then node + pp.  The arrays are the fields of an
+ * Octree and a SinkGroups (repro.accel.native mirrors these structs). */
+
+typedef struct {
+    ptrdiff_t n, n_nodes;
+    const double *pos, *vel, *mass;          /* vel NULL: zeros */
+    const double *com, *mom, *node_mass;     /* node moments */
+    const double *quad;                      /* 9 per node, or NULL */
+    const double *center, *half;
+    const int64_t *first_child, *n_children, *leaf_start, *leaf_count;
+    const int64_t *leaf_perm;
+} tree_arrays;
+
+typedef struct {
+    ptrdiff_t n_groups, n_sinks;
+    const int64_t *order, *ptr;              /* group g: order[ptr[g], ptr[g+1]) */
+    const double *centroid, *radius, *h_max; /* h_max NULL: no spheres */
+} sink_groups;
+
+/* The CSR lists the walk emits (InteractionLists); an index is written
+ * only below its capacity, the pointers always. */
+typedef struct {
+    int64_t *node_ptr, *node_idx, *pp_ptr, *pp_idx;
+    ptrdiff_t node_cap, pp_cap;
+} walk_lists;
+
+/* Zero acc / jerk, then add the pull of the n_j gathered sources over
+ * KernelEngine._jplan's chunks, in ascending order -- the engine's
+ * serial sweep (its threaded sweep has the same bits). */
+static inline __attribute__((always_inline)) void
+sum_list(ptrdiff_t m, ptrdiff_t n_j, const double *xi, const double *vi,
+         const double *pj, const double *vj, const double *mj,
+         const double *qj, double eps2, const int64_t *self,
+         ptrdiff_t j_chunk, ptrdiff_t max_chunks, double *acc, double *jerk)
+{
+    for (ptrdiff_t k = 0; k < 3 * m; k++)
+        acc[k] = jerk[k] = 0.0;
+    ptrdiff_t chunks = (n_j + j_chunk - 1) / j_chunk;
+    if (chunks > max_chunks)
+        chunks = max_chunks;
+    if (chunks < 1)
+        chunks = 1;
+    ptrdiff_t base = n_j / chunks, extra = n_j % chunks, j0 = 0;
+    for (ptrdiff_t c = 0; c < chunks; c++) {
+        ptrdiff_t w = base + (c < extra);
+        rows_add(m, w, xi, vi, pj + 3 * j0, vj + 3 * j0, mj + j0,
+                 qj ? qj + 9 * j0 : NULL, eps2, self, j0, NULL, 0, acc, jerk);
+        j0 += w;
+    }
+}
+
+/* Tree forces on the sinks pos_i (vel_i NULL: zeros) of every group.
+ *
+ * Per group: walk, writing the accepted nodes and the opened leaves'
+ * particles (sorted) into lists; then gather the sinks, the nodes (COM,
+ * COM velocity mom / mass, mass, quadrupole) and the pp sources into
+ * fscratch, sum both lists and write node + pp into the group's rows of
+ * acc / jerk.  A sink's own particle (self_idx, or NULL) is found in the
+ * sorted pp list and its column excluded.  iscratch holds n_nodes +
+ * (largest group) int64 and then n zero bytes (left zero), fscratch 18 *
+ * (largest group) + 16 * max(n, n_nodes) doubles.  Returns 0; 1 when a
+ * list outgrew its capacity (then the pointers hold the sizes needed
+ * and nothing was summed past the overflow); -1, before touching
+ * anything, when the groups are not a partition of the n_sinks rows. */
+ISA_CLONES int repro_tree_force(
+    const tree_arrays *tree, const sink_groups *groups, walk_lists *lists,
+    const double *pos_i, const double *vel_i, const int64_t *self_idx,
+    double theta, double eps2, ptrdiff_t j_chunk, ptrdiff_t max_chunks,
+    int64_t *iscratch, double *fscratch, double *acc, double *jerk)
+{
+    const double sqrt3 = sqrt(3.0);
+    ptrdiff_t n = tree->n, width = n > tree->n_nodes ? n : tree->n_nodes;
+    ptrdiff_t max_rows = 0;
+    if (groups->ptr[0] != 0 || groups->ptr[groups->n_groups] != groups->n_sinks)
+        return -1;
+    for (ptrdiff_t g = 0; g < groups->n_groups; g++) {
+        ptrdiff_t size = groups->ptr[g + 1] - groups->ptr[g];
+        if (size < 0)
+            return -1;
+        if (size > max_rows)
+            max_rows = size;
+    }
+    for (ptrdiff_t i = 0; i < groups->n_sinks; i++)
+        if (groups->order[i] < 0 || groups->order[i] >= groups->n_sinks)
+            return -1;
+    int64_t *queue = iscratch, *self = queue + tree->n_nodes;
+    uint8_t *mark = (uint8_t *)(self + max_rows);
+    double *xi = fscratch, *vi = xi + 3 * max_rows;
+    double *node_acc = vi + 3 * max_rows, *node_jerk = node_acc + 3 * max_rows;
+    double *pp_acc = node_jerk + 3 * max_rows, *pp_jerk = pp_acc + 3 * max_rows;
+    double *pj = pp_jerk + 3 * max_rows, *vj = pj + 3 * width;
+    double *mj = vj + 3 * width, *qj = mj + width;
+    ptrdiff_t n_node = 0, n_pp = 0;
+    int over = 0;
+
+    lists->node_ptr[0] = lists->pp_ptr[0] = 0;
+    for (ptrdiff_t g = 0; g < groups->n_groups; g++) {
+        const double *gc = groups->centroid + 3 * g;
+        double radius = groups->radius[g];
+        ptrdiff_t node0 = n_node, pp0 = n_pp, head = 0, tail = 0;
+        queue[tail++] = 0;
+        while (head < tail) {
+            ptrdiff_t v = (ptrdiff_t)queue[head++];
+            double d[3], delta[3];
+            for (int k = 0; k < 3; k++)
+                d[k] = tree->com[3 * v + k] - gc[k];
+            double half = tree->half[v];
+            int leaf = tree->leaf_start[v] >= 0;
+            double margin = sqrt(dot3(d, d)) - radius;
+            int accept = !leaf && margin > 0.0 && 2.0 * half < theta * margin;
+            if (accept) {
+                for (int k = 0; k < 3; k++)
+                    delta[k] = gc[k] - tree->center[3 * v + k];
+                double cheb = fmax(fmax(fabs(delta[0]), fabs(delta[1])),
+                                   fabs(delta[2]));
+                accept = cheb > half + radius;
+                if (accept && groups->h_max)
+                    accept = sqrt(dot3(delta, delta)) - radius
+                             > groups->h_max[g] + sqrt3 * half;
+            }
+            if (accept) {
+                if (n_node < lists->node_cap)
+                    lists->node_idx[n_node] = v;
+                n_node++;
+            } else if (leaf) {
+                const int64_t *p = tree->leaf_perm + tree->leaf_start[v];
+                for (int64_t k = 0; k < tree->leaf_count[v]; k++, n_pp++)
+                    if (n_pp < lists->pp_cap)
+                        lists->pp_idx[n_pp] = p[k];
+            } else {
+                for (int64_t k = 0; k < tree->n_children[v]; k++)
+                    queue[tail++] = tree->first_child[v] + k;
+            }
+        }
+        lists->node_ptr[g + 1] = n_node;
+        lists->pp_ptr[g + 1] = n_pp;
+        over |= n_node > lists->node_cap || n_pp > lists->pp_cap;
+        if (over)
+            continue;
+
+        const int64_t *rows = groups->order + groups->ptr[g];
+        const int64_t *nodes = lists->node_idx + node0;
+        int64_t *src = lists->pp_idx + pp0;
+        ptrdiff_t m = groups->ptr[g + 1] - groups->ptr[g];
+        ptrdiff_t k_nodes = n_node - node0, k_pp = n_pp - pp0;
+        /* ascending, as walk_groups sorts them: mark, then scan */
+        for (ptrdiff_t c = 0; c < k_pp; c++)
+            mark[src[c]] = 1;
+        for (ptrdiff_t p = 0, c = 0; c < k_pp; p++) {
+            src[c] = p;
+            c += mark[p];
+            mark[p] = 0;
+        }
+        for (ptrdiff_t i = 0; i < m; i++)
+            for (int k = 0; k < 3; k++) {
+                xi[3 * i + k] = pos_i[3 * rows[i] + k];
+                vi[3 * i + k] = vel_i ? vel_i[3 * rows[i] + k] : 0.0;
+            }
+        if (k_nodes) {
+            for (ptrdiff_t c = 0; c < k_nodes; c++) {
+                ptrdiff_t v = (ptrdiff_t)nodes[c];
+                double mass = tree->node_mass[v];
+                for (int k = 0; k < 3; k++) {
+                    pj[3 * c + k] = tree->com[3 * v + k];
+                    vj[3 * c + k] = mass > 0.0 ? tree->mom[3 * v + k] / mass : 0.0;
+                }
+                mj[c] = mass;
+                if (tree->quad)
+                    for (int k = 0; k < 9; k++)
+                        qj[9 * c + k] = tree->quad[9 * v + k];
+            }
+            sum_list(m, k_nodes, xi, vi, pj, vj, mj, tree->quad ? qj : NULL,
+                     eps2, NULL, j_chunk, max_chunks, node_acc, node_jerk);
+        }
+        if (k_pp) {
+            for (ptrdiff_t c = 0; c < k_pp; c++) {
+                ptrdiff_t p = (ptrdiff_t)src[c];
+                for (int k = 0; k < 3; k++) {
+                    pj[3 * c + k] = tree->pos[3 * p + k];
+                    vj[3 * c + k] = tree->vel ? tree->vel[3 * p + k] : 0.0;
+                }
+                mj[c] = tree->mass[p];
+            }
+            if (self_idx)
+                for (ptrdiff_t i = 0; i < m; i++) {
+                    /* np.searchsorted(src, own), kept where it is found */
+                    int64_t own = self_idx[rows[i]];
+                    ptrdiff_t lo = 0, hi = k_pp;
+                    while (lo < hi) {
+                        ptrdiff_t mid = lo + (hi - lo) / 2;
+                        if (src[mid] < own)
+                            lo = mid + 1;
+                        else
+                            hi = mid;
+                    }
+                    self[i] = lo < k_pp && src[lo] == own ? lo : -1;
+                }
+            sum_list(m, k_pp, xi, vi, pj, vj, mj, NULL, eps2,
+                     self_idx ? self : NULL, j_chunk, max_chunks,
+                     pp_acc, pp_jerk);
+        }
+        for (ptrdiff_t i = 0; i < m; i++)
+            for (int k = 0; k < 3; k++) {
+                ptrdiff_t at = 3 * rows[i] + k, c = 3 * i + k;
+                if (k_nodes && k_pp) {
+                    acc[at] = node_acc[c] + pp_acc[c];
+                    jerk[at] = node_jerk[c] + pp_jerk[c];
+                } else if (k_nodes) {
+                    acc[at] = node_acc[c];
+                    jerk[at] = node_jerk[c];
+                } else {
+                    acc[at] = k_pp ? pp_acc[c] : 0.0;
+                    jerk[at] = k_pp ? pp_jerk[c] : 0.0;
+                }
+            }
+    }
+    return over;
 }
 
 /* -- the block step's host work ------------------------------------------
@@ -262,14 +545,6 @@ static inline double
 norm3(const double *x)
 {
     return sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]);
-}
-
-/* einsum("ij,ij->i") on a 3-vector: two accumulators (x0 and x2 on one,
- * x1 on the other), each started from +0, so a -0 sum comes out +0. */
-static inline double
-dot3(const double *x, const double *y)
-{
-    return ((x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]) + 0.0;
 }
 
 /* KeplerField.acc_jerk at (x, v), added into (a, j).  Returns non-zero

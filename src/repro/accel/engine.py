@@ -11,7 +11,11 @@ diagnostics.  Every public op normalises its arguments, books the call,
 opens its ``kernel.<op>`` span and hands :meth:`KernelEngine._sweep`
 one chunk body.  The plain-NumPy oracles the tests and
 :mod:`repro.grape.selftest` compare against live in
-:mod:`repro.core.forces`.
+:mod:`repro.core.forces`.  One op is native only:
+:meth:`KernelEngine.tree_force`, a whole grouped tree force in one call
+(walk and sums in C); the NumPy tier walks and sums in
+:mod:`repro.hybrid.walk` instead, with the same lists and, through
+these ops, the per-group sums the native call reproduces.
 
 Two kernel tiers sit behind the one chunk entry point of the
 ``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
@@ -303,20 +307,21 @@ class KernelEngine:
 
     # -- public ops (normalise, count, span, run) --------------------------
 
-    def _count_call(self, op: str, n_i: int, n_j: int, quad: bool = False) -> None:
+    def _count_call(self, op: str, pairs: int, quad_pairs: int = 0,
+                    predicted: int = 0) -> None:
         """Book one engine call and the operand bytes it streams: per
-        pair the op's tile planes, or the seven source values the native
-        row kernel reads (a quadrupole ``node_force`` stays on the tiles
-        on either tier); and for ``acc_jerk_active``, on both tiers, the
-        resident row the predictor reads per source and per sink."""
+        pair the op's tile planes, or on the native tier the seven
+        source values the row kernel reads plus the nine moments of a
+        quadrupole pair (on the tiles a quadrupole reuses the monopole
+        planes); and, on both tiers, the resident row the predictor of
+        ``acc_jerk_active`` reads per ``predicted`` row."""
         self._c_calls.inc()
-        if self._native is not None and op in tk.ROW_KERNEL_OPS and not quad:
-            planes = tk.ROW_KERNEL_VALUES
+        if op == "tree_force" or (self._native is not None
+                                  and op in tk.ROW_KERNEL_OPS):
+            values = pairs * tk.ROW_KERNEL_VALUES + quad_pairs * tk.QUAD_VALUES
         else:
-            planes = tk.TILE_PLANES[op]
-        values = n_i * n_j * planes
-        if op == "acc_jerk_active":
-            values += (n_i + n_j) * tk.PREDICTOR_VALUES
+            values = pairs * tk.TILE_PLANES[op]
+        values += predicted * tk.PREDICTOR_VALUES
         self._c_tile_bytes.inc(8 * values)
 
     def acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
@@ -334,7 +339,7 @@ class KernelEngine:
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._count_call("acc_jerk", n_i, n_j)
+        self._count_call("acc_jerk", n_i * n_j)
         with self._tracer.span("kernel.acc_jerk", n_i=n_i, n_j=n_j):
             return self._accel_acc_jerk(
                 pos_i, vel_i, pos_j, vel_j, mass_j, eps,
@@ -349,7 +354,7 @@ class KernelEngine:
         self_indices = _idx(self_indices)
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         eps2 = float(eps) ** 2
-        self._count_call("potential", n_i, n_j)
+        self._count_call("potential", n_i * n_j)
 
         def body(ws, j0, j1, phi_o):
             pj, mj = pos_j[j0:j1], mass_j[j0:j1]
@@ -381,7 +386,7 @@ class KernelEngine:
             )
         if counter is not None:
             counter.add(int(include.sum()), 1, with_jerk=True)
-        self._count_call("acc_jerk_masked", n_i, n_j)
+        self._count_call("acc_jerk_masked", n_i * n_j)
         with self._tracer.span("kernel.acc_jerk_masked", n_i=n_i, n_j=n_j):
             return self._accel_acc_jerk(
                 pos_i, vel_i, pos_j, vel_j, mass_j, eps, excluded=~include,
@@ -406,17 +411,24 @@ class KernelEngine:
         mass_j = _mass(mass_j)
         n_i, n_j = pos_i.shape[0], com_j.shape[0]
         if quad_j is not None:
-            quad_j = np.asarray(quad_j, dtype=np.float64)
+            quad_j = np.ascontiguousarray(quad_j, dtype=np.float64)
             if quad_j.shape != (n_j, 3, 3):
                 raise ValueError(
                     f"quad_j shape {quad_j.shape} != ({n_j}, 3, 3)"
                 )
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._count_call("node_force", n_i, n_j, quad=quad_j is not None)
+        quad = quad_j is not None
+        self._count_call("node_force", n_i * n_j, quad_pairs=n_i * n_j if quad else 0)
         eps2 = float(eps) ** 2
 
-        def quad_body(ws, j0, j1, acc_o, jerk_o):  # tiles on either tier
+        def quad_body(ws, j0, j1, acc_o, jerk_o):
+            if self._native is not None:
+                self._native.acc_jerk_rows(
+                    pos_i, vel_i, com_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1],
+                    eps2, acc_o, jerk_o, quad_j=quad_j[j0:j1],
+                )
+                return
             for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
                 # Exactly one += into acc_o per tile (like every other
                 # tile kernel): monopole and quadrupole accumulate into
@@ -434,9 +446,49 @@ class KernelEngine:
                 acc_o[i0:i1] += tmp
 
         with self._tracer.span("kernel.node_force", n_i=n_i, n_j=n_j):
-            if quad_j is None:  # monopole list: the plain pair sum, no self column
+            if not quad:  # monopole list: the plain pair sum, no self column
                 return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
             return self._sweep(n_i, n_j, quad_body)
+
+    def tree_force(self, tree, groups, pos_i, vel_i, theta, eps,
+                   exclude_self=None):
+        """The grouped tree force in one native call: walk once per
+        sink group, sum the group's lists, for every group.
+
+        ``tree`` is an :class:`~repro.baselines.tree.Octree`, ``groups``
+        the :func:`~repro.hybrid.walk.build_groups` partition of the
+        sinks ``pos_i`` (``vel_i`` ``None``: the jerk is of zero sink
+        velocities), ``exclude_self`` each sink's own particle.  The
+        walk is :func:`~repro.hybrid.walk.walk_groups` and the sums are
+        :func:`~repro.hybrid.walk.evaluate_lists` on this engine, bit
+        for bit: nodes, then pp, each over :meth:`jplan`, then node +
+        pp.  Returns ``(acc, jerk, (node_ptr, node_idx, pp_ptr,
+        pp_idx))``, the last the CSR of the
+        :class:`~repro.hybrid.walk.InteractionLists` it walked.  Native
+        tier only; the NumPy tier runs those two functions.
+        """
+        if self._native is None:
+            raise RuntimeError("tree_force needs the native kernel tier")
+        pos_i = np.ascontiguousarray(pos_i, dtype=np.float64)
+        if vel_i is not None:
+            vel_i = np.ascontiguousarray(vel_i, dtype=np.float64)
+        n_i = pos_i.shape[0]
+        acc = np.zeros((n_i, 3))
+        jerk = np.zeros((n_i, 3))
+        cfg = self.config
+        with self._tracer.span("kernel.tree_force", n_i=n_i,
+                               n_groups=groups.n_groups):
+            csr = self._native.tree_force(
+                tree, groups, pos_i, vel_i, _idx(exclude_self), float(theta),
+                float(eps) ** 2, cfg.j_chunk, cfg.max_chunks, acc, jerk,
+            )
+        sizes = groups.sizes
+        node_pairs = int(sizes @ np.diff(csr[0]))
+        self._count_call(
+            "tree_force", node_pairs + int(sizes @ np.diff(csr[2])),
+            quad_pairs=node_pairs if tree.node_quad is not None else 0,
+        )
+        return acc, jerk, csr
 
     def acc_jerk_active(self, system, active, t_now, eps, counter=None):
         """Force+jerk on the active block of a particle system at ``t_now``.
@@ -454,7 +506,7 @@ class KernelEngine:
         n_i, n_j = active.size, system.n
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._count_call("acc_jerk_active", n_i, n_j)
+        self._count_call("acc_jerk_active", n_i * n_j, predicted=n_i + n_j)
         t_now = float(t_now)
         eps2 = float(eps) ** 2
         with self._tracer.span("kernel.acc_jerk_active", n_i=n_i, n_j=n_j):
@@ -507,7 +559,7 @@ class KernelEngine:
         width = j1 - j0
         if counter is not None:
             counter.add(n_i, width, with_jerk=True)
-        self._count_call("acc_jerk_active", n_i, width)
+        self._count_call("acc_jerk_active", n_i * width, predicted=n_i + width)
         self._fused_chunk(
             self._ws(), system, _idx(active), float(t_now), float(eps) ** 2,
             self._sinks(system, active, t_now), j0, j1, acc, jerk,

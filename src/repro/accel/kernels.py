@@ -42,6 +42,7 @@ __all__ = [
     "TILE_PLANES",
     "ROW_KERNEL_OPS",
     "ROW_KERNEL_VALUES",
+    "QUAD_VALUES",
     "PREDICTOR_VALUES",
     "tile_mask",
     "acc_jerk_tile",
@@ -63,13 +64,15 @@ TILE_PLANES = {
     "potential": 6,  # dx dy dz r2 s mr3
 }
 
-#: Ops whose chunk body is ``KernelEngine._acc_jerk_rows``: on the native
-#: tier they stream no planes, only the seven values (x y z vx vy vz m)
-#: the row kernel reads per source.
+#: Ops whose pair loop is the native row kernel on the native tier (as
+#: is all of the native-only ``tree_force``): they stream no planes, only
+#: the seven values (x y z vx vy vz m) it reads per source, plus the nine
+#: moments of a quadrupole source.
 ROW_KERNEL_OPS = frozenset(
     ("acc_jerk", "acc_jerk_active", "acc_jerk_masked", "node_force")
 )
 ROW_KERNEL_VALUES = 7
+QUAD_VALUES = 9
 
 #: The resident row the predictor of ``acc_jerk_active`` reads per
 #: source and per sink (x v a j, t, m), on either tier.

@@ -14,10 +14,14 @@ contract of the engine holds.  Which tier a process runs on is a fact
 about its results: :func:`tier` names it, checkpoints record it, and
 ``python -m repro.accel.native`` prints how it was arrived at.
 
-The same object carries the host half of a block step
+The same object carries a whole grouped tree force
+(:meth:`NativeTile.tree_force`: walk per sink group, sum the lists
+with the row kernel) and the host half of a block step
 (:meth:`NativeTile.block_predict` / :meth:`NativeTile.block_correct`,
-used by :class:`repro.core.Simulation`).  That half is not a second
-tier: it gives the NumPy step's exact bits on every host.
+used by :class:`repro.core.Simulation`).  Neither is a second tier:
+the walk emits exactly the NumPy walk's lists, the sums are the row
+kernel's, and the block step gives the NumPy step's exact bits on
+every host.
 
 Build hygiene: the object's name is a hash of (source, flags,
 ``cc --version``); it lives in the first usable of
@@ -69,16 +73,49 @@ BLOCK_COLS = 32
 _BAD_INDEX, _ODD_STEP, _AT_ORIGIN, _NOT_FINITE = -1, 1, 2, 3
 
 _size, _addr, _real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+
+
+class _TreeArrays(ctypes.Structure):
+    """``tree_arrays`` of ``_tile.c``: the fields of an ``Octree``."""
+
+    _fields_ = [("n", _size), ("n_nodes", _size)] + [
+        (name, _addr) for name in (
+            "pos", "vel", "mass", "com", "mom", "node_mass", "quad",
+            "center", "half", "first_child", "n_children", "leaf_start",
+            "leaf_count", "leaf_perm",
+        )
+    ]
+
+
+class _SinkGroups(ctypes.Structure):
+    """``sink_groups`` of ``_tile.c``: the fields of a ``SinkGroups``."""
+
+    _fields_ = [("n_groups", _size), ("n_sinks", _size)] + [
+        (name, _addr) for name in ("order", "ptr", "centroid", "radius", "h_max")
+    ]
+
+
+class _WalkLists(ctypes.Structure):
+    """``walk_lists`` of ``_tile.c``: the CSR an ``InteractionLists`` holds."""
+
+    _fields_ = [(name, _addr) for name in
+                ("node_ptr", "node_idx", "pp_ptr", "pp_idx")] + [
+        ("node_cap", _size), ("pp_cap", _size)]
+
+
 #: Every entry point of ``_tile.c``: ``repro_<name>`` is bound to the
 #: :class:`NativeTile` method ``<name>`` with these argument and result
 #: types.  The test suite fails on an entry point missing here.
 ENTRY_POINTS = {
     "acc_jerk_rows": (
         [_size, _size, _addr, _addr, _addr, _addr, _addr, _real,
-         _addr, _size, _addr, _size, _addr, _addr], None),
+         _addr, _size, _addr, _size, _addr, _addr, _addr], None),
     "acc_jerk_active_chunk": (
         [_size, _size, _addr, _addr, _addr, _addr, _addr, _addr, _addr,
          _real, _real, _size, _size, _addr, _addr, _addr], ctypes.c_int),
+    "tree_force": (
+        [_addr, _addr, _addr, _addr, _addr, _addr, _real, _real, _size,
+         _size, _addr, _addr, _addr, _addr], ctypes.c_int),
     "block_predict": (
         [_size, _size, _addr, _addr, _addr, _addr, _addr, _addr, _addr],
         ctypes.c_int),
@@ -122,7 +159,8 @@ class NativeTile:
 
     ``acc_jerk_rows`` is the row kernel on ready-made operands;
     ``acc_jerk_active_chunk`` runs the predictor on a system's resident
-    arrays and the same row loop behind it; ``block_predict`` and
+    arrays and the same row loop behind it; ``tree_force`` walks a tree
+    per sink group and sums the lists with it; ``block_predict`` and
     ``block_correct`` are the host half of a block step, and
     ``quantize`` the block quantisation they use.
 
@@ -147,6 +185,8 @@ class NativeTile:
             fn.argtypes, fn.restype = argtypes, restype
             self._fn[name] = fn
         self._held: dict = {}
+        #: node / pp index capacity of the next tree walk (grow-only)
+        self._list_caps = [1024, 1 << 14]
 
     def _arg(self, slot: str, array: np.ndarray, shape: tuple,
              output: bool = False, dtype: np.dtype = _F64):
@@ -162,18 +202,21 @@ class NativeTile:
 
     def acc_jerk_rows(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps2,
                       acc_out, jerk_out, j0=0, self_indices=None,
-                      excluded=None) -> None:
+                      excluded=None, quad_j=None) -> None:
         """Add the pull of one j-chunk on every sink row into the outputs.
 
         ``pos_j``/``vel_j``/``mass_j`` are the chunk (columns ``[j0, j0
         + n_j)`` of the full source list); ``self_indices`` are int64
         columns in the full list, ``excluded`` the full ``(n_i, N)``
-        boolean mask.  Everything must be C-contiguous.
+        boolean mask, ``quad_j`` the chunk's ``(n_j, 3, 3)`` quadrupole
+        moments (tree nodes).  Everything must be C-contiguous.
         """
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         sinks, sources = (n_i, 3), (n_j, 3)
-        self_ptr = excl_ptr = None
+        self_ptr = excl_ptr = quad_ptr = None
         stride = 0
+        if quad_j is not None:
+            quad_ptr = _rows(quad_j, (n_j, 3, 3), "quad_j")
         if self_indices is not None:
             self_ptr = _rows(self_indices, (n_i,), "self_indices", dtype=_I64)
         if excluded is not None:
@@ -187,7 +230,7 @@ class NativeTile:
             _rows(pos_j, sources, "pos_j"), _rows(vel_j, sources, "vel_j"),
             _rows(mass_j, (n_j,), "mass_j"), eps2, self_ptr, j0, excl_ptr, stride,
             _rows(acc_out, sinks, "acc_out", output=True),
-            _rows(jerk_out, sinks, "jerk_out", output=True),
+            _rows(jerk_out, sinks, "jerk_out", output=True), quad_ptr,
         )
 
     def acc_jerk_active_chunk(self, system, active, t_now, eps2, j0, j1,
@@ -225,6 +268,85 @@ class NativeTile:
         )
         if bad:
             raise IndexError(f"active index outside the {n} particles")
+
+    def tree_force(self, tree, groups, pos_i, vel_i, self_idx, theta, eps2,
+                   j_chunk, max_chunks, acc_out, jerk_out):
+        """Walk ``tree`` once per sink group and sum the lists, into the
+        outputs; returns the ``(node_ptr, node_idx, pp_ptr, pp_idx)``
+        CSR it walked.
+
+        ``tree`` is an :class:`~repro.baselines.tree.Octree` (its
+        ``node_quad`` is used when it has one), ``groups`` a
+        :class:`~repro.hybrid.walk.SinkGroups` over the sinks ``pos_i``
+        (``vel_i`` ``None``: zero velocities); ``self_idx`` (int64 per
+        sink, or ``None``) names each sink's own particle.  The sums run
+        over the engine's ``(j_chunk, max_chunks)`` plan.
+        """
+        n, n_nodes, n_i = tree.n, tree.node_half.shape[0], pos_i.shape[0]
+        n_groups = groups.ptr.shape[0] - 1
+        rows, nodes, sinks = (n, 3), (n_nodes, 3), (n_i, 3)
+
+        def ints(array, shape, what):
+            return _rows(array, shape, what, dtype=_I64)
+
+        arrays = _TreeArrays(
+            n, n_nodes, _rows(tree.pos, rows, "tree.pos"),
+            None if tree.vel is None else _rows(tree.vel, rows, "tree.vel"),
+            _rows(tree.mass, (n,), "tree.mass"),
+            _rows(tree.node_com, nodes, "tree.node_com"),
+            _rows(tree.node_mom, nodes, "tree.node_mom"),
+            _rows(tree.node_mass, (n_nodes,), "tree.node_mass"),
+            None if tree.node_quad is None
+            else _rows(tree.node_quad, (n_nodes, 3, 3), "tree.node_quad"),
+            _rows(tree.node_center, nodes, "tree.node_center"),
+            _rows(tree.node_half, (n_nodes,), "tree.node_half"),
+            ints(tree.node_first_child, (n_nodes,), "tree.node_first_child"),
+            ints(tree.node_n_children, (n_nodes,), "tree.node_n_children"),
+            ints(tree.node_leaf_start, (n_nodes,), "tree.node_leaf_start"),
+            ints(tree.node_leaf_count, (n_nodes,), "tree.node_leaf_count"),
+            ints(tree.leaf_perm, (n,), "tree.leaf_perm"),
+        )
+        sink_groups = _SinkGroups(
+            n_groups, n_i, ints(groups.order, (n_i,), "groups.order"),
+            ints(groups.ptr, (n_groups + 1,), "groups.ptr"),
+            _rows(groups.centroid, (n_groups, 3), "groups.centroid"),
+            _rows(groups.radius, (n_groups,), "groups.radius"),
+            None if groups.h_max is None
+            else _rows(groups.h_max, (n_groups,), "groups.h_max"),
+        )
+        # the walk's queue, the self columns and n zeroed mark bytes; the
+        # gathered sinks with their four partial sums (18 values per
+        # sink) and one list's gathered sources with quadrupoles (16)
+        iscratch = np.zeros(n_nodes + n_i + n // 8 + 1, dtype=_I64)
+        fscratch = np.empty(18 * n_i + 16 * max(n, n_nodes))
+        node_ptr = np.empty(n_groups + 1, dtype=_I64)
+        pp_ptr = np.empty(n_groups + 1, dtype=_I64)
+        caps = self._list_caps
+        while True:
+            node_idx = np.empty(caps[0], dtype=_I64)
+            pp_idx = np.empty(caps[1], dtype=_I64)
+            lists = _WalkLists(
+                _ptr(node_ptr), _ptr(node_idx), _ptr(pp_ptr), _ptr(pp_idx),
+                caps[0], caps[1],
+            )
+            over = self._fn["tree_force"](
+                ctypes.addressof(arrays), ctypes.addressof(sink_groups),
+                ctypes.addressof(lists), _rows(pos_i, sinks, "pos_i"),
+                None if vel_i is None else _rows(vel_i, sinks, "vel_i"),
+                None if self_idx is None else ints(self_idx, (n_i,), "self_idx"),
+                theta, eps2, j_chunk, max_chunks, _ptr(iscratch), _ptr(fscratch),
+                _rows(acc_out, sinks, "acc_out", output=True),
+                _rows(jerk_out, sinks, "jerk_out", output=True),
+            )
+            if over < 0:
+                raise ValueError(f"groups: not a partition of the {n_i} sinks")
+            if not over:
+                return (node_ptr, node_idx[: node_ptr[-1]],
+                        pp_ptr, pp_idx[: pp_ptr[-1]])
+            # a list outgrew its buffer: size both for this walk, and
+            # keep the sizes for the next (grow-only)
+            caps[0] = max(caps[0], int(node_ptr[-1]))
+            caps[1] = max(caps[1], int(pp_ptr[-1]))
 
     def block_predict(self, system, active, block) -> bool:
         """Gather ``system``'s ``active`` rows into ``block`` and predict

@@ -4,7 +4,8 @@ One pass over one set of interaction lists.  Per active block the
 grouped tree walk (:mod:`repro.hybrid.walk`) gives every sink group an
 accepted-node list and an opened-leaf (pp) list, and the
 :mod:`repro.accel` engine sums both — multipoles for the nodes, exact
-pairwise force and jerk for the pp list.  A sink's neighbour sphere
+pairwise force and jerk for the pp list; on the native tier walk and
+sums are one call.  A sink's neighbour sphere
 ``h_i`` has exactly one force-side job: the walk's acceptance guard
 takes a node as a multipole only when its cube lies wholly outside
 every sphere of the group, so **no in-sphere source is ever inside an
@@ -20,10 +21,10 @@ is no second, N-wide pass: memory per call is O(n_crit x list width).
 
 Contracts: every sink's pp list plus the leaves under its accepted
 nodes covers every source exactly once, and every in-sphere source is
-in the pp list; at ``theta = 0`` each group's kernel call is a
-row-subset of the full direct call, so the hybrid is *bitwise* direct
-summation; serial and threaded engines agree bitwise through the
-engine's fixed-order fold.
+in the pp list; at ``theta = 0`` each group's sum is a row-subset of
+the full direct call, so the hybrid is *bitwise* direct summation;
+serial and threaded engines agree bitwise through the engine's
+fixed-order fold.
 
 The per-particle radii live in ``ParticleSystem.h_nb`` (0 means "use
 this backend's ``r_neighbour`` default") and survive prediction,

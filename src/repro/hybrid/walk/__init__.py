@@ -1,11 +1,13 @@
-"""repro.hybrid.walk — vectorised grouped-walk tree-force engine.
+"""repro.hybrid.walk — the grouped-walk tree force.
 
-Fukushige & Kawai's GRAPE tree scheme in NumPy: partition sinks into
-spatially coherent groups along the octree itself
-(:func:`build_groups`), run one array-based frontier walk per group
-with conservative bounding-sphere acceptance (:func:`walk_groups`),
-and evaluate the shared interaction lists in bulk through the
-:mod:`repro.accel` kernel engine (:func:`grouped_accelerations`).
+Fukushige & Kawai's GRAPE tree scheme: partition sinks into spatially
+coherent groups along the octree itself (:func:`build_groups`), walk
+once per group with conservative bounding-sphere acceptance and
+evaluate the shared interaction lists through the :mod:`repro.accel`
+kernel engine (:func:`grouped_accelerations`) — on the native tier in
+one call for walk and sums, on the NumPy tier as an array-based
+frontier walk (:func:`walk_groups`) and per-group engine calls
+(:func:`evaluate_lists`).
 
 This is the one walk behind
 :meth:`repro.baselines.tree.Octree.accelerations`.  Given per-sink
@@ -15,7 +17,7 @@ in-sphere pairs as a by-product of the same pass
 (:attr:`WalkStats.neighbours`).
 """
 
-from .engine import WalkStats, grouped_accelerations
+from .engine import WalkStats, evaluate_lists, grouped_accelerations
 from .groups import InteractionLists, SinkGroups, build_groups, walk_groups
 
 __all__ = [
@@ -24,5 +26,6 @@ __all__ = [
     "WalkStats",
     "build_groups",
     "walk_groups",
+    "evaluate_lists",
     "grouped_accelerations",
 ]

@@ -1,13 +1,20 @@
-"""Bulk evaluation of grouped-walk interaction lists via ``repro.accel``.
+"""The tree force: group the sinks, walk once per group, sum the lists.
 
-:func:`grouped_accelerations` is the tree force: group the sinks
-(:func:`~repro.hybrid.walk.groups.build_groups`), walk once per group
-(:func:`~repro.hybrid.walk.groups.walk_groups`), then evaluate each
-group's shared lists in two bulk kernel calls — accepted-node
-multipoles through :meth:`KernelEngine.node_force` and opened-leaf
-sources through :meth:`KernelEngine.acc_jerk`, unmasked but for the
-sink's own column.  One pass over one set of lists, with or without
-neighbour spheres.
+:func:`grouped_accelerations` groups the sinks
+(:func:`~repro.hybrid.walk.groups.build_groups`) and then, on the
+native kernel tier, makes ONE call per tree force:
+:meth:`KernelEngine.tree_force` walks the tree once per group and sums
+each group's shared lists in C — accepted-node multipoles and
+opened-leaf sources, read from the tree's resident arrays by index,
+unmasked but for the sink's own column — and hands back the lists it
+walked.  On the NumPy tier the same two steps run here:
+:func:`~repro.hybrid.walk.groups.walk_groups` walks all groups at once
+and :func:`evaluate_lists` makes two engine calls per group
+(:meth:`KernelEngine.node_force` over the nodes,
+:meth:`KernelEngine.acc_jerk` over the pp sources).  Those two are also
+the oracle of the native call: the same lists, array for array, and
+the same sums, bit for bit.  One pass over one set of lists, with or
+without neighbour spheres.
 
 With ``h_i`` the same pass also emits what GRAPE-6's neighbour memory
 emits: :func:`repro.grape.neighbours.within_sphere` runs over the pp
@@ -20,15 +27,15 @@ in its sink's pp list.
 
 Exactness contracts (tested):
 
-* every call runs the engine's one implementation of its op, so
-  serial ≡ threaded stays bit-identical through the engine's
-  fixed-order reduction;
+* both tiers sum every list over the engine's j-chunk plan in
+  ascending order, so serial ≡ threaded stays bit-identical, and the
+  native call equals :func:`evaluate_lists` on the native row kernel;
 * every sink's pp list ∪ the leaves under its accepted nodes covers
   every source exactly once, and every source with ``dist2 < h**2`` is
   in the pp list;
 * at ``theta = 0`` nothing is accepted, every group's source list is
-  all particles in ascending order, and each group's ``acc_jerk`` call
-  is a row-subset of the full direct call — bit-identical to direct
+  all particles in ascending order, and each group's sum is a
+  row-subset of the full direct call — bit-identical to direct
   summation, for any ``h_i``.
 """
 
@@ -41,9 +48,9 @@ import numpy as np
 
 from ...baselines.tree import concat_ranges
 from ...grape.neighbours import within_sphere
-from .groups import build_groups, walk_groups
+from .groups import InteractionLists, build_groups, walk_groups
 
-__all__ = ["WalkStats", "grouped_accelerations"]
+__all__ = ["WalkStats", "evaluate_lists", "grouped_accelerations"]
 
 
 @dataclass
@@ -71,7 +78,7 @@ def grouped_accelerations(
     n_crit: int = 32,
     engine=None,
 ):
-    """Tree forces for a sink block via grouped walks + bulk kernels.
+    """Tree forces for a sink block: group, walk once per group, sum.
 
     Arguments mirror :meth:`repro.baselines.tree.Octree.accelerations`
     (which normalises them before delegating here); ``vel_i=None``
@@ -85,32 +92,58 @@ def grouped_accelerations(
         engine = get_engine()
     n_i = pos_i.shape[0]
     want_jerk = tree.vel is not None and vel_i is not None
-    acc = np.zeros((n_i, 3))
-    jerk = np.zeros((n_i, 3)) if want_jerk else None
     stats = WalkStats()
     if n_i == 0:
         if h_i is not None:
             no_index = np.empty(0, dtype=np.int64)
             stats.neighbours = (no_index, no_index, np.empty(0))
-        return acc, jerk, stats
-
-    # sinks without velocities still go through the acc+jerk kernels
-    # (the node-monopole jerk falls out of the same tile); the jerk
-    # outputs are simply dropped
-    vi_all = vel_i if want_jerk else np.zeros((n_i, 3))
-    src_vel = tree.vel if tree.vel is not None else np.zeros_like(tree.pos)
+        return np.zeros((0, 3)), np.zeros((0, 3)) if want_jerk else None, stats
 
     groups = build_groups(tree, pos_i, h_i=h_i, n_crit=n_crit)
-    lists = walk_groups(tree, groups, theta)
+    vel_i = vel_i if want_jerk else None
+    if engine.tier == "native":
+        acc, jerk, csr = engine.tree_force(
+            tree, groups, pos_i, vel_i, theta, eps, exclude_self
+        )
+        lists = InteractionLists(*csr)
+    else:
+        lists = walk_groups(tree, groups, theta)
+        acc, jerk = evaluate_lists(
+            tree, groups, lists, pos_i, vel_i, eps, exclude_self, engine
+        )
     stats.n_groups = groups.n_groups
     stats.group_sizes = groups.sizes
+    stats.node_terms = int(groups.sizes @ np.diff(lists.node_ptr))
+    stats.pp_terms = int(groups.sizes @ np.diff(lists.pp_ptr))
     if h_i is not None:
         t0 = perf_counter()
         stats.neighbours = _neighbour_pairs(
             tree, groups, lists, pos_i, h_i, exclude_self
         )
         stats.neighbour_seconds = perf_counter() - t0
+    return acc, jerk if want_jerk else None, stats
 
+
+def evaluate_lists(tree, groups, lists, pos_i, vel_i, eps, exclude_self,
+                   engine):
+    """Sum walked lists group by group through ``engine``'s ops.
+
+    The NumPy tier's tree force and, on the native row kernel, the
+    oracle of :meth:`repro.accel.KernelEngine.tree_force`: per group
+    one :meth:`~repro.accel.KernelEngine.node_force` over the
+    accepted nodes and one :meth:`~repro.accel.KernelEngine.acc_jerk`
+    over the pp sources (the sink's own column excluded), added node +
+    pp.  ``vel_i=None`` sums with zero sink velocities.  Returns
+    ``(acc, jerk)``.
+    """
+    n_i = pos_i.shape[0]
+    acc = np.zeros((n_i, 3))
+    jerk = np.zeros((n_i, 3))
+    # sinks without velocities still go through the acc+jerk kernels
+    # (the node-monopole jerk falls out of the same tile); the caller
+    # drops the jerk
+    vi_all = vel_i if vel_i is not None else np.zeros((n_i, 3))
+    src_vel = tree.vel if tree.vel is not None else np.zeros_like(tree.pos)
     node_mass = tree.node_mass[:, None]
     node_vel = np.divide(
         tree.node_mom, node_mass,
@@ -131,7 +164,6 @@ def grouped_accelerations(
                 pi, vi, tree.node_com[nodes], node_vel[nodes],
                 tree.node_mass[nodes], eps, quad_j=quad,
             )
-            stats.node_terms += rows.size * nodes.size
 
         src = lists.sources(g)
         if src.size:
@@ -148,7 +180,6 @@ def grouped_accelerations(
                 pi, vi, sp, src_vel[src], tree.mass[src], eps,
                 self_indices=self_idx,
             )
-            stats.pp_terms += rows.size * src.size
             if a_g is None:
                 a_g, j_g = pa, pj
             else:
@@ -157,10 +188,9 @@ def grouped_accelerations(
 
         if a_g is not None:
             acc[rows] = a_g
-            if want_jerk:
-                jerk[rows] = j_g
+            jerk[rows] = j_g
 
-    return acc, jerk, stats
+    return acc, jerk
 
 
 def _neighbour_pairs(tree, groups, lists, pos_i, h_i, exclude_self):

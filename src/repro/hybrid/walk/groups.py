@@ -13,9 +13,17 @@ pipelines.  This module is the host side of that scheme:
   the acceptance test uses);
 * :func:`walk_groups` runs one vectorised frontier walk over all
   groups at once and emits, per group, the accepted-node list (ids of
-  cells evaluated as multipoles) and the opened-leaf source list
-  (particle ids evaluated particle-particle, sorted ascending so the
-  evaluation order is canonical).
+  cells evaluated as multipoles, level by level in frontier order) and
+  the opened-leaf source list (particle ids evaluated
+  particle-particle, sorted ascending so the evaluation order is
+  canonical).
+
+On the native kernel tier the walk itself runs in C, inside the one
+call that also sums the lists (``repro_tree_force`` behind
+:meth:`repro.accel.KernelEngine.tree_force`): a breadth-first walk per
+group with these acceptance tests in this operation order, emitting
+these lists exactly.  :func:`walk_groups` is then the test oracle of
+that walk and the NumPy tier's walk.
 
 Group acceptance is conservative: a node of size ``2*half`` at
 distance ``dist`` from the group centroid is accepted only when

@@ -42,8 +42,9 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "kernel.tile_bytes_total": (
         "counter",
         "Operand bytes streamed by the kernels: pairs x tile planes (x 7 "
-        "source values on the native tier), plus for acc_jerk_active the "
-        "14-value resident row of every source and sink it predicts",
+        "source values, and 9 more per quadrupole pair, on the native "
+        "tier), plus for acc_jerk_active the 14-value resident row of "
+        "every source and sink it predicts",
     ),
     "kernel.thread_efficiency": (
         "gauge",

@@ -577,6 +577,47 @@ class TestCLICheckpointWorkflow:
         assert err.startswith("error: ckpt_")
         assert "'persink'" in err and "no longer exists" in err
 
+    def test_hybrid_killed_and_resumed_matches_uninterrupted(
+            self, capsys, tmp_path, monkeypatch):
+        """A ``--backend hybrid`` run killed mid-way resumes through the
+        CLI to the uninterrupted run's final ``state_digest``."""
+        from repro.cli import main
+
+        digests, execute = [], ProductionRun.execute
+
+        def recording_execute(run, t_end=None):
+            report = execute(run, t_end)
+            digests.append(state_digest(run.sim.system, report.t_final,
+                                        report.block_steps))
+            return report
+
+        monkeypatch.setattr(ProductionRun, "execute", recording_execute)
+        hybrid = self.RUN + ["--backend", "hybrid"]
+        assert main(hybrid + ["--run-dir", str(tmp_path / "ref")]) == 0
+
+        init = ProductionRun.__init__
+
+        def killer(sim):
+            if sim.block_steps == 6:
+                raise SimulationKilled("power cut")
+
+        def killed_init(run, *args, **kwargs):
+            init(run, *args, **{**kwargs, "on_block": killer})
+
+        d = tmp_path / "killed"
+        with monkeypatch.context() as patch:
+            patch.setattr(ProductionRun, "__init__", killed_init)
+            with pytest.raises(SimulationKilled):
+                main(hybrid + ["--run-dir", str(d)])
+        _, state = CheckpointManager(d / "checkpoints").load_latest()
+        assert 0 < state["block_steps"] < 6  # killed mid-run
+        capsys.readouterr()
+
+        assert main(["run", "--resume", str(d)]) == 0
+        assert "resuming from ckpt_" in capsys.readouterr().out
+        assert len(digests) == 2
+        assert digests[1] == digests[0]
+
     def test_resume_without_checkpoint_exits_2(self, capsys, tmp_path):
         from repro.cli import main
 

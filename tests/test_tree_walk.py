@@ -21,18 +21,22 @@ with it but the tree arrays (``"persink"`` below).  Pinned here:
 * the grouped walk is bit-identical between serial and threaded
   kernel engines;
 * a sink coinciding with a node's centre of mass stays finite
-  (regression for the guarded ``1/(r2*sqrt(r2))`` sites).
+  (regression for the guarded ``1/(r2*sqrt(r2))`` sites);
+* on the native tier the one-call walk (``KernelEngine.tree_force``)
+  walks exactly ``walk_groups``' lists and sums them to exactly the
+  bits of the per-group engine calls (``evaluate_lists``).
 """
 
 import numpy as np
 import pytest
 from _persink_oracle import persink_accelerations
-from conftest import make_random_cluster
+from conftest import ORDER_SENSITIVE_ROWS, make_random_cluster
 
-from repro.accel import EngineConfig, KernelEngine
-from repro.baselines.tree import Octree
+from repro.accel import EngineConfig, KernelEngine, native
+from repro.baselines.tree import _SQRT3, Octree
+from repro.core import forces
 from repro.grape.neighbours import neighbour_search
-from repro.hybrid.walk import build_groups, walk_groups
+from repro.hybrid.walk import SinkGroups, build_groups, evaluate_lists, walk_groups
 
 EPS = 0.01
 WALKS = ("grouped", "persink")
@@ -322,3 +326,296 @@ class TestCoincidentSinkRegression:
             tree, walk, pos, theta=0.0, eps=0.0, exclude_self=np.arange(5),
         )
         assert np.isfinite(acc).all()
+
+
+requires_native = pytest.mark.skipif(
+    native.tier() != "native", reason="no C compiler: NumPy tier only"
+)
+
+
+def _native_and_oracle(tree, groups, pos_i, theta, vel_i=None,
+                       exclude_self=None, engine=None):
+    """``KernelEngine.tree_force`` and what it must reproduce:
+    ``walk_groups`` + ``evaluate_lists`` on the same engine."""
+    engine = engine or KernelEngine(EngineConfig(threads=1))
+    try:
+        acc, jerk, csr = engine.tree_force(tree, groups, pos_i, vel_i, theta,
+                                           EPS, exclude_self)
+        lists = walk_groups(tree, groups, theta)
+        ref = evaluate_lists(tree, groups, lists, pos_i, vel_i, EPS,
+                             exclude_self, engine)
+    finally:
+        engine.close()
+    want = (lists.node_ptr, lists.node_idx, lists.pp_ptr, lists.pp_idx)
+    return (acc, jerk), csr, ref, want
+
+
+def _assert_same_lists(csr, want):
+    for name, got, expected in zip(("node_ptr", "node_idx", "pp_ptr", "pp_idx"),
+                                   csr, want):
+        assert got.dtype == np.int64, name
+        assert np.array_equal(got, expected), name
+
+
+def _einsum_norm(d):
+    """|d| the way ``walk_groups`` sums it."""
+    d = np.asarray(d, dtype=np.float64)[None]
+    return np.sqrt(np.einsum("ij,ij->i", d, d))[0]
+
+
+#: |d| summed in the two other orders a C loop would naturally use
+_OTHER_NORMS = (
+    lambda d: np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]),
+    lambda d: np.sqrt(d[0] * d[0] + (d[1] * d[1] + d[2] * d[2])),
+)
+
+
+def _symmetric_dyadic_tree():
+    """Mirrored particle pairs on a dyadic grid with equal power-of-two
+    masses: every sum is exact, so the root's centre and COM are 0."""
+    rng = np.random.default_rng(3)
+    side = rng.integers(-64, 65, size=(100, 3)) / 64.0
+    pos = np.concatenate([side, -side, [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]])
+    tree = Octree(pos, np.full(pos.shape[0], 1.0 / 128.0), leaf_size=4)
+    assert not tree.node_center[0].any() and not tree.node_com[0].any()
+    return tree
+
+
+def _order_sensitive_groups(tree, spheres, theta=1.0):
+    """One single-sink group per (``ORDER_SENSITIVE_ROWS`` row, other
+    summation order that rounds it apart) whose root acceptance turns
+    on the order: on ``dist`` (no spheres; the group radius sits at the
+    threshold) or on ``cdist`` (spheres; ``h_max`` sits there).
+
+    The root's centre and COM are 0, so a centroid ``-d`` puts ``d``
+    (an order-sensitive row scaled by a power of two) into both sums.
+    """
+    half = tree.node_half[0]
+    centroid, radius, h_max, accept = [], [], [], []
+    for row in ORDER_SENSITIVE_ROWS:
+        d = row * (8.0 / np.abs(row).max())
+        ours = _einsum_norm(d)
+        for other_norm in _OTHER_NORMS:
+            other = other_norm(d)
+            if other == ours:
+                continue
+            if spheres:
+                def accepted(norm, h):
+                    return norm - 0.0 > h + _SQRT3 * half
+                start = ours - _SQRT3 * half
+            else:
+                def accepted(norm, r):
+                    return 2.0 * half < theta * (norm - r)
+                start = ours - 2.0 * half / theta
+            candidates = [start]
+            up = down = start
+            for _ in range(64):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                candidates += [up, down]
+            x = next(x for x in candidates
+                     if accepted(ours, x) != accepted(other, x))
+            centroid.append(-d)
+            radius.append(0.0 if spheres else x)
+            h_max.append(x)
+            accept.append(accepted(ours, x))
+    g = len(centroid)
+    groups = SinkGroups(
+        order=np.arange(g, dtype=np.int64), ptr=np.arange(g + 1, dtype=np.int64),
+        centroid=np.array(centroid), radius=np.array(radius),
+        h_max=np.array(h_max) if spheres else None,
+    )
+    return groups, groups.centroid.copy(), np.array(accept)
+
+
+@requires_native
+class TestNativeWalkLists:
+    """The one-call walk emits ``walk_groups``' CSR, array for array."""
+
+    @pytest.mark.parametrize("spheres", [False, True])
+    @pytest.mark.parametrize("n_crit", [1, 8, 64])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 1.2])
+    def test_cluster(self, cluster, tree, theta, n_crit, spheres):
+        rng = np.random.default_rng(1000 * n_crit + int(10 * theta))
+        h = rng.uniform(0.0, 0.8, cluster.n) if spheres else None
+        groups = build_groups(tree, cluster.pos, h_i=h, n_crit=n_crit)
+        _, csr, _, want = _native_and_oracle(
+            tree, groups, cluster.pos, theta, cluster.vel, np.arange(cluster.n))
+        _assert_same_lists(csr, want)
+        if theta >= 0.6 and n_crit <= 8 and not spheres:
+            assert want[1].size > 0, "no node accepted: test vacuous"
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_coincident_sink_cluster(self, theta):
+        pos = np.array([
+            [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ])
+        tree = Octree(pos, np.ones(5), leaf_size=1)
+        sinks = np.concatenate([pos, np.zeros((6, 3))])  # six more on the COM
+        groups = build_groups(tree, sinks, n_crit=2)
+        forces_, csr, ref, want = _native_and_oracle(
+            tree, groups, sinks, theta, exclude_self=np.arange(11))
+        _assert_same_lists(csr, want)
+        assert np.array_equal(forces_[0], ref[0])
+        assert np.isfinite(forces_[0]).all()
+
+    def test_sinks_predicted_outside_their_cells(self, cluster, tree):
+        """Sinks drifted off the positions the tree sorted them by: some
+        stop in coarser cells, groups overlap cells they are not in."""
+        drift = np.random.default_rng(4).normal(scale=0.1, size=cluster.pos.shape)
+        sinks = cluster.pos + drift
+        h = np.full(cluster.n, 0.2)
+        for theta in (0.3, 0.8):
+            groups = build_groups(tree, sinks, h_i=h, n_crit=8)
+            forces_, csr, ref, want = _native_and_oracle(
+                tree, groups, sinks, theta, cluster.vel, np.arange(cluster.n))
+            _assert_same_lists(csr, want)
+            assert np.array_equal(forces_[0], ref[0])
+
+    def test_refuses_what_is_not_a_partition(self, cluster, tree):
+        """Rows are read by index in C, so a group naming a row outside
+        the block, or groups not covering it, raise before any read."""
+        groups = build_groups(tree, cluster.pos, n_crit=8)
+        engine = KernelEngine(EngineConfig(threads=1))
+        bad_row = SinkGroups(groups.order.copy(), groups.ptr, groups.centroid,
+                             groups.radius, None)
+        bad_row.order[3] = cluster.n
+        short = SinkGroups(groups.order, groups.ptr.copy(), groups.centroid,
+                           groups.radius, None)
+        short.ptr[-1] -= 1
+        try:
+            for broken in (bad_row, short):
+                with pytest.raises(ValueError, match="partition"):
+                    engine.tree_force(tree, broken, cluster.pos, None, 0.6, EPS)
+            with pytest.raises(ValueError):
+                engine.tree_force(tree, groups, cluster.pos[:, :2], None, 0.6, EPS)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("spheres", [False, True])
+    def test_acceptance_sums_in_numpy_order(self, spheres):
+        """Centroid offsets whose ``dist`` (or ``cdist``) rounds apart
+        in another summation order, at the acceptance threshold: the
+        root is accepted in one order and opened in the other, so a
+        reordered sum changes the lists."""
+        tree = _symmetric_dyadic_tree()
+        groups, sinks, accept = _order_sensitive_groups(tree, spheres)
+        assert groups.n_groups == len(ORDER_SENSITIVE_ROWS)
+        _, csr, _, want = _native_and_oracle(tree, groups, sinks, 1.0)
+        _assert_same_lists(csr, want)
+        roots = np.diff(want[0]) == 1  # accepted: the root is the list
+        assert np.array_equal(roots, accept)
+
+
+@requires_native
+class TestNativePipelineBits:
+    """``tree_force`` sums to the bits of the per-group engine calls."""
+
+    @pytest.mark.parametrize("exclude", [True, False])
+    @pytest.mark.parametrize("velocities", [True, False])
+    @pytest.mark.parametrize("j_chunk", [64, 2048])
+    @pytest.mark.parametrize("theta", [0.0, 0.6])
+    def test_matches_the_per_group_path(self, cluster, theta, j_chunk,
+                                        velocities, exclude):
+        vel = cluster.vel if velocities else None
+        tree = Octree(cluster.pos, cluster.mass, vel=vel)
+        h = np.random.default_rng(2).uniform(0.0, 0.5, cluster.n)
+        groups = build_groups(tree, cluster.pos, h_i=h, n_crit=8)
+        engine = KernelEngine(EngineConfig(threads=1, j_chunk=j_chunk))
+        (acc, jerk), csr, (a_ref, j_ref), want = _native_and_oracle(
+            tree, groups, cluster.pos, theta, vel,
+            np.arange(cluster.n) if exclude else None, engine)
+        _assert_same_lists(csr, want)
+        assert np.array_equal(acc, a_ref)
+        assert np.array_equal(jerk, j_ref)
+
+    def test_tree_without_velocities_gives_no_jerk(self, cluster):
+        tree = Octree(cluster.pos, cluster.mass)
+        acc, jerk = tree.accelerations(cluster.pos, 0.6, EPS, vel_i=cluster.vel,
+                                       exclude_self=np.arange(cluster.n))
+        assert jerk is None
+        groups = build_groups(tree, cluster.pos)
+        (got, _), _, ref, _ = _native_and_oracle(
+            tree, groups, cluster.pos, 0.6, cluster.vel, np.arange(cluster.n))
+        assert np.array_equal(acc, got)
+        assert np.array_equal(acc, ref[0])
+
+    def test_one_engine_call_per_tree_force(self, cluster, tree):
+        from repro.obs import Observability
+
+        obs = Observability()
+        engine = KernelEngine(EngineConfig(threads=1), obs=obs)
+        try:
+            tree.accelerations(cluster.pos, 0.6, EPS, vel_i=cluster.vel,
+                               exclude_self=np.arange(cluster.n), n_crit=8,
+                               engine=engine)
+        finally:
+            engine.close()
+        assert obs.metrics.counter("kernel.calls_total").value == 1
+        stats = tree.walk_stats
+        assert obs.metrics.counter("kernel.tile_bytes_total").value == (
+            8 * 7 * (stats.node_terms + stats.pp_terms))
+
+    @pytest.mark.parametrize("theta", [0.3, 0.8])
+    def test_quadrupole_within_1e12_of_the_oracle(self, cluster, theta):
+        """The native quadrupole arm against ``forces.node_force``
+        group by group (pp lists through ``forces.acc_jerk``)."""
+        tree = Octree(cluster.pos, cluster.mass, vel=cluster.vel,
+                      quadrupole=True)
+        groups = build_groups(tree, cluster.pos, n_crit=8)
+        (acc, _), csr, ref, want = _native_and_oracle(
+            tree, groups, cluster.pos, theta, cluster.vel, np.arange(cluster.n))
+        assert np.array_equal(acc, ref[0])
+        lists = walk_groups(tree, groups, theta)
+        assert lists.node_idx.size > 0
+        node_vel = np.zeros_like(tree.node_mom)
+        oracle = np.zeros_like(acc)
+        for g in range(groups.n_groups):
+            rows, nodes, src = groups.rows(g), lists.nodes(g), lists.sources(g)
+            a = np.zeros((rows.size, 3))
+            if nodes.size:
+                a += forces.node_force(
+                    cluster.pos[rows], cluster.vel[rows], tree.node_com[nodes],
+                    node_vel[nodes], tree.node_mass[nodes], EPS,
+                    quad_j=tree.node_quad[nodes])[0]
+            own = np.searchsorted(src, rows)
+            a += forces.acc_jerk(
+                cluster.pos[rows], cluster.vel[rows], tree.pos[src],
+                cluster.vel[src], tree.mass[src], EPS,
+                self_indices=np.where(src[np.minimum(own, src.size - 1)] == rows,
+                                      own, -1))[0]
+            oracle[rows] = a
+        err = np.linalg.norm(acc - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+        assert err.max() < 1e-12
+
+    def test_quadrupole_serial_vs_threaded(self, cluster):
+        tree = Octree(cluster.pos, cluster.mass, vel=cluster.vel,
+                      quadrupole=True)
+        out = []
+        for threads in (1, 4):
+            engine = KernelEngine(EngineConfig(threads=threads, j_chunk=64,
+                                               parallel_pairs=1))
+            try:
+                out.append(tree.accelerations(
+                    cluster.pos, 0.6, EPS, vel_i=cluster.vel,
+                    exclude_self=np.arange(cluster.n), engine=engine))
+            finally:
+                engine.close()
+        assert np.array_equal(out[0][0], out[1][0])
+        assert np.array_equal(out[0][1], out[1][1])
+
+    def test_lists_outgrowing_their_buffers(self, cluster, tree):
+        """A walk longer than the held list capacity is walked again
+        into buffers of the size it reported."""
+        tile = native.load()
+        caps = list(tile._list_caps)
+        tile._list_caps[:] = [1, 1]
+        try:
+            groups = build_groups(tree, cluster.pos, n_crit=8)
+            _, csr, _, want = _native_and_oracle(
+                tree, groups, cluster.pos, 0.6, cluster.vel,
+                np.arange(cluster.n))
+        finally:
+            tile._list_caps[:] = caps
+        _assert_same_lists(csr, want)
