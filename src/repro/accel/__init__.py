@@ -1,19 +1,18 @@
-"""repro.accel — allocation-free, thread-parallel force-kernel engine.
+"""repro.accel — thread-parallel force-kernel engine.
 
-The software analogue of the GRAPE-6 force pipeline stack:
-preallocated shape-bucketed tile buffers
-(:mod:`~repro.accel.workspace`), ``out=``-form tile kernels
-(:mod:`~repro.accel.kernels`), a persistent thread pool with a
-fixed-order partial-sum reduction and a fused per-chunk source
-predictor (:mod:`~repro.accel.engine`) — one implementation per op,
-no choice of kernel, and only the ops a force path calls (force + jerk
-in its direct, masked, tree-node and active-block forms, and the
-potential for energy diagnostics).  Where a C compiler is present the
-force + jerk pair loop itself runs compiled
+The software analogue of the GRAPE-6 force pipeline stack: a fixed
+j-chunk plan, a persistent thread pool with a fixed-order partial-sum
+reduction over shape-bucketed slabs (:mod:`~repro.accel.workspace`)
+and a fused per-chunk source predictor (:mod:`~repro.accel.engine`) —
+one implementation per op, no choice of kernel, and only the ops a
+force path calls (force + jerk in its direct, masked, tree-node and
+active-block forms, and the potential for energy diagnostics).  Where
+a C compiler is present the force + jerk pair loop runs compiled
 (:mod:`~repro.accel.native`, built on first use, cached per user), and
 so does a whole grouped tree force, walk and sums in one call
-(``KernelEngine.tree_force``); without one the NumPy tiles do the same
-sums and a log line says so.
+(``KernelEngine.tree_force``); without one each chunk is a call of the
+plain-NumPy oracle in :mod:`repro.core.forces`, and a log line says
+so.  The potential is that oracle on both tiers.
 
 Most callers want the process-wide engine::
 
@@ -30,17 +29,13 @@ from __future__ import annotations
 import threading
 
 from .engine import EngineConfig, KernelEngine, fixed_order_reduce
-from .kernels import predict_sources
-from .workspace import KernelWorkspace, TileBuffers, TileView, bucket_size
+from .workspace import KernelWorkspace, bucket_size
 
 __all__ = [
     "EngineConfig",
     "KernelEngine",
     "KernelWorkspace",
-    "TileBuffers",
-    "TileView",
     "bucket_size",
-    "predict_sources",
     "fixed_order_reduce",
     "get_engine",
     "set_engine",

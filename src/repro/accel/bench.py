@@ -28,8 +28,8 @@ Document schema::
     }
 
 On a host with a C compiler the ops that end in the compiled row
-kernel (:mod:`repro.accel.native`) are timed twice: on the NumPy tiles
-(the row as every earlier record has it) and natively, that row marked
+kernel (:mod:`repro.accel.native`) are timed twice: on the NumPy tier
+(the oracle per j-chunk) and natively, that row marked
 ``"tier": "native"``.
 """
 
@@ -45,8 +45,7 @@ import numpy as np
 
 from ..core import forces
 from ..core.predictor import predict_system
-from .engine import EngineConfig, KernelEngine
-from .kernels import ROW_KERNEL_OPS
+from .engine import OPS, EngineConfig, KernelEngine
 
 __all__ = ["DEFAULT_SHAPES", "QUICK_SHAPES", "make_workload", "run_bench", "main"]
 
@@ -127,9 +126,8 @@ def _cases(system, active, t_now: float):
     ]
 
 
-#: Engine rows the native tier changes: ``node_force`` is timed with
-#: quadrupoles, which stay on the tiles on either tier.
-_NATIVE_ROWS = ROW_KERNEL_OPS - {"node_force"}
+#: Engine rows the native tier changes: all but the potential.
+_NATIVE_ROWS = OPS - {"potential"}
 
 
 def _tiers(engine: KernelEngine, op: str, kernel: str):

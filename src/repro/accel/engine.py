@@ -1,17 +1,15 @@
-"""Allocation-free, thread-parallel force-kernel engine.
+"""Thread-parallel force-kernel engine over a fixed j-chunk plan.
 
 :class:`KernelEngine` is the software stand-in for a GRAPE-6 cluster
 host board: it owns the preallocated :class:`~repro.accel.workspace`
-buffers and a persistent thread pool over the j-axis chunks.  Like the
+slabs and a persistent thread pool over the j-axis chunks.  Like the
 board it has one implementation per op, reached one way, and only the
 ops a force path calls: the ``acc_jerk`` family (``acc_jerk``,
 ``acc_jerk_masked``, ``node_force``, ``acc_jerk_active`` and its
 distributable chunk) and ``pairwise_potential`` for the energy
 diagnostics.  Every public op normalises its arguments, books the call,
 opens its ``kernel.<op>`` span and hands :meth:`KernelEngine._sweep`
-one chunk body.  The plain-NumPy oracles the tests and
-:mod:`repro.grape.selftest` compare against live in
-:mod:`repro.core.forces`.  One op is native only:
+one chunk body.  One op is native only:
 :meth:`KernelEngine.tree_force`, a whole grouped tree force in one call
 (walk and sums in C); the NumPy tier walks and sums in
 :mod:`repro.hybrid.walk` instead, with the same lists and, through
@@ -20,8 +18,11 @@ these ops, the per-group sums the native call reproduces.
 Two kernel tiers sit behind the one chunk entry point of the
 ``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
 row kernel of :mod:`repro.accel.native` — one call per (all sink rows x
-j-chunk), GIL released, no tile planes — whenever a C compiler is
-present, else the NumPy tiles of :mod:`repro.accel.kernels`.  The tier
+j-chunk), GIL released — whenever a C compiler is present, else the
+plain-NumPy oracles of :mod:`repro.core.forces`, called once per
+j-chunk and added with one ``+=`` per output.  Those oracles are the
+NumPy tier, the reference the tests and :mod:`repro.grape.selftest`
+compare against, and ``pairwise_potential`` on both tiers.  The tier
 is a property of the process, resolved when the first engine is built.
 
 Determinism contract
@@ -51,13 +52,28 @@ from time import perf_counter
 
 import numpy as np
 
+from ..core import forces
 from ..core.predictor import predict_positions, predict_velocities
 from ..obs import NULL_OBS, NULL_TRACER
 from ..obs.history import usable_cpus
-from . import kernels as tk
 from .workspace import KernelWorkspace
 
 __all__ = ["EngineConfig", "KernelEngine", "fixed_order_reduce"]
+
+#: The engine's ops, named like their ``kernel.<op>`` spans (the
+#: native-only ``tree_force`` aside).  All but ``potential`` run the
+#: row kernel on the native tier; ``potential`` is NumPy on both.
+OPS = frozenset(
+    ("acc_jerk", "acc_jerk_active", "acc_jerk_masked", "node_force", "potential")
+)
+
+#: ``kernel.tile_bytes_total`` books, per pair, the seven source values
+#: (x y z vx vy vz m) the pair loop reads; per quadrupole pair the nine
+#: moments beside them; and per ``predicted`` row the resident row (x v
+#: a j, t, m) the predictor of ``acc_jerk_active`` reads.
+ROW_KERNEL_VALUES = 7
+QUAD_VALUES = 9
+PREDICTOR_VALUES = 14
 
 
 def fixed_order_reduce(partials):
@@ -107,7 +123,6 @@ class EngineConfig:
     """
 
     threads: int = 1
-    tile_budget: int = 1 << 18
     j_chunk: int = 2048
     max_chunks: int = 16
     #: Below this many pairs a call runs serial (scheduling only — the
@@ -129,7 +144,6 @@ class EngineConfig:
         """JSON-friendly view (benchmark provenance block)."""
         return {
             "threads": self.threads,
-            "tile_budget": self.tile_budget,
             "j_chunk": self.j_chunk,
             "max_chunks": self.max_chunks,
             "parallel_pairs": self.parallel_pairs,
@@ -138,7 +152,7 @@ class EngineConfig:
 
 
 class KernelEngine:
-    """Dispatches force-kernel ops through workspace-backed kernels.
+    """Dispatches force-kernel ops over the j-chunk plan.
 
     One engine is meant to live as long as the process (see
     :func:`repro.accel.get_engine`): its thread pool and per-thread
@@ -231,14 +245,6 @@ class KernelEngine:
             j0 = j1
         return bounds
 
-    def _row_tiles(self, ws, n_i: int, width: int):
-        """``(i0, i1, tile view)`` over the sink rows, each tile at most
-        ``tile_budget`` elements."""
-        rows = max(1, min(n_i, self.config.tile_budget // max(width, 1)))
-        for i0 in range(0, n_i, rows):
-            i1 = min(i0 + rows, n_i)
-            yield i0, i1, ws.tile(i1 - i0, width)
-
     # -- the sweep driver --------------------------------------------------
 
     def _sweep(self, n_i: int, n_j: int, chunk_body, scalar: bool = False):
@@ -307,21 +313,13 @@ class KernelEngine:
 
     # -- public ops (normalise, count, span, run) --------------------------
 
-    def _count_call(self, op: str, pairs: int, quad_pairs: int = 0,
+    def _count_call(self, pairs: int, quad_pairs: int = 0,
                     predicted: int = 0) -> None:
-        """Book one engine call and the operand bytes it streams: per
-        pair the op's tile planes, or on the native tier the seven
-        source values the row kernel reads plus the nine moments of a
-        quadrupole pair (on the tiles a quadrupole reuses the monopole
-        planes); and, on both tiers, the resident row the predictor of
-        ``acc_jerk_active`` reads per ``predicted`` row."""
+        """Book one engine call and the operand bytes it streams (one
+        rule on both tiers: see :data:`ROW_KERNEL_VALUES`)."""
         self._c_calls.inc()
-        if op == "tree_force" or (self._native is not None
-                                  and op in tk.ROW_KERNEL_OPS):
-            values = pairs * tk.ROW_KERNEL_VALUES + quad_pairs * tk.QUAD_VALUES
-        else:
-            values = pairs * tk.TILE_PLANES[op]
-        values += predicted * tk.PREDICTOR_VALUES
+        values = (pairs * ROW_KERNEL_VALUES + quad_pairs * QUAD_VALUES
+                  + predicted * PREDICTOR_VALUES)
         self._c_tile_bytes.inc(8 * values)
 
     def acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
@@ -339,7 +337,7 @@ class KernelEngine:
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._count_call("acc_jerk", n_i * n_j)
+        self._count_call(n_i * n_j)
         with self._tracer.span("kernel.acc_jerk", n_i=n_i, n_j=n_j):
             return self._accel_acc_jerk(
                 pos_i, vel_i, pos_j, vel_j, mass_j, eps,
@@ -347,20 +345,19 @@ class KernelEngine:
             )
 
     def pairwise_potential(self, pos_i, pos_j, mass_j, eps, self_indices=None):
-        """Softened potential per sink (NumPy tiles on either tier);
-        mirrors :func:`repro.core.forces.pairwise_potential`."""
+        """Softened potential per sink: on either tier
+        :func:`repro.core.forces.pairwise_potential` once per j-chunk."""
         pos_i, pos_j = _norm(pos_i, pos_j)
         mass_j = _mass(mass_j)
         self_indices = _idx(self_indices)
         n_i, n_j = pos_i.shape[0], pos_j.shape[0]
-        eps2 = float(eps) ** 2
-        self._count_call("potential", n_i * n_j)
+        self._count_call(n_i * n_j)
 
         def body(ws, j0, j1, phi_o):
-            pj, mj = pos_j[j0:j1], mass_j[j0:j1]
-            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
-                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-                tk.potential_tile(tv, pos_i[i0:i1], pj, mj, eps2, phi_o[i0:i1], mask)
+            phi_o += forces.pairwise_potential(
+                pos_i, pos_j[j0:j1], mass_j[j0:j1], eps,
+                self_indices=_chunk_columns(self_indices, j0, j1),
+            )
 
         with self._tracer.span("kernel.potential", n_i=n_i, n_j=n_j):
             return self._sweep(n_i, n_j, body, scalar=True)
@@ -386,7 +383,7 @@ class KernelEngine:
             )
         if counter is not None:
             counter.add(int(include.sum()), 1, with_jerk=True)
-        self._count_call("acc_jerk_masked", n_i * n_j)
+        self._count_call(n_i * n_j)
         with self._tracer.span("kernel.acc_jerk_masked", n_i=n_i, n_j=n_j):
             return self._accel_acc_jerk(
                 pos_i, vel_i, pos_j, vel_j, mass_j, eps, excluded=~include,
@@ -418,37 +415,10 @@ class KernelEngine:
                 )
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        quad = quad_j is not None
-        self._count_call("node_force", n_i * n_j, quad_pairs=n_i * n_j if quad else 0)
-        eps2 = float(eps) ** 2
-
-        def quad_body(ws, j0, j1, acc_o, jerk_o):
-            if self._native is not None:
-                self._native.acc_jerk_rows(
-                    pos_i, vel_i, com_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1],
-                    eps2, acc_o, jerk_o, quad_j=quad_j[j0:j1],
-                )
-                return
-            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
-                # Exactly one += into acc_o per tile (like every other
-                # tile kernel): monopole and quadrupole accumulate into
-                # a scratch row vector first, otherwise the serial and
-                # threaded reductions associate the partial sums
-                # differently and the bits drift.
-                tmp = ws.vec(i1 - i0, 3, slot=9)
-                tmp[...] = 0.0
-                tk.acc_jerk_tile(
-                    tv, pos_i[i0:i1], vel_i[i0:i1], com_j[j0:j1],
-                    vel_j[j0:j1], mass_j[j0:j1], eps2, tmp, jerk_o[i0:i1],
-                    None,
-                )
-                tk.quad_tile(tv, quad_j[j0:j1], tmp)
-                acc_o[i0:i1] += tmp
-
+        self._count_call(n_i * n_j, quad_pairs=0 if quad_j is None else n_i * n_j)
         with self._tracer.span("kernel.node_force", n_i=n_i, n_j=n_j):
-            if not quad:  # monopole list: the plain pair sum, no self column
-                return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
-            return self._sweep(n_i, n_j, quad_body)
+            return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps,
+                                        quad_j=quad_j)
 
     def tree_force(self, tree, groups, pos_i, vel_i, theta, eps,
                    exclude_self=None):
@@ -485,7 +455,7 @@ class KernelEngine:
         sizes = groups.sizes
         node_pairs = int(sizes @ np.diff(csr[0]))
         self._count_call(
-            "tree_force", node_pairs + int(sizes @ np.diff(csr[2])),
+            node_pairs + int(sizes @ np.diff(csr[2])),
             quad_pairs=node_pairs if tree.node_quad is not None else 0,
         )
         return acc, jerk, csr
@@ -506,15 +476,14 @@ class KernelEngine:
         n_i, n_j = active.size, system.n
         if counter is not None:
             counter.add(n_i, n_j, with_jerk=True)
-        self._count_call("acc_jerk_active", n_i * n_j, predicted=n_i + n_j)
+        self._count_call(n_i * n_j, predicted=n_i + n_j)
         t_now = float(t_now)
-        eps2 = float(eps) ** 2
         with self._tracer.span("kernel.acc_jerk_active", n_i=n_i, n_j=n_j):
             sinks = self._sinks(system, active, t_now)
             rows = _idx(active)
 
             def body(ws, j0, j1, acc_o, jerk_o):
-                self._fused_chunk(ws, system, rows, t_now, eps2, sinks,
+                self._fused_chunk(ws, system, rows, t_now, eps, sinks,
                                   j0, j1, acc_o, jerk_o)
 
             return self._sweep(n_i, n_j, body)
@@ -559,98 +528,58 @@ class KernelEngine:
         width = j1 - j0
         if counter is not None:
             counter.add(n_i, width, with_jerk=True)
-        self._count_call("acc_jerk_active", n_i * width, predicted=n_i + width)
+        self._count_call(n_i * width, predicted=n_i + width)
         self._fused_chunk(
-            self._ws(), system, _idx(active), float(t_now), float(eps) ** 2,
+            self._ws(), system, _idx(active), float(t_now), eps,
             self._sinks(system, active, t_now), j0, j1, acc, jerk,
         )
         return acc, jerk
 
-    # -- collision sweep ---------------------------------------------------
+    # -- chunk bodies ------------------------------------------------------
 
-    def collision_candidates(self, pos, radii, active):
-        """Overlapping (sink-row, source-index) pairs, workspace-tiled.
-
-        Returns ``(rows, cols)`` index arrays sorted row-major over the
-        conceptual ``(n_active, N)`` overlap matrix — the same order
-        ``np.nonzero`` yields on the reference full-matrix path — with
-        self-pairs excluded.  Peak memory is one tile instead of the
-        reference's ``(n_active, N, 3)`` slab.
-        """
-        pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
-        radii = np.asarray(radii, dtype=np.float64)
-        active = np.asarray(active)
-        n_i, n_j = active.size, pos.shape[0]
-        if n_i == 0 or n_j == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        pos_i = pos[active]
-        rad_i = radii[active]
-        ws = self._ws()
-        width = min(n_j, max(self.config.j_chunk, 64))
-        hit_r: list[np.ndarray] = []
-        hit_c: list[np.ndarray] = []
-        for j0 in range(0, n_j, width):
-            j1 = min(j0 + width, n_j)
-            for i0, i1, tv in self._row_tiles(ws, n_i, j1 - j0):
-                tk._separations(tv, pos_i[i0:i1], pos[j0:j1], 0.0, None)
-                np.add(rad_i[i0:i1, None], radii[None, j0:j1], out=tv.w)
-                tv.w *= tv.w
-                mask = tk.tile_mask(active, i0, i1, j0, j1)
-                if mask is not None:
-                    tv.r2[mask] = np.inf
-                rr, cc = np.nonzero(tv.r2 < tv.w)
-                if rr.size:
-                    hit_r.append(rr + i0)
-                    hit_c.append(cc + j0)
-        if not hit_r:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        rows_all = np.concatenate(hit_r)
-        cols_all = np.concatenate(hit_c)
-        order = np.lexsort((cols_all, rows_all))
-        return rows_all[order], cols_all[order]
-
-    # -- workspace kernel implementations ---------------------------------
-
-    def _acc_jerk_rows(self, ws, pos_i, vel_i, pos_j, vel_j, mass_j, eps2,
+    def _acc_jerk_rows(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
                        acc_o, jerk_o, j0=0, self_indices=None,
-                       excluded=None) -> None:
+                       excluded=None, quad_j=None) -> None:
         """Add one j-chunk's force + jerk on every sink row into the outputs.
 
         The one chunk body of the ``acc_jerk`` family.  ``pos_j`` /
-        ``vel_j`` / ``mass_j`` are columns ``[j0, j0 + width)`` of the
-        op's source list; ``self_indices`` (columns in that list, ``-1``
-        = none) and ``excluded`` (the op's full boolean mask) name the
-        pairs that contribute exact zeros.  Native tier: one call for
-        all rows, no planes.  NumPy tier: the row-tile loop over
-        :func:`repro.accel.kernels.acc_jerk_tile`.
+        ``vel_j`` / ``mass_j`` (and ``quad_j``) are columns ``[j0, j0 +
+        width)`` of the op's source list; ``self_indices`` (columns in
+        that list, ``-1`` = none) and ``excluded`` (the op's full
+        boolean mask) name the pairs that contribute exact zeros.
+        Native tier: one call of the row kernel for all rows.  NumPy
+        tier: :func:`repro.core.forces.acc_jerk` (or ``node_force``
+        with ``quad_j``) on the chunk, one ``+=`` per output.
         """
         if self._native is not None:
             self._native.acc_jerk_rows(
-                pos_i, vel_i, pos_j, vel_j, mass_j, eps2, acc_o, jerk_o,
-                j0, self_indices, excluded,
+                pos_i, vel_i, pos_j, vel_j, mass_j, float(eps) ** 2,
+                acc_o, jerk_o, j0, self_indices, excluded, quad_j,
             )
             return
-        j1 = j0 + pos_j.shape[0]
-        for i0, i1, tv in self._row_tiles(ws, pos_i.shape[0], j1 - j0):
-            if excluded is not None:
-                mask = excluded[i0:i1, j0:j1]
-            else:
-                mask = tk.tile_mask(self_indices, i0, i1, j0, j1)
-            tk.acc_jerk_tile(
-                tv, pos_i[i0:i1], vel_i[i0:i1], pos_j, vel_j, mass_j, eps2,
-                acc_o[i0:i1], jerk_o[i0:i1], mask,
+        if quad_j is not None:
+            acc, jerk = forces.node_force(pos_i, vel_i, pos_j, vel_j, mass_j,
+                                          eps, quad_j=quad_j)
+        else:
+            j1 = j0 + pos_j.shape[0]
+            acc, jerk = forces.acc_jerk(
+                pos_i, vel_i, pos_j, vel_j, mass_j, eps,
+                self_indices=_chunk_columns(self_indices, j0, j1),
+                include=None if excluded is None else ~excluded[:, j0:j1],
             )
+        acc_o += acc
+        jerk_o += jerk
 
     def _accel_acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
-                        self_indices=None, excluded=None):
+                        self_indices=None, excluded=None, quad_j=None):
         """The pair sum of ``acc_jerk``, of ``acc_jerk_masked`` (with
-        ``excluded``) and of a monopole ``node_force``."""
-        eps2 = float(eps) ** 2
+        ``excluded``) and of ``node_force`` (``quad_j`` optional)."""
 
         def body(ws, j0, j1, acc_o, jerk_o):
             self._acc_jerk_rows(
-                ws, pos_i, vel_i, pos_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1],
-                eps2, acc_o, jerk_o, j0, self_indices, excluded,
+                pos_i, vel_i, pos_j[j0:j1], vel_j[j0:j1], mass_j[j0:j1],
+                eps, acc_o, jerk_o, j0, self_indices, excluded,
+                None if quad_j is None else quad_j[j0:j1],
             )
 
         return self._sweep(pos_i.shape[0], pos_j.shape[0], body)
@@ -659,12 +588,16 @@ class KernelEngine:
         """What :meth:`_fused_chunk` needs of the sinks beside their
         index: nothing on the native tier (the entry point predicts
         them by index), their predicted rows on the NumPy tier (none
-        for an empty block)."""
+        for an empty block).  Fancy indexing would wrap a negative row
+        number around; the native entry point refuses one, so this
+        does too."""
         if self._native is not None or not active.size:
             return None
-        return _predict_sinks(system, active, t_now)
+        if active.min() < 0:
+            raise IndexError(f"active index outside the {system.n} particles")
+        return _predict_rows(system, active, t_now)
 
-    def _fused_chunk(self, ws, system, active, t_now, eps2, sinks,
+    def _fused_chunk(self, ws, system, active, t_now, eps, sinks,
                      j0, j1, acc_o, jerk_o) -> None:
         """Predict sources ``[j0, j1)`` and add their pull on the block.
 
@@ -673,53 +606,39 @@ class KernelEngine:
         :meth:`acc_jerk_active_chunk` (one chunk, for a rank gang).
         Native tier: one call on the system's resident arrays — the
         predictor runs beside the pipeline, like on the chip.  NumPy
-        tier: :func:`~repro.accel.kernels.predict_sources` into the
-        workspace, then the tiles.  Both predict with the exact
+        tier: :mod:`repro.core.predictor` on the chunk's rows, then
+        :meth:`_acc_jerk_rows`.  Both predict with the exact
         :mod:`repro.core.predictor` expression, so the pair sums see
         bit-identical coordinates.
         """
-        width = j1 - j0
         if self._native is not None:
             self._native.acc_jerk_active_chunk(
-                system, active, t_now, eps2, j0, j1,
-                ws.vec(active.size + width, 6, slot=4), acc_o, jerk_o,
+                system, active, t_now, float(eps) ** 2, j0, j1,
+                ws.vec(active.size + j1 - j0, 6), acc_o, jerk_o,
             )
             return
-        pj, vj = tk.predict_sources(
-            ws.vec(width, 3, slot=4), ws.vec(width, 3, slot=5),
-            ws.vec(width, 3, slot=6), ws.vec(width, 0, slot=7),
-            ws.vec(width, 0, slot=8),
-            system.pos[j0:j1], system.vel[j0:j1],
-            system.acc[j0:j1], system.jerk[j0:j1],
-            system.t[j0:j1], t_now,
-        )
         self._acc_jerk_rows(
-            ws, *sinks, pj, vj, system.mass[j0:j1], eps2,
-            acc_o, jerk_o, j0, active,
+            *sinks, *_predict_rows(system, slice(j0, j1), t_now),
+            system.mass[j0:j1], eps, acc_o, jerk_o, j0, active,
         )
 
 
-def _predict_sinks(system, active, t_now):
-    """Predicted position and velocity of the active block at ``t_now``
-    (NumPy tier).
+def _predict_rows(system, rows, t_now):
+    """Predicted position and velocity of ``rows`` of ``system`` at
+    ``t_now`` (NumPy tier): the canonical expression, elementwise, so
+    predicting a slice gives the bits of a full ``predict_system``."""
+    dt = t_now - system.t[rows]
+    args = (system.vel[rows], system.acc[rows], system.jerk[rows], dt)
+    return predict_positions(system.pos[rows], *args), predict_velocities(*args)
 
-    Sinks are block-sized: predict with the canonical expression
-    (elementwise, so slicing before or after gives the same bits as a
-    full ``predict_system`` sweep).  Fancy indexing would wrap a
-    negative row number around; the native entry point refuses one, so
-    this does too.
-    """
-    if active.size and active.min() < 0:
-        raise IndexError(f"active index outside the {system.n} particles")
-    dt_i = t_now - system.t[active]
-    pos_i = predict_positions(
-        system.pos[active], system.vel[active],
-        system.acc[active], system.jerk[active], dt_i,
-    )
-    vel_i = predict_velocities(
-        system.vel[active], system.acc[active], system.jerk[active], dt_i,
-    )
-    return pos_i, vel_i
+
+def _chunk_columns(self_indices, j0: int, j1: int):
+    """Self columns in the numbering of the chunk ``[j0, j1)``: ``-1``
+    where a sink's column lies outside it."""
+    if self_indices is None:
+        return None
+    inside = (self_indices >= j0) & (self_indices < j1)
+    return np.where(inside, self_indices - j0, -1)
 
 
 def _norm(*arrays):

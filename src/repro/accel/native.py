@@ -5,8 +5,8 @@ is compiled on first use with the system C compiler into a per-user
 cache directory and loaded through :mod:`ctypes` (which releases the
 GIL for the duration of every call), so NumPy stays the only hard
 dependency: without a compiler :func:`load` logs one line and returns
-``None``, and the engine keeps running the NumPy tiles of
-:mod:`repro.accel.kernels`.
+``None``, and the engine keeps running the plain-NumPy oracles of
+:mod:`repro.core.forces`.
 
 The two tiers sum in different orders, so they agree to ~1e-15
 norm-relative, not bit for bit; *within* a tier every bit-identity
@@ -539,7 +539,7 @@ def load() -> NativeTile | None:
                 _report["error"] = f"{type(exc).__name__}: {exc}"
                 log.warning(
                     "repro.accel: no native acc_jerk kernel (%s); "
-                    "running the NumPy tiles", _report["error"],
+                    "running the repro.core oracles", _report["error"],
                 )
             _resolved = True
     return _tile

@@ -73,8 +73,9 @@ class HostDirectBackend(ForceBackend):
     are the j-memory: nothing is staged in :meth:`load` or
     :meth:`push_updates`, and each j-chunk is one call that predicts
     the block's sinks and the chunk's sources from the resident rows
-    and sums the pairs (compiled where a C compiler is present, NumPy
-    workspace tiles otherwise; optional j-axis threading).
+    and sums the pairs (compiled where a C compiler is present, the
+    :mod:`repro.core.forces` oracle otherwise; optional j-axis
+    threading).
 
     Parameters
     ----------

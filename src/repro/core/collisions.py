@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from .forces import _plane_rows
 
 __all__ = ["CollisionPolicy", "MergeOutcome", "find_collision_pairs", "merge_state"]
 
@@ -90,11 +91,11 @@ def find_collision_pairs(
     index, ``i != j``, separation < ``radii[i] + radii[j]``; duplicates
     (both members active) are reported once with ``i < j``.
 
-    The overlap sweep is tiled through the :mod:`repro.accel` workspace
-    engine, so peak memory is one tile rather than the full
-    ``(n_active, n, 3)`` separation slab; candidate order (row-major
-    over the conceptual overlap matrix) and the dedup rule match the
-    reference full-matrix path exactly.
+    The sweep takes the active rows a chunk at a time (the row budget of
+    the force oracles), so peak memory is one ``(rows, n, 3)`` slab
+    rather than ``(n_active, n, 3)``; chunks of whole rows keep the
+    candidate order row-major over the overlap matrix, so order and the
+    dedup rule match the full-matrix reference exactly.
     """
     pos = np.asarray(pos, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -102,10 +103,24 @@ def find_collision_pairs(
     if active.size == 0:
         return []
 
-    from ..accel import get_engine
+    step = _plane_rows(pos.shape[0])
+    rows, cols = [], []
+    for start in range(0, active.size, step):
+        r, c = np.nonzero(_overlaps(pos, radii, active[start:start + step]))
+        rows.append(r + start)
+        cols.append(c)
+    return _dedup_pairs(active, np.concatenate(rows), np.concatenate(cols))
 
-    rows, cols = get_engine().collision_candidates(pos, radii, active)
-    return _dedup_pairs(active, rows, cols)
+
+def _overlaps(pos: np.ndarray, radii: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+    """Boolean ``(len(sinks), n)``: which particles each sink overlaps
+    (its own column excluded)."""
+    dr = pos[None, :, :] - pos[sinks][:, None, :]
+    dist2 = np.einsum("ijk,ijk->ij", dr, dr)
+    limit = radii[sinks][:, None] + radii[None, :]
+    hits = dist2 < limit * limit
+    hits[np.arange(sinks.size), sinks] = False  # self
+    return hits
 
 
 def _dedup_pairs(
@@ -131,20 +146,13 @@ def _find_collision_pairs_reference(
     radii: np.ndarray,
     active: np.ndarray,
 ) -> list[tuple[int, int]]:
-    """Full-matrix detection (the pre-engine path, kept for equivalence tests)."""
+    """Full-matrix detection in one piece (kept for equivalence tests)."""
     pos = np.asarray(pos, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
     active = np.asarray(active)
     if active.size == 0:
         return []
-
-    dr = pos[None, :, :] - pos[active][:, None, :]
-    dist2 = np.einsum("ijk,ijk->ij", dr, dr)
-    limit = radii[active][:, None] + radii[None, :]
-    hits = dist2 < limit * limit
-    rows = np.arange(active.size)
-    hits[rows, active] = False  # self
-    return _dedup_pairs(active, *np.nonzero(hits))
+    return _dedup_pairs(active, *np.nonzero(_overlaps(pos, radii, active)))
 
 
 def merge_state(

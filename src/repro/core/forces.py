@@ -24,6 +24,18 @@ All kernels are NumPy-vectorised with broadcasting over an
 temporary-memory footprint (guides: prefer broadcasting, mind cache and
 memory).  They also count interactions so the benchmark harness can apply
 the paper's flop-counting convention.
+
+:func:`acc_jerk`, :func:`node_force` and :func:`pairwise_potential` are
+also the NumPy tier of :class:`repro.accel.KernelEngine`, which calls
+them once per j-chunk.  They work on ``(rows, n_j)`` *component planes*
+(``dx``/``dy``/``dz`` rather than one ``(rows, n_j, 3)`` tile), so every
+pass is a unit-stride stream; dot products add in x, y, z order and row
+sums are one ``einsum("ij,ij->i")`` per component, so a row's sum
+depends only on that row, never on the row chunk it landed in.  The
+force is summed as ``sum_j (m_j / r^3) dr_ij`` directly — not the
+BLAS-shaped ``sum_j (m_j / r^3) x_j - x_i sum_j (m_j / r^3)``, which
+loses ``|x| / |dr|`` digits to cancellation for close neighbours in a
+disk far from the origin.
 """
 
 from __future__ import annotations
@@ -47,6 +59,11 @@ __all__ = [
 #: (n_i_chunk * n_j); 2**22 doubles * ~10 temporaries stays well under
 #: typical L3 + keeps allocation overhead amortised.
 _TILE_BUDGET = 1 << 22
+
+#: Elements of one ``(rows, n_j)`` component plane the plane oracles
+#: (:func:`acc_jerk`, :func:`node_force`, :func:`pairwise_potential`)
+#: hold at once; about a dozen such planes are live per row chunk.
+_PLANE_TILE_BUDGET = 1 << 15
 
 
 @dataclass
@@ -87,6 +104,32 @@ class InteractionCounter:
 def _i_chunk_size(n_j: int) -> int:
     """Number of i-particles per tile so that the tile fits the budget."""
     return max(1, _TILE_BUDGET // max(n_j, 1))
+
+
+def _plane_rows(n_j: int) -> int:
+    """Sink rows per chunk of the plane oracles."""
+    return max(1, _PLANE_TILE_BUDGET // max(n_j, 1))
+
+
+def _planes(a_i: np.ndarray, a_j: np.ndarray):
+    """``a_j - a_i`` of two ``(n, 3)`` arrays as three component planes."""
+    return tuple(a_j[None, :, k] - a_i[:, None, k] for k in range(3))
+
+
+def _dot(a, b):
+    """``a . b`` of two plane triples, summed in x, y, z order."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
+
+
+def _row_sums(weight, planes):
+    """``(rows, 3)``: ``sum_j weight * p_k`` per component ``k``."""
+    out = np.empty((weight.shape[0], 3))
+    for k, plane in enumerate(planes):
+        out[:, k] = np.einsum("ij,ij->i", weight, plane)
+    return out
 
 
 def _fill_self_pairs(tile, self_indices, start: int, stop: int, value) -> None:
@@ -153,26 +196,23 @@ def acc_jerk(
     jerk = np.zeros((n_i, 3))
     eps2 = float(eps) ** 2
 
-    chunk = _i_chunk_size(n_j)
+    chunk = _plane_rows(n_j)
     for start in range(0, n_i, chunk):
         stop = min(start + chunk, n_i)
-        # (c, n_j, 3) separation and relative-velocity tiles
-        dr = pos_j[None, :, :] - pos_i[start:stop, None, :]
-        dv = vel_j[None, :, :] - vel_i[start:stop, None, :]
-        r2 = np.einsum("ijk,ijk->ij", dr, dr) + eps2
-        rv = np.einsum("ijk,ijk->ij", dr, dv)
+        dr = _planes(pos_i[start:stop], pos_j)
+        r2 = _dot(dr, dr)
+        r2 += eps2
         # Masking r2 (not the result) keeps every downstream term —
         # including the jerk's rv/r2 — finite and exactly zero.
         _fill_self_pairs(r2, self_indices, start, stop, np.inf)
         if include is not None:
             r2[~np.asarray(include, dtype=bool)[start:stop]] = np.inf
-        inv_r = 1.0 / np.sqrt(r2)
-        inv_r3 = inv_r / r2
-        mr3 = mass_j[None, :] * inv_r3
-        acc[start:stop] = np.einsum("ij,ijk->ik", mr3, dr)
-        jerk[start:stop] = np.einsum("ij,ijk->ik", mr3, dv) - 3.0 * np.einsum(
-            "ij,ijk->ik", mr3 * rv / r2, dr
-        )
+        dv = _planes(vel_i[start:stop], vel_j)
+        rv = _dot(dr, dv)
+        mr3 = mass_j[None, :] / (np.sqrt(r2) * r2)
+        acc[start:stop] = _row_sums(mr3, dr)
+        jerk[start:stop] = (_row_sums(mr3, dv)
+                            - _row_sums(mr3 * rv / r2 * 3.0, dr))
 
     if counter is not None:
         counter.add(n_i, n_j, with_jerk=True)
@@ -236,14 +276,14 @@ def pairwise_potential(
     phi = np.zeros(n_i)
     eps2 = float(eps) ** 2
 
-    chunk = _i_chunk_size(n_j)
+    chunk = _plane_rows(n_j)
     for start in range(0, n_i, chunk):
         stop = min(start + chunk, n_i)
-        dr = pos_j[None, :, :] - pos_i[start:stop, None, :]
-        r2 = np.einsum("ijk,ijk->ij", dr, dr) + eps2
+        dr = _planes(pos_i[start:stop], pos_j)
+        r2 = _dot(dr, dr)
+        r2 += eps2
         _fill_self_pairs(r2, self_indices, start, stop, np.inf)
-        inv_r = 1.0 / np.sqrt(r2)
-        phi[start:stop] = -inv_r @ mass_j
+        phi[start:stop] = -np.einsum("ij->i", mass_j[None, :] / np.sqrt(r2))
 
     return phi
 
@@ -262,19 +302,30 @@ def node_force(
     The oracle of ``KernelEngine.node_force``: monopole acceleration
     and jerk are :func:`acc_jerk` over the nodes' centres of mass;
     ``quad_j`` (``(n_j, 3, 3)`` traceless moments, mass included) adds
-    the quadrupole term to the acceleration only.
+    the quadrupole term to the acceleration only,
+
+        ``a_quad = Q s / r^5 - 2.5 (s^T Q s) s / r^7``,  ``s = sink - com``,
+
+    evaluated with ``s = -dr`` as ``-(Q dr)/r^5 + 2.5 (dr^T Q dr) dr / r^7``
+    (negating before or after the contractions carries the same bits).
     """
     acc, jerk = acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps)
-    if quad_j is not None:
-        pos_i = np.atleast_2d(np.asarray(pos_i, dtype=np.float64))
-        com_j = np.atleast_2d(np.asarray(com_j, dtype=np.float64))
-        dr = com_j[None, :, :] - pos_i[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", dr, dr) + float(eps) ** 2
-        r5 = r2 * r2 * np.sqrt(r2)
-        qdr = np.einsum("jkl,ijl->ijk", np.asarray(quad_j, dtype=np.float64), dr)
-        drqdr = np.einsum("ijk,ijk->ij", dr, qdr)
-        acc -= np.einsum("ij,ijk->ik", 1.0 / r5, qdr)
-        acc += np.einsum("ij,ijk->ik", 2.5 * drqdr / (r5 * r2), dr)
+    if quad_j is None:
+        return acc, jerk
+    pos_i = np.atleast_2d(np.asarray(pos_i, dtype=np.float64))
+    com_j = np.atleast_2d(np.asarray(com_j, dtype=np.float64))
+    quad_j = np.asarray(quad_j, dtype=np.float64)
+    eps2 = float(eps) ** 2
+    chunk = _plane_rows(com_j.shape[0])
+    for start in range(0, pos_i.shape[0], chunk):
+        stop = start + chunk
+        dr = _planes(pos_i[start:stop], com_j)
+        r2 = _dot(dr, dr)
+        r2 += eps2
+        qdr = tuple(_dot(quad_j[:, k].T, dr) for k in range(3))  # Q dr
+        inv_r5 = 1.0 / (np.sqrt(r2) * r2 * r2)
+        acc[start:stop] -= _row_sums(inv_r5, qdr)
+        acc[start:stop] += _row_sums(inv_r5 / r2 * _dot(dr, qdr) * 2.5, dr)
     return acc, jerk
 
 

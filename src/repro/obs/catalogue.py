@@ -41,10 +41,10 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     "kernel.calls_total": ("counter", "Kernel-engine op calls"),
     "kernel.tile_bytes_total": (
         "counter",
-        "Operand bytes streamed by the kernels: pairs x tile planes (x 7 "
-        "source values, and 9 more per quadrupole pair, on the native "
-        "tier), plus for acc_jerk_active the 14-value resident row of "
-        "every source and sink it predicts",
+        "Operand bytes streamed by the kernels, one rule on both tiers: "
+        "7 source values per pair, 9 more per quadrupole pair, plus for "
+        "acc_jerk_active the 14-value resident row of every source and "
+        "sink it predicts",
     ),
     "kernel.thread_efficiency": (
         "gauge",
@@ -57,7 +57,8 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     ),
     "kernel.workspace_bytes": (
         "gauge",
-        "Bytes held in preallocated kernel workspaces",
+        "Bytes held in the kernel engine's workspaces: threaded partial-sum "
+        "slabs and the native tier's predicted-row scratch",
     ),
     # -- GRAPE-6 model ---------------------------------------------------
     "grape.blocks_total": ("counter", "Force blocks computed on the GRAPE machine"),

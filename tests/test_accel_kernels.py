@@ -3,15 +3,15 @@
 Every :class:`KernelEngine` op is checked against its plain-NumPy
 oracle in ``repro.core``; ``OPS`` below is the one table of
 ``op -> (engine call, oracle call)`` and a test asserts it has a row
-for every key of ``kernels.TILE_PLANES``.
+for every op of the engine's own list, ``repro.accel.engine.OPS``.
 
-Tolerance contract: the workspace kernels change only the *summation
-order* of the pairwise sums (j-chunked, fixed ascending reduction), so
-results agree with the reference to norm-relative ~1e-13; components
-that nearly cancel can show larger elementwise relative error, which is
-why the checks below are norm-relative.  Bit-exact promises
-(serial vs. threaded, thread-count independence) are asserted with
-``np.array_equal``.
+Tolerance contract: the engine changes only the *summation order* of
+the pairwise sums (j-chunked, fixed ascending reduction), so results
+agree with the reference to norm-relative ~1e-13; components that
+nearly cancel can show larger elementwise relative error, which is why
+the checks below are norm-relative.  Bit-exact promises (serial vs.
+threaded, thread-count independence, and a one-chunk NumPy-tier op vs.
+its oracle, which it calls) are asserted with ``np.array_equal``.
 
 Two kernel tiers: the plain classes run on the tier the host has (the
 compiled row kernel of ``repro.accel.native`` wherever there is a C
@@ -39,19 +39,12 @@ import pytest
 from repro.accel import (
     EngineConfig,
     KernelEngine,
-    KernelWorkspace,
-    TileBuffers,
     fixed_order_reduce,
     get_engine,
     native,
 )
-from repro.accel import kernels as tk
+from repro.accel import engine as engine_module
 from repro.core import forces
-from repro.core.collisions import (
-    _dedup_pairs,
-    _find_collision_pairs_reference,
-    find_collision_pairs,
-)
 from repro.core.particles import ParticleSystem
 from repro.core.predictor import predict_system
 
@@ -92,9 +85,8 @@ def workload():
 
 
 def small_engine(**overrides):
-    """Engine with small tiles/chunks so every code path is exercised."""
-    defaults = dict(threads=1, tile_budget=1 << 12, j_chunk=64,
-                    parallel_pairs=1)
+    """Engine with small chunks so every code path is exercised."""
+    defaults = dict(threads=1, j_chunk=64, parallel_pairs=1)
     defaults.update(overrides)
     return KernelEngine(EngineConfig(**defaults))
 
@@ -189,8 +181,24 @@ def as_tuple(result):
 def test_every_engine_op_has_a_row():
     """The roll-call: an op cannot be added to the engine's tables
     without an equivalence and a determinism test."""
-    assert sorted(OPS) == sorted(tk.TILE_PLANES)
-    assert tk.ROW_KERNEL_OPS <= set(OPS)
+    assert sorted(OPS) == sorted(engine_module.OPS)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_numpy_tier_is_the_oracle(monkeypatch, workload, op):
+    """On the NumPy tier an op of one j-chunk is one call of its oracle:
+    the same bits, not merely the same sum."""
+    system, active = workload
+    engine = numpy_engine(monkeypatch, j_chunk=1 << 12)
+    try:
+        assert len(engine.jplan(system.n)) == 1
+        got = as_tuple(run_op(op, engine, system, active))
+    finally:
+        engine.close()
+    want = as_tuple(run_oracle(op, system, active))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_frozen_benchmark_engine_ops_exist():
@@ -260,36 +268,44 @@ class TestDeterminism:
             e2.close()
             e8.close()
 
-    def test_tile_budget_does_not_change_bits(self, workload):
+    def test_tile_budget_does_not_change_bits(self, monkeypatch, workload):
+        """The plane oracles' row chunk (``forces._PLANE_TILE_BUDGET``)
+        never changes a bit: a row's sums depend only on that row."""
         system, active = workload
-        small = small_engine(tile_budget=1 << 10)
-        large = small_engine(tile_budget=1 << 20)
-        try:
-            a_s, j_s = run_op("acc_jerk", small, system, active)
-            a_l, j_l = run_op("acc_jerk", large, system, active)
-        finally:
-            small.close()
-            large.close()
-        assert np.array_equal(a_s, a_l)
-        assert np.array_equal(j_s, j_l)
+        pair = _pair_args(system, active)
+        calls = (
+            lambda: forces.acc_jerk(*pair, self_indices=active),
+            lambda: forces.acc_jerk(*pair, include=make_mask(system, active)),
+            lambda: forces.node_force(*pair, quad_j=make_quad(system)),
+            lambda: forces.pairwise_potential(*_point_args(system, active),
+                                              self_indices=active),
+        )
+        results = []
+        for budget in (1 << 10, 1 << 20):
+            monkeypatch.setattr(forces, "_PLANE_TILE_BUDGET", budget)
+            results.append([as_tuple(call()) for call in calls])
+        for small, large in zip(*results):
+            for a, b in zip(small, large):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("key", [
         "acc_jerk_active/fused", "acc_jerk_masked/accel", "node_force/accel",
     ])
-    def test_tile_budget_does_not_change_bits_other_tiled_ops(self, key, workload):
-        """A row's sum must not depend on which row tile it landed in —
-        for every op that ends in ``acc_jerk_tile`` (``OPS`` gives
-        ``node_force`` its ``quad_j``, so ``quad_tile`` is covered)."""
+    def test_tile_budget_does_not_change_bits_other_tiled_ops(
+            self, monkeypatch, key, workload):
+        """The same through the engine: ops whose NumPy tier ends in the
+        plane oracles (``OPS`` gives ``node_force`` its ``quad_j``)."""
         system, active = workload
         op = key.split("/")[0]
-        small = small_engine(tile_budget=1 << 10)
-        large = small_engine(tile_budget=1 << 20)
+        engine = small_engine()
+        results = []
         try:
-            a_s, j_s = run_op(op, small, system, active)
-            a_l, j_l = run_op(op, large, system, active)
+            for budget in (1 << 10, 1 << 20):
+                monkeypatch.setattr(forces, "_PLANE_TILE_BUDGET", budget)
+                results.append(run_op(op, engine, system, active))
         finally:
-            small.close()
-            large.close()
+            engine.close()
+        (a_s, j_s), (a_l, j_l) = results
         assert np.array_equal(a_s, a_l)
         assert np.array_equal(j_s, j_l)
 
@@ -328,36 +344,19 @@ class TestDeterminismNumpyTier(TestDeterminism):
 
 
 class TestWorkspaceLayout:
-    """The memory layout every tile kernel runs on."""
-
-    @pytest.mark.parametrize("shape", [(190, 258), (7, 1025), (1, 1), (256, 512)])
-    def test_tile_planes_are_contiguous_exact_shape(self, shape):
-        tv = KernelWorkspace().tile(*shape)
-        for name in TileBuffers.PLANES:
-            plane = getattr(tv, name)
-            assert plane.shape == shape, name
-            assert plane.flags.c_contiguous, name
-            assert plane.base is not None, f"{name} is a copy, not a view"
-        assert tv.vec1.shape == tv.vec2.shape == (shape[0], 3)
-        assert tv.row1.shape == (shape[0],)
-
-    def test_tile_planes_do_not_alias(self):
-        tv = KernelWorkspace().tile(5, 9)
-        planes = [getattr(tv, name) for name in TileBuffers.PLANES]
-        for k, plane in enumerate(planes):
-            plane[...] = k
-        for k, plane in enumerate(planes):
-            assert np.all(plane == k)
+    """The engine's own scratch: bucketed, allocated once."""
 
     def test_workspace_bytes_constant_inside_one_bucket(self):
         """After warm-up at the bucket's largest shape, no call allocates."""
         system = make_system(n=512, seed=3)
         rng = np.random.default_rng(17)
-        engine = small_engine(tile_budget=1 << 18, j_chunk=2048)
+        engine = small_engine(j_chunk=2048)
         try:
             engine.acc_jerk_active(system, np.arange(64), 5e-4, EPS)
             warm = engine.workspace_bytes
-            assert warm > 0
+            # the native tier's predicted-row scratch; a serial NumPy
+            # tier holds no scratch at all
+            assert (warm > 0) == (engine.tier == "native")
             for _ in range(50):
                 n_i = int(rng.integers(33, 65))  # row bucket 64
                 active = np.sort(rng.choice(system.n, n_i, replace=False))
@@ -545,13 +544,13 @@ class TestNativeRowKernel:
         assert norm_close(with_it[1], without[1])
 
     def test_no_planes_allocated(self):
-        """The native tier holds the j-side prediction buffers only."""
+        """The native tier holds the predicted-row scratch only: six
+        values for each of 64 sinks + 512 sources, bucketed to 1024."""
         system = make_system(n=512, seed=3)
-        engine = small_engine(tile_budget=1 << 18, j_chunk=2048)
+        engine = small_engine(j_chunk=2048)
         try:
             engine.acc_jerk_active(system, np.arange(64), 5e-4, EPS)
-            assert 0 < engine.workspace_bytes < 11 * 64 * 512 * 8
-            assert not engine._ws()._tiles
+            assert engine.workspace_bytes == 1024 * 6 * 8
         finally:
             engine.close()
 
@@ -725,15 +724,15 @@ class TestResidentPredictor:
 
     @pytest.mark.parametrize("tier", ["host", "numpy"])
     def test_tile_bytes_count_the_predictor(self, monkeypatch, workload, tier):
-        """``kernel.tile_bytes_total``: the pair stream plus the resident
-        row (14 values) of every source and sink the predictor reads."""
+        """``kernel.tile_bytes_total``, one rule on both tiers: the pair
+        stream (7 values) plus the resident row (14 values) of every
+        source and sink the predictor reads."""
         from repro.obs import Observability
 
         system, active = workload
         engine = (numpy_engine(monkeypatch) if tier == "numpy"
                   else small_engine())
-        per_pair = (tk.ROW_KERNEL_VALUES if engine.tier == "native"
-                    else tk.TILE_PLANES["acc_jerk_active"])
+        per_pair = engine_module.ROW_KERNEL_VALUES
         n_i, n_j = active.size, system.n
         try:
             obs = Observability()
@@ -767,7 +766,7 @@ class TestNativeBuild:
             engines = [small_engine(), small_engine()]
         try:
             assert [r.name for r in caplog.records] == ["repro.accel.native"]
-            assert "NumPy tiles" in caplog.text
+            assert "repro.core oracles" in caplog.text
             assert native.tier() == "numpy" and native.describe()["error"]
             for engine in engines:
                 assert engine.tier == "numpy"
@@ -830,6 +829,21 @@ class TestNativeBuild:
             assert set(tile._fn) == set(exported)
             assert native.describe()["entry_points"] == [
                 f"repro_{name}" for name in native.ENTRY_POINTS]
+
+    def test_pair_arithmetic_lives_in_core(self):
+        """The pair arithmetic is ``repro.core`` (the oracles, the NumPy
+        tier) or ``_tile.c``: no module of ``repro.accel`` calls
+        ``np.sqrt``, ``np.einsum`` or ``np.divide``."""
+        forbidden = {"sqrt", "einsum", "divide"}
+        offenders = []
+        for path in sorted(native.SOURCE.parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in forbidden
+                        and getattr(node.func.value, "id", None) in ("np", "numpy")):
+                    offenders.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+        assert offenders == []
 
 
 def make_block_system(n=64, seed=5):
@@ -1100,6 +1114,8 @@ class TestEdgeCases:
         engines = [small_engine(), numpy_engine(monkeypatch)]
         try:
             for e in engines:
+                # one chunk: the NumPy tier is the oracle call itself
+                same = np.array_equal if e.tier == "numpy" else norm_close
                 for got, want in (
                     (e.acc_jerk(*pair, self_indices=idx),
                      forces.acc_jerk(*pair, self_indices=idx)),
@@ -1107,7 +1123,7 @@ class TestEdgeCases:
                      forces.pairwise_potential(*point, self_indices=idx)),
                 ):
                     for g, w in zip(as_tuple(got), as_tuple(want)):
-                        assert norm_close(g, w), e.tier
+                        assert same(g, w), e.tier
         finally:
             for e in engines:
                 e.close()
@@ -1172,34 +1188,6 @@ class TestEdgeCases:
         finally:
             engine.close()
 
-    def test_collision_candidates_match_reference(self):
-        rng = np.random.default_rng(42)
-        n = 200
-        pos = rng.normal(size=(n, 3))
-        radii = rng.uniform(0.05, 0.2, n)  # dense enough to overlap
-        active = np.arange(0, n, 3)
-        ref = _find_collision_pairs_reference(pos, radii, active)
-        got = find_collision_pairs(pos, radii, active)
-        assert got == ref
-        assert len(ref) > 0  # the workload must actually produce pairs
-        engine = small_engine()
-        try:
-            rows, cols = engine.collision_candidates(pos, radii, active)
-        finally:
-            engine.close()
-        assert _dedup_pairs(active, rows, cols) == ref
-
-    def test_collision_candidates_empty(self):
-        engine = small_engine()
-        try:
-            rows, cols = engine.collision_candidates(
-                np.zeros((4, 3)) + np.arange(4)[:, None] * 10.0,
-                np.full(4, 1e-3), np.arange(4),
-            )
-        finally:
-            engine.close()
-        assert rows.size == 0 and cols.size == 0
-
 
 class TestDispatchAndConfig:
     def test_from_env_overrides(self, monkeypatch):
@@ -1210,7 +1198,7 @@ class TestDispatchAndConfig:
         monkeypatch.setenv("REPRO_KERNEL_AUTOTUNE", "1")
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
         assert EngineConfig.from_env() == EngineConfig(threads=3)
-        assert len(dataclasses.fields(EngineConfig)) == 5
+        assert len(dataclasses.fields(EngineConfig)) == 4
 
     def test_ops_take_no_kernel_keyword(self, workload):
         system, active = workload
@@ -1248,7 +1236,9 @@ class TestMetricsBinding:
 
         system, active = workload
         obs = Observability()
-        engine = small_engine()
+        # threaded, so that the calling thread holds partial-sum slabs
+        # on either tier
+        engine = small_engine(threads=2)
         try:
             engine.observe(obs)
             engine.acc_jerk_active(system, active, 5e-4, EPS)

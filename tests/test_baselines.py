@@ -86,7 +86,9 @@ class TestOctreeForces:
             tree = Octree(pos, mass)
             a_t, _ = tree.accelerations(pos, theta=theta, eps=0.01,
                                         exclude_self=np.arange(300))
-            errs.append(np.median(
+            # the mean: at theta <= 0.5 the median sink opens every node
+            # and its force is the direct sum, exact on the NumPy tier
+            errs.append(np.mean(
                 np.linalg.norm(a_t - a_d, axis=1) / np.linalg.norm(a_d, axis=1)
             ))
         assert errs[0] > errs[1] > errs[2]

@@ -13,6 +13,8 @@ from repro.core import (
     find_collision_pairs,
     merge_state,
 )
+from repro.core import forces
+from repro.core.collisions import _find_collision_pairs_reference
 from repro.errors import ConfigurationError
 from repro.planetesimal.sizes import (
     ICE_DENSITY_CODE,
@@ -78,6 +80,27 @@ class TestFindPairs:
     def test_empty_active(self):
         pos = np.zeros((3, 3))
         assert find_collision_pairs(pos, np.ones(3), np.array([], dtype=int)) == []
+
+    def test_chunked_sweep_matches_reference(self, monkeypatch):
+        """Active rows taken five at a time give the full-matrix
+        reference's pairs in its order."""
+        rng = np.random.default_rng(42)
+        n = 200
+        pos = rng.normal(size=(n, 3))
+        radii = rng.uniform(0.05, 0.2, n)  # dense enough to overlap
+        active = np.arange(0, n, 3)
+        monkeypatch.setattr(forces, "_PLANE_TILE_BUDGET", 5 * n)
+        ref = _find_collision_pairs_reference(pos, radii, active)
+        assert len(ref) > 0  # the workload must actually produce pairs
+        assert find_collision_pairs(pos, radii, active) == ref
+
+    def test_chunked_sweep_empty(self, monkeypatch):
+        """Chunks without a hit: no pairs, on either path."""
+        pos = np.zeros((4, 3)) + np.arange(4)[:, None] * 10.0
+        radii = np.full(4, 1e-3)
+        monkeypatch.setattr(forces, "_PLANE_TILE_BUDGET", 4)
+        assert find_collision_pairs(pos, radii, np.arange(4)) == []
+        assert _find_collision_pairs_reference(pos, radii, np.arange(4)) == []
 
 
 class TestMergeState:
