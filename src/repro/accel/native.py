@@ -18,10 +18,11 @@ The same object carries a whole grouped tree force
 (:meth:`NativeTile.tree_force`: walk per sink group, sum the lists
 with the row kernel) and the host half of a block step
 (:meth:`NativeTile.block_predict` / :meth:`NativeTile.block_correct`,
-used by :class:`repro.core.Simulation`).  Neither is a second tier:
-the walk emits exactly the NumPy walk's lists, the sums are the row
-kernel's, and the block step gives the NumPy step's exact bits on
-every host.
+the one Hermite step body of :class:`repro.core.Simulation`; their
+NumPy twins of the same names live in :mod:`repro.core.integrator`).
+Neither is a second tier: the walk emits exactly the NumPy walk's
+lists, the sums are the row kernel's, and the block step gives its
+twins' exact bits on every host.
 
 Build hygiene: the object's name is a hash of (source, flags,
 ``cc --version``); it lives in the first usable of
@@ -350,13 +351,15 @@ class NativeTile:
 
     def block_predict(self, system, active, block) -> bool:
         """Gather ``system``'s ``active`` rows into ``block`` and predict
-        each over its own step ``dt`` (the NumPy step's i-predictor).
+        each over its own step ``dt`` (the twin's i-predictor).
 
         ``block`` is a float64 ``(>= n_i, BLOCK_COLS)`` buffer that
         :meth:`block_correct` finishes.  Returns ``False`` when some step
         is not a power of two: the corrector is exact only on the block
-        grid, so that block must take the NumPy step.  An ``active``
-        (1-D int64) entry outside ``[0, n)`` raises ``IndexError``.
+        grid, so that block takes the NumPy twins
+        (``repro.core.integrator.block_predict`` / ``block_correct``),
+        which work for any step.  An ``active`` (1-D int64) entry
+        outside ``[0, n)`` raises ``IndexError``.
         """
         n, n_i = system.dt.shape[0], active.shape[0]
         rows = (n, 3)
@@ -383,9 +386,11 @@ class NativeTile:
         applies the Hermite corrector, and takes the Aarseth step
         quantised with ``params`` (:class:`repro.core.TimestepParams`)
         — then writes ``pos vel acc jerk t dt`` of the ``active`` rows,
-        ``t`` = ``t_next``.  Raises, with nothing written, what the
-        NumPy step raises: ``ConfigurationError`` for a particle at the
-        origin, ``IntegrationError`` for a non-finite corrected row.
+        ``t`` = ``t_next``.  Called again on the same ``block`` it
+        corrects the same prediction anew (a later P(EC)^n pass).
+        Raises, with nothing written, what the NumPy twin raises:
+        ``ConfigurationError`` for a particle at the origin,
+        ``IntegrationError`` for a non-finite corrected row.
         """
         n, n_i = system.dt.shape[0], active.shape[0]
         rows, sinks = (n, 3), (n_i, 3)

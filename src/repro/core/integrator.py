@@ -12,8 +12,7 @@ One block step (:meth:`Simulation.step`) is:
    active particles;
 2. predict the active particles to ``t`` on the host (sources are
    predicted inside the backend — on GRAPE-6, by the on-chip predictor
-   pipelines): one ``block_predict`` call into the native tile, which
-   gathers the rows into the simulation's block buffer;
+   pipelines): one ``block_predict`` call, into the block buffer;
 3. obtain mutual force + jerk on the block from the backend;
 4. one ``block_correct`` call: add the analytic solar field at the
    predicted state, apply the Hermite corrector, choose the Aarseth
@@ -22,12 +21,12 @@ One block step (:meth:`Simulation.step`) is:
 5. push the corrected particles back to the backend (on GRAPE-6, a
    j-memory write over the host interface).
 
-Steps 2 and 4 are the NumPy step of this module (``predict_positions``,
-``KeplerField.acc_jerk``, ``correct``, ``aarseth_dt``, ``quantize``) in
-C, bit for bit on every host.  The NumPy step itself runs on the NumPy
-tier (no C compiler) and for every block the kernel does not cover:
-P(EC)^n, an external field that is not exactly a ``KeplerField``, a
-collision policy, or a step that is not a power of two.
+Steps 2 and 4 are this module's :func:`block_predict` and
+:func:`block_correct` (``predict_positions``, ``KeplerField.acc_jerk``,
+``correct``, ``aarseth_dt``, ``quantize``) in C, bit for bit on every
+host; the NumPy twins run for the NumPy tier and blocks with an
+off-grid step.  P(EC)^n, any field, collision runs and ``synchronize``
+all take this one step body.
 """
 
 from __future__ import annotations
@@ -47,6 +46,50 @@ from .scheduler import BlockScheduler
 from .timestep import TimestepParams, aarseth_dt, quantize, startup_dt
 
 __all__ = ["Simulation"]
+
+# columns of a block-buffer row (``B_*`` of ``_tile.c``)
+_POS0, _VEL0, _ACC0, _JERK0, _XP, _VP, _ACC1, _JERK1, _POS1, _VEL1 = (
+    slice(k, k + 3) for k in (0, 3, 6, 9, 13, 16, 19, 22, 25, 28))
+_DT, _DTNEW = 12, 31
+
+
+def block_predict(system, active, block) -> bool:
+    """``NativeTile.block_predict`` in NumPy, for any step: gather the
+    ``active`` rows into ``block``, predict each over its own ``dt``,
+    and return whether every step is a power of two (as the tile does)."""
+    b = block[: active.shape[0]]
+    pos0, vel0 = system.pos[active], system.vel[active]
+    acc0, jerk0, dt = system.acc[active], system.jerk[active], system.dt[active]
+    b[:, _POS0], b[:, _VEL0], b[:, _ACC0], b[:, _JERK0], b[:, _DT] = (
+        pos0, vel0, acc0, jerk0, dt)
+    b[:, _XP] = predict_positions(pos0, vel0, acc0, jerk0, dt)
+    b[:, _VP] = predict_velocities(vel0, acc0, jerk0, dt)
+    return bool((np.frexp(dt)[0] == 0.5).all())
+
+
+def block_correct(system, active, acc1, jerk1, block, t_next, kepler_mass,
+                  params) -> None:
+    """``NativeTile.block_correct`` in NumPy, for any step: add the
+    Kepler field of ``kepler_mass`` (``None``: none) at the prediction
+    in ``block``, correct, take the quantised Aarseth step and write
+    ``pos vel acc jerk t dt`` of the ``active`` rows.  Raises what the
+    tile raises, with nothing written outside ``block``."""
+    b = block[: active.shape[0]]
+    # contiguous copies: einsum's sums follow the memory layout
+    pred_pos, pred_vel, dt = b[:, _XP].copy(), b[:, _VP].copy(), b[:, _DT].copy()
+    if kepler_mass is not None:
+        ea, ej = KeplerField(kepler_mass).acc_jerk(pred_pos, pred_vel)
+        acc1, jerk1 = acc1 + ea, jerk1 + ej
+    pos1, vel1, derivs = correct(pred_pos, pred_vel, b[:, _ACC0], b[:, _JERK0],
+                                 acc1, jerk1, dt)
+    if not (np.isfinite(pos1).all() and np.isfinite(vel1).all()):
+        raise IntegrationError(f"non-finite state after block at t={t_next}")
+    dt_raw = aarseth_dt(acc1, jerk1, derivs.snap, derivs.crackle, params.eta)
+    b[:, _DTNEW] = dt_new = quantize(dt_raw, np.full(b.shape[0], t_next), dt, params)
+    b[:, _ACC1], b[:, _JERK1], b[:, _POS1], b[:, _VEL1] = acc1, jerk1, pos1, vel1
+    system.pos[active], system.vel[active] = pos1, vel1
+    system.acc[active], system.jerk[active] = acc1, jerk1
+    system.t[active], system.dt[active] = t_next, dt_new
 
 
 class Simulation:
@@ -192,12 +235,7 @@ class Simulation:
         n = sys_.n
         self.scheduler.invalidate()  # dt is (re)assigned below
         self.backend.load(sys_)
-        all_idx = np.arange(n)
-        acc, jerk = self.backend.forces_on(sys_, all_idx, self.time)
-        if self.external_field is not None:
-            ea, ej = self.external_field.acc_jerk(sys_.pos, sys_.vel)
-            acc = acc + ea
-            jerk = jerk + ej
+        acc, jerk = self._forces(np.arange(n), self.time, sys_.pos, sys_.vel)
         sys_.acc[...] = acc
         sys_.jerk[...] = jerk
         dt_raw = startup_dt(acc, jerk, self.params.eta_start)
@@ -214,46 +252,8 @@ class Simulation:
         with tracer.span("block_step"):
             sys_ = self.system
             t_next, active = self.scheduler.next_block(sys_.t, sys_.dt)
-            tile = self._native_step()
-
-            # Host-side prediction of the i-particles: into the block
-            # buffer (native), or gathered once per array (NumPy; the
-            # gathered rows are copies, so acc0 / jerk0 survive the
-            # write-back below).
-            with tracer.span("predict"):
-                if tile is not None:
-                    block = self._block
-                    if block.shape[0] < active.size:
-                        block = self._block = np.empty(
-                            (max(active.size, 2 * block.shape[0]), block.shape[1]))
-                    if not tile.block_predict(sys_, active, block):
-                        tile = None  # a step off the block grid
-                if tile is None:
-                    dt = sys_.dt[active]
-                    pos0, vel0 = sys_.pos[active], sys_.vel[active]
-                    acc0, jerk0 = sys_.acc[active], sys_.jerk[active]
-                    pred_pos = predict_positions(pos0, vel0, acc0, jerk0, dt)
-                    pred_vel = predict_velocities(vel0, acc0, jerk0, dt)
-
-            with tracer.span("force", n_active=int(active.size)):
-                acc1, jerk1 = self.backend.forces_on(sys_, active, t_next)
-                if tile is None and self.external_field is not None:
-                    ea, ej = self.external_field.acc_jerk(pred_pos, pred_vel)
-                    acc1 = acc1 + ea
-                    jerk1 = jerk1 + ej
-
-            with tracer.span("correct"):
-                if tile is not None:
-                    field = self.external_field
-                    tile.block_correct(
-                        sys_, active, acc1, jerk1, self._block, t_next,
-                        None if field is None else field.mass, self.params,
-                    )
-                else:
-                    self._correct_numpy(active, t_next, dt, pred_pos, pred_vel,
-                                        acc0, jerk0, acc1, jerk1)
-                # the n_active update times that changed, checked here
-                self.scheduler.commit()
+            self._advance(active, t_next, self.corrector_iterations)
+            self.scheduler.commit()  # the n_active update times, checked
 
             with tracer.span("push_updates"):
                 self.backend.push_updates(sys_, active)
@@ -268,57 +268,46 @@ class Simulation:
                     self._resolve_collisions(t_next, active)
         return t_next, int(active.size)
 
-    def _native_step(self):
-        """The native tile when this block may take the native step:
-        one corrector pass, no collisions, and no field or exactly a
-        :class:`KeplerField` (the one field ``_tile.c`` evaluates).
-        Everything else takes the NumPy step, whose bits the native
-        step reproduces."""
-        field = self.external_field
-        if (self._tile is None or self.corrector_iterations != 1
-                or self.collision_policy is not None
-                or not (field is None or type(field) is KeplerField)):
-            return None
-        return self._tile
+    def _advance(self, rows, t, passes) -> None:
+        """The Hermite step of ``rows`` to ``t``, each over its own
+        ``dt``: predict into the block buffer, then ``passes`` times
+        force -> field -> correct (P(EC)^n), by the tile or, with no
+        tile or a step off the block grid, by the NumPy twins.  A
+        ``KeplerField`` rides inside the first correct call; any other
+        field, and every later pass, is added here, at the rows the
+        last pass corrected."""
+        sys_, field, tracer = self.system, self.external_field, self._tracer
+        n, block = rows.size, self._block
+        if block.shape[0] < n:
+            block = self._block = np.empty((max(n, 2 * block.shape[0]), block.shape[1]))
+        tile, finish = self._tile, block_correct
+        with tracer.span("predict"):
+            if tile is not None and tile.block_predict(sys_, rows, block):
+                finish = tile.block_correct
+            else:
+                block_predict(sys_, rows, block)
+        kepler = field.mass if type(field) is KeplerField else None
+        for k in range(passes):
+            with tracer.span("force", n_active=n):
+                if field is None or (k == 0 and kepler is not None):
+                    acc1, jerk1 = self.backend.forces_on(sys_, rows, t)
+                elif k == 0:
+                    acc1, jerk1 = self._forces(rows, t, block[:n, _XP].copy(),
+                                               block[:n, _VP].copy())
+                else:
+                    acc1, jerk1 = self._forces(rows, t, sys_.pos[rows], sys_.vel[rows])
+            with tracer.span("correct"):
+                finish(sys_, rows, acc1, jerk1, block, t,
+                       kepler if k == 0 else None, self.params)
 
-    def _correct_numpy(self, active, t_next, dt, pred_pos, pred_vel,
-                       acc0, jerk0, acc1, jerk1) -> None:
-        """The NumPy step's corrector half: Hermite correct (P(EC)^n),
-        write the block back, Aarseth step, quantise."""
-        sys_ = self.system
-        pos1, vel1, derivs = correct(
-            pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
-        )
-
-        # P(EC)^n: re-evaluate the force at the corrected state and
-        # correct again (writes the trial state into the live rows so
-        # mutually active particles see each other's corrected states).
-        for _ in range(self.corrector_iterations - 1):
-            sys_.pos[active] = pos1
-            sys_.vel[active] = vel1
-            sys_.t[active] = t_next
-            acc1, jerk1 = self.backend.forces_on(sys_, active, t_next)
-            if self.external_field is not None:
-                ea, ej = self.external_field.acc_jerk(pos1, vel1)
-                acc1 = acc1 + ea
-                jerk1 = jerk1 + ej
-            pos1, vel1, derivs = correct(
-                pred_pos, pred_vel, acc0, jerk0, acc1, jerk1, dt
-            )
-
-        if not (np.isfinite(pos1).all() and np.isfinite(vel1).all()):
-            raise IntegrationError(f"non-finite state after block at t={t_next}")
-
-        sys_.pos[active] = pos1
-        sys_.vel[active] = vel1
-        sys_.acc[active] = acc1
-        sys_.jerk[active] = jerk1
-        sys_.t[active] = t_next
-
-        dt_raw = aarseth_dt(
-            acc1, jerk1, derivs.snap, derivs.crackle, self.params.eta
-        )
-        sys_.dt[active] = quantize(dt_raw, sys_.t[active], dt, self.params)
+    def _forces(self, rows, t, pos, vel):
+        """The backend's force and jerk on ``rows`` at ``t``, plus the
+        external field at ``pos`` / ``vel``."""
+        acc, jerk = self.backend.forces_on(self.system, rows, t)
+        if self.external_field is None:
+            return acc, jerk
+        ea, ej = self.external_field.acc_jerk(pos, vel)
+        return acc + ea, jerk + ej
 
     def evolve(
         self,
@@ -371,9 +360,10 @@ class Simulation:
 
         Performs a genuine Hermite step of individual length ``t - t_i``
         for every particle (the classical synchronisation step of NBODY
-        codes), then re-seeds timesteps with the startup criterion.  Use
-        before precise energy measurements; :meth:`predicted_state` is
-        cheaper for snapshots.
+        codes; a non-finite row raises with no array changed), then
+        re-seeds timesteps with the startup criterion.  Use before
+        precise energy measurements; :meth:`predicted_state` is cheaper
+        for snapshots.
         """
         if not self._initialized:
             raise IntegrationError("call initialize() before synchronize()")
@@ -384,26 +374,13 @@ class Simulation:
         self.scheduler.invalidate()  # t and dt are rewritten below
         pending = np.nonzero(sys_.t < t)[0]
         if pending.size:
-            dt = t - sys_.t[pending]
-            pred_pos = predict_positions(
-                sys_.pos[pending], sys_.vel[pending], sys_.acc[pending], sys_.jerk[pending], dt
-            )
-            pred_vel = predict_velocities(
-                sys_.vel[pending], sys_.acc[pending], sys_.jerk[pending], dt
-            )
-            acc1, jerk1 = self.backend.forces_on(sys_, pending, t)
-            if self.external_field is not None:
-                ea, ej = self.external_field.acc_jerk(pred_pos, pred_vel)
-                acc1 = acc1 + ea
-                jerk1 = jerk1 + ej
-            pos1, vel1, _ = correct(
-                pred_pos, pred_vel, sys_.acc[pending], sys_.jerk[pending], acc1, jerk1, dt
-            )
-            sys_.pos[pending] = pos1
-            sys_.vel[pending] = vel1
-            sys_.acc[pending] = acc1
-            sys_.jerk[pending] = jerk1
-            sys_.t[pending] = t
+            dt = sys_.dt[pending]
+            sys_.dt[pending] = t - sys_.t[pending]
+            try:
+                self._advance(pending, t, 1)
+            except BaseException:
+                sys_.dt[pending] = dt  # a failed step wrote nothing else
+                raise
             self.backend.push_updates(sys_, pending)
             self.particle_steps += int(pending.size)
             self._c_psteps.inc(pending.size)
@@ -543,13 +520,9 @@ class Simulation:
         self.backend.load(self.system)
 
         row = int(np.nonzero(self.system.key == outcome.survivor_key)[0][0])
-        acc, jerk = self.backend.forces_on(self.system, np.array([row]), t_now)
-        if self.external_field is not None:
-            ea, ej = self.external_field.acc_jerk(
-                self.system.pos[row : row + 1], self.system.vel[row : row + 1]
-            )
-            acc = acc + ea
-            jerk = jerk + ej
+        acc, jerk = self._forces(np.array([row]), t_now,
+                                 self.system.pos[row : row + 1],
+                                 self.system.vel[row : row + 1])
         self.system.acc[row] = acc[0]
         self.system.jerk[row] = jerk[0]
 

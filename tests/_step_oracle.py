@@ -12,13 +12,19 @@ operations, same order, same bits*, and
 it block for block.  This copy never commits a block, so the live
 scheduler recomputes and checks everything on each call — the parent's
 stateless behaviour.
+
+``parent_synchronize`` is ``Simulation.synchronize`` as it stood before
+``step`` and ``synchronize`` shared one Hermite step body (its own
+gather, predict, field and correct; ``startup_dt`` and the re-seed),
+verbatim with the same renaming; ``tests/test_host_path.py`` holds the
+shared body to it.
 """
 
 import numpy as np
 
 from repro.core.hermite import correct
 from repro.core.predictor import predict_positions, predict_velocities
-from repro.core.timestep import TimestepParams
+from repro.core.timestep import TimestepParams, startup_dt
 from repro.errors import IntegrationError
 
 
@@ -186,3 +192,53 @@ def parent_step(self) -> tuple[float, int]:
             with tracer.span("collision"):
                 self._resolve_collisions(t_next, active)
     return t_next, int(active.size)
+
+
+def parent_synchronize(self, t: float | None = None) -> None:
+    """Bring every particle to a common time with full corrector quality.
+
+    Performs a genuine Hermite step of individual length ``t - t_i``
+    for every particle (the classical synchronisation step of NBODY
+    codes), then re-seeds timesteps with the startup criterion.  Use
+    before precise energy measurements; :meth:`predicted_state` is
+    cheaper for snapshots.
+    """
+    if not self._initialized:
+        raise IntegrationError("call initialize() before synchronize()")
+    sys_ = self.system
+    t = float(self.time if t is None else t)
+    if np.any(sys_.t > t + 1e-12):
+        raise IntegrationError("cannot synchronise to a time in the past")
+    self.scheduler.invalidate()  # t and dt are rewritten below
+    pending = np.nonzero(sys_.t < t)[0]
+    if pending.size:
+        dt = t - sys_.t[pending]
+        pred_pos = predict_positions(
+            sys_.pos[pending], sys_.vel[pending], sys_.acc[pending], sys_.jerk[pending], dt
+        )
+        pred_vel = predict_velocities(
+            sys_.vel[pending], sys_.acc[pending], sys_.jerk[pending], dt
+        )
+        acc1, jerk1 = self.backend.forces_on(sys_, pending, t)
+        if self.external_field is not None:
+            ea, ej = self.external_field.acc_jerk(pred_pos, pred_vel)
+            acc1 = acc1 + ea
+            jerk1 = jerk1 + ej
+        pos1, vel1, _ = correct(
+            pred_pos, pred_vel, sys_.acc[pending], sys_.jerk[pending], acc1, jerk1, dt
+        )
+        sys_.pos[pending] = pos1
+        sys_.vel[pending] = vel1
+        sys_.acc[pending] = acc1
+        sys_.jerk[pending] = jerk1
+        sys_.t[pending] = t
+        self.backend.push_updates(sys_, pending)
+        self.particle_steps += int(pending.size)
+        self._c_psteps.inc(pending.size)
+    self.time = t
+    # Timesteps must be re-seeded: the sync step landed particles on
+    # times that may not sit on their old block grid.
+    dt_raw = startup_dt(sys_.acc, sys_.jerk, self.params.eta_start)
+    sys_.dt[...] = quantize(dt_raw, sys_.t, None, self.params)
+    # Only steps whose grid passes through t are admissible.
+    self._align_steps_to_time(t)

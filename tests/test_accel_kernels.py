@@ -44,7 +44,7 @@ from repro.accel import (
     native,
 )
 from repro.accel import engine as engine_module
-from repro.core import forces
+from repro.core import forces, integrator
 from repro.core.particles import ParticleSystem
 from repro.core.predictor import predict_system
 
@@ -845,6 +845,32 @@ class TestNativeBuild:
                     offenders.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
         assert offenders == []
 
+    def test_one_step_body(self):
+        """``core/integrator.py`` has one Hermite step body: ``correct``
+        is called only in ``block_correct``, and the predictors only in
+        ``block_predict`` and ``predicted_state``."""
+        allowed = {
+            "correct": {"block_correct"},
+            "predict_positions": {"block_predict", "predicted_state"},
+            "predict_velocities": {"block_predict", "predicted_state"},
+        }
+        offenders = []
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in allowed and where not in allowed[name]:
+                        offenders.append(f"{where}:{child.lineno} {name}")
+                visit(child, where)
+
+        visit(ast.parse(Path(integrator.__file__).read_text()), "<module>")
+        assert offenders == []
+
 
 def make_block_system(n=64, seed=5):
     """Resident rows on the block grid (power-of-two steps), a few at
@@ -904,12 +930,14 @@ class TestBlockStepEntryPoints:
 
     @pytest.mark.parametrize("mass", [1.0, 0.3, None])
     def test_bits_are_the_numpy_steps(self, mass):
+        """Against the NumPy step written out, and against its twins in
+        ``core/integrator.py`` on a buffer of their own."""
         from repro.core import KeplerField, TimestepParams
 
         params = TimestepParams(eta=0.02, dt_max=16.0)
         field = None if mass is None else KeplerField(mass)
         tile = native.load()
-        ours, theirs = make_block_system(), make_block_system()
+        ours, theirs, twins = (make_block_system() for _ in range(3))
         active, acc1, jerk1 = self._operands(ours)
         block = np.full((active.size + 3, native.BLOCK_COLS), np.nan)
         assert tile.block_predict(ours, active, block)
@@ -922,14 +950,46 @@ class TestBlockStepEntryPoints:
                               predict_positions(ours.pos[active], *args))
         assert np.array_equal(block[:active.size, 16:19],
                               predict_velocities(*args))
+        twin_block = np.full_like(block, np.nan)
+        assert integrator.block_predict(twins, active, twin_block)
+        got, want = block[:, :19], twin_block[:, :19]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
         tile.block_correct(ours, active, acc1, jerk1, block, 6.0, mass, params)
         numpy_block_step(theirs, active, acc1, jerk1, 6.0, field, params)
+        integrator.block_correct(twins, active, acc1, jerk1, twin_block, 6.0,
+                                 mass, params)
+        for other in (theirs, twins):
+            for name in self.STATE:
+                got, want = getattr(ours, name), getattr(other, name)
+                assert np.array_equal(got, want), name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        # the -0.0 row: backend jerk -0.0 plus the field's +0.0 is +0.0
+        assert np.signbit(ours.jerk[4]).all() == (mass is None)
+
+    @pytest.mark.parametrize("mass", [1.0, None])
+    def test_the_twins_off_the_grid_are_the_numpy_step(self, mass):
+        """Off the block grid the tile declines (``block_predict`` says
+        ``False``) and the twins take the step: the NumPy step's bits."""
+        from repro.core import KeplerField, TimestepParams
+
+        params = TimestepParams(eta=0.02, dt_max=16.0)
+        ours, theirs = make_block_system(), make_block_system()
+        active, acc1, jerk1 = self._operands(ours)
+        for system in (ours, theirs):
+            system.dt[active[::3]] *= 0.75
+        block = np.empty((active.size, native.BLOCK_COLS))
+        assert not native.load().block_predict(ours, active, block)
+        assert not integrator.block_predict(ours, active, block)
+        integrator.block_correct(ours, active, acc1, jerk1, block, 6.0, mass,
+                                 params)
+        numpy_block_step(theirs, active, acc1, jerk1, 6.0,
+                         None if mass is None else KeplerField(mass), params)
         for name in self.STATE:
             got, want = getattr(ours, name), getattr(theirs, name)
             assert np.array_equal(got, want), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
-        # the -0.0 row: backend jerk -0.0 plus the field's +0.0 is +0.0
-        assert np.signbit(ours.jerk[4]).all() == (mass is None)
 
     def test_aarseth_norms_sum_in_numpy_order(self, monkeypatch):
         """``block_correct`` sums each Aarseth norm ``(x0² + x1²) + x2²``

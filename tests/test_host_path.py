@@ -7,12 +7,15 @@ Two claims, each held to an independent oracle:
   hands out are the ones a scheduler that keeps nothing hands out —
   through mergers, a mid-run ``synchronize``, ``remove_escapers`` and a
   kill-and-resume;
-* ``Simulation.step`` leaves, block for block, the bits the parent
-  commit's ``step`` leaves (``tests/_step_oracle.py``, a verbatim copy
-  with the timestep functions it called) — on the native step (one
-  ``_tile.c`` call either side of the force) as on the NumPy step, and
-  it raises what that step raises with nothing written.
+* ``Simulation.step`` and ``Simulation.synchronize`` leave, block for
+  block, the bits the parent commit's ``step`` and ``synchronize``
+  leave (``tests/_step_oracle.py``, verbatim copies with the timestep
+  functions they called) — on the native step (one ``_tile.c`` call
+  either side of the force) as on the NumPy twins, and they raise what
+  that step raises with nothing written.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from repro.parallel import SpmdBackend
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 from repro.resilience import CheckpointManager
 
-from _step_oracle import parent_step
+from _step_oracle import parent_step, parent_synchronize
 
 STATE = ("mass", "pos", "vel", "acc", "jerk", "t", "dt", "key")
 
@@ -69,12 +72,12 @@ BACKENDS = {
 }
 
 
-def quiet_sim(backend="host", field=KeplerField) -> Simulation:
-    """A seeded disk with no collision policy and one corrector pass:
-    the native step's case whenever ``field`` is exactly a KeplerField."""
+def quiet_sim(backend="host", field=KeplerField, **kwargs) -> Simulation:
+    """A seeded disk with no collision policy (one corrector pass
+    unless ``kwargs`` say otherwise)."""
     disk = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=64, seed=3))
     sim = Simulation(disk, BACKENDS[backend](), external_field=field(),
-                     timestep_params=TimestepParams(dt_max=16.0))
+                     timestep_params=TimestepParams(dt_max=16.0), **kwargs)
     sim.initialize()
     return sim
 
@@ -234,9 +237,21 @@ class TestKeptUpdateTimes:
     def test_a_block_step_that_writes_a_bad_step_raises(self, monkeypatch, bad):
         sim = eventful_sim()
         sim.step()
-        monkeypatch.setattr(
-            integrator, "quantize",
-            lambda dt_raw, t_now, dt_old, params: np.full(dt_raw.shape, bad))
+
+        def bad_step(block_correct):
+            def wrapped(system, active, *args):
+                block_correct(system, active, *args)
+                system.dt[active] = bad
+            return wrapped
+
+        # whichever corrector the block takes, the tile's or the twin
+        tile = sim._tile
+        if tile is not None:
+            monkeypatch.setattr(sim, "_tile", SimpleNamespace(
+                block_predict=tile.block_predict,
+                block_correct=bad_step(tile.block_correct)))
+        monkeypatch.setattr(integrator, "block_correct",
+                            bad_step(integrator.block_correct))
         with pytest.raises(SchedulerError):
             sim.step()
         monkeypatch.undo()
@@ -259,14 +274,38 @@ class TestStepMatchesParent:
             assert np.array_equal(getattr(new.system, name),
                                   getattr(old.system, name)), (name, block)
 
+    @staticmethod
+    def _spy_on_the_twin(monkeypatch, sim) -> list:
+        """The block of every call of the NumPy twin ``block_correct``."""
+        calls, twin = [], integrator.block_correct
+
+        def spy(*args):
+            calls.append(sim.block_steps)
+            return twin(*args)
+
+        monkeypatch.setattr(integrator, "block_correct", spy)
+        return calls
+
+    @staticmethod
+    def _assert_twin_calls(calls, blocks, passes):
+        """None on the native tier (every block here is on the grid);
+        every pass of every block on the NumPy tier."""
+        if native.load() is not None:
+            assert calls == []
+        else:
+            assert calls == [b for b in range(blocks) for _ in range(passes)]
+
     @pytest.mark.parametrize("iterations", [1, 2])
-    def test_block_for_block(self, iterations):
+    def test_block_for_block(self, monkeypatch, iterations):
         new, old = self._pair(corrector_iterations=iterations)
         self._assert_same(new, old, "start")
-        for block in range(300 if iterations == 1 else 120):
+        calls = self._spy_on_the_twin(monkeypatch, new)
+        blocks = 300 if iterations == 1 else 120
+        for block in range(blocks):
             assert new.step() == parent_step(old)
             self._assert_same(new, old, block)
         assert new.mergers == old.mergers >= 2
+        self._assert_twin_calls(calls, blocks, iterations)
 
     def test_without_field_or_policy(self):
         def bare():
@@ -288,23 +327,59 @@ class TestStepMatchesParent:
         ("spmd-vm", KeplerField),
         ("host", lambda: CompositeField([KeplerField()])),
     ])
-    def test_backends_and_fields(self, backend, field):
+    def test_backends_and_fields(self, monkeypatch, backend, field):
         new, old = quiet_sim(backend, field), quiet_sim(backend, field)
+        calls = self._spy_on_the_twin(monkeypatch, new)
         try:
-            # the native step exactly where the tier has one and the
-            # field is a KeplerField; a composite takes the NumPy step
-            assert (new._native_step() is not None) == (
-                native.load() is not None
-                and type(new.external_field) is KeplerField)
+            # the native step wherever the tier has one, whatever the
+            # field; the NumPy twins on the NumPy tier
             for block in range(200):
                 assert new.step() == parent_step(old)
                 self._assert_same(new, old, block)
+            self._assert_twin_calls(calls, 200, 1)
         finally:
             close(new, old)
 
 
 @pytest.mark.usefixtures("numpy_tier")
 class TestStepMatchesParentNumpyTier(TestStepMatchesParent):
+    """The same, without the compiled row kernel."""
+
+
+class TestSynchronizeMatchesParent:
+    """``synchronize()`` mid-run against the parent commit's, then the
+    blocks after it against the parent's ``step``."""
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("field", [
+        KeplerField, lambda: CompositeField([KeplerField()]),
+    ], ids=["kepler", "composite"])
+    @pytest.mark.parametrize("on_grid", [True, False],
+                             ids=["on-grid", "off-grid"])
+    def test_mid_run(self, field, iterations, on_grid):
+        """At a time every pending ``t - t_i`` is a power of two (the
+        tile's step on the native tier) or some is not (the twins)."""
+        new, old = (quiet_sim(field=field, corrector_iterations=iterations)
+                    for _ in range(2))
+        for block in range(200):
+            assert new.step() == parent_step(old)
+            dt = new.time - new.system.t[new.system.t < new.time]
+            if (block >= 30 and dt.size > 1
+                    and (np.frexp(dt)[0] == 0.5).all() == on_grid):
+                break
+        else:
+            pytest.fail("no block left the wanted pending steps")
+        new.synchronize()
+        parent_synchronize(old)
+        TestStepMatchesParent._assert_same(new, old, "synchronize")
+        assert new.particle_steps == old.particle_steps
+        for block in range(50):
+            assert new.step() == parent_step(old)
+            TestStepMatchesParent._assert_same(new, old, block)
+
+
+@pytest.mark.usefixtures("numpy_tier")
+class TestSynchronizeMatchesParentNumpyTier(TestSynchronizeMatchesParent):
     """The same, without the compiled row kernel."""
 
 
@@ -347,10 +422,9 @@ class TestStepErrors:
             sim.step()
         self._assert_unchanged(sim, state)
 
-    def test_a_non_finite_row_writes_no_row(self):
-        sim = self._running()
-        while self._next_rows(sim).size < 2:  # poison the last of several
-            sim.step()
+    @staticmethod
+    def _poison_the_last_row(sim) -> None:
+        """The backend's force on the last row it is asked for is NaN."""
         forces_on = sim.backend.forces_on
 
         def poisoned(system, active, t_now):
@@ -360,11 +434,29 @@ class TestStepErrors:
             return acc, jerk
 
         sim.backend.forces_on = poisoned
+
+    def test_a_non_finite_row_writes_no_row(self):
+        sim = self._running()
+        while self._next_rows(sim).size < 2:  # poison the last of several
+            sim.step()
+        self._poison_the_last_row(sim)
         state, kept = self._state(sim), sim.scheduler._t_next.copy()
         with pytest.raises(IntegrationError, match="non-finite"):
             sim.step()
         self._assert_unchanged(sim, state)
         assert np.array_equal(sim.scheduler._t_next, kept)
+
+    def test_synchronize_a_non_finite_row_writes_no_row(self):
+        """Where the parent wrote the NaN, ``synchronize`` raises and
+        leaves every array as it was, ``dt`` included."""
+        sim = self._running()
+        while (sim.system.t < sim.time).sum() < 2:  # several pending rows
+            sim.step()
+        self._poison_the_last_row(sim)
+        state = self._state(sim)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            sim.synchronize()
+        self._assert_unchanged(sim, state)
 
     def test_an_active_row_out_of_range(self, monkeypatch):
         sim = self._running()
