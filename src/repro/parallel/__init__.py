@@ -14,7 +14,7 @@
 
 from .backend import SpmdBackend
 from .comm import CommSimulator, PhaseReport, Transfer
-from .grid2d import GridForceResult, grid_forces
+from .grid2d import grid_forces
 from .proc import ProcConfig, ProcEngine, ProcResult
 from .programs import (
     ArrayView,
@@ -24,7 +24,7 @@ from .programs import (
     partition_bounds,
     ring_force_program,
 )
-from .ring import RingForceResult, ring_forces
+from .ring import ring_forces
 from .spmd import RankComm, SpmdResult, VirtualMachine, describe_op
 from .strategies import (
     GrapeExchangeStrategy,
@@ -46,9 +46,7 @@ __all__ = [
     "CommSimulator",
     "PhaseReport",
     "Transfer",
-    "GridForceResult",
     "grid_forces",
-    "RingForceResult",
     "ring_forces",
     "RankComm",
     "SpmdResult",

@@ -22,26 +22,19 @@ COMM-STRAT benchmark shows analytically, here with actual data moving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import CommError
-from .programs import ProgramContext, grid_force_program, partition_bounds
-from .spmd import SpmdResult, VirtualMachine
+from .programs import (
+    ProgramContext,
+    _ForceRun,
+    _force_run,
+    grid_force_program,
+    partition_bounds,
+)
+from .spmd import VirtualMachine
 
-__all__ = ["GridForceResult", "grid_forces"]
-
-
-@dataclass(frozen=True)
-class GridForceResult:
-    """Forces from a 2-D grid run plus its communication costs."""
-
-    acc: np.ndarray
-    jerk: np.ndarray
-    total_bytes: int
-    messages: int
-    clock: list
+__all__ = ["grid_forces"]
 
 
 def grid_forces(
@@ -51,16 +44,17 @@ def grid_forces(
     eps: float,
     q: int,
     vm: VirtualMachine | None = None,
-) -> GridForceResult:
-    """All-pairs softened force+jerk on a ``q x q`` host matrix."""
+) -> _ForceRun:
+    """All-pairs softened force+jerk on a ``q x q`` host matrix.
+
+    Returns the same fields as :func:`~repro.parallel.ring.ring_forces`.
+    """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     vel = np.ascontiguousarray(vel, dtype=np.float64)
     mass = np.ascontiguousarray(mass, dtype=np.float64)
     n = pos.shape[0]
     if q < 1:
         raise CommError("grid dimension must be positive")
-    if q * q > max(n, 1) * q:  # pragma: no cover - defensive
-        raise CommError("grid too large")
     if q > n:
         raise CommError("more rows than particles")
     vm = vm or VirtualMachine(n_ranks=q * q)
@@ -71,19 +65,4 @@ def grid_forces(
         params={"eps": eps, "q": q, "bounds": partition_bounds(n, q)},
     )
 
-    result: SpmdResult = vm.run(grid_force_program, ctx)
-    acc = np.zeros((n, 3))
-    jerk = np.zeros((n, 3))
-    for item in result.returns[0]:
-        if item is None:
-            continue
-        lo, hi, a, j = item
-        acc[lo:hi] = a
-        jerk[lo:hi] = j
-    return GridForceResult(
-        acc=acc,
-        jerk=jerk,
-        total_bytes=result.total_bytes,
-        messages=result.messages,
-        clock=result.clock,
-    )
+    return _force_run(vm.run(grid_force_program, ctx), n)

@@ -5,13 +5,14 @@ in-process :class:`~repro.parallel.spmd.VirtualMachine`, but across
 genuine worker processes: particle arrays live in
 ``multiprocessing.shared_memory`` segments, every communication
 operation is proxied over a per-rank pipe to the supervisor, and the
-supervisor replicates the VM's deterministic matching semantics (FIFO
-point-to-point mail, collectives completing when every rank has posted
-the same superstep tag, reductions folded in rank order).  Because the
-matching rules and the data are identical, a program produces the same
+supervisor matches the operations through the VM's own exchange
+(:mod:`repro.parallel.spmd`: FIFO point-to-point mail, collectives
+completing when every rank has posted the same superstep tag,
+reductions folded in rank order).  Because the matching rules are one
+piece of code and the data are identical, a program produces the same
 bits on the VM and on the process gang — and the chunk-aligned force
 program keeps those bits identical to the serial and threaded
-single-process accel paths.
+single-process accel paths.  What this module adds is supervision.
 
 The gang is **persistent**: it is forked by the first run of a program
 and serves every later run of the same program object, one command per
@@ -73,14 +74,20 @@ from .programs import ProgramContext
 from .spmd import (
     RankComm,
     _Collective,
+    _Exchange,
     _Recv,
     _Send,
-    _default_reduce,
     _payload_bytes,
+    blocked_summary,
     describe_op,
 )
 
 __all__ = ["ProcConfig", "ProcResult", "ProcEngine"]
+
+#: worker beat-thread stamp period [s]; a lease spans many beats
+_HEARTBEAT_INTERVAL = 0.05
+#: supervisor wait granularity [s]
+_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -89,15 +96,12 @@ class ProcConfig:
 
     #: bounded wait for any single blocked op (barrier, recv, ...)
     op_timeout: float = 30.0
-    #: worker beat cadence; lease expiry marks a rank as hung
-    heartbeat_interval: float = 0.05
+    #: lease expiry (no beat for this long) marks a rank as hung
     lease_seconds: float = 5.0
     #: rank restarts before the engine gives up on process execution
     max_restarts: int = 2
     #: ``degrade`` reruns on the in-process VM, ``raise`` propagates
     on_failure: str = "degrade"
-    #: supervisor poll granularity [s]
-    poll_interval: float = 0.02
 
 
 @dataclass
@@ -196,7 +200,7 @@ def _drive(rank, size, program, ctx, req_conn, rep_conn, stall) -> None:
 
 
 def _worker_main(rank, size, program, req_conn, rep_conn, inherited,
-                 hb, stall, heartbeat_interval):
+                 hb, stall):
     """One rank of a persistent gang: serve run commands until told to
     exit.  Between runs the worker blocks on its command pipe with the
     beat thread still stamping."""
@@ -215,7 +219,7 @@ def _worker_main(rank, size, program, req_conn, rep_conn, inherited,
         while not stop.is_set():
             if not stall[rank]:
                 hb[rank] = time.monotonic()
-            time.sleep(heartbeat_interval)
+            time.sleep(_HEARTBEAT_INTERVAL)
 
     threading.Thread(target=beat, daemon=True).start()
     attached: dict = {}
@@ -255,7 +259,6 @@ class _Rank:
     #: lease start: the run's start, or the restart's
     started: float = field(default_factory=time.monotonic)
     done: bool = False
-    value: object = None
     blocked: object = None      # live blocked op tuple or None
     posted: float = 0.0         # when the blocked op was posted
     #: completed ops: (fingerprint, needs_reply, result)
@@ -263,6 +266,11 @@ class _Rank:
     restarts: int = 0
     #: deliveries held back by an injected message delay
     delay_until: float = 0.0
+
+
+def _ops(ranks) -> tuple[list, list]:
+    """Each rank's blocked op and done flag, in rank order."""
+    return [s.blocked for s in ranks], [s.done for s in ranks]
 
 
 class ProcEngine:
@@ -426,8 +434,7 @@ class ProcEngine:
         proc = self._mp.Process(
             target=_worker_main,
             args=(rank, self.n_ranks, self._program, req_child, rep_parent,
-                  inherited, self._hb, self._stall,
-                  self.config.heartbeat_interval),
+                  inherited, self._hb, self._stall),
             daemon=True,
             name=f"spmd-rank-{rank}",
         )
@@ -544,8 +551,7 @@ class ProcEngine:
         except Exception as exc:  # PicklingError, AttributeError, TypeError...
             raise SpmdError(f"run params do not pickle: {exc}") from exc
         ranks = self._gang_for(program)
-        #: FIFO point-to-point mail: (src, dst) -> [(data, nbytes), ...]
-        mail: dict = {}
+        exchange = _Exchange(self.n_ranks)
         #: deliveries held by an injected message delay: (release_t, rank, msg)
         held: list = []
 
@@ -575,17 +581,6 @@ class ProcEngine:
                 return 0.0
             return time.monotonic() - state.posted
 
-        def blocked_summary():
-            out = {}
-            for r, state in enumerate(ranks):
-                if state.done:
-                    continue
-                if state.blocked is not None:
-                    out[r] = describe_op(state.blocked)
-                else:
-                    out[r] = "running"
-            return out
-
         def finish_op(r, op, result, needs_reply):
             """Journal a completed op and deliver its result."""
             state = ranks[r]
@@ -602,54 +597,27 @@ class ProcEngine:
                 deliver(r, result)
 
         def try_match():
-            """VM-identical matching over the live blocked set."""
+            """Serve blocked recvs and collectives through the exchange."""
             progressed = True
             while progressed:
                 progressed = False
-                # point-to-point: recvs against FIFO mail
                 for r, state in enumerate(ranks):
                     op = state.blocked
                     if isinstance(op, _Recv):
-                        queue = mail.get((op.src, r))
-                        if queue:
-                            data, nbytes = queue.pop(0)
-                            finish_op(r, op, data, needs_reply=True)
+                        matched = exchange.take(r, op)
+                        if matched is not None:
+                            finish_op(r, op, matched[0].data, needs_reply=True)
                             progressed = True
-                # collectives: superstep-tag check, then completion
-                coll = {
-                    r: state.blocked for r, state in enumerate(ranks)
-                    if isinstance(state.blocked, _Collective)
-                }
-                if coll:
-                    tags = {(c.kind, c.superstep) for c in coll.values()}
-                    if len(tags) > 1:
-                        raise SpmdProtocolError(
-                            "collective mismatch across ranks: "
-                            f"{sorted(tags)}",
-                            blocked=blocked_summary(),
-                        )
-                    finished = [r for r, s in enumerate(ranks) if s.done]
-                    if finished:
-                        kind, step = next(iter(tags))
-                        raise SpmdProtocolError(
-                            f"collective mismatch: ranks {sorted(coll)} "
-                            f"wait on {kind}@s{step} but ranks {finished} "
-                            "already returned without posting it",
-                            blocked=blocked_summary(),
-                        )
-                if len(coll) == self.n_ranks:
-                    results = _complete_collective(
-                        [coll[r] for r in range(self.n_ranks)], self.n_ranks
-                    )
-                    nbytes = sum(
-                        _payload_bytes(c.data) for c in coll.values()
-                    )
+                blocked, done = _ops(ranks)
+                results = exchange.collective(blocked, done)
+                if results is not None:
+                    nbytes = sum(_payload_bytes(c.data) for c in blocked)
                     res.total_bytes += nbytes
                     res.messages += self.n_ranks
                     self._c_bytes.inc(nbytes)
                     self._c_msgs.inc(self.n_ranks)
-                    for r in range(self.n_ranks):
-                        finish_op(r, coll[r], results[r], needs_reply=True)
+                    for r, op in enumerate(blocked):
+                        finish_op(r, op, results[r], needs_reply=True)
                     res.supersteps += 1
                     self.supersteps += 1
                     self._c_steps.inc()
@@ -660,7 +628,6 @@ class ProcEngine:
             state = ranks[r]
             kind = msg[0]
             if kind == "done":
-                state.value = msg[1]
                 state.done = True  # the worker now waits for a command
                 res.returns[r] = msg[1]
                 return
@@ -678,7 +645,7 @@ class ProcEngine:
                         f"rank {r} diverged on restart: replayed op "
                         f"{describe_op(op)} (index {idx}) does not match "
                         f"journal entry {fp}",
-                        blocked=blocked_summary(),
+                        blocked=blocked_summary(*_ops(ranks)),
                     )
                 res.replayed_ops += 1
                 self._c_replayed.inc()
@@ -687,7 +654,7 @@ class ProcEngine:
                 return
             # live op
             if isinstance(op, _Send):
-                mail.setdefault((r, op.dst), []).append((op.data, op.nbytes))
+                exchange.post(r, op)
                 res.total_bytes += op.nbytes
                 res.messages += 1
                 self._c_bytes.inc(op.nbytes)
@@ -767,7 +734,7 @@ class ProcEngine:
                     raise SpmdTimeoutError(
                         f"rank {r} exceeded the {cfg.op_timeout:g}s op "
                         f"timeout in {describe_op(state.blocked)}",
-                        blocked=blocked_summary(),
+                        blocked=blocked_summary(*_ops(ranks)),
                     )
 
         try:
@@ -790,7 +757,7 @@ class ProcEngine:
                 ]
                 if not waitable:
                     break
-                connection.wait(waitable, timeout=cfg.poll_interval)
+                connection.wait(waitable, timeout=_POLL_INTERVAL)
                 for r, state in enumerate(ranks):
                     if not live(state):
                         continue
@@ -883,23 +850,3 @@ def _fingerprint(op) -> tuple:
     if isinstance(op, _Recv):
         return ("recv", op.superstep, op.src)
     return ("coll", op.superstep, op.kind, op.root)
-
-
-def _complete_collective(colls, n: int) -> list:
-    """Resolve one collective; mirrors the VM's data semantics."""
-    kind = colls[0].kind
-    payloads = [c.data for c in colls]
-    if kind == "barrier":
-        return [None] * n
-    if kind == "bcast":
-        return [payloads[colls[0].root]] * n
-    if kind == "allgather":
-        return [list(payloads)] * n
-    if kind in ("reduce", "allreduce"):
-        op = colls[0].op
-        reduced = op(payloads) if op else _default_reduce(payloads)
-        if kind == "reduce":
-            root = colls[0].root
-            return [reduced if r == root else None for r in range(n)]
-        return [reduced] * n
-    raise SpmdError(f"unknown collective {kind}")  # pragma: no cover

@@ -32,6 +32,8 @@ Three programs live here:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..accel import get_engine
@@ -84,6 +86,33 @@ class ArrayView:
 def partition_bounds(n: int, p: int) -> list[int]:
     """Bounds of contiguous ~n/p slices (picklable ints, length p+1)."""
     return [int(b) for b in np.linspace(0, n, p + 1).astype(int)]
+
+
+@dataclass(frozen=True)
+class _ForceRun:
+    """Whole-system forces of a ring or grid run plus the VM's
+    communication accounting."""
+
+    acc: np.ndarray
+    jerk: np.ndarray
+    total_bytes: int
+    messages: int
+    #: logical end times per rank [s]
+    clock: list
+
+
+def _force_run(result, n: int) -> _ForceRun:
+    """Place the ``(lo, hi, acc, jerk)`` slices rank 0 gathered (``None``
+    entries carry nothing) into arrays for all ``n`` particles."""
+    acc = np.zeros((n, 3))
+    jerk = np.zeros((n, 3))
+    for item in result.returns[0]:
+        if item is not None:
+            lo, hi, a, j = item
+            acc[lo:hi] = a
+            jerk[lo:hi] = j
+    return _ForceRun(acc=acc, jerk=jerk, total_bytes=result.total_bytes,
+                     messages=result.messages, clock=result.clock)
 
 
 # -- the systolic ring (paper Figures 4-5, in software) ----------------------

@@ -17,27 +17,19 @@ paper's bandwidth problem and dedicated hardware links do).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import CommError
-from .programs import ProgramContext, partition_bounds, ring_force_program
-from .spmd import SpmdResult, VirtualMachine
+from .programs import (
+    ProgramContext,
+    _ForceRun,
+    _force_run,
+    partition_bounds,
+    ring_force_program,
+)
+from .spmd import VirtualMachine
 
-__all__ = ["RingForceResult", "ring_forces"]
-
-
-@dataclass(frozen=True)
-class RingForceResult:
-    """Forces assembled from a ring run plus its communication costs."""
-
-    acc: np.ndarray
-    jerk: np.ndarray
-    total_bytes: int
-    messages: int
-    #: logical end times per rank [s]
-    clock: list
+__all__ = ["ring_forces"]
 
 
 def ring_forces(
@@ -48,12 +40,14 @@ def ring_forces(
     n_ranks: int,
     vm: VirtualMachine | None = None,
     obs=None,
-) -> RingForceResult:
+) -> _ForceRun:
     """All-pairs softened force+jerk via a ``n_ranks``-stage ring.
 
     Every rank owns a contiguous particle slice; j-data circulates
-    ``n_ranks - 1`` hops.  Returns forces for the *whole* system (self
-    interactions excluded) plus the VM's communication accounting.
+    ``n_ranks - 1`` hops.  Returns ``acc``/``jerk`` for the *whole*
+    system (self interactions excluded) plus the VM's communication
+    accounting (``total_bytes``, ``messages``, per-rank ``clock``).
+    ``vm``, when given, must have ``n_ranks`` ranks.
     With ``obs`` attached, the evaluation runs under a ``ring.forces``
     wall-clock span and the VM's traffic feeds the ``comm.*`` counters.
     """
@@ -69,25 +63,16 @@ def ring_forces(
     if n_ranks > n:
         raise CommError("more ranks than particles")
     vm = vm or VirtualMachine(n_ranks=n_ranks)
+    if vm.n_ranks != n_ranks:
+        raise CommError("virtual machine size must be n_ranks")
     ctx = ProgramContext(
         arrays={"pos": pos, "vel": vel, "mass": mass},
         params={"eps": eps, "bounds": partition_bounds(n, n_ranks)},
     )
 
     with obs.tracer.span("ring.forces", n=n, ranks=n_ranks):
-        result: SpmdResult = vm.run(ring_force_program, ctx)
-    acc = np.zeros((n, 3))
-    jerk = np.zeros((n, 3))
-    for lo, hi, a, j in result.returns[0]:
-        acc[lo:hi] = a
-        jerk[lo:hi] = j
+        result = vm.run(ring_force_program, ctx)
     m = obs.metrics
     m.counter("comm.bytes_sent").inc(result.total_bytes)
     m.counter("comm.messages_total").inc(result.messages)
-    return RingForceResult(
-        acc=acc,
-        jerk=jerk,
-        total_bytes=result.total_bytes,
-        messages=result.messages,
-        clock=result.clock,
-    )
+    return _force_run(result, n)

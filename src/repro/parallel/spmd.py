@@ -23,32 +23,40 @@ and receives their results::
     result.clock        # per-rank logical end times [s]
     result.total_bytes  # bytes moved
 
-Semantics:
+Semantics (the matching rules live in one place, ``_Exchange``, which
+the multiprocess engine of :mod:`repro.parallel.proc` shares, so a
+program matches the same way on both schedulers):
 
 * point-to-point: ``send``/``recv`` match FIFO per (src, dst) pair;
 * collectives: ``barrier``, ``bcast``, ``allgather``, ``reduce``,
   ``allreduce`` complete when every rank has posted its call (loose
   BSP); every rank must post collectives in the same order;
-* logical time: message completion =
-  ``max(sender clock, receiver clock) + latency + bytes/bandwidth``
-  (a LogP-style model); collective completion = barrier of all clocks
-  plus the slowest member transfer;
-* determinism: the scheduler polls ranks in rank order — no threads,
-  no races; a cycle with no runnable rank raises :class:`CommError`
-  (deadlock) with the blocked-op summary;
+  reductions fold the payloads in rank order;
 * protocol checking: every operation carries a **superstep tag** (the
   rank's collective counter).  Two ranks blocked on collectives with
   different kinds or different superstep tags — one in ``barrier``,
   another in ``allreduce`` — is a schedule bug that would hang a real
   MPI job; here it raises :class:`~repro.errors.SpmdProtocolError`
-  immediately, with the per-rank blocked-op summary.  The multiprocess
-  engine (:mod:`repro.parallel.proc`) applies the same check across
-  real processes.
+  immediately, with the per-rank blocked-op summary.
+
+What the VM adds on top (the process engine measures wall time
+instead):
+
+* logical time (a LogP-style model): a send costs its sender
+  ``latency + bytes/bandwidth``; a received message arrives at
+  ``max(post time + latency + bytes/bandwidth, receiver clock)``; a
+  collective finishes at ``max(all clocks) + latency + bytes/bandwidth``
+  over the root's payload (bcast), the largest payload (reduce) or all
+  payloads (allgather, allreduce; a barrier moves none);
+* determinism: the scheduler polls ranks in rank order — no threads,
+  no races; a cycle with no runnable rank raises :class:`CommError`
+  (deadlock) with the blocked-op summary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,6 +196,94 @@ def _default_reduce(parts):
     return out
 
 
+def blocked_summary(blocked, done) -> dict:
+    """``rank -> blocked-op label`` of every live rank, for error
+    context; a live rank with no blocked op reads ``"running"``."""
+    return {
+        r: "running" if op is None else describe_op(op)
+        for r, op in enumerate(blocked)
+        if not done[r]
+    }
+
+
+class _Exchange:
+    """The matching rules of both schedulers: FIFO point-to-point mail
+    and collective resolution.
+
+    The VM and the process supervisor differ in how ranks reach their
+    next operation and in what they charge for it; what a blocked
+    operation is matched with, and what every rank gets back, is
+    decided here and nowhere else.
+    """
+
+    def __init__(self, n_ranks: int) -> None:
+        self.n_ranks = n_ranks
+        #: (src, dst) -> FIFO of (send, stamp)
+        self._mail: dict = {}
+
+    def post(self, src: int, send: _Send, stamp=None) -> None:
+        """Queue ``send`` from ``src``; ``stamp`` travels with it."""
+        self._mail.setdefault((src, send.dst), deque()).append((send, stamp))
+
+    def take(self, dst: int, recv: _Recv):
+        """The oldest ``(send, stamp)`` from ``recv.src`` to ``dst``, or
+        ``None`` when none is queued."""
+        queue = self._mail.get((recv.src, dst))
+        return queue.popleft() if queue else None
+
+    def collective(self, blocked, done):
+        """Resolve the collective the ranks are blocked on.
+
+        ``blocked[r]`` is rank ``r``'s blocked op (``None`` when it has
+        none) and ``done[r]`` whether it has returned.  Returns ``None``
+        until every rank has posted, then the per-rank results: the
+        root's payload (bcast), the rank-ordered payload list
+        (allgather), the payloads folded in rank order (reduce on the
+        root, allreduce everywhere), ``None`` (barrier).
+
+        Superstep-tag check: two simultaneously-blocked collectives
+        must agree on (kind, superstep) — in a legal program a rank
+        cannot pass collective k until every rank has posted it.
+        Disagreement (or a rank that returned without posting it) can
+        never resolve, so it raises :class:`SpmdProtocolError` instead
+        of deadlocking.
+        """
+        waiting = [r for r, op in enumerate(blocked)
+                   if isinstance(op, _Collective)]
+        if not waiting:
+            return None
+        tags = {(blocked[r].kind, blocked[r].superstep) for r in waiting}
+        if len(tags) > 1:
+            raise SpmdProtocolError(
+                f"collective mismatch across ranks: {sorted(tags)}",
+                blocked=blocked_summary(blocked, done),
+            )
+        if any(done):
+            kind, step = next(iter(tags))
+            finished = [r for r, d in enumerate(done) if d]
+            raise SpmdProtocolError(
+                f"collective mismatch: ranks {waiting} wait on "
+                f"{kind}@s{step} but ranks {finished} already "
+                "returned without posting it",
+                blocked=blocked_summary(blocked, done),
+            )
+        if len(waiting) < self.n_ranks:
+            return None
+        n = self.n_ranks
+        kind, root, op = blocked[0].kind, blocked[0].root, blocked[0].op
+        payloads = [c.data for c in blocked]
+        if kind == "barrier":
+            return [None] * n
+        if kind == "bcast":
+            return [payloads[root]] * n
+        if kind == "allgather":
+            return [list(payloads)] * n
+        reduced = (op or _default_reduce)(payloads)
+        if kind == "reduce":
+            return [reduced if r == root else None for r in range(n)]
+        return [reduced] * n
+
+
 class VirtualMachine:
     """Runs one SPMD program on ``n_ranks`` virtual hosts.
 
@@ -218,129 +314,86 @@ class VirtualMachine:
     # -- execution -----------------------------------------------------------
 
     def run(self, program, *args) -> SpmdResult:
-        """Execute ``program(comm, *args)`` on every rank to completion."""
-        comms = [RankComm(r, self.n_ranks) for r in range(self.n_ranks)]
-        gens = [program(comms[r], *args) for r in range(self.n_ranks)]
+        """Execute ``program(comm, *args)`` on every rank to completion.
 
-        clock = [0.0] * self.n_ranks
-        returns: list = [None] * self.n_ranks
-        done = [False] * self.n_ranks
-        # what each rank is blocked on: None = runnable
-        blocked: list = [None] * self.n_ranks
-        # value to inject at next resume
-        inbox: list = [None] * self.n_ranks
-        # FIFO mailboxes for point-to-point: (src, dst) -> list of (data, nbytes, t_post)
-        mail: dict = {}
-        # pending recvs: (src, dst) -> True
+        The VM adds only its pass order and its logical clock to the
+        shared matching rules: each pass posts every blocked send, then
+        serves every blocked recv in rank order, then resolves the
+        collective if all ranks have posted it.
+        """
+        n = self.n_ranks
+        gens = [program(RankComm(r, n), *args) for r in range(n)]
+        exchange = _Exchange(n)
+        clock = [0.0] * n
+        returns: list = [None] * n
+        done = [False] * n
+        # what each rank is blocked on: None once it has returned
+        blocked: list = [None] * n
         total_bytes = 0
         messages = 0
 
-        def advance(r):
-            """Resume rank r with inbox[r]; set its next blocked op."""
-            nonlocal total_bytes
+        def advance(r, value=None):
+            """Resume rank r with ``value``; record its next blocked op."""
             try:
-                op = gens[r].send(inbox[r]) if started[r] else next(gens[r])
+                blocked[r] = gens[r].send(value)
             except StopIteration as stop:
                 returns[r] = stop.value
                 done[r] = True
                 blocked[r] = None
-                return
-            started[r] = True
-            inbox[r] = None
-            blocked[r] = op
-
-        started = [False] * self.n_ranks
-        for r in range(self.n_ranks):
-            advance(r)
 
         def transfer_time(nbytes):
             return self.latency + nbytes / self.bandwidth
+
+        for r in range(n):
+            advance(r)
 
         for _ in range(10_000_000):  # hard cap against runaway programs
             if all(done):
                 break
             progressed = False
 
-            # 1) match point-to-point pairs
-            for r in range(self.n_ranks):
+            for r in range(n):
                 op = blocked[r]
                 if isinstance(op, _Send):
-                    key = (r, op.dst)
-                    mail.setdefault(key, []).append((op.data, op.nbytes, clock[r]))
+                    exchange.post(r, op, stamp=clock[r])
                     # sends are buffered (eager): sender proceeds after
                     # injecting; its clock pays the serialisation cost
                     clock[r] += transfer_time(op.nbytes)
                     total_bytes += op.nbytes
                     messages += 1
-                    inbox[r] = None
                     advance(r)
                     progressed = True
-            for r in range(self.n_ranks):
+            for r in range(n):
                 op = blocked[r]
                 if isinstance(op, _Recv):
-                    key = (op.src, r)
-                    queue = mail.get(key)
-                    if queue:
-                        data, nbytes, t_post = queue.pop(0)
-                        arrive = max(t_post + transfer_time(nbytes), clock[r])
-                        clock[r] = arrive
-                        inbox[r] = data
-                        advance(r)
+                    matched = exchange.take(r, op)
+                    if matched is not None:
+                        send, t_post = matched
+                        clock[r] = max(t_post + transfer_time(send.nbytes),
+                                       clock[r])
+                        advance(r, send.data)
                         progressed = True
 
-            # 2) collectives: complete when all ranks block on the same
-            #    (kind, superstep) descriptor
-            coll_ranks = [
-                r for r in range(self.n_ranks)
-                if isinstance(blocked[r], _Collective)
-            ]
-            if coll_ranks:
-                # Superstep-tag check: two simultaneously-blocked
-                # collectives must agree on (kind, superstep) — in a
-                # legal program a rank cannot pass collective k until
-                # every rank has posted it.  Disagreement (or a rank
-                # that returned without posting it) can never resolve;
-                # fail fast instead of deadlocking.
-                tags = {
-                    (blocked[r].kind, blocked[r].superstep) for r in coll_ranks
-                }
-                if len(tags) > 1:
-                    raise SpmdProtocolError(
-                        f"collective mismatch across ranks: {sorted(tags)}",
-                        blocked=self._blocked_summary(blocked, done),
-                    )
-                if any(done):
-                    kind, step = next(iter(tags))
-                    finished = [r for r in range(self.n_ranks) if done[r]]
-                    raise SpmdProtocolError(
-                        f"collective mismatch: ranks {coll_ranks} wait on "
-                        f"{kind}@s{step} but ranks {finished} already "
-                        "returned without posting it",
-                        blocked=self._blocked_summary(blocked, done),
-                    )
-            if len(coll_ranks) == self.n_ranks:
-                colls = [blocked[r] for r in coll_ranks]
-                self._complete_collective(colls, clock, inbox)
-                nbytes = sum(_payload_bytes(c.data) for c in colls)
-                total_bytes += nbytes
-                messages += self.n_ranks
-                for r in range(self.n_ranks):
-                    advance(r)
+            results = exchange.collective(blocked, done)
+            if results is not None:
+                sizes = [_payload_bytes(c.data) for c in blocked]
+                kind = blocked[0].kind
+                wire = (sizes[blocked[0].root] if kind == "bcast"
+                        else max(sizes) if kind == "reduce" else sum(sizes))
+                finish = max(clock) + self.latency + wire / self.bandwidth
+                clock[:] = [finish] * n
+                total_bytes += sum(sizes)
+                messages += n
+                for r in range(n):
+                    advance(r, results[r])
                 progressed = True
 
             if not progressed:
-                if all(done):
-                    break
-                waiting = self._blocked_summary(blocked, done)
-                # a recv whose source has returned (and left no mail)
-                # is a schedule bug, not a transient stall
-                for r in range(self.n_ranks):
-                    op = blocked[r]
-                    if (
-                        isinstance(op, _Recv)
-                        and done[op.src]
-                        and not mail.get((op.src, r))
-                    ):
+                waiting = blocked_summary(blocked, done)
+                # a recv whose source has returned is a schedule bug,
+                # not a transient stall
+                for r, op in enumerate(blocked):
+                    if isinstance(op, _Recv) and done[op.src]:
                         raise SpmdProtocolError(
                             f"rank {r} waits on recv(src={op.src}) but rank "
                             f"{op.src} returned without sending (superstep "
@@ -354,48 +407,3 @@ class VirtualMachine:
         return SpmdResult(
             returns=returns, clock=clock, total_bytes=total_bytes, messages=messages
         )
-
-    def _blocked_summary(self, blocked, done) -> dict:
-        """``rank -> blocked-op label`` for error messages."""
-        return {
-            r: describe_op(blocked[r])
-            for r in range(self.n_ranks)
-            if not done[r] and blocked[r] is not None
-        }
-
-    def _complete_collective(self, colls, clock, inbox) -> None:
-        """Resolve one collective across all ranks; update clocks/inboxes."""
-        kind = colls[0].kind
-        n = self.n_ranks
-        payloads = [c.data for c in colls]
-        sizes = [_payload_bytes(d) for d in payloads]
-        barrier_time = max(clock)
-
-        if kind == "barrier":
-            finish = barrier_time + self.latency
-            results = [None] * n
-        elif kind == "bcast":
-            root = colls[0].root
-            nbytes = sizes[root]
-            finish = barrier_time + self.latency + nbytes / self.bandwidth
-            results = [payloads[root]] * n
-        elif kind == "allgather":
-            nbytes = sum(sizes)
-            finish = barrier_time + self.latency + nbytes / self.bandwidth
-            results = [list(payloads)] * n
-        elif kind in ("reduce", "allreduce"):
-            op = colls[0].op or _default_reduce
-            reduced = op(payloads) if colls[0].op else _default_reduce(payloads)
-            nbytes = max(sizes) if kind == "reduce" else sum(sizes)
-            finish = barrier_time + self.latency + nbytes / self.bandwidth
-            if kind == "reduce":
-                root = colls[0].root
-                results = [reduced if r == root else None for r in range(n)]
-            else:
-                results = [reduced] * n
-        else:  # pragma: no cover - descriptor factory prevents this
-            raise CommError(f"unknown collective {kind}")
-
-        for r in range(n):
-            clock[r] = finish
-            inbox[r] = results[r]

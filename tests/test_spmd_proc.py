@@ -58,6 +58,12 @@ def _mismatched(comm, ctx):
     return None
 
 
+def _returns_early(comm, ctx):
+    if comm.rank == 1:
+        yield comm.barrier()
+    return None
+
+
 def _stuck_recv(comm, ctx):
     if comm.rank == 0:
         yield comm.recv(1)
@@ -180,13 +186,53 @@ class TestProcParity:
             assert np.array_equal(vm_item[3], proc_item[3])
 
 
+def _run_on(scheduler, program):
+    if scheduler == "vm":
+        return VirtualMachine(2).run(program, ProgramContext())
+    with _engine(2, ProcConfig(op_timeout=20.0)) as eng:
+        return eng.run(program)
+
+
 class TestProcProtocol:
-    def test_collective_mismatch_is_structured(self):
-        with _engine(2, ProcConfig(op_timeout=20.0)) as eng:
-            with pytest.raises(SpmdProtocolError, match="mismatch") as exc:
-                eng.run(_mismatched)
-        assert set(exc.value.blocked) == {0, 1}
-        assert "barrier@s0" in exc.value.blocked.values()
+    @pytest.mark.parametrize("scheduler", ["vm", "proc"])
+    @pytest.mark.parametrize("program, message, blocked", [
+        (_mismatched,
+         "collective mismatch across ranks: [('allreduce', 0), ('barrier', 0)]",
+         {0: "barrier@s0", 1: "allreduce@s0"}),
+        (_returns_early,
+         "collective mismatch: ranks [1] wait on barrier@s0 but ranks [0] "
+         "already returned without posting it",
+         {1: "barrier@s0"}),
+    ], ids=["mismatched", "returns_early"])
+    def test_collective_mismatch_is_structured(self, scheduler, program,
+                                               message, blocked):
+        """Both schedulers raise the same error from the same rules."""
+        with pytest.raises(SpmdProtocolError) as exc:
+            _run_on(scheduler, program)
+        assert type(exc.value) is SpmdProtocolError
+        assert str(exc.value) == message
+        assert exc.value.blocked == blocked
+
+    def test_only_the_exchange_resolves_collectives(self):
+        """The supervisor matches through ``spmd._Exchange``: no mail of
+        its own, no collective kind it resolves itself."""
+        import ast
+
+        import repro.parallel.proc as proc
+
+        with open(proc.__file__) as fh:
+            tree = ast.parse(fh.read())
+        kinds = {"barrier", "bcast", "allgather", "reduce", "allreduce"}
+        names = {"mail", "_complete_collective"}
+        offenders = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in kinds:
+                offenders.append(f"{node.value!r} at line {node.lineno}")
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None) or getattr(node, "arg", None))
+            if name in names:
+                offenders.append(f"{name} at line {node.lineno}")
+        assert offenders == []
 
     def test_recv_from_returned_peer_times_out_with_context(self):
         with _engine(2, ProcConfig(op_timeout=0.5)) as eng:
@@ -281,9 +327,7 @@ class TestSeededRankFaults:
         )
         res = self._forces_with_plan(
             plan,
-            ProcConfig(
-                op_timeout=30.0, lease_seconds=0.5, heartbeat_interval=0.02
-            ),
+            ProcConfig(op_timeout=30.0, lease_seconds=0.5),
         )
         assert res.heartbeat_expiries >= 1
         assert res.restarts >= 1

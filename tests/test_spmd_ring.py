@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.forces import acc_jerk
-from repro.errors import CommError
-from repro.parallel import VirtualMachine, ring_forces
+from repro.errors import CommError, SpmdProtocolError
+from repro.parallel import (
+    ProgramContext,
+    VirtualMachine,
+    chunk_force_program,
+    grid_forces,
+    ring_forces,
+)
 
 
 class TestPointToPoint:
@@ -69,6 +75,20 @@ class TestPointToPoint:
 
         with pytest.raises(CommError, match="deadlock"):
             VirtualMachine(2).run(prog)
+
+    def test_recv_from_returned_rank_is_a_protocol_error(self):
+        def prog(comm):
+            if comm.rank == 0:
+                yield comm.recv(1)
+            return None
+
+        with pytest.raises(SpmdProtocolError) as exc:
+            VirtualMachine(2).run(prog)
+        assert str(exc.value) == (
+            "rank 0 waits on recv(src=1) but rank 1 returned without "
+            "sending (superstep mismatch at s0)"
+        )
+        assert exc.value.blocked == {0: "recv(src=1)@s0"}
 
     def test_invalid_destination(self):
         def prog(comm):
@@ -197,8 +217,95 @@ class TestRingForces:
         with pytest.raises(CommError):
             ring_forces(pos[:2], vel[:2], mass[:2], 0.01, n_ranks=5)
 
+    @pytest.mark.parametrize("n_ranks, vm_size", [(4, 2), (2, 4)])
+    def test_vm_size_checked(self, particles, n_ranks, vm_size):
+        pos, vel, mass = particles
+        with pytest.raises(CommError, match="virtual machine size"):
+            ring_forces(pos, vel, mass, 0.01, n_ranks=n_ranks,
+                        vm=VirtualMachine(vm_size))
+
     def test_clocks_reported(self, particles):
         pos, vel, mass = particles
         res = ring_forces(pos, vel, mass, 0.01, n_ranks=3)
         assert len(res.clock) == 3
         assert all(c > 0 for c in res.clock)
+
+
+# -- the VM's logical clock, pinned --------------------------------------------
+
+
+def _all_kinds(comm):
+    """A p2p chain, all five collectives, then one more message."""
+    if comm.rank > 0:
+        yield comm.recv(comm.rank - 1)
+    if comm.rank < comm.size - 1:
+        yield comm.send(comm.rank + 1, np.ones(4 * (comm.rank + 1)))
+    yield comm.barrier()
+    yield comm.bcast(np.arange(5.0) if comm.rank == 1 else None, root=1)
+    yield comm.allgather(np.zeros(comm.rank + 1))
+    yield comm.reduce(np.full(3, float(comm.rank)), root=comm.size - 1)
+    yield comm.allreduce(float(comm.rank))
+    if comm.rank == 0:
+        yield comm.send(comm.size - 1, np.zeros(50))
+    elif comm.rank == comm.size - 1:
+        yield comm.recv(0)
+
+
+def _pinned_particles(n=24):
+    rng = np.random.default_rng(5)
+    return (rng.normal(size=(n, 3)) * 5, rng.normal(size=(n, 3)),
+            rng.uniform(0.1, 1.0, n))
+
+
+def _chunk_run(p, route):
+    pos, vel, mass = _pinned_particles()
+    n = len(mass)
+    arrays = dict(mass=mass, pos=pos, vel=vel, acc=np.zeros((n, 3)),
+                  jerk=np.zeros((n, 3)), t=np.zeros(n),
+                  active=np.arange(0, n, 3))
+    params = dict(eps=0.01, t_now=0.0, route=route,
+                  chunks=[(0, 8), (8, 16), (16, 24)])
+    return VirtualMachine(p).run(chunk_force_program,
+                                 ProgramContext(arrays, params))
+
+
+def _pinned_runs():
+    pos, vel, mass = _pinned_particles()
+    runs = {"all_kinds": VirtualMachine(4, bandwidth=3e7, latency=7e-6)
+            .run(_all_kinds)}
+    for p in (1, 2, 3, 5):
+        runs[f"ring{p}"] = ring_forces(pos, vel, mass, 0.01, n_ranks=p)
+    for q in (1, 2, 3):
+        runs[f"grid{q}"] = grid_forces(pos, vel, mass, 0.01, q=q)
+    for route in ("gather", "ring"):
+        for p in (1, 2, 3):
+            runs[f"chunk_{route}{p}"] = _chunk_run(p, route)
+    return runs
+
+
+#: (clock, total_bytes, messages) of each run: a change to any of them
+#: is a change to the VM's cost model, not a refactor
+_PINNED = {
+    "all_kinds": ([8.859999999999999e-05, 6.826666666666665e-05,
+                   6.826666666666665e-05, 8.859999999999999e-05], 840, 24),
+    "ring1": ([6.168e-05], 1168, 1),
+    "ring2": ([0.0001772] * 2, 2720, 4),
+    "ring3": ([0.00022736] * 3, 4272, 9),
+    "ring5": ([0.00043408000000000005] * 5, 7376, 25),
+    "grid1": ([6.168e-05], 1168, 1),
+    "grid2": ([0.0001176] * 4, 2336, 6),
+    "grid3": ([0.00011584] * 9, 3504, 15),
+    "chunk_gather1": ([5e-05], 0, 1),
+    "chunk_gather2": ([0.00010064000000000001] * 2, 64, 3),
+    "chunk_gather3": ([0.00010064000000000001] * 3, 128, 5),
+    "chunk_ring1": ([5e-05], 0, 1),
+    "chunk_ring2": ([0.00010064000000000001] * 2, 64, 3),
+    "chunk_ring3": ([0.00015128] * 3, 128, 5),
+}
+
+
+def test_logical_clock_pinned():
+    """Clocks, bytes and message counts equal recorded literals, bit for
+    bit: a refactor of the scheduler may not move the cost model."""
+    assert {k: (list(r.clock), r.total_bytes, r.messages)
+            for k, r in _pinned_runs().items()} == _PINNED
