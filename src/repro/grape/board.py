@@ -21,7 +21,7 @@ from .chip import Grape6Chip
 from .links import Link, lvds_link
 from .pipeline import PipelineResult
 
-__all__ = ["ProcessorBoard", "round_robin_slices"]
+__all__ = ["ProcessorBoard", "round_robin_slices", "capacity_slices", "sum_partials"]
 
 
 def round_robin_slices(n_items: int, n_bins: int) -> list[np.ndarray]:
@@ -31,6 +31,46 @@ def round_robin_slices(n_items: int, n_bins: int) -> list[np.ndarray]:
     GRAPE-6 host library's j-distribution, which balances loads to ±1.
     """
     return [np.arange(b, n_items, n_bins) for b in range(n_bins)]
+
+
+def capacity_slices(n_items: int, caps) -> list[slice]:
+    """Contiguous slices of ``n_items`` in proportion to ``caps``.
+
+    Target ``k`` ends at ``floor(cumsum(caps / total)[k] * n_items)``;
+    the remainder is pinned on the last target with capacity, so a dead
+    trailing target ends with an empty slice, not the rest.
+    """
+    caps = np.asarray(caps, dtype=float)
+    total = caps.sum()
+    if total == 0.0:
+        if n_items:
+            raise GrapeMemoryError("no working chips to hold the j-slice")
+        return [slice(0, 0) for _ in caps]
+    ends = np.floor(np.cumsum(caps / total) * n_items).astype(int)
+    ends[int(np.nonzero(caps)[0][-1]):] = n_items
+    starts = np.concatenate([[0], ends[:-1]])
+    return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
+
+
+def sum_partials(n_i: int, results) -> PipelineResult:
+    """One reduction-tree tier: the sum of its children's partial forces.
+
+    Partials are added in child order; children run in parallel, so the
+    tier takes the slowest child's cycles, and its interactions are the
+    children's added up.
+    """
+    acc = np.zeros((n_i, 3))
+    jerk = np.zeros((n_i, 3))
+    max_cycles = 0
+    interactions = 0
+    for res in results:
+        acc += res.acc
+        jerk += res.jerk
+        max_cycles = max(max_cycles, res.cycles)
+        interactions += res.interactions
+    return PipelineResult(
+        acc=acc, jerk=jerk, cycles=max_cycles, interactions=interactions
+    )
 
 
 class ProcessorBoard:
@@ -108,19 +148,6 @@ class ProcessorBoard:
                 key[idx], mass[idx], pos[idx], vel[idx], acc[idx], jerk[idx], t[idx]
             )
 
-    def update(self, key, mass, pos, vel, acc, jerk, t) -> None:
-        """Rewrite resident particles after a corrector step."""
-        key = np.asarray(key, dtype=np.int64)
-        for chip in self.chips:
-            mask = np.fromiter(
-                (chip.jmem.holds(k) for k in key), dtype=bool, count=len(key)
-            )
-            if np.any(mask):
-                chip.jmem.update(
-                    key[mask], mass[mask], pos[mask], vel[mask],
-                    acc[mask], jerk[mask], t[mask],
-                )
-
     # -- force computation ---------------------------------------------------
 
     def compute(
@@ -136,23 +163,16 @@ class ProcessorBoard:
         Chips run in parallel; the board result is the reduction-tree
         sum and the board time is the slowest chip's cycle count.
         """
-        n_i = len(pos_i)
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        max_cycles = 0
-        interactions = 0
-        for chip in self.chips:
-            if chip.n_resident == 0:
-                continue
-            res = chip.compute(pos_i, vel_i, i_keys, t_now)
-            acc += res.acc
-            jerk += res.jerk
-            max_cycles = max(max_cycles, res.cycles)
-            interactions += res.interactions
-        self.force_seconds += max_cycles / clock_hz
-        return PipelineResult(
-            acc=acc, jerk=jerk, cycles=max_cycles, interactions=interactions
+        res = sum_partials(
+            len(pos_i),
+            (
+                chip.compute(pos_i, vel_i, i_keys, t_now)
+                for chip in self.chips
+                if chip.n_resident
+            ),
         )
+        self.force_seconds += res.cycles / clock_hz
+        return res
 
     def reset_counters(self) -> None:
         self.force_seconds = 0.0

@@ -23,6 +23,7 @@ import numpy as np
 from ..constants import GRAPE6_JMEM_PARTICLES_PER_CHIP
 from ..core.predictor import predict_positions, predict_velocities
 from ..errors import GrapeMemoryError
+from .host import JWRITE_BYTES
 from .pipeline import ForcePipelineArray, PipelineResult
 
 __all__ = ["JMemory", "Grape6Chip"]
@@ -52,11 +53,6 @@ class JMemory:
         #: Bytes written into this memory (for the comm model).
         self.bytes_written = 0
 
-    #: Bytes per j-particle write (GRAPE-6 stores position as 3x64-bit
-    #: fixed point, velocity/acc/jerk as shorter words, mass, time; the
-    #: host interface transfer is ~88 bytes per particle).
-    JPARTICLE_BYTES = 88
-
     def load(self, key, mass, pos, vel, acc, jerk, t) -> None:
         """Bulk-load a fresh particle slice (replaces all contents)."""
         n = len(key)
@@ -73,10 +69,7 @@ class JMemory:
         self.jerk = np.ascontiguousarray(jerk, dtype=np.float64)
         self.t = np.ascontiguousarray(t, dtype=np.float64)
         self._slot_of_key = {int(k): i for i, k in enumerate(self.key)}
-        self.bytes_written += n * self.JPARTICLE_BYTES
-
-    def holds(self, key: int) -> bool:
-        return int(key) in self._slot_of_key
+        self.bytes_written += n * JWRITE_BYTES
 
     def update(self, key, mass, pos, vel, acc, jerk, t) -> None:
         """Rewrite the slots of existing particles (post-corrector push)."""
@@ -93,7 +86,7 @@ class JMemory:
         self.acc[slots] = acc
         self.jerk[slots] = jerk
         self.t[slots] = t
-        self.bytes_written += len(key) * self.JPARTICLE_BYTES
+        self.bytes_written += len(key) * JWRITE_BYTES
 
 
 class Grape6Chip:

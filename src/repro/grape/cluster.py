@@ -20,11 +20,9 @@ Work division (the hybrid scheme of Section 5.1):
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..constants import GRAPE6_BOARDS_PER_NODE
-from ..errors import ConfigurationError, GrapeMemoryError
-from .board import ProcessorBoard, round_robin_slices
+from ..errors import ConfigurationError
+from .board import ProcessorBoard, capacity_slices, round_robin_slices, sum_partials
 from .host import HostInterface
 from .links import Link, gbe_link
 from .network import NetworkBoard, NetworkMode
@@ -81,10 +79,6 @@ class Node:
         """Load this node's j-slice, split over its boards."""
         self.nb.load(key, mass, pos, vel, acc, jerk, t)
 
-    def update(self, key, mass, pos, vel, acc, jerk, t) -> None:
-        self.host.write_j_particles(len(key))
-        self.nb.update(key, mass, pos, vel, acc, jerk, t)
-
     def compute(
         self, pos_i, vel_i, i_keys, t_now: float, clock_hz: float
     ) -> PipelineResult:
@@ -136,45 +130,17 @@ class Cluster:
 
         Healthy hardware gets the host library's round-robin split
         (loads balanced to ±1).  If masking has left some node short of
-        its equal share, the split degrades to contiguous slices
-        weighted by alive capacity so the slice still fits.
+        its equal share, the split degrades to the network board's
+        contiguous :func:`~repro.grape.board.capacity_slices` so the
+        slice still fits.
         """
         n = len(key)
         slices = round_robin_slices(n, self.n_nodes)
-        caps = np.array([node.alive_capacity for node in self.nodes], dtype=float)
+        caps = [node.alive_capacity for node in self.nodes]
         if any(idx.size > cap for idx, cap in zip(slices, caps)):
-            total = caps.sum()
-            if n and total == 0.0:
-                raise GrapeMemoryError("no working chips in this cluster")
-            if total:
-                shares = np.floor(np.cumsum(caps) / total * n).astype(int)
-                shares[int(np.nonzero(caps)[0][-1]):] = n
-                bounds = np.concatenate([[0], shares])
-                slices = [
-                    np.arange(bounds[i], bounds[i + 1]) for i in range(self.n_nodes)
-                ]
+            slices = capacity_slices(n, caps)
         for node, idx in zip(self.nodes, slices):
             node.load(key[idx], mass[idx], pos[idx], vel[idx], acc[idx], jerk[idx], t[idx])
-
-    def update(self, key, mass, pos, vel, acc, jerk, t) -> None:
-        """Push corrected particles to whichever nodes hold them."""
-        key = np.asarray(key, dtype=np.int64)
-        # round-robin residency: node r holds global slots r mod n_nodes;
-        # but residency was assigned by load order, so route by lookup.
-        for node in self.nodes:
-            mask = np.fromiter(
-                (
-                    any(chip.jmem.holds(k) for b in node.boards for chip in b.chips)
-                    for k in key
-                ),
-                dtype=bool,
-                count=len(key),
-            )
-            if np.any(mask):
-                node.update(
-                    key[mask], mass[mask], pos[mask], vel[mask],
-                    acc[mask], jerk[mask], t[mask],
-                )
 
     def compute(
         self, pos_i, vel_i, i_keys, t_now: float, clock_hz: float
@@ -185,19 +151,9 @@ class Cluster:
         (NB cascade links); nodes compute in parallel so the cluster
         pipeline time is the slowest node.
         """
-        n_i = len(pos_i)
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        max_cycles = 0
-        interactions = 0
-        for node in self.nodes:
-            res = node.compute(pos_i, vel_i, i_keys, t_now, clock_hz)
-            acc += res.acc
-            jerk += res.jerk
-            max_cycles = max(max_cycles, res.cycles)
-            interactions += res.interactions
-        return PipelineResult(
-            acc=acc, jerk=jerk, cycles=max_cycles, interactions=interactions
+        return sum_partials(
+            len(pos_i),
+            (node.compute(pos_i, vel_i, i_keys, t_now, clock_hz) for node in self.nodes),
         )
 
     def reset_counters(self) -> None:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 from .links import Link, pci_link
 
-__all__ = ["HostCostModel", "HostInterface", "IPARTICLE_BYTES", "RESULT_BYTES"]
+__all__ = [
+    "HostCostModel", "HostInterface", "IPARTICLE_BYTES", "RESULT_BYTES", "JWRITE_BYTES",
+]
 
 #: Bytes the host ships per i-particle (predicted pos+vel, eps, key...).
 IPARTICLE_BYTES = 56
@@ -28,7 +30,8 @@ IPARTICLE_BYTES = 56
 #: Bytes returned per i-particle (acc, jerk, potential, neighbour info).
 RESULT_BYTES = 56
 
-#: Bytes per j-particle memory write (matches JMemory.JPARTICLE_BYTES).
+#: Bytes per j-particle memory write (GRAPE-6 stores position as 3x64-bit
+#: fixed point, velocity/acc/jerk as shorter words, mass and time).
 JWRITE_BYTES = 88
 
 

@@ -25,7 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import ConfigurationError, GrapeLinkError, GrapeMemoryError
+from ..errors import ConfigurationError, GrapeLinkError
+from .board import capacity_slices, sum_partials
+from .host import JWRITE_BYTES
 from .links import Link, lvds_link
 from .pipeline import PipelineResult
 
@@ -44,7 +46,8 @@ class NetworkBoard:
     """One network board with up to four downlink targets.
 
     ``targets`` are objects exposing the board compute interface
-    (``compute``, ``load``, ``update``, ``n_resident``, ``capacity``) —
+    (``compute``, ``load``, ``n_resident``, ``capacity``,
+    ``alive_capacity``) —
     either :class:`~repro.grape.board.ProcessorBoard` or another
     :class:`NetworkBoard` (cascading, paper Section 4.3).
     """
@@ -80,7 +83,7 @@ class NetworkBoard:
     @property
     def alive_capacity(self) -> int:
         """Capacity below this NB counting only working chips."""
-        return sum(getattr(t, "alive_capacity", t.capacity) for t in self.targets)
+        return sum(t.alive_capacity for t in self.targets)
 
     def descendants_boards(self):
         """All processor boards below this NB (flattening cascades)."""
@@ -100,34 +103,13 @@ class NetworkBoard:
         Shares follow *alive* capacity, so a target whose chips are all
         masked receives nothing and the slice lands on working hardware.
         """
-        n = len(key)
-        caps = np.array(
-            [getattr(t_, "alive_capacity", t_.capacity) for t_ in self.targets],
-            dtype=float,
-        )
-        total = caps.sum()
-        if total == 0.0:
-            if n:
-                raise GrapeMemoryError("no working chips below this network board")
-            shares = np.zeros(len(self.targets), dtype=int)
-        else:
-            shares = np.floor(np.cumsum(caps / total) * n).astype(int)
-            # pin the remainder on the last *working* target (a dead
-            # trailing target must end with an empty slice, not the rest)
-            shares[int(np.nonzero(caps)[0][-1]):] = n
-        start = 0
-        for tgt, stop in zip(self.targets, shares):
-            sl = slice(start, stop)
+        slices = capacity_slices(len(key), [t_.alive_capacity for t_ in self.targets])
+        for tgt, sl in zip(self.targets, slices):
             tgt.load(key[sl], mass[sl], pos[sl], vel[sl], acc[sl], jerk[sl], t[sl])
             # downstream write traffic
             self.comm_seconds += self.downlinks[0].transfer(
-                (stop - start) * 88
+                (sl.stop - sl.start) * JWRITE_BYTES
             )
-            start = stop
-
-    def update(self, key, mass, pos, vel, acc, jerk, t) -> None:
-        for tgt in self.targets:
-            tgt.update(key, mass, pos, vel, acc, jerk, t)
 
     # -- data movement -------------------------------------------------------
 
@@ -162,19 +144,9 @@ class NetworkBoard:
         plus the up/down transfers, which the caller assembles from the
         link counters.
         """
-        n_i = len(pos_i)
-        acc = np.zeros((n_i, 3))
-        jerk = np.zeros((n_i, 3))
-        max_cycles = 0
-        interactions = 0
-        for tgt in self.targets:
-            res = tgt.compute(pos_i, vel_i, i_keys, t_now, clock_hz)
-            acc += res.acc
-            jerk += res.jerk
-            max_cycles = max(max_cycles, res.cycles)
-            interactions += res.interactions
-        return PipelineResult(
-            acc=acc, jerk=jerk, cycles=max_cycles, interactions=interactions
+        return sum_partials(
+            len(pos_i),
+            (tgt.compute(pos_i, vel_i, i_keys, t_now, clock_hz) for tgt in self.targets),
         )
 
     def reset_counters(self) -> None:

@@ -80,7 +80,6 @@ def self_test(
     n_vectors: int = 24,
     seed: int = 0,
     rel_tol: float = 1e-10,
-    reload_system=None,
 ) -> SelfTestReport:
     """Run test vectors through every chip of a hierarchy-mode machine.
 
@@ -94,62 +93,48 @@ def self_test(
 
     .. warning::
        The test vectors overwrite resident j-memory (as the real test
-       programs did).  Run before loading a simulation, call
-       ``machine.load(system)`` again afterwards, or pass the live
-       system as ``reload_system=`` to have it restored automatically
-       (used by in-run self-test sweeps).
+       programs did).  Run before loading a simulation, or call
+       ``machine.load(system)`` again afterwards (in-run sweeps,
+       :meth:`repro.resilience.RecoveryManager.selftest_sweep`, do).
     """
     if not machine.clusters:
         raise GrapeError("self_test requires a hierarchy-mode machine")
     rng = np.random.default_rng(seed)
     report = SelfTestReport()
 
-    for ci, cluster in enumerate(machine.clusters):
-        for ni, node in enumerate(cluster.nodes):
-            for bi, board in enumerate(node.boards):
-                for chi, chip in enumerate(board.chips):
-                    if chip.pipelines.is_dead:
-                        report.chips.append(
-                            ChipReport(
-                                cluster=ci, node=ni, board=bi, chip=chi,
-                                ok=True, max_rel_error=0.0, n_resident=0,
-                                active_pipelines=0, masked=True,
-                            )
-                        )
-                        continue
-                    n_j = n_vectors
-                    key = np.arange(n_j, dtype=np.int64) + 1000
-                    mass = rng.uniform(0.5, 1.5, n_j)
-                    pos = rng.normal(size=(n_j, 3)) * 2.0
-                    vel = rng.normal(size=(n_j, 3)) * 0.3
-                    zero3 = np.zeros((n_j, 3))
-                    chip.jmem.load(key, mass, pos, vel, zero3, zero3, np.zeros(n_j))
+    for ci, ni, bi, chi, chip in machine.iter_chips():
+        if chip.pipelines.is_dead:
+            report.chips.append(
+                ChipReport(
+                    cluster=ci, node=ni, board=bi, chip=chi,
+                    ok=True, max_rel_error=0.0, n_resident=0,
+                    active_pipelines=0, masked=True,
+                )
+            )
+            continue
+        n_j = n_vectors
+        key = np.arange(n_j, dtype=np.int64) + 1000
+        mass = rng.uniform(0.5, 1.5, n_j)
+        pos = rng.normal(size=(n_j, 3)) * 2.0
+        vel = rng.normal(size=(n_j, 3)) * 0.3
+        zero3 = np.zeros((n_j, 3))
+        chip.jmem.load(key, mass, pos, vel, zero3, zero3, np.zeros(n_j))
 
-                    pos_i = rng.normal(size=(4, 3)) * 2.0 + 5.0
-                    vel_i = rng.normal(size=(4, 3)) * 0.3
-                    res = chip.compute(
-                        pos_i, vel_i, np.array([-1, -2, -3, -4]), t_now=0.0
-                    )
-                    a_ref, j_ref = acc_jerk(
-                        pos_i, vel_i, pos, vel, mass, machine.eps
-                    )
-                    scale = np.linalg.norm(a_ref, axis=1) + 1e-300
-                    err_a = float(
-                        np.max(np.linalg.norm(res.acc - a_ref, axis=1) / scale)
-                    )
-                    jscale = np.linalg.norm(j_ref, axis=1) + 1e-300
-                    err_j = float(
-                        np.max(np.linalg.norm(res.jerk - j_ref, axis=1) / jscale)
-                    )
-                    err = max(err_a, err_j)
-                    report.chips.append(
-                        ChipReport(
-                            cluster=ci, node=ni, board=bi, chip=chi,
-                            ok=err <= rel_tol, max_rel_error=err,
-                            n_resident=chip.n_resident,
-                            active_pipelines=chip.pipelines.active_pipelines,
-                        )
-                    )
-    if reload_system is not None:
-        machine.load(reload_system)
+        pos_i = rng.normal(size=(4, 3)) * 2.0 + 5.0
+        vel_i = rng.normal(size=(4, 3)) * 0.3
+        res = chip.compute(pos_i, vel_i, np.array([-1, -2, -3, -4]), t_now=0.0)
+        a_ref, j_ref = acc_jerk(pos_i, vel_i, pos, vel, mass, machine.eps)
+        scale = np.linalg.norm(a_ref, axis=1) + 1e-300
+        err_a = float(np.max(np.linalg.norm(res.acc - a_ref, axis=1) / scale))
+        jscale = np.linalg.norm(j_ref, axis=1) + 1e-300
+        err_j = float(np.max(np.linalg.norm(res.jerk - j_ref, axis=1) / jscale))
+        err = max(err_a, err_j)
+        report.chips.append(
+            ChipReport(
+                cluster=ci, node=ni, board=bi, chip=chi,
+                ok=err <= rel_tol, max_rel_error=err,
+                n_resident=chip.n_resident,
+                active_pipelines=chip.pipelines.active_pipelines,
+            )
+        )
     return report

@@ -86,6 +86,8 @@ class Grape6Machine:
         if mode == "hierarchy":
             self.clusters = self._build_clusters()
         self._n_loaded = 0
+        #: Host key directory (hierarchy mode), rebuilt by :meth:`load`.
+        self._directory: dict[int, list] = {}
         #: Resilience hooks (:mod:`repro.resilience`); ``None`` keeps the
         #: fault path at one-attribute-lookup cost per block.
         self.injector = None
@@ -197,22 +199,52 @@ class Grape6Machine:
         self._n_loaded = n
         if self.recovery is not None and self.recovery.host_only:
             return  # hardware is out of capacity; the host kernel serves
-        for cluster in self.clusters:
-            cluster.load(
-                system.key, system.mass, system.pos, system.vel,
-                system.acc, system.jerk, system.t,
-            )
+        try:
+            for cluster in self.clusters:
+                cluster.load(
+                    system.key, system.mass, system.pos, system.vel,
+                    system.acc, system.jerk, system.t,
+                )
+        finally:
+            # a load that ran out of capacity part-way still leaves rows
+            # on some chips; the directory must name exactly those
+            self._build_directory()
+
+    def _build_directory(self) -> None:
+        """Rebuild the host's key directory from the chips' j-memories.
+
+        ``key -> [(node, chip), ...]``: every chip holding the key, one
+        per cluster copy, in cluster order.
+        """
+        directory: dict[int, list] = {}
+        for ci, ni, _, _, chip in self.iter_chips():
+            node = self.clusters[ci].nodes[ni]
+            for k in chip.jmem.key.tolist():
+                directory.setdefault(k, []).append((node, chip))
+        self._directory = directory
 
     def push_updates(self, system, active: np.ndarray) -> None:
-        """Propagate corrected particles to all j-copies."""
+        """Write corrected particles into every chip that holds them.
+
+        The host routes each row through its key directory; every node
+        holding an updated key pays one PCI j-write for the rows it holds.
+        """
         if not self.clusters:
             return  # flat mode reads the live arrays; nothing stored
         idx = np.asarray(active)
-        for cluster in self.clusters:
-            cluster.update(
-                system.key[idx], system.mass[idx], system.pos[idx],
-                system.vel[idx], system.acc[idx], system.jerk[idx],
-                system.t[idx],
+        rows_of_chip: dict = {}
+        rows_of_node: dict = {}
+        for row, k in enumerate(system.key[idx].tolist()):
+            for node, chip in self._directory.get(k, ()):
+                rows_of_chip.setdefault(chip, []).append(row)
+                rows_of_node.setdefault(node, set()).add(row)
+        for node, rows in rows_of_node.items():
+            node.host.write_j_particles(len(rows))
+        for chip, rows in rows_of_chip.items():
+            r = idx[rows]
+            chip.jmem.update(
+                system.key[r], system.mass[r], system.pos[r], system.vel[r],
+                system.acc[r], system.jerk[r], system.t[r],
             )
 
     # -- force computation ----------------------------------------------------------
@@ -344,14 +376,11 @@ class Grape6Machine:
             )
 
         # every cluster holds a full j-copy; query exactly one of them
-        chip_results = []
-        for node in self.clusters[0].nodes:
-            for board in node.boards:
-                for chip in board.chips:
-                    if chip.n_resident:
-                        chip_results.append(
-                            chip.neighbours(pos_i, i_keys, t_now, h)
-                        )
+        chip_results = [
+            chip.neighbours(pos_i, i_keys, t_now, h)
+            for ci, *_, chip in self.iter_chips()
+            if ci == 0 and chip.n_resident
+        ]
         return merge_neighbour_results(chip_results)
 
     # -- reporting ----------------------------------------------------------------

@@ -118,31 +118,45 @@ class HealthDetector:
 
 
 class EnergyDriftDetector(HealthDetector):
-    """Fits the recent |dE/E| samples and trips on a steep slope.
+    """The run's energy check: an absolute limit and a drift slope.
 
-    The resilience layer's :class:`~repro.resilience.EnergyWatchdog`
-    trips on an *absolute* error; this detector catches the slower
-    failure — a marginal chip or a collapsing timestep showing up as a
-    steady drift rate — before the absolute limit is reached.  Slope is
-    a plain least-squares fit over a sliding window, in relative error
+    With ``limit`` set, a sample whose |dE/E| exceeds it is a
+    ``critical`` event and sets :attr:`over_limit` for that sample (the
+    production driver answers it with a self-test sweep, whether or not
+    the monitor's repeat suppression logs the event).  Below the limit
+    the detector catches the slower failure — a marginal chip or a
+    collapsing timestep showing up as a steady drift rate — from a
+    plain least-squares fit over a sliding window, in relative error
     per unit simulation time.
     """
 
     name = "energy_drift"
 
     def __init__(self, warn_slope: float = 1e-6, critical_slope: float = 1e-4,
-                 window: int = 16) -> None:
+                 window: int = 16, limit: float | None = None) -> None:
         self.warn_slope = float(warn_slope)
         self.critical_slope = float(critical_slope)
+        self.limit = None if limit is None else float(limit)
+        #: Whether the last checked sample exceeded ``limit``.
+        self.over_limit = False
         self._samples: deque = deque(maxlen=int(window))
 
     def check(self, sample: HealthSample) -> HealthEvent | None:
+        self.over_limit = False
         err = sample.energy_error
         if err is None:
             err = sample.metrics.get("run.energy_error")
         if err is None:
             return None
-        self._samples.append((float(sample.t), abs(float(err))))
+        err = abs(float(err))
+        self._samples.append((float(sample.t), err))
+        if self.limit is not None and err > self.limit:
+            self.over_limit = True
+            return self._event(
+                "critical",
+                f"energy error {err:.2e} exceeds the limit {self.limit:.1e}",
+                sample, err, self.limit,
+            )
         if len(self._samples) < 3:
             return None
         ts = [t for t, _ in self._samples]
@@ -321,10 +335,14 @@ class CheckpointLatencyDetector(HealthDetector):
         )
 
 
-def default_detectors() -> list[HealthDetector]:
-    """The standard watchdog set with production-tuned thresholds."""
+def default_detectors(energy_limit: float | None = None) -> list[HealthDetector]:
+    """The standard watchdog set with production-tuned thresholds.
+
+    The energy check comes first; ``energy_limit`` is its absolute
+    |dE/E| limit (None: drift slope only).
+    """
     return [
-        EnergyDriftDetector(),
+        EnergyDriftDetector(limit=energy_limit),
         BlockCollapseDetector(),
         NeighbourOverflowDetector(),
         ThreadImbalanceDetector(),

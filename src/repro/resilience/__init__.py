@@ -8,8 +8,9 @@ package reproduces that loop against the simulator:
 
 * :mod:`~repro.resilience.faults` — seeded, deterministic fault
   injection (:class:`FaultPlan` / :class:`FaultInjector`);
-* :mod:`~repro.resilience.detect` — the per-block force guard, j-memory
-  scan and energy watchdog (:class:`EnergyWatchdog`);
+* :mod:`~repro.resilience.detect` — the per-block force guard and
+  j-memory scan (the energy check is the health monitor's
+  :class:`~repro.obs.health.EnergyDriftDetector`);
 * :mod:`~repro.resilience.recover` — mask / reload / re-evaluate with
   host-kernel fallback (:class:`RecoveryManager`);
 * :mod:`~repro.resilience.checkpoint` — atomic checkpoint–restart for
@@ -21,7 +22,7 @@ reports through :mod:`repro.obs` (``faults.*``, ``recovery.*``,
 """
 
 from .checkpoint import CheckpointManager
-from .detect import EnergyWatchdog, force_guard, scan_jmem
+from .detect import force_guard, scan_jmem
 from .faults import (
     FAULT_DOMAINS,
     RANK_KINDS,
@@ -41,7 +42,6 @@ __all__ = [
     "RANK_KINDS",
     "force_guard",
     "scan_jmem",
-    "EnergyWatchdog",
     "RecoveryManager",
     "CheckpointManager",
 ]

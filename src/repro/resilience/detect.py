@@ -1,11 +1,13 @@
-"""Fault detection: force sanity guard, j-memory scan, energy watchdog.
+"""Fault detection: force sanity guard and j-memory scan.
 
 Detection mirrors how bad hardware shows up in a real GRAPE run:
 
 * a chip with corrupted j-memory or a wedged pipeline returns garbage
   forces **this block** — caught by :func:`force_guard` on every result;
-* marginal hardware shows up as slow energy drift — caught by the
-  :class:`EnergyWatchdog` on the production driver's diagnostics;
+* marginal hardware shows up as energy error — caught by the energy
+  health check (:class:`repro.obs.health.EnergyDriftDetector`) on the
+  production driver's diagnostics, which answers a sample over
+  ``energy_error_limit`` with a self-test sweep;
 * localisation uses :func:`scan_jmem`, the software analogue of reading
   back j-memory over the host interface and comparing with the master
   copy.
@@ -17,7 +19,7 @@ import numpy as np
 
 from ..errors import HardwareFaultError
 
-__all__ = ["FORCE_LIMIT", "force_guard", "scan_jmem", "EnergyWatchdog"]
+__all__ = ["FORCE_LIMIT", "force_guard", "scan_jmem"]
 
 #: Any |acc| or |jerk| component beyond this is treated as hardware
 #: garbage (physical values in code units are O(1..1e6) even in deep
@@ -61,30 +63,3 @@ def scan_jmem(machine) -> list[tuple[int, int, int, int]]:
             bad.append((ci, ni, bi, chi))
     return bad
 
-
-class EnergyWatchdog:
-    """Trips when the run's relative energy error exceeds a limit.
-
-    The production driver samples energy periodically; feeding each
-    sample through :meth:`check` turns slow corruption (a marginal chip
-    returning slightly-wrong forces) into an actionable event — the
-    driver reacts with a self-test sweep.
-    """
-
-    def __init__(self, limit: float, obs=None) -> None:
-        from ..obs import NULL_OBS
-
-        if limit <= 0:
-            raise ValueError("watchdog limit must be positive")
-        self.limit = float(limit)
-        self.trips = 0
-        self.obs = obs or NULL_OBS
-        self._c_trips = self.obs.metrics.counter("faults.watchdog_trips_total")
-
-    def check(self, rel_error: float) -> bool:
-        """Record one energy sample; returns True if the watchdog trips."""
-        if abs(rel_error) <= self.limit:
-            return False
-        self.trips += 1
-        self._c_trips.inc()
-        return True

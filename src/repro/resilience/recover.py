@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GrapeError, GrapeMemoryError
+from ..grape.host import JWRITE_BYTES
 from .detect import force_guard, scan_jmem
 
 __all__ = ["RecoveryManager"]
@@ -62,7 +63,7 @@ class RecoveryManager:
         """Price the re-evaluation + reload as timing-model overhead."""
         m = self.machine
         step = m.timing_model.block_step(n_active, n_total)
-        reload_s = n_total * 88 / m.timing_model.pci_bandwidth
+        reload_s = n_total * JWRITE_BYTES / m.timing_model.pci_bandwidth
         m.totals.add_overhead(
             host=step.host,
             pci=step.pci + reload_s,

@@ -108,9 +108,12 @@ class ProductionRun:
         Extra JSON-serialisable dict stored in every checkpoint under
         ``config`` (the CLI stores how to rebuild the backend here).
     energy_error_limit:
-        Energy watchdog threshold: a diagnostics sample beyond this
-        relative error trips the watchdog, logs the event, and triggers
-        an in-run self-test sweep when the backend has recovery armed.
+        Absolute |dE/E| limit of the energy health check
+        (:class:`~repro.obs.health.EnergyDriftDetector`): every
+        diagnostics sample beyond it is a ``critical`` health event,
+        counts ``faults.watchdog_trips_total``, logs a ``watchdog``
+        event and runs an in-run self-test sweep when the backend has
+        recovery armed.
     selftest_every:
         Run a self-test sweep every this many block steps (None
         disables; requires an armed hierarchy-mode GRAPE backend).
@@ -320,15 +323,10 @@ class ProductionRun:
 
             ckpt = CheckpointManager(self.directory / "checkpoints", obs=sim.obs)
 
-        watchdog = None
-        if self.energy_error_limit is not None:
-            from ..resilience import EnergyWatchdog
+        from ..obs.health import HealthMonitor, HealthSample, default_detectors
 
-            watchdog = EnergyWatchdog(self.energy_error_limit, obs=sim.obs)
-
-        from ..obs.health import HealthMonitor, HealthSample
-
-        health = HealthMonitor(obs=sim.obs)
+        health = HealthMonitor(default_detectors(self.energy_error_limit), obs=sim.obs)
+        energy_check = health.detectors[0]
 
         recovery = self._recovery()
         blocks_since_ckpt = 0
@@ -364,19 +362,8 @@ class ProductionRun:
                     if path is not None:
                         log.event("snapshot", file=path.name, t=s.time)
                 if next_diag is not None and s.time >= next_diag:
-                    snap = s.predicted_state()
-                    from ..core.diagnostics import energy
-
-                    e = energy(snap, s.backend.eps, s.external_field).total
-                    err = abs(e - tracker.reference_energy) / abs(
-                        tracker.reference_energy
-                    )
-                    tracker.samples.append((float(s.time), err))
+                    err = tracker.sample(s.predicted_state())
                     log.record(s, energy_error=err)
-                    if watchdog is not None and watchdog.check(err):
-                        log.event("watchdog", energy_error=err, t=s.time)
-                        if recovery is not None:
-                            sweep_and_log(s, log, "watchdog")
                     sample = HealthSample(
                         t=float(s.time),
                         metrics=sim.obs.metrics.snapshot(),
@@ -384,6 +371,13 @@ class ProductionRun:
                     )
                     for ev in health.check(sample):
                         log.event("health", **ev.to_record())
+                    # over the absolute limit: recover on every such
+                    # sample, even one the monitor does not log again
+                    if energy_check.over_limit:
+                        sim.obs.metrics.counter("faults.watchdog_trips_total").inc()
+                        log.event("watchdog", energy_error=err, t=s.time)
+                        if recovery is not None:
+                            sweep_and_log(s, log, "watchdog")
                     if self.prune_escapers_beyond is not None:
                         removed = s.remove_escapers(
                             r_min=self.prune_escapers_beyond

@@ -5,8 +5,15 @@ import pytest
 
 from repro.core.forces import acc_jerk
 from repro.errors import GrapeMemoryError
-from repro.grape.board import ProcessorBoard, round_robin_slices
+from repro.grape.board import (
+    ProcessorBoard,
+    capacity_slices,
+    round_robin_slices,
+    sum_partials,
+)
 from repro.grape.chip import Grape6Chip, JMemory
+from repro.grape.host import JWRITE_BYTES
+from repro.grape.pipeline import PipelineResult
 
 
 def particle_set(rng, n):
@@ -27,8 +34,8 @@ class TestJMemory:
         p = particle_set(rng, 10)
         m.load(**p)
         assert m.n == 10
-        assert m.holds(3)
-        assert not m.holds(99)
+        assert 3 in m.key
+        assert 99 not in m.key
 
     def test_capacity_enforced(self, rng):
         m = JMemory(capacity=5)
@@ -65,7 +72,7 @@ class TestJMemory:
         m = JMemory(capacity=100)
         p = particle_set(rng, 10)
         m.load(**p)
-        assert m.bytes_written == 10 * JMemory.JPARTICLE_BYTES
+        assert m.bytes_written == 10 * JWRITE_BYTES
 
 
 class TestChip:
@@ -122,6 +129,36 @@ class TestRoundRobin:
         assert all(len(s) == 0 for s in slices)
 
 
+class TestCapacitySlices:
+    def test_contiguous_cover_in_proportion(self):
+        slices = capacity_slices(10, [1, 3, 1])
+        assert [(s.start, s.stop) for s in slices] == [(0, 2), (2, 8), (8, 10)]
+
+    def test_dead_trailing_target_ends_empty(self):
+        slices = capacity_slices(10, [1, 1, 0])
+        assert [(s.start, s.stop) for s in slices] == [(0, 5), (5, 10), (10, 10)]
+
+    def test_no_capacity(self):
+        assert capacity_slices(0, [0, 0]) == [slice(0, 0), slice(0, 0)]
+        with pytest.raises(GrapeMemoryError):
+            capacity_slices(3, [0, 0])
+
+
+class TestSumPartials:
+    def test_sums_in_order_max_cycles_total_work(self):
+        a = PipelineResult(np.ones((2, 3)), np.full((2, 3), 2.0), cycles=7, interactions=4)
+        b = PipelineResult(np.full((2, 3), 0.5), np.ones((2, 3)), cycles=9, interactions=6)
+        res = sum_partials(2, [a, b])
+        assert np.array_equal(res.acc, np.full((2, 3), 1.5))
+        assert np.array_equal(res.jerk, np.full((2, 3), 3.0))
+        assert (res.cycles, res.interactions) == (9, 10)
+
+    def test_no_children_is_zero(self):
+        res = sum_partials(3, [])
+        assert res.acc.shape == (3, 3) and not res.acc.any() and not res.jerk.any()
+        assert (res.cycles, res.interactions) == (0, 0)
+
+
 class TestBoard:
     def test_distribution_balances_chips(self, rng):
         b = ProcessorBoard(board_id=0, eps=0.01, n_chips=4)
@@ -153,25 +190,6 @@ class TestBoard:
         b.compute(p["pos"][:2], p["vel"][:2], p["key"][:2], 0.0, clock_hz=90e6)
         per_chip = [c.force_cycles for c in b.chips if c.n_resident]
         assert b.force_seconds == pytest.approx(max(per_chip) / 90e6)
-
-    def test_update_routes_to_holding_chip(self, rng):
-        b = ProcessorBoard(board_id=0, eps=0.01, n_chips=4)
-        p = particle_set(rng, 16)
-        b.load(**p)
-        key = np.array([5])
-        b.update(
-            key=key, mass=np.array([9.0]), pos=np.zeros((1, 3)) + 42,
-            vel=np.zeros((1, 3)), acc=np.zeros((1, 3)),
-            jerk=np.zeros((1, 3)), t=np.array([2.0]),
-        )
-        # find the chip holding key 5 and verify
-        for chip in b.chips:
-            if chip.jmem.holds(5):
-                slot = chip.jmem._slot_of_key[5]
-                assert np.allclose(chip.jmem.pos[slot], 42.0)
-                break
-        else:  # pragma: no cover
-            pytest.fail("no chip holds key 5")
 
     def test_capacity_overflow(self, rng):
         b = ProcessorBoard(board_id=0, eps=0.01, n_chips=2, jmem_capacity_per_chip=4)

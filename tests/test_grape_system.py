@@ -19,6 +19,8 @@ from repro.grape import (
     Grape6TimingModel,
     HostCostModel,
 )
+from repro.grape.board import capacity_slices, round_robin_slices
+from repro.grape.host import JWRITE_BYTES
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 
 from conftest import make_disk_sim
@@ -218,6 +220,142 @@ class TestMachineFunctional:
     def test_invalid_mode(self):
         with pytest.raises(ConfigurationError):
             Grape6Machine(mode="warp")
+
+
+_ROW_FIELDS = ("key", "mass", "pos", "vel", "acc", "jerk", "t")
+
+
+def cluster_copies(machine):
+    """Per cluster, its chips' j-memories concatenated field by field."""
+    mems = [[] for _ in machine.clusters]
+    for ci, *_, chip in machine.iter_chips():
+        mems[ci].append(chip.jmem)
+    return [
+        {f: np.concatenate([getattr(m, f) for m in ms]) for f in _ROW_FIELDS}
+        for ms in mems
+    ]
+
+
+def node_keys(node):
+    return {k for b in node.boards for c in b.chips for k in c.jmem.key.tolist()}
+
+
+def assert_copies_equal_system(machine, system):
+    """Every cluster holds every key exactly once, with the system's row."""
+    row_of = {k: i for i, k in enumerate(system.key.tolist())}
+    for copy in cluster_copies(machine):
+        assert sorted(copy["key"].tolist()) == sorted(row_of)
+        rows = [row_of[k] for k in copy["key"].tolist()]
+        for f in _ROW_FIELDS:
+            assert np.array_equal(copy[f], getattr(system, f)[rows]), f
+
+
+class TestKeyDirectory:
+    """The host's key directory routes every hierarchy-mode j-write."""
+
+    def test_update_routes_to_holding_chip(self):
+        sys_ = small_system(n=16)
+        m = Grape6Machine(Grape6Config.scaled_down(), eps=0.008, mode="hierarchy")
+        m.load(sys_)
+        row = int(np.flatnonzero(sys_.key == 5)[0])
+        sys_.pos[row] = 42.0
+        sys_.t[row] = 2.0
+        m.push_updates(sys_, np.array([row]))
+        holders = [chip for *_, chip in m.iter_chips() if 5 in chip.jmem.key]
+        assert len(holders) == m.config.n_clusters
+        for chip in holders:
+            slot = int(np.flatnonzero(chip.jmem.key == 5)[0])
+            assert np.all(chip.jmem.pos[slot] == 42.0)
+            assert chip.jmem.t[slot] == 2.0
+
+    def test_resident_copies_track_the_system(self):
+        """After k hierarchy blocks every cluster's j-copy is the system."""
+        m = Grape6Machine(Grape6Config.scaled_down(), eps=0.008, mode="hierarchy")
+        sim = Simulation(
+            small_system(n=40, seed=11), Grape6Backend(m),
+            external_field=KeplerField(),
+            timestep_params=TimestepParams(dt_max=1.0),
+        )
+        sim.initialize()
+        for _ in range(6):
+            sim.step()
+        assert sim.block_steps == 6
+        assert_copies_equal_system(m, sim.system)
+
+    def test_jwrite_charged_only_to_holding_nodes(self):
+        sys_ = small_system(n=24)
+        m = Grape6Machine(Grape6Config.scaled_down(), eps=0.008, mode="hierarchy")
+        m.load(sys_)
+        nodes = [node for c in m.clusters for node in c.nodes]
+        before = [(n.host.pci.messages, n.host.pci.bytes_total) for n in nodes]
+        rows = np.array([0, 2, 4])  # all on one node of each cluster
+        m.push_updates(sys_, rows)
+        updated = set(sys_.key[rows].tolist())
+        charged = 0
+        for node, (msgs, nbytes) in zip(nodes, before):
+            held = len(updated & node_keys(node))
+            charged += held > 0
+            assert node.host.pci.messages == msgs + (held > 0)
+            assert node.host.pci.bytes_total == nbytes + held * JWRITE_BYTES
+        assert charged == m.config.n_clusters < len(nodes)
+
+    def test_short_node_loads_through_capacity_slices(self):
+        """A chip kill leaving a node below its round-robin share."""
+        sys_ = small_system(n=26)
+        n = sys_.n
+        m = Grape6Machine(
+            Grape6Config.scaled_down(), eps=0.008, mode="hierarchy",
+            jmem_capacity_per_chip=4,
+        )
+        node0 = m.clusters[0].nodes[0]
+        dead = node0.boards[0].chips[0]
+        dead.pipelines.mask_pipelines(dead.pipelines.n_pipelines)
+        caps = [node.alive_capacity for node in m.clusters[0].nodes]
+        assert caps == [12, 16]
+        assert round_robin_slices(n, 2)[0].size > caps[0]
+        m.load(sys_)
+        split = capacity_slices(n, caps)
+        for node, sl in zip(m.clusters[0].nodes, split):
+            assert node_keys(node) == set(sys_.key[sl].tolist())
+        assert node0.n_resident <= caps[0]
+        assert dead.n_resident == 0
+        # the healthy cluster keeps the round-robin split
+        for node, idx in zip(m.clusters[1].nodes, round_robin_slices(n, 2)):
+            assert node_keys(node) == set(sys_.key[idx].tolist())
+        assert_copies_equal_system(m, sys_)
+        # the directory follows the degraded layout
+        sys_.pos[: n // 2] += 0.5
+        m.push_updates(sys_, np.arange(n // 2))
+        assert_copies_equal_system(m, sys_)
+        active = np.arange(n)
+        a1, _ = m.compute_block(sys_, active, 0.0)
+        a2, _ = HostDirectBackend(eps=0.008).forces_on(sys_, active, 0.0)
+        assert np.allclose(a1, a2, rtol=1e-10, atol=1e-18)
+
+
+    @pytest.mark.parametrize(
+        "config, pci_bytes, pci_messages, jmem_bytes",
+        [
+            ("scaled_down", 1_750_592, 224, 790_240),
+            ("single_node", 875_296, 56, 395_120),
+        ],
+    )
+    def test_hardware_counters_pinned(self, config, pci_bytes, pci_messages, jmem_bytes):
+        """Node PCI and j-memory traffic of an 18-block hierarchy run,
+        recorded before the key directory replaced the per-tier scans."""
+        m = Grape6Machine(getattr(Grape6Config, config)(), eps=0.008, mode="hierarchy")
+        sim = Simulation(
+            small_system(n=256, seed=1), Grape6Backend(m),
+            external_field=KeplerField(),
+            timestep_params=TimestepParams(eta=0.02, eta_start=0.01, dt_max=1.0),
+        )
+        sim.initialize()
+        sim.evolve(16.0)
+        assert sim.block_steps == 18
+        nodes = [node for c in m.clusters for node in c.nodes]
+        assert sum(n.host.pci.bytes_total for n in nodes) == pci_bytes
+        assert sum(n.host.pci.messages for n in nodes) == pci_messages
+        assert sum(chip.jmem.bytes_written for *_, chip in m.iter_chips()) == jmem_bytes
 
 
 class TestMachineAccounting:

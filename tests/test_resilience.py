@@ -12,9 +12,9 @@ from repro.errors import (
 )
 from repro.grape import Grape6Backend, Grape6Config, Grape6Machine
 from repro.obs import Observability
+from repro.obs.health import EnergyDriftDetector, HealthSample
 from repro.parallel import CommSimulator, switch_topology
 from repro.resilience import (
-    EnergyWatchdog,
     FaultInjector,
     FaultKind,
     FaultPlan,
@@ -196,7 +196,9 @@ class TestHardwareFaults:
         assert obs.metrics.counter("faults.recovered_total").value == 1
         ref_acc, ref_jerk = reference_forces(machine, system, active)
         assert np.allclose(acc, ref_acc)
-        # subsequent blocks and reloads stay on the host path
+        # subsequent blocks and reloads stay on the host path, and their
+        # j-writes still find the chips the failed reload left loaded
+        machine.push_updates(system, active)
         machine.load(system)
         acc2, _ = machine.compute_block(system, active, 0.0)
         assert np.allclose(acc2, ref_acc)
@@ -295,11 +297,16 @@ class TestDetection:
         assert scan_jmem(machine) == [(1, 1, 0, 1)]
 
     def test_energy_watchdog(self):
-        obs = Observability()
-        dog = EnergyWatchdog(1e-6, obs=obs)
-        assert not dog.check(1e-8)
-        assert dog.check(1e-3)
-        assert obs.metrics.counter("faults.watchdog_trips_total").value == 1
+        """The energy check's absolute limit: critical, flagged per sample."""
+        check = EnergyDriftDetector(limit=1e-6)
+        assert check.check(HealthSample(t=0.0, energy_error=1e-8)) is None
+        assert not check.over_limit
+        event = check.check(HealthSample(t=1.0, energy_error=-1e-3))
+        assert check.over_limit
+        assert event.severity == "critical"
+        assert (event.value, event.threshold) == (1e-3, 1e-6)
+        check.check(HealthSample(t=2.0, energy_error=1e-8))
+        assert not check.over_limit
 
 
 class TestSelfTestSweep:
@@ -321,6 +328,61 @@ class TestSelfTestSweep:
         machine.attach_resilience()
         machine.load(system)
         assert machine.recovery.selftest_sweep(system) is None
+
+
+class TestDriverSweeps:
+    """The production driver's two self-test sweep triggers."""
+
+    def _run(self, tmp_path, **kwargs):
+        from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
+        from repro.runio import ProductionRun, read_run_log
+
+        obs = Observability()
+        machine = make_machine(obs=obs)
+        machine.attach_resilience()
+        machine.observe(obs)
+        sim = Simulation(
+            build_disk_system(PlanetesimalDiskConfig(n_planetesimals=24, seed=6)),
+            Grape6Backend(machine),
+            external_field=KeplerField(),
+            timestep_params=TimestepParams(eta=0.02, dt_max=0.25),
+            obs=obs,
+        )
+        blocks = []
+        ProductionRun(sim, tmp_path, on_block=blocks.append, **kwargs).execute(4.0)
+        return obs.metrics, read_run_log(tmp_path / "run.jsonl"), len(blocks)
+
+    def test_energy_limit_sweeps_on_every_sample_over_it(self, tmp_path):
+        metrics, records, _ = self._run(
+            tmp_path, diagnostics_interval=0.0625, energy_error_limit=1e-300
+        )
+        over = [
+            r["energy_error"] for r in records
+            if r["kind"] == "sample" and "note" not in r and r["energy_error"] > 1e-300
+        ]
+        assert len(over) > 8  # past the health monitor's repeat suppression
+
+        def of_kind(kind):
+            return [r for r in records if r["kind"] == kind]
+
+        assert [r["energy_error"] for r in of_kind("watchdog")] == over
+        sweeps = of_kind("selftest_sweep")
+        assert len(sweeps) == len(over)
+        assert all(r["reason"] == "watchdog" and r["failed"] == 0 for r in sweeps)
+        assert metrics.counter("faults.watchdog_trips_total").value == len(over)
+        assert metrics.counter("recovery.selftest_sweeps_total").value == len(over)
+        logged = [r for r in of_kind("health") if r["detector"] == "energy_drift"]
+        assert logged and all(r["severity"] == "critical" for r in logged)
+        assert len(logged) < len(over)
+
+    def test_selftest_every_sweeps_each_k_blocks(self, tmp_path):
+        metrics, records, blocks = self._run(tmp_path, selftest_every=3)
+        sweeps = [r for r in records if r["kind"] == "selftest_sweep"]
+        assert blocks >= 6
+        assert len(sweeps) == blocks // 3
+        assert all(r["reason"] == "periodic" and r["failed"] == 0 for r in sweeps)
+        assert metrics.counter("recovery.selftest_sweeps_total").value == blocks // 3
+        assert "faults.watchdog_trips_total" not in metrics
 
 
 class TestChaosRun:

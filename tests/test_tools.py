@@ -58,6 +58,12 @@ class TestRender:
         assert "acc_jerk" in text
         assert len(text.splitlines()) > 200
 
+    def test_committed_api_reference_is_current(self):
+        committed = Path(__file__).parent.parent / "docs" / "API.md"
+        assert committed.read_text() == render_api_docs(), (
+            "docs/API.md is stale: run `python tools/gen_api_docs.py`"
+        )
+
     def test_main_writes_file(self, tmp_path):
         out = tmp_path / "API.md"
         assert main([str(out)]) == 0
