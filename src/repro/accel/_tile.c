@@ -9,7 +9,8 @@
  * fold and threading stay in python (repro/accel/engine.py), except in
  * the tree force (repro_tree_force), which walks the tree per sink group
  * and runs the same plan and fold itself, serially, on the lists it
- * walked.
+ * walked.  The tree it walks is built here too (repro_tree_build:
+ * predict every source, then the octree, bit for bit the NumPy build).
  *
  * Bits must not depend on the build host.  Source j of the chunk always
  * lands on lane j mod 8, every lane is a plain sequential sum, the eight lanes are
@@ -488,6 +489,262 @@ ISA_CLONES int repro_tree_force(
             }
     }
     return over;
+}
+
+/* -- the tree build --------------------------------------------------------
+ *
+ * The host half of the GRAPE tree scheme: predict every source to the
+ * block time and build the octree over the predicted rows, the tree
+ * repro_tree_force then walks.  It reproduces repro.baselines.tree's
+ * Octree._build and _aggregate bit for bit: the same level-synchronous
+ * split (a stable bucketing by octant inside each over-full cell stands
+ * in for numpy's stable argsort on parent * 8 + octant), so the same
+ * breadth-first numbering, octant-sorted children, leaf_perm and
+ * depth-60 cut-off; and every sum in the order np.add.reduceat adds it
+ * (reduceat_sum below; tests/test_tree_build.py pins numpy to that
+ * form).  The node arrays mirror the Octree fields of the same names
+ * (repro.accel.native mirrors this struct). */
+
+typedef struct {
+    ptrdiff_t cap;                           /* rows of every node array */
+    double *center, *half, *mass, *com, *mom;
+    int64_t *parent, *octant, *first_child, *n_children;
+    int64_t *leaf_start, *leaf_count;
+    uint8_t *mask;                           /* octants that have a child */
+    int64_t *leaf_perm;                      /* n */
+    int64_t *level_offsets;                  /* TREE_LEVELS + 1 */
+    ptrdiff_t n_nodes, n_leaves, n_levels;   /* written by the build */
+} tree_nodes;
+
+#define TREE_CUT_LEVEL 60                    /* a deeper cell is a leaf */
+#define TREE_LEVELS (TREE_CUT_LEVEL + 2)
+#define TREE_BAD_INPUT (-1)
+#define TREE_FULL 1
+
+static double pairwise_halves(const double *a, ptrdiff_t n, ptrdiff_t stride);
+
+/* numpy's pairwise summation of n doubles stride apart
+ * (DOUBLE_pairwise_sum): a left fold from -0.0 below eight, eight
+ * interleaved accumulators folded in one tree up to 128, halves on
+ * multiples of eight above.  Always inlined: a call from an AVX clone
+ * into baseline code costs the tree build ten times its arithmetic. */
+static inline __attribute__((always_inline)) double
+pairwise_sum(const double *a, ptrdiff_t n, ptrdiff_t stride)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        ptrdiff_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k * stride];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[(i + k) * stride];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    return pairwise_halves(a, n, stride);
+}
+
+/* pairwise_sum above 128: the rare long leaf at the depth cut-off. */
+static double
+pairwise_halves(const double *a, ptrdiff_t n, ptrdiff_t stride)
+{
+    ptrdiff_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2, stride)
+           + pairwise_sum(a + n2 * stride, n - n2, stride);
+}
+
+/* One segment of np.add.reduceat: its first value, then the rest as one
+ * reduction added to it, a[0] + (((a[1] + a[2]) + ...) + a[c-1]). */
+static inline double
+reduceat_sum(const double *a, ptrdiff_t c, ptrdiff_t stride)
+{
+    return c > 1 ? a[0] + pairwise_sum(a + stride, c - 1, stride) : a[0];
+}
+
+/* The octant of row x in the cell centred at c. */
+static inline int
+octant_of(const double *x, const double *c)
+{
+    return (x[0] > c[0]) + 2 * (x[1] > c[1]) + 4 * (x[2] > c[2]);
+}
+
+/* Predict every resident row (x v a j at times t) to t_now into pos /
+ * vel, then build the octree of the n particles pos (vel: their
+ * velocities, or NULL for zero momentum) with masses mass and at most
+ * leaf_size per leaf above the cut-off.  t NULL: no prediction, pos /
+ * vel are the particles as given.  Fills out's node arrays, leaf_perm
+ * and level_offsets and sets its counts.  iscratch holds 2n int64,
+ * fscratch 4 * cap + 10n doubles and then n bytes.  Returns 0;
+ * TREE_FULL when the tree has more than out->cap nodes (the arrays then
+ * hold nothing usable); TREE_BAD_INPUT, before touching anything, for n
+ * or leaf_size < 1. */
+ISA_CLONES int repro_tree_build(
+    ptrdiff_t n, const double *x, const double *v, const double *a,
+    const double *j, const double *t, double t_now,
+    double *pos, double *vel, const double *mass, ptrdiff_t leaf_size,
+    tree_nodes *out, int64_t *iscratch, double *fscratch)
+{
+    ptrdiff_t cap = out->cap;
+    if (n < 1 || leaf_size < 1 || cap < 1)
+        return TREE_BAD_INPUT;
+    if (t)
+        for (ptrdiff_t r = 0; r < n; r++)
+            predict_row(x + 3 * r, v + 3 * r, a + 3 * r, j + 3 * r,
+                        t_now - t[r], pos + 3 * r, vel + 3 * r);
+    int64_t *idx = iscratch, *next = idx + n;
+    double *psum = fscratch, *count = psum + 3 * cap, *gather = count + cap;
+    uint8_t *oct = (uint8_t *)(gather + 10 * n);  /* a cell's octants */
+
+    /* the root cube: pos.min / pos.max along each axis (nan wins) */
+    double lo[3], hi[3], extent;
+    for (int k = 0; k < 3; k++)
+        lo[k] = hi[k] = pos[k];
+    for (ptrdiff_t r = 1; r < n; r++)
+        for (int k = 0; k < 3; k++) {
+            double c = pos[3 * r + k];
+            lo[k] = c < lo[k] || isnan(c) ? c : lo[k];
+            hi[k] = c > hi[k] || isnan(c) ? c : hi[k];
+        }
+    extent = hi[0] - lo[0];
+    for (int k = 1; k < 3; k++) {
+        double e = hi[k] - lo[k];
+        extent = e > extent || isnan(e) ? e : extent;
+    }
+    double half0 = 0.5 * extent;
+    half0 = (1e-12 > half0 ? 1e-12 : half0) * 1.0000001;
+    for (int k = 0; k < 3; k++)
+        out->center[k] = 0.5 * (lo[k] + hi[k]);
+    out->half[0] = half0;
+    out->parent[0] = -1;
+    out->octant[0] = 0;
+    out->leaf_count[0] = n;  /* a node's population until it is processed */
+    for (ptrdiff_t r = 0; r < n; r++)
+        idx[r] = r;
+
+    /* level by level: idx holds the level's particles grouped by node
+     * in node order, ascending inside a node */
+    ptrdiff_t n_nodes = 1, n_leaves = 0, cursor = 0, begin = 0, level = 0;
+    out->level_offsets[0] = 0;
+    for (;;) {
+        ptrdiff_t end = n_nodes, read = 0, write = 0;
+        out->level_offsets[level + 1] = end;
+        for (ptrdiff_t nd = begin; nd < end; nd++) {
+            ptrdiff_t c = (ptrdiff_t)out->leaf_count[nd];
+            const int64_t *p = idx + read;
+            const double *ctr = out->center + 3 * nd;
+            read += c;
+            count[nd] = (double)c;
+            out->first_child[nd] = -1;
+            out->n_children[nd] = 0;
+            out->mask[nd] = 0;
+            if (c <= leaf_size || level > TREE_CUT_LEVEL) {
+                out->leaf_start[nd] = cursor;
+                for (ptrdiff_t i = 0; i < c; i++)
+                    out->leaf_perm[cursor + i] = p[i];
+                cursor += c;
+                n_leaves++;
+                continue;
+            }
+            out->leaf_start[nd] = -1;
+            out->leaf_count[nd] = 0;
+            ptrdiff_t fill[8] = {0};
+            for (ptrdiff_t i = 0; i < c; i++)
+                fill[oct[i] = octant_of(pos + 3 * p[i], ctr)]++;
+            double qh = out->half[nd] * 0.5;
+            for (int o = 0, at = 0; o < 8; o++) {
+                ptrdiff_t size = fill[o];
+                if (!size)
+                    continue;
+                if (n_nodes == cap)
+                    return TREE_FULL;
+                ptrdiff_t ch = n_nodes++;
+                if (!out->n_children[nd])
+                    out->first_child[nd] = ch;
+                out->n_children[nd]++;
+                out->mask[nd] |= (uint8_t)(1u << o);
+                for (int k = 0; k < 3; k++)
+                    out->center[3 * ch + k] =
+                        ctr[k] + ((o >> k) & 1 ? 1.0 : -1.0) * qh;
+                out->half[ch] = qh;
+                out->parent[ch] = nd;
+                out->octant[ch] = o;
+                out->leaf_count[ch] = size;
+                fill[o] = write + at;  /* now the octant's first slot */
+                at += size;
+            }
+            for (ptrdiff_t i = 0; i < c; i++)
+                next[fill[oct[i]]++] = p[i];
+            write += c;
+        }
+        if (write == 0)
+            break;
+        int64_t *swap = idx;
+        idx = next;
+        next = swap;
+        begin = end;
+        level++;
+    }
+    out->n_nodes = n_nodes;
+    out->n_leaves = n_leaves;
+    out->n_levels = level + 1;
+
+    /* the leaves' sums over their leaf_perm slices, as columns m, m x,
+     * x, m v for reduceat; then every internal node, deepest first, adds
+     * its children's sums to 0.0 (com holds sum m x until the end) */
+    for (ptrdiff_t nd = 0; nd < n_nodes; nd++) {
+        if (out->leaf_start[nd] < 0)
+            continue;
+        ptrdiff_t c = (ptrdiff_t)out->leaf_count[nd];
+        const int64_t *p = out->leaf_perm + out->leaf_start[nd];
+        for (ptrdiff_t i = 0; i < c; i++) {
+            ptrdiff_t r = (ptrdiff_t)p[i];
+            double m = mass[r];
+            gather[i] = m;
+            for (int k = 0; k < 3; k++) {
+                gather[(1 + k) * c + i] = m * pos[3 * r + k];
+                gather[(4 + k) * c + i] = pos[3 * r + k];
+                gather[(7 + k) * c + i] = vel ? m * vel[3 * r + k] : 0.0;
+            }
+        }
+        out->mass[nd] = reduceat_sum(gather, c, 1);
+        for (int k = 0; k < 3; k++) {
+            out->com[3 * nd + k] = reduceat_sum(gather + (1 + k) * c, c, 1);
+            psum[3 * nd + k] = reduceat_sum(gather + (4 + k) * c, c, 1);
+            out->mom[3 * nd + k] =
+                vel ? reduceat_sum(gather + (7 + k) * c, c, 1) : 0.0;
+        }
+    }
+    for (ptrdiff_t nd = n_nodes - 1; nd >= 0; nd--) {
+        ptrdiff_t fc = (ptrdiff_t)out->first_child[nd];
+        ptrdiff_t nc = (ptrdiff_t)out->n_children[nd];
+        if (fc < 0)
+            continue;
+        out->mass[nd] = 0.0 + reduceat_sum(out->mass + fc, nc, 1);
+        for (int k = 0; k < 3; k++) {
+            out->com[3 * nd + k] = 0.0 + reduceat_sum(out->com + 3 * fc + k, nc, 3);
+            psum[3 * nd + k] = 0.0 + reduceat_sum(psum + 3 * fc + k, nc, 3);
+            out->mom[3 * nd + k] =
+                vel ? 0.0 + reduceat_sum(out->mom + 3 * fc + k, nc, 3) : 0.0;
+        }
+    }
+    /* centre of mass; the centroid for a node of no positive mass */
+    for (ptrdiff_t nd = 0; nd < n_nodes; nd++) {
+        double m = out->mass[nd];
+        for (int k = 0; k < 3; k++)
+            out->com[3 * nd + k] = m > 0.0 ? out->com[3 * nd + k] / m
+                                           : psum[3 * nd + k] / count[nd];
+    }
+    return 0;
 }
 
 /* -- the block step's host work ------------------------------------------

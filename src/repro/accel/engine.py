@@ -9,11 +9,13 @@ ops a force path calls: the ``acc_jerk`` family (``acc_jerk``,
 distributable chunk) and ``pairwise_potential`` for the energy
 diagnostics.  Every public op normalises its arguments, books the call,
 opens its ``kernel.<op>`` span and hands :meth:`KernelEngine._sweep`
-one chunk body.  One op is native only:
+one chunk body.  Two ops are native only:
 :meth:`KernelEngine.tree_force`, a whole grouped tree force in one call
-(walk and sums in C); the NumPy tier walks and sums in
-:mod:`repro.hybrid.walk` instead, with the same lists and, through
-these ops, the per-group sums the native call reproduces.
+(walk and sums in C), and :meth:`KernelEngine.tree_build`, the
+predictor over every source and the octree build before it; the NumPy
+tier walks and sums in :mod:`repro.hybrid.walk` instead, with the same
+lists and, through these ops, the per-group sums the native call
+reproduces, and builds with :class:`~repro.baselines.tree.Octree`.
 
 Two kernel tiers sit behind the one chunk entry point of the
 ``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
@@ -61,8 +63,9 @@ from .workspace import KernelWorkspace
 __all__ = ["EngineConfig", "KernelEngine", "fixed_order_reduce"]
 
 #: The engine's ops, named like their ``kernel.<op>`` spans (the
-#: native-only ``tree_force`` aside).  All but ``potential`` run the
-#: row kernel on the native tier; ``potential`` is NumPy on both.
+#: native-only ``tree_force`` and ``tree_build`` aside).  All but
+#: ``potential`` run the row kernel on the native tier; ``potential``
+#: is NumPy on both.
 OPS = frozenset(
     ("acc_jerk", "acc_jerk_active", "acc_jerk_masked", "node_force", "potential")
 )
@@ -459,6 +462,25 @@ class KernelEngine:
             quad_pairs=node_pairs if tree.node_quad is not None else 0,
         )
         return acc, jerk, csr
+
+    def tree_build(self, system, t_now, leaf_size):
+        """Predict every particle of ``system`` to ``t_now`` into
+        ``system.pred_pos`` / ``pred_vel`` and build the monopole octree
+        over them, in one native call.
+
+        The prediction is :func:`~repro.core.predictor.predict_system`'s
+        and the tree :class:`~repro.baselines.tree.Octree`'s over the
+        predicted rows, bit for bit; returns the fields
+        :meth:`~repro.baselines.tree.Octree.from_arrays` wraps.  Native
+        tier only; the NumPy tier runs those two.
+        """
+        if self._native is None:
+            raise RuntimeError("tree_build needs the native kernel tier")
+        with self._tracer.span("kernel.tree_build", n=int(system.n)):
+            return self._native.tree_build(
+                system.pred_pos, system.mass, system.pred_vel, leaf_size,
+                resident=system, t_now=float(t_now),
+            )
 
     def acc_jerk_active(self, system, active, t_now, eps, counter=None):
         """Force+jerk on the active block of a particle system at ``t_now``.

@@ -16,13 +16,17 @@ about its results: :func:`tier` names it, checkpoints record it, and
 
 The same object carries a whole grouped tree force
 (:meth:`NativeTile.tree_force`: walk per sink group, sum the lists
-with the row kernel) and the host half of a block step
+with the row kernel), the tree build before it
+(:meth:`NativeTile.tree_build`: predict every source, then
+:class:`~repro.baselines.tree.Octree`'s level-synchronous build and
+moments) and the host half of a block step
 (:meth:`NativeTile.block_predict` / :meth:`NativeTile.block_correct`,
 the one Hermite step body of :class:`repro.core.Simulation`; their
 NumPy twins of the same names live in :mod:`repro.core.integrator`).
-Neither is a second tier: the walk emits exactly the NumPy walk's
-lists, the sums are the row kernel's, and the block step gives its
-twins' exact bits on every host.
+None is a second tier: the walk emits exactly the NumPy walk's lists,
+the sums are the row kernel's, the build fills every ``Octree`` array
+with the NumPy build's bits, and the block step gives its twins' exact
+bits on every host.
 
 Build hygiene: the object's name is a hash of (source, flags,
 ``cc --version``); it lives in the first usable of
@@ -104,6 +108,33 @@ class _WalkLists(ctypes.Structure):
         ("node_cap", _size), ("pp_cap", _size)]
 
 
+#: The ``tree_nodes`` arrays of ``_tile.c``: the
+#: :class:`~repro.baselines.tree.Octree` field each fills, its dtype and
+#: its values per node.
+_NODE_FIELDS = (
+    ("center", "node_center", _F64, 3), ("half", "node_half", _F64, 1),
+    ("mass", "node_mass", _F64, 1), ("com", "node_com", _F64, 3),
+    ("mom", "node_mom", _F64, 3), ("parent", "node_parent", _I64, 1),
+    ("octant", "node_octant", _I64, 1),
+    ("first_child", "node_first_child", _I64, 1),
+    ("n_children", "node_n_children", _I64, 1),
+    ("leaf_start", "node_leaf_start", _I64, 1),
+    ("leaf_count", "node_leaf_count", _I64, 1),
+    ("mask", "octant_masks", np.dtype(np.uint8), 1),
+)
+#: Levels of a tree below the depth cut-off (``TREE_LEVELS`` in ``_tile.c``).
+TREE_LEVELS = 62
+
+
+class _TreeNodes(ctypes.Structure):
+    """``tree_nodes`` of ``_tile.c``: the node arrays a build fills."""
+
+    _fields_ = ([("cap", _size)]
+                + [(name, _addr) for name, *_ in _NODE_FIELDS]
+                + [("leaf_perm", _addr), ("level_offsets", _addr)]
+                + [(name, _size) for name in ("n_nodes", "n_leaves", "n_levels")])
+
+
 #: Every entry point of ``_tile.c``: ``repro_<name>`` is bound to the
 #: :class:`NativeTile` method ``<name>`` with these argument and result
 #: types.  The test suite fails on an entry point missing here.
@@ -117,6 +148,9 @@ ENTRY_POINTS = {
     "tree_force": (
         [_addr, _addr, _addr, _addr, _addr, _addr, _real, _real, _size,
          _size, _addr, _addr, _addr, _addr], ctypes.c_int),
+    "tree_build": (
+        [_size, _addr, _addr, _addr, _addr, _addr, _real, _addr, _addr, _addr,
+         _size, _addr, _addr, _addr], ctypes.c_int),
     "block_predict": (
         [_size, _size, _addr, _addr, _addr, _addr, _addr, _addr, _addr],
         ctypes.c_int),
@@ -160,7 +194,8 @@ class NativeTile:
 
     ``acc_jerk_rows`` is the row kernel on ready-made operands;
     ``acc_jerk_active_chunk`` runs the predictor on a system's resident
-    arrays and the same row loop behind it; ``tree_force`` walks a tree
+    arrays and the same row loop behind it; ``tree_build`` predicts
+    every source and builds the octree, and ``tree_force`` walks a tree
     per sink group and sums the lists with it; ``block_predict`` and
     ``block_correct`` are the host half of a block step, and
     ``quantize`` the block quantisation they use.
@@ -188,6 +223,8 @@ class NativeTile:
         self._held: dict = {}
         #: node / pp index capacity of the next tree walk (grow-only)
         self._list_caps = [1024, 1 << 14]
+        #: node capacity of the next tree build (grow-only)
+        self._node_cap = 1024
 
     def _arg(self, slot: str, array: np.ndarray, shape: tuple,
              output: bool = False, dtype: np.dtype = _F64):
@@ -348,6 +385,64 @@ class NativeTile:
             # keep the sizes for the next (grow-only)
             caps[0] = max(caps[0], int(node_ptr[-1]))
             caps[1] = max(caps[1], int(pp_ptr[-1]))
+
+    def tree_build(self, pos, mass, vel, leaf_size, resident=None, t_now=0.0):
+        """Build the octree of the particles ``pos`` (``vel``: their
+        velocities, or ``None``) with masses ``mass``; returns the
+        fields :meth:`repro.baselines.tree.Octree.from_arrays` takes,
+        each the bits ``Octree._build`` computes.
+
+        With ``resident`` (anything with resident ``pos vel acc jerk t``
+        arrays, such as a ``ParticleSystem``) the call first predicts
+        every resident row to ``t_now`` into ``pos`` / ``vel`` — the
+        bits of :func:`repro.core.predictor.predict_system` — and builds
+        over those.
+        """
+        n = mass.shape[0]
+        rows = (n, 3)
+        if n < 1:
+            raise ValueError("tree_build: no particles")
+        if leaf_size < 1:
+            raise ConfigurationError("leaf_size must be >= 1")
+        arg = self._arg
+        if resident is None:
+            source = (None,) * 5
+            pos_ptr = _rows(pos, rows, "pos")
+            vel_ptr = None if vel is None else _rows(vel, rows, "vel")
+        else:
+            source = (arg("build.pos", resident.pos, rows),
+                      arg("build.vel", resident.vel, rows),
+                      arg("build.acc", resident.acc, rows),
+                      arg("build.jerk", resident.jerk, rows),
+                      arg("build.t", resident.t, (n,)))
+            pos_ptr = arg("build.pred_pos", pos, rows, output=True)
+            vel_ptr = arg("build.pred_vel", vel, rows, output=True)
+        iscratch = np.empty(2 * n, dtype=_I64)
+        while True:
+            cap = self._node_cap = max(self._node_cap, n)
+            arrays = [np.empty((cap, width) if width > 1 else cap, dtype)
+                      for _, _, dtype, width in _NODE_FIELDS]
+            leaf_perm = np.empty(n, dtype=_I64)
+            offsets = np.empty(TREE_LEVELS + 1, dtype=_I64)
+            fscratch = np.empty(4 * cap + 10 * n + n // 8 + 1)
+            nodes = _TreeNodes(cap, *map(_ptr, arrays), _ptr(leaf_perm),
+                               _ptr(offsets), 0, 0, 0)
+            full = self._fn["tree_build"](
+                n, *source, t_now, pos_ptr, vel_ptr,
+                _rows(mass, (n,), "mass"), leaf_size, ctypes.addressof(nodes),
+                _ptr(iscratch), _ptr(fscratch),
+            )
+            if full < 0:
+                raise ValueError("tree_build: refused its input")
+            if not full:
+                break
+            self._node_cap = 2 * cap  # more nodes than room: grow, build again
+        n_nodes = nodes.n_nodes
+        fields = {field: array[:n_nodes]
+                  for (_, field, *_), array in zip(_NODE_FIELDS, arrays)}
+        fields.update(leaf_perm=leaf_perm, n_leaves=nodes.n_leaves,
+                      level_offsets=offsets[: nodes.n_levels + 1].tolist())
+        return fields
 
     def block_predict(self, system, active, block) -> bool:
         """Gather ``system``'s ``active`` rows into ``block`` and predict

@@ -11,6 +11,14 @@ module provides a complete monopole Barnes–Hut implementation:
   a stable octant sort, and the mass/COM/velocity-moment/quadrupole
   aggregates roll up bottom-up with ``np.add.reduceat`` over the
   contiguous child ranges the build leaves behind,
+* one build on the native kernel tier: ``repro_tree_build`` in
+  ``accel/_tile.c`` (:meth:`repro.accel.KernelEngine.tree_build`)
+  predicts every source and builds this same tree in one call, every
+  array bit for bit what :meth:`Octree._build` computes (the stable
+  octant sort becomes a stable per-cell bucketing, the ``reduceat``
+  sums keep NumPy's summation form); :meth:`Octree.from_arrays` wraps
+  its output, and ``Octree(...)`` itself stays the NumPy tier, the
+  oracle, and the only way to build a quadrupole tree,
 * CSR adjacency (``child_ptr``/``child_idx``) and contiguous leaf
   membership (``leaf_perm`` + per-node start/count), so tree walks are
   pure ``np.repeat``/fancy-index frontier expansion,
@@ -36,6 +44,13 @@ __all__ = [
     "OctreeStats",
     "concat_ranges",
 ]
+
+#: The per-node arrays of a monopole tree, however it was built.
+_NODE_ARRAYS = (
+    "node_center", "node_half", "node_parent", "node_octant",
+    "node_first_child", "node_n_children", "node_leaf_start",
+    "node_leaf_count", "node_mass", "node_com", "node_mom",
+)
 
 _SQRT3 = float(np.sqrt(3.0))  # circumscribed-sphere factor of a cube
 
@@ -108,6 +123,11 @@ class Octree:
         leaf_size: int = 8,
         quadrupole: bool = False,
     ) -> None:
+        self._take(pos, mass, vel, leaf_size, quadrupole)
+        self._build()
+
+    def _take(self, pos, mass, vel, leaf_size, quadrupole) -> None:
+        """Check and keep the particles; no tree yet."""
         if leaf_size < 1:
             raise ConfigurationError("leaf_size must be >= 1")
         self.pos = np.ascontiguousarray(pos, dtype=np.float64)
@@ -121,7 +141,23 @@ class Octree:
         self.stats = OctreeStats()
         self.walk_stats = None
         self._oct_masks = None
-        self._build()
+
+    @classmethod
+    def from_arrays(cls, pos, mass, vel, leaf_size: int, fields: dict) -> "Octree":
+        """The monopole octree of ``pos``/``mass``/``vel`` whose node
+        arrays were built elsewhere: ``fields`` is what the native build
+        (:meth:`repro.accel.KernelEngine.tree_build`) returns, the bits
+        :meth:`_build` computes, under the names of the fields they
+        become (plus ``octant_masks``, ``level_offsets`` and
+        ``n_leaves``)."""
+        tree = cls.__new__(cls)
+        tree._take(pos, mass, vel, leaf_size, quadrupole=False)
+        for name in _NODE_ARRAYS + ("leaf_perm",):
+            setattr(tree, name, fields[name])
+        tree._oct_masks = fields["octant_masks"]
+        tree.node_quad = None
+        tree._finish(fields["level_offsets"], fields["n_leaves"])
+        return tree
 
     # -- construction ------------------------------------------------------
 
@@ -240,23 +276,25 @@ class Octree:
         self.node_n_children = np.concatenate(nc_lv)
         self.node_leaf_start = np.concatenate(ls_lv)
         self.node_leaf_count = np.concatenate(lc_lv)
+        self._finish(offsets[: level + 2], n_leaves)
+        self._aggregate()
+
+    def _finish(self, level_offsets: list, n_leaves: int) -> None:
+        """Adjacency and counters of built node arrays."""
         self._n_nodes = self.node_half.shape[0]
-        self._level_offsets = offsets[: level + 2]
+        self._level_offsets = level_offsets
 
         # CSR adjacency: child ids of node v are
-        # child_idx[child_ptr[v]:child_ptr[v+1]] (== first_child..+n).
+        # child_idx[child_ptr[v]:child_ptr[v+1]] (== first_child..+n);
+        # breadth-first numbering with contiguous children makes that
+        # every node but the root, in order.
         self.child_ptr = np.concatenate(
             ([0], np.cumsum(self.node_n_children))
         )
-        has = self.node_n_children > 0
-        self.child_idx = concat_ranges(
-            self.node_first_child[has], self.node_n_children[has]
-        )
-
-        self._aggregate()
+        self.child_idx = np.arange(1, self._n_nodes, dtype=np.int64)
         self.stats.n_nodes = self._n_nodes
         self.stats.n_leaves = n_leaves
-        self.stats.max_depth = level
+        self.stats.max_depth = len(level_offsets) - 2
         self.root = 0
 
     def _aggregate(self) -> None:

@@ -92,13 +92,9 @@ class TreeBackend(ForceBackend):
         (``tree.walk_stats.neighbour_seconds``, zero without ``h_i``).
         """
         active = np.asarray(active, dtype=np.int64)
-        predict_system(system, t_now)
         t0 = perf_counter()
         with self._tracer.span("tree.build", n=int(system.n)):
-            tree = Octree(
-                system.pred_pos, system.mass,
-                vel=system.pred_vel, leaf_size=self.leaf_size,
-            )
+            tree = self._build(system, t_now)
         t1 = perf_counter()
         with self._tracer.span("tree.walk"):
             # exclude_self is indexed by sink position: the active
@@ -123,6 +119,20 @@ class TreeBackend(ForceBackend):
         # with the direct backends; the real work is walk_interactions.
         self.counter.add(active.size, system.n, with_jerk=True)
         return acc, jerk, tree, dt_build, dt_walk
+
+    def _build(self, system, t_now: float) -> Octree:
+        """Predict every source to ``t_now`` into ``system.pred_pos`` /
+        ``pred_vel`` and build the octree over them: one native call
+        (:meth:`repro.accel.KernelEngine.tree_build`), else
+        :func:`~repro.core.predictor.predict_system` and
+        :class:`Octree` — the same bits."""
+        if self.engine.tier == "native":
+            fields = self.engine.tree_build(system, t_now, self.leaf_size)
+            return Octree.from_arrays(system.pred_pos, system.mass,
+                                      system.pred_vel, self.leaf_size, fields)
+        predict_system(system, t_now)
+        return Octree(system.pred_pos, system.mass, vel=system.pred_vel,
+                      leaf_size=self.leaf_size)
 
     def push_updates(self, system, active: np.ndarray) -> None:
         return None

@@ -136,10 +136,10 @@ class HybridBackend(TreeBackend):
 
     def forces_on(self, system, active: np.ndarray, t_now: float):
         active = np.asarray(active, dtype=np.int64)
-        h_eff = np.where(system.h_nb > 0.0, system.h_nb, self.r_neighbour)
+        h = system.h_nb[active]
         with self._tracer.span("hybrid.tree", n_active=int(active.size)):
             acc, jerk, tree, dt_build, dt_walk = self._tree_forces(
-                system, active, t_now, h_i=h_eff[active]
+                system, active, t_now, h_i=np.where(h > 0.0, h, self.r_neighbour)
             )
         wstats = tree.walk_stats
         rows, src, dist2 = wstats.neighbours
