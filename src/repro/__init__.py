@@ -28,7 +28,6 @@ reproduction of every evaluation result in the paper.
 """
 
 from . import constants, units
-from .compare import SystemComparison, compare_systems
 from .core import (
     HostDirectBackend,
     KeplerField,
@@ -42,8 +41,6 @@ __version__ = "1.0.0"
 __all__ = [
     "constants",
     "units",
-    "SystemComparison",
-    "compare_systems",
     "HostDirectBackend",
     "KeplerField",
     "ParticleSystem",

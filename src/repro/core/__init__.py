@@ -16,7 +16,6 @@ from .diagnostics import EnergyBreakdown, EnergyTracker, angular_momentum, energ
 from .encounters import TimescaleCensus, encounter_timescale, measure_timescales
 from .external import CompositeField, ExternalField, KeplerField, NullField
 from .forces import InteractionCounter, acc_jerk, acc_only, potential_energy
-from .kernels import acc_spline, spline_force_factor
 from .integrator import Simulation
 from .particles import ParticleSystem
 from .scheduler import BlockScheduler, BlockStats
@@ -44,8 +43,6 @@ __all__ = [
     "acc_jerk",
     "acc_only",
     "potential_energy",
-    "acc_spline",
-    "spline_force_factor",
     "Simulation",
     "ParticleSystem",
     "BlockScheduler",

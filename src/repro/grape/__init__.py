@@ -17,7 +17,6 @@ The package mirrors the physical hierarchy:
 
 from .board import ProcessorBoard, round_robin_slices
 from .chip import Grape6Chip, JMemory
-from .driver import Grape6Driver
 from .neighbours import NeighbourResult, neighbour_search
 from .cluster import Cluster, Node
 from .fixedpoint import FixedPointGrid, round_mantissa
@@ -34,7 +33,6 @@ __all__ = [
     "round_robin_slices",
     "Grape6Chip",
     "JMemory",
-    "Grape6Driver",
     "NeighbourResult",
     "neighbour_search",
     "Cluster",

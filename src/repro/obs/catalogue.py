@@ -79,8 +79,6 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
         "Modelled PCI + LVDS + GbE communication time (the paper's t_comm)",
     ),
     "grape.peak_flops": ("gauge", "Peak speed of the attached machine shape"),
-    "grape.jwrite_total": ("counter", "j-particle writes issued through the driver"),
-    "grape.wire_bytes_total": ("counter", "Bytes captured on the traced host wire"),
     # -- tree/direct hybrid backend --------------------------------------
     "hybrid.tree_builds_total": (
         "counter",

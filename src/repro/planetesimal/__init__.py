@@ -31,12 +31,6 @@ from .orbital import (
 )
 from .accretion import AccretionHistory, MassSpectrum
 from .protoplanet import Protoplanet, default_protoplanets, protoplanet_states
-from .resonances import (
-    Resonance,
-    classify_resonant,
-    resonance_ladder,
-    resonance_semi_major_axis,
-)
 from .scattering import FateCounts, ScatteringMonitor, classify_fates
 from .sizes import ICE_DENSITY_CODE, mass_from_radius, radius_from_mass
 from .stirring import StirringModel
@@ -73,8 +67,4 @@ __all__ = [
     "mass_from_radius",
     "radius_from_mass",
     "StirringModel",
-    "Resonance",
-    "classify_resonant",
-    "resonance_ladder",
-    "resonance_semi_major_axis",
 ]

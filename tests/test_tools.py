@@ -14,9 +14,10 @@ from check_backend_protocol import required_methods
 from check_fault_matrix import check as fault_check
 from check_fault_matrix import main as fault_main
 from check_fault_matrix import missing_injectors, untested_kinds
-from check_metric_names import check_catalogue, check_paths
+from check_metric_names import DEFAULT_PATHS, check_catalogue, check_paths, unregistered
 from check_metric_names import main as lint_main
 from gen_api_docs import collect_modules, describe_module, main, render_api_docs
+from reach import called_code, unreached
 
 
 class TestCollect:
@@ -111,6 +112,18 @@ class TestMetricNameLint:
     def test_catalogue_self_validates(self):
         assert check_catalogue() == []
 
+    def test_every_catalogue_entry_is_registered(self):
+        assert unregistered(DEFAULT_PATHS) == []
+
+    def test_unregistered_catalogue_entry_flagged(self):
+        from repro.obs.catalogue import METRIC_CATALOGUE
+
+        catalogue = dict(METRIC_CATALOGUE)
+        catalogue["grape.never_registered_total"] = ("counter", "x")
+        problems = unregistered(DEFAULT_PATHS, catalogue)
+        assert len(problems) == 1
+        assert "grape.never_registered_total" in problems[0]
+
     def test_catalogue_hybrid_family_declared(self):
         """The hybrid backend's whole metric family is in the catalogue."""
         from repro.obs.catalogue import METRIC_CATALOGUE
@@ -144,6 +157,28 @@ class TestMetricNameLint:
         assert any("naming" in p for p in problems)
         assert any("kind" in p for p in problems)
         assert any("help" in p for p in problems)
+
+
+class TestReach:
+    def test_uncalled_function_reported(self, tmp_path):
+        import importlib.util
+
+        path = tmp_path / "tiny.py"
+        path.write_text(
+            "def used(x):\n"
+            "    return x + 1\n"
+            "\n"
+            "\n"
+            "def unused(x):\n"
+            "    y = x * 2\n"
+            "    return y\n"
+        )
+        spec = importlib.util.spec_from_file_location("tiny", path)
+        tiny = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tiny)
+
+        report = unreached(tmp_path, called_code(tiny.used, 1))
+        assert report == {"tiny.py": ({6, 7}, {2, 6, 7})}
 
 
 class TestBackendProtocolLint:

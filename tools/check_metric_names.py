@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint: every literal metric name must be declared in the catalogue.
+"""Lint: literal metric names and the catalogue must agree both ways.
 
 Walks python sources for calls of the form ``<expr>.counter("name")``,
 ``<expr>.gauge("name")`` and ``<expr>.histogram("name")`` and fails
@@ -9,6 +9,12 @@ in ``DYNAMIC_PREFIXES`` are admitted), or when the declared kind does
 not match the accessor used.  Names built at runtime (f-strings etc.)
 are skipped — they must belong to a declared dynamic family, which the
 runtime registry's strict mode can enforce.
+
+The reverse holds too (:func:`unregistered`): a catalogue entry that no
+literal ``.counter/.gauge/.histogram(...)`` call in the scanned paths
+registers is flagged, except names under ``DYNAMIC_PREFIXES``.  That
+half is complete only when the paths cover every registration site, as
+the default paths do.
 
 The catalogue itself is validated too (:func:`check_catalogue`): every
 declared name must satisfy the naming convention, carry a known kind
@@ -41,12 +47,17 @@ from repro.obs.catalogue import (  # noqa: E402
 )
 
 __all__ = [
+    "DEFAULT_PATHS",
     "find_metric_calls",
     "check_file",
     "check_paths",
     "check_catalogue",
+    "unregistered",
     "main",
 ]
+
+#: Everything that registers metrics.
+DEFAULT_PATHS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "tools"]
 
 #: Accessor method name -> metric kind it creates.
 _ACCESSORS = {"counter": "counter", "gauge": "gauge", "histogram": "histogram"}
@@ -96,15 +107,35 @@ def check_file(path: Path) -> list[str]:
     return problems
 
 
+def _python_files(paths):
+    for p in map(Path, paths):
+        yield from sorted(p.rglob("*.py")) if p.is_dir() else [p]
+
+
 def check_paths(paths) -> list[str]:
     """Violations across files and/or directory trees."""
     problems = []
-    for p in paths:
-        p = Path(p)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            problems.extend(check_file(f))
+    for f in _python_files(paths):
+        problems.extend(check_file(f))
     return problems
+
+
+def unregistered(paths, catalogue=None) -> list[str]:
+    """Catalogue entries that no literal registration in ``paths`` names."""
+    catalogue = METRIC_CATALOGUE if catalogue is None else catalogue
+    registered = set()
+    for f in _python_files(paths):
+        try:
+            tree = ast.parse(f.read_text(), filename=str(f))
+        except SyntaxError:
+            continue  # check_file reports it
+        registered.update(name for _, _, name in find_metric_calls(tree))
+    return [
+        f"catalogue: {name!r} is declared but no scanned source registers it"
+        for name in catalogue
+        if name not in registered
+        and not any(name.startswith(p) for p in DYNAMIC_PREFIXES)
+    ]
 
 
 def check_catalogue(catalogue=None) -> list[str]:
@@ -139,16 +170,12 @@ def check_catalogue(catalogue=None) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    paths = argv or [
-        REPO_ROOT / "src",
-        REPO_ROOT / "benchmarks",
-        REPO_ROOT / "tools",
-    ]
-    problems = check_catalogue() + check_paths(paths)
+    paths = argv or DEFAULT_PATHS
+    problems = check_catalogue() + check_paths(paths) + unregistered(paths)
     for msg in problems:
         print(msg)
     if problems:
-        print(f"{len(problems)} undeclared/ill-typed metric name(s)")
+        print(f"{len(problems)} undeclared/ill-typed/unregistered metric name(s)")
         return 1
     print("metric names ok")
     return 0
