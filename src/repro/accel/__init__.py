@@ -9,10 +9,10 @@ force path calls (force + jerk in its direct, masked, tree-node and
 active-block forms, and the potential for energy diagnostics).  Where
 a C compiler is present the force + jerk pair loop runs compiled
 (:mod:`~repro.accel.native`, built on first use, cached per user), and
-so does a whole grouped tree force, walk and sums in one call
-(``KernelEngine.tree_force``); without one each chunk is a call of the
-plain-NumPy oracle in :mod:`repro.core.forces`, and a log line says
-so.  The potential is that oracle on both tiers.
+so does a whole grouped tree force, sink groups, walk, sums and
+in-sphere pairs in one call (``KernelEngine.tree_force``); without one
+each chunk is a call of the plain-NumPy oracle in
+:mod:`repro.core.forces`, and a log line says so.  The potential is that oracle on both tiers.
 
 Most callers want the process-wide engine::
 

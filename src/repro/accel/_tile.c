@@ -7,9 +7,10 @@
  * beside it, on the resident rows, the way the chip does.  Built and
  * loaded by repro/accel/native.py; the chunk plan, the ascending chunk
  * fold and threading stay in python (repro/accel/engine.py), except in
- * the tree force (repro_tree_force), which walks the tree per sink group
- * and runs the same plan and fold itself, serially, on the lists it
- * walked.  The tree it walks is built here too (repro_tree_build:
+ * the tree force (repro_tree_force), which groups the sinks, walks the
+ * tree per sink group, runs the same plan and fold itself, serially, on
+ * the lists it walked and records the in-sphere pairs beside the sums.
+ * The tree it walks is built here too (repro_tree_build:
  * predict every source, then the octree, bit for bit the NumPy build).
  *
  * Bits must not depend on the build host.  Source j of the chunk always
@@ -38,6 +39,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define LANES 8
 
@@ -264,16 +266,21 @@ dot3(const double *x, const double *y)
 
 /* -- the grouped tree walk ------------------------------------------------
  *
- * Fukushige & Kawai's scheme in one call: the host walks the tree once
- * per sink group, and the pipeline reads the accepted nodes and the
- * opened leaves' particles from the resident arrays by index.  The walk
- * reproduces repro.hybrid.walk.walk_groups exactly -- its acceptance
+ * Fukushige & Kawai's scheme in one call: the host groups the sinks
+ * along the tree's own cells, walks the tree once per sink group, and
+ * the pipeline reads the accepted nodes and the opened leaves' particles
+ * from the resident arrays by index, recording beside the force which
+ * pp sources lie inside each sink's neighbour sphere (GRAPE-6's
+ * neighbour memory).  Every step reproduces repro.hybrid.walk exactly:
+ * the groups are build_groups' (same cells, same order, same centroid,
+ * radius and h_max bits), the walk is walk_groups' -- its acceptance
  * tests in its operation order, its node order (breadth first: level by
  * level, frontier order; a FIFO gives that order for one group) and its
- * ascending pp lists -- and the sums reproduce that module's per-group
- * engine calls: the node list, then the pp list, each over the engine's
- * j-chunk plan, then node + pp.  The arrays are the fields of an
- * Octree and a SinkGroups (repro.accel.native mirrors these structs). */
+ * ascending pp lists -- the sums are that module's per-group engine
+ * calls (the node list, then the pp list, each over the engine's j-chunk
+ * plan, then node + pp), and the pairs are _neighbour_pairs'.  The
+ * arrays are the fields of an Octree, a SinkGroups and an
+ * InteractionLists (repro.accel.native mirrors these structs). */
 
 typedef struct {
     ptrdiff_t n, n_nodes;
@@ -283,20 +290,136 @@ typedef struct {
     const double *center, *half;
     const int64_t *first_child, *n_children, *leaf_start, *leaf_count;
     const int64_t *leaf_perm;
+    const uint8_t *mask;                     /* octants that have a child */
 } tree_arrays;
 
+/* The partition of the n_sinks rows the call writes (SinkGroups), room
+ * for n_sinks groups: group g is order[ptr[g], ptr[g+1]). */
 typedef struct {
-    ptrdiff_t n_groups, n_sinks;
-    const int64_t *order, *ptr;              /* group g: order[ptr[g], ptr[g+1]) */
-    const double *centroid, *radius, *h_max; /* h_max NULL: no spheres */
+    ptrdiff_t n_sinks, n_groups;             /* n_groups: written */
+    int64_t *order, *ptr;
+    double *centroid, *radius, *h_max;       /* h_max NULL: no spheres */
 } sink_groups;
 
-/* The CSR lists the walk emits (InteractionLists); an index is written
- * only below its capacity, the pointers always. */
+/* The CSR lists the walk emits (InteractionLists) and the in-sphere
+ * pairs (sink row, source, dist2); an entry is written only below its
+ * capacity, the pointers and the pair count always. */
 typedef struct {
     int64_t *node_ptr, *node_idx, *pp_ptr, *pp_idx;
     ptrdiff_t node_cap, pp_cap;
+    int64_t *pair_row, *pair_src;
+    double *pair_d2;
+    ptrdiff_t pair_cap, n_pairs;             /* n_pairs: written */
 } walk_lists;
+
+static int
+cell_order(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The child rank of octant bit in a node's mask: the set bits below it. */
+static inline int
+rank_below(unsigned mask, unsigned bit)
+{
+    unsigned x = mask & (bit - 1u);
+    x = x - ((x >> 1) & 0x55u);
+    x = (x & 0x33u) + ((x >> 2) & 0x33u);
+    return (int)((x + (x >> 4)) & 0x0fu);
+}
+
+/* np.maximum.reduce's step: the running value unless x is larger or it
+ * is nan (a nan wins and stays). */
+static inline double
+max_step(double best, double x)
+{
+    return best >= x || isnan(best) ? best : x;
+}
+
+/* The build's helpers (below), which the grouping shares. */
+static inline double reduceat_sum(const double *a, ptrdiff_t c, ptrdiff_t stride);
+static inline int octant_of(const double *x, const double *c);
+
+/* build_groups: every sink descends from the root toward its own
+ * octant and stops at a leaf, in a cell at most n_crit of the sinks
+ * still descending share, or in a cell with no child in its octant.
+ * The groups are the cells the sinks stop in, ascending; a group's rows
+ * ascend.  centroid is the group's positions summed as np.add.reduceat
+ * adds a segment, over its size; radius the square root of the largest
+ * dot3 distance to it, h_max the largest h_i.  count holds n_nodes
+ * zeros (left zero), cell / live / from n_sinks int64 each, xi 3 *
+ * n_sinks doubles. */
+static inline __attribute__((always_inline)) void
+group_sinks(const tree_arrays *tree, sink_groups *groups, const double *pos_i,
+            const double *h_i, ptrdiff_t n_crit, int64_t *count, int64_t *cell,
+            int64_t *live, int64_t *from, double *xi)
+{
+    ptrdiff_t n_i = groups->n_sinks, n_live = n_i, n_groups = 0;
+    for (ptrdiff_t i = 0; i < n_i; i++) {
+        cell[i] = 0;
+        live[i] = i;
+    }
+    while (n_live) {  /* one tree level per pass */
+        for (ptrdiff_t k = 0; k < n_live; k++)
+            count[from[k] = cell[live[k]]]++;
+        ptrdiff_t moved = 0;
+        for (ptrdiff_t k = 0; k < n_live; k++) {
+            ptrdiff_t i = (ptrdiff_t)live[k], v = (ptrdiff_t)from[k];
+            if (tree->leaf_start[v] >= 0 || count[v] <= n_crit)
+                continue;
+            unsigned mask = tree->mask[v];
+            unsigned bit = 1u << octant_of(pos_i + 3 * i, tree->center + 3 * v);
+            if (!(mask & bit))
+                continue;  /* drifted out of the cells: keeps this one */
+            cell[i] = tree->first_child[v] + rank_below(mask, bit);
+            live[moved++] = i;
+        }
+        for (ptrdiff_t k = 0; k < n_live; k++)
+            count[from[k]] = 0;
+        n_live = moved;
+    }
+
+    int64_t *cells = from;  /* the distinct cells, then ascending */
+    for (ptrdiff_t i = 0; i < n_i; i++)
+        if (count[cell[i]]++ == 0)
+            cells[n_groups++] = cell[i];
+    qsort(cells, (size_t)n_groups, sizeof *cells, cell_order);
+    groups->ptr[0] = 0;
+    for (ptrdiff_t g = 0; g < n_groups; g++) {
+        groups->ptr[g + 1] = groups->ptr[g] + count[cells[g]];
+        count[cells[g]] = groups->ptr[g];  /* now the group's next slot */
+    }
+    for (ptrdiff_t i = 0; i < n_i; i++)
+        groups->order[count[cell[i]]++] = i;
+    for (ptrdiff_t g = 0; g < n_groups; g++)
+        count[cells[g]] = 0;
+    groups->n_groups = n_groups;
+
+    for (ptrdiff_t g = 0; g < n_groups; g++) {
+        const int64_t *rows = groups->order + groups->ptr[g];
+        ptrdiff_t m = (ptrdiff_t)(groups->ptr[g + 1] - groups->ptr[g]);
+        double *c = groups->centroid + 3 * g, r2 = 0.0;
+        for (ptrdiff_t i = 0; i < m; i++)
+            for (int k = 0; k < 3; k++)
+                xi[3 * i + k] = pos_i[3 * rows[i] + k];
+        for (int k = 0; k < 3; k++)
+            c[k] = reduceat_sum(xi + k, m, 3) / (double)m;
+        for (ptrdiff_t i = 0; i < m; i++) {
+            double d[3];
+            for (int k = 0; k < 3; k++)
+                d[k] = xi[3 * i + k] - c[k];
+            r2 = i ? max_step(r2, dot3(d, d)) : dot3(d, d);
+        }
+        groups->radius[g] = sqrt(r2);
+        if (h_i) {
+            double h = h_i[rows[0]];
+            for (ptrdiff_t i = 1; i < m; i++)
+                h = max_step(h, h_i[rows[i]]);
+            groups->h_max[g] = h;
+        }
+    }
+}
 
 /* Zero acc / jerk, then add the pull of the n_j gathered sources over
  * KernelEngine._jplan's chunks, in ascending order -- the engine's
@@ -323,51 +446,103 @@ sum_list(ptrdiff_t m, ptrdiff_t n_j, const double *xi, const double *vi,
     }
 }
 
-/* Tree forces on the sinks pos_i (vel_i NULL: zeros) of every group.
+/* _neighbour_pairs for one group: the pp sources src[0, k_pp) within
+ * 1.001 (radius + h_max) of the centroid survive (the group cut, in
+ * surv), then each sink keeps those with dot3(pos_j - pos_i) < h_i^2,
+ * strict, its own particle (self_idx, or NULL) left out -- the bits of
+ * repro.grape.neighbours.within_sphere.  The survivors are gathered as
+ * columns into near (4 k_pp doubles), so that each sink's distances
+ * are one branch-free loop.  Rows and sources ascend. */
+static inline __attribute__((always_inline)) void
+emit_pairs(const tree_arrays *tree, const sink_groups *groups, ptrdiff_t g,
+           const int64_t *src, ptrdiff_t k_pp, const double *pos_i,
+           const double *h_i, const int64_t *self_idx, int64_t *surv,
+           double *near, walk_lists *lists)
+{
+    const double *gc = groups->centroid + 3 * g;
+    const int64_t *rows = groups->order + groups->ptr[g];
+    ptrdiff_t m = (ptrdiff_t)(groups->ptr[g + 1] - groups->ptr[g]), n_surv = 0;
+    double reach = 1.001 * (groups->radius[g] + groups->h_max[g]);
+    double reach2 = reach * reach;
+    for (ptrdiff_t c = 0; c < k_pp; c++) {
+        double d[3];
+        for (int k = 0; k < 3; k++)
+            d[k] = tree->pos[3 * src[c] + k] - gc[k];
+        if (dot3(d, d) < reach2)
+            surv[n_surv++] = src[c];
+    }
+    double *sx = near, *sy = sx + n_surv, *sz = sy + n_surv, *dist2 = sz + n_surv;
+    for (ptrdiff_t s = 0; s < n_surv; s++) {
+        sx[s] = tree->pos[3 * surv[s]];
+        sy[s] = tree->pos[3 * surv[s] + 1];
+        sz[s] = tree->pos[3 * surv[s] + 2];
+    }
+    for (ptrdiff_t i = 0; i < m && n_surv; i++) {
+        ptrdiff_t row = (ptrdiff_t)rows[i];
+        const double *xi = pos_i + 3 * row;
+        double h2 = h_i[row] * h_i[row];
+        int64_t own = self_idx ? self_idx[row] : -1;
+        for (ptrdiff_t s = 0; s < n_surv; s++) {
+            double dr[3] = {sx[s] - xi[0], sy[s] - xi[1], sz[s] - xi[2]};
+            dist2[s] = dot3(dr, dr);
+        }
+        for (ptrdiff_t s = 0; s < n_surv; s++) {
+            if (!(dist2[s] < h2) || surv[s] == own)
+                continue;
+            ptrdiff_t at = lists->n_pairs++;
+            if (at < lists->pair_cap) {
+                lists->pair_row[at] = row;
+                lists->pair_src[at] = surv[s];
+                lists->pair_d2[at] = dist2[s];
+            }
+        }
+    }
+}
+
+/* Tree forces on the sinks pos_i (vel_i NULL: zeros), grouped first.
  *
- * Per group: walk, writing the accepted nodes and the opened leaves'
- * particles (sorted) into lists; then gather the sinks, the nodes (COM,
- * COM velocity mom / mass, mass, quadrupole) and the pp sources into
- * fscratch, sum both lists and write node + pp into the group's rows of
- * acc / jerk.  A sink's own particle (self_idx, or NULL) is found in the
- * sorted pp list and its column excluded.  iscratch holds n_nodes +
- * (largest group) int64 and then n zero bytes (left zero), fscratch 18 *
- * (largest group) + 16 * max(n, n_nodes) doubles.  Returns 0; 1 when a
- * list outgrew its capacity (then the pointers hold the sizes needed
- * and nothing was summed past the overflow); -1, before touching
- * anything, when the groups are not a partition of the n_sinks rows. */
+ * Group the sinks (group_sinks, into groups), then per group: walk,
+ * writing the accepted nodes and the opened leaves' particles (sorted)
+ * into lists; gather the sinks, the nodes (COM, COM velocity mom /
+ * mass, mass, quadrupole) and the pp sources into fscratch, sum both
+ * lists and write node + pp into the group's rows of acc / jerk.  A
+ * sink's own particle (self_idx, or NULL) is found in the sorted pp list
+ * and its column excluded.  With neighbour radii h_i (or NULL: no
+ * spheres, no pairs) the walk guards the spheres and the group's
+ * in-sphere pairs go to lists (emit_pairs).  iscratch holds 2 n_nodes +
+ * 4 n_sinks + n int64 and then n bytes, all zero (left zero: the counts
+ * and the marks), fscratch 18 n_sinks + 16 max(n, n_nodes) doubles.
+ * Returns 0; 1 when a list or the pairs outgrew their capacity (then the
+ * pointers and the pair count hold the sizes needed, nothing was summed
+ * past a list's overflow, and later pairs were only counted); -1,
+ * before touching anything, when n_crit < 1. */
 ISA_CLONES int repro_tree_force(
-    const tree_arrays *tree, const sink_groups *groups, walk_lists *lists,
+    const tree_arrays *tree, sink_groups *groups, walk_lists *lists,
     const double *pos_i, const double *vel_i, const int64_t *self_idx,
-    double theta, double eps2, ptrdiff_t j_chunk, ptrdiff_t max_chunks,
-    int64_t *iscratch, double *fscratch, double *acc, double *jerk)
+    const double *h_i, ptrdiff_t n_crit, double theta, double eps2,
+    ptrdiff_t j_chunk, ptrdiff_t max_chunks, int64_t *iscratch,
+    double *fscratch, double *acc, double *jerk)
 {
     const double sqrt3 = sqrt(3.0);
-    ptrdiff_t n = tree->n, width = n > tree->n_nodes ? n : tree->n_nodes;
-    ptrdiff_t max_rows = 0;
-    if (groups->ptr[0] != 0 || groups->ptr[groups->n_groups] != groups->n_sinks)
+    ptrdiff_t n = tree->n, n_i = groups->n_sinks;
+    ptrdiff_t width = n > tree->n_nodes ? n : tree->n_nodes;
+    if (n_crit < 1)
         return -1;
-    for (ptrdiff_t g = 0; g < groups->n_groups; g++) {
-        ptrdiff_t size = groups->ptr[g + 1] - groups->ptr[g];
-        if (size < 0)
-            return -1;
-        if (size > max_rows)
-            max_rows = size;
-    }
-    for (ptrdiff_t i = 0; i < groups->n_sinks; i++)
-        if (groups->order[i] < 0 || groups->order[i] >= groups->n_sinks)
-            return -1;
-    int64_t *queue = iscratch, *self = queue + tree->n_nodes;
-    uint8_t *mark = (uint8_t *)(self + max_rows);
-    double *xi = fscratch, *vi = xi + 3 * max_rows;
-    double *node_acc = vi + 3 * max_rows, *node_jerk = node_acc + 3 * max_rows;
-    double *pp_acc = node_jerk + 3 * max_rows, *pp_jerk = pp_acc + 3 * max_rows;
-    double *pj = pp_jerk + 3 * max_rows, *vj = pj + 3 * width;
+    int64_t *queue = iscratch, *count = queue + tree->n_nodes;
+    int64_t *self = count + tree->n_nodes, *surv = self + n_i;
+    int64_t *cell = surv + n, *live = cell + n_i, *from = live + n_i;
+    uint8_t *mark = (uint8_t *)(from + n_i);
+    double *xi = fscratch, *vi = xi + 3 * n_i;
+    double *node_acc = vi + 3 * n_i, *node_jerk = node_acc + 3 * n_i;
+    double *pp_acc = node_jerk + 3 * n_i, *pp_jerk = pp_acc + 3 * n_i;
+    double *pj = pp_jerk + 3 * n_i, *vj = pj + 3 * width;
     double *mj = vj + 3 * width, *qj = mj + width;
     ptrdiff_t n_node = 0, n_pp = 0;
     int over = 0;
 
+    group_sinks(tree, groups, pos_i, h_i, n_crit, count, cell, live, from, xi);
     lists->node_ptr[0] = lists->pp_ptr[0] = 0;
+    lists->n_pairs = 0;
     for (ptrdiff_t g = 0; g < groups->n_groups; g++) {
         const double *gc = groups->centroid + 3 * g;
         double radius = groups->radius[g];
@@ -388,7 +563,7 @@ ISA_CLONES int repro_tree_force(
                 double cheb = fmax(fmax(fabs(delta[0]), fabs(delta[1])),
                                    fabs(delta[2]));
                 accept = cheb > half + radius;
-                if (accept && groups->h_max)
+                if (accept && h_i)
                     accept = sqrt(dot3(delta, delta)) - radius
                              > groups->h_max[g] + sqrt3 * half;
             }
@@ -415,7 +590,7 @@ ISA_CLONES int repro_tree_force(
         const int64_t *rows = groups->order + groups->ptr[g];
         const int64_t *nodes = lists->node_idx + node0;
         int64_t *src = lists->pp_idx + pp0;
-        ptrdiff_t m = groups->ptr[g + 1] - groups->ptr[g];
+        ptrdiff_t m = (ptrdiff_t)(groups->ptr[g + 1] - groups->ptr[g]);
         ptrdiff_t k_nodes = n_node - node0, k_pp = n_pp - pp0;
         /* ascending, as walk_groups sorts them: mark, then scan */
         for (ptrdiff_t c = 0; c < k_pp; c++)
@@ -425,6 +600,9 @@ ISA_CLONES int repro_tree_force(
             c += mark[p];
             mark[p] = 0;
         }
+        if (h_i)
+            emit_pairs(tree, groups, g, src, k_pp, pos_i, h_i, self_idx, surv,
+                       pj, lists);
         for (ptrdiff_t i = 0; i < m; i++)
             for (int k = 0; k < 3; k++) {
                 xi[3 * i + k] = pos_i[3 * rows[i] + k];
@@ -488,7 +666,7 @@ ISA_CLONES int repro_tree_force(
                 }
             }
     }
-    return over;
+    return over || lists->n_pairs > lists->pair_cap;
 }
 
 /* -- the tree build --------------------------------------------------------

@@ -11,11 +11,13 @@ diagnostics.  Every public op normalises its arguments, books the call,
 opens its ``kernel.<op>`` span and hands :meth:`KernelEngine._sweep`
 one chunk body.  Two ops are native only:
 :meth:`KernelEngine.tree_force`, a whole grouped tree force in one call
-(walk and sums in C), and :meth:`KernelEngine.tree_build`, the
-predictor over every source and the octree build before it; the NumPy
-tier walks and sums in :mod:`repro.hybrid.walk` instead, with the same
-lists and, through these ops, the per-group sums the native call
-reproduces, and builds with :class:`~repro.baselines.tree.Octree`.
+(sink groups, walk, sums and in-sphere pairs in C), and
+:meth:`KernelEngine.tree_build`, the predictor over every source and
+the octree build before it; the NumPy tier groups, walks, sums and
+cuts the pairs in :mod:`repro.hybrid.walk` instead, with the same
+groups, lists and pairs and, through these ops, the per-group sums the
+native call reproduces, and builds with
+:class:`~repro.baselines.tree.Octree`.
 
 Two kernel tiers sit behind the one chunk entry point of the
 ``acc_jerk`` family (:meth:`KernelEngine._acc_jerk_rows`): the compiled
@@ -423,45 +425,52 @@ class KernelEngine:
             return self._accel_acc_jerk(pos_i, vel_i, com_j, vel_j, mass_j, eps,
                                         quad_j=quad_j)
 
-    def tree_force(self, tree, groups, pos_i, vel_i, theta, eps,
-                   exclude_self=None):
-        """The grouped tree force in one native call: walk once per
-        sink group, sum the group's lists, for every group.
+    def tree_force(self, tree, pos_i, vel_i, theta, eps, exclude_self=None,
+                   h_i=None, n_crit=32):
+        """The grouped tree force in one native call: group the sinks,
+        walk once per group, sum the group's lists, for every group.
 
-        ``tree`` is an :class:`~repro.baselines.tree.Octree`, ``groups``
-        the :func:`~repro.hybrid.walk.build_groups` partition of the
-        sinks ``pos_i`` (``vel_i`` ``None``: the jerk is of zero sink
-        velocities), ``exclude_self`` each sink's own particle.  The
-        walk is :func:`~repro.hybrid.walk.walk_groups` and the sums are
-        :func:`~repro.hybrid.walk.evaluate_lists` on this engine, bit
-        for bit: nodes, then pp, each over :meth:`jplan`, then node +
-        pp.  Returns ``(acc, jerk, (node_ptr, node_idx, pp_ptr,
-        pp_idx))``, the last the CSR of the
-        :class:`~repro.hybrid.walk.InteractionLists` it walked.  Native
-        tier only; the NumPy tier runs those two functions.
+        ``tree`` is an :class:`~repro.baselines.tree.Octree`, ``pos_i``
+        the sinks (``vel_i`` ``None``: the jerk is of zero sink
+        velocities), ``exclude_self`` each sink's own particle, ``h_i``
+        each sink's neighbour radius (or ``None``) and ``n_crit`` the
+        group size target.  The groups are
+        :func:`~repro.hybrid.walk.build_groups`', the walk is
+        :func:`~repro.hybrid.walk.walk_groups`, the sums are
+        :func:`~repro.hybrid.walk.evaluate_lists` on this engine (nodes,
+        then pp, each over :meth:`jplan`, then node + pp), bit for bit,
+        and with ``h_i`` the walk keeps the in-sphere pairs of
+        ``repro.hybrid.walk.engine._neighbour_pairs``.  Returns ``(acc,
+        jerk, groups, lists, pairs)``: the fields of the
+        :class:`~repro.hybrid.walk.SinkGroups`, the CSR of the
+        :class:`~repro.hybrid.walk.InteractionLists` it walked, and
+        ``None`` or the ``(row, src, dist2)`` pairs in group order.
+        Native tier only; the NumPy tier runs those four functions.
         """
         if self._native is None:
             raise RuntimeError("tree_force needs the native kernel tier")
         pos_i = np.ascontiguousarray(pos_i, dtype=np.float64)
         if vel_i is not None:
             vel_i = np.ascontiguousarray(vel_i, dtype=np.float64)
+        if h_i is not None:
+            h_i = np.ascontiguousarray(h_i, dtype=np.float64)
         n_i = pos_i.shape[0]
         acc = np.zeros((n_i, 3))
         jerk = np.zeros((n_i, 3))
         cfg = self.config
-        with self._tracer.span("kernel.tree_force", n_i=n_i,
-                               n_groups=groups.n_groups):
-            csr = self._native.tree_force(
-                tree, groups, pos_i, vel_i, _idx(exclude_self), float(theta),
-                float(eps) ** 2, cfg.j_chunk, cfg.max_chunks, acc, jerk,
+        with self._tracer.span("kernel.tree_force", n_i=n_i):
+            groups, csr, pairs = self._native.tree_force(
+                tree, pos_i, vel_i, _idx(exclude_self), h_i, int(n_crit),
+                float(theta), float(eps) ** 2, cfg.j_chunk, cfg.max_chunks,
+                acc, jerk,
             )
-        sizes = groups.sizes
+        sizes = np.diff(groups[1])
         node_pairs = int(sizes @ np.diff(csr[0]))
         self._count_call(
             node_pairs + int(sizes @ np.diff(csr[2])),
             quad_pairs=node_pairs if tree.node_quad is not None else 0,
         )
-        return acc, jerk, csr
+        return acc, jerk, groups, csr, pairs
 
     def tree_build(self, system, t_now, leaf_size):
         """Predict every particle of ``system`` to ``t_now`` into

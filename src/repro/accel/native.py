@@ -15,15 +15,17 @@ about its results: :func:`tier` names it, checkpoints record it, and
 ``python -m repro.accel.native`` prints how it was arrived at.
 
 The same object carries a whole grouped tree force
-(:meth:`NativeTile.tree_force`: walk per sink group, sum the lists
-with the row kernel), the tree build before it
+(:meth:`NativeTile.tree_force`: group the sinks, walk per sink group,
+sum the lists with the row kernel and keep the in-sphere pairs), the
+tree build before it
 (:meth:`NativeTile.tree_build`: predict every source, then
 :class:`~repro.baselines.tree.Octree`'s level-synchronous build and
 moments) and the host half of a block step
 (:meth:`NativeTile.block_predict` / :meth:`NativeTile.block_correct`,
 the one Hermite step body of :class:`repro.core.Simulation`; their
 NumPy twins of the same names live in :mod:`repro.core.integrator`).
-None is a second tier: the walk emits exactly the NumPy walk's lists,
+None is a second tier: the tree force emits exactly the NumPy
+grouping's groups, the NumPy walk's lists and the NumPy pass's pairs,
 the sums are the row kernel's, the build fills every ``Octree`` array
 with the NumPy build's bits, and the block step gives its twins' exact
 bits on every host.
@@ -87,7 +89,7 @@ class _TreeArrays(ctypes.Structure):
         (name, _addr) for name in (
             "pos", "vel", "mass", "com", "mom", "node_mass", "quad",
             "center", "half", "first_child", "n_children", "leaf_start",
-            "leaf_count", "leaf_perm",
+            "leaf_count", "leaf_perm", "mask",
         )
     ]
 
@@ -95,17 +97,20 @@ class _TreeArrays(ctypes.Structure):
 class _SinkGroups(ctypes.Structure):
     """``sink_groups`` of ``_tile.c``: the fields of a ``SinkGroups``."""
 
-    _fields_ = [("n_groups", _size), ("n_sinks", _size)] + [
+    _fields_ = [("n_sinks", _size), ("n_groups", _size)] + [
         (name, _addr) for name in ("order", "ptr", "centroid", "radius", "h_max")
     ]
 
 
 class _WalkLists(ctypes.Structure):
-    """``walk_lists`` of ``_tile.c``: the CSR an ``InteractionLists`` holds."""
+    """``walk_lists`` of ``_tile.c``: the CSR an ``InteractionLists``
+    holds and the in-sphere pairs."""
 
     _fields_ = [(name, _addr) for name in
                 ("node_ptr", "node_idx", "pp_ptr", "pp_idx")] + [
-        ("node_cap", _size), ("pp_cap", _size)]
+        ("node_cap", _size), ("pp_cap", _size)] + [
+        (name, _addr) for name in ("pair_row", "pair_src", "pair_d2")] + [
+        ("pair_cap", _size), ("n_pairs", _size)]
 
 
 #: The ``tree_nodes`` arrays of ``_tile.c``: the
@@ -146,8 +151,8 @@ ENTRY_POINTS = {
         [_size, _size, _addr, _addr, _addr, _addr, _addr, _addr, _addr,
          _real, _real, _size, _size, _addr, _addr, _addr], ctypes.c_int),
     "tree_force": (
-        [_addr, _addr, _addr, _addr, _addr, _addr, _real, _real, _size,
-         _size, _addr, _addr, _addr, _addr], ctypes.c_int),
+        [_addr, _addr, _addr, _addr, _addr, _addr, _addr, _size, _real, _real,
+         _size, _size, _addr, _addr, _addr, _addr], ctypes.c_int),
     "tree_build": (
         [_size, _addr, _addr, _addr, _addr, _addr, _real, _addr, _addr, _addr,
          _size, _addr, _addr, _addr], ctypes.c_int),
@@ -195,8 +200,9 @@ class NativeTile:
     ``acc_jerk_rows`` is the row kernel on ready-made operands;
     ``acc_jerk_active_chunk`` runs the predictor on a system's resident
     arrays and the same row loop behind it; ``tree_build`` predicts
-    every source and builds the octree, and ``tree_force`` walks a tree
-    per sink group and sums the lists with it; ``block_predict`` and
+    every source and builds the octree, and ``tree_force`` groups the
+    sinks, walks a tree per sink group, sums the lists with it and keeps
+    the in-sphere pairs; ``block_predict`` and
     ``block_correct`` are the host half of a block step, and
     ``quantize`` the block quantisation they use.
 
@@ -221,8 +227,9 @@ class NativeTile:
             fn.argtypes, fn.restype = argtypes, restype
             self._fn[name] = fn
         self._held: dict = {}
-        #: node / pp index capacity of the next tree walk (grow-only)
-        self._list_caps = [1024, 1 << 14]
+        #: node / pp index / in-sphere pair capacity of the next tree
+        #: walk (grow-only)
+        self._list_caps = [1024, 1 << 14, 256]
         #: node capacity of the next tree build (grow-only)
         self._node_cap = 1024
 
@@ -307,21 +314,28 @@ class NativeTile:
         if bad:
             raise IndexError(f"active index outside the {n} particles")
 
-    def tree_force(self, tree, groups, pos_i, vel_i, self_idx, theta, eps2,
-                   j_chunk, max_chunks, acc_out, jerk_out):
-        """Walk ``tree`` once per sink group and sum the lists, into the
-        outputs; returns the ``(node_ptr, node_idx, pp_ptr, pp_idx)``
-        CSR it walked.
+    def tree_force(self, tree, pos_i, vel_i, self_idx, h_i, n_crit, theta,
+                   eps2, j_chunk, max_chunks, acc_out, jerk_out):
+        """Group the sinks ``pos_i`` over ``tree``, walk it once per
+        group and sum the lists into the outputs; returns ``(groups,
+        lists, pairs)``.
 
         ``tree`` is an :class:`~repro.baselines.tree.Octree` (its
-        ``node_quad`` is used when it has one), ``groups`` a
-        :class:`~repro.hybrid.walk.SinkGroups` over the sinks ``pos_i``
-        (``vel_i`` ``None``: zero velocities); ``self_idx`` (int64 per
-        sink, or ``None``) names each sink's own particle.  The sums run
-        over the engine's ``(j_chunk, max_chunks)`` plan.
+        ``node_quad`` is used when it has one), ``vel_i`` ``None`` means
+        zero sink velocities, ``self_idx`` (int64 per sink, or ``None``)
+        names each sink's own particle and ``h_i`` (per sink, or
+        ``None``) its neighbour radius.  ``groups`` holds the fields of
+        a :class:`~repro.hybrid.walk.SinkGroups` (``order, ptr,
+        centroid, radius, h_max``), ``lists`` the CSR of an
+        :class:`~repro.hybrid.walk.InteractionLists`; ``pairs`` is
+        ``None`` without ``h_i``, else the in-sphere ``(row, src,
+        dist2)`` in group order (rows ascending within a group, sources
+        within a row).  The sums run over the engine's ``(j_chunk,
+        max_chunks)`` plan.
         """
+        if n_crit < 1:
+            raise ValueError("n_crit must be >= 1")
         n, n_nodes, n_i = tree.n, tree.node_half.shape[0], pos_i.shape[0]
-        n_groups = groups.ptr.shape[0] - 1
         rows, nodes, sinks = (n, 3), (n_nodes, 3), (n_i, 3)
 
         def ints(array, shape, what):
@@ -343,48 +357,67 @@ class NativeTile:
             ints(tree.node_leaf_start, (n_nodes,), "tree.node_leaf_start"),
             ints(tree.node_leaf_count, (n_nodes,), "tree.node_leaf_count"),
             ints(tree.leaf_perm, (n,), "tree.leaf_perm"),
+            _rows(tree.octant_masks, (n_nodes,), "tree.octant_masks",
+                  dtype=np.dtype(np.uint8)),
         )
+        # room for one group per sink
+        order = np.empty(n_i, dtype=_I64)
+        ptr = np.empty(n_i + 1, dtype=_I64)
+        centroid = np.empty(sinks)
+        radius = np.empty(n_i)
+        h_max = None if h_i is None else np.empty(n_i)
         sink_groups = _SinkGroups(
-            n_groups, n_i, ints(groups.order, (n_i,), "groups.order"),
-            ints(groups.ptr, (n_groups + 1,), "groups.ptr"),
-            _rows(groups.centroid, (n_groups, 3), "groups.centroid"),
-            _rows(groups.radius, (n_groups,), "groups.radius"),
-            None if groups.h_max is None
-            else _rows(groups.h_max, (n_groups,), "groups.h_max"),
+            n_i, 0, _ptr(order), _ptr(ptr), _ptr(centroid), _ptr(radius),
+            None if h_max is None else _ptr(h_max),
         )
-        # the walk's queue, the self columns and n zeroed mark bytes; the
-        # gathered sinks with their four partial sums (18 values per
-        # sink) and one list's gathered sources with quadrupoles (16)
-        iscratch = np.zeros(n_nodes + n_i + n // 8 + 1, dtype=_I64)
+        # the walk's queue and the per-node counts of the grouping; the
+        # self columns, the surviving pair sources, the grouping's three
+        # per-sink arrays and n zeroed mark bytes; the gathered sinks with
+        # their four partial sums (18 values per sink) and one list's
+        # gathered sources with quadrupoles (16)
+        iscratch = np.zeros(2 * n_nodes + 4 * n_i + n + n // 8 + 1, dtype=_I64)
         fscratch = np.empty(18 * n_i + 16 * max(n, n_nodes))
-        node_ptr = np.empty(n_groups + 1, dtype=_I64)
-        pp_ptr = np.empty(n_groups + 1, dtype=_I64)
+        node_ptr = np.empty(n_i + 1, dtype=_I64)
+        pp_ptr = np.empty(n_i + 1, dtype=_I64)
         caps = self._list_caps
         while True:
             node_idx = np.empty(caps[0], dtype=_I64)
             pp_idx = np.empty(caps[1], dtype=_I64)
+            pair_row = np.empty(caps[2], dtype=_I64)
+            pair_src = np.empty(caps[2], dtype=_I64)
+            pair_d2 = np.empty(caps[2])
             lists = _WalkLists(
                 _ptr(node_ptr), _ptr(node_idx), _ptr(pp_ptr), _ptr(pp_idx),
-                caps[0], caps[1],
+                caps[0], caps[1], _ptr(pair_row), _ptr(pair_src),
+                _ptr(pair_d2), caps[2], 0,
             )
             over = self._fn["tree_force"](
                 ctypes.addressof(arrays), ctypes.addressof(sink_groups),
                 ctypes.addressof(lists), _rows(pos_i, sinks, "pos_i"),
                 None if vel_i is None else _rows(vel_i, sinks, "vel_i"),
                 None if self_idx is None else ints(self_idx, (n_i,), "self_idx"),
-                theta, eps2, j_chunk, max_chunks, _ptr(iscratch), _ptr(fscratch),
-                _rows(acc_out, sinks, "acc_out", output=True),
+                None if h_i is None else _rows(h_i, (n_i,), "h_i"),
+                n_crit, theta, eps2, j_chunk, max_chunks, _ptr(iscratch),
+                _ptr(fscratch), _rows(acc_out, sinks, "acc_out", output=True),
                 _rows(jerk_out, sinks, "jerk_out", output=True),
             )
             if over < 0:
-                raise ValueError(f"groups: not a partition of the {n_i} sinks")
+                raise ValueError("tree_force: refused its input")
+            g = sink_groups.n_groups
             if not over:
-                return (node_ptr, node_idx[: node_ptr[-1]],
-                        pp_ptr, pp_idx[: pp_ptr[-1]])
-            # a list outgrew its buffer: size both for this walk, and
-            # keep the sizes for the next (grow-only)
-            caps[0] = max(caps[0], int(node_ptr[-1]))
-            caps[1] = max(caps[1], int(pp_ptr[-1]))
+                break
+            # a list or the pairs outgrew their buffer: size all three
+            # for this walk, and keep the sizes for the next (grow-only)
+            caps[0] = max(caps[0], int(node_ptr[g]))
+            caps[1] = max(caps[1], int(pp_ptr[g]))
+            caps[2] = max(caps[2], lists.n_pairs)
+        groups = (order, ptr[: g + 1], centroid[:g], radius[:g],
+                  None if h_max is None else h_max[:g])
+        csr = (node_ptr[: g + 1], node_idx[: node_ptr[g]],
+               pp_ptr[: g + 1], pp_idx[: pp_ptr[g]])
+        p = lists.n_pairs
+        pairs = None if h_i is None else (pair_row[:p], pair_src[:p], pair_d2[:p])
+        return groups, csr, pairs
 
     def tree_build(self, pos, mass, vel, leaf_size, resident=None, t_now=0.0):
         """Build the octree of the particles ``pos`` (``vel``: their

@@ -60,8 +60,12 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s+l) for s, l in zip(starts, lengths)])``
-    without the Python loop (the classic cumsum trick)."""
+    without the Python loop (the classic cumsum trick, over the ranges
+    that are not empty: an empty one would land its jump on the next
+    range's slot)."""
     lengths = np.asarray(lengths, dtype=np.int64)
+    keep = lengths > 0
+    starts, lengths = np.asarray(starts)[keep], lengths[keep]
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)

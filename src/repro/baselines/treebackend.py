@@ -88,8 +88,12 @@ class TreeBackend(ForceBackend):
         """Predict, build, walk: the one tree force call.
 
         Returns ``(acc, jerk, tree, dt_build, dt_walk)``; ``dt_walk``
-        leaves out what the walk spent emitting neighbour pairs
-        (``tree.walk_stats.neighbour_seconds``, zero without ``h_i``).
+        leaves out the Python the walk spent on neighbour pairs after
+        the force (``tree.walk_stats.neighbour_seconds``, zero without
+        ``h_i``): on the native tier the in-sphere test runs inside the
+        one walk call and is billed here, and only the sort of its
+        pairs by sink row is left out; on the NumPy tier the whole
+        pair pass is.
         """
         active = np.asarray(active, dtype=np.int64)
         t0 = perf_counter()

@@ -13,11 +13,15 @@ accepted multipole** — close encounters are always summed pair by pair,
 which is the paper's Section 3 requirement.
 
 Like GRAPE-6's neighbour memory, the lists fall out of the same pass:
-the range predicate (:func:`repro.grape.neighbours.within_sphere`, the
-one :func:`~repro.grape.neighbours.neighbour_search` answers) runs over
-the pp lists the walk already holds, and its true entries become
-``near_interactions`` and :attr:`HybridBackend.last_neighbours`.  There
-is no second, N-wide pass: memory per call is O(n_crit x list width).
+on the native tier the one walk call tests each group's sorted pp list
+against the spheres as it sums it (a centroid cut, then the range
+predicate of :func:`repro.grape.neighbours.within_sphere`, the one
+:func:`~repro.grape.neighbours.neighbour_search` answers, with its
+bits), and its true entries become ``near_interactions`` and
+:attr:`HybridBackend.last_neighbours`; the NumPy tier runs the same
+cuts over the same lists after the walk, and is the oracle of the C
+ones.  There is no second, N-wide pass: memory per call is O(n_crit x
+list width).
 
 Contracts: every sink's pp list plus the leaves under its accepted
 nodes covers every source exactly once, and every in-sphere source is
@@ -78,8 +82,10 @@ class HybridBackend(TreeBackend):
         self.r_neighbour = float(r_neighbour)
         #: cumulative in-sphere pair count (the collisional work)
         self.near_interactions = 0
-        #: wall seconds the walk spent emitting neighbour pairs — what
-        #: the near side costs
+        #: wall seconds spent on neighbour pairs outside the walk: the
+        #: sort by sink row on the native tier (the in-sphere test runs
+        #: inside the walk and is billed to walk_seconds), the NumPy
+        #: pair pass on the NumPy tier
         self.direct_seconds = 0.0
         # the last block's pair list, replaced by its NeighbourResult
         # when someone asks for it

@@ -1,13 +1,15 @@
 """repro.hybrid.walk — the grouped-walk tree force.
 
 Fukushige & Kawai's GRAPE tree scheme: partition sinks into spatially
-coherent groups along the octree itself (:func:`build_groups`), walk
-once per group with conservative bounding-sphere acceptance and
-evaluate the shared interaction lists through the :mod:`repro.accel`
-kernel engine (:func:`grouped_accelerations`) — on the native tier in
-one call for walk and sums, on the NumPy tier as an array-based
-frontier walk (:func:`walk_groups`) and per-group engine calls
-(:func:`evaluate_lists`).
+coherent groups along the octree itself, walk once per group with
+conservative bounding-sphere acceptance and evaluate the shared
+interaction lists through the :mod:`repro.accel` kernel engine
+(:func:`grouped_accelerations`) — on the native tier in one call for
+groups, walk, sums and in-sphere pairs, on the NumPy tier as a
+vectorised descent (:func:`build_groups`), an array-based frontier
+walk (:func:`walk_groups`), per-group engine calls
+(:func:`evaluate_lists`) and a pair pass; those are the oracles of the
+native call.
 
 This is the one walk behind
 :meth:`repro.baselines.tree.Octree.accelerations`.  Given per-sink

@@ -1,29 +1,32 @@
 """The tree force: group the sinks, walk once per group, sum the lists.
 
-:func:`grouped_accelerations` groups the sinks
-(:func:`~repro.hybrid.walk.groups.build_groups`) and then, on the
-native kernel tier, makes ONE call per tree force:
-:meth:`KernelEngine.tree_force` walks the tree once per group and sums
-each group's shared lists in C — accepted-node multipoles and
-opened-leaf sources, read from the tree's resident arrays by index,
-unmasked but for the sink's own column — and hands back the lists it
-walked.  On the NumPy tier the same two steps run here:
+:func:`grouped_accelerations` makes, on the native kernel tier, ONE
+call per tree force: :meth:`KernelEngine.tree_force` groups the sinks
+along the tree's cells, walks the tree once per group and sums each
+group's shared lists in C — accepted-node multipoles and opened-leaf
+sources, read from the tree's resident arrays by index, unmasked but
+for the sink's own column — and hands back the groups and the lists.
+On the NumPy tier the same steps run here:
+:func:`~repro.hybrid.walk.groups.build_groups` groups the sinks,
 :func:`~repro.hybrid.walk.groups.walk_groups` walks all groups at once
 and :func:`evaluate_lists` makes two engine calls per group
 (:meth:`KernelEngine.node_force` over the nodes,
-:meth:`KernelEngine.acc_jerk` over the pp sources).  Those two are also
-the oracle of the native call: the same lists, array for array, and
-the same sums, bit for bit.  One pass over one set of lists, with or
-without neighbour spheres.
+:meth:`KernelEngine.acc_jerk` over the pp sources).  Those three are
+also the oracle of the native call: the same groups and lists, array
+for array and bit for bit, and the same sums, bit for bit.  One pass
+over one set of lists, with or without neighbour spheres.
 
 With ``h_i`` the same pass also emits what GRAPE-6's neighbour memory
-emits: :func:`repro.grape.neighbours.within_sphere` runs over the pp
-lists (after two cuts that spare it all but a few pairs) and its true
-entries are collected as a flat in-sphere pair list
-(:attr:`WalkStats.neighbours`).  The predicate never changes which
-pairs are summed — the spheres act on the force only through
-``walk_groups``' acceptance guard, which keeps every in-sphere source
-in its sink's pp list.
+emits: the pairs of the pp lists inside a sink's sphere
+(:func:`repro.grape.neighbours.within_sphere`'s predicate, after a cut
+by group that spares it all but a few pairs), as a flat in-sphere pair
+list (:attr:`WalkStats.neighbours`).  On the native tier the walk call
+tests each group's pp list as it sums it and only the sort by sink row
+is left here; on the NumPy tier :func:`_neighbour_pairs` runs the cuts
+after the walk, and is the oracle of the C test.  The predicate never
+changes which pairs are summed — the spheres act on the force only
+through ``walk_groups``' acceptance guard, which keeps every in-sphere
+source in its sink's pp list.
 
 Exactness contracts (tested):
 
@@ -48,7 +51,7 @@ import numpy as np
 
 from ...baselines.tree import concat_ranges
 from ...grape.neighbours import within_sphere
-from .groups import InteractionLists, build_groups, walk_groups
+from .groups import InteractionLists, SinkGroups, build_groups, walk_groups
 
 __all__ = ["WalkStats", "evaluate_lists", "grouped_accelerations"]
 
@@ -64,7 +67,9 @@ class WalkStats:
     #: in-sphere pairs ``(sink row, source index, dist2)`` sorted by sink
     #: row, sources ascending within a row; ``None`` without ``h_i``
     neighbours: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    neighbour_seconds: float = 0.0  # wall spent on that by-product
+    #: wall spent on those pairs outside the walk (the sort by row on
+    #: the native tier, where the walk tests the spheres; the NumPy pass)
+    neighbour_seconds: float = 0.0
 
 
 def grouped_accelerations(
@@ -99,27 +104,32 @@ def grouped_accelerations(
             stats.neighbours = (no_index, no_index, np.empty(0))
         return np.zeros((0, 3)), np.zeros((0, 3)) if want_jerk else None, stats
 
-    groups = build_groups(tree, pos_i, h_i=h_i, n_crit=n_crit)
     vel_i = vel_i if want_jerk else None
     if engine.tier == "native":
-        acc, jerk, csr = engine.tree_force(
-            tree, groups, pos_i, vel_i, theta, eps, exclude_self
+        acc, jerk, groups, csr, pairs = engine.tree_force(
+            tree, pos_i, vel_i, theta, eps, exclude_self, h_i, n_crit
         )
-        lists = InteractionLists(*csr)
+        groups, lists = SinkGroups(*groups), InteractionLists(*csr)
     else:
+        groups = build_groups(tree, pos_i, h_i=h_i, n_crit=n_crit)
         lists = walk_groups(tree, groups, theta)
         acc, jerk = evaluate_lists(
             tree, groups, lists, pos_i, vel_i, eps, exclude_self, engine
         )
     stats.n_groups = groups.n_groups
-    stats.group_sizes = groups.sizes
-    stats.node_terms = int(groups.sizes @ np.diff(lists.node_ptr))
-    stats.pp_terms = int(groups.sizes @ np.diff(lists.pp_ptr))
+    sizes = stats.group_sizes = groups.sizes
+    stats.node_terms = int(sizes @ np.diff(lists.node_ptr))
+    stats.pp_terms = int(sizes @ np.diff(lists.pp_ptr))
     if h_i is not None:
         t0 = perf_counter()
-        stats.neighbours = _neighbour_pairs(
-            tree, groups, lists, pos_i, h_i, exclude_self
-        )
+        if engine.tier == "native":
+            # the walk emits them group by group: one stable sort by row
+            by_row = np.argsort(pairs[0], kind="stable")
+            stats.neighbours = tuple(column[by_row] for column in pairs)
+        else:
+            stats.neighbours = _neighbour_pairs(
+                tree, groups, lists, pos_i, h_i, exclude_self
+            )
         stats.neighbour_seconds = perf_counter() - t0
     return acc, jerk if want_jerk else None, stats
 
@@ -198,12 +208,14 @@ def _neighbour_pairs(tree, groups, lists, pos_i, h_i, exclude_self):
 
     What GRAPE-6's neighbour memory records beside the force: every
     source of a sink's pp list with ``dist2 < h_i**2``, the sink itself
-    left out.  Two cuts (0.1 % slack against rounding) keep the
-    predicate off all but a few pairs, so this is one flat pass per
-    walk and never a sinks x list-width rectangle: by group, a source
-    inside any sink's sphere lies within ``radius + h_max`` of the
-    centroid; by sink, within ``h_i`` of it along x.  Pairs come back
-    sorted by sink row, sources ascending within a row.
+    left out.  The NumPy tier's pass and the oracle of the test the
+    native walk runs inside ``repro_tree_force``.  Two cuts (0.1 %
+    slack against rounding) keep the predicate off all but a few
+    pairs, so this is one flat pass per walk and never a sinks x
+    list-width rectangle: by group, a source inside any sink's sphere
+    lies within ``radius + h_max`` of the centroid; by sink, within
+    ``h_i`` of it along x.  Pairs come back sorted by sink row,
+    sources ascending within a row.
     """
     n_i = pos_i.shape[0]
     group_ids = np.arange(groups.n_groups)

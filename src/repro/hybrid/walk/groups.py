@@ -18,12 +18,13 @@ pipelines.  This module is the host side of that scheme:
   particle-particle, sorted ascending so the evaluation order is
   canonical).
 
-On the native kernel tier the walk itself runs in C, inside the one
-call that also sums the lists (``repro_tree_force`` behind
-:meth:`repro.accel.KernelEngine.tree_force`): a breadth-first walk per
-group with these acceptance tests in this operation order, emitting
-these lists exactly.  :func:`walk_groups` is then the test oracle of
-that walk and the NumPy tier's walk.
+On the native kernel tier the grouping and the walk run in C, inside
+the one call that also sums the lists (``repro_tree_force`` behind
+:meth:`repro.accel.KernelEngine.tree_force`): the same descent giving
+these groups bit for bit, then a breadth-first walk per group with
+these acceptance tests in this operation order, emitting these lists
+exactly.  :func:`build_groups` and :func:`walk_groups` are then the
+test oracles of that call and the NumPy tier's grouping and walk.
 
 Group acceptance is conservative: a node of size ``2*half`` at
 distance ``dist`` from the group centroid is accepted only when

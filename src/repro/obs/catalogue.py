@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["METRIC_CATALOGUE", "DYNAMIC_PREFIXES", "NAME_RE", "is_declared", "kind_of"]
+__all__ = ["METRIC_CATALOGUE", "DYNAMIC_PREFIXES", "NAME_RE", "is_declared"]
 
 #: ``name -> (kind, help)``; kind is ``counter`` / ``gauge`` / ``histogram``.
 METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
@@ -94,11 +94,14 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     ),
     "hybrid.tree_seconds": (
         "counter",
-        "Wall time in hybrid tree build + walk and evaluation (t_tree)",
+        "Wall time in hybrid tree build + walk and evaluation, the "
+        "in-sphere pair test inside the native walk included (t_tree)",
     ),
     "hybrid.direct_seconds": (
         "counter",
-        "Wall time emitting neighbour pairs from the walk's lists (t_direct)",
+        "Wall time on neighbour pairs outside the walk (t_direct): the "
+        "sort by sink row on the native tier, the NumPy pair pass on the "
+        "NumPy tier",
     ),
     "hybrid.neighbour_count": (
         "histogram",
@@ -111,7 +114,8 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     ),
     "hybrid.tree_walk_seconds": (
         "counter",
-        "Wall time walking the tree and evaluating its lists",
+        "Wall time grouping the sinks, walking the tree and evaluating "
+        "its lists (the native walk's in-sphere pair test included)",
     ),
     "hybrid.walk.groups_total": (
         "counter",
@@ -286,9 +290,3 @@ def is_declared(name: str) -> bool:
     if name in METRIC_CATALOGUE:
         return True
     return any(name.startswith(p) for p in DYNAMIC_PREFIXES)
-
-
-def kind_of(name: str) -> str | None:
-    """Declared kind of ``name`` (``None`` for dynamic/undeclared names)."""
-    entry = METRIC_CATALOGUE.get(name)
-    return entry[0] if entry else None

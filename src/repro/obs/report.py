@@ -122,7 +122,7 @@ def _render_hybrid(bd: HybridBreakdown) -> str:
         f"{bd.tree_seconds / total:.1%}", int(bd.far_interactions),
     )
     table.add_row(
-        "neighbour pairs (t_direct)", bd.direct_seconds,
+        "neighbour pairs outside the walk (t_direct)", bd.direct_seconds,
         f"{bd.direct_seconds / total:.1%}", int(bd.near_interactions),
     )
     lines = [table.render()]

@@ -22,9 +22,12 @@ with it but the tree arrays (``"persink"`` below).  Pinned here:
   kernel engines;
 * a sink coinciding with a node's centre of mass stays finite
   (regression for the guarded ``1/(r2*sqrt(r2))`` sites);
-* on the native tier the one-call walk (``KernelEngine.tree_force``)
-  walks exactly ``walk_groups``' lists and sums them to exactly the
-  bits of the per-group engine calls (``evaluate_lists``).
+* on the native tier the one-call tree force (``KernelEngine.tree_force``)
+  forms exactly ``build_groups``' groups, walks exactly
+  ``walk_groups``' lists, sums them to exactly the bits of the
+  per-group engine calls (``evaluate_lists``) and keeps exactly
+  ``_neighbour_pairs``' in-sphere pairs, growing its buffers when a
+  list or the pairs outgrow them.
 """
 
 import numpy as np
@@ -33,10 +36,11 @@ from _persink_oracle import persink_accelerations
 from conftest import ORDER_SENSITIVE_ROWS, make_random_cluster
 
 from repro.accel import EngineConfig, KernelEngine, native
-from repro.baselines.tree import _SQRT3, Octree
+from repro.baselines.tree import _SQRT3, Octree, concat_ranges
 from repro.core import forces
 from repro.grape.neighbours import neighbour_search
-from repro.hybrid.walk import SinkGroups, build_groups, evaluate_lists, walk_groups
+from repro.hybrid.walk import build_groups, evaluate_lists, walk_groups
+from repro.hybrid.walk.engine import _neighbour_pairs
 
 EPS = 0.01
 WALKS = ("grouped", "persink")
@@ -286,6 +290,18 @@ def _subtree_particles(tree, node):
     return np.concatenate(out)
 
 
+@pytest.mark.parametrize("lengths", [[2, 0, 3, 0, 1], [0, 2, 3, 1, 0],
+                                     [0, 0, 0, 0, 0], [1, 1, 1, 1, 1]])
+def test_concat_ranges_with_empty_ranges(lengths):
+    """Empty ranges anywhere (``_neighbour_pairs`` meets one for every
+    sink whose window holds no candidate) add nothing and shift no
+    other range."""
+    starts = np.array([0, 5, 9, 2, 7])
+    want = np.concatenate(
+        [np.arange(s, s + n) for s, n in zip(starts, lengths)]).astype(np.int64)
+    assert np.array_equal(concat_ranges(starts, np.array(lengths)), want)
+
+
 class TestCoincidentSinkRegression:
     """A sink sitting exactly on a node's centre of mass must not
     produce NaN/inf — the ``1/(r2*sqrt(r2))`` sites are guarded and
@@ -333,28 +349,65 @@ requires_native = pytest.mark.skipif(
 )
 
 
-def _native_and_oracle(tree, groups, pos_i, theta, vel_i=None,
-                       exclude_self=None, engine=None):
+def _native_and_oracle(tree, pos_i, theta, vel_i=None, exclude_self=None,
+                       h_i=None, n_crit=32, engine=None):
     """``KernelEngine.tree_force`` and what it must reproduce:
-    ``walk_groups`` + ``evaluate_lists`` on the same engine."""
+    ``build_groups`` + ``walk_groups`` + ``evaluate_lists`` on the same
+    engine, and ``_neighbour_pairs`` with ``h_i``.  Returns ``(forces,
+    walk, reference forces, reference walk)``, a walk being ``(groups,
+    csr, pairs)``; the native pairs come back sorted by sink row the way
+    ``grouped_accelerations`` sorts them."""
     engine = engine or KernelEngine(EngineConfig(threads=1))
     try:
-        acc, jerk, csr = engine.tree_force(tree, groups, pos_i, vel_i, theta,
-                                           EPS, exclude_self)
-        lists = walk_groups(tree, groups, theta)
-        ref = evaluate_lists(tree, groups, lists, pos_i, vel_i, EPS,
+        acc, jerk, groups, csr, pairs = engine.tree_force(
+            tree, pos_i, vel_i, theta, EPS, exclude_self, h_i, n_crit)
+        want_groups = build_groups(tree, pos_i, h_i=h_i, n_crit=n_crit)
+        lists = walk_groups(tree, want_groups, theta)
+        ref = evaluate_lists(tree, want_groups, lists, pos_i, vel_i, EPS,
                              exclude_self, engine)
     finally:
         engine.close()
-    want = (lists.node_ptr, lists.node_idx, lists.pp_ptr, lists.pp_idx)
-    return (acc, jerk), csr, ref, want
+    want_pairs = None
+    if h_i is not None:
+        want_pairs = _neighbour_pairs(tree, want_groups, lists, pos_i, h_i,
+                                      exclude_self)
+        by_row = np.argsort(pairs[0], kind="stable")
+        pairs = tuple(column[by_row] for column in pairs)
+    want = (
+        (want_groups.order, want_groups.ptr, want_groups.centroid,
+         want_groups.radius, want_groups.h_max),
+        (lists.node_ptr, lists.node_idx, lists.pp_ptr, lists.pp_idx),
+        want_pairs,
+    )
+    return (acc, jerk), (groups, csr, pairs), ref, want
 
 
-def _assert_same_lists(csr, want):
+def _assert_same_bits(name, got, expected):
+    if expected is None:
+        assert got is None, name
+        return
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape, name
+    assert got.tobytes() == expected.tobytes(), name
+
+
+def _assert_same_walk(walk, want):
+    """Groups, lists and pairs equal element for element (floats bit
+    for bit, signed zeros included)."""
+    groups, csr, pairs = walk
+    want_groups, want_csr, want_pairs = want
+    for name, got, expected in zip(
+            ("order", "ptr", "centroid", "radius", "h_max"), groups, want_groups):
+        _assert_same_bits(name, got, expected)
     for name, got, expected in zip(("node_ptr", "node_idx", "pp_ptr", "pp_idx"),
-                                   csr, want):
+                                   csr, want_csr):
         assert got.dtype == np.int64, name
-        assert np.array_equal(got, expected), name
+        _assert_same_bits(name, got, expected)
+    if want_pairs is None:
+        assert pairs is None
+        return
+    for name, got, expected in zip(("row", "src", "dist2"), pairs, want_pairs):
+        _assert_same_bits(name, got, expected.astype(got.dtype))
 
 
 def _einsum_norm(d):
@@ -381,17 +434,22 @@ def _symmetric_dyadic_tree():
     return tree
 
 
-def _order_sensitive_groups(tree, spheres, theta=1.0):
-    """One single-sink group per (``ORDER_SENSITIVE_ROWS`` row, other
-    summation order that rounds it apart) whose root acceptance turns
-    on the order: on ``dist`` (no spheres; the group radius sits at the
-    threshold) or on ``cdist`` (spheres; ``h_max`` sits there).
+def _order_sensitive_blocks(tree, spheres, theta=1.0):
+    """One sink block per (``ORDER_SENSITIVE_ROWS`` row, other summation
+    order that rounds it apart), each one group whose root acceptance
+    turns on the order: on ``dist`` (no spheres; the group radius sits
+    at the threshold) or on ``cdist`` (spheres; ``h_max`` sits there).
 
     The root's centre and COM are 0, so a centroid ``-d`` puts ``d``
     (an order-sensitive row scaled by a power of two) into both sums.
+    With spheres the block is one sink at ``-d`` whose radius is the
+    threshold.  Without, it is two sinks at ``-d ± x e_k`` along the
+    axis where ``d`` is smallest: ``d``'s components are short dyadics,
+    so their centroid is ``-d`` and their radius ``x``, exactly.
+    Returns ``[(sinks, h_i or None, root accepted)]``.
     """
     half = tree.node_half[0]
-    centroid, radius, h_max, accept = [], [], [], []
+    blocks = []
     for row in ORDER_SENSITIVE_ROWS:
         d = row * (8.0 / np.abs(row).max())
         ours = _einsum_norm(d)
@@ -414,35 +472,37 @@ def _order_sensitive_groups(tree, spheres, theta=1.0):
                 candidates += [up, down]
             x = next(x for x in candidates
                      if accepted(ours, x) != accepted(other, x))
-            centroid.append(-d)
-            radius.append(0.0 if spheres else x)
-            h_max.append(x)
-            accept.append(accepted(ours, x))
-    g = len(centroid)
-    groups = SinkGroups(
-        order=np.arange(g, dtype=np.int64), ptr=np.arange(g + 1, dtype=np.int64),
-        centroid=np.array(centroid), radius=np.array(radius),
-        h_max=np.array(h_max) if spheres else None,
-    )
-    return groups, groups.centroid.copy(), np.array(accept)
+            if spheres:
+                blocks.append((-d[None], np.array([x]), accepted(ours, x)))
+            else:
+                offset = np.zeros(3)
+                offset[np.argmin(np.abs(d))] = x
+                sinks = np.array([-d + offset, -d - offset])
+                blocks.append((sinks, None, accepted(ours, x)))
+    return blocks
 
 
 @requires_native
 class TestNativeWalkLists:
-    """The one-call walk emits ``walk_groups``' CSR, array for array."""
+    """The one-call tree force groups the sinks as ``build_groups``
+    does, emits ``walk_groups``' CSR and ``_neighbour_pairs``' pairs,
+    array for array."""
 
     @pytest.mark.parametrize("spheres", [False, True])
     @pytest.mark.parametrize("n_crit", [1, 8, 64])
-    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 1.2])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 0.8, 1.2])
     def test_cluster(self, cluster, tree, theta, n_crit, spheres):
         rng = np.random.default_rng(1000 * n_crit + int(10 * theta))
         h = rng.uniform(0.0, 0.8, cluster.n) if spheres else None
-        groups = build_groups(tree, cluster.pos, h_i=h, n_crit=n_crit)
-        _, csr, _, want = _native_and_oracle(
-            tree, groups, cluster.pos, theta, cluster.vel, np.arange(cluster.n))
-        _assert_same_lists(csr, want)
+        forces_, walk, ref, want = _native_and_oracle(
+            tree, cluster.pos, theta, cluster.vel, np.arange(cluster.n), h,
+            n_crit)
+        _assert_same_walk(walk, want)
+        assert np.array_equal(forces_[0], ref[0])
         if theta >= 0.6 and n_crit <= 8 and not spheres:
-            assert want[1].size > 0, "no node accepted: test vacuous"
+            assert want[1][1].size > 0, "no node accepted: test vacuous"
+        if spheres:
+            assert want[2][0].size > 0, "no pair in a sphere: test vacuous"
 
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_coincident_sink_cluster(self, theta):
@@ -453,12 +513,13 @@ class TestNativeWalkLists:
         ])
         tree = Octree(pos, np.ones(5), leaf_size=1)
         sinks = np.concatenate([pos, np.zeros((6, 3))])  # six more on the COM
-        groups = build_groups(tree, sinks, n_crit=2)
-        forces_, csr, ref, want = _native_and_oracle(
-            tree, groups, sinks, theta, exclude_self=np.arange(11))
-        _assert_same_lists(csr, want)
-        assert np.array_equal(forces_[0], ref[0])
-        assert np.isfinite(forces_[0]).all()
+        for h in (None, np.full(11, 0.5)):
+            forces_, walk, ref, want = _native_and_oracle(
+                tree, sinks, theta, exclude_self=np.arange(11), h_i=h,
+                n_crit=2)
+            _assert_same_walk(walk, want)
+            assert np.array_equal(forces_[0], ref[0])
+            assert np.isfinite(forces_[0]).all()
 
     def test_sinks_predicted_outside_their_cells(self, cluster, tree):
         """Sinks drifted off the positions the tree sorted them by: some
@@ -466,30 +527,77 @@ class TestNativeWalkLists:
         drift = np.random.default_rng(4).normal(scale=0.1, size=cluster.pos.shape)
         sinks = cluster.pos + drift
         h = np.full(cluster.n, 0.2)
+        groups = build_groups(tree, sinks, n_crit=8)
+        descended = build_groups(tree, cluster.pos, n_crit=8)
+        assert groups.n_groups != descended.n_groups, "no sink drifted: vacuous"
         for theta in (0.3, 0.8):
-            groups = build_groups(tree, sinks, h_i=h, n_crit=8)
-            forces_, csr, ref, want = _native_and_oracle(
-                tree, groups, sinks, theta, cluster.vel, np.arange(cluster.n))
-            _assert_same_lists(csr, want)
+            forces_, walk, ref, want = _native_and_oracle(
+                tree, sinks, theta, cluster.vel, np.arange(cluster.n), h, 8)
+            _assert_same_walk(walk, want)
             assert np.array_equal(forces_[0], ref[0])
 
-    def test_refuses_what_is_not_a_partition(self, cluster, tree):
-        """Rows are read by index in C, so a group naming a row outside
-        the block, or groups not covering it, raise before any read."""
-        groups = build_groups(tree, cluster.pos, n_crit=8)
+    def test_zero_radii(self, cluster, tree):
+        """``h_i = 0``: the guard is as tight as it gets and no pair is
+        inside a sphere of radius 0."""
+        h = np.zeros(cluster.n)
+        forces_, walk, ref, want = _native_and_oracle(
+            tree, cluster.pos, 0.6, cluster.vel, np.arange(cluster.n), h, 8)
+        _assert_same_walk(walk, want)
+        assert np.array_equal(forces_[0], ref[0])
+        assert want[2][0].size == 0 and not want[0][4].any()
+
+    def test_pairs_without_exclude_self(self, cluster, tree):
+        """Without ``exclude_self`` a sink's own particle is a pair of
+        distance 0, on both sides."""
+        h = np.full(cluster.n, 0.3)
+        _, walk, _, want = _native_and_oracle(
+            tree, cluster.pos, 0.6, cluster.vel, None, h, 8)
+        _assert_same_walk(walk, want)
+        rows, src, dist2 = want[2]
+        own = rows == src
+        assert own.sum() == cluster.n and not dist2[own].any()
+
+    @pytest.mark.parametrize("edge", ["on_the_sphere", "inside_the_slack"])
+    def test_sphere_edges(self, edge):
+        """One sink per group on a dyadic lattice, where distances are
+        exact: a source exactly on a sphere (``dist2 == h**2``) is out,
+        and one just inside it survives the group cut, whose 0.1 %
+        slack is all that lets it through when the group is one sink."""
+        side = np.arange(4) * 0.25
+        pos = np.stack(np.meshgrid(side, side, side), axis=-1).reshape(-1, 3)
+        tree = Octree(pos, np.ones(pos.shape[0]), leaf_size=1)
+        diagonal = 0.25 * np.sqrt(3.0)
+        h = np.full(pos.shape[0], 0.5 if edge == "on_the_sphere"
+                    else diagonal * 1.0005)
+        _, walk, _, want = _native_and_oracle(
+            tree, pos, 0.6, exclude_self=np.arange(pos.shape[0]), h_i=h,
+            n_crit=1)
+        _assert_same_walk(walk, want)
+        assert (np.diff(want[0][1]) == 1).all()  # one sink per group
+        rows, src, dist2 = want[2]
+        ref = neighbour_search(pos, pos, np.arange(pos.shape[0]), h,
+                               exclude_keys=np.arange(pos.shape[0]))
+        assert rows.size == sum(len(x) for x in ref.lists)
+        if edge == "on_the_sphere":
+            assert (dist2 < 0.25).all() and rows.size > 0
+        else:
+            assert np.isclose(dist2, diagonal**2).any()
+
+    def test_refuses_bad_input(self, cluster, tree):
+        """Sinks, radii and self columns are read by index in C, so a
+        wrong shape or a group size below 1 raises before any read."""
         engine = KernelEngine(EngineConfig(threads=1))
-        bad_row = SinkGroups(groups.order.copy(), groups.ptr, groups.centroid,
-                             groups.radius, None)
-        bad_row.order[3] = cluster.n
-        short = SinkGroups(groups.order, groups.ptr.copy(), groups.centroid,
-                           groups.radius, None)
-        short.ptr[-1] -= 1
         try:
-            for broken in (bad_row, short):
-                with pytest.raises(ValueError, match="partition"):
-                    engine.tree_force(tree, broken, cluster.pos, None, 0.6, EPS)
+            with pytest.raises(ValueError, match="n_crit"):
+                engine.tree_force(tree, cluster.pos, None, 0.6, EPS, n_crit=0)
             with pytest.raises(ValueError):
-                engine.tree_force(tree, groups, cluster.pos[:, :2], None, 0.6, EPS)
+                engine.tree_force(tree, cluster.pos[:, :2], None, 0.6, EPS)
+            with pytest.raises(ValueError):
+                engine.tree_force(tree, cluster.pos, None, 0.6, EPS,
+                                  h_i=np.ones(cluster.n - 1))
+            with pytest.raises(ValueError):
+                engine.tree_force(tree, cluster.pos, None, 0.6, EPS,
+                                  exclude_self=np.arange(cluster.n + 1))
         finally:
             engine.close()
 
@@ -500,12 +608,19 @@ class TestNativeWalkLists:
         root is accepted in one order and opened in the other, so a
         reordered sum changes the lists."""
         tree = _symmetric_dyadic_tree()
-        groups, sinks, accept = _order_sensitive_groups(tree, spheres)
-        assert groups.n_groups == len(ORDER_SENSITIVE_ROWS)
-        _, csr, _, want = _native_and_oracle(tree, groups, sinks, 1.0)
-        _assert_same_lists(csr, want)
-        roots = np.diff(want[0]) == 1  # accepted: the root is the list
-        assert np.array_equal(roots, accept)
+        blocks = _order_sensitive_blocks(tree, spheres)
+        assert len(blocks) == len(ORDER_SENSITIVE_ROWS)
+        for sinks, h, accept in blocks:
+            _, walk, _, want = _native_and_oracle(tree, sinks, 1.0, h_i=h,
+                                                  n_crit=2)
+            _assert_same_walk(walk, want)
+            groups = walk[0]
+            assert np.array_equal(groups[1], [0, sinks.shape[0]])
+            assert np.array_equal(groups[2][0], sinks.mean(axis=0))
+            if not spheres:
+                assert groups[3][0] == np.abs(sinks[0] - sinks[1]).max() / 2
+            root_only = np.diff(want[1][0]) == 1  # accepted: the root is the list
+            assert root_only[0] == accept
 
 
 @requires_native
@@ -521,12 +636,11 @@ class TestNativePipelineBits:
         vel = cluster.vel if velocities else None
         tree = Octree(cluster.pos, cluster.mass, vel=vel)
         h = np.random.default_rng(2).uniform(0.0, 0.5, cluster.n)
-        groups = build_groups(tree, cluster.pos, h_i=h, n_crit=8)
         engine = KernelEngine(EngineConfig(threads=1, j_chunk=j_chunk))
-        (acc, jerk), csr, (a_ref, j_ref), want = _native_and_oracle(
-            tree, groups, cluster.pos, theta, vel,
-            np.arange(cluster.n) if exclude else None, engine)
-        _assert_same_lists(csr, want)
+        (acc, jerk), walk, (a_ref, j_ref), want = _native_and_oracle(
+            tree, cluster.pos, theta, vel,
+            np.arange(cluster.n) if exclude else None, h, 8, engine)
+        _assert_same_walk(walk, want)
         assert np.array_equal(acc, a_ref)
         assert np.array_equal(jerk, j_ref)
 
@@ -535,9 +649,8 @@ class TestNativePipelineBits:
         acc, jerk = tree.accelerations(cluster.pos, 0.6, EPS, vel_i=cluster.vel,
                                        exclude_self=np.arange(cluster.n))
         assert jerk is None
-        groups = build_groups(tree, cluster.pos)
         (got, _), _, ref, _ = _native_and_oracle(
-            tree, groups, cluster.pos, 0.6, cluster.vel, np.arange(cluster.n))
+            tree, cluster.pos, 0.6, cluster.vel, np.arange(cluster.n))
         assert np.array_equal(acc, got)
         assert np.array_equal(acc, ref[0])
 
@@ -563,10 +676,12 @@ class TestNativePipelineBits:
         group by group (pp lists through ``forces.acc_jerk``)."""
         tree = Octree(cluster.pos, cluster.mass, vel=cluster.vel,
                       quadrupole=True)
-        groups = build_groups(tree, cluster.pos, n_crit=8)
-        (acc, _), csr, ref, want = _native_and_oracle(
-            tree, groups, cluster.pos, theta, cluster.vel, np.arange(cluster.n))
+        (acc, _), walk, ref, want = _native_and_oracle(
+            tree, cluster.pos, theta, cluster.vel, np.arange(cluster.n),
+            n_crit=8)
+        _assert_same_walk(walk, want)
         assert np.array_equal(acc, ref[0])
+        groups = build_groups(tree, cluster.pos, n_crit=8)
         lists = walk_groups(tree, groups, theta)
         assert lists.node_idx.size > 0
         node_vel = np.zeros_like(tree.node_mom)
@@ -610,12 +725,28 @@ class TestNativePipelineBits:
         into buffers of the size it reported."""
         tile = native.load()
         caps = list(tile._list_caps)
-        tile._list_caps[:] = [1, 1]
+        tile._list_caps[:] = [1, 1, 1]
         try:
-            groups = build_groups(tree, cluster.pos, n_crit=8)
-            _, csr, _, want = _native_and_oracle(
-                tree, groups, cluster.pos, 0.6, cluster.vel,
-                np.arange(cluster.n))
+            h = np.full(cluster.n, 0.2)
+            _, walk, _, want = _native_and_oracle(
+                tree, cluster.pos, 0.6, cluster.vel, np.arange(cluster.n), h, 8)
         finally:
             tile._list_caps[:] = caps
-        _assert_same_lists(csr, want)
+        _assert_same_walk(walk, want)
+
+    def test_pairs_outgrowing_their_buffer(self, cluster, tree):
+        """Lists that fit and more in-sphere pairs than the held pair
+        capacity: the walk is run again with room for the pairs it
+        counted, and that room is kept for the next walk."""
+        tile = native.load()
+        caps = list(tile._list_caps)
+        tile._list_caps[:] = [1 << 16, 1 << 20, 2]
+        try:
+            h = np.full(cluster.n, 0.3)
+            _, walk, _, want = _native_and_oracle(
+                tree, cluster.pos, 0.6, cluster.vel, np.arange(cluster.n), h, 8)
+            grown = tile._list_caps[2]
+        finally:
+            tile._list_caps[:] = caps
+        _assert_same_walk(walk, want)
+        assert grown == want[2][0].size > 2
