@@ -59,12 +59,6 @@ def main() -> None:
     print(f"  sustained: {est.sustained_tflops:.1f} Tflops "
           f"({est.efficiency:.1%} of peak; paper: {PAPER_ACHIEVED_TFLOPS} Tflops)")
 
-    graph = machine.topology_graph()
-    kinds = {}
-    for _, d in graph.nodes(data=True):
-        kinds[d["kind"]] = kinds.get(d["kind"], 0) + 1
-    print(f"\nFull-system topology graph: {dict(sorted(kinds.items()))}")
-
 
 if __name__ == "__main__":
     main()

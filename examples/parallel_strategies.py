@@ -1,32 +1,36 @@
 #!/usr/bin/env python3
 """Why GRAPE-6 has network boards: the Section 4.3 design study as code.
 
-Compares the four ways of attaching p hosts to GRAPE hardware that the
-paper walks through (Figures 3-7), using the simulated communication
-substrate: per-host NIC traffic and step time over each scheme's real
-topology, as the host count and the active-block size grow.
+Runs the four ways of attaching p hosts to GRAPE hardware that the
+paper walks through (Figures 3-7) as rank programs on the virtual
+machine, over the GRAPE-6 links (Gigabit Ethernet between hosts, PCI to
+each host's network board, LVDS between boards): the bytes each host
+NIC carried and the logical step time, as the host count and the
+active-block size grow.
 
-Run:  python examples/parallel_strategies.py
+Run:  python examples/parallel_strategies.py [p ...]
 """
 
 from __future__ import annotations
 
-from repro.parallel import all_strategies
+import sys
+
+from repro.parallel import strategies_for, strategy_step
 
 BLOCKS = (1000, 5000, 20_000)
 
 
-def main() -> None:
-    for p in (4, 16, 64):
+def main(hosts=(4, 16, 64)) -> None:
+    for p in hosts:
         print(f"\n=== p = {p} hosts ===")
         print(f"{'strategy':<16} " + "".join(
             f"{'nic B/step @' + str(b):>18}" for b in BLOCKS
         ) + f"{'step ms @5000':>15}")
-        for s in all_strategies(p):
-            nic = [s.host_nic_bytes_per_step(b) for b in BLOCKS]
-            t = s.step(5000) * 1e3
-            print(f"{s.name:<16} " + "".join(f"{int(v):>18,}" for v in nic)
-                  + f"{t:>15.3f}")
+        for name in strategies_for(p):
+            runs = {b: strategy_step(name, p, b) for b in BLOCKS}
+            t = max(runs[5000][0].clock) * 1e3
+            print(f"{name:<16} " + "".join(
+                f"{int(runs[b][1]):>18,}" for b in BLOCKS) + f"{t:>15.3f}")
 
     print("""
 Reading the table (the paper's argument):
@@ -41,4 +45,4 @@ Reading the table (the paper's argument):
 
 
 if __name__ == "__main__":
-    main()
+    main(tuple(int(a) for a in sys.argv[1:]) or (4, 16, 64))

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--trace", metavar="PATH", default=None,
         help="render the phase-profile top table from an exported trace "
-             "(spans JSONL or Chrome-trace JSON; format is sniffed)",
+             "(the Chrome-trace JSON of `repro run --trace-out`)",
     )
     p_rep.add_argument(
         "--run-log", metavar="PATH", default=None,

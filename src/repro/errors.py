@@ -21,7 +21,6 @@ __all__ = [
     "SpmdError",
     "SpmdProtocolError",
     "SpmdTimeoutError",
-    "TopologyError",
     "SnapshotError",
     "CheckpointError",
     "SimulationKilled",
@@ -101,10 +100,6 @@ class SpmdTimeoutError(SpmdError):
     def __init__(self, message: str, blocked: dict | None = None) -> None:
         super().__init__(message)
         self.blocked = dict(blocked or {})
-
-
-class TopologyError(ReproError, ValueError):
-    """An invalid network topology was requested or constructed."""
 
 
 class SnapshotError(ReproError, IOError):

@@ -399,41 +399,6 @@ class Grape6Machine:
         for cluster in self.clusters:
             cluster.reset_counters()
 
-    def topology_graph(self):
-        """The machine as a networkx graph (racks-and-cables view).
-
-        Nodes carry a ``kind`` attribute (system / switch / host / nb /
-        board / chip); edges carry ``link`` (gbe / pci / lvds / on-board).
-        Works in both modes — the graph is derived from the config.
-        """
-        import networkx as nx
-
-        cfg = self.config
-        g = nx.Graph()
-        g.add_node("system", kind="system")
-        g.add_node("gbe-switch", kind="switch")
-        g.add_edge("system", "gbe-switch", link="virtual")
-        for c in range(cfg.n_clusters):
-            for k in range(cfg.nodes_per_cluster):
-                host = f"host-{c}.{k}"
-                nb = f"nb-{c}.{k}"
-                g.add_node(host, kind="host", cluster=c)
-                g.add_node(nb, kind="nb", cluster=c)
-                g.add_edge(host, "gbe-switch", link="gbe")
-                g.add_edge(host, nb, link="pci")
-                # intra-cluster NB cascade ring
-                if k > 0:
-                    g.add_edge(f"nb-{c}.{k - 1}", nb, link="lvds")
-                for b in range(cfg.boards_per_node):
-                    board = f"pb-{c}.{k}.{b}"
-                    g.add_node(board, kind="board", cluster=c)
-                    g.add_edge(nb, board, link="lvds")
-                    for ch in range(cfg.chips_per_board):
-                        chip = f"chip-{c}.{k}.{b}.{ch}"
-                        g.add_node(chip, kind="chip", cluster=c)
-                        g.add_edge(board, chip, link="on-board")
-        return g
-
 
 class Grape6Backend(ForceBackend):
     """:class:`~repro.core.backends.ForceBackend` adapter for the machine.

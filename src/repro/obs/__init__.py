@@ -9,8 +9,8 @@ the reproduction one instrumented clock to report into:
   and histograms (catalogue in :mod:`repro.obs.catalogue`);
 * :class:`~repro.obs.trace.Tracer` — hierarchical spans on a wall-clock
   track and a modelled-hardware track;
-* exporters (:mod:`repro.obs.export`) — Chrome-trace/Perfetto JSON,
-  JSONL, Prometheus text exposition;
+* exporters (:mod:`repro.obs.export`) — Chrome-trace/Perfetto JSON
+  and Prometheus text exposition;
 * :func:`~repro.obs.report.render_time_breakdown` — the paper-style
   t_pipe / t_host / t_comm table from collected metrics.
 
@@ -32,10 +32,8 @@ from .catalogue import DYNAMIC_PREFIXES, METRIC_CATALOGUE, is_declared
 from .export import (
     load_spans,
     parse_prometheus,
-    read_spans_jsonl,
     write_chrome_trace,
     write_prometheus,
-    write_spans_jsonl,
 )
 from .health import (
     HealthEvent,
@@ -87,8 +85,6 @@ __all__ = [
     "DYNAMIC_PREFIXES",
     "is_declared",
     "write_chrome_trace",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
     "load_spans",
     "write_prometheus",
     "parse_prometheus",
@@ -126,9 +122,6 @@ class Observability:
     def export_chrome_trace(self, path):
         return write_chrome_trace(self.tracer, path)
 
-    def export_spans_jsonl(self, path, run_id: str = ""):
-        return write_spans_jsonl(self.tracer, path, run_id=run_id)
-
     def export_prometheus(self, path):
         return write_prometheus(self.metrics, path)
 
@@ -145,9 +138,6 @@ class NullObservability:
 
     def export_chrome_trace(self, path):
         return write_chrome_trace(self.tracer, path)
-
-    def export_spans_jsonl(self, path, run_id: str = ""):
-        return write_spans_jsonl(self.tracer, path, run_id=run_id)
 
     def export_prometheus(self, path):
         return write_prometheus(self.metrics, path)

@@ -136,13 +136,6 @@ METRIC_CATALOGUE: dict[str, tuple[str, str]] = {
     # -- software communication substrate --------------------------------
     "comm.bytes_sent": ("counter", "Payload bytes sent over simulated links"),
     "comm.messages_total": ("counter", "Point-to-point messages sent"),
-    "comm.phases_total": ("counter", "Communication phases executed"),
-    "comm.phase_seconds": ("counter", "Simulated communication time"),
-    "comm.phase_bytes": ("histogram", "Bytes moved per communication phase"),
-    "comm.retransmits_total": (
-        "counter",
-        "Message retransmissions in the comm substrate (dropped transfers)",
-    ),
     # -- fault injection / detection -------------------------------------
     "faults.injected_total": ("counter", "Faults injected by the active fault plan"),
     "faults.detected_total": (

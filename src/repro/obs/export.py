@@ -1,13 +1,10 @@
-"""Exporters: Chrome-trace JSON, JSONL spans, Prometheus text.
+"""Exporters: Chrome-trace JSON and Prometheus text.
 
-Three formats, three audiences:
+Two formats, two audiences:
 
 * :func:`write_chrome_trace` — a ``chrome://tracing`` / Perfetto file
   ("X" complete events, microsecond timestamps).  The wall and model
   tracks render as two thread rows of one process.
-* :func:`write_spans_jsonl` — one JSON object per line following the
-  :mod:`repro.runio.runlog` conventions (leading ``header`` record,
-  torn tails tolerated by :func:`repro.runio.runlog.read_run_log`).
 * :func:`write_prometheus` / :func:`parse_prometheus` — text exposition
   of a metrics registry and the matching reader used by
   ``repro report --metrics``.
@@ -25,8 +22,6 @@ from .trace import MODEL_TRACK, WALL_TRACK, Span, SpanLog
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
     "load_spans",
     "write_prometheus",
     "parse_prometheus",
@@ -94,71 +89,6 @@ def write_chrome_trace(tracer, path) -> Path:
     return path
 
 
-def write_spans_jsonl(tracer, path, run_id: str = "") -> Path:
-    """Write spans as JSONL (run-log conventions: header first)."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "kind": "header",
-                    "run_id": run_id,
-                    "format": "repro-obs-spans-v1",
-                    "n_spans": len(tracer.spans),
-                }
-            )
-            + "\n"
-        )
-        for track in (WALL_TRACK, MODEL_TRACK):
-            for s in tracer.of_track(track):
-                rec = {
-                    "kind": "span",
-                    "name": s.name,
-                    "track": s.track,
-                    "ts_ns": s.ts_ns,
-                    "dur_ns": s.dur_ns,
-                    "depth": s.depth,
-                }
-                if s.attrs:
-                    rec["attrs"] = dict(s.attrs)
-                fh.write(json.dumps(rec) + "\n")
-    return path
-
-
-def read_spans_jsonl(path) -> SpanLog:
-    """Read a spans JSONL file back into a :class:`~repro.obs.trace.SpanLog`.
-
-    Follows the run-log conventions of :func:`write_spans_jsonl`: a
-    leading ``header`` record, one ``span`` object per line, and a torn
-    final line (crash mid-write) tolerated silently.  A missing file,
-    a mid-file corrupt line, or a span record without its required
-    fields raises :class:`~repro.errors.SnapshotError`.
-    """
-    from ..runio.runlog import read_run_log
-
-    records = read_run_log(path)  # raises SnapshotError on missing/corrupt
-    spans = []
-    for rec in records:
-        if rec.get("kind") != "span":
-            continue
-        try:
-            spans.append(
-                Span(
-                    rec["name"],
-                    rec["track"],
-                    rec["ts_ns"],
-                    rec["dur_ns"],
-                    rec["depth"],
-                    rec.get("attrs") or {},
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"malformed span record in {path}: {rec!r}"
-            ) from exc
-    return SpanLog(spans)
-
-
 def _spans_from_chrome(doc, path) -> SpanLog:
     """Rebuild spans from a Chrome-trace document (depth from nesting)."""
     tid_to_track = {tid: track for track, tid in _TRACK_TIDS.items()}
@@ -190,32 +120,22 @@ def _spans_from_chrome(doc, path) -> SpanLog:
 
 
 def load_spans(path) -> SpanLog:
-    """Load spans from either export format (sniffed, not by extension).
+    """Load spans from the Chrome-trace JSON of :func:`write_chrome_trace`.
 
-    Accepts the spans-JSONL file of :func:`write_spans_jsonl` or the
-    Chrome-trace JSON of :func:`write_chrome_trace`; raises
-    :class:`~repro.errors.SnapshotError` when the file is missing or
-    neither format parses.
+    Raises :class:`~repro.errors.SnapshotError` when the file is
+    missing, empty or not a Chrome-trace document.
     """
     path = Path(path)
     if not path.exists():
         raise SnapshotError(f"trace file not found: {path}")
-    stripped = path.read_text().lstrip()
-    if not stripped:
+    text = path.read_text()
+    if not text.strip():
         raise SnapshotError(f"trace file {path} is empty")
-    first_line = stripped.splitlines()[0]
     try:
-        first = json.loads(first_line)
-    except json.JSONDecodeError:
-        # not line-delimited: try one whole-document parse (Chrome trace)
-        try:
-            doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"cannot parse trace file {path}: {exc}") from exc
-        return _spans_from_chrome(doc, path)
-    if isinstance(first, dict) and "traceEvents" in first:
-        return _spans_from_chrome(first, path)
-    return read_spans_jsonl(path)
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"cannot parse trace file {path}: {exc}") from exc
+    return _spans_from_chrome(doc, path)
 
 
 def write_prometheus(registry, path) -> Path:

@@ -231,7 +231,7 @@ def profile_spans(source) -> PhaseProfile:
 
 
 def profile_trace_file(path) -> PhaseProfile:
-    """Profile an exported trace (spans JSONL or Chrome-trace JSON).
+    """Profile an exported Chrome-trace JSON file.
 
     Raises :class:`~repro.errors.SnapshotError` on a missing or
     unparseable file.

@@ -65,7 +65,7 @@ class SpanLog:
 
     Presents the same query surface as :class:`Tracer` (``spans``,
     ``of_track``, ``total_seconds``) so exporters and the phase profiler
-    accept either a live tracer or spans round-tripped through JSONL.
+    accept either a live tracer or spans loaded back from a Chrome trace.
     """
 
     enabled = True

@@ -1,51 +1,37 @@
-"""Simulated host-parallelisation substrate (paper Section 4.3).
+"""Host-parallelisation substrate (paper Section 4.3).
 
-* :mod:`~repro.parallel.topology` — switch / ring / 2-D mesh / NB-tree
-  network builders (networkx)
-* :mod:`~repro.parallel.comm` — phase-based communication cost simulator
-* :mod:`~repro.parallel.strategies` — the paper's four host schemes
 * :mod:`~repro.parallel.spmd` — deterministic in-process SPMD scheduler
-  with superstep-tagged protocol checking
-* :mod:`~repro.parallel.programs` — engine-portable rank programs
+  with superstep-tagged protocol checking and a per-link cost model
+* :mod:`~repro.parallel.programs` — engine-portable rank programs: the
+  force programs and the paper's four host strategies
 * :mod:`~repro.parallel.proc` — supervised multiprocess SPMD engine
   (heartbeats, rank restart, graceful degrade)
 * :mod:`~repro.parallel.backend` — the ``spmd`` force backend
 """
 
 from .backend import SpmdBackend
-from .comm import CommSimulator, PhaseReport, Transfer
 from .grid2d import grid_forces
 from .proc import ProcConfig, ProcEngine, ProcResult
 from .programs import (
+    HOST_STRATEGIES,
     ArrayView,
     ProgramContext,
     chunk_force_program,
     grid_force_program,
+    host_grid_program,
+    hybrid_program,
+    machine_links,
+    naive_copy_program,
+    nb_exchange_program,
     partition_bounds,
     ring_force_program,
+    strategies_for,
+    strategy_step,
 )
 from .ring import ring_forces
 from .spmd import RankComm, SpmdResult, VirtualMachine, describe_op
-from .strategies import (
-    GrapeExchangeStrategy,
-    Host2DGridStrategy,
-    HostParallelStrategy,
-    HybridStrategy,
-    NaiveCopyStrategy,
-    all_strategies,
-)
-from .topology import (
-    Topology,
-    mesh2d_topology,
-    nb_tree_topology,
-    ring_topology,
-    switch_topology,
-)
 
 __all__ = [
-    "CommSimulator",
-    "PhaseReport",
-    "Transfer",
     "grid_forces",
     "ring_forces",
     "RankComm",
@@ -62,15 +48,12 @@ __all__ = [
     "ring_force_program",
     "grid_force_program",
     "chunk_force_program",
-    "GrapeExchangeStrategy",
-    "Host2DGridStrategy",
-    "HostParallelStrategy",
-    "HybridStrategy",
-    "NaiveCopyStrategy",
-    "all_strategies",
-    "Topology",
-    "mesh2d_topology",
-    "nb_tree_topology",
-    "ring_topology",
-    "switch_topology",
+    "naive_copy_program",
+    "nb_exchange_program",
+    "host_grid_program",
+    "hybrid_program",
+    "HOST_STRATEGIES",
+    "machine_links",
+    "strategies_for",
+    "strategy_step",
 ]

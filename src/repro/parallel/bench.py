@@ -1,7 +1,7 @@
-"""Benchmark harness: measured multiprocess IPC vs the comm cost models.
+"""Benchmark harness: measured multiprocess IPC vs the VM's cost model.
 
 Runs the shared rank force programs (ring exchange and 2-D grid
-reduction) three ways for each scheme/rank-count point and records, per
+reduction) two ways for each scheme/rank-count point and records, per
 entry:
 
 * the **measured** wall clock of the supervised multiprocess engine
@@ -12,18 +12,14 @@ entry:
   ``wall_seconds`` (their minimum) are the warm repeats that follow it,
   so the bench-history gate bootstraps a confidence interval over like
   with like;
-* the in-process :class:`~repro.parallel.spmd.VirtualMachine`'s logical
-  clock for the identical program — the latency/bandwidth *prediction*
-  of the same message schedule;
-* the Section 4.3 analytic strategy model
-  (:class:`~repro.parallel.strategies.GrapeExchangeStrategy` for the
-  ring, :class:`~repro.parallel.strategies.Host2DGridStrategy` for the
-  grid): per-host NIC bytes and simulated step time over the paper's
-  topology.
+* the in-process :class:`~repro.parallel.spmd.VirtualMachine` run of
+  the identical program: its logical clock (the latency/bandwidth
+  *prediction* of the same message schedule), the bytes it moved and
+  ``nic_bytes``, the point-to-point bytes one rank sent and received,
+  averaged over the ranks (every rank is a host here).
 
-This closes the loop on the paper's scaling argument: the comm model
-predicted the message-passing costs, and this benchmark measures what
-the real IPC fabric actually charges for the same schedule.  Every run
+The VM model and the real IPC fabric price the same schedule side by
+side.  Every run
 also asserts the process results are bit-identical to the VM results —
 a benchmark that drifted from the parity contract would be measuring
 the wrong thing.
@@ -44,9 +40,9 @@ Document schema::
         {"scheme": "ring", "p": 4, "n": 192,
          "cold_wall_seconds": ...,
          "wall_seconds": ..., "samples_seconds": [...], "repeats": 3,
-         "vm_clock_seconds": ..., "model_step_seconds": ...,
+         "vm_clock_seconds": ..., "vm_bytes": ..., "nic_bytes": ...,
          "ipc_bytes": ..., "ipc_messages": ..., "supersteps": ...,
-         "model_nic_bytes": ..., "straggler_wait_seconds": ...},
+         "straggler_wait_seconds": ...},
         ...
       ]
     }
@@ -104,7 +100,7 @@ def _assert_parity(vm_returns, proc_returns, label: str) -> None:
 
 
 def _measure_point(scheme: str, p: int, n: int, seed: int, repeats: int,
-                   strategy, program, params: dict) -> dict:
+                   program, params: dict) -> dict:
     from .proc import ProcEngine
     from .programs import ProgramContext
     from .spmd import VirtualMachine
@@ -144,9 +140,7 @@ def _measure_point(scheme: str, p: int, n: int, seed: int, repeats: int,
         "vm_clock_seconds": float(max(vm_res.clock)),
         "vm_bytes": float(vm_res.total_bytes),
         "vm_messages": float(vm_res.messages),
-        # predicted (Section 4.3 analytic strategy model)
-        "model_step_seconds": float(strategy.step(n)),
-        "model_nic_bytes": float(strategy.host_nic_bytes_per_step(n)),
+        "nic_bytes": 2.0 * sum(vm_res.link_bytes.values()) / p,
     }
 
 
@@ -161,13 +155,11 @@ def run_spmd_bench(
     """Scan ring and 2-D grid schemes; return the benchmark document."""
     from .programs import grid_force_program, partition_bounds, ring_force_program
     from .spmd import VirtualMachine
-    from .strategies import GrapeExchangeStrategy, Host2DGridStrategy
 
     entries = []
     for p in ring_ranks:
         entry = _measure_point(
             "ring", p, n, seed, repeats,
-            GrapeExchangeStrategy(p),
             ring_force_program,
             {"eps": _EPS, "bounds": partition_bounds(n, p)},
         )
@@ -177,12 +169,11 @@ def run_spmd_bench(
                 f"  ring    p={p}  cold {entry['cold_wall_seconds']:.4f} s"
                 f"  warm {entry['wall_seconds']:.4f} s"
                 f"  vm-clock {entry['vm_clock_seconds']:.6f} s"
-                f"  model {entry['model_step_seconds']:.6f} s"
+                f"  nic {entry['nic_bytes']:.0f} B"
             )
     for q in grid_sides:
         entry = _measure_point(
             "2d-grid", q * q, n, seed, repeats,
-            Host2DGridStrategy(q * q),
             grid_force_program,
             {"eps": _EPS, "q": int(q), "bounds": partition_bounds(n, q)},
         )
@@ -192,7 +183,7 @@ def run_spmd_bench(
                 f"  2d-grid p={q * q}  cold {entry['cold_wall_seconds']:.4f} s"
                 f"  warm {entry['wall_seconds']:.4f} s"
                 f"  vm-clock {entry['vm_clock_seconds']:.6f} s"
-                f"  model {entry['model_step_seconds']:.6f} s"
+                f"  nic {entry['nic_bytes']:.0f} B"
             )
 
     vm = VirtualMachine(n_ranks=2)

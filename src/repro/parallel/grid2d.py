@@ -16,8 +16,9 @@ force evaluation is:
    the "real host" of that row;
 3. row roots allgather so every real host sees the full result.
 
-Per-rank traffic is O(N/q) per phase — the 1/sqrt(p) scaling the
-COMM-STRAT benchmark shows analytically, here with actual data moving.
+Per-rank traffic is O(N/q) per phase — the 1/sqrt(p) scaling that
+:func:`~repro.parallel.programs.host_grid_program` counts for one block
+step, here with real forces.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The same generator programs run on two schedulers:
 
 * :class:`~repro.parallel.spmd.VirtualMachine` — deterministic
-  in-process execution with a LogP-style *predicted* cost model;
+  in-process execution with a LogP-style *predicted* cost model,
+  priced per link;
 * :class:`~repro.parallel.proc.ProcEngine` — real worker processes
   over pipes and shared memory, with *measured* wall-clock costs.
 
@@ -16,7 +17,7 @@ the *only* input: the process gang is forked once and then reused, so
 whatever else a program reads (a module global, a closure variable) is
 the parent's value as of that fork, not as of the run.
 
-Three programs live here:
+The force programs:
 
 * :func:`ring_force_program` — the systolic travelling-block ring of
   :mod:`repro.parallel.ring`;
@@ -28,15 +29,27 @@ Three programs live here:
   root folds them in ascending global chunk order, which is what keeps
   multiprocess results bit-identical to the serial and threaded
   single-process paths.
+
+The paper's four host strategies (Section 4.3), as the traffic of one
+block step on GRAPE-6 nodes — :func:`naive_copy_program` (Figure 3),
+:func:`nb_exchange_program` (Figures 4-5), :func:`host_grid_program`
+(Figure 6) and :func:`hybrid_program` (Figure 7).  :func:`strategy_step`
+runs one on the VM over the links of :func:`machine_links` and counts
+the bytes that crossed host network interfaces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..accel import get_engine
+from ..errors import ConfigurationError
+from ..grape.host import IPARTICLE_BYTES, JWRITE_BYTES, RESULT_BYTES
+from ..grape.links import gbe_link, lvds_link, pci_link
+from .spmd import VirtualMachine
 
 __all__ = [
     "ProgramContext",
@@ -45,6 +58,14 @@ __all__ = [
     "ring_force_program",
     "grid_force_program",
     "chunk_force_program",
+    "naive_copy_program",
+    "nb_exchange_program",
+    "host_grid_program",
+    "hybrid_program",
+    "HOST_STRATEGIES",
+    "machine_links",
+    "strategies_for",
+    "strategy_step",
 ]
 
 
@@ -261,3 +282,162 @@ def chunk_force_program(comm, ctx):
         acc += pa
         jerk += pj
     return acc, jerk
+
+
+# -- the paper's host strategies (Section 4.3, Figures 3-7) ------------------
+#
+# One block step of ``n_active`` particles on ``hosts`` GRAPE-6 nodes.
+# A node is two ranks: host ``h`` and its network board (NB) ``hosts +
+# h``; the NBs of each ``cluster`` consecutive nodes form one NB network.
+# Messages are byte records of the wire sizes of :mod:`repro.grape.host`;
+# each host owns ``ceil(n_active / hosts)`` of the block.
+
+#: Bytes of the per-step synchronisation record between hosts.
+SYNC_BYTES = 64
+
+#: Clusters of the built machine (Figure 7).
+N_CLUSTERS = 4
+
+
+def _records(n: int, size: int) -> np.ndarray:
+    """``n`` wire records of ``size`` bytes."""
+    return np.zeros(n * size, dtype=np.uint8)
+
+
+def _swap(comm, peers, payload):
+    """Send ``payload`` to every peer, then take one message from each."""
+    for peer in peers:
+        yield comm.send(peer, payload)
+    for peer in peers:
+        yield comm.recv(peer)
+
+
+def _nb_exchange(comm, hosts: int, share: int, n_j: int, cluster: int):
+    """The GRAPE data exchange inside one NB network of ``cluster``
+    consecutive nodes.
+
+    Each host writes its ``share`` i-particles and ``n_j`` j-updates to
+    its NB over PCI; the NBs broadcast the i-particles to each other
+    and return partial forces over LVDS; each NB hands its host the
+    summed forces over PCI.
+    """
+    if comm.rank < hosts:
+        nb = hosts + comm.rank
+        yield comm.send(nb, _records(1, share * IPARTICLE_BYTES + n_j * JWRITE_BYTES))
+        yield comm.recv(nb)
+        return
+    host = comm.rank - hosts
+    first = host - host % cluster
+    peers = [hosts + h for h in range(first, first + cluster) if h != host]
+    yield comm.recv(host)
+    yield from _swap(comm, peers, _records(share, IPARTICLE_BYTES))
+    yield from _swap(comm, peers, _records(share, RESULT_BYTES))
+    yield comm.send(host, _records(share, RESULT_BYTES))
+
+
+def naive_copy_program(comm, ctx):
+    """Figure 3: every host keeps a full particle copy, so it sends its
+    corrected share to every other host over the host network."""
+    hosts = ctx.params["hosts"]
+    if comm.rank < hosts:
+        share = -(-ctx.params["n_active"] // hosts)
+        peers = [h for h in range(hosts) if h != comm.rank]
+        yield from _swap(comm, peers, _records(share, JWRITE_BYTES))
+
+
+def nb_exchange_program(comm, ctx):
+    """Figures 4-5: the network boards of all nodes exchange the data;
+    each host only passes a synchronisation record to the next host."""
+    hosts = ctx.params["hosts"]
+    share = -(-ctx.params["n_active"] // hosts)
+    yield from _nb_exchange(comm, hosts, share, share, ctx.params["cluster"])
+    if comm.rank < hosts and hosts > 1:
+        yield comm.send((comm.rank + 1) % hosts, _records(1, SYNC_BYTES))
+        yield comm.recv((comm.rank - 1) % hosts)
+
+
+def host_grid_program(comm, ctx):
+    """Figure 6: ``q x q`` hosts.  Row 0 are the real hosts and
+    integrate ``ceil(n_active / q)`` particles each; the other hosts
+    emulate network boards, passing each real host's j-updates down its
+    column one hop at a time."""
+    hosts = ctx.params["hosts"]
+    q = math.isqrt(hosts)
+    if comm.rank < hosts:
+        if comm.rank < q:
+            block = _records(-(-ctx.params["n_active"] // q), JWRITE_BYTES)
+        else:
+            block = yield comm.recv(comm.rank - q)
+        if comm.rank + q < hosts:
+            yield comm.send(comm.rank + q, block)
+
+
+def hybrid_program(comm, ctx):
+    """Figure 7, the machine that was built: the nodes of a cluster share
+    one NB network, and host ``k`` of each cluster sends its j-updates
+    to host ``k`` of every other cluster over Gigabit Ethernet."""
+    hosts, size = ctx.params["hosts"], ctx.params["cluster"]
+    share = -(-ctx.params["n_active"] // hosts)
+    if comm.rank < hosts:
+        column = range(comm.rank % size, hosts, size)
+        yield from _swap(comm, [h for h in column if h != comm.rank],
+                         _records(share, JWRITE_BYTES))
+    yield from _nb_exchange(comm, hosts, share, hosts // size * share, size)
+
+
+#: Strategy name -> rank program, in figure order.
+HOST_STRATEGIES = {
+    "naive-copy": naive_copy_program,
+    "grape-exchange": nb_exchange_program,
+    "host-2d-grid": host_grid_program,
+    "hybrid": hybrid_program,
+}
+
+
+def machine_links(hosts: int, cluster: int = 1) -> dict:
+    """Link table of ``hosts`` GRAPE-6 nodes for :class:`VirtualMachine`.
+
+    Every host pair is on Gigabit Ethernet, host ``h`` reaches its NB
+    ``hosts + h`` over PCI, and the NBs of each ``cluster`` consecutive
+    nodes are joined by LVDS; the latencies and bandwidths are those of
+    :mod:`repro.grape.links`.
+    """
+    gbe, pci, lvds = ((link.latency, link.bandwidth)
+                      for link in (gbe_link(), pci_link(), lvds_link()))
+    links = {}
+    for a in range(hosts):
+        links[a, hosts + a] = links[hosts + a, a] = pci
+        for b in range(hosts):
+            if a != b:
+                links[a, b] = gbe
+                if a // cluster == b // cluster:
+                    links[hosts + a, hosts + b] = lvds
+    return links
+
+
+def strategies_for(hosts: int) -> list[str]:
+    """The strategies that fit ``hosts`` nodes: the 2-D grid needs a
+    square, the hybrid a multiple of :data:`N_CLUSTERS`."""
+    q = math.isqrt(hosts)
+    return [name for name in HOST_STRATEGIES
+            if (name != "host-2d-grid" or q * q == hosts)
+            and (name != "hybrid" or hosts % N_CLUSTERS == 0)]
+
+
+def strategy_step(name: str, hosts: int, n_active: int):
+    """Run one block step of strategy ``name`` on ``hosts`` nodes.
+
+    Returns the VM's :class:`~repro.parallel.spmd.SpmdResult` and the
+    mean bytes one host's network interface sent and received (the
+    counted bytes on host-to-host links, times two, over ``hosts``).
+    """
+    if hosts < 1 or name not in strategies_for(hosts):
+        raise ConfigurationError(f"strategy {name!r} cannot run on {hosts} hosts")
+    cluster = {"grape-exchange": hosts, "hybrid": hosts // N_CLUSTERS}.get(name, 1)
+    vm = VirtualMachine(2 * hosts, links=machine_links(hosts, cluster))
+    ctx = ProgramContext(params={"hosts": hosts, "n_active": int(n_active),
+                                 "cluster": cluster})
+    result = vm.run(HOST_STRATEGIES[name], ctx)
+    nic = sum(nbytes for (src, dst), nbytes in result.link_bytes.items()
+              if src < hosts and dst < hosts)
+    return result, 2 * nic / hosts

@@ -1,10 +1,12 @@
 """Deterministic SPMD mini-runtime: message-passing programs in-process.
 
-The phase simulator (:mod:`repro.parallel.comm`) prices *transcripts*
-of communication; this module runs actual *programs* — the style of the
-mpi4py tutorials — deterministically in one process, so distributed
-algorithms (like the systolic ring of :mod:`repro.parallel.ring`) can
-be implemented, tested, and costed without real processes.
+This module runs *programs* — the style of the mpi4py tutorials —
+deterministically in one process, so distributed algorithms (the
+systolic ring of :mod:`repro.parallel.ring`, the paper's four host
+strategies of :mod:`repro.parallel.programs`) can be implemented,
+tested, and costed without real processes.  It is the repo's one model
+of Section 4.3 communication: what a schedule costs is what its program
+moves, priced per link.
 
 A rank program is a generator that ``yield``s communication operations
 and receives their results::
@@ -22,6 +24,7 @@ and receives their results::
     result.returns      # per-rank return values
     result.clock        # per-rank logical end times [s]
     result.total_bytes  # bytes moved
+    result.link_bytes   # point-to-point bytes per (src, dst) link
 
 Semantics (the matching rules live in one place, ``_Exchange``, which
 the multiprocess engine of :mod:`repro.parallel.proc` shares, so a
@@ -43,11 +46,16 @@ What the VM adds on top (the process engine measures wall time
 instead):
 
 * logical time (a LogP-style model): a send costs its sender
-  ``latency + bytes/bandwidth``; a received message arrives at
-  ``max(post time + latency + bytes/bandwidth, receiver clock)``; a
+  ``latency + bytes/bandwidth`` of its link; a received message arrives
+  at ``max(post time + latency + bytes/bandwidth, receiver clock)``; a
   collective finishes at ``max(all clocks) + latency + bytes/bandwidth``
-  over the root's payload (bcast), the largest payload (reduce) or all
-  payloads (allgather, allreduce; a barrier moves none);
+  of the uniform interface over the root's payload (bcast), the largest
+  payload (reduce) or all payloads (allgather, allreduce; a barrier
+  moves none);
+* links: every point-to-point message rides the ``(src, dst)`` entry
+  of the VM's link table, so a machine of PCI buses, LVDS cables and
+  Ethernet is one dict; without a table every pair uses the uniform
+  ``latency``/``bandwidth``;
 * determinism: the scheduler polls ranks in rank order — no threads,
   no races; a cycle with no runnable rank raises :class:`CommError`
   (deadlock) with the blocked-op summary.
@@ -55,8 +63,8 @@ instead):
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,6 +194,8 @@ class SpmdResult:
     clock: list
     total_bytes: int
     messages: int
+    #: point-to-point bytes per directed ``(src, dst)`` link
+    link_bytes: Counter = field(default_factory=Counter)
 
 
 def _default_reduce(parts):
@@ -295,6 +305,11 @@ class VirtualMachine:
         Link bandwidth [bytes/s] of every rank's interface.
     latency:
         Per-message latency [s].
+    links:
+        Optional link table ``{(src, dst): (latency, bandwidth)}``.
+        With it, a point-to-point message is priced on its link and a
+        message between ranks with no link is a :class:`CommError`;
+        collectives keep the uniform ``latency``/``bandwidth``.
     """
 
     def __init__(
@@ -302,14 +317,27 @@ class VirtualMachine:
         n_ranks: int,
         bandwidth: float = 100e6,
         latency: float = 50e-6,
+        links: dict | None = None,
     ) -> None:
         if n_ranks < 1:
             raise CommError("need at least one rank")
-        if bandwidth <= 0 or latency < 0:
+        if any(bw <= 0 or lat < 0 for lat, bw in
+               [(latency, bandwidth), *(links or {}).values()]):
             raise CommError("invalid link parameters")
         self.n_ranks = int(n_ranks)
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
+        self.links = links
+
+    def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
+        """Seconds one ``nbytes`` message from ``src`` to ``dst`` takes."""
+        if self.links is None:
+            return self.latency + nbytes / self.bandwidth
+        try:
+            latency, bandwidth = self.links[src, dst]
+        except KeyError:
+            raise CommError(f"no link from rank {src} to rank {dst}") from None
+        return latency + nbytes / bandwidth
 
     # -- execution -----------------------------------------------------------
 
@@ -331,6 +359,7 @@ class VirtualMachine:
         blocked: list = [None] * n
         total_bytes = 0
         messages = 0
+        link_bytes: Counter = Counter()
 
         def advance(r, value=None):
             """Resume rank r with ``value``; record its next blocked op."""
@@ -340,9 +369,6 @@ class VirtualMachine:
                 returns[r] = stop.value
                 done[r] = True
                 blocked[r] = None
-
-        def transfer_time(nbytes):
-            return self.latency + nbytes / self.bandwidth
 
         for r in range(n):
             advance(r)
@@ -355,11 +381,13 @@ class VirtualMachine:
             for r in range(n):
                 op = blocked[r]
                 if isinstance(op, _Send):
-                    exchange.post(r, op, stamp=clock[r])
                     # sends are buffered (eager): sender proceeds after
-                    # injecting; its clock pays the serialisation cost
-                    clock[r] += transfer_time(op.nbytes)
+                    # injecting; its clock pays the serialisation cost,
+                    # and the stamp is the message's arrival time
+                    clock[r] += self._transfer_time(r, op.dst, op.nbytes)
+                    exchange.post(r, op, stamp=clock[r])
                     total_bytes += op.nbytes
+                    link_bytes[r, op.dst] += op.nbytes
                     messages += 1
                     advance(r)
                     progressed = True
@@ -368,9 +396,8 @@ class VirtualMachine:
                 if isinstance(op, _Recv):
                     matched = exchange.take(r, op)
                     if matched is not None:
-                        send, t_post = matched
-                        clock[r] = max(t_post + transfer_time(send.nbytes),
-                                       clock[r])
+                        send, arrival = matched
+                        clock[r] = max(arrival, clock[r])
                         advance(r, send.data)
                         progressed = True
 
@@ -405,5 +432,6 @@ class VirtualMachine:
             raise CommError("program exceeded the scheduler's step budget")
 
         return SpmdResult(
-            returns=returns, clock=clock, total_bytes=total_bytes, messages=messages
+            returns=returns, clock=clock, total_bytes=total_bytes,
+            messages=messages, link_bytes=link_bytes,
         )

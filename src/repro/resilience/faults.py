@@ -40,7 +40,7 @@ class FaultKind(str, Enum):
 
     Hardware faults (chip/pipeline/board/j-memory) require a
     hierarchy-mode machine — in flat mode there is no per-chip state to
-    damage, so they are skipped.  Link, comm and host faults apply in
+    damage, so they are skipped.  Link and host faults apply in
     both modes.  Rank faults target the multiprocess SPMD gang of
     :class:`~repro.parallel.proc.ProcEngine` — ``at_block`` is a
     *superstep* index there, not a machine block index.
@@ -52,7 +52,6 @@ class FaultKind(str, Enum):
     JMEM_CORRUPT = "jmem_corrupt"    #: flip resident j-memory words to NaN
     LINK_DROP = "link_drop"          #: drop transfers on a hardware link
     LINK_DELAY = "link_delay"        #: one-shot bandwidth degradation
-    COMM_DROP = "comm_drop"          #: drop a software-comm transfer
     HOST_KILL = "host_kill"          #: kill the run (checkpoint restart)
     RANK_KILL = "rank_kill"          #: SIGKILL one SPMD worker process
     RANK_STALL = "rank_stall"        #: wedge a worker (heartbeat stops)
@@ -75,9 +74,8 @@ RANK_KINDS = frozenset(
 )
 
 #: Which scheduling domain drives each kind.  ``machine`` kinds fire
-#: from :meth:`FaultInjector.apply_due` at block indices, ``comm`` kinds
-#: from :meth:`FaultInjector.comm_overhead` at comm-phase indices, and
-#: ``rank`` kinds from :meth:`FaultInjector.rank_actions` at SPMD
+#: from :meth:`FaultInjector.apply_due` at block indices and ``rank``
+#: kinds from :meth:`FaultInjector.rank_actions` at SPMD
 #: superstep boundaries.  ``tools/check_fault_matrix.py`` fails the
 #: build if a kind has no domain or a domain has no live driver.
 FAULT_DOMAINS: dict[FaultKind, str] = {
@@ -87,7 +85,6 @@ FAULT_DOMAINS: dict[FaultKind, str] = {
     FaultKind.JMEM_CORRUPT: "machine",
     FaultKind.LINK_DROP: "machine",
     FaultKind.LINK_DELAY: "machine",
-    FaultKind.COMM_DROP: "comm",
     FaultKind.HOST_KILL: "machine",
     FaultKind.RANK_KILL: "rank",
     FaultKind.RANK_STALL: "rank",
@@ -104,8 +101,8 @@ class FaultSpec:
     kind:
         What breaks.
     at_block:
-        Machine block index at which the fault fires (for
-        :attr:`FaultKind.COMM_DROP`, the comm-phase index instead).
+        Machine block index at which the fault fires (for rank kinds,
+        the SPMD superstep index instead).
     target:
         Optional explicit coordinates — ``(cluster, node, board, chip)``
         prefixes for hardware faults, a link component name for link
@@ -128,7 +125,7 @@ class FaultSpec:
 class FaultPlan:
     """An ordered, one-shot schedule of faults.
 
-    Each spec fires exactly once, at the first block (or comm phase)
+    Each spec fires exactly once, at the first block (or superstep)
     whose index reaches ``at_block`` — indices can be skipped by
     recovery re-evaluations, so the comparison is ``>=`` with
     consumption tracking rather than equality.
@@ -142,17 +139,9 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def due(
-        self, index: int, comm: bool = False, domain: str | None = None
-    ) -> list[FaultSpec]:
-        """Specs that fire at ``index`` in the requested domain.
-
-        ``domain`` is ``"machine"``, ``"comm"`` or ``"rank"`` (see
-        :data:`FAULT_DOMAINS`); the legacy ``comm=True`` flag is
-        shorthand for ``domain="comm"``.
-        """
-        if domain is None:
-            domain = "comm" if comm else "machine"
+    def due(self, index: int, domain: str = "machine") -> list[FaultSpec]:
+        """Specs that fire at ``index`` in the requested domain,
+        ``"machine"`` or ``"rank"`` (see :data:`FAULT_DOMAINS`)."""
         out = []
         for i, spec in enumerate(self.specs):
             if i in self._fired:
@@ -195,9 +184,8 @@ class FaultInjector:
     """Applies a :class:`FaultPlan` to a machine as block indices pass.
 
     The machine calls :meth:`apply_due` at the top of every
-    ``compute_block`` and :meth:`link_overhead` after pricing the step;
-    :class:`~repro.parallel.comm.CommSimulator` calls
-    :meth:`comm_overhead` per phase.  Injection methods are named
+    ``compute_block`` and :meth:`link_overhead` after pricing the step.
+    Injection methods are named
     ``_inject_<kind.value>`` — ``tools/check_fault_matrix.py`` fails the
     build if a :class:`FaultKind` has no implementation.
     """
@@ -209,8 +197,6 @@ class FaultInjector:
         #: armed link faults drained by :meth:`link_overhead`:
         #: ("drop", component, count) or ("delay", component, factor)
         self._pending_link: list[tuple] = []
-        #: armed comm drops drained by :meth:`comm_overhead`
-        self._pending_comm: list[FaultSpec] = []
         #: armed rank faults drained by :meth:`rank_actions`
         self._pending_rank: list[FaultSpec] = []
         self.injected = 0
@@ -369,10 +355,6 @@ class FaultInjector:
         self._pending_link.append(("delay", component, factor))
         self._count()
 
-    def _inject_comm_drop(self, spec: FaultSpec) -> None:
-        self._pending_comm.append(spec)
-        self._count()
-
     def _inject_host_kill(self, spec: FaultSpec) -> None:
         self._count()
         raise SimulationKilled(
@@ -438,24 +420,3 @@ class FaultInjector:
             out[component] = out.get(component, 0.0) + extra
         self._pending_link.clear()
         return out
-
-    def comm_overhead(self, phase_index: int, seconds: float) -> tuple[float, int]:
-        """Retransmit cost for one software-comm phase.
-
-        Returns ``(extra_seconds, n_retransmits)``; consumes comm-domain
-        specs due at ``phase_index`` plus any already armed.
-        """
-        if self.plan is not None:
-            for spec in self.plan.due(phase_index, comm=True):
-                self._inject_comm_drop(spec)
-        if not self._pending_comm:
-            return 0.0, 0
-        extra = 0.0
-        retries = 0
-        for spec in self._pending_comm:
-            count = int(spec.params.get("count", 1))
-            backoff = float(spec.params.get("backoff_s", 1e-4))
-            extra += sum(seconds + backoff * 2.0**k for k in range(count))
-            retries += count
-        self._pending_comm.clear()
-        return extra, retries

@@ -423,25 +423,37 @@ class TestGrapeSimulation:
 
 
 class TestTopologyGraph:
+    """The machine as the link table the VM prices Section-4.3 traffic
+    on: one host rank and one network-board rank per node."""
+
+    @staticmethod
+    def links_of(cfg):
+        from repro.parallel import machine_links
+
+        hosts = cfg.n_clusters * cfg.nodes_per_cluster
+        return hosts, machine_links(hosts, cluster=cfg.nodes_per_cluster)
+
     def test_node_counts(self):
-        m = Grape6Machine(Grape6Config.paper_full_system(), eps=0.0, mode="flat")
-        g = m.topology_graph()
-        kinds = {}
-        for _, d in g.nodes(data=True):
-            kinds[d["kind"]] = kinds.get(d["kind"], 0) + 1
-        assert kinds["host"] == 16
-        assert kinds["nb"] == 16
-        assert kinds["board"] == 64
-        assert kinds["chip"] == 2048
+        hosts, links = self.links_of(Grape6Config.paper_full_system())
+        assert hosts == 16
+        assert {rank for pair in links for rank in pair} == set(range(32))
 
     def test_connected(self):
-        import networkx as nx
-
-        m = Grape6Machine(Grape6Config.scaled_down(), eps=0.0, mode="flat")
-        assert nx.is_connected(m.topology_graph())
+        _, links = self.links_of(Grape6Config.scaled_down())
+        ranks = {rank for pair in links for rank in pair}
+        seen, todo = {0}, [0]
+        while todo:
+            a = todo.pop()
+            for src, dst in links:
+                if src == a and dst not in seen:
+                    seen.add(dst)
+                    todo.append(dst)
+        assert seen == ranks
 
     def test_link_kinds(self):
-        m = Grape6Machine(Grape6Config.single_cluster(), eps=0.0, mode="flat")
-        g = m.topology_graph()
-        links = {d["link"] for _, _, d in g.edges(data=True)}
-        assert {"gbe", "pci", "lvds", "on-board"} <= links
+        from repro.grape import gbe_link, lvds_link, pci_link
+
+        _, links = self.links_of(Grape6Config.single_cluster())
+        kinds = {(link.latency, link.bandwidth): link.name
+                 for link in (gbe_link(), pci_link(), lvds_link())}
+        assert {kinds[v] for v in links.values()} == {"gbe", "pci", "lvds"}

@@ -6,7 +6,12 @@ import pytest
 from repro import quick_simulation
 from repro.core import energy
 from repro.errors import CommError, ConfigurationError
-from repro.parallel import CommSimulator, Transfer, switch_topology
+from repro.parallel import (
+    ProgramContext,
+    VirtualMachine,
+    naive_copy_program,
+    strategy_step,
+)
 
 
 class TestQuickSimulation:
@@ -25,31 +30,44 @@ class TestQuickSimulation:
 
 
 class TestCommSimulatorEdges:
+    """Edge cases of the VM's per-link accounting, which replaced the
+    phase simulator."""
+
     def test_reset(self):
-        sim = CommSimulator(switch_topology(3))
-        sim.phase([Transfer("h0", "h1", 100)])
-        sim.reset()
-        assert sim.phases == 0
-        assert sim.total_bytes == 0
-        assert sim.edge_bytes == {}
+        """Runs share no state: a second run counts from zero."""
+        vm = VirtualMachine(4)
+        ctx = ProgramContext(params={"hosts": 2, "n_active": 10})
+        first = vm.run(naive_copy_program, ctx)
+        second = vm.run(naive_copy_program, ctx)
+        assert second.clock == first.clock
+        assert second.link_bytes == first.link_bytes
 
     def test_empty_phase(self):
-        sim = CommSimulator(switch_topology(2))
-        report = sim.phase([])
-        assert report.seconds == 0.0
-        assert report.bottleneck_edge is None
+        def quiet(comm, ctx):
+            return
+            yield
+
+        res = VirtualMachine(3, links={}).run(quiet, ProgramContext())
+        assert res.clock == [0.0, 0.0, 0.0]
+        assert res.total_bytes == 0
+        assert not res.link_bytes
 
     def test_edge_bytes_accumulate(self):
-        sim = CommSimulator(switch_topology(2))
-        sim.phase([Transfer("h0", "h1", 100)])
-        sim.phase([Transfer("h0", "h1", 150)])
-        edge = ("h0", "switch")
-        assert sim.edge_bytes[edge] == 250
+        def twice(comm, ctx):
+            if comm.rank == 0:
+                yield comm.send(1, b"x" * 100)
+                yield comm.send(1, b"x" * 150)
+            else:
+                yield comm.recv(0)
+                yield comm.recv(0)
+
+        res = VirtualMachine(2).run(twice, ProgramContext())
+        assert res.link_bytes == {(0, 1): 250}
 
     def test_broadcast_excludes_root(self):
-        sim = CommSimulator(switch_topology(3))
-        report = sim.broadcast("h0", 100)
-        assert report.n_transfers == 2
+        res, _ = strategy_step("naive-copy", 3, 30)
+        assert all(src != dst for src, dst in res.link_bytes)
+        assert len(res.link_bytes) == 3 * 2
 
 
 class TestEventOrderingAndEdgeCases:
@@ -92,13 +110,13 @@ class TestEventOrderingAndEdgeCases:
 
 class TestStrategyLargeP:
     def test_strategies_at_p64(self):
-        from repro.parallel import all_strategies
+        from repro.parallel import HOST_STRATEGIES, strategies_for
 
-        names = {s.name for s in all_strategies(64)}
-        assert names == {"naive-copy", "grape-exchange", "host-2d-grid", "hybrid"}
-        for s in all_strategies(64):
-            assert s.step(2000) > 0
-            assert s.host_nic_bytes_per_step(2000) >= 0
+        assert strategies_for(64) == list(HOST_STRATEGIES)
+        for name in strategies_for(64):
+            res, nic = strategy_step(name, 64, 2000)
+            assert max(res.clock) > 0
+            assert nic >= 0
 
 
 class TestNetworkModes:

@@ -19,9 +19,7 @@ from repro.obs import (
     render_time_breakdown,
     time_breakdown,
     write_chrome_trace,
-    write_spans_jsonl,
 )
-from repro.runio.runlog import read_run_log
 
 
 class TestRegistry:
@@ -209,17 +207,6 @@ class TestExporters:
         force = next(e for e in events if e["name"] == "force")
         assert force["args"] == {"n_active": 7}
 
-    def test_spans_jsonl_follows_runlog_conventions(self, tmp_path):
-        obs = self.make_traced_obs()
-        path = write_spans_jsonl(obs.tracer, tmp_path / "spans.jsonl", run_id="r1")
-        records = read_run_log(path)
-        assert records[0]["kind"] == "header"
-        assert records[0]["run_id"] == "r1"
-        assert records[0]["n_spans"] == len(obs.tracer.spans)
-        spans = [r for r in records if r["kind"] == "span"]
-        assert len(spans) == len(obs.tracer.spans)
-        assert {s["track"] for s in spans} == {"wall", "model"}
-
     def test_prometheus_round_trip(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("grape.pipeline_seconds").inc(0.25)
@@ -349,27 +336,13 @@ class TestSpanRoundTrip:
         )
         return tr
 
-    def test_jsonl_round_trip_preserves_spans(self, tmp_path):
-        from repro.obs import read_spans_jsonl
-
-        tr = self.make_tracer()
-        path = write_spans_jsonl(tr, tmp_path / "s.jsonl", run_id="rt")
-        log = read_spans_jsonl(path)
-        original = sorted(
-            (s.name, s.track, s.ts_ns, s.dur_ns, s.depth) for s in tr.spans
-        )
-        loaded = sorted(
-            (s.name, s.track, s.ts_ns, s.dur_ns, s.depth) for s in log.spans
-        )
-        assert loaded == original
-
     def test_chrome_round_trip_nesting_and_order(self, tmp_path):
-        """JSONL -> SpanLog -> Chrome trace keeps tracks properly nested."""
+        """Chrome trace -> SpanLog -> Chrome trace keeps tracks properly
+        nested."""
         from repro.obs import load_spans
 
         tr = self.make_tracer()
-        jsonl = write_spans_jsonl(tr, tmp_path / "s.jsonl")
-        log = load_spans(jsonl)
+        log = load_spans(write_chrome_trace(tr, tmp_path / "s.json"))
         chrome = write_chrome_trace(log, tmp_path / "t.json")
         events = json.loads(chrome.read_text())["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -389,13 +362,16 @@ class TestSpanRoundTrip:
         assert by_name["grape.pipeline"].depth == 1
 
     def test_load_spans_sniffs_formats(self, tmp_path):
+        """A Chrome trace loads; a line-per-record file is refused."""
         from repro.obs import load_spans
 
         tr = self.make_tracer()
-        jsonl = write_spans_jsonl(tr, tmp_path / "a.jsonl")
         chrome = write_chrome_trace(tr, tmp_path / "b.json")
-        assert len(load_spans(jsonl).spans) == len(tr.spans)
         assert len(load_spans(chrome).spans) == len(tr.spans)
+        lines = tmp_path / "a.jsonl"
+        lines.write_text('{"kind": "header"}\n{"kind": "span"}\n')
+        with pytest.raises(SnapshotError):
+            load_spans(lines)
 
     def test_load_spans_errors(self, tmp_path):
         from repro.obs import load_spans
@@ -410,24 +386,3 @@ class TestSpanRoundTrip:
         garbage.write_text("not json at all {{{")
         with pytest.raises(SnapshotError):
             load_spans(garbage)
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        from repro.obs import read_spans_jsonl
-
-        tr = self.make_tracer()
-        path = write_spans_jsonl(tr, tmp_path / "s.jsonl")
-        with open(path, "a") as fh:
-            fh.write('{"kind": "span", "name": "torn')  # crash mid-write
-        log = read_spans_jsonl(path)
-        assert len(log.spans) == len(tr.spans)
-
-    def test_malformed_span_record_raises(self, tmp_path):
-        from repro.obs import read_spans_jsonl
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"kind": "header", "run_id": ""}\n'
-            '{"kind": "span", "name": "x"}\n'  # missing required fields
-        )
-        with pytest.raises(SnapshotError):
-            read_spans_jsonl(path)

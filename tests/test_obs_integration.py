@@ -15,7 +15,7 @@ import pytest
 from repro.core import HostDirectBackend
 from repro.grape import Grape6Backend, Grape6Config, Grape6Machine
 from repro.obs import Observability, parse_prometheus
-from repro.parallel import CommSimulator, ring_forces, switch_topology
+from repro.parallel import ring_forces
 from repro.perf import run_scaled_disk
 
 from conftest import make_random_cluster
@@ -99,19 +99,6 @@ class TestTraceSchema:
 
 
 class TestCommInstrumentation:
-    def test_comm_simulator_metrics(self):
-        obs = Observability()
-        sim = CommSimulator(switch_topology(4), obs=obs)
-        sim.broadcast("h0", 1000)
-        sim.allgather(500)
-        snap = obs.metrics.snapshot()
-        assert snap["comm.phases_total"] == 2.0
-        assert snap["comm.bytes_sent"] == sim.total_bytes
-        assert snap["comm.phase_seconds"] == pytest.approx(sim.total_seconds)
-        assert snap["comm.phase_bytes.count"] == 2.0
-        spans = [s for s in obs.tracer.spans if s.name == "comm.phase"]
-        assert len(spans) == 2
-
     def test_ring_forces_metrics(self):
         obs = Observability()
         cluster = make_random_cluster(24, seed=7)

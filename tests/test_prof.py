@@ -13,7 +13,6 @@ from repro.obs import (
     profile_spans,
     profile_trace_file,
     write_chrome_trace,
-    write_spans_jsonl,
 )
 
 
@@ -187,18 +186,16 @@ class TestMetricsAndFiles:
         assert snap["prof.phases"] == 4.0
         assert snap["prof.aggregate_seconds"] >= 0.0
 
-    def test_profile_trace_file_both_formats(self, tmp_path):
+    def test_profile_trace_file_matches_tracer(self, tmp_path):
         obs = Observability()
         with obs.tracer.span("run"):
             with obs.tracer.span("force"):
                 pass
-        jsonl = write_spans_jsonl(obs.tracer, tmp_path / "s.jsonl")
         chrome = write_chrome_trace(obs.tracer, tmp_path / "t.json")
         ref = profile_spans(obs.tracer)
-        for path in (jsonl, chrome):
-            prof = profile_trace_file(path)
-            assert prof.phase("run").total_ns == ref.phase("run").total_ns
-            assert prof.phase("force").self_ns == ref.phase("force").self_ns
+        prof = profile_trace_file(chrome)
+        assert prof.phase("run").total_ns == ref.phase("run").total_ns
+        assert prof.phase("force").self_ns == ref.phase("force").self_ns
 
     def test_profile_trace_file_missing(self, tmp_path):
         with pytest.raises(SnapshotError):

@@ -13,7 +13,6 @@ from repro.errors import (
 from repro.grape import Grape6Backend, Grape6Config, Grape6Machine
 from repro.obs import Observability
 from repro.obs.health import EnergyDriftDetector, HealthSample
-from repro.parallel import CommSimulator, switch_topology
 from repro.resilience import (
     FaultInjector,
     FaultKind,
@@ -66,14 +65,6 @@ class TestFaultPlan:
         assert plan.n_pending == 1
         assert [s.kind for s in plan.due(9)] == [FaultKind.LINK_DROP]
         assert plan.n_pending == 0
-
-    def test_comm_domain_is_separate(self):
-        plan = FaultPlan([
-            FaultSpec(FaultKind.COMM_DROP, at_block=0),
-            FaultSpec(FaultKind.HOST_KILL, at_block=0),
-        ])
-        assert [s.kind for s in plan.due(0)] == [FaultKind.HOST_KILL]
-        assert [s.kind for s in plan.due(0, comm=True)] == [FaultKind.COMM_DROP]
 
     def test_negative_block_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -246,24 +237,6 @@ class TestLinkFaults:
         )
         with pytest.raises(ConfigurationError):
             inj._inject_link_drop(spec)
-
-
-class TestCommFaults:
-    def test_comm_drop_retransmits_phase(self):
-        obs = Observability()
-        plan = FaultPlan([
-            FaultSpec(FaultKind.COMM_DROP, at_block=0, params={"count": 2}),
-        ])
-        inj = FaultInjector(plan, obs=obs)
-        topo = switch_topology(4)
-        clean = CommSimulator(topo).broadcast("h0", 4096)
-        comm = CommSimulator(topo, obs=obs, injector=inj)
-        report = comm.broadcast("h0", 4096)
-        assert report.seconds > clean.seconds
-        assert comm.retransmits == 2
-        assert obs.metrics.counter("comm.retransmits_total").value == 2
-        # the next phase is clean again (one-shot)
-        assert comm.broadcast("h0", 4096).seconds == pytest.approx(clean.seconds)
 
 
 class TestHostKill:

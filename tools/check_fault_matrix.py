@@ -10,8 +10,8 @@ requires:
    the first plan that schedules that kind);
 2. an injection *site* — the kind must belong to a scheduling domain in
    :data:`repro.resilience.FAULT_DOMAINS`, and that domain's driver
-   method (``apply_due`` for ``machine``, ``comm_overhead`` for
-   ``comm``, ``rank_actions`` for ``rank``) must both exist on the
+   method (``apply_due`` for ``machine``, ``rank_actions`` for
+   ``rank``) must both exist on the
    injector and be called somewhere in ``src/repro`` outside
    ``faults.py`` itself — a fault kind whose domain no subsystem drives
    can never fire;
@@ -48,7 +48,6 @@ __all__ = [
 #: domain -> the injector method a subsystem must call to drive it
 DOMAIN_DRIVERS = {
     "machine": "apply_due",
-    "comm": "comm_overhead",
     "rank": "rank_actions",
 }
 
