@@ -1,10 +1,16 @@
-"""Snapshot persistence (compressed ``.npz``).
+"""Snapshot persistence (uncompressed ``.npz``).
 
 A snapshot stores the complete dynamical state of a
 :class:`~repro.core.particles.ParticleSystem` plus a metadata dictionary
 (run parameters, simulation time).  Snapshots round-trip exactly
 (bit-identical float64 arrays), which the test suite verifies — restart
 capability was essential for the paper's multi-hour production run.
+
+Members are stored, not deflated: float64 state shrinks by only about a
+quarter under zlib, and deflating it cost more than the stepping on a
+managed run.  :func:`load_snapshot` reads the deflated archives older
+versions wrote just the same, and each member's zip CRC-32 still
+catches a damaged byte.
 
 Writes are **atomic**: the archive is assembled in a same-directory
 temporary file and moved into place with :func:`os.replace`, so a crash
@@ -58,7 +64,7 @@ def save_snapshot(path, system: ParticleSystem, metadata: dict | None = None) ->
         raise SnapshotError(f"metadata is not JSON-serialisable: {exc}") from exc
     arrays = {name: getattr(system, name) for name in _ARRAYS + _OPTIONAL_ARRAYS}
     # a file handle is passed so numpy cannot append a second suffix
-    durable_write(path, lambda fh: np.savez_compressed(
+    durable_write(path, lambda fh: np.savez(
         fh, _metadata=np.array(meta_json), **arrays))
     return path
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import multiprocessing
 import os
 import signal
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -77,9 +79,27 @@ def _test_watchdog(request):
 # test that forgets ``close()`` would leave workers and shared-memory
 # segments behind for every later test.  Engines that merely went out of
 # scope are given one ``gc.collect()`` (their ``__del__`` closes them)
-# before anything counts as leaked.
+# before anything counts as leaked.  Only segments this process created
+# count: another program's ``psm_*`` files in ``/dev/shm`` (a concurrent
+# benchmark gang, a test's subprocess) are neither reported nor removed.
 
 _SHM_DIR = "/dev/shm"
+
+#: Names of the segments this process created since the current test began.
+_created_segments: set[str] = set()
+
+
+class _RecordedSharedMemory(shared_memory.SharedMemory):
+    """``SharedMemory`` that notes the name of each segment it creates."""
+
+    def __init__(self, name=None, create=False, size=0, **kwargs):
+        super().__init__(name, create, size, **kwargs)
+        if create:
+            _created_segments.add(self.name)
+
+
+# forked children inherit the class but record into their own copy
+shared_memory.SharedMemory = _RecordedSharedMemory
 
 
 def shm_segments() -> set[str]:
@@ -98,35 +118,45 @@ def spmd_rank_children() -> list:
     ]
 
 
-def _spmd_leaks(shm_before: set[str]) -> list[str]:
+def _spmd_leaks() -> list[str]:
     ranks = [f"{c.name}[{c.pid}]" for c in spmd_rank_children()]
-    return ranks + sorted(shm_segments() - shm_before)
+    return ranks + sorted(_created_segments & shm_segments())
 
 
-@pytest.fixture(autouse=True)
-def _spmd_leak_guard():
-    shm_before = shm_segments()
+@contextlib.contextmanager
+def spmd_leak_guard():
+    """Fail if the body leaves ``spmd-rank-*`` workers or segments it
+    created behind, after killing and unlinking them."""
+    _created_segments.clear()
     yield
-    if not _spmd_leaks(shm_before):
+    if not _spmd_leaks():
         return
     gc.collect()
-    leaked = _spmd_leaks(shm_before)
+    leaked = _spmd_leaks()
     if not leaked:
         return
     # do not let one leak fail every test after it
     for child in spmd_rank_children():
         child.kill()
         child.join()
-    for name in shm_segments() - shm_before:
+    for name in _created_segments & shm_segments():
         try:
-            os.unlink(os.path.join(_SHM_DIR, name))
+            segment = shared_memory.SharedMemory(name)
         except OSError:
-            pass
+            continue
+        segment.close()
+        segment.unlink()  # also forgets it in the resource tracker
     pytest.fail(
         "test left SPMD workers or shared-memory segments behind "
         f"(missing close()?): {', '.join(leaked)}",
         pytrace=False,
     )
+
+
+@pytest.fixture(autouse=True)
+def _spmd_leak_guard():
+    with spmd_leak_guard():
+        yield
 
 
 @pytest.fixture

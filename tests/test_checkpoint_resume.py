@@ -4,7 +4,9 @@ import multiprocessing
 import os
 import signal
 import stat
+import struct
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,12 @@ from repro.core import (
     load_snapshot,
     save_snapshot,
 )
-from repro.errors import CheckpointError, ConfigurationError, SimulationKilled
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    SimulationKilled,
+    SnapshotError,
+)
 from repro.obs import Observability
 from repro.resilience import CheckpointManager
 from repro.runio import ProductionRun, read_run_log, state_digest
@@ -191,6 +198,29 @@ class TestCorruptCheckpointFallback:
         mgr.load_latest()
         assert mgr.loaded_path == p2
         assert obs.metrics.counter("checkpoint.skipped_total").value == 0
+
+    def test_flipped_byte_in_a_stored_member_falls_back(self, tmp_path):
+        """Members are stored, not deflated, so no damaged deflate stream
+        gives a flipped byte away: the member's CRC-32 alone must."""
+        obs = Observability()
+        _, p1, p2 = self._write_two(tmp_path)
+        with zipfile.ZipFile(p2) as archive:
+            info = archive.getinfo("pos.npy")
+        raw = bytearray(p2.read_bytes())
+        # the member's data follows its 30-byte local header, name and extra
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        data_end = (info.header_offset + 30 + name_len + extra_len
+                    + info.compress_size)
+        raw[data_end - 1] ^= 0x01  # stored: the last byte of the pos array
+        p2.write_bytes(bytes(raw))
+
+        with pytest.raises(SnapshotError, match="CRC"):
+            load_snapshot(p2)
+        mgr = CheckpointManager(tmp_path, obs=obs)
+        _, state = mgr.load_latest()
+        assert state["time"] == 1.0
+        assert mgr.loaded_path == p1
+        assert obs.metrics.counter("checkpoint.skipped_total").value == 1
 
     def test_file_as_directory_raises_checkpoint_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -519,6 +549,42 @@ class TestOldRunDirectory:
         mgr.load_latest()
         assert mgr.loaded_path == newest
         assert final_digest(resume_to_end(tmp_path / "old")) == final_digest(ref)
+
+    def test_compressed_checkpoints_resume(self, tmp_path):
+        """Older versions deflated every member; such checkpoints resume
+        to the uninterrupted run's state."""
+        ref = make_managed_run(tmp_path, "ref")
+        ref.execute(t_end=6.0)
+
+        def killer(s):
+            if s.block_steps == 12:
+                raise SimulationKilled("power cut")
+
+        with pytest.raises(SimulationKilled):
+            make_managed_run(tmp_path, "old", on_block=killer).execute(t_end=6.0)
+        checkpoints = sorted((tmp_path / "old" / "checkpoints").glob("ckpt_*.npz"))
+        assert checkpoints
+        for path in checkpoints:
+            with np.load(path) as data:
+                members = {name: data[name] for name in data.files}
+            np.savez_compressed(path, **members)
+            assert member_compression(path) == {zipfile.ZIP_DEFLATED}
+
+        assert final_digest(resume_to_end(tmp_path / "old")) == final_digest(ref)
+
+
+def member_compression(path) -> set[int]:
+    with zipfile.ZipFile(path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def test_checkpoints_and_snapshots_are_stored_uncompressed(tmp_path):
+    make_managed_run(tmp_path, "run").execute(t_end=3.0)
+    snapshots = sorted((tmp_path / "run").glob("snap_*.npz"))
+    checkpoints = sorted((tmp_path / "run" / "checkpoints").glob("ckpt_*.npz"))
+    assert snapshots and checkpoints
+    for path in snapshots + checkpoints:
+        assert member_compression(path) == {zipfile.ZIP_STORED}, path.name
 
 
 class TestCLICheckpointWorkflow:

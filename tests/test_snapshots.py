@@ -1,5 +1,7 @@
 """Tests for snapshot round-tripping."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,25 @@ class TestRoundTrip:
         loaded, meta = load_snapshot(path)
         for name in ("mass", "pos", "vel", "acc", "jerk", "t", "dt", "key"):
             assert np.array_equal(getattr(loaded, name), getattr(s, name)), name
+        assert meta == {"run": "test"}
+
+    def test_compressed_snapshot_reads_bit_identical(self, tmp_path):
+        """Older versions deflated every member; those files still load."""
+        s = make_random_cluster(20, seed=4)
+        s.dt[:] = 0.125
+        path = save_snapshot(tmp_path / "snap", s, {"run": "test"})
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        loaded, meta = load_snapshot(path)
+        for name in ("mass", "pos", "vel", "acc", "jerk", "t", "dt", "key",
+                     "h_nb"):
+            got, want = getattr(loaded, name), getattr(s, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
         assert meta == {"run": "test"}
 
     def test_suffix_enforced(self, tmp_path):
@@ -87,7 +108,7 @@ class TestAtomicity:
             fh.write(b"PK\x03\x04 half an archive")
             raise OSError("simulated crash mid-write")
 
-        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        monkeypatch.setattr(np, "savez", torn_write)
         with pytest.raises(OSError):
             save_snapshot(path, s2)
         monkeypatch.undo()
@@ -100,7 +121,7 @@ class TestAtomicity:
         def torn_write(fh, *args, **kwargs):
             raise OSError("simulated crash")
 
-        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        monkeypatch.setattr(np, "savez", torn_write)
         with pytest.raises(OSError):
             save_snapshot(tmp_path / "new", make_random_cluster(4))
         assert list(tmp_path.iterdir()) == []

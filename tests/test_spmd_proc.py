@@ -9,10 +9,13 @@ and graceful degrade to the in-process scheduler.
 
 import os
 import signal
+import subprocess
+import sys
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-from conftest import spmd_rank_children
+from conftest import shm_segments, spmd_leak_guard, spmd_rank_children
 
 from repro.errors import SpmdError, SpmdProtocolError, SpmdTimeoutError
 from repro.parallel import (
@@ -505,3 +508,35 @@ class TestGangLifetime:
             parent.kill()
             parent.wait()
             parent.stdout.close()
+
+
+class TestLeakGuard:
+    """The autouse guard answers for segments the test process created,
+    not for every ``psm_*`` file that appears in ``/dev/shm``."""
+
+    def test_own_leaked_segment_fails_and_is_unlinked(self):
+        with pytest.raises(pytest.fail.Exception, match="shared-memory"):
+            with spmd_leak_guard():
+                leaked = shared_memory.SharedMemory(create=True, size=8)
+        leaked.close()
+        assert leaked.name not in shm_segments()
+
+    def test_another_process_segment_is_left_alone(self):
+        child = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from multiprocessing import shared_memory\n"
+             "seg = shared_memory.SharedMemory(create=True, size=8)\n"
+             "print(seg.name, flush=True)\n"
+             "sys.stdin.read()\n"
+             "seg.close()\n"
+             "seg.unlink()\n"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            with spmd_leak_guard():  # fails the test if it counts the segment
+                name = child.stdout.readline().strip()
+                assert name in shm_segments()
+            assert name in shm_segments()
+        finally:
+            child.communicate("", timeout=30)
+        assert child.returncode == 0  # its own unlink found the segment
