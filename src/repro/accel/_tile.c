@@ -7,11 +7,14 @@
  * beside it, on the resident rows, the way the chip does.  Built and
  * loaded by repro/accel/native.py; the chunk plan, the ascending chunk
  * fold and threading stay in python (repro/accel/engine.py), except in
- * the tree force (repro_tree_force), which groups the sinks, walks the
- * tree per sink group, runs the same plan and fold itself, serially, on
- * the lists it walked and records the in-sphere pairs beside the sums.
- * The tree it walks is built here too (repro_tree_build:
- * predict every source, then the octree, bit for bit the NumPy build).
+ * two entry points that run the same plan and fold themselves,
+ * serially: the tree force (repro_tree_force), which groups the sinks,
+ * walks the tree per sink group, sums the lists it walked and records
+ * the in-sphere pairs beside the sums, and the block loop
+ * (repro_run_blocks), which takes block step after block step and
+ * hands every block the engine would thread back to python.  The tree
+ * the tree force walks is built here too (repro_tree_build: predict
+ * every source, then the octree, bit for bit the NumPy build).
  *
  * Bits must not depend on the build host.  Source j of the chunk always
  * lands on lane j mod 8, every lane is a plain sequential sum, the eight lanes are
@@ -30,9 +33,10 @@
  *
  * The block step's host work -- predict the active rows, then Kepler,
  * Hermite corrector, Aarseth step and block quantisation -- is here too
- * (repro_block_predict / repro_block_correct).  Unlike the pair loop it
- * has no freedom of order: it reproduces the NumPy step of
- * repro.core.integrator operation for operation, bit for bit on every
+ * (repro_block_predict / repro_block_correct), and so is the loop that
+ * joins it to the scheduler and the force (repro_run_blocks).  Unlike
+ * the pair loop it has no freedom of order: it reproduces the NumPy step
+ * of repro.core.integrator operation for operation, bit for bit on every
  * host, including the orders numpy's einsum and add.reduce sum in.
  */
 
@@ -218,29 +222,22 @@ predict_row(const double *x, const double *v, const double *a,
     }
 }
 
-/* One j-chunk of the active-block force, predictor beside the pipeline.
- *
- * pos vel acc0 jerk0 t mass are the resident arrays of all n particles
- * (the j-memory).  The sinks active[0, n_i) are predicted to t_now by
- * index, the sources [j0, j1) in place, both into scratch -- 6 * (n_i +
- * j1 - j0) doubles -- and the row loop adds the chunk's pull on every
- * sink into acc / jerk, each sink's own column excluded.  Returns 0, or
- * -1 before touching anything when an active entry is outside [0, n).
- */
-ISA_CLONES int repro_acc_jerk_active_chunk(
-    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
-    const double *pos, const double *vel,
-    const double *acc0, const double *jerk0,
-    const double *t, const double *mass,
-    double t_now, double eps2, ptrdiff_t j0, ptrdiff_t j1,
-    double *scratch, double *acc, double *jerk)
+/* The active-block force of one j-chunk on valid rows: the sinks
+ * active[0, n_i) predicted to t_now by index, the sources [j0, j1) in
+ * place, both into scratch -- 6 * (n_i + j1 - j0) doubles -- then the
+ * row loop adds the chunk's pull on every sink into acc / jerk, each
+ * sink's own column excluded. */
+static inline __attribute__((always_inline)) void
+active_chunk_add(ptrdiff_t n_i, const int64_t *active,
+                 const double *pos, const double *vel,
+                 const double *acc0, const double *jerk0,
+                 const double *t, const double *mass,
+                 double t_now, double eps2, ptrdiff_t j0, ptrdiff_t j1,
+                 double *scratch, double *acc, double *jerk)
 {
     ptrdiff_t n_j = j1 - j0;
     double *pos_i = scratch, *vel_i = pos_i + 3 * n_i;
     double *pos_j = vel_i + 3 * n_i, *vel_j = pos_j + 3 * n_j;
-    for (ptrdiff_t i = 0; i < n_i; i++)
-        if (active[i] < 0 || active[i] >= n)
-            return -1;
     for (ptrdiff_t i = 0; i < n_i; i++) {
         ptrdiff_t r = (ptrdiff_t)active[i];
         predict_row(pos + 3 * r, vel + 3 * r, acc0 + 3 * r, jerk0 + 3 * r,
@@ -253,6 +250,37 @@ ISA_CLONES int repro_acc_jerk_active_chunk(
     }
     rows_add(n_i, n_j, pos_i, vel_i, pos_j, vel_j, mass + j0, NULL, eps2,
              active, j0, NULL, 0, acc, jerk);
+}
+
+/* Some entry of active[0, n_i) outside [0, n). */
+static inline int
+bad_index(ptrdiff_t n, ptrdiff_t n_i, const int64_t *active)
+{
+    for (ptrdiff_t i = 0; i < n_i; i++)
+        if (active[i] < 0 || active[i] >= n)
+            return 1;
+    return 0;
+}
+
+/* One j-chunk of the active-block force, predictor beside the pipeline.
+ *
+ * pos vel acc0 jerk0 t mass are the resident arrays of all n particles
+ * (the j-memory); active_chunk_add adds the pull of the sources [j0, j1)
+ * on the sinks active[0, n_i) into acc / jerk.  Returns 0, or -1 before
+ * touching anything when an active entry is outside [0, n).
+ */
+ISA_CLONES int repro_acc_jerk_active_chunk(
+    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
+    const double *pos, const double *vel,
+    const double *acc0, const double *jerk0,
+    const double *t, const double *mass,
+    double t_now, double eps2, ptrdiff_t j0, ptrdiff_t j1,
+    double *scratch, double *acc, double *jerk)
+{
+    if (bad_index(n, n_i, active))
+        return -1;
+    active_chunk_add(n_i, active, pos, vel, acc0, jerk0, t, mass, t_now,
+                     eps2, j0, j1, scratch, acc, jerk);
     return 0;
 }
 
@@ -421,6 +449,17 @@ group_sinks(const tree_arrays *tree, sink_groups *groups, const double *pos_i,
     }
 }
 
+/* The number of chunks of KernelEngine._jplan over n_j sources: chunk c
+ * of k is n_j / k sources wide, one more for c < n_j % k. */
+static inline ptrdiff_t
+plan_chunks(ptrdiff_t n_j, ptrdiff_t j_chunk, ptrdiff_t max_chunks)
+{
+    ptrdiff_t chunks = (n_j + j_chunk - 1) / j_chunk;
+    if (chunks > max_chunks)
+        chunks = max_chunks;
+    return chunks < 1 ? 1 : chunks;
+}
+
 /* Zero acc / jerk, then add the pull of the n_j gathered sources over
  * KernelEngine._jplan's chunks, in ascending order -- the engine's
  * serial sweep (its threaded sweep has the same bits). */
@@ -432,11 +471,7 @@ sum_list(ptrdiff_t m, ptrdiff_t n_j, const double *xi, const double *vi,
 {
     for (ptrdiff_t k = 0; k < 3 * m; k++)
         acc[k] = jerk[k] = 0.0;
-    ptrdiff_t chunks = (n_j + j_chunk - 1) / j_chunk;
-    if (chunks > max_chunks)
-        chunks = max_chunks;
-    if (chunks < 1)
-        chunks = 1;
+    ptrdiff_t chunks = plan_chunks(n_j, j_chunk, max_chunks);
     ptrdiff_t base = n_j / chunks, extra = n_j % chunks, j0 = 0;
     for (ptrdiff_t c = 0; c < chunks; c++) {
         ptrdiff_t w = base + (c < extra);
@@ -997,22 +1032,18 @@ kepler_add(double m, const double *x, const double *v, double *a, double *j)
     return r2 == 0.0;
 }
 
-/* Gather the active rows of the resident arrays into the block buffer
- * and predict each over its own step, as the NumPy step does.  Returns
- * 0; BLOCK_BAD_INDEX before touching anything when an active entry is
- * outside [0, n); BLOCK_ODD_STEP when some step is not a power of two
- * (the corrector's dt^3..dt^5 are exact only on the block grid, so that
- * block must take the NumPy step). */
-ISA_CLONES int repro_block_predict(
-    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
-    const double *pos, const double *vel,
-    const double *acc, const double *jerk, const double *dt,
-    double *block)
+/* Gather the valid rows active[0, n_i) of the resident arrays into the
+ * block buffer and predict each over its own step, as the NumPy step
+ * does.  Returns 0, or BLOCK_ODD_STEP when some step is not a power of
+ * two (the corrector's dt^3..dt^5 are exact only on the block grid, so
+ * that block must take the NumPy step). */
+static inline __attribute__((always_inline)) int
+predict_block(ptrdiff_t n_i, const int64_t *active,
+              const double *pos, const double *vel,
+              const double *acc, const double *jerk, const double *dt,
+              double *block)
 {
     int odd = 0;
-    for (ptrdiff_t i = 0; i < n_i; i++)
-        if (active[i] < 0 || active[i] >= n)
-            return BLOCK_BAD_INDEX;
     for (ptrdiff_t i = 0; i < n_i; i++) {
         ptrdiff_t r = (ptrdiff_t)active[i];
         double *b = block + BLOCK_COLS * i;
@@ -1030,26 +1061,18 @@ ISA_CLONES int repro_block_predict(
     return odd ? BLOCK_ODD_STEP : 0;
 }
 
-/* Finish the block repro_block_predict started: add the Kepler field of
- * mass kepler_m (when kepler is set) at the predicted state to the
- * backend's acc1 / jerk1, apply the Hermite corrector, take the Aarseth
- * step and quantise it -- every row into the buffer first.  Then, only
- * if no row is at the origin (BLOCK_AT_ORIGIN) and every corrected
- * position and velocity is finite (BLOCK_NOT_FINITE), scatter pos vel
- * acc jerk t dt into the resident arrays.  A non-zero return has
- * written nothing outside the buffer. */
-ISA_CLONES int repro_block_correct(
-    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
-    const double *acc1, const double *jerk1,
-    int kepler, double kepler_m, double t_next,
-    double eta, double dt_min, double dt_max, double *block,
-    double *pos, double *vel, double *acc, double *jerk,
-    double *t, double *dt)
+/* Finish, in the buffer, the n_i rows predict_block started: add the
+ * Kepler field of mass kepler_m (when kepler is set) at the predicted
+ * state to the backend's acc1 / jerk1, apply the Hermite corrector, take
+ * the Aarseth step and quantise it.  Returns 0; BLOCK_AT_ORIGIN when a
+ * row is at the origin, else BLOCK_NOT_FINITE when a corrected position
+ * or velocity is not finite. */
+static inline __attribute__((always_inline)) int
+correct_block(ptrdiff_t n_i, const double *acc1, const double *jerk1,
+              int kepler, double kepler_m, double t_next,
+              double eta, double dt_min, double dt_max, double *block)
 {
     int origin = 0, finite = 1;
-    for (ptrdiff_t i = 0; i < n_i; i++)
-        if (active[i] < 0 || active[i] >= n)
-            return BLOCK_BAD_INDEX;
     for (ptrdiff_t i = 0; i < n_i; i++) {
         double *b = block + BLOCK_COLS * i;
         double *a1 = b + B_ACC1, *j1 = b + B_JERK1;
@@ -1087,8 +1110,16 @@ ISA_CLONES int repro_block_correct(
     }
     if (origin)
         return BLOCK_AT_ORIGIN;
-    if (!finite)
-        return BLOCK_NOT_FINITE;
+    return finite ? 0 : BLOCK_NOT_FINITE;
+}
+
+/* Scatter the corrected rows of the buffer into the resident pos vel acc
+ * jerk t dt, t = t_next. */
+static inline __attribute__((always_inline)) void
+write_block(ptrdiff_t n_i, const int64_t *active, double t_next,
+            const double *block, double *pos, double *vel, double *acc,
+            double *jerk, double *t, double *dt)
+{
     for (ptrdiff_t i = 0; i < n_i; i++) {
         ptrdiff_t r = (ptrdiff_t)active[i];
         const double *b = block + BLOCK_COLS * i;
@@ -1101,7 +1132,121 @@ ISA_CLONES int repro_block_correct(
         t[r] = t_next;
         dt[r] = b[B_DTNEW];
     }
+}
+
+/* predict_block on the resident arrays.  Returns what it returns, or
+ * BLOCK_BAD_INDEX before touching anything when an active entry is
+ * outside [0, n). */
+ISA_CLONES int repro_block_predict(
+    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
+    const double *pos, const double *vel,
+    const double *acc, const double *jerk, const double *dt,
+    double *block)
+{
+    if (bad_index(n, n_i, active))
+        return BLOCK_BAD_INDEX;
+    return predict_block(n_i, active, pos, vel, acc, jerk, dt, block);
+}
+
+/* Finish the block repro_block_predict started: correct_block, every row
+ * into the buffer first, then, only if it returned 0, write_block.  A
+ * non-zero return has written nothing outside the buffer. */
+ISA_CLONES int repro_block_correct(
+    ptrdiff_t n, ptrdiff_t n_i, const int64_t *active,
+    const double *acc1, const double *jerk1,
+    int kepler, double kepler_m, double t_next,
+    double eta, double dt_min, double dt_max, double *block,
+    double *pos, double *vel, double *acc, double *jerk,
+    double *t, double *dt)
+{
+    if (bad_index(n, n_i, active))
+        return BLOCK_BAD_INDEX;
+    int code = correct_block(n_i, acc1, jerk1, kepler, kepler_m, t_next, eta,
+                             dt_min, dt_max, block);
+    if (code)
+        return code;
+    write_block(n_i, active, t_next, block, pos, vel, acc, jerk, t, dt);
     return 0;
+}
+
+/* -- the block loop ------------------------------------------------------
+ *
+ * Block steps one after another in one call: Simulation.evolve's loop of
+ * Simulation.step on a HostDirectBackend, for one corrector pass and a
+ * Kepler field or none.  Each turn
+ *   1. picks the block as BlockScheduler.next_block does: every t + dt
+ *      finite and every dt positive, t_next their least, the block every
+ *      row on it, ascending;
+ *   2. predicts it into the buffer (predict_block);
+ *   3. sums the force as KernelEngine._sweep does serially: the chunks of
+ *      KernelEngine._jplan, ascending, into zeroed sums, each
+ *      active_chunk_add;
+ *   4. corrects it (correct_block), checks every new t_next + dt finite
+ *      and dt positive as BlockScheduler.commit does, and writes the rows
+ *      (write_block);
+ *   5. logs (t_next, n_active).
+ * It returns after max_blocks blocks, before a block later than t_end (or
+ * none at all: a nan update time), and before a block Python must take:
+ * one _sweep would thread (more than one chunk, threads > 1 and n_active
+ * * n >= parallel_pairs), one with a step off the power-of-two grid, one
+ * whose correction or check fails.  The block it returns before has
+ * written nothing.  rows holds n int64, block n rows of BLOCK_COLS,
+ * scratch 18 n doubles.  Returns the number of blocks written. */
+ISA_CLONES ptrdiff_t repro_run_blocks(
+    ptrdiff_t n, double *pos, double *vel, double *acc, double *jerk,
+    double *t, double *dt, const double *mass,
+    double t_end, ptrdiff_t max_blocks,
+    int kepler, double kepler_m, double eta, double dt_min, double dt_max,
+    double eps2, ptrdiff_t j_chunk, ptrdiff_t max_chunks,
+    ptrdiff_t threads, ptrdiff_t parallel_pairs,
+    int64_t *rows, double *block, double *scratch,
+    double *log_t, int64_t *log_n)
+{
+    double *acc1 = scratch, *jerk1 = acc1 + 3 * n, *pred = jerk1 + 3 * n;
+    ptrdiff_t chunks = plan_chunks(n, j_chunk, max_chunks);
+    ptrdiff_t base = n / chunks, extra = n % chunks, done = 0;
+    while (done < max_blocks) {
+        double t_next = INFINITY;
+        int bad = n < 1;
+        for (ptrdiff_t r = 0; r < n; r++) {
+            double u = t[r] + dt[r];
+            bad |= !isfinite(u) || !(dt[r] > 0.0);
+            t_next = u < t_next ? u : t_next;
+        }
+        if (bad || !(t_next <= t_end))
+            break;
+        ptrdiff_t n_i = 0;
+        for (ptrdiff_t r = 0; r < n; r++)
+            if (t[r] + dt[r] == t_next)
+                rows[n_i++] = r;
+        if (chunks > 1 && threads > 1 && n_i * n >= parallel_pairs)
+            break;
+        if (predict_block(n_i, rows, pos, vel, acc, jerk, dt, block))
+            break;
+        for (ptrdiff_t k = 0; k < 3 * n_i; k++)
+            acc1[k] = jerk1[k] = 0.0;
+        for (ptrdiff_t c = 0, j0 = 0; c < chunks; c++) {
+            ptrdiff_t j1 = j0 + base + (c < extra);
+            active_chunk_add(n_i, rows, pos, vel, acc, jerk, t, mass, t_next,
+                             eps2, j0, j1, pred, acc1, jerk1);
+            j0 = j1;
+        }
+        if (correct_block(n_i, acc1, jerk1, kepler, kepler_m, t_next, eta,
+                          dt_min, dt_max, block))
+            break;
+        int unfit = 0;
+        for (ptrdiff_t i = 0; i < n_i; i++) {
+            double step = block[BLOCK_COLS * i + B_DTNEW];
+            unfit |= !isfinite(t_next + step) || !(step > 0.0);
+        }
+        if (unfit)
+            break;
+        write_block(n_i, rows, t_next, block, pos, vel, acc, jerk, t, dt);
+        log_t[done] = t_next;
+        log_n[done] = n_i;
+        done++;
+    }
+    return done;
 }
 
 /* timestep.quantize on n values: the quantisation repro_block_correct

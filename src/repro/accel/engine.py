@@ -319,13 +319,21 @@ class KernelEngine:
     # -- public ops (normalise, count, span, run) --------------------------
 
     def _count_call(self, pairs: int, quad_pairs: int = 0,
-                    predicted: int = 0) -> None:
-        """Book one engine call and the operand bytes it streams (one
-        rule on both tiers: see :data:`ROW_KERNEL_VALUES`)."""
-        self._c_calls.inc()
+                    predicted: int = 0, calls: int = 1) -> None:
+        """Book ``calls`` engine calls and the operand bytes they stream
+        (one rule on both tiers: see :data:`ROW_KERNEL_VALUES`)."""
+        self._c_calls.inc(calls)
         values = (pairs * ROW_KERNEL_VALUES + quad_pairs * QUAD_VALUES
                   + predicted * PREDICTOR_VALUES)
         self._c_tile_bytes.inc(8 * values)
+
+    def count_active_calls(self, sizes, n_j: int) -> None:
+        """Book one :meth:`acc_jerk_active` call per entry of ``sizes``
+        (its sinks) against ``n_j`` sources, as ``repro_run_blocks``
+        made them inside one native call."""
+        steps, calls = int(sizes.sum()), int(sizes.size)
+        self._count_call(steps * n_j, predicted=steps + calls * n_j,
+                         calls=calls)
 
     def acc_jerk(self, pos_i, vel_i, pos_j, vel_j, mass_j, eps,
                  self_indices=None, counter=None):

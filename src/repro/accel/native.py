@@ -23,12 +23,16 @@ tree build before it
 moments) and the host half of a block step
 (:meth:`NativeTile.block_predict` / :meth:`NativeTile.block_correct`,
 the one Hermite step body of :class:`repro.core.Simulation`; their
-NumPy twins of the same names live in :mod:`repro.core.integrator`).
-None is a second tier: the tree force emits exactly the NumPy
-grouping's groups, the NumPy walk's lists and the NumPy pass's pairs,
-the sums are the row kernel's, the build fills every ``Octree`` array
-with the NumPy build's bits, and the block step gives its twins' exact
-bits on every host.
+NumPy twins of the same names live in :mod:`repro.core.integrator`),
+and the block loop of ``Simulation.evolve``
+(:meth:`NativeTile.run_blocks`: pick the block, predict, sum the force
+over the engine's j-chunk plan, correct and write back, block after
+block, with those same bodies).  None is a second tier: the tree force
+emits exactly the NumPy grouping's groups, the NumPy walk's lists and
+the NumPy pass's pairs, the sums are the row kernel's, the build fills
+every ``Octree`` array with the NumPy build's bits, the block step
+gives its twins' exact bits on every host, and the loop gives
+``Simulation.step``'s.
 
 Build hygiene: the object's name is a hash of (source, flags,
 ``cc --version``); it lives in the first usable of
@@ -75,6 +79,9 @@ _ANCHOR = ctypes.c_char * 0
 #: Row width of the block buffer of ``block_predict`` / ``block_correct``
 #: (``BLOCK_COLS`` in ``_tile.c``).
 BLOCK_COLS = 32
+#: The most blocks one :meth:`NativeTile.run_blocks` call takes, so that
+#: Python services signals (an alarm, Ctrl-C) between calls.
+BLOCK_CAP = 1024
 
 # return codes of the block entry points (``_tile.c``)
 _BAD_INDEX, _ODD_STEP, _AT_ORIGIN, _NOT_FINITE = -1, 1, 2, 3
@@ -164,6 +171,9 @@ ENTRY_POINTS = {
          _real, _real, _real, _addr, _addr, _addr, _addr, _addr, _addr,
          _addr], ctypes.c_int),
     "quantize": ([_size, _addr, _addr, _addr, _real, _real, _addr], None),
+    "run_blocks": (
+        [_size] + [_addr] * 7 + [_real, _size, ctypes.c_int] + [_real] * 5
+        + [_size] * 4 + [_addr] * 5, _size),
 }
 
 
@@ -203,8 +213,9 @@ class NativeTile:
     every source and builds the octree, and ``tree_force`` groups the
     sinks, walks a tree per sink group, sums the lists with it and keeps
     the in-sphere pairs; ``block_predict`` and
-    ``block_correct`` are the host half of a block step, and
-    ``quantize`` the block quantisation they use.
+    ``block_correct`` are the host half of a block step, ``run_blocks``
+    whole block steps one after another, and ``quantize`` the block
+    quantisation they use.
 
     The calls a block step makes hold the pointer of each resident array
     (and of ``active`` and the block buffer) beside a weak reference to
@@ -547,6 +558,49 @@ class NativeTile:
             raise ConfigurationError("particle at the origin of a KeplerField")
         if code == _NOT_FINITE:
             raise IntegrationError(f"non-finite state after block at t={t_next}")
+
+    def run_blocks(self, system, t_end, max_blocks, kepler_mass, params,
+                   eps2, config) -> tuple[np.ndarray, np.ndarray]:
+        """Take block after block of ``system`` in one call: pick the
+        block as :class:`~repro.core.scheduler.BlockScheduler` does,
+        :meth:`block_predict`, sum the force as the engine's serial
+        ``acc_jerk_active`` does over ``config``'s (an
+        :class:`~repro.accel.EngineConfig`) j-chunk plan with softening
+        ``eps2``, :meth:`block_correct` (``kepler_mass``, ``params`` as
+        there) and write the rows back.
+
+        Stops after ``max_blocks`` blocks (``None``: :data:`BLOCK_CAP`,
+        never more), before a block later than ``t_end``, and before a
+        block the Python step must take, which it leaves unwritten: one
+        the engine would thread, one with a step off the power-of-two
+        grid, one whose correction or scheduler check fails.  Returns
+        the time and size of every block taken.
+        """
+        n = system.dt.shape[0]
+        rows = (n, 3)
+        max_blocks = BLOCK_CAP if max_blocks is None else min(max_blocks, BLOCK_CAP)
+        log_t = np.empty(max_blocks)
+        log_n = np.empty(max_blocks, dtype=_I64)
+        work = np.empty(n, dtype=_I64)
+        block = np.empty((n, BLOCK_COLS))
+        scratch = np.empty(18 * n)
+        arg = self._arg
+        done = self._fn["run_blocks"](
+            n, arg("step.pos", system.pos, rows, output=True),
+            arg("step.vel", system.vel, rows, output=True),
+            arg("step.acc", system.acc, rows, output=True),
+            arg("step.jerk", system.jerk, rows, output=True),
+            arg("step.t", system.t, (n,), output=True),
+            arg("step.dt", system.dt, (n,), output=True),
+            arg("chunk.mass", system.mass, (n,)),
+            t_end, max_blocks, kepler_mass is not None,
+            0.0 if kepler_mass is None else kepler_mass,
+            params.eta, params.dt_min, params.dt_max, eps2,
+            config.j_chunk, config.max_chunks, config.threads,
+            config.parallel_pairs, _ptr(work), _ptr(block), _ptr(scratch),
+            _ptr(log_t), _ptr(log_n),
+        )
+        return log_t[:done], log_n[:done]
 
     def quantize(self, dt_desired, t_now, dt_current, params) -> np.ndarray:
         """:func:`repro.core.timestep.quantize` as :meth:`block_correct`

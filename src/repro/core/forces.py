@@ -93,6 +93,16 @@ class InteractionCounter:
         if self.trace:
             self.history.append((int(n_i), int(n_j), bool(with_jerk)))
 
+    def add_blocks(self, sizes: np.ndarray, n_j: int) -> None:
+        """:meth:`add` with jerk once per entry of ``sizes`` (sinks of
+        each call) against ``n_j`` sources, in one go."""
+        pairs = int(sizes.sum()) * int(n_j)
+        self.force_interactions += pairs
+        self.jerk_interactions += pairs
+        self.force_calls += int(sizes.size)
+        if self.trace:
+            self.history.extend((size, int(n_j), True) for size in sizes.tolist())
+
     def reset(self) -> None:
         """Zero all counters and drop the trace history."""
         self.force_interactions = 0

@@ -27,6 +27,19 @@ Steps 2 and 4 are this module's :func:`block_predict` and
 host; the NumPy twins run for the NumPy tier and blocks with an
 off-grid step.  P(EC)^n, any field, collision runs and ``synchronize``
 all take this one step body.
+
+:meth:`Simulation.evolve` runs steps 1-5 in C for whole runs of blocks
+(``NativeTile.run_blocks``: the scheduler's pick and checks, the same
+predict, the engine's serial chunk sum, the same correct and write-back,
+block after block) wherever :meth:`Simulation.step` would do exactly
+that arithmetic: the native tier, a ``HostDirectBackend`` on an
+untraced engine, a ``KeplerField`` or no field, one corrector pass, no
+collision policy, no observability, no ``callback`` and nothing
+wrapped (:meth:`Simulation._loop_tile`).  The loop hands back to
+:meth:`Simulation.step` every block whose force sum the engine would
+thread (so its threads keep it), with a step off the block grid, or
+whose correction or check fails, before writing any of it, and returns at least every
+``native.BLOCK_CAP`` blocks; Python books the blocks it took in bulk.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError, IntegrationError
-from .backends import ForceBackend
+from .backends import ForceBackend, HostDirectBackend
 from .events import EventLog
 from .external import KeplerField
 from .hermite import correct
@@ -319,19 +332,94 @@ class Simulation:
 
         ``callback`` (if given) runs after every block step; use
         :meth:`predicted_state` inside it for output at the current time.
-        ``max_block_steps`` bounds runtime in tests.
+        ``max_block_steps`` bounds runtime in tests.  Runs of blocks
+        that :meth:`_loop_tile` admits take one native call each, with
+        the bits and counts of as many :meth:`step` calls.
         """
         if not self._initialized:
             self.initialize()
-        steps = 0
+        tile = self._loop_tile(callback)
+        steps = backoff = wait = 0
         # read self.system each iteration: mergers replace the object
         while self.scheduler.peek_time(self.system.t, self.system.dt) <= t_end:
+            if tile is not None and not wait:
+                room = (None if max_block_steps is None
+                        else max(1, max_block_steps - steps))
+                done = self._run_blocks(tile, t_end, room)
+                if done:
+                    backoff = 0
+                    steps += done
+                    if max_block_steps is not None and steps >= max_block_steps:
+                        break
+                    continue
+                # the loop handed this block back: step() takes it and,
+                # after every further hand-back in a row, twice as many
+                # more, so that a run whose every block threads (a dense
+                # one) asks the loop a handful of times, not every block
+                wait = backoff = 2 * backoff + 1
+            wait = max(wait - 1, 0)
             self.step()
             if callback is not None:
                 callback(self)
             steps += 1
             if max_block_steps is not None and steps >= max_block_steps:
                 break
+
+    def _loop_tile(self, callback):
+        """The tile whose :meth:`~repro.accel.native.NativeTile.run_blocks`
+        may take :meth:`evolve`'s blocks, or ``None``: only where
+        :meth:`step` would run exactly that arithmetic and nothing else —
+        the native tier, the host backend's own force on an unobserved
+        engine, a Kepler field or none, one corrector pass, no collision
+        policy, no observability, no ``callback``, and none of the
+        methods :meth:`step` runs wrapped (tests and the benchmark's
+        tracer wrap them)."""
+        from ..accel import KernelEngine, native
+
+        tile, field = self._tile, self.external_field
+        engine = getattr(self.backend, "engine", None)
+        if not (callback is None
+                and self.corrector_iterations == 1
+                and self.collision_policy is None
+                and not self.obs.enabled
+                and (field is None or type(field) is KeplerField)
+                and _unwrapped(self, Simulation, "step", "_advance")
+                and _unwrapped(self.scheduler, BlockScheduler,
+                               "next_block", "commit")
+                and _unwrapped(self.backend, HostDirectBackend,
+                               "forces_on", "push_updates")
+                and _unwrapped(engine, KernelEngine, "acc_jerk_active")
+                and engine.tier == "native"
+                and not engine._tracer.enabled
+                and _unwrapped(tile, native.NativeTile,
+                               "block_predict", "block_correct")):
+            return None
+        return tile
+
+    def _run_blocks(self, tile, t_end, max_blocks) -> int:
+        """Take up to ``max_blocks`` blocks (``None``: the tile's cap)
+        at or before ``t_end`` in one ``tile.run_blocks`` call and book
+        them as :meth:`step` books each; returns how many it took."""
+        sys_, backend, field = self.system, self.backend, self.external_field
+        engine = backend.engine
+        times, sizes = tile.run_blocks(
+            sys_, float(t_end), max_blocks,
+            None if field is None else field.mass, self.params,
+            float(backend.eps) ** 2, engine.config,
+        )
+        done = int(sizes.size)
+        if done:
+            self.scheduler.invalidate()  # t and dt were written outside a block
+            n, steps = sys_.n, int(sizes.sum())
+            self.time = float(times[-1])
+            self.block_steps += done
+            self.particle_steps += steps
+            self._c_blocks.inc(done)
+            self._c_psteps.inc(steps)
+            self.scheduler.stats.record_sizes(sizes)
+            backend.counter.add_blocks(sizes, n)
+            engine.count_active_calls(sizes, n)
+        return done
 
     # -- synchronisation / output -----------------------------------------
 
@@ -568,3 +656,11 @@ class Simulation:
                 break
             dt[bad] *= 0.5
         sys_.dt[...] = dt
+
+
+def _unwrapped(obj, cls, *names) -> bool:
+    """Whether ``obj`` is a ``cls`` that runs ``cls``'s own ``names``:
+    none is replaced in a subclass or set on the instance."""
+    return isinstance(obj, cls) and all(
+        getattr(type(obj), name) is getattr(cls, name) and name not in vars(obj)
+        for name in names)

@@ -47,6 +47,22 @@ class BlockStats:
         self.max_block = max(self.max_block, size)
         self.size_counts[size] = self.size_counts.get(size, 0) + 1
 
+    def record_sizes(self, sizes: np.ndarray) -> None:
+        """:meth:`record` each of ``sizes`` in turn, in one go (new
+        sizes enter :attr:`size_counts` in the order they first occur)."""
+        if not sizes.size:
+            return
+        values, first, counts = np.unique(sizes, return_index=True,
+                                          return_counts=True)
+        lo, hi = int(values[0]), int(values[-1])
+        self.min_block = lo if self.n_blocks == 0 else min(self.min_block, lo)
+        self.max_block = max(self.max_block, hi)
+        self.n_blocks += int(sizes.size)
+        self.n_particle_steps += int(sizes.sum())
+        for k in np.argsort(first):
+            size = int(values[k])
+            self.size_counts[size] = self.size_counts.get(size, 0) + int(counts[k])
+
     @property
     def mean_block(self) -> float:
         """Average particles per block (the hardware-parallelism measure)."""

@@ -87,9 +87,10 @@ def durable_write(path, write, *, text: bool = False) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        fsync_directory(path.parent)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+    fsync_directory(path.parent)
 
 
 def fsync_directory(directory) -> None:

@@ -1,6 +1,8 @@
 """Tests for snapshot round-tripping."""
 
+import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,17 @@ class TestAtomicity:
         with pytest.raises(OSError):
             save_snapshot(tmp_path / "new", make_random_cluster(4))
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_write_that_succeeds_unlinks_nothing(self, tmp_path, monkeypatch):
+        """The temp file is gone by ``os.replace``; nothing is removed."""
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda path, *a, **k: unlinked.append(path))
+        monkeypatch.setattr(os, "unlink", lambda path, *a, **k: unlinked.append(path))
+        path = save_snapshot(tmp_path / "snap", make_random_cluster(4))
+        save_snapshot(path, make_random_cluster(4, seed=2))  # over an old one
+        monkeypatch.undo()
+        assert unlinked == []
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestErrors:
