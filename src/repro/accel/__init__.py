@@ -5,8 +5,11 @@ j-chunk plan, a persistent thread pool with a fixed-order partial-sum
 reduction over shape-bucketed slabs (:mod:`~repro.accel.workspace`)
 and a fused per-chunk source predictor (:mod:`~repro.accel.engine`) —
 one implementation per op, no choice of kernel, and only the ops a
-force path calls (force + jerk in its direct, masked, tree-node and
-active-block forms, and the potential for energy diagnostics).  Where
+force path calls (force + jerk in its direct, tree-node and
+active-block forms, and the potential for energy diagnostics), plus
+the masked force + jerk, which no force path calls and which stays
+only for the benchmarks (the end-to-end harness wraps it and
+:mod:`~repro.accel.bench` times it).  Where
 a C compiler is present the force + jerk pair loop runs compiled
 (:mod:`~repro.accel.native`, built on first use, cached per user), and
 so does a whole grouped tree force, sink groups, walk, sums and

@@ -152,7 +152,7 @@ rows_add(ptrdiff_t n_i, ptrdiff_t n_j,
         ptrdiff_t self = self_idx ? (ptrdiff_t)self_idx[i] - j0 : -1;
         if (self < 0 || self >= n_j)
             self = -1;
-        lane_sums s = {{0}};
+        lane_sums s = {0};
         ptrdiff_t jb = 0;
         for (; jb + LANES <= n_j; jb += LANES)
             block_add(LANES, pos_j + 3 * jb, vel_j + 3 * jb, mass_j + jb,

@@ -5,11 +5,13 @@ host board: it owns the preallocated :class:`~repro.accel.workspace`
 slabs and a persistent thread pool over the j-axis chunks.  Like the
 board it has one implementation per op, reached one way, and only the
 ops a force path calls: the ``acc_jerk`` family (``acc_jerk``,
-``acc_jerk_masked``, ``node_force``, ``acc_jerk_active`` and its
-distributable chunk) and ``pairwise_potential`` for the energy
-diagnostics.  Every public op normalises its arguments, books the call,
-opens its ``kernel.<op>`` span and hands :meth:`KernelEngine._sweep`
-one chunk body.  Two ops are native only:
+``node_force``, ``acc_jerk_active`` and its distributable chunk) and
+``pairwise_potential`` for the energy diagnostics; ``acc_jerk_masked``
+is called by no force path and stays only for the benchmarks (the
+end-to-end harness wraps it and :mod:`repro.accel.bench` times it).
+Every public op normalises its arguments, books the call, opens its
+``kernel.<op>`` span and hands :meth:`KernelEngine._sweep` one chunk
+body.  Two ops are native only:
 :meth:`KernelEngine.tree_force`, a whole grouped tree force in one call
 (sink groups, walk, sums and in-sphere pairs in C), and
 :meth:`KernelEngine.tree_build`, the predictor over every source and

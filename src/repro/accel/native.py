@@ -34,8 +34,9 @@ every ``Octree`` array with the NumPy build's bits, the block step
 gives its twins' exact bits on every host, and the loop gives
 ``Simulation.step``'s.
 
-Build hygiene: the object's name is a hash of (source, flags,
-``cc --version``); it lives in the first usable of
+Build hygiene: the object's name is a hash of (source, compiler
+command, flags, ``cc --version``), so ``CC="gcc -g"`` and ``CC=gcc``
+never share an object; it lives in the first usable of
 ``$XDG_CACHE_HOME/repro``, ``~/.cache/repro`` and a per-user directory
 under :func:`tempfile.gettempdir` — never in the source tree — and is
 written under a temporary name and moved into place with
@@ -670,9 +671,10 @@ def _build(report: dict) -> NativeTile:
         raise RuntimeError(f"`{cc[0]} --version` exited {version.returncode}")
     report["compiler_version"] = version.stdout.splitlines()[0] if version.stdout else ""
     source = SOURCE.read_bytes()
-    key = hashlib.sha256(
-        b"\0".join([source, " ".join(FLAGS).encode(), version.stdout.encode()])
-    ).hexdigest()[:16]
+    key = hashlib.sha256(b"\0".join([
+        source, " ".join(cc).encode(), " ".join(FLAGS).encode(),
+        version.stdout.encode(),
+    ])).hexdigest()[:16]
     directory = cache_dir()
     if directory is None:
         raise RuntimeError("no writable cache directory")

@@ -11,6 +11,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core import (
     HostDirectBackend,
@@ -18,6 +19,21 @@ from repro.core import (
     ParticleSystem,
     Simulation,
     TimestepParams,
+)
+
+# -- Hypothesis profiles of the contract table (tests/contracts.py) ----------
+#
+# ``contracts`` is the tier-1 slice: derandomized, two drawn disks per
+# contract beside the pinned one.  ``contracts-deep`` is the larger run,
+# ``pytest tests/contracts.py --hypothesis-profile=contracts-deep``.
+
+settings.register_profile(
+    "contracts", max_examples=2, derandomize=True, database=None,
+    deadline=None, suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "contracts-deep", max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 # -- per-test watchdog alarm -------------------------------------------------
@@ -159,21 +175,33 @@ def _spmd_leak_guard():
         yield
 
 
-@pytest.fixture
-def numpy_tier(monkeypatch):
-    """Run the test on the NumPy kernel tier, as if no C compiler were
-    present: the native loader finds nothing, and the process-wide
-    engine is rebuilt under it (and restored afterwards).  Classes that
-    must hold on both tiers are subclassed with this fixture applied;
-    the plain class runs on whatever tier the host has."""
+@contextlib.contextmanager
+def numpy_tier_context():
+    """The NumPy kernel tier, as if no C compiler were present: the
+    native loader finds nothing, and the process-wide engine is rebuilt
+    under it (and restored afterwards)."""
     from repro.accel import native, set_engine
 
-    monkeypatch.setattr(native, "load", lambda: None)
+    load = native.load
+    native.load = lambda: None
     previous = set_engine(None)
-    yield
-    stand_in = set_engine(previous)
-    if stand_in is not None:
-        stand_in.close()
+    try:
+        yield
+    finally:
+        native.load = load
+        stand_in = set_engine(previous)
+        if stand_in is not None:
+            stand_in.close()
+
+
+@pytest.fixture
+def numpy_tier():
+    """Run the test on the NumPy kernel tier (:func:`numpy_tier_context`).
+    Classes that must hold on both tiers are subclassed with this
+    fixture applied; the plain class runs on whatever tier the host
+    has."""
+    with numpy_tier_context():
+        yield
 
 
 def make_two_body(m1: float = 1.0, m2: float = 1e-3, a: float = 1.0, e: float = 0.0):

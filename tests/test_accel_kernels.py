@@ -23,6 +23,7 @@ tier, ``NORM_RTOL`` across the two (``TestNativeRowKernel``).
 from __future__ import annotations
 
 import ast
+import ctypes
 import dataclasses
 import logging
 import gc
@@ -747,6 +748,25 @@ class TestResidentPredictor:
             engine.close()
 
 
+def _c_type(declaration: str):
+    """The ctypes type ``native.ENTRY_POINTS`` must bind a C parameter
+    or result of ``declaration`` (a type with or without a name) as."""
+    if "*" in declaration:
+        return ctypes.c_void_p
+    base = declaration.replace("const", "").split()[0]
+    return {"ptrdiff_t": ctypes.c_ssize_t, "double": ctypes.c_double,
+            "int": ctypes.c_int, "void": None}[base]
+
+
+def c_prototypes() -> dict:
+    """``name -> (result type, [argument types])`` of every exported
+    ``repro_<name>`` of ``_tile.c``, read from its prototype."""
+    found = re.findall(r"^ISA_CLONES\s+(\w+)\s+repro_(\w+)\s*\(([^)]*)\)",
+                       native.SOURCE.read_text(), re.M)
+    return {name: (_c_type(result), [_c_type(p) for p in params.split(",")])
+            for result, name, params in found}
+
+
 class TestNativeBuild:
     """Fallback without a compiler; concurrent first builds."""
 
@@ -805,6 +825,34 @@ class TestNativeBuild:
             os.path.basename(paths.pop())
         ]
 
+    def test_the_object_is_keyed_on_the_compiler_command(self, monkeypatch,
+                                                         tmp_path):
+        """``cc`` and ``cc -g`` print one ``--version`` line here, yet
+        name two objects (the compile step is a stub that fails)."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+        def stub(cmd):
+            if cmd[-1] == "--version":
+                return subprocess.CompletedProcess(cmd, 0, "cc (stub) 1.0\n", "")
+            return subprocess.CompletedProcess(cmd, 1, "", "not compiled")
+
+        monkeypatch.setattr(native, "_run", stub)
+        objects = []
+        for cc in ("cc", "cc -g"):
+            monkeypatch.setenv("CC", cc)
+            report = {}
+            with pytest.raises(RuntimeError, match="compiler exited 1"):
+                native._build(report)
+            objects.append(report["object"])
+        assert objects[0] != objects[1]
+
+    @requires_native
+    def test_the_source_builds_warning_free(self):
+        cmd = [*native._compiler(), "-fsyntax-only", "-Wall", "-Wextra",
+               "-Werror", str(native.SOURCE)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
     def test_object_is_never_in_the_source_tree(self):
         where = native.describe().get("object")
         if where is not None:
@@ -819,6 +867,9 @@ class TestNativeBuild:
                               native.SOURCE.read_text(), re.M)
         assert len(exported) >= 5  # the pattern still finds them
         assert sorted(exported) == sorted(native.ENTRY_POINTS)
+        for name, (restype, argtypes) in c_prototypes().items():
+            assert (restype, argtypes) == (
+                native.ENTRY_POINTS[name][1], native.ENTRY_POINTS[name][0]), name
         tests = "".join(path.read_text()
                         for path in Path(__file__).parent.glob("test_*.py"))
         for name in exported:

@@ -1,157 +1,101 @@
 """Backend consistency matrix: one disk, every force engine.
 
 The library's central contract: the physics must not depend on which
-force engine runs it.  The same short disk integration is run on every
-backend and compared:
+force engine runs it.  The bitwise equalities (host direct = GRAPE
+flat = tree and hybrid at theta = 0; serial = threaded) and the GRAPE
+hierarchy's floor are stated once, in ``tests/contracts.py``; the
+tests named after them here hold them on this file's disk
+(``contracts.MATRIX``).  What stays local:
 
-* host direct vs GRAPE flat — bitwise identical (same kernel, same
-  order);
-* GRAPE hierarchy — equal to float-reordering tolerance;
-* tree at theta -> 0 — equal to the multipole-truncation floor;
-* hybrid at theta -> 0 — exact near/far partition, so equal to the
-  summation-order floor for any neighbour radius;
-* distributed ring forces — equal at a single force evaluation.
+* tree and hybrid at finite theta — same macro state (energy);
+* distributed ring forces — equal at a single force evaluation;
+* every backend conserves energy.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from contracts import MATRIX, check
 
 from repro.baselines import TreeBackend
-from repro.core import (
-    HostDirectBackend,
-    KeplerField,
-    Simulation,
-    TimestepParams,
-)
+from repro.core import HostDirectBackend, energy
 from repro.grape import Grape6Backend, Grape6Config, Grape6Machine
 from repro.hybrid import HybridBackend
-from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
-
-N = 28
-SEED = 77
-T_END = 4.0
-
-
-def fresh_system():
-    return build_disk_system(PlanetesimalDiskConfig(n_planetesimals=N, seed=SEED))
 
 
 def run_with(backend):
-    sim = Simulation(
-        fresh_system(), backend,
-        external_field=KeplerField(),
-        timestep_params=TimestepParams(),
-    )
-    sim.initialize()
-    sim.evolve(T_END)
+    sim = MATRIX.simulation(backend)
+    sim.evolve(MATRIX.t_end)
     return sim
+
+
+def final_energy(sim):
+    return energy(sim.predicted_state(MATRIX.t_end), MATRIX.eps,
+                  sim.external_field).total
 
 
 @pytest.fixture(scope="module")
 def reference():
-    return run_with(HostDirectBackend(eps=0.008))
+    return run_with(HostDirectBackend(eps=MATRIX.eps))
 
 
 class TestBackendMatrix:
-    def test_grape_flat_bitwise(self, reference):
-        machine = Grape6Machine(Grape6Config.single_node(), eps=0.008, mode="flat")
-        sim = run_with(Grape6Backend(machine))
-        assert np.array_equal(sim.system.pos, reference.system.pos)
-        assert np.array_equal(sim.system.vel, reference.system.vel)
-        assert np.array_equal(sim.system.dt, reference.system.dt)
+    def test_grape_flat_bitwise(self):
+        check("grape_flat_is_host", MATRIX)
 
-    def test_grape_hierarchy_close(self, reference):
-        machine = Grape6Machine(
-            Grape6Config.scaled_down(), eps=0.008, mode="hierarchy"
-        )
-        sim = run_with(Grape6Backend(machine))
-        # summation-order differences compound through the integration;
-        # trajectories agree to far better than any physical scale
-        assert np.allclose(sim.system.pos, reference.system.pos, atol=1e-6)
-        assert sim.block_steps == reference.block_steps
+    def test_grape_hierarchy_close(self):
+        check("grape_hierarchy_near_host", MATRIX)
 
-    def test_tree_theta_zero_close(self, reference):
-        sim = run_with(TreeBackend(eps=0.008, theta=0.0))
-        assert np.allclose(sim.system.pos, reference.system.pos, atol=1e-6)
+    def test_tree_theta_zero_close(self):
+        """Bitwise, like the hybrid's (``theta_zero_is_direct``)."""
+        check("theta_zero_is_direct", MATRIX)
 
     def test_tree_finite_theta_physical(self, reference):
         """theta = 0.4: same macro state (energy) despite force error."""
-        from repro.core import energy
+        sim = run_with(TreeBackend(eps=MATRIX.eps, theta=0.4))
+        assert final_energy(sim) == pytest.approx(final_energy(reference), rel=1e-4)
 
-        sim = run_with(TreeBackend(eps=0.008, theta=0.4))
-        e_ref = energy(reference.predicted_state(T_END), 0.008,
-                       reference.external_field).total
-        e_tree = energy(sim.predicted_state(T_END), 0.008,
-                        sim.external_field).total
-        assert e_tree == pytest.approx(e_ref, rel=1e-4)
-
-    def test_hybrid_theta_zero_close(self, reference):
-        sim = run_with(HybridBackend(eps=0.008, theta=0.0, r_neighbour=0.05))
-        assert np.allclose(sim.system.pos, reference.system.pos, atol=1e-6)
-        assert sim.block_steps == reference.block_steps
+    def test_hybrid_theta_zero_close(self):
+        """Bitwise, for a neighbour radius that holds pairs too."""
+        check("theta_zero_is_direct", replace(MATRIX, r_neighbour=0.5))
 
     def test_hybrid_finite_theta_physical(self, reference):
         """theta = 0.5: same macro state (energy) despite force error."""
-        from repro.core import energy
-
-        sim = run_with(HybridBackend(eps=0.008, theta=0.5, r_neighbour=0.05))
-        e_ref = energy(reference.predicted_state(T_END), 0.008,
-                       reference.external_field).total
-        e_hyb = energy(sim.predicted_state(T_END), 0.008,
-                       sim.external_field).total
-        assert e_hyb == pytest.approx(e_ref, rel=1e-4)
+        sim = run_with(HybridBackend(eps=MATRIX.eps, theta=0.5, r_neighbour=0.05))
+        assert final_energy(sim) == pytest.approx(final_energy(reference), rel=1e-4)
 
     def test_hybrid_thread_count_invariant(self):
         """REPRO_KERNEL_THREADS must not change hybrid trajectories."""
-        from repro.accel import EngineConfig, KernelEngine
+        check("hybrid_serial_is_threaded",
+              replace(MATRIX, theta=0.4, r_neighbour=0.1, threads=4))
 
-        results = []
-        for threads in (1, 4):
-            engine = KernelEngine(EngineConfig(threads=threads))
-            try:
-                sim = run_with(
-                    HybridBackend(eps=0.008, theta=0.4, r_neighbour=0.1,
-                                  engine=engine)
-                )
-                results.append((sim.system.pos.copy(), sim.system.vel.copy()))
-            finally:
-                engine.close()
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
-
-    def test_ring_single_evaluation(self, reference):
+    def test_ring_single_evaluation(self):
         from repro.core.forces import acc_jerk
         from repro.parallel import ring_forces
 
-        s = fresh_system()
+        s = MATRIX.system()
         a_ref, j_ref = acc_jerk(
-            s.pos, s.vel, s.pos, s.vel, s.mass, 0.008,
+            s.pos, s.vel, s.pos, s.vel, s.mass, MATRIX.eps,
             self_indices=np.arange(s.n),
         )
-        res = ring_forces(s.pos, s.vel, s.mass, 0.008, n_ranks=4)
+        res = ring_forces(s.pos, s.vel, s.mass, MATRIX.eps, n_ranks=4)
         assert np.allclose(res.acc, a_ref, rtol=1e-12, atol=1e-18)
         assert np.allclose(res.jerk, j_ref, rtol=1e-12, atol=1e-18)
 
     def test_all_backends_conserve_energy(self):
-        from repro.core import energy
-
         backends = [
-            HostDirectBackend(eps=0.008),
+            HostDirectBackend(eps=MATRIX.eps),
             Grape6Backend(
-                Grape6Machine(Grape6Config.single_board(), eps=0.008, mode="flat")
+                Grape6Machine(Grape6Config.single_board(), eps=MATRIX.eps, mode="flat")
             ),
-            TreeBackend(eps=0.008, theta=0.2),
-            HybridBackend(eps=0.008, theta=0.2, r_neighbour=0.05),
+            TreeBackend(eps=MATRIX.eps, theta=0.2),
+            HybridBackend(eps=MATRIX.eps, theta=0.2, r_neighbour=0.05),
         ]
         for backend in backends:
-            sim = Simulation(
-                fresh_system(), backend,
-                external_field=KeplerField(),
-                timestep_params=TimestepParams(),
-            )
-            sim.initialize()
-            e0 = energy(sim.system, 0.008, sim.external_field).total
-            sim.evolve(T_END)
-            sim.synchronize(T_END)
-            e1 = energy(sim.system, 0.008, sim.external_field).total
+            sim = MATRIX.simulation(backend)
+            e0 = energy(sim.system, MATRIX.eps, sim.external_field).total
+            sim.evolve(MATRIX.t_end)
+            sim.synchronize(MATRIX.t_end)
+            e1 = energy(sim.system, MATRIX.eps, sim.external_field).total
             assert abs(e1 - e0) / abs(e0) < 1e-5, type(backend).__name__

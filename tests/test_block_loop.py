@@ -8,13 +8,16 @@ count: the loop's blocks, the blocks it hands back to ``step()``
 (threaded sums, steps off the power-of-two grid, failing blocks), and
 the runs it must never take.  The NumPy-tier subclasses run the same
 comparisons with no tile, where ``evolve`` is ``step()`` throughout.
+The plain equality is ``evolve_is_step`` of ``tests/contracts.py``.
 """
 
 import gc
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from contracts import Disk, Run, check, same_books
 
 from repro.accel import EngineConfig, KernelEngine, native
 from repro.baselines import HostOnlyBackend
@@ -23,27 +26,20 @@ from repro.core import (
     HostDirectBackend,
     KeplerField,
     Simulation,
-    TimestepParams,
 )
 from repro.core import integrator
 from repro.errors import ConfigurationError, IntegrationError
 from repro.obs import MetricsRegistry, Observability
-from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 
 ARRAYS = ("pos", "vel", "acc", "jerk", "t", "dt")
 #: the ``sparse_direct`` benchmark's shape: N = 256 (+2 protoplanets),
 #: median block 2, over a short stretch of its time
 T_END = 1024.0
+SPARSE = Disk(n=256, seed=1, dt_max=16.0, t_end=T_END)
 
 
 def sparse_sim(engine=None, **kwargs) -> Simulation:
-    disk = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=256, seed=1))
-    backend = HostDirectBackend(eps=0.008, engine=engine)
-    params = TimestepParams(eta=0.02, eta_start=0.01, dt_max=16.0)
-    sim = Simulation(disk, backend, external_field=KeplerField(),
-                     timestep_params=params, **kwargs)
-    sim.initialize()
-    return sim
+    return SPARSE.simulation(HostDirectBackend(eps=0.008, engine=engine), **kwargs)
 
 
 def step_to(sim: Simulation, t_end: float) -> None:
@@ -54,18 +50,8 @@ def step_to(sim: Simulation, t_end: float) -> None:
 
 
 def assert_same(a: Simulation, b: Simulation) -> None:
-    """The same state bytes, counts, block histogram and interactions."""
-    for name in ARRAYS:
-        assert getattr(a.system, name).tobytes() == getattr(b.system, name).tobytes(), name
-    assert (a.time, a.block_steps, a.particle_steps) == (
-        b.time, b.block_steps, b.particle_steps)
-    sa, sb = a.scheduler.stats, b.scheduler.stats
-    assert list(sa.size_counts.items()) == list(sb.size_counts.items())
-    assert (sa.n_blocks, sa.n_particle_steps, sa.min_block, sa.max_block) == (
-        sb.n_blocks, sb.n_particle_steps, sb.min_block, sb.max_block)
-    ca, cb = a.backend.counter, b.backend.counter
-    assert (ca.force_interactions, ca.jerk_interactions, ca.force_calls) == (
-        cb.force_interactions, cb.jerk_interactions, cb.force_calls)
+    """The same state bytes, counts, block histogram and books."""
+    same_books(Run(a), Run(b))
 
 
 class LoopSpy:
@@ -108,35 +94,23 @@ def engines():
         engine.close()
 
 
-def kernel_counts(engine) -> tuple:
-    return engine._c_calls.value, engine._c_tile_bytes.value
-
-
 class TestEvolveEqualsStepping:
-    """``evolve`` against ``step()``, on the tier the host has."""
+    """``evolve`` against ``step()``, on the tier the host has
+    (``evolve_is_step`` of ``tests/contracts.py`` on the sparse disk,
+    to half its stretch: 414 blocks)."""
 
     @pytest.mark.parametrize("config", [
         {},
         {"threads": 1, "j_chunk": 48},
         {"threads": 2, "j_chunk": 48, "parallel_pairs": 258 * 8},
     ], ids=["one-chunk", "six-chunks", "threaded-blocks-handed-back"])
-    def test_bit_for_bit(self, monkeypatch, engines, config):
-        loop = sparse_sim(engines(**config))
-        stepped = sparse_sim(engines(**config))
-        spy = LoopSpy(monkeypatch, loop)
-        loop.evolve(T_END)
-        step_to(stepped, T_END)
-        assert_same(loop, stepped)
-        assert kernel_counts(loop.backend.engine) == kernel_counts(stepped.backend.engine)
-        assert loop.block_steps > 300
-        if loop._tile is None:
-            return
-        if "parallel_pairs" in config:
+    def test_bit_for_bit(self, config):
+        _, loop = check("evolve_is_step", replace(SPARSE, t_end=T_END / 2, **config))
+        assert loop.sim.block_steps > 300
+        if loop.sim._tile is not None and "parallel_pairs" in config:
             # blocks of 8 rows and more thread: step() took those
-            assert 0 < spy.blocks < loop.block_steps
-            assert loop.scheduler.stats.max_block >= 8
-        else:
-            assert spy.blocks == loop.block_steps
+            assert 0 < len(loop.loop_sizes) < loop.sim.block_steps
+            assert loop.sim.scheduler.stats.max_block >= 8
 
     def test_max_block_steps_stops_after_exactly_k(self):
         for k in (1, 7, native.BLOCK_CAP + 5):
@@ -192,21 +166,8 @@ class TestEvolveEqualsStepping:
             assert 0 < spy.blocks <= loop.block_steps - start - len(odd_blocks)
 
     def test_kill_and_resume(self):
-        whole = sparse_sim()
-        whole.evolve(T_END)
-        first = sparse_sim()
-        first.evolve(T_END / 3)
-        resumed = Simulation.from_restart(
-            first.system.copy(), HostDirectBackend(eps=0.008), first.time,
-            external_field=KeplerField(), timestep_params=first.params,
-            block_steps=first.block_steps, particle_steps=first.particle_steps,
-        )
-        resumed.evolve(T_END)
-        for name in ARRAYS:
-            assert getattr(resumed.system, name).tobytes() == getattr(
-                whole.system, name).tobytes(), name
-        assert (resumed.time, resumed.block_steps, resumed.particle_steps) == (
-            whole.time, whole.block_steps, whole.particle_steps)
+        check("restart_is_uninterrupted",
+              replace(SPARSE, t_end=T_END / 2, kill_at=100))
 
 
 @pytest.mark.usefixtures("numpy_tier")

@@ -1,6 +1,7 @@
 """Reproducibility guarantees: same seed, same bits."""
 
 import numpy as np
+from contracts import Disk, check
 
 from conftest import make_disk_sim
 
@@ -10,16 +11,7 @@ class TestDeterminism:
         """Two runs from the same seed produce identical trajectories,
         schedules, and counters — the property that makes regression
         comparisons and restart tests meaningful."""
-        sims = [make_disk_sim(n=40, seed=123) for _ in range(2)]
-        for sim in sims:
-            sim.evolve(8.0)
-        a, b = sims
-        assert np.array_equal(a.system.pos, b.system.pos)
-        assert np.array_equal(a.system.vel, b.system.vel)
-        assert np.array_equal(a.system.dt, b.system.dt)
-        assert a.block_steps == b.block_steps
-        assert a.particle_steps == b.particle_steps
-        assert a.scheduler.stats.size_counts == b.scheduler.stats.size_counts
+        check("repeat_is_repeat", Disk(n=40, seed=123, dt_max=1.0, t_end=8.0))
 
     def test_different_seeds_diverge(self):
         a = make_disk_sim(n=40, seed=1)

@@ -23,7 +23,7 @@ from repro.grape.board import capacity_slices, round_robin_slices
 from repro.grape.host import JWRITE_BYTES
 from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 
-from conftest import make_disk_sim
+from contracts import Disk, check
 
 
 def small_system(n=24, seed=3):
@@ -406,20 +406,7 @@ class TestGrapeSimulation:
 
     def test_grape_trajectory_identical_to_host(self):
         """Flat-mode GRAPE runs are bit-compatible with the host backend."""
-        sim_h = make_disk_sim(n=20, seed=13)
-        sim_h.evolve(4.0)
-
-        sys_g = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=20, seed=13))
-        m = Grape6Machine(Grape6Config.single_node(), eps=0.008, mode="flat")
-        sim_g = Simulation(
-            sys_g, Grape6Backend(m),
-            external_field=KeplerField(),
-            timestep_params=TimestepParams(),
-        )
-        sim_g.initialize()
-        sim_g.evolve(4.0)
-        assert np.array_equal(sim_g.system.pos, sim_h.system.pos)
-        assert np.array_equal(sim_g.system.t, sim_h.system.t)
+        check("grape_flat_is_host", Disk(n=20, seed=13, dt_max=1.0, t_end=4.0))
 
 
 class TestTopologyGraph:

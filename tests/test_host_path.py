@@ -10,81 +10,42 @@ Two claims, each held to an independent oracle:
 * ``Simulation.step`` and ``Simulation.synchronize`` leave, block for
   block, the bits the parent commit's ``step`` and ``synchronize``
   leave (``tests/_step_oracle.py``, verbatim copies with the timestep
-  functions they called) — on the native step (one ``_tile.c`` call
+  functions they called; the contract ``step_is_oracle`` of
+  ``tests/contracts.py``) — on the native step (one ``_tile.c`` call
   either side of the force) as on the NumPy twins, and they raise what
   that step raises with nothing written.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from contracts import STATE, Disk, check, digest
+
 from repro.accel import native
-from repro.core import (
-    CollisionPolicy,
-    CompositeField,
-    HostDirectBackend,
-    KeplerField,
-    ParticleSystem,
-    Simulation,
-    TimestepParams,
-)
+from repro.core import CompositeField, HostDirectBackend, KeplerField, Simulation
 from repro.core import integrator
 from repro.core.scheduler import BlockScheduler
 from repro.errors import ConfigurationError, IntegrationError, SchedulerError
-from repro.grape import Grape6Backend, Grape6Config, Grape6Machine
-from repro.parallel import SpmdBackend
-from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 from repro.resilience import CheckpointManager
 
-from _step_oracle import parent_step, parent_synchronize
+from _step_oracle import parent_step
 
-STATE = ("mass", "pos", "vel", "acc", "jerk", "t", "dt", "key")
+#: a seeded disk plus a pair bound to merge and a hyperbolic runaway,
+#: so one run passes through every writer of ``t`` / ``dt``
+EVENTFUL = Disk(n=128, seed=1, eps=1e-5, dt_max=16.0, eventful=True)
+#: a seeded disk with no collision policy
+QUIET = Disk(n=64, seed=3, dt_max=16.0)
 
 
 def eventful_sim(**kwargs) -> Simulation:
-    """A seeded disk plus a pair bound to merge and a hyperbolic
-    runaway, so one run passes through every writer of ``t`` / ``dt``."""
-    disk = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=128, seed=1))
-    v20 = 1.0 / np.sqrt(20.0)
-    extra_pos = [[20.0, 0.0, 0.0], [20.001, 0.0, 0.0], [80.0, 0.0, 0.0]]
-    extra_vel = [[0.0, v20, 0.0], [0.0, 0.999 * v20, 0.0], [0.4, 0.0, 0.0]]
-    system = ParticleSystem(
-        np.concatenate([disk.mass, [1e-8, 1e-8, 1e-9]]),
-        np.concatenate([disk.pos, extra_pos]),
-        np.concatenate([disk.vel, extra_vel]),
-    )
-    sim = Simulation(
-        system, HostDirectBackend(eps=1e-5), external_field=KeplerField(),
-        timestep_params=TimestepParams(dt_max=16.0),
-        collision_policy=CollisionPolicy(f_enhance=400.0), **kwargs,
-    )
-    sim.initialize()
-    return sim
+    return EVENTFUL.simulation(HostDirectBackend(eps=EVENTFUL.eps), **kwargs)
 
 
-BACKENDS = {
-    "host": lambda: HostDirectBackend(eps=0.008),
-    "grape": lambda: Grape6Backend(
-        Grape6Machine(Grape6Config.single_node(), eps=0.008, mode="flat")),
-    "spmd-vm": lambda: SpmdBackend(0.008, n_ranks=3, mode="vm"),
-}
-
-
-def quiet_sim(backend="host", field=KeplerField, **kwargs) -> Simulation:
-    """A seeded disk with no collision policy (one corrector pass
-    unless ``kwargs`` say otherwise)."""
-    disk = build_disk_system(PlanetesimalDiskConfig(n_planetesimals=64, seed=3))
-    sim = Simulation(disk, BACKENDS[backend](), external_field=field(),
-                     timestep_params=TimestepParams(dt_max=16.0), **kwargs)
-    sim.initialize()
-    return sim
-
-
-def close(*sims) -> None:
-    for sim in sims:
-        getattr(sim.backend, "close", lambda: None)()
+def quiet_sim() -> Simulation:
+    return QUIET.simulation(HostDirectBackend(eps=QUIET.eps))
 
 
 class CheckedRun:
@@ -140,11 +101,9 @@ def resume(sim: Simulation, directory) -> Simulation:
     manager.write(sim.system, {"time": float(sim.time)})
     system, state = manager.load_latest()
     return Simulation.from_restart(
-        system, HostDirectBackend(eps=1e-5), state["time"],
-        external_field=KeplerField(), timestep_params=sim.params,
-        collision_policy=CollisionPolicy(f_enhance=400.0),
-        block_steps=sim.block_steps, particle_steps=sim.particle_steps,
-        mergers=sim.mergers,
+        system, HostDirectBackend(eps=EVENTFUL.eps), state["time"],
+        **EVENTFUL.setup(), block_steps=sim.block_steps,
+        particle_steps=sim.particle_steps, mergers=sim.mergers,
     )
 
 
@@ -261,65 +220,43 @@ class TestKeptUpdateTimes:
 
 class TestStepMatchesParent:
     """``step()`` against the parent commit's, block for block, on the
-    kernel tier the host has."""
+    kernel tier the host has (``step_is_oracle`` of
+    ``tests/contracts.py``); and which step each block took."""
 
     @staticmethod
-    def _pair(**kwargs):
-        return eventful_sim(**kwargs), eventful_sim(**kwargs)
-
-    @staticmethod
-    def _assert_same(new, old, block):
-        assert new.time == old.time and new.system.n == old.system.n
-        for name in STATE:
-            assert np.array_equal(getattr(new.system, name),
-                                  getattr(old.system, name)), (name, block)
-
-    @staticmethod
-    def _spy_on_the_twin(monkeypatch, sim) -> list:
-        """The block of every call of the NumPy twin ``block_correct``."""
+    def _spy_on_the_twin(monkeypatch) -> list:
+        """The block time of every call of the NumPy twin ``block_correct``."""
         calls, twin = [], integrator.block_correct
 
         def spy(*args):
-            calls.append(sim.block_steps)
+            calls.append(args[5])
             return twin(*args)
 
         monkeypatch.setattr(integrator, "block_correct", spy)
         return calls
 
     @staticmethod
-    def _assert_twin_calls(calls, blocks, passes):
+    def _assert_twin_calls(calls, run, passes):
         """None on the native tier (every block here is on the grid);
         every pass of every block on the NumPy tier."""
         if native.load() is not None:
             assert calls == []
         else:
-            assert calls == [b for b in range(blocks) for _ in range(passes)]
+            assert calls == [t for (t, _), _ in run.trace for _ in range(passes)]
 
     @pytest.mark.parametrize("iterations", [1, 2])
     def test_block_for_block(self, monkeypatch, iterations):
-        new, old = self._pair(corrector_iterations=iterations)
-        self._assert_same(new, old, "start")
-        calls = self._spy_on_the_twin(monkeypatch, new)
-        blocks = 300 if iterations == 1 else 120
-        for block in range(blocks):
-            assert new.step() == parent_step(old)
-            self._assert_same(new, old, block)
-        assert new.mergers == old.mergers >= 2
-        self._assert_twin_calls(calls, blocks, iterations)
+        """300 blocks in one pass, 120 in two, through mergers."""
+        calls = self._spy_on_the_twin(monkeypatch)
+        t_end = 981.0 if iterations == 1 else 204.0
+        _, new = check("step_is_oracle",
+                       replace(EVENTFUL, iterations=iterations, t_end=t_end))
+        assert new.sim.mergers >= 2
+        self._assert_twin_calls(calls, new, iterations)
 
     def test_without_field_or_policy(self):
-        def bare():
-            disk = build_disk_system(
-                PlanetesimalDiskConfig(n_planetesimals=32, seed=5))
-            sim = Simulation(disk, HostDirectBackend(eps=0.008),
-                             timestep_params=TimestepParams(dt_max=4.0))
-            sim.initialize()
-            return sim
-
-        new, old = bare(), bare()
-        for block in range(150):
-            assert new.step() == parent_step(old)
-            self._assert_same(new, old, block)
+        check("step_is_oracle", Disk(n=32, seed=5, field=None, dt_max=4.0,
+                                     t_end=159.0))
 
     @pytest.mark.parametrize("backend, field", [
         ("host", KeplerField),
@@ -328,17 +265,13 @@ class TestStepMatchesParent:
         ("host", lambda: CompositeField([KeplerField()])),
     ])
     def test_backends_and_fields(self, monkeypatch, backend, field):
-        new, old = quiet_sim(backend, field), quiet_sim(backend, field)
-        calls = self._spy_on_the_twin(monkeypatch, new)
-        try:
-            # the native step wherever the tier has one, whatever the
-            # field; the NumPy twins on the NumPy tier
-            for block in range(200):
-                assert new.step() == parent_step(old)
-                self._assert_same(new, old, block)
-            self._assert_twin_calls(calls, 200, 1)
-        finally:
-            close(new, old)
+        """200 blocks; the native step wherever the tier has one,
+        whatever the field; the NumPy twins on the NumPy tier."""
+        calls = self._spy_on_the_twin(monkeypatch)
+        _, new = check("step_is_oracle", replace(
+            QUIET, backend=backend, n_ranks=3, t_end=972.0,
+            field="kepler" if field is KeplerField else "composite"))
+        self._assert_twin_calls(calls, new, 1)
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -351,31 +284,14 @@ class TestSynchronizeMatchesParent:
     blocks after it against the parent's ``step``."""
 
     @pytest.mark.parametrize("iterations", [1, 2])
-    @pytest.mark.parametrize("field", [
-        KeplerField, lambda: CompositeField([KeplerField()]),
-    ], ids=["kepler", "composite"])
-    @pytest.mark.parametrize("on_grid", [True, False],
-                             ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("field", ["kepler", "composite"])
+    @pytest.mark.parametrize("on_grid", ["on-grid", "off-grid"])
     def test_mid_run(self, field, iterations, on_grid):
         """At a time every pending ``t - t_i`` is a power of two (the
         tile's step on the native tier) or some is not (the twins)."""
-        new, old = (quiet_sim(field=field, corrector_iterations=iterations)
-                    for _ in range(2))
-        for block in range(200):
-            assert new.step() == parent_step(old)
-            dt = new.time - new.system.t[new.system.t < new.time]
-            if (block >= 30 and dt.size > 1
-                    and (np.frexp(dt)[0] == 0.5).all() == on_grid):
-                break
-        else:
-            pytest.fail("no block left the wanted pending steps")
-        new.synchronize()
-        parent_synchronize(old)
-        TestStepMatchesParent._assert_same(new, old, "synchronize")
-        assert new.particle_steps == old.particle_steps
-        for block in range(50):
-            assert new.step() == parent_step(old)
-            TestStepMatchesParent._assert_same(new, old, block)
+        _, new = check("step_is_oracle", replace(
+            QUIET, field=field, iterations=iterations, sync=on_grid, t_end=300.0))
+        assert new.synced
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -485,7 +401,7 @@ class TestStepErrors:
         monkeypatch.setattr(integrator, "correct", spy)
         for block in range(60):
             assert new.step() == parent_step(old)
-            TestStepMatchesParent._assert_same(new, old, block)
+            assert digest(new) == digest(old), block
         if native.load() is not None:
             # the odd step persists until it shrinks: exactly the blocks
             # that carry it take the NumPy step
@@ -494,25 +410,10 @@ class TestStepErrors:
         else:
             assert len(numpy_blocks) == 60
 
-    def test_kill_and_resume(self, tmp_path):
+    def test_kill_and_resume(self):
         """Through a checkpoint file, into new objects, on this step."""
-        sim = quiet_sim()
-        sim.evolve(300.0)
-        manager = CheckpointManager(tmp_path)
-        manager.write(sim.system, {"time": float(sim.time)})
-        system, saved = manager.load_latest()
-        twin = Simulation.from_restart(
-            system, HostDirectBackend(eps=0.008), saved["time"],
-            external_field=KeplerField(), timestep_params=sim.params,
-            block_steps=sim.block_steps, particle_steps=sim.particle_steps,
-        )
-        mark = sim.block_steps
-        sim.evolve(900.0)
-        twin.evolve(900.0)
-        assert twin.block_steps == sim.block_steps > mark + 50
-        for name in STATE:
-            assert np.array_equal(getattr(twin.system, name),
-                                  getattr(sim.system, name)), name
+        check("resume_is_uninterrupted",
+              replace(QUIET, t_end=900.0, checkpoint_every=10, kill_at=55))
 
 
 @pytest.mark.usefixtures("numpy_tier")

@@ -4,11 +4,11 @@ The contract under test (see ``docs/HYBRID.md``):
 
 * one pass over one set of lists — at ``theta = 0`` the hybrid *is*
   direct summation, bit for bit, for any ``r_neighbour`` and on both
-  kernel tiers;
+  kernel tiers (stated in ``tests/contracts.py``);
 * for finite theta the per-particle acceleration error is bounded by
   the documented ``0.1 * theta**2`` envelope on Plummer-like clusters;
 * the pass inherits the accel engine's fixed-order reduction, so
-  serial and threaded runs are bit-identical;
+  serial and threaded runs are bit-identical (``tests/contracts.py``);
 * the neighbour lists that fall out of the pass (``last_neighbours``)
   are ``neighbour_search``'s, and no call allocates at N x N width;
 * per-particle ``h_nb`` radii override the backend default and survive
@@ -21,15 +21,9 @@ import numpy as np
 import pytest
 
 from conftest import make_random_cluster
+from contracts import MATRIX, Disk, check
 
-from repro.accel import EngineConfig, KernelEngine
-from repro.core import (
-    HostDirectBackend,
-    KeplerField,
-    Simulation,
-    TimestepParams,
-    energy,
-)
+from repro.core import HostDirectBackend, energy
 from repro.errors import ConfigurationError
 from repro.grape.neighbours import neighbour_search
 from repro.hybrid import HybridBackend
@@ -38,7 +32,7 @@ from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 EPS = 0.01
 
 
-def fresh_disk(n=28, seed=77):
+def fresh_disk(n, seed):
     return build_disk_system(PlanetesimalDiskConfig(n_planetesimals=n, seed=seed))
 
 
@@ -111,16 +105,13 @@ class TestForceSplit:
 
 class TestThetaZeroIsDirect:
     """Each group's kernel call is a row-subset of the full direct
-    call, so there is nothing left to differ by."""
+    call, so there is nothing left to differ by (``theta_zero_is_direct``
+    of ``tests/contracts.py``, here on disks of ``n`` particles)."""
 
     @pytest.mark.parametrize("n_active", [200, 7])
-    def test_bitwise_equal_to_host_direct(self, cluster, n_active):
-        active = np.arange(cluster.n)[:: cluster.n // n_active][:n_active]
-        a_d, j_d = HostDirectBackend(eps=EPS).forces_on(cluster, active, 0.0)
-        backend = HybridBackend(eps=EPS, theta=0.0, r_neighbour=0.3)
-        a_h, j_h = backend.forces_on(cluster, active, 0.0)
-        assert np.array_equal(a_h, a_d)
-        assert np.array_equal(j_h, j_d)
+    def test_bitwise_equal_to_host_direct(self, n_active):
+        check("theta_zero_is_direct",
+              Disk(n=n_active - 2, seed=9, eps=EPS, r_neighbour=0.3, t_end=1.0))
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -129,48 +120,19 @@ class TestThetaZeroIsDirectNumpyTier(TestThetaZeroIsDirect):
 
 
 class TestDeterminism:
-    def _engine(self, threads):
-        return KernelEngine(EngineConfig(threads=threads, j_chunk=64,
-                                         parallel_pairs=1))
+    """The pass inherits the engine's fixed-order reduction
+    (``hybrid_serial_is_threaded`` of ``tests/contracts.py``)."""
 
-    def test_serial_vs_threaded_bit_identical_forces(self, cluster):
-        serial = self._engine(1)
-        threaded = self._engine(4)
-        active = np.arange(cluster.n)
-        try:
-            b1 = HybridBackend(eps=EPS, theta=0.5, r_neighbour=0.3,
-                               engine=serial)
-            b4 = HybridBackend(eps=EPS, theta=0.5, r_neighbour=0.3,
-                               engine=threaded)
-            a1, j1 = b1.forces_on(cluster, active, 0.0)
-            a4, j4 = b4.forces_on(cluster, active, 0.0)
-        finally:
-            serial.close()
-            threaded.close()
-        assert np.array_equal(a1, a4)
-        assert np.array_equal(j1, j4)
+    def test_serial_vs_threaded_bit_identical_forces(self):
+        """Every block of 200 particles threads over four chunks."""
+        check("hybrid_serial_is_threaded",
+              Disk(n=198, seed=9, eps=EPS, theta=0.5, r_neighbour=0.3,
+                   threads=4, j_chunk=64, parallel_pairs=1, t_end=1.0))
 
     def test_serial_vs_threaded_bit_identical_run(self):
-        def run(threads):
-            engine = self._engine(threads)
-            try:
-                sys_ = fresh_disk()
-                sys_.h_nb[:] = 0.5
-                backend = HybridBackend(eps=0.008, theta=0.4,
-                                        r_neighbour=0.05, engine=engine)
-                sim = Simulation(sys_, backend,
-                                 external_field=KeplerField(),
-                                 timestep_params=TimestepParams())
-                sim.initialize()
-                sim.evolve(2.0)
-            finally:
-                engine.close()
-            return sys_
-
-        s1 = run(1)
-        s4 = run(4)
-        assert np.array_equal(s1.pos, s4.pos)
-        assert np.array_equal(s1.vel, s4.vel)
+        check("hybrid_serial_is_threaded",
+              Disk(n=28, seed=77, dt_max=1.0, t_end=2.0, theta=0.4,
+                   r_neighbour=0.5, threads=4, j_chunk=64, parallel_pairs=1))
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -181,10 +143,7 @@ class TestDeterminismNumpyTier(TestDeterminism):
 
 class TestEnergyDrift:
     def _drift(self, backend, t_end=4.0):
-        sim = Simulation(fresh_disk(), backend,
-                         external_field=KeplerField(),
-                         timestep_params=TimestepParams())
-        sim.initialize()
+        sim = MATRIX.simulation(backend)
         e0 = energy(sim.system, 0.008, sim.external_field).total
         sim.evolve(t_end)
         sim.synchronize(t_end)
@@ -326,10 +285,7 @@ class TestObservability:
 
         obs = Observability()
         backend = HybridBackend(eps=0.008, theta=0.4, r_neighbour=0.05)
-        sim = Simulation(fresh_disk(), backend,
-                         external_field=KeplerField(),
-                         timestep_params=TimestepParams(), obs=obs)
-        sim.initialize()
+        sim = MATRIX.simulation(backend, obs=obs)
         sim.evolve(2.0)
         snap = obs.metrics.snapshot()
         assert snap["hybrid.tree_builds_total"] == backend.builds

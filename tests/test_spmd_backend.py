@@ -11,12 +11,12 @@ same final state.
 import numpy as np
 import pytest
 from conftest import shm_segments, spmd_rank_children
+from contracts import Disk, check
 
 from repro.accel import EngineConfig, KernelEngine
-from repro.core import HostDirectBackend, KeplerField, Simulation, TimestepParams
+from repro.core import KeplerField, Simulation, TimestepParams
 from repro.errors import ConfigurationError, SimulationKilled
 from repro.parallel import ProcConfig, SpmdBackend
-from repro.planetesimal import PlanetesimalDiskConfig, build_disk_system
 from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.runio import ProductionRun, state_digest
 
@@ -34,17 +34,7 @@ def forced_engine(threads: int = 1) -> KernelEngine:
 
 
 def make_spmd_sim(backend, n=24, seed=5, dt_max=0.5) -> Simulation:
-    system = build_disk_system(
-        PlanetesimalDiskConfig(n_planetesimals=n, seed=seed)
-    )
-    sim = Simulation(
-        system,
-        backend,
-        external_field=KeplerField(),
-        timestep_params=TimestepParams(eta=0.02, dt_max=dt_max),
-    )
-    sim.initialize()
-    return sim
+    return Disk(n=n, seed=seed, dt_max=dt_max).simulation(backend)
 
 
 def run_and_digest(backend, t_end=2.0):
@@ -71,54 +61,17 @@ class TestBackendConstruction:
 
 
 class TestBitIdentity:
-    """serial == threaded == vm == multiprocess, to the last bit."""
+    """serial == threaded == vm == multiprocess, to the last bit
+    (``host_is_spmd`` and ``serial_is_threaded`` of
+    ``tests/contracts.py``)."""
 
-    def test_force_evaluation_identical_across_modes(self, rng):
-        n = 150
-        system = build_disk_system(
-            PlanetesimalDiskConfig(n_planetesimals=n, seed=9)
-        )
-        sim = make_spmd_sim(HostDirectBackend(0.008, engine=forced_engine()),
-                            n=n, seed=9)
-        system = sim.system
-        active = np.arange(0, system.n, 2)
-        t_now = float(system.t.max()) + 1e-3
-
-        results = {}
-        for label, backend in (
-            ("serial", HostDirectBackend(0.008, engine=forced_engine())),
-            ("threaded", HostDirectBackend(0.008,
-                                           engine=forced_engine(threads=4))),
-            ("vm", SpmdBackend(0.008, n_ranks=3, mode="vm",
-                               engine=forced_engine())),
-            ("proc", SpmdBackend(0.008, n_ranks=3, mode="proc",
-                                 engine=forced_engine())),
-            ("proc-ring", SpmdBackend(0.008, n_ranks=3, mode="proc",
-                                      route="ring",
-                                      engine=forced_engine())),
-        ):
-            backend.load(system)
-            results[label] = backend.forces_on(system, active, t_now)
-            if hasattr(backend, "close"):
-                backend.close()
-
-        acc0, jerk0 = results["serial"]
-        for label, (acc, jerk) in results.items():
-            assert np.array_equal(acc, acc0), label
-            assert np.array_equal(jerk, jerk0), label
+    def test_force_evaluation_identical_across_modes(self):
+        """Three ranks draining a ring, over three chunks of 150."""
+        check("host_is_spmd", Disk(n=148, seed=9, j_chunk=64, n_ranks=3,
+                                   route="ring", t_end=1.0))
 
     def test_simulation_digest_identical_across_modes(self):
-        digests = {
-            mode: run_and_digest(
-                SpmdBackend(0.008, n_ranks=2, mode=mode,
-                            engine=forced_engine())
-            )
-            for mode in ("vm", "proc")
-        }
-        digests["serial"] = run_and_digest(
-            HostDirectBackend(0.008, engine=forced_engine())
-        )
-        assert len(set(digests.values())) == 1, digests
+        check("host_is_spmd", Disk(n=24, seed=5, j_chunk=64, t_end=2.0))
 
     def test_proc_exposes_run_stats(self):
         backend = SpmdBackend(0.008, n_ranks=2, engine=forced_engine())
@@ -137,28 +90,16 @@ class TestBitIdentityNumpyTier(TestBitIdentity):
 
 class TestDefaultEngineBitIdentity:
     """The contract holds on the engine users get, at the block size
-    the paper's regime is made of: 2 particles of N = 258 (every shape
-    runs the fused kernel; a size heuristic once sent this one to the
-    reference kernel, which sums in another order)."""
+    the paper's regime is made of: blocks of one and two particles of
+    N = 258 (every shape runs the fused kernel; a size heuristic once
+    sent such blocks to the reference kernel, which sums in another
+    order)."""
 
     def test_small_block_identical_across_modes(self):
-        sim = make_spmd_sim(HostDirectBackend(0.008), n=256, seed=9)
-        system = sim.system
-        assert system.n == 258
-        active = np.array([5, 131])
-        t_now = float(system.t.max()) + 1e-3
-
-        host = HostDirectBackend(0.008)
-        host.load(system)
-        results = {"serial": host.forces_on(system, active, t_now)}
-        for mode in ("vm", "proc"):
-            with SpmdBackend(0.008, n_ranks=2, mode=mode) as backend:
-                backend.load(system)
-                results[mode] = backend.forces_on(system, active, t_now)
-        acc0, jerk0 = results["serial"]
-        for mode, (acc, jerk) in results.items():
-            assert np.array_equal(acc, acc0), mode
-            assert np.array_equal(jerk, jerk0), mode
+        runs = check("host_is_spmd", Disk(
+            n=256, seed=9, dt_max=16.0, t_end=48.0,
+            threads=EngineConfig.from_env().threads))
+        assert min(runs[0].sim.scheduler.stats.size_counts) <= 2
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -255,18 +196,8 @@ class TestSpmdKillAndResume:
     then resume from the checkpoint — final snapshot bit-identical."""
 
     def _managed(self, tmp_path, name, backend, on_block=None):
-        system = build_disk_system(
-            PlanetesimalDiskConfig(n_planetesimals=24, seed=5)
-        )
-        sim = Simulation(
-            system,
-            backend,
-            external_field=KeplerField(),
-            timestep_params=TimestepParams(eta=0.02, dt_max=0.5),
-        )
-        sim.initialize()
         return ProductionRun(
-            sim,
+            make_spmd_sim(backend),
             tmp_path / name,
             snapshot_interval=2.0,
             diagnostics_interval=2.0,
