@@ -269,15 +269,5 @@ def norm_other_order(x: np.ndarray) -> np.ndarray:
 
 
 @pytest.fixture
-def two_body():
-    return make_two_body()
-
-
-@pytest.fixture
-def small_cluster():
-    return make_random_cluster(32, seed=42)
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -58,7 +58,8 @@ class TestBackendMatrix:
 
     def test_hybrid_theta_zero_close(self):
         """Bitwise, for a neighbour radius that holds pairs too."""
-        check("theta_zero_is_direct", replace(MATRIX, r_neighbour=0.5))
+        *_, hybrid = check("theta_zero_is_direct", replace(MATRIX, r_neighbour=2.0))
+        assert hybrid.near > 0
 
     def test_hybrid_finite_theta_physical(self, reference):
         """theta = 0.5: same macro state (energy) despite force error."""

@@ -96,8 +96,8 @@ def engines():
 
 class TestEvolveEqualsStepping:
     """``evolve`` against ``step()``, on the tier the host has
-    (``evolve_is_step`` of ``tests/contracts.py`` on the sparse disk,
-    to half its stretch: 414 blocks)."""
+    (``evolve_is_step`` of ``tests/contracts.py`` on the sparse disk:
+    763 blocks)."""
 
     @pytest.mark.parametrize("config", [
         {},
@@ -105,7 +105,7 @@ class TestEvolveEqualsStepping:
         {"threads": 2, "j_chunk": 48, "parallel_pairs": 258 * 8},
     ], ids=["one-chunk", "six-chunks", "threaded-blocks-handed-back"])
     def test_bit_for_bit(self, config):
-        _, loop = check("evolve_is_step", replace(SPARSE, t_end=T_END / 2, **config))
+        _, loop = check("evolve_is_step", replace(SPARSE, **config))
         assert loop.sim.block_steps > 300
         if loop.sim._tile is not None and "parallel_pairs" in config:
             # blocks of 8 rows and more thread: step() took those
@@ -166,8 +166,9 @@ class TestEvolveEqualsStepping:
             assert 0 < spy.blocks <= loop.block_steps - start - len(odd_blocks)
 
     def test_kill_and_resume(self):
-        check("restart_is_uninterrupted",
-              replace(SPARSE, t_end=T_END / 2, kill_at=100))
+        """Stopped at block 132 (a third of the stretch), on to 763."""
+        _, restarted = check("restart_is_uninterrupted", replace(SPARSE, kill_at=132))
+        assert restarted.sim.block_steps > 700
 
 
 @pytest.mark.usefixtures("numpy_tier")

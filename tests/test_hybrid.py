@@ -105,13 +105,15 @@ class TestForceSplit:
 
 class TestThetaZeroIsDirect:
     """Each group's kernel call is a row-subset of the full direct
-    call, so there is nothing left to differ by (``theta_zero_is_direct``
-    of ``tests/contracts.py``, here on disks of ``n`` particles)."""
+    call, so there is nothing left to differ by (``evaluation_is_host``
+    of ``tests/contracts.py``, here on a blob with near pairs)."""
 
     @pytest.mark.parametrize("n_active", [200, 7])
     def test_bitwise_equal_to_host_direct(self, n_active):
-        check("theta_zero_is_direct",
-              Disk(n=n_active - 2, seed=9, eps=EPS, r_neighbour=0.3, t_end=1.0))
+        *_, hybrid = check("evaluation_is_host", Disk(
+            cluster=True, n=200, seed=9, eps=EPS, field=None,
+            r_neighbour=0.3, n_active=n_active))
+        assert hybrid.near > 0
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -121,13 +123,15 @@ class TestThetaZeroIsDirectNumpyTier(TestThetaZeroIsDirect):
 
 class TestDeterminism:
     """The pass inherits the engine's fixed-order reduction
-    (``hybrid_serial_is_threaded`` of ``tests/contracts.py``)."""
+    (``hybrid_evaluation_serial_is_threaded`` and
+    ``hybrid_serial_is_threaded`` of ``tests/contracts.py``)."""
 
     def test_serial_vs_threaded_bit_identical_forces(self):
-        """Every block of 200 particles threads over four chunks."""
-        check("hybrid_serial_is_threaded",
-              Disk(n=198, seed=9, eps=EPS, theta=0.5, r_neighbour=0.3,
-                   threads=4, j_chunk=64, parallel_pairs=1, t_end=1.0))
+        """All 200 rows of a blob, threaded over four chunks."""
+        check("hybrid_evaluation_serial_is_threaded", Disk(
+            cluster=True, n=200, seed=9, eps=EPS, field=None, theta=0.5,
+            r_neighbour=0.3, threads=4, j_chunk=64, parallel_pairs=1,
+            n_active=200))
 
     def test_serial_vs_threaded_bit_identical_run(self):
         check("hybrid_serial_is_threaded",

@@ -62,13 +62,14 @@ class TestBackendConstruction:
 
 class TestBitIdentity:
     """serial == threaded == vm == multiprocess, to the last bit
-    (``host_is_spmd`` and ``serial_is_threaded`` of
+    (``evaluation_is_host`` and ``host_is_spmd`` of
     ``tests/contracts.py``)."""
 
     def test_force_evaluation_identical_across_modes(self):
-        """Three ranks draining a ring, over three chunks of 150."""
-        check("host_is_spmd", Disk(n=148, seed=9, j_chunk=64, n_ranks=3,
-                                   route="ring", t_end=1.0))
+        """Every other row of 150 off the block grid: four threads or
+        three ranks (gathered or in a ring) over three chunks."""
+        check("evaluation_is_host", Disk(n=148, seed=9, j_chunk=64,
+                                         parallel_pairs=1, threads=4, n_ranks=3))
 
     def test_simulation_digest_identical_across_modes(self):
         check("host_is_spmd", Disk(n=24, seed=5, j_chunk=64, t_end=2.0))
@@ -90,16 +91,13 @@ class TestBitIdentityNumpyTier(TestBitIdentity):
 
 class TestDefaultEngineBitIdentity:
     """The contract holds on the engine users get, at the block size
-    the paper's regime is made of: blocks of one and two particles of
-    N = 258 (every shape runs the fused kernel; a size heuristic once
-    sent such blocks to the reference kernel, which sums in another
-    order)."""
+    the paper's regime is made of: 2 particles of N = 258 (every shape
+    runs the fused kernel; a size heuristic once sent this one to the
+    reference kernel, which sums in another order)."""
 
     def test_small_block_identical_across_modes(self):
-        runs = check("host_is_spmd", Disk(
-            n=256, seed=9, dt_max=16.0, t_end=48.0,
-            threads=EngineConfig.from_env().threads))
-        assert min(runs[0].sim.scheduler.stats.size_counts) <= 2
+        check("evaluation_is_host", Disk(
+            n=256, seed=9, n_active=2, threads=EngineConfig.from_env().threads))
 
 
 @pytest.mark.usefixtures("numpy_tier")
